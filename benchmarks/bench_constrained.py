@@ -31,7 +31,7 @@ _MODE = "smoke" if SMOKE else ("full" if FULL else "default")
 
 
 def _decode_all(decoder, prompts, grammar):
-    config = GenerationConfig.greedy_config(MAX_NEW_TOKENS, tree_verify=True, grammar=grammar)
+    config = GenerationConfig.greedy_config(MAX_NEW_TOKENS, grammar=grammar)
     return [decoder.generate_from_text(prompt, config) for prompt in prompts]
 
 
@@ -89,7 +89,7 @@ def test_constrained_decoding(benchmark, trained_pipeline, rtllm_subset):
         },
     )
 
-    config = GenerationConfig.greedy_config(MAX_NEW_TOKENS, tree_verify=True, grammar="verilog")
+    config = GenerationConfig.greedy_config(MAX_NEW_TOKENS, grammar="verilog")
     benchmark.pedantic(lambda: decoder.generate_from_text(prompts[0], config), rounds=1, iterations=1)
 
 

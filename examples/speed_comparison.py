@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.core.pipeline import PipelineConfig, VerilogSpecPipeline
 from repro.data.prompt_augmentation import build_speed_prompt_set
 from repro.evalbench.rtllm import rtllm_suite
-from repro.evalbench.speed import compare_cache_modes, measure_speed, speedup
+from repro.evalbench.speed import measure_speed, speedup
 from repro.evalbench.vgen import vgen_suite
 
 
@@ -42,20 +42,6 @@ def main() -> None:
             f"{method:<8} {report.mean_tokens_per_second:>10.1f} {speedup(report, baseline):>9.2f} "
             f"{report.mean_tokens_per_step:>12.2f} {speedup(report, baseline, use_steps=True):>13.2f}"
         )
-
-    # The wall-clock win of KV-cached incremental decoding over full recompute.
-    comparison = compare_cache_modes(
-        pipeline.decoder_for("ours"),
-        pipeline.decoder_for("ours", use_cache=False),
-        prompts[:5],
-        max_new_tokens=96,
-        label="ours",
-    )
-    print(
-        f"\nKV cache (ours): {comparison.cached.mean_tokens_per_second:.1f} tok/s cached vs "
-        f"{comparison.uncached.mean_tokens_per_second:.1f} tok/s uncached "
-        f"({comparison.wall_clock_speedup:.1f}x, identical outputs: {comparison.tokens_identical})"
-    )
 
 
 if __name__ == "__main__":

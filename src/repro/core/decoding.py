@@ -1,44 +1,37 @@
-"""Speculative decoding loop (paper Sec. III-B).
+"""Speculative decoding (paper Sec. III-B): one step kernel, two drivers.
 
-:class:`SpeculativeDecoder` implements the three decoding regimes the paper
-compares:
+The three decoding regimes the paper compares:
 
 * ``NTP`` — conventional next-token prediction with the base head only;
 * ``MEDUSA`` — multi-head speculative decoding with typical acceptance;
 * ``OURS`` — Medusa-style speculation plus the fragment-integrity check that
   truncates every accepted run back to a syntactically complete fragment.
 
-At each decoding step the model proposes a small set of candidate
-continuations (the base head's top tokens extended with the Medusa heads'
-predictions), verifies all candidates in a single batched forward pass, scores
-them with the typical-acceptance rule (eq. 1), optionally truncates to the
-last fragment boundary, and commits the longest accepted candidate prefix.
+One decoding step is written once, general over a batch of *lanes* (one
+:class:`~repro.serving.request.RequestState` per sequence being decoded, one
+row of a shared KV cache each):
 
-Two verification layouts are supported, committing identical tokens:
+* :func:`ntp_step` samples one token per lane from its held base logits and
+  runs one shared one-token forward;
+* :func:`speculative_step` proposes candidates from the held base + Medusa-head
+  logits, clips them to the budget and context window, prunes them under the
+  grammar mask, merges each lane's candidates into a prefix-deduplicated
+  :class:`~repro.core.token_tree.TokenTree`, verifies every tree in one shared
+  forward over the lanes' own cache rows (tree attention bias, per-node
+  position offsets), scores the candidates with exact-match (greedy) or
+  typical acceptance (eq. 1),
+  truncates to the last fragment boundary (``OURS``), commits, and compacts
+  each cache row to its accepted root-to-leaf path so rejected speculative
+  tokens never pollute later steps.
 
-* **row-batched** (the default, kept as the reference implementation) — each
-  candidate occupies its own padded batch row, so tokens shared between
-  candidates are verified once per candidate;
-* **token-tree** (``GenerationConfig.tree_verify``) — the candidate set is
-  merged into a prefix-deduplicated tree (:mod:`repro.core.token_tree`),
-  Medusa/SpecInfer style, and verified in one forward over a single row with
-  a tree attention mask; shared prefixes are verified exactly once, and the
-  accepted root-to-leaf path is compacted back into the KV cache with
-  :meth:`~repro.nn.kv_cache.KVCache.keep_path`.
-
-By default the decoder runs **incrementally** over a per-layer KV cache
-(:mod:`repro.nn.kv_cache`): the prompt is prefilled once, every verification
-is one batched cached forward over just the candidate tokens, and the cache is
-rolled back to the committed prefix afterwards so rejected speculative tokens
-never pollute later steps.  Pass ``use_cache=False`` to fall back to the
-original full-recompute loop (kept for equivalence testing); both paths commit
-identical token sequences.
-
-The per-step bodies (:func:`propose_candidates`, :func:`pad_candidates`,
-:func:`select_best_candidate`, the greedy verifier and the context-budget
-helpers) are module-level functions shared with the continuous-batching
-serving engine (:mod:`repro.serving`), which runs the same step for many
-requests inside one shared batched forward.
+:class:`SpeculativeDecoder` drives the kernel as a batch of one over a row
+:class:`~repro.nn.kv_cache.KVCache` (both backbones);
+:class:`~repro.serving.engine_core.EngineCore` drives it for every running
+request at once.  Both prefill the prompt once and then reach the model only
+through these two functions, so sequential and served generation commit
+identical tokens by construction.  ``tests/reference_decoder.py`` keeps an
+independent cache-free, tree-free loop as the oracle the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,15 +48,17 @@ from repro.core.acceptance import TypicalAcceptance
 from repro.core.integrity import truncate_to_complete_fragment
 from repro.core.token_tree import (
     TokenTree,
+    pad_tree_tokens,
     prefilter_candidates,
     tree_bias_cached,
-    tree_bias_full,
     tree_position_offsets,
-    tree_position_offsets_full,
 )
-from repro.models.generation import GenerationConfig, sample_from_logits, top_k_token_ids
+from repro.models.generation import GenerationConfig, top_k_token_ids
 from repro.models.medusa import MedusaLM
 from repro.tokenizer.bpe import BPETokenizer
+
+if TYPE_CHECKING:  # serving imports this module, so the lane type is annotation-only here
+    from repro.serving.request import RequestState
 
 
 class DecodingStrategy(enum.Enum):
@@ -72,18 +67,6 @@ class DecodingStrategy(enum.Enum):
     NTP = "ntp"
     MEDUSA = "medusa"
     OURS = "ours"
-
-
-# --------------------------------------------------------------------------- #
-# Per-step building blocks
-#
-# The bodies of one speculative decoding step, factored out of
-# :class:`SpeculativeDecoder` so the multi-request serving engine
-# (:mod:`repro.serving.engine`) can run the identical propose/verify/commit
-# logic for many requests inside one shared batched forward.  Keeping a single
-# implementation is what makes the engine's token-identical-to-sequential
-# guarantee checkable rather than aspirational.
-# --------------------------------------------------------------------------- #
 
 
 def propose_candidates(
@@ -162,25 +145,6 @@ def dedupe_candidates(candidates: List[List[int]]) -> List[List[int]]:
             seen.add(key)
             unique.append(candidate)
     return unique
-
-
-def pad_candidates(candidates: List[List[int]], width: Optional[int] = None) -> List[List[int]]:
-    """Right-pad candidates to equal length (repeating the last token) for batching.
-
-    Args:
-        candidates: non-empty candidate token lists.
-        width: target window width; defaults to the longest candidate.  The
-            serving engine passes the widest window across *all* requests so
-            every row of the shared forward has the same shape.
-
-    Returns:
-        Padded copies; the padding tokens are never committed (acceptance
-        only ever keeps a prefix of the original candidate).
-    """
-    length = max(len(c) for c in candidates)
-    if width is not None:
-        length = max(length, width)
-    return [c + [c[-1]] * (length - len(c)) for c in candidates]
 
 
 def greedy_match_length(logits_per_position: Sequence[np.ndarray], candidate_tokens: Sequence[int]) -> int:
@@ -295,11 +259,9 @@ def max_step_extra(prompt_len: int, output_len: int, remaining: int, max_seq_len
 class StepRecord:
     """Bookkeeping for one decoding step (used by the Fig. 5 bench).
 
-    ``verified`` counts the positions the verification forward actually
-    computed this step: candidate rows x padded window width for row-batched
-    verification, the node count of the deduplicated tree for token-tree
-    verification, and 1 for plain next-token prediction.  The tree-vs-row
-    speed bench compares these counts directly.
+    ``verified`` counts the positions the verification forward computed for
+    this lane this step: the node count of its candidate tree, or 1 for plain
+    next-token prediction.
     """
 
     proposed: int
@@ -328,8 +290,7 @@ class DecodeResult:
     wall_time_seconds: float
     step_records: List[StepRecord] = field(default_factory=list)
     stopped_by_eos: bool = False
-    #: Time spent on the one-off prompt prefill (cached decoding); 0.0 for the
-    #: full-recompute path, which has no separable prefill.
+    #: Time spent on the one-off prompt prefill.
     prefill_seconds: float = 0.0
     #: Prompt positions served from the serving engine's cross-request prefix
     #: cache instead of being prefilled; always 0 for sequential decoding.
@@ -345,6 +306,15 @@ class DecodeResult:
     closure_tokens: int = 0
 
     @property
+    def tokens_decoded(self) -> int:
+        """Tokens the decoding steps committed: the numerator of both rates.
+
+        Excludes :attr:`closure_tokens`, which no step proposed or verified
+        (``steps`` does not count them either).
+        """
+        return self.tokens_generated - self.closure_tokens
+
+    @property
     def decode_seconds(self) -> float:
         """Wall time of the decode loop, excluding the one-off prompt prefill."""
         return max(self.wall_time_seconds - self.prefill_seconds, 0.0)
@@ -355,20 +325,20 @@ class DecodeResult:
 
         Measured with ``time.perf_counter`` over the decode loop only:
         tokenization happens outside the timed region and the one-off prompt
-        prefill is excluded, so cached and uncached runs (and prompts of
-        different lengths) compare apples-to-apples on the per-token rate.
+        prefill is excluded, so prompts of different lengths compare
+        apples-to-apples on the per-token rate.
         """
         denominator = self.decode_seconds if self.decode_seconds > 0 else self.wall_time_seconds
         if denominator <= 0:
             return 0.0
-        return self.tokens_generated / denominator
+        return self.tokens_decoded / denominator
 
     @property
     def tokens_per_step(self) -> float:
         """Mean number of tokens committed per decoding step."""
         if self.steps == 0:
             return 0.0
-        return self.tokens_generated / self.steps
+        return self.tokens_decoded / self.steps
 
     @property
     def tokens_verified(self) -> int:
@@ -390,8 +360,251 @@ class DecodeResult:
         )
 
 
+def speculates(strategy: DecodingStrategy, max_heads: int) -> bool:
+    """True when decoding runs :func:`speculative_step`; False selects :func:`ntp_step`.
+
+    Prefill reads this too: the Medusa heads are evaluated only for lanes
+    whose next step will propose from them.
+    """
+    return strategy is not DecodingStrategy.NTP and max_heads > 0
+
+
+def tree_headroom(num_candidates: int, max_heads: int) -> int:
+    """Most cache positions a lane's appended candidate tree can occupy.
+
+    :func:`speculative_step` appends the whole tree — every branch — to the
+    lane's cache row before compacting to the accepted path, so a row cache
+    serving it needs this much capacity beyond the context window.
+    """
+    return num_candidates * (max_heads + 1)
+
+
+def lane_done(lane: "RequestState", max_seq_len: int) -> bool:
+    """The decode loop's exit conditions: EOS, token budget spent, or context window full."""
+    return (
+        lane.stopped_by_eos
+        or lane.remaining_tokens <= 0
+        or decoder_budget_exceeded(lane.prompt_len, len(lane.output_ids), 1, max_seq_len)
+    )
+
+
+def commit_grammar_closure(lane: "RequestState", tokenizer: BPETokenizer, timestamp: float) -> None:
+    """Commit the grammar closure of a constrained lane whose budget ran out mid-module.
+
+    Keeps the constrained contract (the emitted code parses) for truncated
+    runs.  The closure goes through ``record_commit`` so streaming consumers
+    observe exactly the tokens the result reports; unconstrained lanes and
+    lanes that completed on their own commit nothing.
+    """
+    if lane.grammar_mask is None:
+        return
+    closure = closure_token_ids(lane.grammar_mask, tokenizer)
+    if closure:
+        lane.record_commit(closure, timestamp)
+        lane.closure_tokens = len(closure)
+
+
+def _commit(lane: "RequestState", tokens: List[int], eos_id: int, timestamp: float) -> None:
+    if lane.grammar_mask is not None:
+        for token_id in tokens:
+            lane.grammar_mask.advance(token_id)
+    lane.record_commit(tokens, timestamp)
+    if eos_id in tokens:
+        lane.stopped_by_eos = True
+
+
+def _retire(cache, lanes: Sequence["RequestState"], max_seq_len: int):
+    """Split lanes into (continuing, finished) and reclaim the finished lanes' cache rows."""
+    done = [lane_done(lane, max_seq_len) for lane in lanes]
+    if any(done):
+        # Also when nothing continues, so stale rows never meet the next concat.
+        cache.select_rows([row for row, lane_is_done in enumerate(done) if not lane_is_done])
+    continuing = [lane for lane, lane_is_done in zip(lanes, done) if not lane_is_done]
+    finished = [lane for lane, lane_is_done in zip(lanes, done) if lane_is_done]
+    return continuing, finished
+
+
+def ntp_step(
+    model: MedusaLM,
+    cache,
+    lanes: Sequence["RequestState"],
+    *,
+    eos_id: int,
+    max_seq_len: int,
+    clock: Callable[[], float],
+):
+    """One next-token-prediction step for every lane: sample, commit, one shared forward.
+
+    Args:
+        model: the model being decoded.
+        cache: ragged ``KVCache`` / ``PagedKVCache`` holding one row per lane
+            (same order), each at its lane's committed prefix.
+        lanes: running lanes; each holds the base logits at its last
+            committed position in ``last_base``.
+        eos_id: end-of-sequence token id.
+        max_seq_len: the model's context window.
+        clock: time source stamped on every commit.
+
+    Returns:
+        ``(cache, continuing, finished)`` — ``cache`` now holds one row per
+        continuing lane, whose ``last_base`` is refreshed.
+    """
+    commit_time = clock()
+    for lane in lanes:
+        token = masked_sample(lane.last_base, lane.request.config, lane.rng, lane.grammar_mask)
+        _commit(lane, [token], eos_id, commit_time)
+        lane.step_records.append(StepRecord(proposed=1, accepted=1, committed=1, ends_at_boundary=True))
+    continuing, finished = _retire(cache, lanes, max_seq_len)
+    if continuing:
+        tokens = np.asarray([lane.output_ids[-1] for lane in continuing], dtype=np.int64)[:, None]
+        base_logits, _ = model.forward_hidden(tokens, cache=cache)
+        for row, lane in enumerate(continuing):
+            lane.last_base = base_logits[row, -1]
+    return cache, continuing, finished
+
+
+def speculative_step(
+    model: MedusaLM,
+    cache,
+    lanes: Sequence["RequestState"],
+    *,
+    strategy: DecodingStrategy,
+    acceptance: TypicalAcceptance,
+    num_candidates: int,
+    max_heads: int,
+    frag_id: int,
+    eos_id: int,
+    max_seq_len: int,
+    clock: Callable[[], float],
+):
+    """One speculative step for every lane: propose, verify all trees in one forward, commit.
+
+    Args:
+        model, cache, lanes, eos_id, max_seq_len, clock: as for :func:`ntp_step`;
+            each lane also holds the Medusa-head logits at its last committed
+            position in ``last_heads``, and a row cache needs
+            :func:`tree_headroom` positions of capacity beyond ``max_seq_len``.
+        strategy: ``OURS`` truncates accepted runs to a fragment boundary.
+        acceptance: typical-acceptance rule used by sampling lanes.
+        num_candidates: candidates proposed per lane.
+        max_heads: Medusa heads speculated with.
+        frag_id: token id of the ``[FRAG]`` boundary marker.
+
+    Returns:
+        ``(cache, continuing, finished)`` — a new cache with one row per
+        continuing lane, compacted to its committed tokens; the input cache
+        is released.  Continuing lanes hold refreshed ``last_base`` /
+        ``last_heads``.
+    """
+    prefixes = [int(length) for length in cache.lengths]
+    all_candidates: List[List[List[int]]] = []
+    unpruned_counts: List[Optional[int]] = []
+    trees: List[TokenTree] = []
+    for lane in lanes:
+        candidates = propose_candidates(
+            lane.last_base,
+            lane.last_heads,
+            lane.request.config,
+            lane.rng,
+            num_candidates=num_candidates,
+            max_heads=max_heads,
+            mask=lane.grammar_mask,
+        )
+        extra = max_step_extra(lane.prompt_len, len(lane.output_ids), lane.remaining_tokens, max_seq_len)
+        candidates = dedupe_candidates([candidate[:extra] for candidate in candidates])
+        unpruned = None
+        if lane.grammar_mask is not None:
+            # Like-for-like savings baseline: the tree this step would have
+            # verified without the pre-filter, on the same proposal state.
+            # Truncation can collapse candidates that differed only past
+            # their first violation, hence the second dedupe.
+            unpruned = TokenTree.from_candidates(candidates).size
+            candidates = dedupe_candidates(prefilter_candidates(candidates, lane.grammar_mask))
+        all_candidates.append(candidates)
+        unpruned_counts.append(unpruned)
+        trees.append(TokenTree.from_candidates(candidates))
+
+    # One row per lane: its whole tree is appended after the row's committed
+    # prefix (which may carry the row past the context window: tree nodes sit
+    # at position prefix + depth, not prefix + node index).  Per-row append
+    # widths keep the window padding of smaller trees out of the cache.
+    sizes = [tree.size for tree in trees]
+    window = max(sizes)
+    view = max(prefix + size for prefix, size in zip(prefixes, sizes))
+    cache.set_append_widths(sizes)
+    try:
+        base_v, hidden_v = model.forward_hidden(
+            pad_tree_tokens(trees, window),
+            cache=cache,
+            attn_bias=tree_bias_cached(trees, prefixes, window, view),
+            position_offsets=tree_position_offsets(trees, window),
+        )
+    finally:
+        cache.set_append_widths(None)
+
+    greedy = [lane.request.config.greedy or lane.request.config.temperature <= 0.0 for lane in lanes]
+    # One vectorised argmax serves the greedy verification of every lane.
+    argmax_v = np.argmax(base_v, axis=-1) if any(greedy) else None
+    paths: List[List[int]] = []
+    for index, lane in enumerate(lanes):
+        tree = trees[index]
+        candidates = all_candidates[index]
+        # The predictor of candidate token i is its candidate's node i-1;
+        # token 0's predictor is the held last-position logits.
+        if greedy[index]:
+            greedy_argmax = [argmax_v[index, np.asarray(nodes[:-1], dtype=np.int64)] for nodes in tree.candidate_nodes]
+            logits_lists = None
+        else:
+            greedy_argmax = None
+            logits_lists = [
+                [lane.last_base] + [base_v[index, node] for node in nodes[:-1]] for nodes in tree.candidate_nodes
+            ]
+        best_tokens, best_accepted, best_row = select_best_candidate(
+            candidates,
+            logits_lists,
+            lane.request.config,
+            acceptance=acceptance,
+            strategy=strategy,
+            frag_id=frag_id,
+            eos_id=eos_id,
+            greedy_argmax=greedy_argmax,
+        )
+        _commit(lane, best_tokens, eos_id, clock())
+        lane.step_records.append(
+            StepRecord(
+                proposed=len(candidates[0]),
+                accepted=best_accepted,
+                committed=len(best_tokens),
+                ends_at_boundary=best_tokens[-1] in (frag_id, eos_id),
+                verified=tree.size,
+                verified_unpruned=unpruned_counts[index],
+            )
+        )
+        path = tree.path(best_row, len(best_tokens))
+        paths.append(path)
+        # The verification forward already produced the logits at the last
+        # committed node — they seed the next step's proposal.
+        lane.last_base = base_v[index, path[-1]]
+
+    # One batched Medusa-head evaluation at each lane's last committed node
+    # (the only place head logits are ever read).
+    rows = list(range(len(lanes)))
+    head_logits = model.head_logits_at(hidden_v[rows, [path[-1] for path in paths]])
+    for index, lane in enumerate(lanes):
+        lane.last_heads = [h[index] for h in head_logits]
+
+    # Compact every row to its committed prefix + accepted path (paged caches
+    # alias the prefix blocks and copy only the path), then release the
+    # superseded cache with the rejected branches (paged: drop its block
+    # refs; a no-op for row caches).
+    new_cache = cache.compact_paths(rows, prefixes, paths)
+    cache.release()
+    continuing, finished = _retire(new_cache, lanes, max_seq_len)
+    return new_cache, continuing, finished
+
+
 class SpeculativeDecoder:
-    """Generates Verilog with one of the three decoding strategies.
+    """Generates Verilog with one of the three decoding strategies, one sequence at a time.
 
     Args:
         model: A trained :class:`~repro.models.medusa.MedusaLM` (decoder-only
@@ -404,9 +617,6 @@ class SpeculativeDecoder:
         num_candidates: Candidate continuations verified per step.
         max_speculative_heads: Cap on the Medusa heads used for speculation
             (defaults to all heads the model has).
-        use_cache: ``True`` decodes incrementally over a KV cache (default);
-            ``False`` re-runs the full forward each step (kept for
-            equivalence testing).  Both commit identical tokens.
     """
 
     def __init__(
@@ -417,16 +627,12 @@ class SpeculativeDecoder:
         acceptance: Optional[TypicalAcceptance] = None,
         num_candidates: int = 3,
         max_speculative_heads: Optional[int] = None,
-        use_cache: bool = True,
     ) -> None:
         self.model = model
         self.tokenizer = tokenizer
         self.strategy = strategy
         self.acceptance = acceptance or TypicalAcceptance()
         self.num_candidates = max(1, num_candidates)
-        #: Incremental decoding over a per-layer KV cache (the default); set
-        #: False to re-run the full forward every step (equivalence testing).
-        self.use_cache = use_cache
         self.max_speculative_heads = (
             model.num_medusa_heads if max_speculative_heads is None else min(max_speculative_heads, model.num_medusa_heads)
         )
@@ -434,10 +640,6 @@ class SpeculativeDecoder:
         self.frag_id = vocab.frag_id
         self.eos_id = vocab.eos_id
         self.bos_id = vocab.bos_id
-
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
 
     def generate(self, prompt_ids: Sequence[int], config: Optional[GenerationConfig] = None) -> DecodeResult:
         """Generate a completion for ``prompt_ids``.
@@ -451,504 +653,59 @@ class SpeculativeDecoder:
             A :class:`DecodeResult` with the committed tokens, decoded text,
             per-step records and timing (prefill separated from decode).
         """
+        from repro.serving.request import GenerationRequest, RequestState  # serving imports this module
+
         config = config or GenerationConfig.greedy_config()
-        rng = np.random.default_rng(config.seed)
-        mask = grammar_mask(config.grammar, self.tokenizer)
-        start = time.perf_counter()
-        prefill_seconds = 0.0
-        if self.strategy is DecodingStrategy.NTP or self.model.num_medusa_heads == 0:
-            if self.use_cache:
-                output_ids, records, stopped, prefill_seconds = self._generate_ntp_cached(
-                    list(prompt_ids), config, rng, mask
-                )
-            else:
-                output_ids, records, stopped = self._generate_ntp(list(prompt_ids), config, rng, mask)
-        elif self.use_cache:
-            output_ids, records, stopped, prefill_seconds = self._generate_speculative_cached(
-                list(prompt_ids), config, rng, mask
-            )
-        else:
-            output_ids, records, stopped = self._generate_speculative(list(prompt_ids), config, rng, mask)
-        closure = closure_token_ids(mask, self.tokenizer) if mask is not None else []
-        if closure:
-            # Budget ran out mid-module: append the grammar closure so the
-            # constrained contract (the emitted code parses) holds even for
-            # truncated runs.  Unconstrained runs never enter this branch.
-            output_ids = output_ids + closure
-        elapsed = time.perf_counter() - start
-        text = self.tokenizer.decode(output_ids, keep_frag=True)
-        code = self.tokenizer.decode(output_ids, keep_frag=False)
-        return DecodeResult(
-            token_ids=output_ids,
-            text=text,
-            code=code,
-            steps=len(records),
-            tokens_generated=len(output_ids),
-            wall_time_seconds=elapsed,
-            step_records=records,
-            stopped_by_eos=stopped,
-            prefill_seconds=prefill_seconds,
-            closure_tokens=len(closure),
+        max_seq_len = self.model.backbone.max_seq_len
+        speculative = speculates(self.strategy, self.max_speculative_heads)
+        # The lane's context is what occupies decoder positions: the prompt,
+        # or BOS alone when an encoder holds the prompt.
+        context = [self.bos_id] if self.model.is_encoder_decoder else list(prompt_ids)
+        lane = RequestState(
+            GenerationRequest("sequential", context, config),
+            started_at=time.perf_counter(),
+            rng=np.random.default_rng(config.seed),
+            grammar_mask=grammar_mask(config.grammar, self.tokenizer),
         )
+        # A prompt that already fills the context window yields an empty output.
+        if not lane_done(lane, max_seq_len):
+            headroom = tree_headroom(self.num_candidates, self.max_speculative_heads)
+            cache = self.model.new_cache(capacity=max_seq_len + headroom)
+            prefill_start = time.perf_counter()
+            if self.model.is_encoder_decoder:
+                self.model.encode_prompt(np.asarray(prompt_ids, dtype=np.int64))
+            base_logits, hidden = self.model.forward_hidden(np.asarray([context], dtype=np.int64), cache=cache)
+            lane.last_base = base_logits[0, -1]
+            if speculative:
+                lane.last_heads = [h[0] for h in self.model.head_logits_at(hidden[:, -1])]
+            lane.prefill_seconds = time.perf_counter() - prefill_start
+            lanes = [lane]
+            while lanes:
+                if speculative:
+                    cache, lanes, _ = speculative_step(
+                        self.model,
+                        cache,
+                        lanes,
+                        strategy=self.strategy,
+                        acceptance=self.acceptance,
+                        num_candidates=self.num_candidates,
+                        max_heads=self.max_speculative_heads,
+                        frag_id=self.frag_id,
+                        eos_id=self.eos_id,
+                        max_seq_len=max_seq_len,
+                        clock=time.perf_counter,
+                    )
+                else:
+                    cache, lanes, _ = ntp_step(
+                        self.model, cache, lanes, eos_id=self.eos_id, max_seq_len=max_seq_len, clock=time.perf_counter
+                    )
+        commit_grammar_closure(lane, self.tokenizer, time.perf_counter())
+        lane.finished_at = time.perf_counter()
+        text = self.tokenizer.decode(lane.output_ids, keep_frag=True)
+        code = self.tokenizer.decode(lane.output_ids, keep_frag=False)
+        return lane.to_result(text, code)
 
     def generate_from_text(self, prompt: str, config: Optional[GenerationConfig] = None) -> DecodeResult:
         """Tokenize ``prompt`` and generate a completion."""
         prompt_ids = self.tokenizer.encode(prompt, add_bos=True)
         return self.generate(prompt_ids, config)
-
-    # ------------------------------------------------------------------ #
-    # Model plumbing
-    # ------------------------------------------------------------------ #
-
-    def _model_inputs(self, prompt_ids: List[int], output_ids: List[int]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Build (decoder input, encoder input) for the current architecture."""
-        if self.model.is_encoder_decoder:
-            decoder = np.asarray([self.bos_id] + output_ids, dtype=np.int64)
-            encoder = np.asarray(prompt_ids, dtype=np.int64)
-            return decoder, encoder
-        decoder = np.asarray(prompt_ids + output_ids, dtype=np.int64)
-        return decoder, None
-
-    def _truncate_budget(self, prompt_ids: List[int], output_len: int, extra: int) -> bool:
-        """True when adding ``extra`` tokens would exceed the context window.
-
-        Encoder-decoder models spend decoder positions only on BOS + output;
-        decoder-only models share the window between prompt and output.
-        """
-        max_seq_len = self.model.backbone.max_seq_len
-        if self.model.is_encoder_decoder:
-            return decoder_budget_exceeded(1, output_len, extra, max_seq_len)
-        return decoder_budget_exceeded(len(prompt_ids), output_len, extra, max_seq_len)
-
-    def _prefill(self, prompt_ids: List[int], cache) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Run the one-off prompt forward that seeds the KV cache.
-
-        For encoder-decoder models this encodes the prompt (caching the
-        encoder memory and, lazily, its per-layer cross-attention projections)
-        and prefills the decoder with BOS; for decoder-only models it prefills
-        the whole prompt.  Returns the last-position (base, head) logits.
-        """
-        if self.model.is_encoder_decoder:
-            self.model.encode_prompt(np.asarray(prompt_ids, dtype=np.int64))
-            prefill_ids = np.asarray([[self.bos_id]], dtype=np.int64)
-        else:
-            prefill_ids = np.asarray([prompt_ids], dtype=np.int64)
-        base_logits, hidden = self.model.forward_hidden(prefill_ids, cache=cache)
-        heads = self.model.head_logits_at(hidden[:, -1])
-        return base_logits[0, -1], [h[0] for h in heads]
-
-    # ------------------------------------------------------------------ #
-    # NTP baseline
-    # ------------------------------------------------------------------ #
-
-    def _generate_ntp(
-        self,
-        prompt_ids: List[int],
-        config: GenerationConfig,
-        rng: np.random.Generator,
-        mask: Optional[SyntaxMaskState] = None,
-    ) -> Tuple[List[int], List[StepRecord], bool]:
-        output_ids: List[int] = []
-        records: List[StepRecord] = []
-        stopped = False
-        for _ in range(config.max_new_tokens):
-            if self._truncate_budget(prompt_ids, len(output_ids), 1):
-                break
-            decoder, encoder = self._model_inputs(prompt_ids, output_ids)
-            base_logits, _ = self.model.forward_hidden(decoder, encoder)
-            next_token = masked_sample(base_logits[0, -1], config, rng, mask)
-            if mask is not None:
-                mask.advance(next_token)
-            output_ids.append(next_token)
-            records.append(StepRecord(proposed=1, accepted=1, committed=1, ends_at_boundary=True))
-            if next_token == self.eos_id:
-                stopped = True
-                break
-        return output_ids, records, stopped
-
-    def _generate_ntp_cached(
-        self,
-        prompt_ids: List[int],
-        config: GenerationConfig,
-        rng: np.random.Generator,
-        mask: Optional[SyntaxMaskState] = None,
-    ) -> Tuple[List[int], List[StepRecord], bool, float]:
-        """NTP decoding with a KV cache: prefill once, then one-token forwards."""
-        output_ids: List[int] = []
-        records: List[StepRecord] = []
-        stopped = False
-        if self._truncate_budget(prompt_ids, 0, 1):
-            # Prompt already fills the context window; match the uncached path
-            # (which breaks before its first forward) instead of overflowing.
-            return output_ids, records, stopped, 0.0
-        cache = self.model.new_cache()
-        prefill_start = time.perf_counter()
-        last_base, _ = self._prefill(prompt_ids, cache)
-        prefill_seconds = time.perf_counter() - prefill_start
-        while len(output_ids) < config.max_new_tokens:
-            if self._truncate_budget(prompt_ids, len(output_ids), 1):
-                break
-            next_token = masked_sample(last_base, config, rng, mask)
-            if mask is not None:
-                mask.advance(next_token)
-            output_ids.append(next_token)
-            records.append(StepRecord(proposed=1, accepted=1, committed=1, ends_at_boundary=True))
-            if next_token == self.eos_id:
-                stopped = True
-                break
-            if len(output_ids) < config.max_new_tokens and not self._truncate_budget(prompt_ids, len(output_ids), 1):
-                base_logits, _ = self.model.forward_hidden(np.asarray([[next_token]], dtype=np.int64), cache=cache)
-                last_base = base_logits[0, -1]
-        return output_ids, records, stopped, prefill_seconds
-
-    # ------------------------------------------------------------------ #
-    # Speculative decoding (Medusa / Ours)
-    # ------------------------------------------------------------------ #
-
-    def _propose_candidates(
-        self,
-        base_logits: np.ndarray,
-        head_logits: List[np.ndarray],
-        config: GenerationConfig,
-        rng: np.random.Generator,
-        mask: Optional[SyntaxMaskState] = None,
-    ) -> List[List[int]]:
-        """Build candidate continuations from base + head predictions."""
-        return propose_candidates(
-            base_logits,
-            head_logits,
-            config,
-            rng,
-            num_candidates=self.num_candidates,
-            max_heads=self.max_speculative_heads,
-            mask=mask,
-        )
-
-    @staticmethod
-    def _pad_candidates(candidates: List[List[int]]) -> List[List[int]]:
-        """See :func:`pad_candidates` (kept as a method for API stability)."""
-        return pad_candidates(candidates)
-
-    def _verify_candidates_tree(
-        self,
-        prompt_ids: List[int],
-        output_ids: List[int],
-        tree: TokenTree,
-    ) -> List[List[np.ndarray]]:
-        """Full-recompute token-tree verification: one forward over one row.
-
-        The decoder input is the committed prefix followed by the tree's
-        (deduplicated) node tokens; a tree attention mask and per-node
-        position offsets make the logits at node ``n`` equal what the
-        row-batched forward produces at the corresponding candidate token.
-        Returns per-candidate logits lists in :func:`select_best_candidate`'s
-        layout.
-        """
-        if self.model.is_encoder_decoder:
-            prefix = [self.bos_id] + output_ids
-            encoder_batch = np.asarray(prompt_ids, dtype=np.int64)[None, :]
-        else:
-            prefix = prompt_ids + output_ids
-            encoder_batch = None
-        prefix_len = len(prefix)
-        row = np.asarray([prefix + tree.tokens], dtype=np.int64)
-        bias = tree_bias_full(prefix_len, tree)
-        offsets = tree_position_offsets_full(prefix_len, tree)
-        base_logits, _ = self.model.forward_hidden(
-            row, encoder_batch, attn_bias=bias, position_offsets=offsets
-        )
-        # The predictor of candidate token i is node i-1's logits; token 0's
-        # predictor is the last prefix position (unused by the scoring).
-        per_candidate: List[List[np.ndarray]] = []
-        for nodes in tree.candidate_nodes:
-            logits_list = [base_logits[0, prefix_len - 1]]
-            logits_list += [base_logits[0, prefix_len + node] for node in nodes[:-1]]
-            per_candidate.append(logits_list)
-        return per_candidate
-
-    def _verify_candidates(
-        self,
-        prompt_ids: List[int],
-        output_ids: List[int],
-        candidates: List[List[int]],
-    ) -> List[List[np.ndarray]]:
-        """Return base-model logits for every candidate position (batched)."""
-        padded = self._pad_candidates(candidates)
-        length = len(padded[0])
-        batch_rows = []
-        encoder_batch = None
-        if self.model.is_encoder_decoder:
-            for candidate in padded:
-                batch_rows.append([self.bos_id] + output_ids + candidate)
-            encoder_batch = np.tile(np.asarray(prompt_ids, dtype=np.int64)[None, :], (len(padded), 1))
-        else:
-            for candidate in padded:
-                batch_rows.append(prompt_ids + output_ids + candidate)
-        batch = np.asarray(batch_rows, dtype=np.int64)
-        base_logits, _ = self.model.forward_hidden(batch, encoder_batch)
-        # Position that predicts candidate token i is (prefix_len - 1 + i).
-        prefix_len = batch.shape[1] - length
-        per_candidate: List[List[np.ndarray]] = []
-        for row, candidate in enumerate(candidates):
-            logits_list = [base_logits[row, prefix_len - 1 + i] for i in range(len(candidate))]
-            per_candidate.append(logits_list)
-        return per_candidate
-
-    def _select_best_candidate(
-        self,
-        candidates: List[List[int]],
-        logits_lists: List[List[np.ndarray]],
-        config: GenerationConfig,
-    ) -> Tuple[List[int], int, int]:
-        """Score every verified candidate and pick the longest committed run.
-
-        The first token of each candidate comes from the base model itself and
-        is always committed; acceptance applies to the speculated tail.  Under
-        greedy decoding the verification is exact-match against the base
-        model's argmax (lossless, as in Medusa's greedy mode); under sampling
-        it is the typical-acceptance rule (eq. 1).  ``logits_lists[row][i]``
-        are the base-model logits at the position that predicts candidate
-        token ``i`` (index 0 is unused by the scoring, since token 0 is always
-        committed).  Returns ``(tokens, accepted, row)``.
-        """
-        return select_best_candidate(
-            candidates,
-            logits_lists,
-            config,
-            acceptance=self.acceptance,
-            strategy=self.strategy,
-            frag_id=self.frag_id,
-            eos_id=self.eos_id,
-        )
-
-    def _clip_candidates(
-        self, prompt_ids: List[int], output_ids: List[int], candidates: List[List[int]], remaining: int
-    ) -> List[List[int]]:
-        """Clip candidates to the remaining budget / context window."""
-        max_extra = remaining
-        while self._truncate_budget(prompt_ids, len(output_ids), max_extra) and max_extra > 1:
-            max_extra -= 1
-        return [c[:max_extra] for c in candidates]
-
-    def _apply_grammar_prefilter(
-        self,
-        candidates: List[List[int]],
-        config: GenerationConfig,
-        mask: Optional[SyntaxMaskState],
-    ) -> Tuple[List[List[int]], Optional[int]]:
-        """Prune candidates under the grammar mask, before verification.
-
-        Returns ``(filtered, unpruned)`` where ``unpruned`` is the number of
-        positions this step's verification *would* have computed on the
-        unfiltered set (``None`` when unconstrained) — the like-for-like
-        baseline for the verified-savings accounting, measured at the same
-        step on the same proposal state.  The filtered set is re-deduped:
-        truncation can collapse candidates that differed only past their
-        first violation.
-        """
-        if mask is None:
-            return candidates, None
-        if config.tree_verify:
-            unpruned = TokenTree.from_candidates(candidates).size
-        else:
-            unpruned = len(candidates) * max(len(candidate) for candidate in candidates)
-        filtered = dedupe_candidates(prefilter_candidates(candidates, mask))
-        return filtered, unpruned
-
-    def _generate_speculative(
-        self,
-        prompt_ids: List[int],
-        config: GenerationConfig,
-        rng: np.random.Generator,
-        mask: Optional[SyntaxMaskState] = None,
-    ) -> Tuple[List[int], List[StepRecord], bool]:
-        output_ids: List[int] = []
-        records: List[StepRecord] = []
-        stopped = False
-        while len(output_ids) < config.max_new_tokens:
-            remaining = config.max_new_tokens - len(output_ids)
-            if self._truncate_budget(prompt_ids, len(output_ids), 1):
-                break
-            decoder, encoder = self._model_inputs(prompt_ids, output_ids)
-            base_logits, hidden = self.model.forward_hidden(decoder, encoder)
-            last_base = base_logits[0, -1]
-            last_heads = [h[0] for h in self.model.head_logits_at(hidden[:, -1])]
-            candidates = self._propose_candidates(last_base, last_heads, config, rng, mask)
-            candidates = dedupe_candidates(self._clip_candidates(prompt_ids, output_ids, candidates, remaining))
-            candidates, unpruned = self._apply_grammar_prefilter(candidates, config, mask)
-
-            if config.tree_verify:
-                tree = TokenTree.from_candidates(candidates)
-                verification = self._verify_candidates_tree(prompt_ids, output_ids, tree)
-                verified = tree.size
-            else:
-                verification = self._verify_candidates(prompt_ids, output_ids, candidates)
-                verified = len(candidates) * max(len(candidate) for candidate in candidates)
-            best_tokens, best_accepted, _ = self._select_best_candidate(candidates, verification, config)
-
-            if mask is not None:
-                for token_id in best_tokens:
-                    mask.advance(token_id)
-            output_ids.extend(best_tokens)
-            records.append(
-                StepRecord(
-                    proposed=len(candidates[0]),
-                    accepted=best_accepted,
-                    committed=len(best_tokens),
-                    ends_at_boundary=best_tokens[-1] in (self.frag_id, self.eos_id),
-                    verified=verified,
-                    verified_unpruned=unpruned,
-                )
-            )
-            if self.eos_id in best_tokens:
-                stopped = True
-                break
-        return output_ids, records, stopped
-
-    def _generate_speculative_cached(
-        self,
-        prompt_ids: List[int],
-        config: GenerationConfig,
-        rng: np.random.Generator,
-        mask: Optional[SyntaxMaskState] = None,
-    ) -> Tuple[List[int], List[StepRecord], bool, float]:
-        """Speculative decoding over a KV cache (the fast path).
-
-        The prompt is prefilled once; afterwards each step runs exactly one
-        batched incremental forward — over the candidate tokens only — which
-        serves both as the verification pass for this step and as the source
-        of the next step's proposal logits (the position of the last committed
-        token).  After typical acceptance and fragment truncation the cache is
-        collapsed to the accepted candidate's row and rolled back to the
-        committed prefix, so rejected speculative tokens never pollute it.
-        """
-        output_ids: List[int] = []
-        records: List[StepRecord] = []
-        stopped = False
-        if self._truncate_budget(prompt_ids, 0, 1):
-            # Prompt already fills the context window; match the uncached path.
-            return output_ids, records, stopped, 0.0
-        if config.tree_verify:
-            # The whole tree (all branches) is appended to the one cache row
-            # before compaction, so the row needs headroom beyond the context
-            # window: up to num_candidates full-length candidates of nodes.
-            headroom = self.num_candidates * (self.max_speculative_heads + 1)
-            cache = self.model.new_cache(capacity=self.model.backbone.max_seq_len + headroom)
-        else:
-            cache = self.model.new_cache()
-        prefill_start = time.perf_counter()
-        last_base, last_heads = self._prefill(prompt_ids, cache)
-        prefill_seconds = time.perf_counter() - prefill_start
-        while len(output_ids) < config.max_new_tokens:
-            remaining = config.max_new_tokens - len(output_ids)
-            if self._truncate_budget(prompt_ids, len(output_ids), 1):
-                break
-            candidates = self._propose_candidates(last_base, last_heads, config, rng, mask)
-            candidates = dedupe_candidates(self._clip_candidates(prompt_ids, output_ids, candidates, remaining))
-            candidates, unpruned = self._apply_grammar_prefilter(candidates, config, mask)
-            prefix_len = cache.length
-            greedy = config.greedy or config.temperature <= 0.0
-
-            if config.tree_verify:
-                # Token-tree verification: merge the candidates into one
-                # prefix-deduplicated tree and verify every node in a single
-                # cached forward over a single row — shared candidate
-                # prefixes cost one position instead of one per candidate.
-                tree = TokenTree.from_candidates(candidates)
-                bias = tree_bias_cached([tree], [prefix_len], window=tree.size, view=prefix_len + tree.size)
-                offsets = tree_position_offsets([tree], tree.size)
-                base_v, hidden_v = self.model.forward_hidden(
-                    np.asarray([tree.tokens], dtype=np.int64),
-                    cache=cache,
-                    attn_bias=bias,
-                    position_offsets=offsets,
-                )
-                # The predictor of candidate token i is its candidate's node
-                # i-1; token 0's predictor is the held proposal logits.
-                if greedy:
-                    argmax_nodes = np.argmax(base_v[0], axis=-1)
-                    greedy_argmax = [
-                        argmax_nodes[np.asarray(nodes[:-1], dtype=np.int64)] for nodes in tree.candidate_nodes
-                    ]
-                    logits_lists = None
-                else:
-                    greedy_argmax = None
-                    logits_lists = [
-                        [last_base] + [base_v[0, node] for node in nodes[:-1]] for nodes in tree.candidate_nodes
-                    ]
-            else:
-                # Row-batched verification (the reference layout): every
-                # candidate extends the same committed prefix, so expand the
-                # cache to one row per candidate and run one incremental
-                # forward over just the candidate tokens.
-                padded = self._pad_candidates(candidates)
-                cache.expand_batch(len(padded))
-                base_v, hidden_v = self.model.forward_hidden(np.asarray(padded, dtype=np.int64), cache=cache)
-                # Logits predicting candidate token i live at window position
-                # i-1; token 0's predictor is the last prefix position (= the
-                # proposal logits we already hold, unused by the scoring).
-                if greedy:
-                    # Greedy verification only compares argmaxes: one
-                    # vectorised argmax over the window replaces per-position
-                    # logit reads.
-                    argmax_v = np.argmax(base_v, axis=-1)
-                    greedy_argmax = [argmax_v[row, : len(candidate) - 1] for row, candidate in enumerate(candidates)]
-                    logits_lists = None
-                else:
-                    greedy_argmax = None
-                    logits_lists = [
-                        [last_base] + [base_v[row, i - 1] for i in range(1, len(candidate))]
-                        for row, candidate in enumerate(candidates)
-                    ]
-            best_tokens, best_accepted, best_row = select_best_candidate(
-                candidates,
-                logits_lists,
-                config,
-                acceptance=self.acceptance,
-                strategy=self.strategy,
-                frag_id=self.frag_id,
-                eos_id=self.eos_id,
-                greedy_argmax=greedy_argmax,
-            )
-            committed = len(best_tokens)
-
-            if config.tree_verify:
-                # Compact the appended tree to the accepted root-to-leaf path.
-                path = tree.path(best_row, committed)
-                cache.keep_path(prefix_len, path)
-                verified = tree.size
-                last_node = path[-1]
-                next_base = base_v[0, last_node]
-                next_hidden = hidden_v[0, last_node]
-            else:
-                # Roll back: keep the accepted row, drop rejected/truncated
-                # tokens.
-                cache.keep_row(best_row)
-                cache.truncate(prefix_len + committed)
-                verified = len(padded) * len(padded[0])
-                next_base = base_v[best_row, committed - 1]
-                next_hidden = hidden_v[best_row, committed - 1]
-
-            if mask is not None:
-                for token_id in best_tokens:
-                    mask.advance(token_id)
-            output_ids.extend(best_tokens)
-            records.append(
-                StepRecord(
-                    proposed=len(candidates[0]),
-                    accepted=best_accepted,
-                    committed=committed,
-                    ends_at_boundary=best_tokens[-1] in (self.frag_id, self.eos_id),
-                    verified=verified,
-                    verified_unpruned=unpruned,
-                )
-            )
-            if self.eos_id in best_tokens:
-                stopped = True
-                break
-            # The verification forward already produced the hidden state at the
-            # last committed position — it seeds the next step's proposal (the
-            # Medusa heads are evaluated only there, never over the window).
-            last_base = next_base
-            last_heads = [h[0] for h in self.model.head_logits_at(next_hidden[None, :])]
-        return output_ids, records, stopped, prefill_seconds

@@ -184,15 +184,12 @@ class VerilogSpecPipeline:
     # Decoding
     # ------------------------------------------------------------------ #
 
-    def decoder_for(self, method: str, num_candidates: int = 3, use_cache: bool = True) -> SpeculativeDecoder:
+    def decoder_for(self, method: str, num_candidates: int = 3) -> SpeculativeDecoder:
         """Return a :class:`SpeculativeDecoder` for a trained method.
 
         Args:
             method: ``"ours"``, ``"medusa"`` or ``"ntp"`` (must be trained).
             num_candidates: Speculative candidates verified per step.
-            use_cache: ``False`` selects the full-recompute decoding path
-                (kept for cached-vs-uncached equivalence and speed
-                comparisons).
 
         Returns:
             A decoder wrapping the trained model for ``method``.
@@ -204,7 +201,6 @@ class VerilogSpecPipeline:
             self.tokenizer,
             strategy=METHOD_STRATEGIES[method],
             num_candidates=num_candidates,
-            use_cache=use_cache,
         )
 
     def engine_for(

@@ -1,24 +1,23 @@
 """Prefix-deduplicated token trees for speculative candidate verification.
 
-Row-batched verification (:func:`repro.core.decoding.pad_candidates` + one
-forward row per candidate) re-computes every token the candidates share: with
-the default Medusa candidate set, candidates 1 and 3 differ only after the
-committed base token, yet each occupies a full padded row.  SpecInfer/Medusa
-tree attention instead merges the candidate set into one *token tree* — every
-shared prefix becomes a single node — and verifies the whole tree in one
-forward over one row:
+Verifying one padded forward row per candidate would re-compute every token
+the candidates share: with the default Medusa candidate set, candidates 1 and
+3 differ only after the committed base token.  SpecInfer/Medusa tree attention
+instead merges the candidate set into one *token tree* — every shared prefix
+becomes a single node — and verifies the whole tree in one forward over one
+row:
 
 * each node's token is embedded once, at position ``prefix + depth`` (siblings
   share a position, exactly as if each root-to-leaf path were its own row);
 * an additive attention mask lets each node attend the cached committed
   prefix plus its own ancestor chain and nothing else, so the logits at node
-  ``n`` equal the logits the row-batched forward produces at the same token of
-  any candidate passing through ``n``.
+  ``n`` equal the logits a plain causal forward over the prefix followed by
+  any candidate passing through ``n`` produces at that token.
 
 :class:`TokenTree` is the builder (a tiny trie keyed on ``(parent, token)``);
-the module-level helpers construct the additive masks consumed by
-:meth:`~repro.nn.layers.CausalSelfAttention.forward` for the cached and the
-full-recompute verification paths.
+the module-level helpers construct the additive mask, position offsets and
+padded token rows of the batched verification forward
+(:func:`repro.core.decoding.speculative_step`).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ class TokenTree:
     Nodes are stored flat in insertion order, which guarantees every parent
     precedes its children (so node ids along any root-to-leaf path are
     strictly increasing — the property :meth:`~repro.nn.kv_cache.KVCache
-    .keep_path` compaction relies on).
+    .compact_paths` compaction relies on).
 
     Attributes:
         tokens: token id per node.
@@ -68,22 +67,16 @@ class TokenTree:
         return len(self.candidate_nodes)
 
     @classmethod
-    def from_candidates(cls, candidates: Sequence[Sequence[int]], dedup: bool = True) -> "TokenTree":
+    def from_candidates(cls, candidates: Sequence[Sequence[int]]) -> "TokenTree":
         """Merge candidate token lists into a tree by shared-prefix insertion.
 
         Args:
             candidates: non-empty candidate token lists (as produced by
                 :func:`repro.core.decoding.propose_candidates`).
-            dedup: merge shared prefixes (the point of the tree).  ``False``
-                keeps every candidate as an independent root chain — a
-                "forest" that computes exactly what the row-batched layout
-                computes, used by the serving engine for requests that did
-                not opt into tree verification inside a tree-mode batch.
 
         Returns:
             The merged tree; ``tree.size <= sum(len(c) for c in candidates)``
-            with equality iff no two candidates share a prefix (or ``dedup``
-            is off).
+            with equality iff no two candidates share a prefix.
         """
         if not candidates or any(len(candidate) == 0 for candidate in candidates):
             raise ValueError("candidates must be non-empty token lists")
@@ -94,7 +87,7 @@ class TokenTree:
             nodes: List[int] = []
             for token in candidate:
                 key = (parent, int(token))
-                node = children.get(key) if dedup else None
+                node = children.get(key)
                 if node is None:
                     node = len(tree.tokens)
                     children[key] = node
@@ -171,7 +164,7 @@ def tree_bias_cached(
     window: int,
     view: int,
 ) -> np.ndarray:
-    """Additive attention bias for a cached tree-verification forward.
+    """Additive attention bias for the tree-verification forward.
 
     Row ``r`` of the forward appends ``trees[r]``'s nodes (right-padded to
     ``window``) after its cached prefix of ``past_lengths[r]`` positions, so
@@ -209,31 +202,8 @@ def tree_bias_cached(
     return bias
 
 
-def tree_bias_full(prefix_len: int, tree: TokenTree) -> np.ndarray:
-    """Additive attention bias for a full-recompute tree verification.
-
-    The uncached path runs one forward over ``prefix + tree.tokens`` with no
-    KV cache, so the mask covers the whole sequence: the prefix keeps its
-    causal structure, and each tree node attends the full prefix plus its
-    ancestor chain.
-
-    Returns:
-        ``(1, S, S)`` float32 bias with ``S = prefix_len + tree.size``.
-    """
-    if prefix_len <= 0:
-        raise ValueError(f"prefix length must be positive, got {prefix_len}")
-    size = tree.size
-    total = prefix_len + size
-    bias = np.full((total, total), MASK_VALUE, dtype=np.float32)
-    prefix_keys = np.arange(prefix_len)
-    bias[:prefix_len, :prefix_len][prefix_keys[None, :] <= prefix_keys[:, None]] = 0.0
-    bias[prefix_len:, :prefix_len] = 0.0
-    bias[prefix_len:, prefix_len:][tree.ancestor_mask()] = 0.0
-    return bias[None, :, :]
-
-
 def tree_position_offsets(trees: Sequence[TokenTree], window: int) -> np.ndarray:
-    """Per-row position offsets (``depth`` per node) for a cached tree forward.
+    """Per-row position offsets (``depth`` per node) for the tree-verification forward.
 
     Padded window slots get offset 0; they are excluded from the sequence-
     length check via the cache's per-row append widths and their outputs are
@@ -246,22 +216,6 @@ def tree_position_offsets(trees: Sequence[TokenTree], window: int) -> np.ndarray
     for row, tree in enumerate(trees):
         offsets[row, : tree.size] = tree.depths
     return offsets
-
-
-def tree_position_offsets_full(prefix_len: int, tree: TokenTree) -> np.ndarray:
-    """Position offsets for a full-recompute tree forward over ``prefix + tree``.
-
-    The uncached companion of :func:`tree_position_offsets`: prefix tokens
-    keep their consecutive positions and each tree node sits at
-    ``prefix_len + depth``.
-
-    Returns:
-        ``(1, prefix_len + tree.size)`` int64 offsets for ``position_offsets=``.
-    """
-    offsets = np.concatenate(
-        [np.arange(prefix_len, dtype=np.int64), prefix_len + np.asarray(tree.depths, dtype=np.int64)]
-    )
-    return offsets[None, :]
 
 
 def pad_tree_tokens(trees: Sequence[TokenTree], window: int) -> np.ndarray:

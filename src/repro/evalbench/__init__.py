@@ -14,11 +14,7 @@ from repro.evalbench.passk import pass_at_k, pass_at_k_from_counts, pass_at_k_si
 from repro.evalbench.syntax_eval import check_design_compiles
 from repro.evalbench.functional import check_design_functional, check_designs_functional
 from repro.evalbench.speed import (
-    CacheComparison,
     SpeedReport,
-    TreeComparison,
-    compare_cache_modes,
-    compare_tree_modes,
     measure_speed,
     speedup,
 )
@@ -44,11 +40,7 @@ __all__ = [
     "check_design_compiles",
     "check_design_functional",
     "check_designs_functional",
-    "CacheComparison",
     "SpeedReport",
-    "TreeComparison",
-    "compare_cache_modes",
-    "compare_tree_modes",
     "measure_speed",
     "speedup",
     "ServingComparison",

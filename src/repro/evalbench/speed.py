@@ -16,7 +16,7 @@ pass of the large model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.decoding import DecodeResult, SpeculativeDecoder
@@ -34,14 +34,11 @@ class SpeedReport:
     mean_output_tokens: float
     mean_steps: float
     total_wall_time: float
-    #: Total one-off prompt-prefill time (cached decoding; 0.0 for the
-    #: full-recompute path).  Already excluded from the per-token rates.
+    #: Total one-off prompt-prefill time, already excluded from the per-token rates.
     total_prefill_time: float = 0.0
     #: Total positions run through candidate verification across all outputs
-    #: (see :class:`~repro.core.decoding.StepRecord`); the tree-vs-row bench
-    #: compares these counts directly.
+    #: (see :class:`~repro.core.decoding.StepRecord`).
     total_verified_tokens: int = 0
-    per_output: List[DecodeResult] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         """Machine-readable summary (benchmark JSON artifacts)."""
@@ -65,8 +62,6 @@ def measure_speed(
     sampling_temperature: float = 0.8,
     include_sampling: bool = True,
     label: str = "",
-    keep_outputs: bool = False,
-    tree_verify: bool = False,
 ) -> SpeedReport:
     """Measure generation speed over ``prompts`` (eq. 3).
 
@@ -75,29 +70,21 @@ def measure_speed(
     "575 x 2 outputs" protocol.
 
     Args:
-        decoder: The decoder under measurement (any strategy / cache mode).
+        decoder: The decoder under measurement (any strategy).
         prompts: Prompt texts; each contributes one or two outputs.
         max_new_tokens: Per-output generation budget.
         sampling_temperature: Temperature of the sampling pass.
         include_sampling: Add the temperature-sampling output per prompt.
         label: Label recorded on the report.
-        keep_outputs: Retain every :class:`DecodeResult` in
-            ``report.per_output`` (memory-heavy; used by equivalence checks).
-        tree_verify: Verify candidates as a prefix-deduplicated token tree
-            instead of padded rows (``GenerationConfig.tree_verify``).
 
     Returns:
         A :class:`SpeedReport` aggregating per-output rates.
     """
     results: List[DecodeResult] = []
     for index, prompt in enumerate(prompts):
-        configs = [GenerationConfig.greedy_config(max_new_tokens, tree_verify=tree_verify)]
+        configs = [GenerationConfig.greedy_config(max_new_tokens)]
         if include_sampling:
-            configs.append(
-                GenerationConfig.sampling_config(
-                    sampling_temperature, max_new_tokens, seed=index, tree_verify=tree_verify
-                )
-            )
+            configs.append(GenerationConfig.sampling_config(sampling_temperature, max_new_tokens, seed=index))
         for config in configs:
             results.append(decoder.generate_from_text(prompt, config))
 
@@ -121,7 +108,6 @@ def measure_speed(
         total_wall_time=total_time,
         total_prefill_time=total_prefill,
         total_verified_tokens=total_verified,
-        per_output=results if keep_outputs else [],
     )
 
 
@@ -134,172 +120,3 @@ def speedup(report: SpeedReport, baseline: SpeedReport, use_steps: bool = False)
     if baseline.mean_tokens_per_second <= 0:
         return 0.0
     return report.mean_tokens_per_second / baseline.mean_tokens_per_second
-
-
-@dataclass
-class CacheComparison:
-    """Cached vs. full-recompute decoding for one strategy on the same prompts."""
-
-    cached: SpeedReport
-    uncached: SpeedReport
-    #: True when both decoding paths committed identical token sequences for
-    #: every output — the equivalence the cache refactor guarantees.
-    tokens_identical: bool
-
-    @property
-    def wall_clock_speedup(self) -> float:
-        """Cached tokens/sec over uncached tokens/sec."""
-        if self.uncached.mean_tokens_per_second <= 0:
-            return 0.0
-        return self.cached.mean_tokens_per_second / self.uncached.mean_tokens_per_second
-
-    def to_dict(self) -> dict:
-        return {
-            "cached": self.cached.to_dict(),
-            "uncached": self.uncached.to_dict(),
-            "wall_clock_speedup": self.wall_clock_speedup,
-            "tokens_identical": self.tokens_identical,
-        }
-
-
-def compare_cache_modes(
-    cached_decoder: SpeculativeDecoder,
-    uncached_decoder: SpeculativeDecoder,
-    prompts: Sequence[str],
-    max_new_tokens: int = 96,
-    sampling_temperature: float = 0.8,
-    include_sampling: bool = True,
-    label: str = "",
-) -> CacheComparison:
-    """Measure the same prompt set with and without the KV cache.
-
-    Both decoders must wrap the same model/strategy; the comparison records
-    the wall-clock speedup of incremental decoding and checks that the two
-    paths commit identical token sequences.
-
-    Args:
-        cached_decoder: Decoder built with ``use_cache=True``.
-        uncached_decoder: The same model/strategy with ``use_cache=False``.
-        prompts: Prompt texts measured under both modes.
-        max_new_tokens: Per-output generation budget.
-        sampling_temperature: Temperature of the sampling pass.
-        include_sampling: Add a temperature-sampling output per prompt.
-        label: Base label for the two embedded reports.
-
-    Returns:
-        A :class:`CacheComparison` with both reports, the wall-clock speedup
-        and the token-identity flag.
-    """
-    cached = measure_speed(
-        cached_decoder,
-        prompts,
-        max_new_tokens=max_new_tokens,
-        sampling_temperature=sampling_temperature,
-        include_sampling=include_sampling,
-        label=f"{label}+cache" if label else "cached",
-        keep_outputs=True,
-    )
-    uncached = measure_speed(
-        uncached_decoder,
-        prompts,
-        max_new_tokens=max_new_tokens,
-        sampling_temperature=sampling_temperature,
-        include_sampling=include_sampling,
-        label=f"{label}-cache" if label else "uncached",
-        keep_outputs=True,
-    )
-    tokens_identical = all(
-        c.token_ids == u.token_ids for c, u in zip(cached.per_output, uncached.per_output)
-    )
-    cached.per_output = []
-    uncached.per_output = []
-    return CacheComparison(cached=cached, uncached=uncached, tokens_identical=tokens_identical)
-
-
-@dataclass
-class TreeComparison:
-    """Token-tree vs. row-batched candidate verification on the same prompts."""
-
-    tree: SpeedReport
-    row: SpeedReport
-    #: True when both verification layouts committed identical token
-    #: sequences for every output — the equivalence the tree guarantees.
-    tokens_identical: bool
-
-    @property
-    def verified_token_ratio(self) -> float:
-        """Tree verified positions over row verified positions (< 1 is the win)."""
-        if self.row.total_verified_tokens <= 0:
-            return 0.0
-        return self.tree.total_verified_tokens / self.row.total_verified_tokens
-
-    @property
-    def wall_clock_speedup(self) -> float:
-        """Tree tokens/sec over row tokens/sec."""
-        if self.row.mean_tokens_per_second <= 0:
-            return 0.0
-        return self.tree.mean_tokens_per_second / self.row.mean_tokens_per_second
-
-    def to_dict(self) -> dict:
-        return {
-            "tree": self.tree.to_dict(),
-            "row": self.row.to_dict(),
-            "verified_token_ratio": self.verified_token_ratio,
-            "wall_clock_speedup": self.wall_clock_speedup,
-            "tokens_identical": self.tokens_identical,
-        }
-
-
-def compare_tree_modes(
-    decoder: SpeculativeDecoder,
-    prompts: Sequence[str],
-    max_new_tokens: int = 96,
-    sampling_temperature: float = 0.8,
-    include_sampling: bool = True,
-    label: str = "",
-) -> TreeComparison:
-    """Measure the same prompt set with tree and row-batched verification.
-
-    Both runs use the same decoder (the layout is selected per run via
-    ``GenerationConfig.tree_verify``); the comparison records the verified-
-    token ratio and wall-clock speedup of the tree layout and checks that the
-    two layouts commit identical token sequences.
-
-    Args:
-        decoder: A cached speculative decoder (Medusa/Ours strategy).
-        prompts: Prompt texts measured under both layouts.
-        max_new_tokens: Per-output generation budget.
-        sampling_temperature: Temperature of the sampling pass.
-        include_sampling: Add a temperature-sampling output per prompt.
-        label: Base label for the two embedded reports.
-
-    Returns:
-        A :class:`TreeComparison` with both reports, the verified-token
-        ratio, the wall-clock speedup and the token-identity flag.
-    """
-    tree = measure_speed(
-        decoder,
-        prompts,
-        max_new_tokens=max_new_tokens,
-        sampling_temperature=sampling_temperature,
-        include_sampling=include_sampling,
-        label=f"{label}+tree" if label else "tree",
-        keep_outputs=True,
-        tree_verify=True,
-    )
-    row = measure_speed(
-        decoder,
-        prompts,
-        max_new_tokens=max_new_tokens,
-        sampling_temperature=sampling_temperature,
-        include_sampling=include_sampling,
-        label=f"{label}+row" if label else "row",
-        keep_outputs=True,
-        tree_verify=False,
-    )
-    tokens_identical = all(
-        t.token_ids == r.token_ids for t, r in zip(tree.per_output, row.per_output)
-    )
-    tree.per_output = []
-    row.per_output = []
-    return TreeComparison(tree=tree, row=row, tokens_identical=tokens_identical)

@@ -20,13 +20,6 @@ from repro.nn.functional import softmax
 class GenerationConfig:
     """Configuration of a single generation run.
 
-    ``tree_verify`` selects token-tree speculative verification: the
-    candidate set is merged into a prefix-deduplicated tree and verified in
-    one forward over one row instead of one padded row per candidate
-    (:mod:`repro.core.token_tree`).  Committed tokens are identical either
-    way; the tree simply verifies fewer positions whenever candidates share
-    a prefix.  Ignored by plain next-token prediction.
-
     ``grammar`` selects grammar-constrained decoding
     (:mod:`repro.constrained`): ``"verilog"`` masks every sampled token so
     the generated code stays a viable Verilog prefix and prunes speculative
@@ -46,14 +39,11 @@ class GenerationConfig:
     #: Direct ``sample_from_logits`` callers passing ``seed=None`` fall back
     #: to a fresh OS-entropy stream (non-reproducible, like numpy itself).
     seed: Optional[int] = 0
-    tree_verify: bool = False
     grammar: Optional[str] = None
 
     @classmethod
-    def greedy_config(
-        cls, max_new_tokens: int = 192, tree_verify: bool = False, grammar: Optional[str] = None
-    ) -> "GenerationConfig":
-        return cls(max_new_tokens=max_new_tokens, temperature=0.0, greedy=True, tree_verify=tree_verify, grammar=grammar)
+    def greedy_config(cls, max_new_tokens: int = 192, grammar: Optional[str] = None) -> "GenerationConfig":
+        return cls(max_new_tokens=max_new_tokens, temperature=0.0, greedy=True, grammar=grammar)
 
     @classmethod
     def sampling_config(
@@ -61,7 +51,6 @@ class GenerationConfig:
         temperature: float = 0.8,
         max_new_tokens: int = 192,
         seed: int = 0,
-        tree_verify: bool = False,
         grammar: Optional[str] = None,
     ) -> "GenerationConfig":
         return cls(
@@ -69,7 +58,6 @@ class GenerationConfig:
             temperature=temperature,
             greedy=False,
             seed=seed,
-            tree_verify=tree_verify,
             grammar=grammar,
         )
 

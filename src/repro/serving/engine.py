@@ -17,11 +17,10 @@ and every engine step:
    in the ``PREFILLING`` status) so long prompts never stall the in-flight
    batch;
 2. **proposes** speculative candidates per request from the logits held at
-   its last committed position (identical logic to the sequential decoder —
-   the per-step functions are shared via :mod:`repro.core.decoding`);
+   its last committed position (steps 2-4 are the step kernel in
+   :mod:`repro.core.decoding`, the one the sequential decoder runs);
 3. **verifies** all candidates of all requests in a single batched cached
-   forward (row-tiled, or one token tree per request under
-   ``GenerationConfig.tree_verify``);
+   forward, one token tree per request;
 4. **commits** each request's best accepted run and compacts the cache back
    to one row per request;
 5. **retires** finished requests, reclaiming their cache rows and freeing

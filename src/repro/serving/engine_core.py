@@ -17,11 +17,15 @@ same execution core sit behind three different fronts:
   behind a ``multiprocessing`` pipe, one core per process, sharded by the
   :class:`~repro.serving.router.Router`.
 
-The step pipeline and its invariants are unchanged from the fused engine
-(see ``docs/serving.md``): every row of the shared batched forward computes
-exactly what a batch-1 forward over that row would compute, so committed
-tokens are identical to sequential :meth:`SpeculativeDecoder.generate`
-regardless of batching, chunking, prefix reuse or K/V memory mode.
+Decoding itself is not written here: once prompts are prefilled, each step
+hands the running requests to the step kernel in :mod:`repro.core.decoding`
+(:func:`~repro.core.decoding.ntp_step` /
+:func:`~repro.core.decoding.speculative_step`), the same two functions
+sequential :meth:`SpeculativeDecoder.generate` drives as a batch of one.
+Every row of the shared batched forward computes exactly what a batch-1
+forward over that row would compute, so committed tokens are identical to
+sequential generation regardless of batching, chunking, prefix reuse or K/V
+memory mode (see ``docs/serving.md``).
 """
 
 from __future__ import annotations
@@ -31,25 +35,19 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.constrained.mask import closure_token_ids, grammar_mask, masked_sample
+from repro.constrained.mask import grammar_mask
 from repro.core.acceptance import TypicalAcceptance
 from repro.core.decoding import (
     DecodeResult,
     DecodingStrategy,
-    StepRecord,
-    decoder_budget_exceeded,
-    dedupe_candidates,
-    max_step_extra,
-    pad_candidates,
-    propose_candidates,
-    select_best_candidate,
-)
-from repro.core.token_tree import (
-    TokenTree,
-    pad_tree_tokens,
-    prefilter_candidates,
-    tree_bias_cached,
-    tree_position_offsets,
+    commit_grammar_closure,
+    lane_done,
+    ntp_step,
+    propose_candidates,  # noqa: F401 - benchmarks/perf/layers.py wraps this name on this module
+    select_best_candidate,  # noqa: F401 - likewise
+    speculative_step,
+    speculates,
+    tree_headroom,
 )
 from repro.models.medusa import MedusaLM
 from repro.nn.kv_cache import KVCache
@@ -124,6 +122,8 @@ class EngineCore:
             if max_speculative_heads is None
             else min(max_speculative_heads, model.num_medusa_heads)
         )
+        #: Which step kernel runs, and so whether prefill evaluates the heads.
+        self.speculative = speculates(strategy, self.max_speculative_heads)
         self.scheduler = Scheduler(scheduler_config or SchedulerConfig())
         self.prefix_cache = prefix_cache
         self.on_finish = on_finish or (lambda state, result: None)
@@ -265,7 +265,9 @@ class EngineCore:
         """Fresh single-row cache for a prefilling request, in the core's mode."""
         if self._pool is not None:
             return PagedKVCache(self._pool, batch=1)
-        return self.model.new_cache()
+        # Room for the candidate tree the step kernel appends before compaction.
+        headroom = tree_headroom(self.num_candidates, self.max_speculative_heads)
+        return self.model.new_cache(capacity=self.max_seq_len + headroom)
 
     def _concat(self, caches):
         """Merge caches into one shared batch, dispatching on the memory mode."""
@@ -273,13 +275,10 @@ class EngineCore:
             return PagedKVCache.concat(caches)
         return KVCache.concat(caches)
 
-    def _note_kv_bytes(self, extra: int = 0) -> None:
+    def _note_kv_bytes(self) -> None:
         """Track row-mode peak K/V bytes (paged mode: the pool tracks itself)."""
-        if self._pool is not None:
-            return
-        total = extra + self._row_kv_bytes()
-        if total > self._kv_bytes_peak:
-            self._kv_bytes_peak = total
+        if self._pool is None:
+            self._kv_bytes_peak = max(self._kv_bytes_peak, self._row_kv_bytes())
 
     def _row_kv_bytes(self) -> int:
         total = self._cache.nbytes if self._cache is not None else 0
@@ -367,10 +366,31 @@ class EngineCore:
         self._advance_prefill()
         if not self._active:
             return
-        if self.strategy is DecodingStrategy.NTP or self.model.num_medusa_heads == 0:
-            self._step_ntp()
+        if self.speculative:
+            self._cache, self._active, finished = speculative_step(
+                self.model,
+                self._cache,
+                self._active,
+                strategy=self.strategy,
+                acceptance=self.acceptance,
+                num_candidates=self.num_candidates,
+                max_heads=self.max_speculative_heads,
+                frag_id=self.frag_id,
+                eos_id=self.eos_id,
+                max_seq_len=self.max_seq_len,
+                clock=self.clock,
+            )
         else:
-            self._step_speculative()
+            self._cache, self._active, finished = ntp_step(
+                self.model,
+                self._cache,
+                self._active,
+                eos_id=self.eos_id,
+                max_seq_len=self.max_seq_len,
+                clock=self.clock,
+            )
+        for state in finished:
+            self._finish(state)
 
     # -- cancellation and deadlines --------------------------------------- #
 
@@ -459,9 +479,10 @@ class EngineCore:
             # Built before the budget check so even a prompt-overflow finish
             # runs the grammar closure, exactly like sequential generate.
             state.grammar_mask = grammar_mask(state.request.config.grammar, self.tokenizer)
-            if decoder_budget_exceeded(len(prompt), 0, 1, self.max_seq_len):
-                # The prompt already fills the context window: finish with an
-                # empty output, exactly like sequential generate.
+            if lane_done(state, self.max_seq_len):
+                # Nothing to decode (the prompt already fills the context
+                # window, or the token budget is zero): finish with an empty
+                # output, exactly like sequential generate.
                 self._finish(state)
                 continue
             state.row_cache = self._new_row_cache()
@@ -522,7 +543,8 @@ class EngineCore:
                 base_logits, hidden = self.model.forward_hidden(chunk, cache=state.row_cache)
                 if state.prefill_pos + chunk_len == len(prompt):
                     state.last_base = base_logits[0, -1]
-                    state.last_heads = [h[0] for h in self.model.head_logits_at(hidden[:, -1])]
+                    if self.speculative:
+                        state.last_heads = [h[0] for h in self.model.head_logits_at(hidden[:, -1])]
                 state.prefill_seconds += self.clock() - forward_start
                 state.prefill_pos += chunk_len
                 self.tokens_prefilled_total += chunk_len
@@ -550,350 +572,7 @@ class EngineCore:
         self._cache = self._concat(existing + new_caches)
         self._note_kv_bytes()
 
-    # -- NTP: one committed token per request per step ------------------- #
-
-    def _step_ntp(self) -> None:
-        """Batched next-token prediction: sample per request, one shared forward."""
-        continuing: List[RequestState] = []
-        continuing_rows: List[int] = []
-        next_tokens: List[int] = []
-        finished: List[RequestState] = []
-        commit_time = self.clock()
-        for row, state in enumerate(self._active):
-            config = state.request.config
-            token = masked_sample(state.last_base, config, state.rng, state.grammar_mask)
-            if state.grammar_mask is not None:
-                state.grammar_mask.advance(token)
-            state.record_commit([token], commit_time)
-            state.step_records.append(StepRecord(proposed=1, accepted=1, committed=1, ends_at_boundary=True))
-            if token == self.eos_id:
-                state.stopped_by_eos = True
-            if self._is_done(state):
-                finished.append(state)
-            else:
-                continuing.append(state)
-                continuing_rows.append(row)
-                next_tokens.append(token)
-        if len(continuing) < len(self._active):
-            # Reclaim finished requests' rows even when nothing continues, so
-            # stale rows never leak into the next admission's concat.
-            self._cache.select_rows(continuing_rows)
-        if continuing:
-            tokens = np.asarray(next_tokens, dtype=np.int64)[:, None]
-            base_logits, _ = self.model.forward_hidden(tokens, cache=self._cache)
-            for row, state in enumerate(continuing):
-                state.last_base = base_logits[row, -1]
-        self._active = continuing
-        for state in finished:
-            self._finish(state)
-
-    # -- Medusa / Ours: batched speculative verification ------------------ #
-
-    def _step_speculative(self) -> None:
-        """Propose per request, verify all candidates in one shared forward, commit."""
-        active = self._active
-        prefix_lens = self._cache.lengths
-        all_candidates: List[List[List[int]]] = []
-        request_widths: List[int] = []
-        unpruned_counts: List[Optional[int]] = []
-        for state in active:
-            config = state.request.config
-            candidates = propose_candidates(
-                state.last_base,
-                state.last_heads,
-                config,
-                state.rng,
-                num_candidates=self.num_candidates,
-                max_heads=self.max_speculative_heads,
-                mask=state.grammar_mask,
-            )
-            extra = max_step_extra(
-                state.prompt_len, len(state.output_ids), state.remaining_tokens, self.max_seq_len
-            )
-            candidates = dedupe_candidates([c[:extra] for c in candidates])
-            if state.grammar_mask is not None:
-                # Like-for-like savings baseline: what this request's own
-                # verification accounting would charge for the unfiltered set
-                # (its tree's node count, or its rows x its padded width).
-                if config.tree_verify:
-                    unpruned = TokenTree.from_candidates(candidates).size
-                else:
-                    unpruned = len(candidates) * max(len(c) for c in candidates)
-                unpruned_counts.append(unpruned)
-                candidates = dedupe_candidates(prefilter_candidates(candidates, state.grammar_mask))
-            else:
-                unpruned_counts.append(None)
-            all_candidates.append(candidates)
-            request_widths.append(max(len(c) for c in candidates))
-
-        if any(state.request.config.tree_verify for state in active):
-            # Token trees in the shared forward: one row per *request* instead
-            # of one per candidate.  Requests that did not opt in ride along
-            # as non-deduplicated forests (independent root chains), which
-            # compute exactly what their row-batched layout computes.
-            self._verify_tree_step(active, prefix_lens, all_candidates, unpruned_counts)
-            return
-
-        # One shared verification forward: tile each request's cache row once
-        # per candidate and right-pad every candidate window to the widest
-        # window in the batch.  Per-row append widths stop each request's
-        # padding (and any window positions past its own context budget) from
-        # entering the cache; padded query slots produce garbage logits that
-        # are never read.
-        window = max(request_widths)
-        counts = [len(candidates) for candidates in all_candidates]
-        batch_rows: List[List[int]] = []
-        for candidates in all_candidates:
-            batch_rows.extend(pad_candidates(candidates, width=window))
-        # The step cache lives only for this one verification forward, so trim
-        # its capacity to what the step can touch instead of allocating (and
-        # zeroing) full max_seq_len buffers every iteration.
-        step_capacity = int(self._cache.length) + window
-        step_cache = self._cache.repeat_rows(counts, capacity=step_capacity)
-        self._note_kv_bytes(extra=step_cache.nbytes)
-        row_widths = np.repeat(np.asarray(request_widths, dtype=np.int64), counts)
-        step_cache.set_append_widths(row_widths)
-        try:
-            base_v, hidden_v = self.model.forward_hidden(
-                np.asarray(batch_rows, dtype=np.int64), cache=step_cache
-            )
-        finally:
-            step_cache.set_append_widths(None)
-
-        # Per request: score candidates, commit the best run, pick the row
-        # and committed length the cache compaction keeps.
-        # One vectorised argmax over every row and window position serves the
-        # greedy verification of all requests at once (skipped when the whole
-        # batch is sampling and nothing would read it).
-        any_greedy = any(
-            state.request.config.greedy or state.request.config.temperature <= 0.0 for state in active
-        )
-        argmax_v = np.argmax(base_v, axis=-1) if any_greedy else None
-        keep_rows: List[int] = []
-        committed_lengths: List[int] = []
-        committed_positions: List[int] = []
-        offset = 0
-        for index, state in enumerate(active):
-            candidates = all_candidates[index]
-            config = state.request.config
-            # Logits predicting candidate token i live at window position
-            # i-1; token 0's predictor is the held last-position logits.
-            if config.greedy or config.temperature <= 0.0:
-                greedy_argmax = [
-                    argmax_v[offset + row, : len(candidate) - 1] for row, candidate in enumerate(candidates)
-                ]
-                logits_lists = None
-            else:
-                greedy_argmax = None
-                logits_lists = [
-                    [state.last_base] + [base_v[offset + row, i - 1] for i in range(1, len(candidate))]
-                    for row, candidate in enumerate(candidates)
-                ]
-            best_tokens, best_accepted, best_row = select_best_candidate(
-                candidates,
-                logits_lists,
-                config,
-                acceptance=self.acceptance,
-                strategy=self.strategy,
-                frag_id=self.frag_id,
-                eos_id=self.eos_id,
-                greedy_argmax=greedy_argmax,
-            )
-            committed = len(best_tokens)
-            if state.grammar_mask is not None:
-                for token_id in best_tokens:
-                    state.grammar_mask.advance(token_id)
-            state.record_commit(best_tokens, self.clock())
-            state.step_records.append(
-                StepRecord(
-                    proposed=len(candidates[0]),
-                    accepted=best_accepted,
-                    committed=committed,
-                    ends_at_boundary=best_tokens[-1] in (self.frag_id, self.eos_id),
-                    # The request's own candidate rows x its own padded width
-                    # (cross-request window padding is a batching artifact and
-                    # is not charged to the request).
-                    verified=len(candidates) * request_widths[index],
-                    verified_unpruned=unpruned_counts[index],
-                )
-            )
-            if self.eos_id in best_tokens:
-                state.stopped_by_eos = True
-            # The verification forward already produced the logits/hidden at
-            # the last committed position — they seed the next step's proposal.
-            state.last_base = base_v[offset + best_row, committed - 1]
-            keep_rows.append(offset + best_row)
-            committed_lengths.append(int(prefix_lens[index]) + committed)
-            committed_positions.append(committed - 1)
-            offset += len(candidates)
-
-        # One batched Medusa-head evaluation at each request's last committed
-        # position (the only place head logits are ever read).
-        last_hidden = hidden_v[keep_rows, committed_positions]
-        head_logits = self.model.head_logits_at(last_hidden)
-        for index, state in enumerate(active):
-            state.last_heads = [h[index] for h in head_logits]
-
-        # Compact: accepted candidate row per request, rolled back to its
-        # committed prefix (one fused copy in row mode, a block-table alias
-        # in paged mode); then release the transient tiling and the old
-        # shared cache (paged: drop their block refs — no-op in row mode)
-        # and reclaim the rows of finished requests.
-        new_cache = step_cache.compact_rows(keep_rows, committed_lengths)
-        step_cache.release()
-        self._cache.release()
-        self._cache = new_cache
-        self._retire_finished()
-
-    def _verify_tree_step(
-        self,
-        active: List[RequestState],
-        prefix_lens: np.ndarray,
-        all_candidates: List[List[List[int]]],
-        unpruned_counts: Optional[List[Optional[int]]] = None,
-    ) -> None:
-        """Verify one token tree per in-flight request inside one shared forward.
-
-        Each request keeps exactly one cache row; its candidate tree
-        (prefix-deduplicated when the request's config asks for
-        ``tree_verify``, a row-equivalent forest otherwise) is appended after
-        the row's committed prefix, with a per-row tree attention bias and
-        per-node position offsets.  After acceptance, the cache is compacted
-        to each request's accepted root-to-leaf path
-        (:meth:`~repro.nn.kv_cache.KVCache.compact_paths`).  Committed tokens
-        are identical to the row-batched step and to sequential generate.
-        """
-        trees = [
-            TokenTree.from_candidates(candidates, dedup=state.request.config.tree_verify)
-            for state, candidates in zip(active, all_candidates)
-        ]
-        sizes = [tree.size for tree in trees]
-        window = max(sizes)
-        prefixes = [int(length) for length in prefix_lens]
-        view = max(prefix + size for prefix, size in zip(prefixes, sizes))
-        # One row per request; the step cache lives only for this forward, so
-        # trim its capacity to the step's maximum extent.
-        step_cache = self._cache.repeat_rows(1, capacity=view)
-        self._note_kv_bytes(extra=step_cache.nbytes)
-        tokens = pad_tree_tokens(trees, window)
-        bias = tree_bias_cached(trees, prefixes, window, view)
-        offsets = tree_position_offsets(trees, window)
-        step_cache.set_append_widths(sizes)
-        try:
-            base_v, hidden_v = self.model.forward_hidden(
-                tokens, cache=step_cache, attn_bias=bias, position_offsets=offsets
-            )
-        finally:
-            step_cache.set_append_widths(None)
-
-        any_greedy = any(
-            state.request.config.greedy or state.request.config.temperature <= 0.0 for state in active
-        )
-        argmax_v = np.argmax(base_v, axis=-1) if any_greedy else None
-        paths: List[List[int]] = []
-        last_nodes: List[int] = []
-        for index, state in enumerate(active):
-            tree = trees[index]
-            candidates = all_candidates[index]
-            config = state.request.config
-            # The predictor of candidate token i is its candidate's node i-1;
-            # token 0's predictor is the held last-position logits.
-            if config.greedy or config.temperature <= 0.0:
-                greedy_argmax = [
-                    argmax_v[index, np.asarray(nodes[:-1], dtype=np.int64)] for nodes in tree.candidate_nodes
-                ]
-                logits_lists = None
-            else:
-                greedy_argmax = None
-                logits_lists = [
-                    [state.last_base] + [base_v[index, node] for node in nodes[:-1]]
-                    for nodes in tree.candidate_nodes
-                ]
-            best_tokens, best_accepted, best_row = select_best_candidate(
-                candidates,
-                logits_lists,
-                config,
-                acceptance=self.acceptance,
-                strategy=self.strategy,
-                frag_id=self.frag_id,
-                eos_id=self.eos_id,
-                greedy_argmax=greedy_argmax,
-            )
-            committed = len(best_tokens)
-            if state.grammar_mask is not None:
-                for token_id in best_tokens:
-                    state.grammar_mask.advance(token_id)
-            state.record_commit(best_tokens, self.clock())
-            # Requests that did not opt into trees ride along as forests, but
-            # their *stats* keep the row-batched accounting (their own rows x
-            # their own padded width) so a request's reported verified count
-            # never depends on who shares its batch — same rule as the row
-            # step's cross-request padding.
-            if config.tree_verify:
-                verified = tree.size
-            else:
-                verified = len(candidates) * max(len(candidate) for candidate in candidates)
-            state.step_records.append(
-                StepRecord(
-                    proposed=len(candidates[0]),
-                    accepted=best_accepted,
-                    committed=committed,
-                    ends_at_boundary=best_tokens[-1] in (self.frag_id, self.eos_id),
-                    verified=verified,
-                    verified_unpruned=None if unpruned_counts is None else unpruned_counts[index],
-                )
-            )
-            if self.eos_id in best_tokens:
-                state.stopped_by_eos = True
-            path = tree.path(best_row, committed)
-            paths.append(path)
-            last_nodes.append(path[-1])
-            state.last_base = base_v[index, path[-1]]
-
-        # One batched Medusa-head evaluation at each request's last committed
-        # node (the only place head logits are ever read).
-        last_hidden = hidden_v[np.arange(len(active)), last_nodes]
-        head_logits = self.model.head_logits_at(last_hidden)
-        for index, state in enumerate(active):
-            state.last_heads = [h[index] for h in head_logits]
-
-        # Compact every row to its committed prefix + accepted path (one
-        # fused copy of the path tokens; paged mode aliases the prefix
-        # blocks); then release the transient step cache and the old shared
-        # cache (paged: drop their block refs — no-op in row mode) and
-        # reclaim the rows of finished requests.
-        new_cache = step_cache.compact_paths(list(range(len(active))), prefixes, paths)
-        step_cache.release()
-        self._cache.release()
-        self._cache = new_cache
-        self._retire_finished()
-
     # -- completion ------------------------------------------------------ #
-
-    def _is_done(self, state: RequestState) -> bool:
-        """Mirror of the sequential decoder's loop-exit conditions."""
-        return (
-            state.stopped_by_eos
-            or state.remaining_tokens <= 0
-            or decoder_budget_exceeded(state.prompt_len, len(state.output_ids), 1, self.max_seq_len)
-        )
-
-    def _retire_finished(self) -> None:
-        """Drop finished requests from the active set and reclaim their cache rows."""
-        survivors: List[RequestState] = []
-        survivor_rows: List[int] = []
-        finished: List[RequestState] = []
-        for row, state in enumerate(self._active):
-            if self._is_done(state):
-                finished.append(state)
-            else:
-                survivors.append(state)
-                survivor_rows.append(row)
-        if finished:
-            self._cache.select_rows(survivor_rows)
-            self._active = survivors
-            for state in finished:
-                self._finish(state)
 
     def _finish(self, state: RequestState, release: bool = True) -> None:
         """Freeze the request's result, hand it to ``on_finish``, notify listeners.
@@ -904,15 +583,9 @@ class EngineCore:
         ``CANCELLED`` status overwritten by the scheduler's ``FINISHED``
         transition).
         """
-        if state.grammar_mask is not None and state.status is not RequestStatus.CANCELLED:
-            # Budget ran out mid-module: commit the grammar closure through
-            # record_commit so streaming consumers observe exactly the tokens
-            # the batch result reports (byte-identity between the two paths).
+        if state.status is not RequestStatus.CANCELLED:
             # Cancelled requests freeze their partial output untouched.
-            closure = closure_token_ids(state.grammar_mask, self.tokenizer)
-            if closure:
-                state.record_commit(closure, self.clock())
-                state.closure_tokens = len(closure)
+            commit_grammar_closure(state, self.tokenizer, self.clock())
         state.finished_at = self.clock()
         if release:
             self.scheduler.release(state)

@@ -28,6 +28,9 @@ Design rules:
   lock the step thread holds while stepping, so engine state is never
   touched concurrently; event fan-out to handles also happens under that
   lock, so bursts and completions reach each handle's queue in commit order.
+  The lock is FIFO-fair (:class:`_FairLock`): the step thread re-takes it
+  at once after every step, and must not win that race against a waiting
+  submit or cancel for a whole run.
   Handles receive them with ``loop.call_soon_threadsafe`` — the only asyncio
   API that is safe to call from outside the loop.  The handle registry has
   its own small lock: handles register on the loop thread and are read by
@@ -62,7 +65,8 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import AsyncIterator, Dict, List, Optional, Sequence
+from collections import deque
+from typing import AsyncIterator, Deque, Dict, List, Optional, Sequence
 
 from repro.core.decoding import DecodeResult
 from repro.models.generation import GenerationConfig
@@ -260,6 +264,41 @@ class StreamHandle:
         return await loop.run_in_executor(None, self._server._cancel, self.request_id)
 
 
+class _FairLock:
+    """FIFO mutex guarding the engine: a release hands the lock to the longest waiter.
+
+    ``threading.Lock`` promises no fairness, and the step thread releases the
+    engine lock only to take it again at once; it can win every one of those
+    races and starve a waiting submit or cancel until the engine runs out of
+    work — ``cancel()`` then returns False for a request that was mid-decode
+    when it was called.  With hand-over on release a foreign caller waits at
+    most one engine step.
+    """
+
+    def __init__(self) -> None:
+        self._mutex = threading.Lock()
+        self._held = False
+        #: One private, already-acquired lock per waiting thread, oldest first.
+        self._waiters: Deque[threading.Lock] = deque()
+
+    def __enter__(self) -> None:
+        with self._mutex:
+            if not self._held:
+                self._held = True
+                return
+            turn = threading.Lock()
+            turn.acquire()
+            self._waiters.append(turn)
+        turn.acquire()  # returns when a releasing holder hands the lock over
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        with self._mutex:
+            if self._waiters:
+                self._waiters.popleft().release()  # ownership passes; still held
+            else:
+                self._held = False
+
+
 class AsyncServingEngine:
     """Drives a :class:`ServingEngine` on a background thread, async-first.
 
@@ -289,7 +328,7 @@ class AsyncServingEngine:
         self.poll_interval = poll_interval
         #: Serialises every engine touch: the step thread holds it per step,
         #: submit/cancel take it from the event loop.
-        self._lock = threading.Lock()
+        self._lock = _FairLock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         #: In-flight handles by request id; settled handles drop out

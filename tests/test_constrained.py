@@ -424,23 +424,19 @@ def _first_intervention(token_ids, tokenizer):
 
 
 class TestConstrainedDecoding:
-    @pytest.mark.parametrize("tree_verify", [False, True])
     @pytest.mark.parametrize("greedy", [False, True])
-    def test_constrained_output_always_parses(self, tiny_pipeline, tree_verify, greedy):
+    def test_constrained_output_always_parses(self, tiny_pipeline, greedy):
         decoder = tiny_pipeline.decoder_for("ours")
         for example in tiny_pipeline.examples[:3]:
             if greedy:
-                config = GenerationConfig.greedy_config(48, tree_verify=tree_verify, grammar="verilog")
+                config = GenerationConfig.greedy_config(48, grammar="verilog")
             else:
-                config = GenerationConfig.sampling_config(
-                    0.8, 48, seed=13, tree_verify=tree_verify, grammar="verilog"
-                )
+                config = GenerationConfig.sampling_config(0.8, 48, seed=13, grammar="verilog")
             result = decoder.generate_from_text(example.prompt_text(), config)
             assert check_syntax(result.code).ok, result.code
 
     @pytest.mark.parametrize("method", ["ntp", "ours"])
-    @pytest.mark.parametrize("tree_verify", [False, True])
-    def test_inert_mask_token_identity(self, tiny_pipeline, method, tree_verify):
+    def test_inert_mask_token_identity(self, tiny_pipeline, method):
         """While the mask is inert, grammar='verilog' is byte-identical.
 
         Under greedy decoding every accepted speculative prefix lies on the
@@ -451,12 +447,12 @@ class TestConstrainedDecoding:
         tokenizer = tiny_pipeline.tokenizer
         inert_tokens = 0
         for example in tiny_pipeline.examples[:6]:
-            config = GenerationConfig.greedy_config(40, tree_verify=tree_verify)
+            config = GenerationConfig.greedy_config(40)
             baseline = decoder.generate_from_text(example.prompt_text(), config)
             cut = _first_intervention(baseline.token_ids, tokenizer)
             constrained = decoder.generate_from_text(
                 example.prompt_text(),
-                GenerationConfig.greedy_config(40, tree_verify=tree_verify, grammar="verilog"),
+                GenerationConfig.greedy_config(40, grammar="verilog"),
             )
             assert constrained.token_ids[:cut] == baseline.token_ids[:cut]
             inert_tokens += cut
@@ -498,7 +494,6 @@ class TestConstrainedDecoding:
         prompt = tiny_pipeline.examples[0].prompt_text()
         for config in (
             GenerationConfig.greedy_config(32),
-            GenerationConfig.greedy_config(32, tree_verify=True),
             GenerationConfig.sampling_config(0.8, 32, seed=4),
         ):
             first = decoder.generate_from_text(prompt, config)
@@ -507,15 +502,14 @@ class TestConstrainedDecoding:
             assert first.tokens_verified == first.tokens_verified_unpruned
             assert first.closure_tokens == 0
 
-    @pytest.mark.parametrize("tree_verify", [False, True])
-    def test_verified_positions_strictly_drop(self, tiny_pipeline, tree_verify):
+    def test_verified_positions_strictly_drop(self, tiny_pipeline):
         """The grammar pre-filter verifies strictly fewer positions than the
         same run would have verified unpruned (ours strategy, all prompts)."""
         decoder = tiny_pipeline.decoder_for("ours")
         total_verified = 0
         total_unpruned = 0
         for example in tiny_pipeline.examples:
-            config = GenerationConfig.greedy_config(48, tree_verify=tree_verify, grammar="verilog")
+            config = GenerationConfig.greedy_config(48, grammar="verilog")
             result = decoder.generate_from_text(example.prompt_text(), config)
             total_verified += result.tokens_verified
             total_unpruned += result.tokens_verified_unpruned
@@ -525,14 +519,13 @@ class TestConstrainedDecoding:
         "method,strategy",
         [("ntp", DecodingStrategy.NTP), ("medusa", DecodingStrategy.MEDUSA), ("ours", DecodingStrategy.OURS)],
     )
-    @pytest.mark.parametrize("tree_verify", [False, True])
-    def test_serving_matches_sequential_under_grammar(self, tiny_pipeline, method, strategy, tree_verify):
+    def test_serving_matches_sequential_under_grammar(self, tiny_pipeline, method, strategy):
         prompts = [example.prompt_text() for example in tiny_pipeline.examples[:4]]
         configs = [
-            GenerationConfig.greedy_config(24, tree_verify=tree_verify, grammar="verilog"),
-            GenerationConfig.sampling_config(0.8, 24, seed=1, tree_verify=tree_verify, grammar="verilog"),
-            GenerationConfig.greedy_config(24, tree_verify=tree_verify),
-            GenerationConfig.sampling_config(0.8, 24, seed=3, tree_verify=tree_verify, grammar="verilog"),
+            GenerationConfig.greedy_config(24, grammar="verilog"),
+            GenerationConfig.sampling_config(0.8, 24, seed=1, grammar="verilog"),
+            GenerationConfig.greedy_config(24),
+            GenerationConfig.sampling_config(0.8, 24, seed=3, grammar="verilog"),
         ]
         decoder = tiny_pipeline.decoder_for(method)
         sequential = [decoder.generate_from_text(p, c) for p, c in zip(prompts, configs)]
@@ -563,7 +556,6 @@ class TestConstrainedDecoding:
                 cases.choice([0.6, 0.9, 1.2]),
                 cases.integer(16, 48),
                 seed=cases.integer(0, 10_000),
-                tree_verify=cases.boolean(),
                 grammar="verilog",
             )
             result = decoder.generate_from_text(prompt, config)

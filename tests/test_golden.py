@@ -3,21 +3,22 @@
 ``tests/golden/*.json`` pins exact prompt -> output token sequences for all
 three methods under greedy decoding and seeded sampling, generated by
 ``scripts/regen_golden.py`` from the same canonical pipeline configuration
-the ``tiny_pipeline`` fixture uses.  Every decoding path — cached and
-uncached, row-batched and token-tree verification — must reproduce them
-bit-for-bit; a legitimate behaviour change regenerates the fixtures (and the
-diff documents exactly which sequences moved).
+the ``tiny_pipeline`` fixture uses.  The step kernel — driven sequentially,
+by the engine in both K/V memory modes, through the async front-end and
+through a one-worker router — and the full-recompute oracle must all
+reproduce them bit-for-bit; a legitimate behaviour change regenerates the
+fixtures (and the diff documents exactly which sequences moved).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import tiny_pipeline_config
+from reference_decoder import reference_generate
 
 from repro.models.generation import GenerationConfig
 
@@ -51,7 +52,7 @@ def test_fixture_pipeline_matches_test_fixture(tiny_pipeline):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_golden_tokens_cached(tiny_pipeline, method):
+def test_golden_tokens_sequential(tiny_pipeline, method):
     fixture = load_fixture(method)
     decoder = tiny_pipeline.decoder_for(method)
     for case in fixture["cases"]:
@@ -62,17 +63,27 @@ def test_golden_tokens_cached(tiny_pipeline, method):
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_golden_tokens_all_paths_agree(tiny_pipeline, method):
-    """Uncached and token-tree decoding reproduce the same goldens."""
+def test_golden_tokens_reference_decoder(tiny_pipeline, method):
+    """The oracle the kernel is tested against reproduces the goldens itself."""
     fixture = load_fixture(method)
-    cached = tiny_pipeline.decoder_for(method)
-    uncached = tiny_pipeline.decoder_for(method, use_cache=False)
+    decoder = tiny_pipeline.decoder_for(method)
     for case in fixture["cases"]:
         config = config_from_dict(case["config"])
-        tree_config = replace(config, tree_verify=True)
         for prompt, expected in zip(fixture["prompts"], case["outputs"]):
-            assert uncached.generate_from_text(prompt, config).token_ids == expected
-            assert cached.generate_from_text(prompt, tree_config).token_ids == expected
+            prompt_ids = tiny_pipeline.tokenizer.encode(prompt, add_bos=True)
+            assert reference_generate(decoder, prompt_ids, config).token_ids == expected
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kv_memory", ["paged", "row"])
+def test_golden_tokens_engine(tiny_pipeline, method, kv_memory):
+    fixture = load_fixture(method)
+    for case in fixture["cases"]:
+        config = config_from_dict(case["config"])
+        engine = tiny_pipeline.engine_for(method, kv_memory=kv_memory)
+        request_ids = [engine.submit_text(prompt, config) for prompt in fixture["prompts"]]
+        results = engine.run()
+        assert [results[request_id].token_ids for request_id in request_ids] == case["outputs"]
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -99,3 +110,42 @@ def test_golden_tokens_serving_with_prefix_reuse(tiny_pipeline, method):
             assert results[request_id].token_ids == expected, (method, case["config"])
         # The duplicated prompt set guarantees reusable prefixes existed.
         assert engine.prefix_cache_stats()["hits"] > 0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_golden_tokens_async_front_end(tiny_pipeline, method):
+    """Streamed bursts through ``AsyncServingEngine`` concatenate to the goldens."""
+    import asyncio
+
+    from repro.serving import AsyncServingEngine
+
+    fixture = load_fixture(method)
+
+    async def stream_all(config):
+        async with AsyncServingEngine(tiny_pipeline.engine_for(method)) as server:
+            handles = [await server.submit_text(prompt, config) for prompt in fixture["prompts"]]
+
+            async def consume(handle):
+                return [token async for burst in handle.stream() for token in burst]
+
+            return list(await asyncio.gather(*(consume(handle) for handle in handles)))
+
+    for case in fixture["cases"]:
+        assert asyncio.run(stream_all(config_from_dict(case["config"]))) == case["outputs"]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_golden_tokens_one_worker_router(tiny_pipeline, method):
+    from repro.serving import Router, RouterConfig
+
+    fixture = load_fixture(method)
+    prompts = [tiny_pipeline.tokenizer.encode(prompt, add_bos=True) for prompt in fixture["prompts"]]
+    with Router(lambda: tiny_pipeline.engine_for(method), config=RouterConfig(num_workers=1, start_method="fork")) as router:
+        for case_index, case in enumerate(fixture["cases"]):
+            config = config_from_dict(case["config"])
+            request_ids = [
+                router.submit(prompt, config=config, request_id=f"c{case_index}-p{index}")
+                for index, prompt in enumerate(prompts)
+            ]
+            results = router.drain(timeout=300)
+            assert [results[request_id].token_ids for request_id in request_ids] == case["outputs"]

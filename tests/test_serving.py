@@ -9,8 +9,6 @@ mid-flight).  Scheduler admission/eviction ordering is tested in isolation.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -122,14 +120,14 @@ class TestServingEquivalence:
             assert results[request_id].token_ids == expected.token_ids
 
     @pytest.mark.parametrize("method,strategy", METHODS)
-    def test_tree_verification_matches_sequential(self, tiny_pipeline, method, strategy):
-        """Tree-mode serving (``GenerationConfig.tree_verify``) commits the
-        same tokens as sequential generate, greedy and sampling mixed."""
+    def test_mixed_greedy_and_sampling_batch(self, tiny_pipeline, method, strategy):
+        """Greedy and sampling requests sharing one batched forward commit the
+        same tokens, in the same number of steps, as sequential generate."""
         prompts = _prompts(tiny_pipeline, 6)
         configs = [
-            GenerationConfig.greedy_config(20, tree_verify=True)
+            GenerationConfig.greedy_config(20)
             if index % 2 == 0
-            else GenerationConfig.sampling_config(0.8, 18, seed=index, tree_verify=True)
+            else GenerationConfig.sampling_config(0.8, 18, seed=index)
             for index in range(len(prompts))
         ]
         decoder = tiny_pipeline.decoder_for(method)
@@ -141,28 +139,6 @@ class TestServingEquivalence:
         for request_id, expected in zip(request_ids, sequential):
             assert results[request_id].token_ids == expected.token_ids
             assert results[request_id].steps == expected.steps
-
-    def test_mixed_tree_and_row_requests_in_one_batch(self, tiny_pipeline):
-        """Requests that opted into trees and requests that did not share the
-        batched forward; both match their sequential references."""
-        prompts = _prompts(tiny_pipeline, 6)
-        configs = [GenerationConfig.greedy_config(18, tree_verify=(index % 2 == 0)) for index in range(len(prompts))]
-        decoder = tiny_pipeline.decoder_for("ours")
-        sequential = [decoder.generate_from_text(p, c) for p, c in zip(prompts, configs)]
-
-        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, max_active_requests=3)
-        request_ids = [engine.submit_text(p, c) for p, c in zip(prompts, configs)]
-        results = engine.run()
-        for request_id, expected, config in zip(request_ids, sequential, configs):
-            assert results[request_id].token_ids == expected.token_ids, config
-        # Tree requests verified strictly fewer positions than their
-        # row-batched sequential twin (shared-prefix dedup at work).
-        row_reference = [
-            decoder.generate_from_text(p, replace(c, tree_verify=False)) for p, c in zip(prompts, configs)
-        ]
-        for request_id, reference, config in zip(request_ids, row_reference, configs):
-            if config.tree_verify:
-                assert results[request_id].tokens_verified < reference.tokens_verified
 
     def test_mixed_budgets_per_request(self, tiny_pipeline):
         """Requests with different max_new_tokens finish independently."""
@@ -459,20 +435,27 @@ class TestSchedulerFuzz:
 
 class TestServingStats:
     def test_step_records_match_sequential(self, tiny_pipeline):
-        """Per-step bookkeeping (proposed/accepted/committed) matches too."""
-        prompts = _prompts(tiny_pipeline, 3)
-        config = GenerationConfig.greedy_config(16)
+        """Per-step bookkeeping matches field for field, the verified and
+        verified-unpruned position counts included (constrained and not)."""
+        prompts = _prompts(tiny_pipeline, 4)
+        configs = [
+            GenerationConfig.greedy_config(16),
+            GenerationConfig.greedy_config(16, grammar="verilog"),
+            GenerationConfig.sampling_config(0.8, 16, seed=2),
+            GenerationConfig.sampling_config(0.8, 16, seed=3, grammar="verilog"),
+        ]
         decoder = tiny_pipeline.decoder_for("ours")
-        sequential = [decoder.generate_from_text(prompt, config) for prompt in prompts]
+        sequential = [decoder.generate_from_text(p, c) for p, c in zip(prompts, configs)]
 
-        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, max_active_requests=3)
-        request_ids = [engine.submit_text(prompt, config) for prompt in prompts]
+        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, max_active_requests=4)
+        request_ids = [engine.submit_text(p, c) for p, c in zip(prompts, configs)]
         results = engine.run()
         for request_id, expected in zip(request_ids, sequential):
-            got = results[request_id].step_records
-            assert [(r.proposed, r.accepted, r.committed) for r in got] == [
-                (r.proposed, r.accepted, r.committed) for r in expected.step_records
-            ]
+            assert results[request_id].step_records == expected.step_records
+            assert results[request_id].tokens_verified == expected.tokens_verified
+            assert results[request_id].tokens_verified_unpruned == expected.tokens_verified_unpruned
+        constrained = [r for r in sequential[1].step_records if r.verified_unpruned is not None]
+        assert constrained and all(r.verified <= r.verified_unpruned for r in constrained)
 
     def test_prefill_time_recorded(self, tiny_pipeline):
         engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
@@ -812,16 +795,11 @@ class TestPrefillTiming:
 
 
 def _mixed_configs(count):
-    """Greedy / sampling / tree-verify configs interleaved."""
-    configs = []
-    for index in range(count):
-        if index % 3 == 0:
-            configs.append(GenerationConfig.greedy_config(14, tree_verify=(index % 2 == 0)))
-        else:
-            configs.append(
-                GenerationConfig.sampling_config(0.8, 12, seed=index, tree_verify=(index % 2 == 0))
-            )
-    return configs
+    """Greedy / sampling configs interleaved."""
+    return [
+        GenerationConfig.greedy_config(14) if index % 3 == 0 else GenerationConfig.sampling_config(0.8, 12, seed=index)
+        for index in range(count)
+    ]
 
 
 class TestPagedKVMemory:
@@ -994,8 +972,7 @@ class TestPagedEngineChurnFuzz:
 
     def _run_trace(self, cases: Cases, pipeline) -> None:
         prompts = _prompts(pipeline, 6)
-        use_cache = cases.boolean()
-        cache = PrefixCache(max_tokens=cases.integer(40, 512)) if use_cache else None
+        cache = PrefixCache(max_tokens=cases.integer(40, 512)) if cases.boolean() else None
         probe = _engine(pipeline, "ours", DecodingStrategy.OURS, prefix_cache=cache)
         overhead_tokens = probe._admission_kwargs()["page_overhead_tokens"]
         ids = [pipeline.tokenizer.encode(p, add_bos=True) for p in prompts]
@@ -1015,9 +992,7 @@ class TestPagedEngineChurnFuzz:
             action = cases.integer(0, 5)
             if action == 0 and pending:
                 index = pending.pop()
-                config = GenerationConfig.greedy_config(
-                    cases.integer(1, 8), tree_verify=cases.boolean()
-                )
+                config = GenerationConfig.greedy_config(cases.integer(1, 8))
                 submitted.append(engine.submit(ids[index % len(ids)], config))
             elif action == 1 and submitted and cases.boolean(0.3):
                 engine.cancel(cases.choice(submitted))

@@ -1,42 +1,32 @@
 """Property-based equivalence suite for token-tree speculative verification.
 
-Three layers of guarantees, each checked over seeded random cases via the
+Two layers of guarantees, each checked over seeded random cases via the
 dependency-free :mod:`proptest` runner:
 
 * **structure** — :class:`~repro.core.token_tree.TokenTree` exactly
   round-trips its candidate set, deduplicates shared prefixes (never more
   nodes than tokens, strictly fewer whenever two candidates share a prefix),
   and keeps parents before children;
-* **logits** — a tree-masked forward produces the same base-model logits at
-  every candidate position as the row-batched layout, cached and uncached,
-  on random candidate sets including adversarial shared prefixes and exact
-  duplicates;
-* **decoding** — full generation with ``tree_verify`` commits token
-  sequences identical to the row-batched reference for NTP/Medusa/Ours,
-  cached and uncached, greedy and sampling (the serving-engine counterpart
-  lives in ``test_serving.py``).
+* **logits** — a tree-masked cached forward produces the same base-model
+  logits at every candidate position as a plain causal forward over the
+  prefix followed by that candidate, on random candidate sets including
+  adversarial shared prefixes and exact duplicates, and path compaction
+  leaves the cache as if only the committed tokens had ever been seen.
 
-Quick case counts run by default; the ``slow``-marked variants run the
-full-size sweeps (CI's coverage job passes ``--runslow``).
+End-to-end decoding equivalence (the step kernel against the full-recompute
+oracle) lives in ``test_step_kernel.py``; the serving-engine counterpart in
+``test_serving.py``.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from proptest import Cases, for_all, num_cases
 
-from repro.core.decoding import dedupe_candidates, pad_candidates, propose_candidates
-from repro.core.token_tree import (
-    TokenTree,
-    tree_bias_cached,
-    tree_bias_full,
-    tree_position_offsets,
-    tree_position_offsets_full,
-)
+from repro.core.decoding import dedupe_candidates, propose_candidates
+from repro.core.token_tree import TokenTree, tree_bias_cached, tree_position_offsets
 from repro.models.decoder_lm import DecoderConfig, TinyCodeLlama
 from repro.models.generation import GenerationConfig
 from repro.models.medusa import MedusaLM
@@ -77,7 +67,7 @@ class TestTokenTreeStructure:
                 for parent_node, child_node in zip(nodes, nodes[1:]):
                     assert tree.parents[child_node] == parent_node
             for node, parent in enumerate(tree.parents):
-                assert parent < node  # parents precede children (keep_path relies on this)
+                assert parent < node  # parents precede children (path compaction relies on this)
 
         for_all(num_cases(25, 400), prop, seed=11)
 
@@ -101,13 +91,6 @@ class TestTokenTreeStructure:
         assert tree.candidate_nodes[0] == tree.candidate_nodes[1]
         assert tree.size == 4  # 3,4,5 shared + the 9 branch
 
-    def test_forest_mode_never_shares_nodes(self):
-        candidates = [[3, 4, 5], [3, 4, 5], [3, 9]]
-        forest = TokenTree.from_candidates(candidates, dedup=False)
-        assert forest.size == sum(len(candidate) for candidate in candidates)
-        flat = [node for nodes in forest.candidate_nodes for node in nodes]
-        assert len(set(flat)) == len(flat)
-
     def test_rejects_empty_candidates(self):
         with pytest.raises(ValueError):
             TokenTree.from_candidates([])
@@ -124,51 +107,14 @@ class TestTokenTreeStructure:
 
 
 class TestTreeLogitsEquivalence:
-    """Tree-masked forwards must reproduce row-batched logits exactly where read."""
+    """Tree-masked forwards must reproduce plain causal logits exactly where read."""
 
-    def _row_logits(self, model, prefix, candidates):
-        padded = pad_candidates(candidates)
-        rows = np.asarray([prefix + candidate for candidate in padded], dtype=np.int64)
-        base, _ = model.forward_hidden(rows)
-        return base
-
-    def test_uncached_tree_matches_row_batched(self, untrained_model):
+    def test_cached_tree_matches_causal_rows(self, untrained_model):
         def prop(cases: Cases) -> None:
             prefix = cases.token_list(cases.integer(1, 8), VOCAB)
             candidates = dedupe_candidates(random_candidates(cases))
             tree = TokenTree.from_candidates(candidates)
             prefix_len = len(prefix)
-
-            row_base = self._row_logits(untrained_model, prefix, candidates)
-            bias = tree_bias_full(prefix_len, tree)
-            offsets = tree_position_offsets_full(prefix_len, tree)
-            tree_base, _ = untrained_model.forward_hidden(
-                np.asarray([prefix + tree.tokens], dtype=np.int64), attn_bias=bias, position_offsets=offsets
-            )
-            for row, nodes in enumerate(tree.candidate_nodes):
-                for position, node in enumerate(nodes):
-                    np.testing.assert_allclose(
-                        tree_base[0, prefix_len + node],
-                        row_base[row, prefix_len + position],
-                        atol=1e-4,
-                        err_msg=f"candidate {row} position {position} (node {node})",
-                    )
-
-        for_all(num_cases(8, 80), prop, seed=21)
-
-    def test_cached_tree_matches_cached_row_batched(self, untrained_model):
-        def prop(cases: Cases) -> None:
-            prefix = cases.token_list(cases.integer(1, 8), VOCAB)
-            candidates = dedupe_candidates(random_candidates(cases))
-            tree = TokenTree.from_candidates(candidates)
-            prefix_len = len(prefix)
-
-            # Row-batched cached verification (the reference layout).
-            row_cache = untrained_model.new_cache()
-            untrained_model.forward_hidden(np.asarray([prefix], dtype=np.int64), cache=row_cache)
-            padded = pad_candidates(candidates)
-            row_cache.expand_batch(len(padded))
-            row_base, _ = untrained_model.forward_hidden(np.asarray(padded, dtype=np.int64), cache=row_cache)
 
             # Tree verification over a single cached row.
             tree_cache = untrained_model.new_cache(capacity=prefix_len + tree.size)
@@ -182,10 +128,12 @@ class TestTreeLogitsEquivalence:
                 position_offsets=offsets,
             )
             for row, nodes in enumerate(tree.candidate_nodes):
+                # The reference: one uncached causal forward over prefix + candidate.
+                row_base, _ = untrained_model.forward_hidden(np.asarray([prefix + candidates[row]], dtype=np.int64))
                 for position, node in enumerate(nodes):
                     np.testing.assert_allclose(
                         tree_base[0, node],
-                        row_base[row, position],
+                        row_base[0, prefix_len + position],
                         atol=1e-4,
                         err_msg=f"candidate {row} position {position} (node {node})",
                     )
@@ -306,72 +254,3 @@ class TestCandidateDedup:
             assert len(set(keys)) == len(keys), f"duplicate candidates {candidates}"
 
         for_all(num_cases(30, 500), prop, seed=31)
-
-
-METHODS = ("ntp", "medusa", "ours")
-
-
-def _generation_cases(quick: bool):
-    """(config, prompts-count) pairs exercised by the end-to-end equivalence tests."""
-    configs = [
-        GenerationConfig.greedy_config(24),
-        GenerationConfig.sampling_config(0.8, 20, seed=5),
-    ]
-    if not quick:
-        configs += [
-            GenerationConfig.sampling_config(1.2, 24, seed=9),
-            GenerationConfig.greedy_config(48),
-        ]
-    return configs
-
-
-class TestEndToEndTreeEquivalence:
-    """Tree verification must commit exactly the row-batched token sequences."""
-
-    def _assert_equivalent(self, pipeline, method, use_cache, configs, prompt_count):
-        decoder = pipeline.decoder_for(method, use_cache=use_cache)
-        prompts = [example.prompt_text() for example in pipeline.examples][:prompt_count]
-        for config in configs:
-            for prompt in prompts:
-                row = decoder.generate_from_text(prompt, config)
-                tree = decoder.generate_from_text(prompt, replace(config, tree_verify=True))
-                assert tree.token_ids == row.token_ids, (method, use_cache, config)
-                assert tree.steps == row.steps
-                assert tree.stopped_by_eos == row.stopped_by_eos
-                # The whole point of the tree: never verify more than the
-                # row layout, strictly less when candidates share a prefix
-                # (always true for the default speculative candidate set).
-                if method != "ntp":
-                    assert tree.tokens_verified < row.tokens_verified, (method, use_cache, config)
-
-    @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("use_cache", [True, False], ids=["cached", "uncached"])
-    def test_token_identical_quick(self, tiny_pipeline, method, use_cache):
-        self._assert_equivalent(tiny_pipeline, method, use_cache, _generation_cases(quick=True), prompt_count=2)
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("use_cache", [True, False], ids=["cached", "uncached"])
-    def test_token_identical_full(self, tiny_pipeline, method, use_cache):
-        self._assert_equivalent(tiny_pipeline, method, use_cache, _generation_cases(quick=False), prompt_count=6)
-
-    def test_tree_cache_stays_single_row(self, tiny_pipeline):
-        """Tree verification never expands the cache: one row start to finish."""
-        decoder = tiny_pipeline.decoder_for("ours")
-        model = tiny_pipeline.models["ours"]
-        original_new_cache = model.new_cache
-        caches = []
-
-        def tracking_new_cache(batch=1, capacity=None):
-            cache = original_new_cache(batch=batch, capacity=capacity)
-            caches.append(cache)
-            return cache
-
-        model.new_cache = tracking_new_cache
-        try:
-            prompt = tiny_pipeline.examples[0].prompt_text()
-            decoder.generate_from_text(prompt, GenerationConfig.greedy_config(16, tree_verify=True))
-        finally:
-            model.new_cache = original_new_cache
-        assert len(caches) == 1
-        assert caches[0].batch == 1
