@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Dependency-free docs validator (the CI docs job).
+"""Docs validator (the CI docs job).
 
 mkdocs is not part of the dev environment, so CI validates the docs tree with
-this checker instead of ``mkdocs build --strict``. It enforces the subset of
-strict-mode guarantees the docs actually rely on:
+this checker instead of ``mkdocs build --strict``. It needs nothing beyond the
+package's own runtime dependencies, and enforces the subset of strict-mode
+guarantees the docs actually rely on:
 
 * every page listed in ``mkdocs.yml``'s nav exists (and vice versa: every
   markdown file under ``docs/`` is reachable from the nav);
@@ -12,23 +13,39 @@ strict-mode guarantees the docs actually rely on:
 * relative markdown links resolve — to an existing docs page/file, and when
   an anchor is given (``page.md#section``), to a real heading on that page;
 * repository-relative links out of ``docs/`` (e.g. ``benchmarks/results/``)
-  resolve to files or directories that exist.
+  resolve to files or directories that exist;
+* code cross-references name something that exists: every fully-qualified
+  ``repro.*`` target of a Sphinx role (``:class:`~repro.x.Y```) in a
+  ``src/repro`` docstring, and every `` `repro.x.y` `` dotted path in
+  ``docs/*.md``, resolves by import + ``getattr`` (dataclass fields and
+  annotated instance attributes count).  This is the one check that imports
+  the package, which is what lets it follow re-exports.
 
 Exits non-zero with a list of problems; prints a summary otherwise.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
+SRC = REPO / "src"
 MKDOCS = REPO / "mkdocs.yml"
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
+#: ``:role:`~repro.x.Y``` or ``:role:`title <repro.x.Y>```; a target may wrap
+#: across docstring lines (``~repro.serving.server\n  .AsyncServingEngine``).
+ROLE_RE = re.compile(r":(?:mod|class|func|meth|attr|data|exc):`(?:[^`<]*<)?~?(repro\.[\w.\s]+?)>?`")
+#: A backticked dotted path in a docs page, e.g. `repro.core.decoding.ntp_step`.
+DOTTED_RE = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def slugify(heading: str) -> str:
@@ -55,8 +72,68 @@ def nav_pages() -> list[str]:
     return pages
 
 
+def _declared_attributes(cls: type) -> set[str]:
+    """Names a class declares without a class-level value.
+
+    Dataclass fields without a default live only in ``__annotations__``, and
+    instance attributes only in ``self.name: T = ...`` assignments.
+    """
+    names: set[str] = set()
+    for klass in cls.__mro__[:-1]:
+        names.update(getattr(klass, "__annotations__", {}))
+        try:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(klass)))
+        except (OSError, TypeError):
+            continue
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Attribute)
+                and isinstance(node.target.value, ast.Name)
+                and node.target.value.id == "self"
+            ):
+                names.add(node.target.attr)
+    return names
+
+
+def resolves(target: str) -> bool:
+    """True if the dotted ``repro.*`` path names a module, object or attribute."""
+    parts = target.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        break
+    else:
+        return False
+    rest = parts[cut:]
+    for index, name in enumerate(rest):
+        if hasattr(obj, name):
+            obj = getattr(obj, name)
+        elif index == len(rest) - 1 and inspect.isclass(obj):
+            return name in _declared_attributes(obj)
+        else:
+            return False
+    return True
+
+
+def check_references() -> list[str]:
+    """Unresolvable ``repro.*`` cross-references in docstrings and docs pages."""
+    sys.path.insert(0, str(SRC))
+    sources = [(path, ROLE_RE) for path in sorted((SRC / "repro").glob("**/*.py"))]
+    sources += [(path, DOTTED_RE) for path in sorted(DOCS.glob("*.md"))]
+    problems = []
+    for path, pattern in sources:
+        targets = {re.sub(r"\s+", "", match) for match in pattern.findall(path.read_text())}
+        for target in sorted(targets):
+            if not resolves(target):
+                problems.append(f"{path.relative_to(REPO)}: unresolved reference {target}")
+    return problems
+
+
 def check() -> list[str]:
-    problems: list[str] = []
+    problems: list[str] = check_references()
     doc_files = sorted(DOCS.glob("**/*.md"))
     if not doc_files:
         return ["docs/ contains no markdown files"]
@@ -152,7 +229,7 @@ def main() -> int:
         print(f"\n{len(problems)} problem(s) found")
         return 1
     pages = len(list(DOCS.glob('**/*.md')))
-    print(f"docs OK: {pages} pages, nav complete, headings and links valid")
+    print(f"docs OK: {pages} pages, nav complete, headings, links and code references valid")
     return 0
 
 

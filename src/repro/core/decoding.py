@@ -26,7 +26,7 @@ row of a shared KV cache each):
 
 :class:`SpeculativeDecoder` drives the kernel as a batch of one over a row
 :class:`~repro.nn.kv_cache.KVCache` (both backbones);
-:class:`~repro.serving.engine_core.EngineCore` drives it for every running
+:class:`~repro.serving.ServingEngine` drives it for every running
 request at once.  Both prefill the prompt once and then reach the model only
 through these two functions, so sequential and served generation commit
 identical tokens by construction.  ``tests/reference_decoder.py`` keeps an

@@ -19,7 +19,7 @@ once many requests arrive concurrently:
   last-commit minus first-commit).
 
 :func:`compare_serving_modes` runs the same prompt set through a
-:class:`~repro.serving.engine.ServingEngine` and through sequential
+:class:`~repro.serving.ServingEngine` and through sequential
 :meth:`~repro.core.decoding.SpeculativeDecoder.generate` calls, checks the
 outputs are token-identical, and reports the throughput/latency ratios.
 :func:`measure_streaming_throughput` runs the prompts through the
@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.decoding import DecodeResult, SpeculativeDecoder
 from repro.evalbench.stats import percentile as _percentile
 from repro.models.generation import GenerationConfig
-from repro.serving.engine import ServingEngine
+from repro.serving.engine_core import ServingEngine
 from repro.serving.server import AsyncServingEngine
 
 

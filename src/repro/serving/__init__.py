@@ -1,7 +1,8 @@
 """Multi-request serving: continuous batching over the shared KV cache.
 
 The serving subsystem grows the single-stream speculative decoder into a
-throughput-oriented engine:
+throughput-oriented engine, in three layers — the engine, the message
+control over it, and the transports that drive the control:
 
 * :mod:`repro.serving.request` — :class:`GenerationRequest` /
   :class:`RequestState`, the unit of work and its lifecycle;
@@ -13,33 +14,35 @@ throughput-oriented engine:
   budget (:class:`PrefixCache`); under paged K/V memory, retention pins
   shared pool blocks by refcount instead of copying, and hits splice in
   zero-copy;
-* :mod:`repro.serving.engine` — :class:`ServingEngine`, which steps every
-  in-flight request through one shared batched forward per iteration and is
-  token-identical to sequential :meth:`SpeculativeDecoder.generate`.  K/V
+* :mod:`repro.serving.engine_core` — **layer 0**, :class:`ServingEngine`: the
+  one owner of request state (ids, validation, results, listeners) and of the
+  step loop that advances every in-flight request through one shared batched
+  forward per iteration, token-identical to sequential
+  :meth:`SpeculativeDecoder.generate`.  K/V
   memory defaults to the paged block pool of :mod:`repro.nn.kv_pool`
   (``kv_memory="paged"``), with the contiguous row cache
   (``kv_memory="row"``) kept as the reference oracle — see
   ``docs/kv-memory.md``;
-* :mod:`repro.serving.server` — :class:`AsyncServingEngine`, the asyncio
-  streaming front-end: per-request :class:`StreamHandle` with
-  ``async for burst in handle.stream()``, cooperative cancellation and
-  per-request deadlines, driving the engine loop on a background thread;
-* :mod:`repro.serving.messages` / :mod:`repro.serving.control` — the
-  plain-data command/reply vocabulary and the :class:`EngineControl` that
-  answers it, splitting the engine into a pure execution core
-  (:mod:`repro.serving.engine_core`) and transports that drive it;
-* :mod:`repro.serving.worker` / :mod:`repro.serving.router` — multi-process
-  sharding: :class:`EngineWorker` replicas each running one engine-core
-  behind a pipe, supervised by a :class:`Router` with prefix-affinity
-  routing, crash restart and deterministic requeue.
+* :mod:`repro.serving.messages` / :mod:`repro.serving.control` — **layer 1**,
+  the plain-data command/reply vocabulary and the :class:`EngineControl`
+  that answers it against one engine; it translates and buffers events, and
+  owns no request state;
+* :mod:`repro.serving.server` — **layer 2, in process**:
+  :class:`AsyncServingEngine`, the asyncio streaming front-end: per-request
+  :class:`StreamHandle` with ``async for burst in handle.stream()``,
+  cooperative cancellation and per-request deadlines, driving the control on
+  a background thread;
+* :mod:`repro.serving.worker` / :mod:`repro.serving.router` — **layer 2,
+  multi-process**: :class:`EngineWorker` replicas each running one engine
+  and its control behind a pipe, supervised by a :class:`Router` with
+  prefix-affinity routing, crash restart and deterministic requeue.
 
 See ``docs/serving.md``, ``docs/streaming.md`` and ``docs/sharding.md`` for
 the design discussion.
 """
 
 from repro.serving.control import EngineControl
-from repro.serving.engine import ServingEngine
-from repro.serving.engine_core import EngineCore
+from repro.serving.engine_core import ServingEngine
 from repro.serving.prefix_cache import PrefixCache, PrefixCacheStats
 from repro.serving.request import (
     GenerationRequest,
@@ -60,7 +63,6 @@ from repro.serving.worker import EngineWorker, WorkerSpec, engine_from_pipeline,
 __all__ = [
     "AsyncServingEngine",
     "EngineControl",
-    "EngineCore",
     "EngineWorker",
     "GenerationRequest",
     "PrefixCache",

@@ -21,11 +21,10 @@ step errors trigger its crash fan-out).
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict
 from typing import List, Optional
 
-from repro.serving.engine import ServingEngine
+from repro.serving.engine_core import ServingEngine
 from repro.serving.messages import (
     CancelCommand,
     CancelReply,
@@ -105,7 +104,7 @@ class EngineControl:
         self.engine.attach_listeners(
             request_id,
             on_commit=lambda tokens, rid=request_id: self._commits.append(
-                CommitEvent(request_id=rid, tokens=list(tokens), timestamp=time.perf_counter())
+                CommitEvent(request_id=rid, tokens=list(tokens), timestamp=self.engine.clock())
             ),
             on_done=self._on_done,
         )
@@ -174,7 +173,7 @@ class EngineControl:
             num_prefilling=engine.num_prefilling,
             num_active=engine.num_active,
             has_work=engine.has_work,
-            free_kv_tokens=engine.core.free_kv_tokens(),
+            free_kv_tokens=engine.free_kv_tokens(),
             steps_executed=self.steps_executed,
         )
 

@@ -1,37 +1,76 @@
-"""Pure step-execution core of the serving engine.
+"""Continuous-batching serving engine over the shared ragged KV cache.
 
-:class:`EngineCore` owns everything that happens *inside* an engine step —
-admission, chunked prefill, the shared batched forward, speculative
-verification, commit, KV/prefix-cache bookkeeping and retirement — and
-nothing that happens at the serving boundary.  It never allocates request
-ids, never validates prompts, never retains results beyond handing each
-frozen :class:`~repro.core.decoding.DecodeResult` to its ``on_finish``
-callback, and never touches threads or pipes.  The split is what lets the
-same execution core sit behind three different fronts:
+:class:`ServingEngine` turns the single-stream speculative decoder into a
+multi-request server: many in-flight requests advance through **one shared
+batched forward per iteration**.  Each running request owns one row of a
+shared cache; rows sit at different prefix lengths (the cache is *ragged*),
+and every engine step:
 
-* :class:`~repro.serving.engine.ServingEngine` — the in-process façade
-  (id allocation, validation, result retention, metrics);
-* :class:`~repro.serving.control.EngineControl` — the message-driven surface
-  (:mod:`repro.serving.messages`) the async server drives in-process;
-* :class:`~repro.serving.worker.EngineWorker` — the same control surface
-  behind a ``multiprocessing`` pipe, one core per process, sharded by the
-  :class:`~repro.serving.router.Router`.
+1. **admits** queued requests the :class:`~repro.serving.scheduler.Scheduler`
+   lets in, prefilling each prompt once and merging the new row into the
+   shared cache (``KVCache.concat``).  With a
+   :class:`~repro.serving.prefix_cache.PrefixCache` attached, the longest
+   retained prefix of the prompt is spliced into the fresh row
+   (``KVCache.splice_prefix``) and only the suffix is prefilled; with
+   ``SchedulerConfig.max_prefill_tokens_per_step`` set, that prefill is
+   paced in fixed-token chunks interleaved with decode steps (requests wait
+   in the ``PREFILLING`` status) so long prompts never stall the in-flight
+   batch;
+2. **proposes** speculative candidates per request from the logits held at
+   its last committed position (steps 2-4 are the step kernel in
+   :mod:`repro.core.decoding` — :func:`~repro.core.decoding.ntp_step` /
+   :func:`~repro.core.decoding.speculative_step`, the same two functions
+   sequential :meth:`SpeculativeDecoder.generate` drives as a batch of one);
+3. **verifies** all candidates of all requests in a single batched cached
+   forward, one token tree per request;
+4. **commits** each request's best accepted run and compacts the cache back
+   to one row per request;
+5. **retires** finished requests, reclaiming their cache rows and freeing
+   scheduler budget so the next step can admit more work.
 
-Decoding itself is not written here: once prompts are prefilled, each step
-hands the running requests to the step kernel in :mod:`repro.core.decoding`
-(:func:`~repro.core.decoding.ntp_step` /
-:func:`~repro.core.decoding.speculative_step`), the same two functions
-sequential :meth:`SpeculativeDecoder.generate` drives as a batch of one.
-Every row of the shared batched forward computes exactly what a batch-1
-forward over that row would compute, so committed tokens are identical to
-sequential generation regardless of batching, chunking, prefix reuse or K/V
-memory mode (see ``docs/serving.md``).
+The one class owns both halves of serving a request: the request table (id
+allocation, submission validation, result and state retention behind
+``result``/``forget``/``stream_metrics``/``request_status``, the streaming
+listener hooks) and the step loop above.  It never touches threads or pipes;
+the message-driven :class:`~repro.serving.control.EngineControl` translates
+the :mod:`repro.serving.messages` vocabulary into calls on it, and the
+transports (:class:`~repro.serving.server.AsyncServingEngine` in process,
+:class:`~repro.serving.worker.EngineWorker` behind a pipe, sharded by the
+:class:`~repro.serving.router.Router`) drive that control.  Every row of the
+shared batched forward computes exactly what a batch-1 forward over that row
+would compute, so committed tokens are identical to sequential generation
+regardless of batching, chunking, prefix reuse or K/V memory mode
+(``tests/test_serving.py`` asserts it for all three strategies with 8
+concurrent requests, in both K/V memory modes; ``tests/test_router.py``
+asserts the router with one worker is token-identical to this class).
+
+**K/V memory** comes in two interchangeable flavours (``kv_memory``, see
+``docs/kv-memory.md``): ``"paged"`` (the default; block tables over one
+shared refcounted pool, zero-copy sharing with copy-on-write) and ``"row"``
+(contiguous per-row buffers, the token-identity reference oracle).
+:meth:`ServingEngine.kv_pool_stats` reports occupancy, sharing and
+copy-on-write counters either way.
+
+Requests can be **cancelled** (:meth:`ServingEngine.cancel`) or given a
+**deadline** at submission; both free the request's scheduler budget,
+prefix-cache retention copy and shared cache row in the same step, whether
+it was queued, mid-prefill or decoding.  Every commit is funnelled through
+:meth:`RequestState.record_commit`, the observation-only hook the async
+front-end turns into ``async for burst in handle.stream()``.
+
+The engine serves decoder-only backbones; encoder-decoder models would
+additionally need ragged cross-attention memories and are rejected at
+construction.
+
+This module keeps the file name ``engine_core`` only because the frozen
+benchmark (``benchmarks/perf/layers.py``) imports it by path and wraps
+``propose_candidates`` / ``select_best_candidate`` on it by name.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -49,46 +88,59 @@ from repro.core.decoding import (
     speculates,
     tree_headroom,
 )
+from repro.models.generation import GenerationConfig
 from repro.models.medusa import MedusaLM
 from repro.nn.kv_cache import KVCache
 from repro.nn.kv_pool import KVBlockPool, PagedKVCache
 from repro.serving.prefix_cache import PrefixCache
-from repro.serving.request import RequestState, RequestStatus, derive_request_rng
+from repro.serving.request import GenerationRequest, RequestState, RequestStatus, derive_request_rng
 from repro.serving.scheduler import Scheduler, SchedulerConfig
 from repro.tokenizer.bpe import BPETokenizer
 
 
-class EngineCore:
-    """Steps admitted requests through one shared batched forward per iteration.
+class ServingEngine:
+    """Serves many generation requests through one shared batched forward per step.
 
     Args:
         model: A trained :class:`~repro.models.medusa.MedusaLM` with a
             decoder-only backbone.
         tokenizer: The tokenizer the model was trained with (grammar masks
             and final text decoding need it).
-        strategy: Decoding regime applied to every request.
-        acceptance: Typical-acceptance rule for sampling runs.
+        strategy: Decoding regime applied to every request (``NTP`` commits
+            one token per step; ``MEDUSA``/``OURS`` speculate with the extra
+            heads).
+        acceptance: Typical-acceptance rule for sampling runs (defaults to
+            the paper's eq. 1 parameters).
         num_candidates: Speculative candidates proposed per request per step.
-        max_speculative_heads: Cap on the Medusa heads used for speculation.
-        scheduler_config: Admission/fairness knobs.
-        prefix_cache: Optional cross-request prefix cache.
-        kv_memory: ``"paged"`` (block pool, the default) or ``"row"``
-            (contiguous buffers, the token-identity oracle).
-        kv_block_size: Tokens per physical block in paged mode.
-        kv_pool_blocks: Paged pool capacity (``None`` sizes it from the
-            scheduler budgets).
-        on_finish: Called once per request as it leaves the core —
-            ``on_finish(state, result)`` — with the frozen result.  The core
-            itself retains nothing, which is what bounds a long-lived
-            worker's memory.
-        clock: Time source for every timestamp the core stamps — submission,
-            admission, commits, completion, deadline expiry and the prefill
-            timing accumulator.  Defaults to ``time.perf_counter`` (the wall
-            clock).  The traffic harness injects a
-            :class:`~repro.traffic.clock.SimulatedClock` here so whole load
-            tests replay deterministically in virtual time: timestamps, TTFT
-            series and deadline expiries then depend only on the trace and
-            the replayer's cost model, never on host speed.
+        max_speculative_heads: Cap on the Medusa heads used for speculation
+            (defaults to all heads the model has).
+        scheduler_config: Admission/fairness knobs; see
+            :class:`~repro.serving.scheduler.SchedulerConfig`.
+        prefix_cache: Optional cross-request
+            :class:`~repro.serving.prefix_cache.PrefixCache`.  When given,
+            admission reuses the longest retained prompt prefix instead of
+            re-prefilling it, and every completed prefill is retained for
+            later requests.  ``None`` (the default) disables reuse.
+        kv_memory: K/V storage mode — ``"paged"`` (the default; block tables
+            over one shared refcounted pool, zero-copy sharing with
+            copy-on-write) or ``"row"`` (contiguous per-row buffers, the
+            reference oracle).  Outputs are token-identical either way.
+        kv_block_size: Tokens per physical block in paged mode.  Smaller
+            blocks waste less capacity on partially-filled tails but cost
+            more table indirection per gather.
+        kv_pool_blocks: Total physical blocks in the paged pool.  ``None``
+            sizes it from the scheduler budgets (worst-case committed
+            context + speculative verification transient + prefix-cache
+            retention); see :meth:`_default_pool_blocks`.
+        clock: Time source for every timestamp the engine stamps —
+            submission, admission, commits, completion, deadline expiry and
+            the prefill timing accumulator.  Defaults to
+            ``time.perf_counter`` (the wall clock).  The traffic harness
+            (:mod:`repro.traffic`) injects a deterministic
+            :class:`~repro.traffic.clock.SimulatedClock` so trace replays —
+            TTFT/latency series, deadline expiry, admission timing — depend
+            only on the trace and the replayer's cost model, never on host
+            speed; see ``docs/traffic.md``.
     """
 
     def __init__(
@@ -104,7 +156,6 @@ class EngineCore:
         kv_memory: str = "paged",
         kv_block_size: int = 16,
         kv_pool_blocks: Optional[int] = None,
-        on_finish: Optional[Callable[[RequestState, DecodeResult], None]] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if model.is_encoder_decoder:
@@ -126,8 +177,7 @@ class EngineCore:
         self.speculative = speculates(strategy, self.max_speculative_heads)
         self.scheduler = Scheduler(scheduler_config or SchedulerConfig())
         self.prefix_cache = prefix_cache
-        self.on_finish = on_finish or (lambda state, result: None)
-        #: Every timestamp the core produces flows through this callable.
+        #: Every timestamp the engine produces flows through this callable.
         self.clock: Callable[[], float] = clock or time.perf_counter
         if kv_memory not in ("paged", "row"):
             raise ValueError(f"kv_memory must be 'paged' or 'row', got {kv_memory!r}")
@@ -156,9 +206,9 @@ class EngineCore:
             prefix_cache.bind(model)
         #: Prompt tokens actually run through prefill forwards / served from
         #: retained K/V instead — the bench's prefill-savings numerator and
-        #: denominator.  Counted per core (a shared PrefixCache carries its
+        #: denominator.  Counted per engine (a shared PrefixCache carries its
         #: own cache-lifetime counters), so reports stay scoped to this
-        #: core's traffic.
+        #: engine's traffic.
         self.tokens_prefilled_total = 0
         self.tokens_reused_total = 0
         self.prefix_hits = 0
@@ -177,6 +227,11 @@ class EngineCore:
         self._prefilling: List[RequestState] = []
         #: In-flight requests carrying a deadline; pruned as they finish.
         self._deadlined: List[RequestState] = []
+        #: Every submitted request and every frozen result, by request id,
+        #: until :meth:`forget` drops them.
+        self._states: Dict[str, RequestState] = {}
+        self._results: Dict[str, DecodeResult] = {}
+        self._next_id = 0
 
     # ------------------------------------------------------------------ #
     # K/V memory
@@ -262,7 +317,7 @@ class EngineCore:
         return self._admission_kwargs()["free_page_tokens"]
 
     def _new_row_cache(self):
-        """Fresh single-row cache for a prefilling request, in the core's mode."""
+        """Fresh single-row cache for a prefilling request, in the engine's mode."""
         if self._pool is not None:
             return PagedKVCache(self._pool, batch=1)
         # Room for the candidate tree the step kernel appends before compaction.
@@ -288,13 +343,13 @@ class EngineCore:
         return total
 
     def kv_pool_stats(self) -> dict:
-        """K/V memory counters of this core, uniform across both modes.
+        """K/V memory counters of this engine, uniform across both modes.
 
         Paged mode reports the pool's physical truth — block occupancy,
         cross-row sharing, copy-on-write events, peak blocks ever resident —
         plus ``prefix_copy_tokens`` (always 0: prefix hits alias pages).
         Row mode reports the same keys with block fields ``None``/0, byte
-        fields from the core-tracked sum of live contiguous buffers
+        fields from the engine-tracked sum of live contiguous buffers
         (*reserved* capacity, which is what row mode actually allocates),
         and ``prefix_copy_tokens`` counting every spliced position.  The
         shared-prefix memory bench compares ``peak_kv_bytes`` across modes.
@@ -322,24 +377,85 @@ class EngineCore:
         }
 
     # ------------------------------------------------------------------ #
-    # Intake
+    # Submission and results
     # ------------------------------------------------------------------ #
 
-    def enqueue(self, state: RequestState) -> None:
-        """Hand a validated request state to the scheduler (front-ends call this).
+    def submit(
+        self,
+        prompt_ids: Sequence[int],
+        config: Optional[GenerationConfig] = None,
+        request_id: Optional[str] = None,
+        priority: int = 0,
+        deadline: Optional[float] = None,
+    ) -> str:
+        """Queue a tokenized prompt for generation; returns the request id.
 
-        The front-end owns id allocation and validation; the core only takes
-        custody — scheduler queue entry and, for deadlined requests, the
-        expiry watch list.
+        Validation happens here, at the submission boundary, rather than
+        surfacing later as an obscure failure deep inside prefill: empty
+        prompts and out-of-vocabulary token ids raise immediately (negative
+        ids would otherwise wrap around the embedding table silently), and a
+        duplicate ``request_id`` raises instead of clobbering the earlier
+        request's result.  Auto-assigned ids skip over any ids the caller
+        already used.
+
+        Args:
+            prompt_ids: Tokenized prompt (BOS included).
+            config: Per-request decoding configuration (defaults to greedy).
+            request_id: Caller-chosen id; auto-assigned when ``None``.
+            priority: Admission priority class (higher admits sooner); only
+                meaningful with ``SchedulerConfig(priorities=...)``.
+            deadline: Optional wall-clock budget in seconds, measured from
+                this call.  When it expires first, the request is cancelled
+                at the next step boundary (``DecodeResult.cancelled`` with
+                the partial output committed so far).
         """
-        state.submitted_at = self.clock()
+        prompt = list(prompt_ids)
+        if not prompt:
+            raise ValueError("cannot serve an empty prompt")
+        vocab_size = self.model.vocab_size
+        for token in prompt:
+            if not 0 <= int(token) < vocab_size:
+                raise ValueError(
+                    f"prompt token id {int(token)} outside the model vocabulary [0, {vocab_size})"
+                )
+        if request_id is None:
+            while f"req-{self._next_id}" in self._states:
+                self._next_id += 1
+            request_id = f"req-{self._next_id}"
+            self._next_id += 1
+        elif not request_id:
+            raise ValueError("request_id must be a non-empty string (or None to auto-assign)")
+        if request_id in self._states:
+            raise ValueError(f"duplicate request id {request_id!r}")
+        if deadline is not None and deadline <= 0.0:
+            raise ValueError(f"deadline must be positive (or None), got {deadline}")
+        request = GenerationRequest(
+            request_id=request_id,
+            prompt_ids=prompt,
+            config=config or GenerationConfig.greedy_config(),
+            context_limit=self.max_seq_len,
+            priority=priority,
+            deadline_seconds=deadline,
+        )
+        state = RequestState(request=request, submitted_at=self.clock())
+        self._states[request_id] = state
         self.scheduler.submit(state)
-        if state.request.deadline_seconds is not None:
+        if deadline is not None:
             self._deadlined.append(state)
+        return request_id
 
-    def forget_deadline(self, state: RequestState) -> None:
-        """Drop a settled request from the deadline watch list (see ``forget``)."""
-        self._deadlined = [s for s in self._deadlined if s is not state]
+    def submit_text(
+        self,
+        prompt: str,
+        config: Optional[GenerationConfig] = None,
+        request_id: Optional[str] = None,
+        priority: int = 0,
+        deadline: Optional[float] = None,
+    ) -> str:
+        """Tokenize ``prompt`` (adding BOS) and queue it for generation."""
+        return self.submit(
+            self.tokenizer.encode(prompt, add_bos=True), config, request_id, priority, deadline
+        )
 
     @property
     def has_work(self) -> bool:
@@ -354,6 +470,131 @@ class EngineCore:
     def num_prefilling(self) -> int:
         """Admitted requests whose prompts are still entering the cache."""
         return len(self._prefilling)
+
+    def prefix_cache_stats(self) -> dict:
+        """Prefill accounting: reuse hit rate and prefilled-vs-reused tokens.
+
+        Every number is scoped to *this engine's* traffic — a
+        :class:`~repro.serving.prefix_cache.PrefixCache` may be shared
+        between engines wrapping the same model, and mixing its
+        cache-lifetime counters into a per-engine report would silently
+        disagree with the per-engine token columns (the cache's own view
+        stays available as ``engine.prefix_cache.stats``).  Meaningful with
+        or without an attached cache: the no-reuse baseline reports its
+        total prefilled prompt tokens here too, which is what the
+        shared-prefix bench compares against.
+        """
+        reused = self.tokens_reused_total
+        prefilled = self.tokens_prefilled_total
+        total = reused + prefilled
+        lookups = self.prefix_hits + self.prefix_misses
+        return {
+            "enabled": self.prefix_cache is not None,
+            "prompt_tokens_prefilled": prefilled,
+            "prompt_tokens_reused": reused,
+            "prefill_savings": reused / total if total else 0.0,
+            "hits": self.prefix_hits,
+            "misses": self.prefix_misses,
+            "hit_rate": self.prefix_hits / lookups if lookups else 0.0,
+        }
+
+    def result(self, request_id: str) -> DecodeResult:
+        """Result of a finished request (KeyError while still in flight)."""
+        return self._results[request_id]
+
+    def forget(self, request_id: str) -> DecodeResult:
+        """Drop a settled request's retained state; returns its final result.
+
+        The engine keeps every request's :class:`RequestState` and result so
+        ``result()``/``stream_metrics()`` work after completion — which on a
+        long-lived server is an unbounded retention.  Callers that have
+        consumed a request's result (e.g. a streaming front-end whose handle
+        already holds it) call this to release the bookkeeping: the state,
+        its commit timeline and the stored result are all dropped, and the
+        request id becomes unknown again (reusable).  Only ``FINISHED`` or
+        ``CANCELLED`` requests can be forgotten; forgetting an in-flight
+        request raises ``ValueError``.
+        """
+        state = self._states[request_id]
+        if state.status not in (RequestStatus.FINISHED, RequestStatus.CANCELLED):
+            raise ValueError(f"request {request_id!r} is still in flight ({state.status.value})")
+        del self._states[request_id]
+        # The deadline watch list is otherwise pruned lazily inside step();
+        # an idle server would retain the state through it indefinitely.
+        if state.request.deadline_seconds is not None:
+            self._deadlined = [s for s in self._deadlined if s is not state]
+        return self._results.pop(request_id)
+
+    def scheduler_latency(self, request_id: str) -> float:
+        """Submission-to-completion latency of a request, queueing included."""
+        return self._states[request_id].latency_seconds
+
+    def request_status(self, request_id: str) -> RequestStatus:
+        """Current lifecycle status of a request (KeyError for unknown ids)."""
+        return self._states[request_id].status
+
+    def attach_listeners(
+        self,
+        request_id: str,
+        on_commit: Optional[Callable[[List[int]], None]] = None,
+        on_done: Optional[Callable[[RequestState], None]] = None,
+    ) -> None:
+        """Register observation-only streaming hooks on an in-flight request.
+
+        ``on_commit`` receives each committed token burst right after it
+        lands in the request's outputs; ``on_done`` fires once when the
+        request leaves the engine (finished or cancelled), after its result
+        was frozen.  Listeners must not mutate engine state — they exist so
+        front-ends (like :class:`~repro.serving.server.AsyncServingEngine`)
+        can observe commits without touching engine internals.  Attach
+        before the first step that could advance the request, or the stream
+        misses bursts.
+
+        Raises:
+            KeyError: Unknown ``request_id``.
+            ValueError: The request already finished (its listeners would
+                never fire).
+        """
+        state = self._states[request_id]
+        if state.status in (RequestStatus.FINISHED, RequestStatus.CANCELLED):
+            raise ValueError(f"request {request_id!r} already finished; listeners would never fire")
+        if on_commit is not None:
+            state.commit_listeners.append(on_commit)
+        if on_done is not None:
+            state.done_listeners.append(on_done)
+
+    def stream_metrics(self, request_id: str) -> dict:
+        """Streaming latency series of one request, from its commit timeline.
+
+        Returns a dict with:
+
+        * ``ttft_seconds`` — submission to first committed token (``None``
+          until something commits; includes queueing and prefill, which is
+          what a streaming client actually waits for);
+        * ``inter_token_seconds`` — one entry per token after the *first
+          burst*.  Tokens land in per-step bursts (simultaneously within a
+          burst), so the gap between consecutive commit events is spread
+          evenly over the later burst's tokens — the smoothed per-token
+          rate, summing to last-commit minus first-commit exactly;
+        * ``commit_events`` — the raw ``(seconds_since_submission,
+          num_tokens)`` burst series.
+        """
+        state = self._states[request_id]
+        events = [(t - state.submitted_at, n) for t, n in state.commit_events]
+        inter_token: List[float] = []
+        for (prev_t, _), (t, n) in zip(events, events[1:]):
+            inter_token.extend([(t - prev_t) / n] * n)
+        return {
+            "ttft_seconds": state.ttft_seconds,
+            "inter_token_seconds": inter_token,
+            "commit_events": events,
+        }
+
+    def run(self) -> Dict[str, DecodeResult]:
+        """Step until every submitted request has finished; return all results."""
+        while self.has_work:
+            self.step()
+        return dict(self._results)
 
     # ------------------------------------------------------------------ #
     # One engine iteration
@@ -394,22 +635,31 @@ class EngineCore:
 
     # -- cancellation and deadlines --------------------------------------- #
 
-    def cancel_state(self, state: RequestState, timed_out: bool = False) -> bool:
+    def cancel(self, request_id: str, timed_out: bool = False) -> bool:
         """Cancel a request, releasing every resource it holds *immediately*.
 
-        Works in any pre-finished state and frees, in the same step: a queued
-        request's slot in the waiting queue; a prefilling request's
-        ``tokens_in_flight`` footprint, concurrency slot and private prefill
-        row (including the retained prefix-cache K/V spliced into it); a
-        running request's footprint, slot and its row of the shared KV cache
-        (compacted out right here, not deferred to retirement).
+        Works in any pre-finished state and frees, in the same step:
+
+        * **queued** — its slot in the scheduler's waiting queue;
+        * **prefilling** — its ``tokens_in_flight`` footprint and concurrency
+          slot, plus its private prefill row (which also drops the retained
+          prefix-cache K/V spliced into it at admission);
+        * **running** — its footprint, concurrency slot and its row of the
+          shared KV cache (compacted out right here, not deferred to the
+          finished-request retirement path).
 
         A partial :class:`~repro.core.decoding.DecodeResult` (``cancelled``
-        set) is frozen through ``on_finish`` and done-listeners fire so
-        streaming consumers unblock.  Returns True if the request was
-        actually cancelled, False if it had already settled (cancellation
-        after completion is a no-op, never an error).
+        set, holding whatever tokens had committed) is frozen under the
+        request id, and done-listeners fire so streaming consumers unblock.
+        Returns True if the request was actually cancelled, False if it had
+        already finished (or was already cancelled) — cancellation after
+        completion is a no-op, never an error.  ``timed_out`` marks the
+        cancellation as a deadline expiry (what :meth:`step` passes).
+
+        Raises:
+            KeyError: Unknown ``request_id``.
         """
+        state = self._states[request_id]
         if state.status in (RequestStatus.FINISHED, RequestStatus.CANCELLED):
             return False
         if state.status is RequestStatus.RUNNING:
@@ -442,7 +692,7 @@ class EngineCore:
             if state.status in (RequestStatus.FINISHED, RequestStatus.CANCELLED):
                 continue
             if now - state.submitted_at >= state.request.deadline_seconds:
-                self.cancel_state(state, timed_out=True)
+                self.cancel(state.request.request_id, timed_out=True)
             else:
                 still_waiting.append(state)
         self._deadlined = still_waiting
@@ -575,11 +825,11 @@ class EngineCore:
     # -- completion ------------------------------------------------------ #
 
     def _finish(self, state: RequestState, release: bool = True) -> None:
-        """Freeze the request's result, hand it to ``on_finish``, notify listeners.
+        """Freeze the request's result under its id, then notify done-listeners.
 
         ``release=True`` (the normal completion path) also evicts the request
         from the scheduler; cancellation passes ``release=False`` because
-        :meth:`cancel_state` already removed it (and must not have its
+        :meth:`cancel` already removed it (and must not have its
         ``CANCELLED`` status overwritten by the scheduler's ``FINISHED``
         transition).
         """
@@ -591,13 +841,12 @@ class EngineCore:
             self.scheduler.release(state)
         text = self.tokenizer.decode(state.output_ids, keep_frag=True)
         code = self.tokenizer.decode(state.output_ids, keep_frag=False)
-        result = state.to_result(text, code)
-        self.on_finish(state, result)
+        self._results[state.request.request_id] = state.to_result(text, code)
         # Drop the held logits so finished requests don't pin vocab-width
-        # arrays for the core's lifetime.
+        # arrays for the engine's lifetime.
         state.last_base = None
         state.last_heads = []
         state.notify_done()
 
 
-__all__ = ["EngineCore"]
+__all__ = ["ServingEngine"]

@@ -134,10 +134,12 @@ class RequestState:
     output_ids: List[int] = field(default_factory=list)
     step_records: List[StepRecord] = field(default_factory=list)
     stopped_by_eos: bool = False
-    #: Wall-clock timestamps (``time.perf_counter``): queue entry, admission
-    #: (prefill start) and completion.
+    #: Engine-clock timestamps: queue entry, admission (prefill start) and
+    #: completion.  ``started_at`` stays ``None`` until admission — a
+    #: simulated clock legitimately reads 0.0, so no timestamp value can
+    #: stand for "not yet".
     submitted_at: float = 0.0
-    started_at: float = 0.0
+    started_at: Optional[float] = None
     finished_at: float = 0.0
     #: Cumulative model-forward time of the prompt prefill (all chunks plus
     #: the final Medusa-head evaluation) — the same region sequential
@@ -151,10 +153,7 @@ class RequestState:
     #: Prompt tokens served from the cross-request prefix cache instead of
     #: being prefilled.
     tokens_reused: int = 0
-    #: ``time.perf_counter`` of the first committed token (0.0 until then);
-    #: ``first_token_at - submitted_at`` is the request's TTFT.
-    first_token_at: float = 0.0
-    #: One ``(perf_counter_timestamp, num_tokens)`` entry per committed
+    #: One ``(engine_clock_timestamp, num_tokens)`` entry per committed
     #: burst, in commit order — the raw series TTFT and inter-token-latency
     #: percentiles are computed from (:meth:`ServingEngine.stream_metrics`).
     commit_events: List[Tuple[float, int]] = field(default_factory=list)
@@ -211,9 +210,9 @@ class RequestState:
     @property
     def ttft_seconds(self) -> Optional[float]:
         """Submission-to-first-committed-token latency; None before any commit."""
-        if self.first_token_at <= 0.0:
+        if not self.commit_events:
             return None
-        return max(self.first_token_at - self.submitted_at, 0.0)
+        return max(self.commit_events[0][0] - self.submitted_at, 0.0)
 
     def record_commit(self, tokens: List[int], timestamp: float) -> None:
         """Append a committed burst, stamp timing, and notify stream listeners.
@@ -230,8 +229,6 @@ class RequestState:
         shared cache or kill the other in-flight requests.
         """
         self.output_ids.extend(tokens)
-        if self.first_token_at <= 0.0:
-            self.first_token_at = timestamp
         self.commit_events.append((timestamp, len(tokens)))
         broken = []
         for listener in self.commit_listeners:
@@ -265,7 +262,7 @@ class RequestState:
         admission never started, so its wall time is 0.0 (``started_at`` is
         only stamped at admission).
         """
-        started = self.started_at if self.started_at > 0.0 else self.finished_at
+        started = self.finished_at if self.started_at is None else self.started_at
         return DecodeResult(
             token_ids=list(self.output_ids),
             text=text,

@@ -1,7 +1,7 @@
 """Continuous-batching scheduler: admission and eviction under a token budget.
 
 The scheduler decides *which* requests occupy rows of the shared KV cache;
-the :class:`~repro.serving.engine.ServingEngine` decides *what* happens to
+the :class:`~repro.serving.ServingEngine` decides *what* happens to
 the occupants each step.  The policy is deliberately simple and fair:
 
 * **FCFS admission** — requests are admitted strictly in submission order;

@@ -1,7 +1,7 @@
 """Asyncio streaming front-end over the continuous-batching serving engine.
 
 :class:`AsyncServingEngine` is the layer a network server would sit on: it
-drives a :class:`~repro.serving.engine.ServingEngine`'s step loop on a
+drives a :class:`~repro.serving.ServingEngine`'s step loop on a
 background thread and exposes each request as a :class:`StreamHandle` whose
 ``async for burst in handle.stream()`` yields **committed-token bursts** the
 moment the engine commits them — one burst per speculative step (one token
@@ -71,7 +71,7 @@ from typing import AsyncIterator, Deque, Dict, List, Optional, Sequence
 from repro.core.decoding import DecodeResult
 from repro.models.generation import GenerationConfig
 from repro.serving.control import EngineControl
-from repro.serving.engine import ServingEngine
+from repro.serving.engine_core import ServingEngine
 from repro.serving.messages import (
     CancelCommand,
     CommitEvent,
@@ -157,7 +157,7 @@ class StreamHandle:
         # is not delayed by consumers.
         self._deliver(self._queue.put_nowait, burst)
 
-    def _on_finished(self, event: FinishedEvent) -> None:
+    def _on_done(self, event: FinishedEvent) -> None:
         result = decode_result(event.result)
         error: Optional[RequestCancelled] = None
         if event.cancelled:
@@ -494,7 +494,7 @@ class AsyncServingEngine:
         for event in finished:
             handle = self._lookup(event.request_id)
             if handle is not None:
-                handle._on_finished(event)
+                handle._on_done(event)
 
     def _lookup(self, request_id: str) -> Optional[StreamHandle]:
         with self._registry_lock:

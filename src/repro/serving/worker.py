@@ -1,8 +1,8 @@
-"""Worker process: one engine-core behind a message loop.
+"""Worker process: one engine behind a message loop.
 
-Layer 2 of the sharded serving stack (``docs/sharding.md``).  A worker is a
-child process running :func:`worker_main`: it builds its own engine from a
-spawn-safe factory, wraps it in an
+The multi-process transport of the serving stack (``docs/sharding.md``).  A
+worker is a child process running :func:`worker_main`: it builds its own
+engine from a spawn-safe factory, wraps it in an
 :class:`~repro.serving.control.EngineControl` (``forget_on_done=True``), and
 then alternates between answering commands from its pipe and stepping the
 engine autonomously whenever it has work.  Everything crossing the pipe is an

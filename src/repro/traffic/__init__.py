@@ -9,7 +9,7 @@ This package turns the serving stack into something that can be *operated*:
   :class:`~repro.traffic.clock.SimulatedClock` the engine's injected
   ``clock`` accepts;
 * :mod:`repro.traffic.replay` — trace replay against
-  :class:`~repro.serving.engine.ServingEngine` (simulated or wall clock),
+  :class:`~repro.serving.ServingEngine` (simulated or wall clock),
   :class:`~repro.serving.server.AsyncServingEngine` and
   :class:`~repro.serving.router.Router`, producing one
   :class:`~repro.traffic.replay.ReplayReport` schema;

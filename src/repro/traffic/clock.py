@@ -2,7 +2,7 @@
 
 The serving engine stamps every event (submission, first token, commits,
 deadline checks) through an injected ``clock`` callable —
-:attr:`repro.serving.engine_core.EngineCore.clock`.  Two implementations
+:attr:`repro.serving.ServingEngine.clock`.  Two implementations
 live here:
 
 * :class:`WallClock` — thin wrapper over ``time.perf_counter`` plus a real

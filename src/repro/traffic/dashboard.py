@@ -7,9 +7,9 @@ terminal:
   serving state at one instant: request throughput, TTFT/ITL percentiles,
   KV-pool occupancy, prefix-cache hit rate, and per-tenant admission
   counters.  Built from the engine's existing observability surfaces
-  (:meth:`~repro.serving.engine.ServingEngine.stream_metrics`,
-  :meth:`~repro.serving.engine.ServingEngine.kv_pool_stats`,
-  :meth:`~repro.serving.engine.ServingEngine.prefix_cache_stats`) via
+  (:meth:`~repro.serving.ServingEngine.stream_metrics`,
+  :meth:`~repro.serving.ServingEngine.kv_pool_stats`,
+  :meth:`~repro.serving.ServingEngine.prefix_cache_stats`) via
   :func:`snapshot_from_engine`, or from a router's aggregates via
   :func:`snapshot_from_router`.
 * :func:`render_frame` — a **pure function** ``snapshot → str``.  No TTY
@@ -107,7 +107,7 @@ def snapshot_from_engine(
     kv = engine.kv_pool_stats()
     prefix = engine.prefix_cache_stats()
     snapshot = DashboardSnapshot(
-        timestamp=float(now if now is not None else engine.core.clock()),
+        timestamp=float(now if now is not None else engine.clock()),
         active_requests=engine.num_active,
         prefilling_requests=engine.num_prefilling,
         finished_requests=len(finished_ids),
@@ -269,7 +269,7 @@ class OpsDashboard:
         """Snapshot the observed source now."""
         if self.router is not None:
             return snapshot_from_router(self.router)
-        now = self.engine.core.clock()
+        now = self.engine.clock()
         if self._window_start is None:
             self._window_start = now
         return snapshot_from_engine(

@@ -1,6 +1,6 @@
 """Trace replay against the serving stack, on a wall or simulated clock.
 
-:func:`replay_trace` drives a :class:`~repro.serving.engine.ServingEngine`
+:func:`replay_trace` drives a :class:`~repro.serving.ServingEngine`
 through a :class:`~repro.traffic.trace.Trace` synchronously: submit requests
 as their arrival times come due, consult the optional
 :class:`~repro.traffic.admission.AdmissionController` before each submit,
@@ -38,7 +38,7 @@ from typing import Dict, List, Optional
 
 from repro.evalbench.stats import summarize_series
 from repro.models.generation import GenerationConfig
-from repro.serving.engine import ServingEngine
+from repro.serving.engine_core import ServingEngine
 from repro.traffic.admission import AdmissionController, AdmissionDecision
 from repro.traffic.clock import SimulatedClock, WallClock
 from repro.traffic.trace import Trace, TraceRequest
@@ -210,7 +210,7 @@ def replay_trace(
     """
     clock = clock or WallClock()
     simulated = isinstance(clock, SimulatedClock)
-    if simulated and engine.core.clock is not clock:
+    if simulated and engine.clock is not clock:
         raise ValueError(
             "simulated replay requires the engine to share the replay clock; "
             "construct it with engine_for(..., clock=clock)"
@@ -416,9 +416,9 @@ async def replay_trace_async(server, trace: Trace) -> ReplayReport:
             result = await handle.result()
             tokens = list(result.token_ids)
         except RequestDeadlineExceeded as exc:
-            status, tokens = "deadline", list(exc.partial)
+            status, tokens = "deadline", list(exc.partial.token_ids)
         except RequestCancelled as exc:
-            status, tokens = "cancelled", list(exc.partial)
+            status, tokens = "cancelled", list(exc.partial.token_ids)
         finally:
             if cancel_task is not None:
                 cancel_task.cancel()

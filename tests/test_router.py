@@ -33,6 +33,7 @@ from repro.models.generation import GenerationConfig
 from repro.serving import (
     EngineControl,
     PrefixCache,
+    RequestStatus,
     Router,
     RouterConfig,
     SchedulerConfig,
@@ -42,7 +43,6 @@ from repro.serving import (
 )
 from repro.serving.messages import (
     CancelCommand,
-    CancelReply,
     DrainCommand,
     DrainReply,
     QueryCommand,
@@ -57,6 +57,7 @@ from repro.serving.messages import (
     reply_type_for,
 )
 from repro.serving.request import GenerationRequest
+from repro.traffic import SimulatedClock
 
 METHODS = [
     ("ntp", DecodingStrategy.NTP),
@@ -181,6 +182,60 @@ class TestEngineControl:
         assert reply.finished[0].stream_metrics["ttft_seconds"] is not None
         with pytest.raises(KeyError):
             engine.result(submit.request_id)  # worker retains nothing
+        # Nothing accumulates over many submit→drain cycles either, whatever
+        # way the requests leave: finished, past their deadline, or cancelled
+        # mid-decode.
+        clock = SimulatedClock()
+        prefix_cache = PrefixCache(max_tokens=4096)
+        engine = _engine(
+            tiny_pipeline, "ours", DecodingStrategy.OURS, prefix_cache=prefix_cache, clock=clock
+        )
+        control = EngineControl(engine, forget_on_done=True)
+        prompts = _prompt_ids(tiny_pipeline, 3)
+        long_config = encode_config(GenerationConfig.greedy_config(200))
+        for cycle in range(4):
+            control.handle(SubmitCommand(prompt_ids=prompts[0], deadline=5.0))
+            expiring = control.handle(
+                SubmitCommand(prompt_ids=prompts[1], config=long_config, deadline=1.0)
+            ).request_id
+            finished = control.handle(StepCommand(max_steps=2)).finished
+            if cycle == 0:
+                doomed = control.handle(SubmitCommand(prompt_ids=prompts[2], config=long_config))
+                finished += control.handle(StepCommand(max_steps=2)).finished
+                assert engine.request_status(doomed.request_id) is RequestStatus.RUNNING
+                assert control.handle(CancelCommand(request_id=doomed.request_id)).cancelled
+            clock.advance(2.0)
+            finished += control.handle(DrainCommand()).finished
+            timed_out = [event.request_id for event in finished if event.timed_out]
+            assert timed_out == [expiring]
+            assert len(finished) == (3 if cycle == 0 else 2)
+        assert not engine._states and not engine._results and not engine._deadlined
+        assert not engine.has_work and not engine.scheduler.waiting and not engine.scheduler.running
+        assert engine.scheduler.tokens_in_flight == 0
+        assert engine._active == [] and engine._prefilling == []
+        # The only pages still held are the ones prefix retention pins.
+        assert engine.kv_pool_stats()["blocks_in_use"] == len(prefix_cache._block_refs) > 0
+        prefix_cache.clear()
+        assert engine.kv_pool_stats()["blocks_in_use"] == 0
+
+    def test_commit_events_carry_engine_clock_time(self, tiny_pipeline):
+        clock = SimulatedClock(start=3.0)
+        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, clock=clock)
+        control = EngineControl(engine)
+        request_id = control.handle(
+            SubmitCommand(
+                prompt_ids=_prompt_ids(tiny_pipeline, 1)[0],
+                config=encode_config(GenerationConfig.greedy_config(12)),
+            )
+        ).request_id
+        commits = []
+        while engine.has_work:
+            commits += control.handle(StepCommand(max_steps=1)).commits
+            clock.advance(0.25)
+        timeline = engine.stream_metrics(request_id)["commit_events"]
+        assert len(commits) == len(timeline) > 1
+        assert [event.timestamp for event in commits] == [3.0 + offset for offset, _ in timeline]
+        assert [len(event.tokens) for event in commits] == [count for _, count in timeline]
 
 
 class TestDeterministicRequestRng:

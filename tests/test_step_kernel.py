@@ -1,6 +1,6 @@
 """The step kernel against the full-recompute oracle, and its own invariants.
 
-``SpeculativeDecoder.generate`` and ``EngineCore.step`` both reach the model
+``SpeculativeDecoder.generate`` and ``ServingEngine.step`` both reach the model
 only through prefill and the two kernel functions of
 :mod:`repro.core.decoding`, so what is pinned down here holds for sequential
 and served generation alike:

@@ -29,6 +29,7 @@ from repro.serving import (
     SchedulerConfig,
     ServingEngine,
 )
+from repro.traffic import SimulatedClock
 
 METHODS = [
     ("ntp", DecodingStrategy.NTP),
@@ -47,13 +48,14 @@ def _prompts(pipeline, count):
     return (prompts * (count // max(len(prompts), 1) + 1))[:count]
 
 
-def _engine(pipeline, method, strategy, prefix_cache=None, **scheduler_kwargs):
+def _engine(pipeline, method, strategy, prefix_cache=None, clock=None, **scheduler_kwargs):
     return ServingEngine(
         pipeline.models[method],
         pipeline.tokenizer,
         strategy=strategy,
         scheduler_config=SchedulerConfig(**scheduler_kwargs) if scheduler_kwargs else None,
         prefix_cache=prefix_cache,
+        clock=clock,
     )
 
 
@@ -478,7 +480,11 @@ class TestAsyncCancellation:
         asyncio.run(run())
 
     def test_deadline_raises_deadline_exceeded(self, tiny_pipeline):
-        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
+        # The engine's clock stands still until the first burst has arrived
+        # and then jumps past the deadline, so the expiry lands mid-decode on
+        # any machine.
+        clock = SimulatedClock()
+        engine = _engine(tiny_pipeline, "ntp", DecodingStrategy.NTP, clock=clock)
 
         async def run():
             async with AsyncServingEngine(engine) as server:
@@ -487,6 +493,9 @@ class TestAsyncCancellation:
                     GenerationConfig.greedy_config(5000),
                     deadline=0.03,
                 )
+                async for _ in handle.stream():
+                    break
+                clock.advance(1.0)
                 with pytest.raises(RequestDeadlineExceeded) as info:
                     await handle.result()
                 return info.value
@@ -494,6 +503,7 @@ class TestAsyncCancellation:
         error = asyncio.run(run())
         assert isinstance(error, RequestCancelled)  # subclass: one except catches both
         assert error.partial.cancelled
+        assert 1 <= error.partial.tokens_generated < 200
 
     def test_cancel_after_finish_returns_false(self, tiny_pipeline):
         engine = _engine(tiny_pipeline, "ntp", DecodingStrategy.NTP)
@@ -604,7 +614,8 @@ class TestAsyncCancellation:
             blocker = await server.submit_text(
                 _prompts(tiny_pipeline, 1)[0], GenerationConfig.greedy_config(2000)
             )
-            await asyncio.sleep(0.02)
+            async for _ in blocker.stream():
+                break  # decoding has begun; most of the context window is still to go
             await server.close()
             with pytest.raises(RequestCancelled):
                 await blocker.result()

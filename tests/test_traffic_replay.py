@@ -16,6 +16,7 @@ import asyncio
 
 import pytest
 
+from repro.models.generation import GenerationConfig
 from repro.serving import PrefixCache, PriorityConfig, SchedulerConfig
 from repro.serving.server import AsyncServingEngine
 from repro.traffic import (
@@ -136,6 +137,25 @@ class TestSimulatedDeterminism:
         report = replay_trace(engine, trace, clock=clock)
         assert report.prefix_cache["enabled"] is True
         assert report.prefix_cache["prompt_tokens_reused"] > 0
+
+    def test_timestamps_at_virtual_time_zero(self, tiny_pipeline):
+        """t=0.0 is a real instant on a simulated clock, not "not yet"."""
+        clock = SimulatedClock()
+        engine = _engine(tiny_pipeline, clock=clock)
+        rid = engine.submit_text("the counter updates.", GenerationConfig.greedy_config(6))
+        assert engine.stream_metrics(rid)["ttft_seconds"] is None
+        engine.step()  # admitted, prefilled and first burst committed, all at t=0
+        first = engine.stream_metrics(rid)
+        assert [t for t, _ in first["commit_events"]] == [0.0]
+        assert first["ttft_seconds"] == 0.0
+        while engine.has_work:
+            clock.advance(0.5)
+            engine.step()
+        metrics = engine.stream_metrics(rid)
+        assert len(metrics["commit_events"]) > 1
+        assert metrics["ttft_seconds"] == 0.0  # still the first burst, not the second
+        # Admitted at t=0, so time in the engine equals time since submission.
+        assert engine.result(rid).wall_time_seconds == engine.scheduler_latency(rid) == clock.now > 0
 
     def test_simulated_clock_mismatch_rejected(self, tiny_pipeline):
         engine = _engine(tiny_pipeline)  # wall clock inside
@@ -263,8 +283,29 @@ class TestWallClockReplay:
         assert report.by_status() == {"finished": 4}
 
     def test_async_front_end_replay(self, tiny_pipeline):
-        trace = _trace(num_requests=4, requests_per_second=200.0)
-        engine = _engine(tiny_pipeline)
+        generated = _trace(num_requests=4, requests_per_second=200.0)
+        churn = [
+            TraceRequest(
+                request_id="cut", arrival_seconds=0.0, tenant="tenant-0",
+                traffic_class="bulk", prompt="the fifo resets on overflow.",
+                max_new_tokens=200, cancel_after=0.0,
+            ),
+            TraceRequest(
+                request_id="late", arrival_seconds=0.0, tenant="tenant-0",
+                traffic_class="bulk", prompt="the alu shifts in the next cycle.",
+                max_new_tokens=200, deadline_seconds=5.0,
+            ),
+        ]
+        trace = _manual_trace(generated.requests + churn)
+
+        def clock() -> float:
+            # Engine time stands still until "late" has committed its first
+            # burst, then jumps past its deadline: the expiry lands
+            # mid-decode whatever the host's speed.
+            state = engine._states.get("late")
+            return 10.0 if state is not None and state.output_ids else 0.0
+
+        engine = _engine(tiny_pipeline, clock=clock)
 
         async def main():
             server = AsyncServingEngine(engine)
@@ -276,7 +317,26 @@ class TestWallClockReplay:
 
         report = asyncio.run(main())
         assert report.clock_mode == "wall"
-        assert report.by_status() == {"finished": 4}
-        for outcome in report.outcomes:
+        assert report.by_status() == {"finished": 4, "cancelled": 1, "deadline": 1}
+        by_id = {o.request_id: o for o in report.outcomes}
+        for request in generated.requests:
+            outcome = by_id[request.request_id]
             assert outcome.token_ids
             assert outcome.ttft_seconds is not None
+        assert by_id["cut"].status == "cancelled"
+        assert by_id["late"].status == "deadline"
+        # Greedy decoding is batch-invariant, so each partial stream is a
+        # prefix of what the same request commits when left alone.
+        reference = _engine(tiny_pipeline)
+        for request in churn:
+            reference.submit_text(
+                request.prompt,
+                GenerationConfig.greedy_config(request.max_new_tokens),
+                request_id=request.request_id,
+            )
+        uncut = reference.run()
+        for rid in ("cut", "late"):
+            partial = by_id[rid].token_ids
+            assert len(partial) < len(uncut[rid].token_ids)
+            assert partial == uncut[rid].token_ids[: len(partial)]
+        assert by_id["late"].token_ids, "the deadline expired after the first burst"
