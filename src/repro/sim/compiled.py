@@ -50,7 +50,8 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.verilog import ast_nodes as ast
-from repro.verilog.parser import _LocalDeclaration, parse_source
+from repro.verilog.parser import _LocalDeclaration
+from repro.verilog.syntax import check_syntax
 from repro.sim.expr import (
     COMPARE_OPS,
     EvaluationError,
@@ -1053,13 +1054,25 @@ class _Netlist:
         return (self.ops, self.outputs)
 
 
+#: :attr:`BatchReport.reasons` key for a candidate that is not exactly one
+#: module named like the testbench's DUT instance (or does not parse).
+NOT_THE_DUT = "not a single module matching the testbench's DUT"
+
+
 @dataclass
 class BatchReport:
-    """How a :func:`simulate_batch` call dispatched its candidates."""
+    """How a :func:`simulate_batch` call dispatched its candidates.
+
+    ``reasons`` says why each fallback candidate left the vector path: the
+    lowering's message (``"signed port"``, ``"unsupported item AlwaysBlock"``,
+    ...) or :data:`NOT_THE_DUT`, mapped to how many candidates it turned away;
+    its values sum to ``fallback``.
+    """
 
     vectorized: int = 0
     fallback: int = 0
     groups: int = 0
+    reasons: Dict[str, int] = field(default_factory=dict)
 
 
 class _ConstScope:
@@ -1807,13 +1820,10 @@ def simulate_batch(
     :class:`SimulationResult` bit-identical to the scalar backends' result,
     or None for candidates that must fall back to scalar simulation.
     """
-    try:
-        tb_file = parse_source(testbench_source)
-    except Exception:
+    tb_check = check_syntax(testbench_source)
+    if not tb_check.ok or len(tb_check.ast.modules) != 1:
         return None
-    if len(tb_file.modules) != 1:
-        return None
-    tb_module = tb_file.modules[0]
+    tb_module = tb_check.ast.modules[0]
     if top is not None and tb_module.name != top:
         return None
     program = _extract_vector_program(tb_module)
@@ -1823,8 +1833,14 @@ def simulate_batch(
         return None
 
     netlists: List[Optional[_Netlist]] = []
+    reasons = report.reasons if report is not None else {}
     for source in design_sources:
-        netlists.append(_lower_candidate(source, program, tb_module.name))
+        try:
+            netlists.append(_lower_candidate(source, program, tb_module.name))
+        except _Ineligible as exc:
+            netlists.append(None)
+            reason = str(exc)
+            reasons[reason] = reasons.get(reason, 0) + 1
 
     results: List[Optional[SimulationResult]] = [None] * len(design_sources)
     groups: Dict[tuple, List[int]] = {}
@@ -1854,22 +1870,18 @@ def simulate_batch(
     return results
 
 
-def _lower_candidate(source: str, program: _VectorProgram, tb_name: str) -> Optional[_Netlist]:
-    try:
-        design_file = parse_source(source)
-    except Exception:
-        return None
-    if len(design_file.modules) != 1:
-        return None
-    module = design_file.modules[0]
+def _lower_candidate(source: str, program: _VectorProgram, tb_name: str) -> _Netlist:
+    """Lower one candidate to a netlist, or raise :class:`_Ineligible` saying why it cannot be."""
+    design_check = check_syntax(source)
+    if not design_check.ok or len(design_check.ast.modules) != 1:
+        raise _Ineligible(NOT_THE_DUT)
+    module = design_check.ast.modules[0]
     if module.name != program.module_name or module.name == tb_name:
-        return None
+        raise _Ineligible(NOT_THE_DUT)
     try:
         return _NetlistLowerer(module, program).lower()
-    except _Ineligible:
-        return None
-    except (EvaluationError, SimulationError, RecursionError):
-        return None
+    except (EvaluationError, SimulationError, RecursionError) as exc:
+        raise _Ineligible(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _replay_program(program: _VectorProgram, outputs: Dict[str, np.ndarray]) -> SimulationResult:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.verilog import ast_nodes as ast
 from repro.verilog.parser import parse_source, _LocalDeclaration
@@ -156,7 +156,13 @@ class _Process:
 
 
 class Simulator:
-    """Elaborates and simulates a set of Verilog modules."""
+    """Elaborates and simulates a set of Verilog modules.
+
+    ``source`` is Verilog text or an already parsed
+    :class:`~repro.verilog.ast_nodes.SourceFile`.  A parsed file may be shared
+    (with other simulators, with :func:`repro.verilog.syntax.check_syntax`'s
+    memo): elaboration and simulation only read the AST.
+    """
 
     #: Safety bounds preventing runaway simulations of malformed generated code.
     DEFAULT_MAX_TIME = 1_000_000
@@ -165,14 +171,14 @@ class Simulator:
 
     def __init__(
         self,
-        source: str,
+        source: Union[str, ast.SourceFile],
         top: Optional[str] = None,
         max_time: int = DEFAULT_MAX_TIME,
         max_events: int = DEFAULT_MAX_EVENTS,
         random_seed: int = VerilogRng.DEFAULT_SEED,
         rng: Optional[VerilogRng] = None,
     ) -> None:
-        self.source_file = parse_source(source)
+        self.source_file = parse_source(source) if isinstance(source, str) else source
         self.modules: Dict[str, ast.ModuleDef] = {m.name: m for m in self.source_file.modules}
         self.top_name = top or self._infer_top()
         self.max_time = max_time

@@ -3,10 +3,12 @@
 The paper grades generated designs by compiling them together with a
 benchmark-provided testbench under iverilog and checking the simulation
 output.  :func:`run_testbench` reproduces that flow on top of
-:class:`repro.sim.simulator.Simulator`: the design and testbench sources are
-concatenated, elaborated with the testbench as the top module, simulated, and
-the ``$display`` output is scanned for pass/fail markers and mismatch
-counters.
+:class:`repro.sim.simulator.Simulator`: the design's and the testbench's
+modules form one compile unit, elaborated with the testbench as the top
+module and simulated, and the ``$display`` output is scanned for pass/fail
+markers and mismatch counters.  Each text is parsed once
+(:func:`repro.verilog.syntax.check_syntax` memoises) and the simulator is
+handed the parsed modules, never a concatenated string.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from repro.verilog.ast_nodes import SourceFile
 from repro.verilog.syntax import check_syntax
 from repro.sim.compiled import CompiledSimulator, simulate_batch
 from repro.sim.rng import VerilogRng
@@ -95,13 +98,13 @@ def run_testbench(
     if not tb_check.ok:
         return TestbenchResult(compiled=False, simulated=False, passed=False, errors=tb_check.errors)
 
-    combined = design_source.rstrip() + "\n\n" + testbench_source
+    compile_unit = SourceFile(modules=design_check.ast.modules + tb_check.ast.modules)
     if top is None and tb_check.module_names:
         top = tb_check.module_names[-1]
 
     try:
         simulator = simulator_cls(
-            combined, top=top, max_time=max_time, max_events=max_events, rng=VerilogRng(random_seed)
+            compile_unit, top=top, max_time=max_time, max_events=max_events, rng=VerilogRng(random_seed)
         )
     except (SimulationError, RecursionError, ValueError) as exc:
         return TestbenchResult(compiled=False, simulated=False, passed=False, errors=[str(exc)])
@@ -128,6 +131,8 @@ def run_testbench_batch(
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown simulation backend {backend!r} (choose from {sorted(BACKENDS)})")
+    if not design_sources:
+        return []
     results: List[Optional[TestbenchResult]] = [None] * len(design_sources)
     if backend == "compiled":
         tb_check = check_syntax(testbench_source)

@@ -11,7 +11,14 @@ traverse the tree generically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """Field names of a node class, resolved once: ``dataclasses.fields`` is too slow to call per node per walk."""
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass
@@ -20,8 +27,8 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes."""
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, (list, tuple)):

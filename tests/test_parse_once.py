@@ -1,0 +1,205 @@
+"""The grading path parses every Verilog text once, and may because ASTs are shared read-only.
+
+``check_syntax`` memoises its parse on the source text and the simulators take
+the parsed modules, so grading a sample set lexes each distinct text once
+instead of three times.  Sharing ASTs is only sound under three conditions,
+each pinned here without a clock:
+
+* *parse count*: one problem's sample set through the evaluator's call pair
+  calls ``parse_source`` once per distinct text, and the memo is bounded;
+* *read-only AST*: neither backend nor the batch path writes to a parsed tree;
+* *concatenation equivalence*: the modules of ``design + "\\n\\n" + testbench``
+  are the design's modules followed by the testbench's, which is what lets the
+  compile unit be assembled from two parses.
+"""
+
+from __future__ import annotations
+
+import copy
+import itertools
+
+import pytest
+
+import repro.sim.simulator as simulator_module
+import repro.sim.testbench as testbench_module
+import repro.verilog.syntax as syntax_module
+from repro.evalbench.functional import check_designs_functional
+from repro.evalbench.rtllm import rtllm_suite
+from repro.evalbench.syntax_eval import check_design_compiles
+from repro.evalbench.vgen import vgen_suite
+from repro.sim.compiled import NOT_THE_DUT, BatchReport, CompiledSimulator, simulate_batch
+from repro.sim.rng import VerilogRng
+from repro.sim.simulator import Simulator
+from repro.sim.testbench import run_testbench_batch
+from repro.verilog.ast_nodes import SourceFile
+from repro.verilog.parser import parse_source
+from repro.verilog.syntax import check_syntax
+
+from proptest import Cases, for_all, num_cases
+from test_sim_differential import _array_case, _clocked_case, _combinational_case, _termination_case
+
+PROBLEMS = list(rtllm_suite()) + list(vgen_suite())
+BY_NAME = {problem.name: problem for problem in PROBLEMS}
+
+_filler_ids = itertools.count()
+
+
+def _push_everything_out_of_the_memo() -> None:
+    """Check more distinct texts than the memo holds, through the public function only."""
+    for _ in range(syntax_module._MEMO_ENTRIES + 1):
+        assert check_syntax(f"module filler_{next(_filler_ids)}; endmodule").ok
+
+
+def _grade(problem, candidates):
+    """What ``EvaluationRunner.evaluate_problem`` does with one problem's samples."""
+    compiles = [check_design_compiles(design, problem.testbench).compiles for design in candidates]
+    return compiles, [result.passed for result in check_designs_functional(candidates, problem)]
+
+
+# One problem per dispatch: vector sweep, vector testbench with designs that fall
+# back (always block), sequential testbench (per-candidate run_testbench).
+@pytest.mark.parametrize("name", ["adder_8bit", "mux4to1_8", "up_counter_4"])
+def test_grading_a_sample_set_parses_each_distinct_text_once(monkeypatch, name):
+    problem = BY_NAME[name]
+    candidates = [problem.reference] + [f"{problem.reference}\n// sample {n}\n" for n in range(1, 12)]
+    parsed = []
+
+    def counting_parse_source(source):
+        parsed.append(source)
+        return parse_source(source)
+
+    # The only two modules on the grading path that import parse_source.
+    monkeypatch.setattr(syntax_module, "parse_source", counting_parse_source)
+    monkeypatch.setattr(simulator_module, "parse_source", counting_parse_source)
+
+    _push_everything_out_of_the_memo()
+    parsed.clear()
+    first = _grade(problem, candidates)
+    assert first == ([True] * 12, [True] * 12)
+    assert sorted(parsed) == sorted(candidates + [problem.testbench])  # 13 texts, once each
+
+    parsed.clear()
+    assert _grade(problem, candidates) == first
+    assert parsed == []
+
+    # The memo is bounded: after more than _MEMO_ENTRIES other texts nothing of this set is left.
+    _push_everything_out_of_the_memo()
+    parsed.clear()
+    assert _grade(problem, candidates) == first
+    assert sorted(parsed) == sorted(candidates + [problem.testbench])
+
+
+def test_results_of_one_text_do_not_alias():
+    broken = "module broken(input a); assign x = a;"
+    first = check_syntax(broken)
+    assert not first.ok and first.errors
+    expected_errors = list(first.errors)
+    first.errors.append("scribble")
+    assert check_syntax(broken).errors == expected_errors
+
+    fine = "module a; endmodule\nmodule b; endmodule"
+    first = check_syntax(fine)
+    first.module_names.clear()
+    first.errors.append("scribble")
+    again = check_syntax(fine)
+    assert again.ok and again.module_names == ["a", "b"] and again.errors == []
+    assert again.ast is first.ast  # the tree is the shared part
+
+
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.name)
+def test_simulating_leaves_the_parsed_modules_untouched(problem):
+    design = check_syntax(problem.reference).ast
+    testbench = check_syntax(problem.testbench).ast
+    design_before, testbench_before = copy.deepcopy(design), copy.deepcopy(testbench)
+    for backend in (Simulator, CompiledSimulator):
+        simulator = backend(
+            SourceFile(modules=design.modules + testbench.modules),
+            top=testbench.modules[-1].name,
+            max_time=100_000,
+            rng=VerilogRng(VerilogRng.DEFAULT_SEED),
+        )
+        assert simulator.run().error is None
+    simulate_batch([problem.reference], problem.testbench)
+    # The batch path read these very objects, not a parse of its own.
+    assert check_syntax(problem.reference).ast is design and check_syntax(problem.testbench).ast is testbench
+    assert design == design_before
+    assert testbench == testbench_before
+
+
+def _assert_concatenation_is_both_parses(design: str, testbench: str) -> None:
+    combined = parse_source(design.rstrip() + "\n\n" + testbench)
+    assert combined.modules == parse_source(design).modules + parse_source(testbench).modules
+
+
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.name)
+def test_concatenated_parse_equals_the_two_parses(problem):
+    _assert_concatenation_is_both_parses(problem.reference, problem.testbench)
+
+
+#: What a generated design may end with, or a testbench begin with, that a
+#: lexer carrying state across the seam (an open comment, a directive's line,
+#: a macro table) would trip over.
+_SEAM_TEXT = [
+    "",
+    "\n",
+    "// trailing comment with no newline",
+    "/* block\n comment */",
+    "`timescale 1ns/1ps",
+    "`define WIDTH 8",
+    "`default_nettype none",
+    "`celldefine\n`endcelldefine",
+    "   \t\n\n",
+]
+
+
+def test_concatenated_parse_equals_the_two_parses_fuzz():
+    generators = [_combinational_case, _clocked_case, _array_case, lambda cases: _termination_case(cases)[:2]]
+
+    def prop(cases: Cases) -> None:
+        design, testbench = cases.choice(generators)(cases)
+        design = cases.choice(_SEAM_TEXT) + "\n" + design + cases.choice(_SEAM_TEXT)
+        testbench = cases.choice(_SEAM_TEXT) + "\n" + testbench + cases.choice(_SEAM_TEXT)
+        _assert_concatenation_is_both_parses(design, testbench)
+
+    for_all(num_cases(40, 400), prop, seed=15)
+
+
+def test_empty_candidate_list_does_no_work(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an empty batch parsed or simulated something")
+
+    monkeypatch.setattr(testbench_module, "check_syntax", must_not_run)
+    monkeypatch.setattr(testbench_module, "simulate_batch", must_not_run)
+    problem = BY_NAME["adder_8bit"]
+    assert run_testbench_batch([], problem.testbench) == []
+    assert run_testbench_batch([], problem.testbench, backend="interpreter") == []
+    assert check_designs_functional([], problem) == []
+    with pytest.raises(ValueError):
+        run_testbench_batch([], problem.testbench, backend="no-such-backend")
+
+
+def test_batch_report_says_why_candidates_fell_back():
+    assert BatchReport() == BatchReport(vectorized=0, fallback=0, groups=0, reasons={})
+    adder = BY_NAME["adder_8bit"]
+    always_mux = BY_NAME["mux4to1_8"]
+    report = BatchReport()
+    results = simulate_batch(
+        [
+            adder.reference,
+            adder.reference.replace("module adder_8bit", "module some_other_name"),
+            adder.reference + "\n" + always_mux.reference,
+            "module truncated(input a",
+        ],
+        adder.testbench,
+        report=report,
+    )
+    assert [result is not None for result in results] == [True, False, False, False]
+    assert (report.vectorized, report.fallback, report.groups) == (1, 3, 1)
+    assert report.reasons == {NOT_THE_DUT: 3}
+
+    # The report accumulates over calls; a lowering refusal carries the lowerer's own message.
+    results = simulate_batch([always_mux.reference] * 2, always_mux.testbench, report=report)
+    assert results == [None, None]
+    assert (report.vectorized, report.fallback, report.groups) == (1, 5, 1)
+    assert report.reasons == {NOT_THE_DUT: 3, "unsupported item AlwaysBlock": 2}
+    assert sum(report.reasons.values()) == report.fallback
