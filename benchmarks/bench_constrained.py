@@ -11,9 +11,7 @@ headline numbers:
   tree branches before verification, so the constrained run verifies strictly
   fewer tree positions than the same steps would have verified unpruned.
 
-Both properties are hard assertions, not just printed numbers.  The headline
-metrics are also appended to the tracked trend ledger
-(``benchmarks/results/trend.json``, see :mod:`trend`).
+Both properties are hard assertions, not just printed numbers.
 """
 
 from __future__ import annotations
@@ -24,10 +22,7 @@ from repro.evalbench.runner import EvaluationRunner
 from repro.models.generation import GenerationConfig
 from repro.verilog.syntax import check_syntax
 
-from conftest import FULL, MAX_NEW_TOKENS, SMOKE, emit_bench_json
-from trend import append_trend_entry
-
-_MODE = "smoke" if SMOKE else ("full" if FULL else "default")
+from conftest import MAX_NEW_TOKENS, emit_bench_json
 
 
 def _decode_all(decoder, prompts, grammar):
@@ -77,15 +72,6 @@ def test_constrained_decoding(benchmark, trained_pipeline, rtllm_subset):
             "tokens_verified": {"constrained": verified, "unpruned": unpruned, "unconstrained": baseline_verified},
             "verified_savings_ratio": savings,
             "closure_tokens": closure,
-        },
-    )
-    append_trend_entry(
-        "constrained_decoding",
-        _MODE,
-        {
-            "syntax_pass_at_1_constrained": syntax_pass_constrained,
-            "syntax_pass_at_1_unconstrained": syntax_pass_unconstrained,
-            "verified_savings_ratio": savings,
         },
     )
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import asyncio
 import sys
+import time
 
 from repro.core.pipeline import PipelineConfig, VerilogSpecPipeline
-from repro.evalbench.throughput import compare_serving_modes, measure_serving_throughput
+from repro.evalbench.stats import percentile
 from repro.models.generation import GenerationConfig
 from repro.serving import (
     AsyncServingEngine,
@@ -165,6 +166,12 @@ def main() -> None:
     generation = GenerationConfig.greedy_config(max_new_tokens)
     scheduler = SchedulerConfig(max_active_requests=num_requests)
 
+    def serve(engine, texts):
+        """Submit every prompt at once and run the engine dry; results in order."""
+        request_ids = [engine.submit_text(text, generation) for text in texts]
+        completed = engine.run()
+        return request_ids, [completed[request_id] for request_id in request_ids]
+
     print(f"Serving {num_requests} concurrent requests, {max_new_tokens} new tokens each ...")
     header = (
         f"{'method':<8} {'serve req/s':>12} {'seq req/s':>10} {'speedup':>8} "
@@ -174,21 +181,30 @@ def main() -> None:
     print("-" * len(header))
     all_identical = True
     for method in ("ours", "medusa", "ntp"):
-        comparison = compare_serving_modes(
-            pipeline.engine_for(method, scheduler_config=scheduler),
-            pipeline.decoder_for(method),
-            prompts,
-            generation,
-            label=method,
-        )
-        all_identical = all_identical and comparison.tokens_identical
+        engine = pipeline.engine_for(method, scheduler_config=scheduler)
+        start = time.perf_counter()
+        request_ids, served = serve(engine, prompts)
+        serve_wall = time.perf_counter() - start
+        serve_latencies = [engine.scheduler_latency(request_id) for request_id in request_ids]
+
+        # One after another, all "submitted" at time zero: request i's latency
+        # includes decoding requests 0..i-1, the queueing batching removes.
+        decoder = pipeline.decoder_for(method)
+        sequential, seq_latencies = [], []
+        start = time.perf_counter()
+        for prompt in prompts:
+            sequential.append(decoder.generate_from_text(prompt, generation))
+            seq_latencies.append(time.perf_counter() - start)
+        seq_wall = seq_latencies[-1]
+
+        identical = [r.token_ids for r in served] == [r.token_ids for r in sequential]
+        all_identical = all_identical and identical
         print(
-            f"{method:<8} {comparison.serving.requests_per_second:>12.1f} "
-            f"{comparison.sequential.requests_per_second:>10.1f} "
-            f"{comparison.throughput_speedup:>8.2f} "
-            f"{comparison.serving.p50_latency:>10.3f} {comparison.sequential.p50_latency:>9.3f} "
-            f"{comparison.serving.p95_latency:>10.3f} {comparison.sequential.p95_latency:>9.3f} "
-            f"{str(comparison.tokens_identical):>10}"
+            f"{method:<8} {num_requests / serve_wall:>12.1f} {num_requests / seq_wall:>10.1f} "
+            f"{seq_wall / serve_wall:>8.2f} "
+            f"{percentile(serve_latencies, 50):>10.3f} {percentile(seq_latencies, 50):>9.3f} "
+            f"{percentile(serve_latencies, 95):>10.3f} {percentile(seq_latencies, 95):>9.3f} "
+            f"{str(identical):>10}"
         )
 
     if not all_identical:
@@ -211,11 +227,11 @@ def main() -> None:
     baseline_engine = pipeline.engine_for(
         "ours", scheduler_config=SchedulerConfig(max_active_requests=2), kv_memory="row"
     )
-    _, baseline_results = measure_serving_throughput(baseline_engine, shared, generation)
+    _, baseline_results = serve(baseline_engine, shared)
     reuse_engine = pipeline.engine_for(
         "ours", scheduler_config=reuse_scheduler, prefix_cache=PrefixCache(max_tokens=8192)
     )
-    _, reuse_results = measure_serving_throughput(reuse_engine, shared, generation)
+    _, reuse_results = serve(reuse_engine, shared)
     if [r.token_ids for r in reuse_results] != [r.token_ids for r in baseline_results]:
         raise SystemExit("prefix reuse changed the served outputs")
     baseline_stats = baseline_engine.prefix_cache_stats()

@@ -14,6 +14,9 @@ guarantees the docs actually rely on:
   an anchor is given (``page.md#section``), to a real heading on that page;
 * repository-relative links out of ``docs/`` (e.g. ``benchmarks/results/``)
   resolve to files or directories that exist;
+* every backticked repository path in ``docs/*.md`` or ``README.md``
+  (`` `tests/test_x.py` ``, `` `benchmarks/bench_*.py` ``) names a file that
+  exists, so deleting a file cannot leave prose pointing at it;
 * code cross-references name something that exists: every fully-qualified
   ``repro.*`` target of a Sphinx role (``:class:`~repro.x.Y```) in a
   ``src/repro`` docstring, and every `` `repro.x.y` `` dotted path in
@@ -46,6 +49,9 @@ HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 ROLE_RE = re.compile(r":(?:mod|class|func|meth|attr|data|exc):`(?:[^`<]*<)?~?(repro\.[\w.\s]+?)>?`")
 #: A backticked dotted path in a docs page, e.g. `repro.core.decoding.ntp_step`.
 DOTTED_RE = re.compile(r"`(repro(?:\.\w+)+)`")
+#: A backticked repository path, e.g. `tests/test_golden.py`, optionally
+#: followed by ``::test_name`` or arguments; may be a glob.
+REPO_PATH_RE = re.compile(r"`((?:benchmarks|tests|examples|scripts|src)/[^`\s:]+\.(?:py|md|json))\b")
 
 
 def slugify(heading: str) -> str:
@@ -132,8 +138,20 @@ def check_references() -> list[str]:
     return problems
 
 
+def check_paths() -> list[str]:
+    """Backticked repository paths in the docs pages and README that do not exist."""
+    problems = []
+    for path in [*sorted(DOCS.glob("*.md")), REPO / "README.md"]:
+        for target in sorted(set(REPO_PATH_RE.findall(path.read_text()))):
+            if "<" in target:  # a placeholder such as results/<bench>.json
+                continue
+            if not any(REPO.glob(target)):
+                problems.append(f"{path.relative_to(REPO)}: missing path {target}")
+    return problems
+
+
 def check() -> list[str]:
-    problems: list[str] = check_references()
+    problems: list[str] = check_references() + check_paths()
     doc_files = sorted(DOCS.glob("**/*.md"))
     if not doc_files:
         return ["docs/ contains no markdown files"]
@@ -229,7 +247,7 @@ def main() -> int:
         print(f"\n{len(problems)} problem(s) found")
         return 1
     pages = len(list(DOCS.glob('**/*.md')))
-    print(f"docs OK: {pages} pages, nav complete, headings, links and code references valid")
+    print(f"docs OK: {pages} pages, nav complete, headings, links, paths and code references valid")
     return 0
 
 

@@ -4,8 +4,7 @@ A scale-reduced, numpy-only reproduction of the paper's stack: synthetic
 corpus construction, BPE tokenization, Medusa-style multi-head fine-tuning,
 KV-cached speculative decoding with typical acceptance and fragment-integrity
 truncation, a continuous-batching multi-request serving engine
-(:mod:`repro.serving`), and the paper's quality/speed evaluation benches plus
-a serving-throughput bench.
+(:mod:`repro.serving`), and the paper's quality/speed evaluation benches.
 """
 
 __version__ = "0.1.0"

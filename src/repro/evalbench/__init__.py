@@ -1,10 +1,8 @@
 """Evaluation benchmarks and metrics (paper Sec. IV-B).
 
 Provides RTLLM-style and VGen-style problem suites built on the in-repo
-simulator, the pass@k / Pass Rate metrics, syntax and functional graders,
-the speed/speedup measurement harness (eq. 3/4) and the serving-throughput
-harness (requests/sec, tokens/sec, latency percentiles vs. the sequential
-baseline).
+simulator, the pass@k / Pass Rate metrics, syntax and functional graders
+and the speed/speedup measurement harness (eq. 3/4).
 """
 
 from repro.evalbench.problems import Problem, ProblemSuite
@@ -17,14 +15,6 @@ from repro.evalbench.speed import (
     SpeedReport,
     measure_speed,
     speedup,
-)
-from repro.evalbench.throughput import (
-    ServingComparison,
-    ThroughputReport,
-    compare_serving_modes,
-    measure_sequential_throughput,
-    measure_serving_throughput,
-    measure_streaming_throughput,
 )
 from repro.evalbench.runner import EvaluationRunner, PromptEvaluation, QualityReport
 
@@ -43,12 +33,6 @@ __all__ = [
     "SpeedReport",
     "measure_speed",
     "speedup",
-    "ServingComparison",
-    "ThroughputReport",
-    "compare_serving_modes",
-    "measure_sequential_throughput",
-    "measure_serving_throughput",
-    "measure_streaming_throughput",
     "EvaluationRunner",
     "PromptEvaluation",
     "QualityReport",

@@ -1,8 +1,8 @@
 """Small-sample-correct summary statistics shared by the report surfaces.
 
-Every latency column in the repo — :class:`~repro.evalbench.throughput
-.ThroughputReport`, the traffic harness's :class:`~repro.traffic.replay
-.ReplayReport` and the ops dashboard — funnels through these helpers, so
+Every latency column in the repo — the traffic harness's
+:class:`~repro.traffic.replay.ReplayReport`, the admission controller's
+TTFT window and the ops dashboard — funnels through these helpers, so
 percentile semantics are defined exactly once.
 
 The percentile rule is **linear interpolation between closest ranks**

@@ -266,7 +266,7 @@ class KVCache:
         This is *reserved* memory — ``batch x capacity`` positions per layer
         whatever the rows actually hold — which is exactly the number the
         paged pool's ``peak_kv_bytes`` is compared against in the
-        shared-prefix memory bench.
+        shared-prefix memory test.
         """
         total = sum(layer.k.nbytes + layer.v.nbytes for layer in self.layers)
         for layer in self.layers:

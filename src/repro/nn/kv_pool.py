@@ -43,7 +43,7 @@ exclusive block and the writer's table entry is repointed
 one partially-filled block per writer; everything up to the divergence point
 stays physically shared.  The pool counts these (``cow_events``) along with
 its high-water mark (``peak_blocks_in_use``), which is what the shared-prefix
-memory bench compares against the row path's allocated bytes.
+memory test compares against the row path's allocated bytes.
 
 The attention read path is a **gather**: each layer view
 (:class:`PagedLayerKV`) resolves block tables into contiguous

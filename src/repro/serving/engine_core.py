@@ -205,7 +205,7 @@ class ServingEngine:
             # sharing one cache across engines that wrap different models.
             prefix_cache.bind(model)
         #: Prompt tokens actually run through prefill forwards / served from
-        #: retained K/V instead — the bench's prefill-savings numerator and
+        #: retained K/V instead — the prefill-savings numerator and
         #: denominator.  Counted per engine (a shared PrefixCache carries its
         #: own cache-lifetime counters), so reports stay scoped to this
         #: engine's traffic.

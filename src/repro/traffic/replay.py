@@ -26,8 +26,8 @@ clock.  Two clock regimes share the one loop:
 clock (the background step thread owns stepping, so only arrivals are
 paced), and :func:`replay_trace_router` does the same against a running
 :class:`~repro.serving.router.Router`.  All three produce the same
-:class:`ReplayReport` shape, so evalbench and the benches consume one
-schema regardless of the serving front-end.
+:class:`ReplayReport` shape, so consumers read one schema regardless of
+the serving front-end.
 """
 
 from __future__ import annotations
@@ -281,13 +281,11 @@ def replay_trace(
     def cancel_due() -> None:
         now = clock()
         for rid, flight in flights.items():
-            if (
-                flight.cancel_at is not None
-                and not flight.cancelled_by_replay
-                and flight.cancel_at <= now + 1e-12
-            ):
-                flight.cancelled_by_replay = True
-                engine.cancel(rid)
+            if flight.cancel_at is not None and flight.cancel_at <= now + 1e-12:
+                flight.cancel_at = None
+                # False when the request already finished or its deadline
+                # fired first: the engine, not the trace, says what cut it.
+                flight.cancelled_by_replay = engine.cancel(rid)
 
     def observe_ttfts() -> None:
         """Feed newly-first-tokened interactive TTFTs to the controller."""
@@ -303,14 +301,13 @@ def replay_trace(
                 admission.observe_ttft(ttft, now)
 
     def next_event_time() -> Optional[float]:
-        candidates = []
+        # Consulted only while the engine is idle, when every flight has
+        # settled: a scheduled cancel still outstanding has nothing left to
+        # cut, so it is not an event to advance the clock to.
+        candidates = [d[0] for d in deferred]
         if pending:
             candidates.append(start + pending[0].arrival_seconds)
-        candidates.extend(d[0] for d in deferred)
-        for flight in flights.values():
-            if flight.cancel_at is not None and not flight.cancelled_by_replay:
-                candidates.append(flight.cancel_at)
-        return min(candidates) if candidates else None
+        return min(candidates, default=None)
 
     while pending or deferred or engine.has_work:
         release_due()
@@ -485,10 +482,8 @@ def replay_trace_router(router, trace: Trace, tokenizer) -> ReplayReport:
         record = router.request_record(rid)
         if result is not None and not result.cancelled:
             status = "finished"
-        elif request.cancel_after is not None:
-            status = "cancelled"
         else:
-            status = "deadline" if request.deadline_seconds is not None else "cancelled"
+            status = "deadline" if record.timed_out else "cancelled"
         metrics = router.stream_metrics(rid) or {}
         outcomes.append(
             RequestOutcome(

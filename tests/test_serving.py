@@ -563,6 +563,35 @@ class TestChunkedPrefill:
         assert saw_concurrent_decode, "decode did not interleave with chunked prefill"
         assert engine._states[long_id].status is RequestStatus.FINISHED
 
+    def test_first_token_waits_for_one_prompt_not_the_batch(self, tiny_pipeline):
+        """Whole-prompt prefill runs every admitted prompt through the model
+        before any first token lands; a per-step budget serves the queue FCFS,
+        so the first request's first token waits for about its own prompt.
+        Stated in prefilled tokens, so no clock is read."""
+        config = GenerationConfig.greedy_config(8)
+        prompts = ["\n".join(_prompts(tiny_pipeline, 6)[i:i + 3]) for i in range(3)]
+        lengths = [len(tiny_pipeline.tokenizer.encode(p, add_bos=True)) for p in prompts]
+
+        def serve(chunk):
+            engine = _engine(
+                tiny_pipeline, "ours", DecodingStrategy.OURS,
+                max_active_requests=3, max_prefill_tokens_per_step=chunk,
+            )
+            request_ids = [engine.submit_text(prompt, config) for prompt in prompts]
+            prefilled_at_first_token = []
+            engine.attach_listeners(
+                request_ids[0],
+                on_commit=lambda burst: prefilled_at_first_token.append(engine.tokens_prefilled_total),
+            )
+            results = engine.run()
+            return prefilled_at_first_token[0], [results[rid].token_ids for rid in request_ids]
+
+        whole_ahead, whole_tokens = serve(None)
+        chunked_ahead, chunked_tokens = serve(16)
+        assert chunked_tokens == whole_tokens
+        assert whole_ahead == sum(lengths)
+        assert lengths[0] <= chunked_ahead < lengths[0] + 16
+
     def test_chunk_budget_validation(self):
         with pytest.raises(ValueError, match="max_prefill_tokens_per_step"):
             SchedulerConfig(max_prefill_tokens_per_step=0)
@@ -849,8 +878,8 @@ class TestPagedKVMemory:
         assert counters["row"] > 0
 
     def test_kv_pool_stats_uniform_keys(self, tiny_pipeline):
-        """Both memory modes report the same stat keys, so ThroughputReport
-        rows and dashboards need no per-mode branching."""
+        """Both memory modes report the same stat keys, so replay reports
+        and dashboards need no per-mode branching."""
         config = GenerationConfig.greedy_config(4)
         stats = {}
         for kv_memory in ("paged", "row"):
@@ -868,7 +897,7 @@ class TestPagedKVMemory:
     def test_paged_peak_kv_bytes_lower_on_shared_prefixes(self, tiny_pipeline):
         """The headline memory claim, at test scale: paged peak K/V bytes
         are strictly below the row engine's reserved-buffer peak on a
-        shared-prefix workload (the bench asserts the same at bench scale)."""
+        shared-prefix workload."""
         prompts = _shared_prefix_prompts(tiny_pipeline, 4) * 2
         config = GenerationConfig.greedy_config(8)
         peaks = {}

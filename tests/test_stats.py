@@ -1,11 +1,10 @@
 """Small-sample audit of the shared percentile helpers.
 
-Every latency column (`ThroughputReport`, `stream_metrics` consumers, the
-traffic harness's replay report and dashboard) funnels through
-:mod:`repro.evalbench.stats`.  These tests pin the linear-interpolation
-semantics on exactly the populations the serving benches hit: empty,
-single-element, and small-n series where a nearest-rank rule would
-systematically jump to the max.
+Every latency column (the traffic harness's replay report, admission window
+and dashboard) funnels through :mod:`repro.evalbench.stats`.  These tests pin
+the linear-interpolation semantics on exactly the populations the serving
+reports hit: empty, single-element, and small-n series where a nearest-rank
+rule would systematically jump to the max.
 """
 
 from __future__ import annotations
@@ -86,9 +85,9 @@ class TestSummarizeSeries:
 
 
 class TestSharedAcrossReports:
-    def test_throughput_report_uses_the_shared_helper(self):
+    def test_replay_report_uses_the_shared_helper(self):
         # The audit's fix: one percentile definition for every report
-        # surface.  The throughput module must alias, not duplicate.
-        from repro.evalbench import throughput
+        # surface.  The replay module must alias, not duplicate.
+        from repro.traffic import replay
 
-        assert throughput._percentile is percentile
+        assert replay.summarize_series is summarize_series

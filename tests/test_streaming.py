@@ -149,42 +149,6 @@ class TestStreamingEquivalence:
         assert abs(sum(metrics["inter_token_seconds"]) - span) < 1e-9
 
 
-class TestStreamingMeasurement:
-    """evalbench's streaming harness: real async run, populated latency columns."""
-
-    def test_measure_streaming_throughput(self, tiny_pipeline):
-        from repro.evalbench.throughput import measure_streaming_throughput
-
-        prompts = _prompts(tiny_pipeline, 3)
-        config = GenerationConfig.greedy_config(10)
-        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, max_active_requests=3)
-        report, results, streamed = measure_streaming_throughput(
-            engine, prompts, config, label="tiny-stream"
-        )
-        assert streamed == [result.token_ids for result in results]
-        assert report.num_requests == len(prompts)
-        assert report.total_tokens == sum(result.tokens_generated for result in results)
-        assert report.p95_ttft >= report.p50_ttft > 0.0
-        assert report.mean_ttft > 0.0
-        assert report.p95_itl >= report.p50_itl > 0.0
-        payload = report.to_dict()
-        for column in ("mean_ttft", "p50_ttft", "p95_ttft", "p50_itl", "p95_itl"):
-            assert payload[column] == getattr(report, column)
-
-    def test_batch_measurement_populates_ttft_too(self, tiny_pipeline):
-        """measure_serving_throughput (sync engine.run) fills the same columns
-        from the engine-side commit timelines."""
-        from repro.evalbench.throughput import measure_serving_throughput
-
-        prompts = _prompts(tiny_pipeline, 3)
-        config = GenerationConfig.greedy_config(8)
-        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, max_active_requests=3)
-        report, results = measure_serving_throughput(engine, prompts, config)
-        assert len(results) == len(prompts)
-        assert report.mean_ttft > 0.0
-        assert report.p95_itl >= report.p50_itl > 0.0
-
-
 class TestCancellation:
     """Cancellation frees budget and rows immediately, in every status."""
 

@@ -13,11 +13,12 @@ front-end to cover the non-deterministic regime's plumbing.
 from __future__ import annotations
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
 from repro.models.generation import GenerationConfig
-from repro.serving import PrefixCache, PriorityConfig, SchedulerConfig
+from repro.serving import PrefixCache, PriorityConfig, RouterRequest, SchedulerConfig
 from repro.serving.server import AsyncServingEngine
 from repro.traffic import (
     AdmissionController,
@@ -31,14 +32,15 @@ from repro.traffic import (
     generate_trace,
     replay_trace,
     replay_trace_async,
+    replay_trace_router,
 )
 
 
-def _engine(pipeline, clock=None, max_active=4, prefix_cache=None):
+def _engine(pipeline, clock=None, max_active=4, prefix_cache=None, priorities=None):
     return pipeline.engine_for(
         "ours",
         scheduler_config=SchedulerConfig(
-            max_active_requests=max_active, priorities=PriorityConfig()
+            max_active_requests=max_active, priorities=priorities or PriorityConfig()
         ),
         prefix_cache=prefix_cache,
         clock=clock,
@@ -221,30 +223,123 @@ class TestChurn:
         )
         assert report2.to_dict() == report.to_dict()
 
+    @pytest.mark.parametrize(
+        "deadline_seconds, cancel_after, expected",
+        [(0.04, 0.12, "deadline"), (0.12, 0.04, "cancelled")],
+    )
+    def test_status_names_what_cut_the_request(
+        self, tiny_pipeline, deadline_seconds, cancel_after, expected
+    ):
+        # The trace generator draws deadlines and cancels independently, so
+        # one request can carry both; whichever fires first is the status.
+        # "keep" outlives both times, so the replay loop is still running
+        # when the later one comes due against an already-settled request.
+        requests = [
+            TraceRequest(
+                request_id="keep", arrival_seconds=0.0, tenant="tenant-0",
+                traffic_class="interactive", prompt="the counter updates.",
+                max_new_tokens=64,
+            ),
+            TraceRequest(
+                request_id="cut", arrival_seconds=0.0, tenant="tenant-0",
+                traffic_class="bulk", prompt="the fifo resets on overflow.",
+                max_new_tokens=64, deadline_seconds=deadline_seconds,
+                cancel_after=cancel_after,
+            ),
+        ]
+        clock = SimulatedClock()
+        engine = _engine(tiny_pipeline, clock=clock)
+        report = replay_trace(
+            engine,
+            _manual_trace(requests),
+            clock=clock,
+            cost_model=StepCostModel(decode_token_seconds=0.01),
+        )
+        assert report.duration_seconds > 0.12, "keep must outlive both scheduled times"
+        by_id = {o.request_id: o for o in report.outcomes}
+        assert by_id["keep"].status == "finished"
+        assert by_id["cut"].status == expected
+        assert by_id["cut"].latency_seconds < 0.12, "cut at the earlier time"
+
+        reference = _engine(tiny_pipeline)
+        for request in requests:
+            reference.submit_text(
+                request.prompt,
+                GenerationConfig.greedy_config(request.max_new_tokens),
+                request_id=request.request_id,
+            )
+        uncut = reference.run()
+        assert by_id["keep"].token_ids == uncut["keep"].token_ids
+        partial = by_id["cut"].token_ids
+        assert len(partial) < len(uncut["cut"].token_ids)
+        assert partial == uncut["cut"].token_ids[: len(partial)]
+
+    def test_router_replay_reads_the_record_not_the_trace(self, tiny_pipeline):
+        # The router surface the replay touches, with every request already
+        # cut: the record, not the trace, says the deadline cut "late".
+        records = {}
+
+        def submit(prompt_ids, config, request_id, priority, deadline):
+            records[request_id] = RouterRequest(
+                request_id, prompt_ids, None, priority, deadline, worker_index=0,
+                done=True, cancelled=True, timed_out=request_id == "late",
+            )
+
+        router = SimpleNamespace(
+            submit=submit, cancel=lambda rid: False, poll=lambda: None,
+            drain=lambda timeout: {}, request_record=records.__getitem__,
+            stream_metrics=lambda rid: None, kv_pool_stats=dict, prefix_cache_stats=dict,
+        )
+        requests = [
+            TraceRequest(
+                request_id=rid, arrival_seconds=0.0, tenant="tenant-0",
+                traffic_class="bulk", prompt="the fifo resets on overflow.",
+                max_new_tokens=8, deadline_seconds=5.0, cancel_after=0.0,
+            )
+            for rid in ("late", "cut")
+        ]
+        report = replay_trace_router(router, _manual_trace(requests), tiny_pipeline.tokenizer)
+        assert {o.request_id: o.status for o in report.outcomes} == {
+            "late": "deadline", "cut": "cancelled",
+        }
+
 
 class TestAdmissionInReplay:
     def test_overload_sheds_only_bulk(self, tiny_pipeline):
-        # Arrivals must keep coming after the breach trips, so the span of
-        # the trace (24 req @ 30/s ≈ 0.8s) far exceeds the service rate
-        # (2 concurrent requests at ~0.2-0.3s each) and the detector's
-        # trip time (a few steps of queueing).
+        # Poisson 16 req/s over a 2-slot engine, 40 % interactive: bulk is
+        # what overloads it.  aging_rounds=1 lets a queued bulk backlog age
+        # into the interactive band, which is the degradation shedding bulk
+        # prevents; the detector trips at 0.03 s, well inside the 0.5 s
+        # operator-facing target.  Virtual time, so exact per seed.
+        target = 0.5
         trace = _trace(
-            num_requests=24,
-            requests_per_second=30.0,
-            interactive_fraction=0.5,
+            num_requests=32,
+            seed=42,
+            requests_per_second=16.0,
+            interactive_fraction=0.4,
             max_new_token_choices=(8, 16),
         )
-        clock = SimulatedClock()
-        engine = _engine(tiny_pipeline, clock=clock, max_active=2)
-        admission = AdmissionController(
-            SLOConfig(target_p95_ttft=0.02, window_seconds=5.0, min_samples=3)
-        )
-        report = replay_trace(
-            engine,
-            trace,
-            clock=clock,
-            cost_model=StepCostModel(decode_token_seconds=0.02),
-            admission=admission,
+
+        def replay(admission):
+            clock = SimulatedClock()
+            return replay_trace(
+                _engine(
+                    tiny_pipeline, clock=clock, max_active=2,
+                    priorities=PriorityConfig(aging_rounds=1),
+                ),
+                trace,
+                clock=clock,
+                cost_model=StepCostModel(decode_token_seconds=0.004),
+                admission=admission,
+            )
+
+        report = replay(
+            AdmissionController(
+                SLOConfig(
+                    target_p95_ttft=0.03, window_seconds=5.0, recover_under=0.5,
+                    min_samples=2, tenant_rate=400.0, tenant_burst=128.0,
+                )
+            )
         )
         shed = [o for o in report.outcomes if o.status == "shed"]
         assert shed, "overload scenario should shed some bulk traffic"
@@ -254,7 +349,17 @@ class TestAdmissionInReplay:
         assert report.admission is not None
         assert report.admission["breach_count"] >= 1
         # Every request is accounted for exactly once.
-        assert len(report.outcomes) == 24
+        assert len(report.outcomes) == 32
+
+        # The SLO holds only with admission: the same trace with every
+        # request accepted sheds nothing and blows the target.
+        without = replay(None)
+        assert without.by_status().get("shed", 0) == 0
+        assert (
+            interactive["ttft"]["p95"]
+            <= target
+            < without.class_summary("interactive")["ttft"]["p95"]
+        )
 
     def test_defer_retries_eventually_admit(self, tiny_pipeline):
         # Tight per-tenant bucket, no SLO pressure: requests defer, then
