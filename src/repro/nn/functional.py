@@ -9,9 +9,11 @@ import numpy as np
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax along ``axis`` with max-subtraction for stability."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    # A float buffer of the dtype np.exp would pick, so integer input still works in place.
+    out = np.subtract(x, np.max(x, axis=axis, keepdims=True), dtype=np.result_type(x, np.float16))
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

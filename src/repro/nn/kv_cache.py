@@ -75,6 +75,40 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 
+def _flatten_paths(
+    source_lengths: np.ndarray, rows: Sequence[int], prefixes: Sequence[int], paths: Sequence[Sequence[int]]
+) -> Tuple[List[int], List[int], List[int], List[int], List[int]]:
+    """Validate a ``compact_paths`` request and flatten it for one indexed copy.
+
+    Returns ``(rows, new_lengths, flat_rows, source, target)``: path node
+    ``j`` of new row ``i = flat_rows[n]`` moves from position ``source[n]``
+    of source row ``rows[i]`` to position ``target[n] = prefixes[i] + j``.
+    Plain lists: a step's paths are a handful of positions per row.
+    """
+    rows = list(rows)
+    for row in rows:
+        if not 0 <= row < len(source_lengths):
+            raise IndexError(f"row {row} out of range for batch {len(source_lengths)}")
+    if not (len(prefixes) == len(paths) == len(rows)):
+        raise ValueError(f"rows/prefixes/paths length mismatch: {len(rows)}/{len(prefixes)}/{len(paths)}")
+    new_lengths: List[int] = []
+    flat_rows: List[int] = []
+    source: List[int] = []
+    target: List[int] = []
+    for i, (row, prefix, path) in enumerate(zip(rows, prefixes, paths)):
+        path = [int(node) for node in path]
+        if prefix < 0:
+            raise ValueError(f"negative prefix length {prefix}")
+        limit = int(source_lengths[row])
+        if path and (min(path) < 0 or prefix + max(path) >= limit):
+            raise IndexError(f"row {row}: path positions {path} out of range for window [0, {limit - prefix})")
+        new_lengths.append(prefix + len(path))
+        flat_rows += [i] * len(path)
+        source += [prefix + node for node in path]
+        target += range(prefix, prefix + len(path))
+    return rows, new_lengths, flat_rows, source, target
+
+
 class LayerKVCache:
     """K/V storage for one attention layer.
 
@@ -579,67 +613,33 @@ class KVCache:
         return out
 
     def compact_paths(
-        self,
-        rows: Sequence[int],
-        prefixes: Sequence[int],
-        paths: Sequence[Sequence[int]],
-        capacity: Optional[int] = None,
+        self, rows: Sequence[int], prefixes: Sequence[int], paths: Sequence[Sequence[int]]
     ) -> "KVCache":
-        """Gather per-row accepted tree paths into a new compacted cache.
+        """Compact every row to its committed prefix plus its accepted tree path, in place.
 
         The multi-request generalisation of :meth:`keep_path`: after the
-        serving engine verifies one token tree per request inside the shared
-        forward, new row ``i`` of the result is source row ``rows[i]``'s
-        committed prefix (``prefixes[i]`` positions) followed by the K/V of
-        the accepted path's tree nodes (window positions ``paths[i]``, in
-        root-to-leaf order).  Rejected branches are dropped in the same copy.
-        ``capacity`` restores a full-size cache when compacting out of a
-        trimmed step cache.
+        decode step verifies one token tree per row inside the shared
+        forward, row ``i`` keeps its committed prefix (``prefixes[i]``
+        positions) followed by the K/V of the accepted path's tree nodes
+        (window positions ``paths[i]``, in root-to-leaf order), slid down
+        onto the prefix — O(path), no allocation.  ``rows`` must be
+        ``range(batch)`` (rows are dropped with :meth:`select_rows`); returns
+        ``self``, the signature :meth:`PagedKVCache.compact_paths` shares.
         """
-        rows = list(rows)
-        for row in rows:
-            if not 0 <= row < self.batch:
-                raise IndexError(f"row {row} out of range for batch {self.batch}")
-        if not (len(prefixes) == len(paths) == len(rows)):
-            raise ValueError(
-                f"rows/prefixes/paths length mismatch: {len(rows)}/{len(prefixes)}/{len(paths)}"
-            )
-        source_lengths = self.layers[0].lengths
-        new_lengths = np.zeros(len(rows), dtype=np.int64)
-        indices: List[np.ndarray] = []
-        for i, (row, prefix, path) in enumerate(zip(rows, prefixes, paths)):
-            index = np.asarray(list(path), dtype=np.int64)
-            if prefix < 0:
-                raise ValueError(f"negative prefix length {prefix}")
-            limit = int(source_lengths[row])
-            if index.size and (int(index.min()) < 0 or prefix + int(index.max()) >= limit):
-                raise IndexError(
-                    f"row {row}: path positions {index} out of range for window [0, {limit - prefix})"
-                )
-            indices.append(index)
-            new_lengths[i] = prefix + index.size
-        new_capacity = self.capacity if capacity is None else capacity
-        if int(new_lengths.max(initial=0)) > new_capacity:
-            raise ValueError(f"capacity {new_capacity} below kept length {int(new_lengths.max(initial=0))}")
-        out = KVCache(self.num_layers, self.num_heads, self.head_dim, new_capacity, batch=0)
-        gather = np.asarray(rows, dtype=np.int64)
-        for layer, out_layer in zip(self.layers, out.layers):
-            # Zero-filled for the ragged-buffer invariant (see select_rows).
-            new_k = np.zeros((len(rows), self.num_heads, new_capacity, self.head_dim), dtype=layer.k.dtype)
-            new_v = np.zeros_like(new_k)
-            for i, (row, prefix, index) in enumerate(zip(rows, prefixes, indices)):
-                new_k[i, :, :prefix] = layer.k[row, :, :prefix]
-                new_v[i, :, :prefix] = layer.v[row, :, :prefix]
-                if index.size:
-                    new_k[i, :, prefix : prefix + index.size] = layer.k[row][:, prefix + index]
-                    new_v[i, :, prefix : prefix + index.size] = layer.v[row][:, prefix + index]
-            out_layer.k = new_k
-            out_layer.v = new_v
-            out_layer.lengths = new_lengths.copy()
-            if layer.has_cross:
-                out_layer.cross_k = layer.cross_k[gather].copy()
-                out_layer.cross_v = layer.cross_v[gather].copy()
-        return out
+        if list(rows) != list(range(self.batch)):
+            raise ValueError(f"compact_paths compacts every row in order, got rows {list(rows)}")
+        _, new_lengths, flat_rows, source, target = _flatten_paths(self.layers[0].lengths, rows, prefixes, paths)
+        new_lengths = np.asarray(new_lengths, dtype=np.int64)
+        moves = source != target  # false when every path already sits right after its prefix
+        flat_rows, source, target = (np.asarray(index, dtype=np.int64) for index in (flat_rows, source, target))
+        # The fancy-indexed read copies, so overlapping moves are safe; rejected
+        # nodes become stale tail storage, masked like any other.
+        for layer in self.layers:
+            if moves:
+                layer.k[flat_rows, :, target] = layer.k[flat_rows, :, source]
+                layer.v[flat_rows, :, target] = layer.v[flat_rows, :, source]
+            layer.lengths = new_lengths.copy()
+        return self
 
     @classmethod
     def concat(cls, caches: Sequence["KVCache"]) -> "KVCache":

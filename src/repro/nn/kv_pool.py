@@ -45,11 +45,14 @@ stays physically shared.  The pool counts these (``cow_events``) along with
 its high-water mark (``peak_blocks_in_use``), which is what the shared-prefix
 memory test compares against the row path's allocated bytes.
 
-The attention read path is a **gather**: each layer view
-(:class:`PagedLayerKV`) resolves block tables into contiguous
-``(batch, heads, view, head_dim)`` arrays for
-:class:`~repro.nn.layers.CausalSelfAttention`, which therefore runs unchanged
-over paged or row storage.  Positions past a row's own length may surface
+The attention read path is a **block-granular gather**: each layer view
+(:class:`PagedLayerKV`) copies whole blocks into a dense
+``(batch, heads, blocks * block_size, head_dim)`` buffer and hands
+:class:`~repro.nn.layers.CausalSelfAttention` its leading ``view`` positions,
+so attention runs unchanged over paged or row storage.  The write path walks
+the rows once per *forward*: the first layer's append allocates,
+copy-on-writes and flattens every new position into one write plan, and every
+layer scatters and reads off it.  Positions past a row's own length may surface
 stale-but-finite block contents, exactly like the row cache's stale tail
 slots; the causal mask (or the caller's ``attn_bias``) pins their scores to
 ``-1e9``, whose softmax weight underflows to exactly ``0.0``, so stale
@@ -65,9 +68,11 @@ pool cannot hold — lives in :meth:`repro.serving.scheduler.Scheduler.admit`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from repro.nn.kv_cache import _flatten_paths
 
 
 class KVPoolExhausted(RuntimeError):
@@ -334,6 +339,38 @@ class PagedPrefix:
             pass
 
 
+class _WritePlan(NamedTuple):
+    """Where one forward's new positions land, worked out once for all layers."""
+
+    shape: Tuple[int, ...]  # of the k_new / v_new it was built for
+    starts: np.ndarray  # per-row lengths before the append
+    lengths: np.ndarray  # ... and after
+    blocks: np.ndarray  # flat: pool block id of each written position
+    offsets: np.ndarray  # flat: its offset inside that block
+    rows: np.ndarray  # flat: its source row in k_new
+    columns: np.ndarray  # flat: its source window column in k_new
+    tables: np.ndarray  # (batch, blocks_for(view)) padded block tables for the read
+    view: int  # longest row after the append
+
+
+def _read_blocks(pool_array: np.ndarray, tables: np.ndarray, view: int) -> np.ndarray:
+    """Dense ``(batch, heads, view, head_dim)`` read of whole blocks for one pool array.
+
+    One indexed copy moves ``(block_size, head_dim)`` tiles — not single
+    positions — into a ``(batch, heads, blocks * block_size, head_dim)``
+    buffer, of which the leading ``view`` positions are returned: a slice of
+    a block-rounded buffer, the layout class :meth:`LayerKVCache.append`
+    returns (row-major ``(position, head_dim)`` matrices), so ``np.matmul``
+    picks the same kernel and float32 summation order as over the row cache.
+    """
+    _, heads, block_size, head_dim = pool_array.shape
+    batch, num_blocks = tables.shape
+    if tables.size == 0:
+        return np.zeros((batch, heads, view, head_dim), dtype=pool_array.dtype)
+    tiles = pool_array[tables[:, None, :], np.arange(heads)[None, :, None]]  # (batch, heads, blocks, block_size, head_dim)
+    return tiles.reshape(batch, heads, num_blocks * block_size, head_dim)[:, :, :view]
+
+
 class PagedLayerKV:
     """One layer's view of a :class:`PagedKVCache` — the attention-facing surface.
 
@@ -381,43 +418,24 @@ class PagedLayerKV:
         right-padding, and the return value is the gathered
         ``0 .. max(lengths)`` prefix view with stale-but-finite storage past
         each row's own length (masked by the caller).  The first layer's
-        append of a forward performs the block allocation and copy-on-write
-        for the written ranges; later layers find the tables already
-        exclusive and just write.
+        append of a forward walks the rows once — block allocation,
+        copy-on-write and the flat write plan (:meth:`PagedKVCache._plan_writes`);
+        every layer then does one vectorised scatter and one block-granular
+        read off that plan, and the last layer drops it.
         """
         cache = self._cache
-        batch = len(cache._tables)
-        t = k_new.shape[2]
-        if k_new.shape[0] != batch:
-            raise ValueError(f"batch mismatch: cache has {batch} rows, got {k_new.shape[0]}")
-        if cache._append_widths is None:
-            widths = np.full(batch, t, dtype=np.int64)
-        else:
-            widths = np.asarray(cache._append_widths, dtype=np.int64)
-            if widths.shape != (batch,):
-                raise ValueError(f"append_widths shape {widths.shape} != (batch,) = ({batch},)")
-            if np.any(widths < 0) or np.any(widths > t):
-                raise ValueError(f"append widths must lie in [0, {t}], got {widths}")
         starts = cache._layer_lengths[self.index]
-        new_lengths = starts + widths
-        pool = cache.pool
-        block_size = pool.block_size
-        k_pool = pool.k[self.index]
-        v_pool = pool.v[self.index]
-        for row in range(batch):
-            width = int(widths[row])
-            if width == 0:
-                continue
-            start = int(starts[row])
-            cache._ensure_writable(row, start, start + width)
-            positions = np.arange(start, start + width)
-            table = np.asarray(cache._tables[row], dtype=np.int64)
-            block_ids = table[positions // block_size]
-            offsets = positions % block_size
-            k_pool[block_ids, :, offsets, :] = k_new[row, :, :width].transpose(1, 0, 2)
-            v_pool[block_ids, :, offsets, :] = v_new[row, :, :width].transpose(1, 0, 2)
-        cache._layer_lengths[self.index] = new_lengths
-        return cache._gather(self.index, int(new_lengths.max(initial=0)))
+        plan = cache._write_plan
+        if self.index == 0 or plan is None or plan.shape != k_new.shape or not np.array_equal(plan.starts, starts):
+            plan = cache._plan_writes(k_new.shape, starts)
+        if self.index == cache.pool.num_layers - 1:
+            cache._write_plan = None
+        k_pool = cache.pool.k[self.index]
+        v_pool = cache.pool.v[self.index]
+        k_pool[plan.blocks, :, plan.offsets, :] = k_new[plan.rows, :, plan.columns, :]
+        v_pool[plan.blocks, :, plan.offsets, :] = v_new[plan.rows, :, plan.columns, :]
+        cache._layer_lengths[self.index] = plan.lengths.copy()
+        return _read_blocks(k_pool, plan.tables, plan.view), _read_blocks(v_pool, plan.tables, plan.view)
 
 
 class PagedKVCache:
@@ -443,6 +461,10 @@ class PagedKVCache:
             np.zeros(batch, dtype=np.int64) for _ in range(pool.num_layers)
         ]
         self._append_widths: Optional[np.ndarray] = None
+        #: Set by the first layer's append of a forward, dropped by the last
+        #: and by anything that changes tables, lengths or widths or starts
+        #: sharing this cache's blocks (a plan never writes a shared block).
+        self._write_plan: Optional[_WritePlan] = None
         self.layers: List[PagedLayerKV] = [PagedLayerKV(self, i) for i in range(pool.num_layers)]
         self._released = False
 
@@ -501,6 +523,7 @@ class PagedKVCache:
         ``try/finally``.
         """
         self._append_widths = None if widths is None else np.asarray(widths, dtype=np.int64)
+        self._write_plan = None
 
     # -- block-table maintenance ---------------------------------------------
 
@@ -529,38 +552,50 @@ class PagedKVCache:
         while len(table) < needed:
             table.append(pool.alloc())
 
-    def _gather(self, layer: int, view: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense ``(batch, heads, view, head_dim)`` K/V arrays for one layer.
+    def _plan_writes(self, shape: Tuple[int, ...], starts: np.ndarray) -> _WritePlan:
+        """Walk the rows once for a forward appending ``shape``-d K/V at ``starts``.
 
-        Rows shorter than ``view`` read whatever their (padded) table entries
-        hold — stale but finite, exactly the row cache's stale-tail contract,
-        masked to weight zero by causal/bias masking downstream.
+        Allocates and copy-on-writes the written ranges, then flattens every
+        (row, window column) that is real under ``append_widths`` into block
+        ids and offsets, and builds the padded table array the reads share.
         """
-        pool = self.pool
         batch = len(self._tables)
-        if batch == 0 or view == 0:
-            shape = (batch, pool.num_heads, view, pool.head_dim)
-            return np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=np.float32)
-        block_size = pool.block_size
-        num_view_blocks = blocks_for(view, block_size)
-        # Rows with shorter tables pad with block 0: garbage reads, masked.
-        table_arr = np.zeros((batch, num_view_blocks), dtype=np.int64)
+        t = shape[2]
+        if shape[0] != batch:
+            raise ValueError(f"batch mismatch: cache has {batch} rows, got {shape[0]}")
+        if self._append_widths is None:
+            widths = [t] * batch
+        else:
+            if self._append_widths.shape != (batch,):
+                raise ValueError(f"append_widths shape {self._append_widths.shape} != (batch,) = ({batch},)")
+            widths = self._append_widths.tolist()
+            if widths and (min(widths) < 0 or max(widths) > t):
+                raise ValueError(f"append widths must lie in [0, {t}], got {self._append_widths}")
+        for row, (start, width) in enumerate(zip(starts.tolist(), widths)):
+            if width:
+                self._ensure_writable(row, start, start + width)
+        widths = np.asarray(widths, dtype=np.int64)
+        lengths = starts + widths
+        view = int(lengths.max(initial=0))
+        tables = self._padded_tables(view)
+        # Row-major (row, window column) of every real position.
+        rows, columns = np.nonzero(np.arange(t) < widths[:, None])
+        blocks, offsets = np.divmod(starts[rows] + columns, self.pool.block_size)
+        self._write_plan = _WritePlan(shape, starts, lengths, tables[rows, blocks], offsets, rows, columns, tables, view)
+        return self._write_plan
+
+    def _padded_tables(self, view: int) -> np.ndarray:
+        """Block tables as one ``(batch, blocks_for(view))`` array.
+
+        Rows with shorter tables pad with block 0: garbage reads, masked.
+        """
+        num_view_blocks = blocks_for(view, self.pool.block_size)
+        tables = np.zeros((len(self._tables), num_view_blocks), dtype=np.int64)
         for row, table in enumerate(self._tables):
             m = min(len(table), num_view_blocks)
             if m:
-                table_arr[row, :m] = table[:m]
-        positions = np.arange(view)
-        block_ids = table_arr[:, positions // block_size]  # (batch, view)
-        offsets = np.broadcast_to(positions % block_size, (batch, view))
-        k = pool.k[layer][block_ids, :, offsets, :]  # (batch, view, heads, head_dim)
-        v = pool.v[layer][block_ids, :, offsets, :]
-        # Contiguous copies, not transposed views: np.matmul picks its kernel
-        # (and therefore its float32 summation order) by memory layout, and
-        # the paged engine's outputs must be bitwise those of the row cache.
-        return (
-            np.ascontiguousarray(k.transpose(0, 2, 1, 3)),
-            np.ascontiguousarray(v.transpose(0, 2, 1, 3)),
-        )
+                tables[row, :m] = table[:m]
+        return tables
 
     # -- lifetime ------------------------------------------------------------
 
@@ -574,6 +609,7 @@ class PagedKVCache:
         if self._released:
             return
         self._released = True
+        self._write_plan = None
         for table in self._tables:
             for block in table:
                 self.pool.decref(block)
@@ -609,6 +645,7 @@ class PagedKVCache:
             new_tables.append(table)
         old_tables = self._tables
         self._tables = new_tables
+        self._write_plan = None
         for table in old_tables:
             for block in table:
                 pool.decref(block)
@@ -622,6 +659,7 @@ class PagedKVCache:
             raise ValueError(f"lengths shape {target.shape} != (batch,) = ({self.batch},)")
         if np.any(target < 0):
             raise ValueError(f"cannot truncate to negative lengths {target}")
+        self._write_plan = None
         for i, layer_lengths in enumerate(self._layer_lengths):
             self._layer_lengths[i] = np.minimum(layer_lengths, target)
         pool = self.pool
@@ -647,6 +685,7 @@ class PagedKVCache:
                 raise ValueError(f"repeats shape {counts.shape} != (batch,) = ({self.batch},)")
         if np.any(counts < 0):
             raise ValueError(f"repeat counts must be non-negative, got {counts}")
+        self._write_plan = None
         pool = self.pool
         out = PagedKVCache(pool, batch=0)
         for row, count in enumerate(counts):
@@ -680,6 +719,7 @@ class PagedKVCache:
             raise ValueError(f"cannot compact to negative lengths {target}")
         index = np.asarray(rows, dtype=np.int64)
         kept_lengths = np.minimum(self._layer_lengths[0][index], target) if rows else target
+        self._write_plan = None
         pool = self.pool
         out = PagedKVCache(pool, batch=0)
         for i, row in enumerate(rows):
@@ -692,84 +732,48 @@ class PagedKVCache:
         return out
 
     def compact_paths(
-        self,
-        rows: Sequence[int],
-        prefixes: Sequence[int],
-        paths: Sequence[Sequence[int]],
-        capacity: Optional[int] = None,
+        self, rows: Sequence[int], prefixes: Sequence[int], paths: Sequence[Sequence[int]]
     ) -> "PagedKVCache":
         """Gather per-row accepted tree paths into a new cache.
 
-        Same contract as :meth:`KVCache.compact_paths`: new row ``i`` is
-        source row ``rows[i]``'s committed prefix (``prefixes[i]`` positions,
-        aliased) followed by the K/V of the accepted path's tree nodes
-        (window positions ``paths[i]``, in root-to-leaf order).  The prefix
-        is shared; only the accepted path's handful of positions is copied —
+        The paged :meth:`KVCache.compact_paths`: new row ``i`` is source row
+        ``rows[i]``'s committed prefix (``prefixes[i]`` positions, aliased)
+        followed by the K/V of the accepted path's tree nodes (window
+        positions ``paths[i]``, in root-to-leaf order).  The prefix is
+        shared; only the accepted path's handful of positions is copied —
         O(path), not O(prefix) — landing after a copy-on-write of the
-        prefix's trailing partial block.  ``capacity`` is ignored.
+        prefix's trailing partial block.  Always a new cache: the caller
+        releases the source, which frees the rejected branches' blocks.
         """
-        rows = list(rows)
-        for row in rows:
-            if not 0 <= row < self.batch:
-                raise IndexError(f"row {row} out of range for batch {self.batch}")
-        if not (len(prefixes) == len(paths) == len(rows)):
-            raise ValueError(
-                f"rows/prefixes/paths length mismatch: {len(rows)}/{len(prefixes)}/{len(paths)}"
-            )
+        self._write_plan = None
+        rows, new_lengths, flat_rows, source, target = _flatten_paths(
+            self._layer_lengths[0], rows, prefixes, paths
+        )
         pool = self.pool
         block_size = pool.block_size
-        source_lengths = self._layer_lengths[0]
-        indices: List[np.ndarray] = []
-        for row, prefix, path in zip(rows, prefixes, paths):
-            index = np.asarray(list(path), dtype=np.int64)
-            if prefix < 0:
-                raise ValueError(f"negative prefix length {prefix}")
-            limit = int(source_lengths[row])
-            if index.size and (int(index.min()) < 0 or prefix + int(index.max()) >= limit):
-                raise IndexError(
-                    f"row {row}: path positions {index} out of range for window [0, {limit - prefix})"
-                )
-            indices.append(index)
-        # Read the accepted paths' K/V out of the source tables before any
-        # table surgery (the sources stay untouched either way — writes only
-        # land in blocks the new cache owns exclusively after copy-on-write).
-        gathered: List[List[Tuple[np.ndarray, np.ndarray]]] = []
-        for row, prefix, index in zip(rows, prefixes, indices):
-            per_layer: List[Tuple[np.ndarray, np.ndarray]] = []
-            if index.size:
-                positions = prefix + index
-                table = np.asarray(self._tables[row], dtype=np.int64)
-                block_ids = table[positions // block_size]
-                offsets = positions % block_size
-                for layer in range(pool.num_layers):
-                    # (path, heads, head_dim) — already copies (fancy indexing).
-                    per_layer.append(
-                        (pool.k[layer][block_ids, :, offsets, :], pool.v[layer][block_ids, :, offsets, :])
-                    )
-            gathered.append(per_layer)
         out = PagedKVCache(pool, batch=0)
-        new_lengths = np.zeros(len(rows), dtype=np.int64)
-        for i, (row, prefix, index) in enumerate(zip(rows, prefixes, indices)):
+        for row, prefix in zip(rows, prefixes):
             table = list(self._tables[row][: blocks_for(prefix, block_size)])
             for block in table:
                 pool.incref(block)
             out._tables.append(table)
-            new_lengths[i] = prefix
-        out._layer_lengths = [new_lengths.copy() for _ in range(pool.num_layers)]
-        for i, (prefix, index) in enumerate(zip(prefixes, indices)):
-            if not index.size:
-                continue
-            out._ensure_writable(i, prefix, prefix + index.size)
-            positions = np.arange(prefix, prefix + index.size)
-            table = np.asarray(out._tables[i], dtype=np.int64)
-            block_ids = table[positions // block_size]
-            offsets = positions % block_size
-            for layer in range(pool.num_layers):
-                k_path, v_path = gathered[i][layer]
-                pool.k[layer][block_ids, :, offsets, :] = k_path
-                pool.v[layer][block_ids, :, offsets, :] = v_path
-            for lengths in out._layer_lengths:
-                lengths[i] = prefix + index.size
+        for i, (prefix, length) in enumerate(zip(prefixes, new_lengths)):
+            if length > prefix:
+                out._ensure_writable(i, prefix, length)
+        lengths = np.asarray(new_lengths, dtype=np.int64)
+        out._layer_lengths = [lengths.copy() for _ in range(pool.num_layers)]
+        # The writes land only in blocks ``out`` owns exclusively (the shared
+        # trailing prefix block was just copied), so the source tables still
+        # read the tree window as verified: one indexed read and one indexed
+        # write per pool array move every row's path.
+        source_blocks = [self._tables[rows[i]][p // block_size] for i, p in zip(flat_rows, source)]
+        target_blocks = [out._tables[i][p // block_size] for i, p in zip(flat_rows, target)]
+        source_blocks, target_blocks, source, target = (
+            np.asarray(index, dtype=np.int64) for index in (source_blocks, target_blocks, source, target)
+        )
+        source_offsets, target_offsets = source % block_size, target % block_size
+        for array in pool.k + pool.v:
+            array[target_blocks, :, target_offsets, :] = array[source_blocks, :, source_offsets, :]
         return out
 
     @classmethod
@@ -798,6 +802,7 @@ class PagedKVCache:
             cache._tables = []
             cache._layer_lengths = [np.zeros(0, dtype=np.int64) for _ in range(pool.num_layers)]
             cache._released = True
+            cache._write_plan = None
         return out
 
     # -- prefix-reuse operations ----------------------------------------------
@@ -816,6 +821,7 @@ class PagedKVCache:
         if length < 0 or length > row_length:
             raise ValueError(f"prefix length {length} out of range [0, {row_length}] for row {row}")
         blocks = self._tables[row][: blocks_for(length, self.pool.block_size)]
+        self._write_plan = None
         return PagedPrefix(self.pool, blocks, length, owns=True)
 
     def splice_prefix(self, row: int, prefix: PagedPrefix) -> None:
@@ -845,6 +851,7 @@ class PagedKVCache:
         for block in prefix.block_ids:
             pool.incref(block)
         self._tables[row] = list(prefix.block_ids)
+        self._write_plan = None
         for lengths in self._layer_lengths:
             lengths[row] = prefix.length
 

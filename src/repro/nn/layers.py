@@ -101,7 +101,7 @@ class Linear(Module):
         self._input = x
         out = x @ self.weight.data
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -141,10 +141,11 @@ class LayerNorm(Module):
         self._cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        # The ufunc sequence np.var runs internally, minus its second mean.
+        centered = x - x.mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalized = (x - mean) * inv_std
+        normalized = centered * inv_std
         self._cache = (normalized, inv_std, x)
         return normalized * self.gamma.data + self.beta.data
 
@@ -191,11 +192,12 @@ class CausalSelfAttention(Module):
         present, the whole sequence otherwise — so the caller is responsible
         for masking stale/padded key slots too.  This is the hook token-tree
         verification uses to let each tree node attend exactly its ancestor
-        chain plus the cached prefix.
+        chain plus the cached prefix.  With a cache the bias is added in the
+        scores' dtype (a float64 bias does not upcast the step).
         """
         batch, time, dim = x.shape
         qkv = self.qkv.forward(x)
-        q, k, v = np.split(qkv, 3, axis=-1)
+        q, k, v = qkv[..., :dim], qkv[..., dim : 2 * dim], qkv[..., 2 * dim :]
 
         def split_heads(tensor: np.ndarray) -> np.ndarray:
             return tensor.reshape(batch, time, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
@@ -207,14 +209,15 @@ class CausalSelfAttention(Module):
             # its own past.  Uniform caches reduce to the classic causal mask.
             past_rows = layer_cache.lengths.copy()
             kh, vh = layer_cache.append(kh, vh)
-            scores = qh @ kh.transpose(0, 1, 3, 2) / self.scale
+            scores = qh @ kh.transpose(0, 1, 3, 2)
+            scores /= self.scale
             if attn_bias is not None:
                 if attn_bias.shape != (batch, time, kh.shape[2]):
                     raise ValueError(
                         f"attn_bias shape {attn_bias.shape} != (batch, query, key) = "
                         f"({batch}, {time}, {kh.shape[2]})"
                     )
-                scores = scores + attn_bias[:, None, :, :]
+                scores += attn_bias[:, None, :, :]
             elif self.causal:
                 # Row r's query i sits at absolute position past_r + i and may
                 # attend to keys 0..past_r+i.  Keys past a row's own length are
@@ -307,7 +310,7 @@ class CrossAttention(Module):
                 raise ValueError("cross-attention needs `memory` until the cross K/V is cached")
             mem_time = memory.shape[1]
             kv = self.kv_proj.forward(memory)
-            k, v = np.split(kv, 2, axis=-1)
+            k, v = kv[..., :dim], kv[..., dim:]
             kh = split_heads(k, mem_time)
             vh = split_heads(v, mem_time)
             if layer_cache is not None:

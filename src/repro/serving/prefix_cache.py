@@ -299,7 +299,10 @@ class PrefixCache:
         self._entries[key] = entry
         node = self._root
         for token in key:
-            node = node.children.setdefault(token, _TrieNode())
+            child = node.children.get(token)
+            if child is None:
+                child = node.children[token] = _TrieNode()
+            node = child
             node.entries.add(key)
         self._num_tokens += len(key)
         self._charge(segment)

@@ -265,9 +265,12 @@ class Lexer:
                 self._advance()
                 while self.pos < len(self.source) and (self._peek().isdigit() or self._peek() == "_"):
                     self._advance()
-            if self._peek() in "eE" and (self._peek(1).isdigit() or self._peek(1) in "+-"):
+            # Tuples, not strings: at end of input ``_peek()`` is ``""``, which
+            # is "in" every string (see ``not base`` above) and would walk
+            # ``pos`` past the end of the source.
+            if self._peek() in ("e", "E") and (self._peek(1).isdigit() or self._peek(1) in ("+", "-")):
                 self._advance()
-                if self._peek() in "+-":
+                if self._peek() in ("+", "-"):
                     self._advance()
                 while self.pos < len(self.source) and self._peek().isdigit():
                     self._advance()

@@ -258,6 +258,47 @@ class TestRaggedServingOps:
         with pytest.raises(IndexError):
             tiled.compact_rows([9], [1])
 
+    def _tree_step(self, batch=3):
+        """A cache holding per-row prefixes plus an appended tree window, and the paths to keep."""
+        rng = np.random.default_rng(5)
+        cache = self._cache(batch=batch, capacity=24)
+        for width, widths in ((6, [6, 4, 5]), (5, [5, 3, 4])):  # committed prefixes, then tree windows
+            cache.set_append_widths(widths)
+            for layer in cache.layers:
+                layer.append(*(rng.normal(size=(batch, 4, width, 8)).astype(np.float32) for _ in range(2)))
+            cache.set_append_widths(None)
+        return cache, [6, 4, 5], [[0, 2, 4], [], [1, 3]]
+
+    @staticmethod
+    def _expected_paths(cache, rows, prefixes, paths):
+        """Per-row reference: prefix followed by the path's window positions, layer 0 and 1."""
+        return [
+            [np.concatenate([layer.k[row, :, :prefix], layer.k[row][:, [prefix + p for p in path]]], axis=1).copy()
+             for row, prefix, path in zip(rows, prefixes, paths)]
+            for layer in cache.layers
+        ]
+
+    def test_compact_paths_in_order_slides_paths_down_in_place(self):
+        cache, prefixes, paths = self._tree_step()
+        expected = self._expected_paths(cache, range(3), prefixes, paths)
+        buffers = [(layer.k, layer.v) for layer in cache.layers]
+        compacted = cache.compact_paths(range(3), prefixes, paths)
+        # Same object, same buffers: no allocation, O(path) writes.
+        assert compacted is cache
+        assert all(layer.k is k and layer.v is v for layer, (k, v) in zip(cache.layers, buffers))
+        assert cache.lengths.tolist() == [9, 4, 7]
+        for layer, rows in zip(cache.layers, expected):
+            for row, kept in enumerate(rows):
+                assert np.array_equal(layer.k[row, :, : kept.shape[1]], kept)
+
+    def test_compact_paths_rejects_a_row_subset(self):
+        cache, prefixes, paths = self._tree_step()
+        before = [(layer.k.copy(), layer.lengths.copy()) for layer in cache.layers]
+        with pytest.raises(ValueError, match="every row in order"):
+            cache.compact_paths([2, 0], [prefixes[2], prefixes[0]], [paths[2], paths[0]])
+        for layer, (k, lengths) in zip(cache.layers, before):
+            assert np.array_equal(layer.k, k) and np.array_equal(layer.lengths, lengths)
+
     def test_overflow_respects_per_row_lengths(self):
         merged = KVCache.concat([self._filled(1.0, 2), self._filled(2.0, 15)])
         step = np.full((2, 4, 2, 8), 9.0, dtype=np.float32)

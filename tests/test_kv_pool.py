@@ -23,6 +23,7 @@ from repro.nn.kv_pool import (
     KVPoolExhausted,
     PagedKVCache,
     PagedPrefix,
+    _read_blocks,
     blocks_for,
 )
 
@@ -58,12 +59,18 @@ def append_both(row_cache: KVCache, paged: PagedKVCache, rng, width: int, widths
         paged.set_append_widths(None)
 
 
+def read_layer(paged: PagedKVCache, layer: int, view: int):
+    """Dense ``(batch, heads, view, head_dim)`` K/V of one layer, read the way ``append`` reads."""
+    tables = paged._padded_tables(view)
+    return _read_blocks(paged.pool.k[layer], tables, view), _read_blocks(paged.pool.v[layer], tables, view)
+
+
 def assert_same_content(row_cache: KVCache, paged: PagedKVCache):
     """Row-by-row bitwise comparison of the cached (non-stale) positions."""
     assert row_cache.lengths.tolist() == paged.lengths.tolist()
     view = int(paged.length)
     for layer_index, row_layer in enumerate(row_cache.layers):
-        k_paged, v_paged = paged._gather(layer_index, view)
+        k_paged, v_paged = read_layer(paged, layer_index, view)
         for row, length in enumerate(row_cache.lengths):
             length = int(length)
             np.testing.assert_array_equal(k_paged[row, :, :length], row_layer.k[row, :, :length])
@@ -381,7 +388,7 @@ class TestZeroCopySplice:
             layer.append(*random_kv(rng, 1, 2))
         assert pool.cow_events == cow_before + 1
         # The source row still reads its own original content.
-        k_source, _ = source._gather(0, 9)
+        k_source, _ = read_layer(source, 0, 9)
         k_prefix_block = pool.k[0][prefix.block_ids[1]]
         np.testing.assert_array_equal(k_source[0, :, BLOCK : 2 * BLOCK], k_prefix_block[:, :, :])
 
@@ -481,6 +488,222 @@ class TestPagedOpsFuzz:
 
     def test_random_op_traces(self):
         for_all(num_cases(40, 40), self._run_trace, seed=43)
+
+
+def assert_same_views(row_views, paged_views, lengths):
+    """What ``append`` handed to attention: equal on every row's own prefix, same layout class."""
+    for row_view, paged_view in zip(row_views, paged_views):
+        assert row_view.shape == paged_view.shape
+        # Row-major (position, head_dim) matrices either way: the layout np.matmul keys its kernel on.
+        assert row_view.strides[-2:] == paged_view.strides[-2:]
+        for row, length in enumerate(lengths):
+            assert np.array_equal(row_view[row, :, : int(length)], paged_view[row, :, : int(length)])
+
+
+def append_and_compare(row_cache: KVCache, paged: PagedKVCache, rng, width: int, widths=None):
+    """One forward's appends on both caches, comparing every layer's returned K/V."""
+    batch = paged.batch
+    row_cache.set_append_widths(widths)
+    paged.set_append_widths(widths)
+    try:
+        for row_layer, paged_layer in zip(row_cache.layers, paged.layers):
+            k_new, v_new = random_kv(rng, batch, width)
+            # Attention hands over head-split transposed views, not contiguous arrays.
+            k_new = np.ascontiguousarray(k_new.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+            row_views = row_layer.append(k_new, v_new)
+            paged_views = paged_layer.append(k_new, v_new)
+            assert_same_views(row_views, paged_views, row_layer.lengths)
+    finally:
+        row_cache.set_append_widths(None)
+        paged.set_append_widths(None)
+    assert paged._write_plan is None
+
+
+class TestAppendReturnsTheRowOraclesViews:
+    """Ragged appends between table surgery: every ``append`` returns the row cache's K/V."""
+
+    def _run_trace(self, cases: Cases) -> None:
+        rng = np.random.default_rng(cases.integer(0, 2**31))
+        block_size = cases.choice([1, 4, 16])
+        pool = make_pool(num_blocks=2048, block_size=block_size)
+        batch = cases.integer(1, 4)
+        row_cache = KVCache(LAYERS, HEADS, HEAD_DIM, capacity=160, batch=batch)
+        paged = PagedKVCache(pool, batch=batch)
+        retained = []
+        for _ in range(cases.integer(3, 9)):
+            batch_now = paged.batch
+            action = cases.integer(0, 5) if batch_now else 4
+            if action <= 1:  # ragged append, widths including 0; sometimes block-aligned views
+                width = block_size * cases.integer(1, 2) if cases.boolean(0.3) else cases.integer(1, 9)
+                widths = None if cases.boolean(0.3) else [cases.integer(0, width) for _ in range(batch_now)]
+                append_and_compare(row_cache, paged, rng, width, widths)
+            elif action == 2:  # a decode step: append a tree window, keep one path per row
+                prefixes = [int(length) for length in paged.lengths]
+                sizes = [cases.integer(1, 6) for _ in range(batch_now)]
+                append_and_compare(row_cache, paged, rng, max(sizes), sizes)
+                paths = [sorted(cases.subset(range(size), cases.integer(1, size))) for size in sizes]
+                row_cache = row_cache.compact_paths(range(batch_now), prefixes, paths)
+                compacted = paged.compact_paths(range(batch_now), prefixes, paths)
+                paged.release()
+                paged = compacted
+            elif action == 3 and batch_now > 1:  # drop / reorder rows
+                keep = cases.subset(range(batch_now), cases.integer(1, batch_now))
+                row_cache.select_rows(keep)
+                paged.select_rows(keep)
+            elif action >= 4 or batch_now == 0:  # admit a row, spliced from a shared prefix when one exists
+                fresh_row = KVCache(LAYERS, HEADS, HEAD_DIM, capacity=160, batch=1)
+                fresh_paged = PagedKVCache(pool, batch=1)
+                if retained and cases.boolean(0.7):
+                    segment, prefix = cases.choice(retained)
+                    take = cases.integer(1, prefix.length)
+                    fresh_row.splice_prefix(0, segment.head(take))
+                    fresh_paged.splice_prefix(0, prefix.head(take))
+                # The divergent suffix copy-on-writes the spliced trailing block.
+                append_and_compare(fresh_row, fresh_paged, rng, cases.integer(1, 7))
+                length = fresh_paged.length
+                retained.append((fresh_row.gather_prefix(0, length), fresh_paged.snapshot_prefix(0, length)))
+                row_cache = KVCache.concat([row_cache, fresh_row]) if batch_now else fresh_row
+                paged = PagedKVCache.concat([paged, fresh_paged]) if batch_now else fresh_paged
+            assert_same_content(row_cache, paged)
+        paged.release()
+        for _, prefix in retained:
+            prefix.release()
+        assert np.all(pool.refcounts == 0), "leaked block references"
+
+    def test_random_forward_traces(self):
+        for_all(num_cases(60, 400), self._run_trace, seed=47)
+
+
+class TestOncePerForwardWritePlan:
+    """Counts, not clocks: the rows are walked once per forward, not once per layer."""
+
+    def _cache(self, batch=4, prefix=6):
+        pool = make_pool(num_blocks=256)
+        cache = PagedKVCache(pool, batch=batch)
+        rng = np.random.default_rng(10)
+        for layer in cache.layers:
+            layer.append(*random_kv(rng, batch, prefix))
+        return pool, cache, rng
+
+    def test_one_forward_walks_the_rows_once(self, monkeypatch):
+        pool, cache, rng = self._cache()
+        calls = {"ensure": 0, "tables": 0, "plans": 0}
+        for name, method in (("ensure", "_ensure_writable"), ("tables", "_padded_tables"), ("plans", "_plan_writes")):
+            original = getattr(cache, method)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cache, method, counting)
+        cache.set_append_widths([3, 1, 2, 3])
+        plans_seen = []
+        for layer in cache.layers:
+            layer.append(*random_kv(rng, 4, 3))
+            plans_seen.append(cache._write_plan)
+        # 4 rows, LAYERS (2) layers: four row visits and one table array, all in the first layer's call.
+        assert calls == {"ensure": 4, "tables": 1, "plans": 1}
+        assert plans_seen[0] is not None and plans_seen[-1] is None
+        cache.release()
+        assert np.all(pool.refcounts == 0)
+
+    @pytest.mark.parametrize(
+        "op",
+        ["select_rows", "set_append_widths", "truncate_rows", "splice_prefix", "release",
+         "snapshot_prefix", "repeat_rows", "compact_rows", "compact_paths"],
+    )
+    def test_a_plan_cannot_outlive_its_forward(self, op):
+        pool, cache, rng = self._cache(batch=2)
+        prefix = cache.snapshot_prefix(0, 4)
+        cache.truncate_rows([6, 0])  # row 1 fresh again, so a splice into it is legal
+        # Half a forward: only the first layer has appended, so the plan is still up.
+        cache.set_append_widths([2, 0])
+        cache.layers[0].append(*random_kv(rng, 2, 2))
+        assert cache._write_plan is not None
+        shares = {
+            "select_rows": lambda: cache.select_rows([1, 0]),
+            "set_append_widths": lambda: cache.set_append_widths(None),
+            "truncate_rows": lambda: cache.truncate_rows([6, 0]),
+            "splice_prefix": lambda: cache.splice_prefix(1, prefix),
+            "release": cache.release,
+            # These start sharing the cache's blocks: a surviving plan would write them without copy-on-write.
+            "snapshot_prefix": lambda: cache.snapshot_prefix(0, 6),
+            "repeat_rows": lambda: cache.repeat_rows(2),
+            "compact_rows": lambda: cache.compact_rows([0, 1], [6, 0]),
+            "compact_paths": lambda: cache.compact_paths([0, 1], [8, 0], [[], []]),
+        }[op]()
+        assert cache._write_plan is None
+        if shares is not None:
+            # The interrupted forward's next layer re-plans and copies the now-shared tail block.
+            cow_before = pool.cow_events
+            cache.layers[1].append(*random_kv(rng, 2, 2))
+            assert pool.cow_events == cow_before + 1
+            shares.release()
+        prefix.release()
+        cache.release()
+        assert np.all(pool.refcounts == 0)
+
+    def test_a_stale_plan_is_not_reused_by_a_later_layer(self):
+        """Layer 1 appended out of step with layer 0 builds its own plan from its own lengths."""
+        pool, cache, rng = self._cache(batch=2)
+        row_cache = KVCache(LAYERS, HEADS, HEAD_DIM, capacity=64, batch=2)
+        for layer_index in range(LAYERS):
+            row_cache.layers[layer_index].k[:, :, :6] = read_layer(cache, layer_index, 6)[0]
+            row_cache.layers[layer_index].lengths = np.full(2, 6)
+        k_a, v_a = random_kv(rng, 2, 3)
+        k_b, v_b = random_kv(rng, 2, 3)
+        for layers in (cache.layers, row_cache.layers):
+            layers[0].append(k_a, v_a)
+            layers[0].append(k_b, v_b)  # layer 0 is now 12 long, layer 1 still 6
+        k_paged, _ = cache.layers[1].append(k_a, v_a)
+        k_row, _ = row_cache.layers[1].append(k_a, v_a)
+        assert cache.layers[1].lengths.tolist() == [9, 9]
+        assert np.array_equal(k_paged[:, :, 6:9], k_row[:, :, 6:9])
+        cache.release()
+
+
+class CountingArray(np.ndarray):
+    """Counts indexed (fancy) reads and writes; basic slicing is not counted."""
+
+    reads = 0
+    writes = 0
+
+    @staticmethod
+    def _indexed(key) -> bool:
+        return isinstance(key, tuple) and any(isinstance(part, (list, np.ndarray)) for part in key)
+
+    def __getitem__(self, key):
+        if self._indexed(key):
+            CountingArray.reads += 1
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        if self._indexed(key):
+            CountingArray.writes += 1
+        super().__setitem__(key, value)
+
+
+class TestPagedCompactPathsCounts:
+    def test_three_rows_one_indexed_read_and_write_per_pool_array(self):
+        pool = make_pool(num_blocks=256)
+        row_cache = KVCache(LAYERS, HEADS, HEAD_DIM, capacity=64, batch=3)
+        paged = PagedKVCache(pool, batch=3)
+        rng = np.random.default_rng(11)
+        append_both(row_cache, paged, rng, 7, widths=[7, 5, 6])
+        append_both(row_cache, paged, rng, 5, widths=[5, 3, 4])
+        prefixes, paths = [7, 5, 6], [[0, 2, 4], [], [1, 3]]
+        pool.k = [array.view(CountingArray) for array in pool.k]
+        pool.v = [array.view(CountingArray) for array in pool.v]
+        CountingArray.reads = CountingArray.writes = 0
+        compacted = paged.compact_paths([0, 1, 2], prefixes, paths)
+        # K and V of each layer: one indexed read, one indexed write, whatever the row count.
+        assert (CountingArray.reads, CountingArray.writes) == (2 * LAYERS, 2 * LAYERS)
+        pool.k = [array.view(np.ndarray) for array in pool.k]
+        pool.v = [array.view(np.ndarray) for array in pool.v]
+        paged.release()
+        assert_same_content(row_cache.compact_paths([0, 1, 2], prefixes, paths), compacted)
+        compacted.release()
+        assert np.all(pool.refcounts == 0)
 
 
 class TestModelPoolFactories:

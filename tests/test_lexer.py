@@ -158,6 +158,33 @@ class TestWholeModule:
         assert collected[-1].kind is TokenKind.EOF
 
 
+@pytest.mark.parametrize("name", ["alu_8bit", "up_counter_4"])
+def test_lexer_never_reads_past_the_end_of_any_prefix(name):
+    """``_peek()`` is ``""`` at end of input and ``"" in "eE"`` is true: a prefix ending in a
+    plain decimal used to leave ``pos`` two past the end, hiding the trailing number from
+    ``constrained.viability``'s "may this token still grow" check."""
+    from repro.evalbench.rtllm import rtllm_suite
+
+    reference = {problem.name: problem for problem in rtllm_suite()}[name].reference
+    for cut in range(len(reference) + 1):
+        source = reference[:cut]
+        lexer = Lexer(source)
+        try:
+            for token in lexer:
+                assert lexer.pos <= len(source), (cut, token)
+        except LexerError:
+            pass
+        assert lexer.pos <= len(source), cut
+
+
+def test_trailing_decimal_keeps_its_text_and_position():
+    lexer = Lexer("assign a = 8")
+    tokens = list(lexer)
+    assert [t.text for t in tokens[:-1]] == ["assign", "a", "=", "8"]
+    assert lexer.pos == len("assign a = 8")
+    assert [t.text for t in tokenize("1.5e-3 2E+4 7e 8")] == ["1.5e-3", "2E+4", "7", "e", "8"]
+
+
 @given(st.text(alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), whitelist_characters="_ \n\t;(),+-*&|^~!"), max_size=200))
 def test_lexer_never_crashes_on_word_like_text(text):
     """Property: the lexer either tokenizes or raises LexerError, never anything else."""

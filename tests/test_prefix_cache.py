@@ -219,6 +219,28 @@ class TestPrefixCacheRetention:
         assert matched == 2  # shared [1,2] preamble survives via the second entry
         assert cache.lookup([6, 7, 8])[0] == 3
 
+    def test_insert_builds_a_trie_node_only_where_the_path_is_new(self, monkeypatch):
+        import repro.serving.prefix_cache as prefix_cache_module
+
+        built = []
+
+        class CountingNode(prefix_cache_module._TrieNode):
+            __slots__ = ()
+
+            def __init__(self) -> None:
+                built.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(prefix_cache_module, "_TrieNode", CountingNode)
+        cache = PrefixCache(max_tokens=64)
+        built.clear()  # the root
+        preamble = list(range(20))
+        cache.insert(preamble + [100, 101], make_segment(22))
+        assert len(built) == 22
+        cache.insert(preamble + [200], make_segment(21))  # 20 shared tokens, one new
+        assert len(built) == 23
+        assert cache.lookup(preamble + [200, 5])[0] == 21
+
     def test_oversized_prompt_not_retained(self):
         cache = PrefixCache(max_tokens=4)
         assert not cache.insert([1, 2, 3, 4, 5], make_segment(5))
