@@ -13,7 +13,7 @@ every preceding candidate token (the accepted prefix property).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -65,12 +65,18 @@ class TypicalAcceptance:
             accepted += 1
         return accepted
 
-    def acceptance_flags(
-        self, logits_per_position: Sequence[np.ndarray], candidate_tokens: Sequence[int]
-    ) -> List[bool]:
-        """Per-position acceptance flags (without the prefix constraint)."""
-        flags: List[bool] = []
-        for logits, token_id in zip(logits_per_position, candidate_tokens):
-            probabilities = softmax(np.asarray(logits, dtype=np.float64))
-            flags.append(self.accepts(probabilities, int(token_id)))
-        return flags
+    def score_rows(self, logits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Probabilities and acceptance thresholds of every row of ``logits`` at once.
+
+        One float64 softmax and one entropy over a ``(rows, V)`` array — a
+        whole token tree's node logits — instead of one per position: token
+        ``x`` is acceptable after row ``r`` iff
+        ``probabilities[r, x] > thresholds[r]``, the same comparison, on the
+        same values, that :meth:`accepts` makes row by row.
+
+        Returns:
+            ``(probabilities, thresholds)`` with shapes ``(rows, V)`` and ``(rows,)``.
+        """
+        probabilities = softmax(np.asarray(logits, dtype=np.float64), axis=-1)
+        thresholds = np.minimum(self.epsilon, self.delta * np.exp(-entropy(probabilities, axis=-1)))
+        return probabilities, thresholds

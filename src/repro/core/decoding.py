@@ -18,8 +18,8 @@ row of a shared KV cache each):
   grammar mask, merges each lane's candidates into a prefix-deduplicated
   :class:`~repro.core.token_tree.TokenTree`, verifies every tree in one shared
   forward over the lanes' own cache rows (tree attention bias, per-node
-  position offsets), scores the candidates with exact-match (greedy) or
-  typical acceptance (eq. 1),
+  position offsets), scores each whole tree once with exact-match (greedy)
+  or typical acceptance (eq. 1),
   truncates to the last fragment boundary (``OURS``), commits, and compacts
   each cache row to its accepted root-to-leaf path so rejected speculative
   tokens never pollute later steps.
@@ -147,78 +147,74 @@ def dedupe_candidates(candidates: List[List[int]]) -> List[List[int]]:
     return unique
 
 
-def greedy_match_length(logits_per_position: Sequence[np.ndarray], candidate_tokens: Sequence[int]) -> int:
-    """Length of the prefix whose tokens equal the base model's argmax.
+def score_tree(
+    tree: TokenTree, node_logits: np.ndarray, acceptance: TypicalAcceptance, node_argmax: Optional[np.ndarray]
+) -> List[int]:
+    """Score a verified tree once: per candidate, how many tokens after its first are accepted.
 
-    This is the lossless verification used for greedy decoding: a speculated
-    token is kept only if the base model itself would have produced it, so
-    the committed sequence is identical to what plain next-token prediction
-    would generate.
+    A node is accepted iff the base logits at its parent — the position that
+    predicts it — accept its token: exact match against ``node_argmax`` (greedy
+    decoding) or, when that is ``None``, typical acceptance (eq. 1) over one
+    :meth:`~repro.core.acceptance.TypicalAcceptance.score_rows` of all nodes.
+    A candidate's tail runs until its first rejected node.  Roots are the base
+    model's own commits and never scored (their parent index ``-1`` reads a
+    row nothing looks at).
+
+    Args:
+        tree: the verified token tree.
+        node_logits: ``(tree.size, V)`` base logits at the tree's nodes.
+        acceptance: the typical-acceptance rule.
+        node_argmax: the argmax of every node's logits (at least
+            ``tree.size`` entries), or ``None`` to sample-verify.
     """
-    matched = 0
-    for logits, token_id in zip(logits_per_position, candidate_tokens):
-        if int(np.argmax(logits)) != int(token_id):
-            break
-        matched += 1
-    return matched
+    parents, tokens = tree.parents, tree.tokens
+    if node_argmax is not None:
+        node_accepted = node_argmax[parents] == tokens
+    else:
+        probabilities, thresholds = acceptance.score_rows(node_logits)
+        node_accepted = probabilities[parents, tokens] > thresholds[parents]
+    accepted = node_accepted.tolist()
+    tails = []
+    for nodes in tree.candidate_nodes:
+        tail = 0
+        while tail + 1 < len(nodes) and accepted[nodes[tail + 1]]:
+            tail += 1
+        tails.append(tail)
+    return tails
 
 
 def select_best_candidate(
     candidates: List[List[int]],
-    logits_lists: Optional[Sequence[Sequence[np.ndarray]]],
-    config: GenerationConfig,
-    acceptance: TypicalAcceptance,
+    accepted_tails: Sequence[int],
     strategy: DecodingStrategy,
     frag_id: int,
     eos_id: int,
-    greedy_argmax: Optional[Sequence[Sequence[int]]] = None,
 ) -> Tuple[List[int], int, int]:
-    """Score every verified candidate and pick the longest committed run.
+    """Pick the scored candidate with the longest committed run.
 
     The first token of each candidate comes from the base model itself and is
-    always committed; acceptance applies to the speculated tail.  Under
-    greedy decoding the verification is exact-match against the base model's
-    argmax (lossless, as in Medusa's greedy mode); under sampling it is the
-    typical-acceptance rule (eq. 1).
+    always committed; ``accepted_tails[row]`` says how many of the speculated
+    tokens after it verification accepted (exact match against the base
+    model's argmax under greedy decoding — lossless, as in Medusa's greedy
+    mode — and the typical-acceptance rule, eq. 1, under sampling).
 
     Args:
         candidates: candidate token lists (unpadded).
-        logits_lists: ``logits_lists[row][i]`` are the base-model logits at
-            the position that predicts candidate token ``i`` (index 0 is
-            unused by the scoring, since token 0 is always committed).  May
-            be ``None`` when ``greedy_argmax`` is provided and the config is
-            greedy.
-        config: decoding configuration (selects greedy vs. typical acceptance).
-        acceptance: the typical-acceptance rule used under sampling.
+        accepted_tails: per candidate, the length of its accepted prefix after
+            the first token.
         strategy: :attr:`DecodingStrategy.OURS` additionally truncates the
             accepted run back to the last complete fragment boundary.
         frag_id: token id of the ``[FRAG]`` boundary marker.
         eos_id: end-of-sequence token id (ends the run wherever it appears).
-        greedy_argmax: optional fast path for greedy verification —
-            ``greedy_argmax[row][j]`` is the base model's argmax at the
-            position predicting candidate token ``j + 1``, typically one
-            vectorised ``np.argmax`` over the whole verification window
-            instead of a call per position.
 
     Returns:
         ``(tokens, accepted, row)`` — the committed tokens, the accepted
         length before fragment truncation, and the winning candidate index.
     """
-    greedy = config.greedy or config.temperature <= 0.0
     best_tokens: List[int] = []
     best_accepted = 0
     best_row = 0
-    for row, candidate in enumerate(candidates):
-        if greedy and greedy_argmax is not None:
-            accepted_tail = 0
-            for predicted, token in zip(greedy_argmax[row], candidate[1:]):
-                if int(predicted) != int(token):
-                    break
-                accepted_tail += 1
-        elif greedy:
-            accepted_tail = greedy_match_length(logits_lists[row][1:], candidate[1:])
-        else:
-            accepted_tail = acceptance.accepted_prefix_length(logits_lists[row][1:], candidate[1:])
+    for row, (candidate, accepted_tail) in enumerate(zip(candidates, accepted_tails)):
         accepted = 1 + accepted_tail
         tokens = candidate[:accepted]
         if strategy is DecodingStrategy.OURS:
@@ -549,25 +545,9 @@ def speculative_step(
     for index, lane in enumerate(lanes):
         tree = trees[index]
         candidates = all_candidates[index]
-        # The predictor of candidate token i is its candidate's node i-1;
-        # token 0's predictor is the held last-position logits.
-        if greedy[index]:
-            greedy_argmax = [argmax_v[index, np.asarray(nodes[:-1], dtype=np.int64)] for nodes in tree.candidate_nodes]
-            logits_lists = None
-        else:
-            greedy_argmax = None
-            logits_lists = [
-                [lane.last_base] + [base_v[index, node] for node in nodes[:-1]] for nodes in tree.candidate_nodes
-            ]
+        tails = score_tree(tree, base_v[index, : tree.size], acceptance, argmax_v[index] if greedy[index] else None)
         best_tokens, best_accepted, best_row = select_best_candidate(
-            candidates,
-            logits_lists,
-            lane.request.config,
-            acceptance=acceptance,
-            strategy=strategy,
-            frag_id=frag_id,
-            eos_id=eos_id,
-            greedy_argmax=greedy_argmax,
+            candidates, tails, strategy=strategy, frag_id=frag_id, eos_id=eos_id
         )
         _commit(lane, best_tokens, eos_id, clock())
         lane.step_records.append(

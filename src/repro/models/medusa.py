@@ -76,6 +76,37 @@ class MedusaLM(Module):
         for head in self.medusa_heads:
             head.set_lr_scale(head_lr_scale)
         self._last_hidden: Optional[np.ndarray] = None
+        self._stack_heads()
+
+    def _stack_heads(self) -> None:
+        """Make every head's weights slices of four stacked arrays.
+
+        ``_head_stack`` holds the heads' ``res_linear`` / ``lm_head`` weights
+        and biases as ``(H, D, D)``, ``(H, D)``, ``(H, D, V)`` and ``(H, V)``
+        arrays, and each head's ``Parameter.data`` becomes a view into them:
+        training updates a head in place (the optimizer's ``param.data -=``)
+        and :meth:`head_logits_at` reads the update through the stack, so
+        there is nothing to invalidate.  Replacing a head's ``data`` array
+        instead of writing into it would detach it from the stack.
+        """
+        per_head = [(h.res_linear.weight, h.res_linear.bias, h.lm_head.weight, h.lm_head.bias) for h in self.medusa_heads]
+        self._head_stack = []
+        for params in zip(*per_head):
+            stacked = np.stack([param.data for param in params])
+            for index, param in enumerate(params):
+                param.data = stacked[index]
+            self._head_stack.append(stacked)
+
+    def __getstate__(self) -> dict:
+        # The heads' own parameters carry the weights: pickling the stack as
+        # well would store every head twice.
+        state = self.__dict__.copy()
+        del state["_head_stack"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._stack_heads()
 
     # -- forward -------------------------------------------------------------
 
@@ -158,11 +189,23 @@ class MedusaLM(Module):
             hidden: ``(N, D)`` hidden states (one per sequence, typically the
                 last committed position of each).
 
+        All heads are evaluated as one stacked product: ``(1, N, 1, D) @
+        (H, 1, D, D)`` makes every (head, row) pair the same ``(1, D) @ (D, D)``
+        product :meth:`MedusaHead.forward` computes on ``hidden[:, None]``, so
+        the logits are bitwise those of the per-head forward.
+
         Returns:
             One ``(N, V)`` logits array per Medusa head.
         """
-        expanded = hidden[:, None, :]
-        return [head.forward(expanded)[:, 0] for head in self.medusa_heads]
+        if not self._head_stack:
+            return []
+        res_weight, res_bias, lm_weight, lm_bias = self._head_stack
+        expanded = hidden[None, :, None, :]
+        pre = expanded @ res_weight[:, None]
+        pre += res_bias[:, None, None]
+        logits = (expanded + gelu(pre)) @ lm_weight[:, None]
+        logits += lm_bias[:, None, None]
+        return list(logits[:, :, 0])
 
     def new_cache(self, batch: int = 1, capacity: Optional[int] = None) -> KVCache:
         """Create an empty KV cache for incremental decoding with this model.

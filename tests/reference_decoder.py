@@ -11,7 +11,7 @@ equivalence suites compare the kernel against it (and against the unchanged
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -39,6 +39,22 @@ class ReferenceResult:
     @property
     def steps(self) -> int:
         return len(self.step_records)
+
+
+def greedy_match_length(logits_per_position: Sequence[np.ndarray], candidate_tokens: Sequence[int]) -> int:
+    """Length of the prefix whose tokens equal the base model's argmax.
+
+    This is the lossless verification used for greedy decoding: a speculated
+    token is kept only if the base model itself would have produced it, so
+    the committed sequence is identical to what plain next-token prediction
+    would generate.
+    """
+    matched = 0
+    for logits, token_id in zip(logits_per_position, candidate_tokens):
+        if int(np.argmax(logits)) != int(token_id):
+            break
+        matched += 1
+    return matched
 
 
 def reference_generate(decoder: SpeculativeDecoder, prompt_ids: List[int], config: GenerationConfig) -> ReferenceResult:
@@ -81,18 +97,15 @@ def reference_generate(decoder: SpeculativeDecoder, prompt_ids: List[int], confi
             verify_logits, _ = model.forward_hidden(np.asarray(rows, dtype=np.int64), encoder_rows)
             # The position predicting candidate token i is prefix_len - 1 + i.
             prefix_len = len(context) + len(output_ids)
-            logits_lists = [
-                [verify_logits[row, prefix_len - 1 + i] for i in range(len(candidate))]
+            # Token 0 is the base model's own commit; only the tail is scored.
+            greedy = config.greedy or config.temperature <= 0.0
+            score = greedy_match_length if greedy else decoder.acceptance.accepted_prefix_length
+            tails = [
+                score([verify_logits[row, prefix_len - 1 + i] for i in range(1, len(candidate))], candidate[1:])
                 for row, candidate in enumerate(candidates)
             ]
             tokens, accepted, _ = select_best_candidate(
-                candidates,
-                logits_lists,
-                config,
-                acceptance=decoder.acceptance,
-                strategy=decoder.strategy,
-                frag_id=decoder.frag_id,
-                eos_id=decoder.eos_id,
+                candidates, tails, decoder.strategy, frag_id=decoder.frag_id, eos_id=decoder.eos_id
             )
             records.append(
                 StepRecord(

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.acceptance import TypicalAcceptance
 from repro.core.integrity import ends_at_fragment_boundary, truncate_to_complete_fragment
+from repro.nn.functional import softmax
 
 FRAG = 4
 EOS = 3
@@ -50,12 +51,19 @@ class TestTypicalAcceptance:
         acceptance = TypicalAcceptance()
         assert acceptance.accepted_prefix_length([], []) == 0
 
-    def test_acceptance_flags_no_prefix_constraint(self):
+    def test_score_rows_is_the_per_row_rule_bitwise(self):
+        """One softmax over a whole tree's rows: the probabilities and thresholds eq. 1 uses row by row."""
         acceptance = TypicalAcceptance()
-        good = np.log(np.array([0.9, 0.05, 0.05]))
-        bad = np.log(np.array([0.98, 0.01, 0.01]))
-        flags = acceptance.acceptance_flags([bad, good], [2, 0])
-        assert flags == [False, True]
+        rng = np.random.default_rng(24)
+        for rows in range(1, 31):
+            for scale in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0):
+                logits = (rng.normal(size=(rows, 700)) * scale).astype(np.float32)
+                probabilities, thresholds = acceptance.score_rows(logits)
+                assert probabilities.dtype == thresholds.dtype == np.float64
+                for row in range(rows):
+                    expected = softmax(np.asarray(logits[row], dtype=np.float64))
+                    assert np.array_equal(probabilities[row], expected)
+                    assert thresholds[row] == acceptance.threshold(expected)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=2, max_value=50), st.integers(0, 10_000))

@@ -1,8 +1,14 @@
 """Tests for the speculative decoding loop (integration with the tiny pipeline)."""
 
+import numpy as np
 import pytest
 
-from repro.core.decoding import DecodingStrategy, SpeculativeDecoder, StepRecord
+import repro.core.acceptance as acceptance_module
+from proptest import Cases, for_all, num_cases
+from reference_decoder import greedy_match_length
+from repro.core.acceptance import TypicalAcceptance
+from repro.core.decoding import DecodingStrategy, SpeculativeDecoder, StepRecord, score_tree
+from repro.core.token_tree import TokenTree
 from repro.models.generation import GenerationConfig
 from repro.verilog.fragments import FRAG
 
@@ -119,3 +125,51 @@ class TestStepAccounting:
     def test_step_record_fields(self):
         record = StepRecord(proposed=5, accepted=3, committed=2, ends_at_boundary=True)
         assert record.proposed >= record.accepted >= record.committed - 1
+
+
+class TestTreeScoring:
+    """One scoring per tree equals the per-position definitions, candidate by candidate."""
+
+    def _prop(self, cases: Cases, seen) -> None:
+        rng = np.random.default_rng(cases.integer(0, 2**31))
+        # A small alphabet makes candidates share prefixes (and siblings share a parent row).
+        candidates = cases.candidate_set(
+            cases.integer(1, 4), cases.integer(1, 7), cases.integer(2, 8),
+            shared_prefix=cases.boolean(), with_duplicates=cases.boolean(0.2),
+        )
+        tree = TokenTree.from_candidates(candidates)
+        scale = cases.choice([0.1, 0.5, 1.0, 2.0, 4.0, 8.0])
+        logits = (rng.normal(size=(tree.size, 700)) * scale).astype(np.float32)
+        for node, parent in enumerate(tree.parents):  # lift some tokens so runs get accepted too
+            if parent >= 0 and cases.boolean(0.7):
+                logits[parent, tree.tokens[node]] += np.float32(scale * cases.integer(1, 12))
+        acceptance = TypicalAcceptance()
+        sampled = score_tree(tree, logits, acceptance, None)
+        greedy = score_tree(tree, logits, acceptance, np.argmax(logits, axis=-1))
+        for candidate, nodes, sampled_tail, greedy_tail in zip(candidates, tree.candidate_nodes, sampled, greedy):
+            # Candidate token i is predicted by the node spelling token i - 1.
+            rows = [logits[node] for node in nodes[:-1]]
+            assert sampled_tail == acceptance.accepted_prefix_length(rows, candidate[1:])
+            assert greedy_tail == greedy_match_length(rows, candidate[1:])
+            for rule, tail in (("sampled", sampled_tail), ("greedy", greedy_tail)):
+                if rows:
+                    seen.add((rule, "none" if tail == 0 else "full" if tail == len(rows) else "partial"))
+
+    def test_matches_the_per_position_definitions(self):
+        seen = set()
+        for_all(num_cases(300, 2000), lambda cases: self._prop(cases, seen), seed=24)
+        # Immediate rejections, partial runs and full runs all occurred, under both rules.
+        assert seen == {(rule, run) for rule in ("sampled", "greedy") for run in ("none", "partial", "full")}
+
+    def test_one_softmax_per_sampling_lane_per_step(self, tiny_pipeline, monkeypatch):
+        calls = []
+        softmax = acceptance_module.softmax
+        monkeypatch.setattr(acceptance_module, "softmax", lambda *a, **k: calls.append(1) or softmax(*a, **k))
+        engine = tiny_pipeline.engine_for("ours")
+        prompts = [example.prompt_text() for example in tiny_pipeline.examples[:3]]
+        sampling = [engine.submit_text(p, GenerationConfig.sampling_config(0.8, 24, seed=i)) for i, p in enumerate(prompts)]
+        engine.submit_text(prompts[0], GenerationConfig.greedy_config(24))  # greedy lanes score with no softmax
+        results = engine.run()
+        lane_steps = sum(len(results[request_id].step_records) for request_id in sampling)
+        assert lane_steps > len(sampling)
+        assert len(calls) == lane_steps

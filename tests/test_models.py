@@ -1,12 +1,18 @@
 """Tests for the model zoo: backbones, Medusa wrapper, generation utilities."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+import repro.models.medusa as medusa_module
 from repro.models.decoder_lm import DecoderConfig, TinyCodeLlama
 from repro.models.encdec_lm import EncDecConfig, TinyCodeT5p
 from repro.models.generation import GenerationConfig, sample_from_logits, top_k_token_ids
 from repro.models.medusa import MedusaHead, MedusaLM
+from repro.nn.layers import Linear
+from repro.nn.optim import AdamW
 
 
 VOCAB = 60
@@ -127,6 +133,116 @@ class TestMedusaLM:
         small = MedusaLM(decoder_backbone, vocab_size=VOCAB, num_medusa_heads=1)
         large = MedusaLM(decoder_backbone, vocab_size=VOCAB, num_medusa_heads=4)
         assert large.num_parameters() > small.num_parameters()
+
+
+def per_head_logits(model, hidden):
+    """What each head's own forward computes on ``hidden[:, None]``: the stacked product's reference."""
+    return [head.forward(hidden[:, None])[:, 0] for head in model.medusa_heads]
+
+
+def assert_heads_bitwise(model, rng):
+    for rows in range(1, 10):
+        hidden = rng.normal(size=(rows, model.backbone.dim)).astype(np.float32)
+        stacked = model.head_logits_at(hidden)
+        assert isinstance(stacked, list)  # the benchmark tests ``if result:``
+        expected = per_head_logits(model, hidden)
+        assert len(stacked) == len(expected) == model.num_medusa_heads
+        for got, want in zip(stacked, expected):
+            assert got.dtype == want.dtype == np.float32
+            assert np.array_equal(got, want)
+
+
+def _adamw_step(model, rng):
+    """One real training step on every head (backbone included), in place like the trainer's."""
+    ids = rng.integers(0, model.vocab_size, size=(2, 5))
+    base, heads = model.forward(ids, ids if model.is_encoder_decoder else None)
+    model.zero_grad()
+    model.backward(np.ones_like(base), [rng.normal(size=h.shape).astype(np.float32) for h in heads])
+    AdamW(list(model.parameters()), lr=1e-2).step()
+
+
+class TestStackedHeads:
+    """``head_logits_at`` evaluates every head as one stacked product, bitwise the per-head forward."""
+
+    @pytest.fixture(params=["decoder", "encdec", "decoder-d48-v700"])
+    def model(self, request):
+        # Fresh backbones: these tests train, and the module-scoped ones are shared.
+        if request.param == "decoder-d48-v700":  # the benchmark's head geometry
+            backbone = TinyCodeLlama(DecoderConfig(vocab_size=700, dim=48, num_layers=1, num_heads=2, max_seq_len=32))
+            return MedusaLM(backbone, vocab_size=700, num_medusa_heads=8, seed=5)
+        if request.param == "decoder":
+            backbone = TinyCodeLlama(DecoderConfig(vocab_size=VOCAB, dim=16, num_layers=1, num_heads=2, max_seq_len=64))
+        else:
+            config = EncDecConfig(
+                vocab_size=VOCAB, dim=16, num_encoder_layers=1, num_decoder_layers=1, num_heads=2, max_seq_len=64
+            )
+            backbone = TinyCodeT5p(config)
+        return MedusaLM(backbone, vocab_size=VOCAB, num_medusa_heads=3, seed=5)
+
+    def test_matches_per_head_forward(self, model):
+        assert_heads_bitwise(model, np.random.default_rng(0))
+
+    def test_after_an_adamw_step(self, model):
+        rng = np.random.default_rng(1)
+        before = [p.data.copy() for head in model.medusa_heads for p in head.parameters()]
+        _adamw_step(model, rng)
+        after = [p.data for head in model.medusa_heads for p in head.parameters()]
+        assert all(not np.array_equal(b, a) for b, a in zip(before, after))
+        assert_heads_bitwise(model, rng)
+
+    @pytest.mark.parametrize("clone", ["pickle", "deepcopy"])
+    def test_after_a_copy(self, model, clone):
+        twin = pickle.loads(pickle.dumps(model)) if clone == "pickle" else copy.deepcopy(model)
+        rng = np.random.default_rng(2)
+        hidden = rng.normal(size=(4, model.backbone.dim)).astype(np.float32)
+        for got, want in zip(twin.head_logits_at(hidden), model.head_logits_at(hidden)):
+            assert np.array_equal(got, want)
+        assert_heads_bitwise(twin, rng)
+        # The copy's heads are its own stack's views: training it moves neither the original nor a stale stack.
+        original = model.head_logits_at(hidden)
+        _adamw_step(twin, rng)
+        assert_heads_bitwise(twin, rng)
+        for got, want in zip(model.head_logits_at(hidden), original):
+            assert np.array_equal(got, want)
+
+    def test_zero_heads_return_an_empty_list(self, decoder_backbone):
+        model = MedusaLM(decoder_backbone, vocab_size=VOCAB, num_medusa_heads=0)
+        assert model.head_logits_at(np.zeros((3, 16), dtype=np.float32)) == []
+        assert pickle.loads(pickle.dumps(model)).head_logits_at(np.zeros((1, 16), dtype=np.float32)) == []
+
+
+class TestStackedHeadCounts:
+    """Counts, not clocks."""
+
+    def _model(self):
+        backbone = TinyCodeLlama(DecoderConfig(vocab_size=700, dim=48, num_layers=1, num_heads=2, max_seq_len=32))
+        return MedusaLM(backbone, vocab_size=700, num_medusa_heads=8, seed=5)
+
+    def test_one_product_no_per_head_linear(self, monkeypatch):
+        model = self._model()
+        calls = {"linear": 0, "gelu": 0}
+        linear_forward, gelu = Linear.forward, medusa_module.gelu
+
+        def counting_linear(self, x):
+            calls["linear"] += 1
+            return linear_forward(self, x)
+
+        def counting_gelu(x):
+            calls["gelu"] += 1
+            return gelu(x)
+
+        monkeypatch.setattr(Linear, "forward", counting_linear)
+        monkeypatch.setattr(medusa_module, "gelu", counting_gelu)
+        logits = model.head_logits_at(np.ones((5, 48), dtype=np.float32))
+        assert len(logits) == 8
+        assert calls == {"linear": 0, "gelu": 1}
+
+    def test_pickle_stores_the_head_weights_once(self):
+        model = self._model()
+        head_bytes = sum(p.data.nbytes for head in model.medusa_heads for p in head.parameters())
+        parameter_bytes = sum(p.data.nbytes + p.grad.nbytes for p in model.parameters())
+        overhead = len(pickle.dumps(model)) - parameter_bytes
+        assert overhead < head_bytes / 2
 
 
 class TestGeneration:
