@@ -228,11 +228,11 @@ class VerilogSpecPipeline:
             prefix_cache: Optional :class:`~repro.serving.PrefixCache`
                 enabling cross-request prompt-prefix reuse (outputs stay
                 token-identical; only prefill work changes).
-            kv_memory: K/V storage mode — ``"paged"`` (default: refcounted
-                block pool with copy-on-write sharing) or ``"row"``
-                (contiguous per-row buffers); see ``docs/kv-memory.md``.
-            kv_block_size: Tokens per physical block in paged mode.
-            kv_pool_blocks: Paged pool capacity in blocks (``None`` sizes it
+            kv_memory: Must be ``"paged"``, the engine's only K/V storage
+                (see ``docs/kv-memory.md``); anything else raises
+                ``ValueError``.
+            kv_block_size: Tokens per physical block of the K/V pool.
+            kv_pool_blocks: K/V pool capacity in blocks (``None`` sizes it
                 from the scheduler budgets).
             clock: Optional time source for engine timestamps (the traffic
                 harness passes a :class:`~repro.traffic.clock.SimulatedClock`
@@ -243,6 +243,10 @@ class VerilogSpecPipeline:
         """
         from repro.serving import ServingEngine
 
+        # The keyword survives only because benchmarks/perf/workloads.py:385
+        # passes kv_memory="paged"; the engine has no other K/V storage.
+        if kv_memory != "paged":
+            raise ValueError(f"kv_memory must be 'paged' (the engine's only K/V storage), got {kv_memory!r}")
         if method not in self.models:
             raise KeyError(f"method {method!r} has not been trained yet")
         return ServingEngine(
@@ -252,7 +256,6 @@ class VerilogSpecPipeline:
             num_candidates=num_candidates,
             scheduler_config=scheduler_config,
             prefix_cache=prefix_cache,
-            kv_memory=kv_memory,
             kv_block_size=kv_block_size,
             kv_pool_blocks=kv_pool_blocks,
             clock=clock,

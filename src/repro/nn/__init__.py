@@ -6,11 +6,11 @@ implemented directly on numpy with hand-written backpropagation, an AdamW
 optimizer and the loss functions the paper's training objective needs
 (cross-entropy with an ignore index, entropy for the typical-acceptance rule).
 
-Decoding-time K/V memory comes in two interchangeable flavours:
-:mod:`repro.nn.kv_cache` (contiguous per-row buffers — single-stream
-decoding and the reference oracle) and :mod:`repro.nn.kv_pool` (paged,
-refcounted block storage with copy-on-write sharing — the serving engine's
-default).  See ``docs/kv-memory.md``.
+Decoding-time K/V memory: :mod:`repro.nn.kv_pool` (paged, refcounted block
+storage with copy-on-write sharing) is the serving engine's one backend;
+:mod:`repro.nn.kv_cache` (contiguous per-row buffers) is the sequential
+decoder's storage and the tests' bitwise oracle for the pool.  See
+``docs/kv-memory.md``.
 """
 
 from repro.nn.functional import (
@@ -22,7 +22,7 @@ from repro.nn.functional import (
     gelu,
     gelu_grad,
 )
-from repro.nn.kv_cache import KVCache, KVSegment, LayerKVCache
+from repro.nn.kv_cache import KVCache, LayerKVCache
 from repro.nn.kv_pool import KVBlockPool, KVPoolExhausted, PagedKVCache, PagedLayerKV, PagedPrefix
 from repro.nn.layers import Parameter, Module, Linear, Embedding, LayerNorm, CausalSelfAttention, FeedForward
 from repro.nn.transformer import TransformerBlock, DecoderOnlyTransformer, EncoderDecoderTransformer
@@ -46,7 +46,6 @@ __all__ = [
     "KVBlockPool",
     "KVCache",
     "KVPoolExhausted",
-    "KVSegment",
     "LayerKVCache",
     "PagedKVCache",
     "PagedLayerKV",

@@ -1,71 +1,40 @@
-"""Per-layer attention key/value cache for incremental decoding.
+"""Contiguous per-row attention key/value cache: the sequential decoder's storage.
 
 Re-running the full transformer forward over the entire prefix at every
-decoding step costs O(T^2) work per generated token.  The standard serving
-trick — and the enabling refactor for the paper's wall-clock speed claims —
-is to cache each attention layer's key/value projections for the committed
-prefix, so each step only projects the *new* tokens and attends over the
-cached keys.
+decoding step costs O(T^2) work per generated token.  The standard trick —
+and the enabling refactor for the paper's wall-clock speed claims — is to
+cache each attention layer's key/value projections for the committed prefix,
+so each step only projects the *new* tokens and attends over the cached keys.
 
-:class:`KVCache` owns one :class:`LayerKVCache` per transformer layer.  Two
-workloads are built on top of it:
+:class:`KVCache` owns one :class:`LayerKVCache` per transformer layer; each
+row is one contiguous buffer sized for the full context window plus the
+candidate tree a speculative step appends.  It has two users:
 
-**Single-stream speculative decoding** (:mod:`repro.core.decoding`) uses three
-operations beyond plain appending:
+* **Sequential decoding** — :meth:`SpeculativeDecoder.generate
+  <repro.core.decoding.SpeculativeDecoder.generate>` drives the step kernel of
+  :mod:`repro.core.decoding` as a batch of one over a row cache, on both
+  backbones; for the encoder-decoder one the layer slots also hold the
+  projected encoder memory (cross-attention K/V, computed once at
+  prefill).  The kernel touches ``layers`` / ``lengths`` (through the model
+  forward and :meth:`LayerKVCache.append`), ``set_append_widths``,
+  ``compact_paths`` (keep the accepted token-tree path after verification,
+  in place), ``select_rows`` (drop finished lanes) and ``release``.
+* **The tests' oracle** — the serving engine stores K/V only in the paged
+  pool of :mod:`repro.nn.kv_pool` (``docs/kv-memory.md``), and
+  ``tests/test_kv_pool.py`` checks every paged operation bitwise against the
+  same operation here; the sequential decoder over this cache is the
+  engine's token-identity oracle in ``tests/test_serving.py``.
 
-* ``truncate(length)`` — roll the cache back to a committed prefix after
-  typical-acceptance and fragment-integrity truncation, so rejected
-  speculative tokens never pollute subsequent steps;
-* ``expand_batch(n)`` — tile a batch-1 cache to ``n`` rows so all candidate
-  continuations are verified in one batched cached forward;
-* ``keep_row(row)`` — collapse back to the accepted candidate's row.
+Rows may sit at different prefix lengths (the cache is *ragged*): every row
+carries its own length (``lengths``), appends land at per-row offsets, and
+``set_append_widths`` declares how many of the incoming window positions are
+real per row (the rest is right-padding that must not be stored).
 
-**Multi-request serving** (:mod:`repro.serving`) keeps one cache row per
-in-flight request.  Requests sit at *different* prefix lengths, so the cache
-is *ragged*: every row carries its own length (``lengths``), appends land at
-per-row offsets, and attention masks each row against its own past.  The
-serving engine drives this through the multi-row generalisations:
-
-* ``repeat_rows(repeats)`` — tile each request row once per speculative
-  candidate (per-row repeat counts, so requests may propose different
-  candidate counts);
-* ``select_rows(rows)`` — gather an arbitrary subset/ordering of rows, used
-  both to keep each request's accepted candidate and to reclaim the rows of
-  completed requests (the multi-row ``keep_row``);
-* ``truncate_rows(lengths)`` — per-row rollback to each request's committed
-  prefix;
-* ``concat(caches)`` — merge freshly prefilled batch-1 caches into the shared
-  cache when the scheduler admits new requests;
-* ``set_append_widths(widths)`` — declare, for the next forward, how many of
-  the incoming window positions are real per row (the rest are right-padding
-  that must not be stored).
-
-**Cross-request prefix reuse** (:mod:`repro.serving.prefix_cache`) retains the
-K/V of recently served prompt prefixes and splices them into the rows of new
-requests, so shared prompt preambles are prefilled once instead of once per
-request.  Two segment operations support it:
-
-* ``gather_prefix(row, length)`` — detach the first ``length`` positions of a
-  row into a standalone :class:`KVSegment` (the unit the prefix cache
-  retains);
-* ``splice_prefix(row, segment)`` — copy a retained segment into a fresh row,
-  so the subsequent prefill forward only covers the prompt suffix.
-
-Cross-attention K/V (encoder-decoder models) is position-independent on the
-decoder side, so each layer slot can additionally hold the projected encoder
-memory, computed once at prefill and reused for every decode step.
-
-**Row vs. paged storage.**  This module stores each row as one contiguous
-buffer sized for the full context window — simple, and the reference
-implementation the rest of the stack is validated against.  The serving
-engine defaults to the *paged* storage in :mod:`repro.nn.kv_pool` instead
-(fixed-size refcounted blocks, copy-on-write prefix sharing), which turns
-this module's copying operations (``splice_prefix``, ``repeat_rows``,
-``compact_rows``, ``select_rows``) into block-table aliasing.  The two are
-token-identical by construction and by test (``tests/test_kv_pool.py``,
-``tests/test_serving.py``); row caches remain the storage of single-stream
-decoding and the token-identity oracle for the paged path.  See
-``docs/kv-memory.md`` for the memory-model comparison.
+Eight operations have no caller in the package and stay only because the
+repository benchmark (``benchmarks/perf/layers.py``) wraps them by name:
+``repeat_rows``, ``truncate_rows``, ``compact_rows``, ``concat``,
+``expand_batch``, ``keep_row``, ``keep_path`` and ``truncate``.  The tests
+still exercise them; new code should not call them.
 """
 
 from __future__ import annotations
@@ -115,7 +84,7 @@ class LayerKVCache:
     Self-attention keys/values are stored pre-split by head with shape
     ``(batch, num_heads, capacity, head_dim)``.  Each batch row ``r`` is
     filled in place up to ``lengths[r]`` — rows may hold prefixes of
-    different lengths (ragged batching, used by the serving engine).
+    different lengths (ragged batching, used by the step kernel).
     Cross-attention keys/values (optional) are stored whole, since the
     encoder memory never grows.
     """
@@ -127,8 +96,8 @@ class LayerKVCache:
         self.v = np.zeros((batch, num_heads, capacity, head_dim), dtype=np.float32)
         self.cross_k: Optional[np.ndarray] = None
         self.cross_v: Optional[np.ndarray] = None
-        #: Per-row append widths for the next :meth:`append` (ragged serving
-        #: steps); ``None`` means every incoming position is real.
+        #: Per-row append widths for the next :meth:`append` (ragged step
+        #: windows); ``None`` means every incoming position is real.
         self.append_widths: Optional[np.ndarray] = None
 
     @property
@@ -189,69 +158,6 @@ class LayerKVCache:
         return self.cross_k is not None
 
 
-class KVSegment:
-    """Detached per-layer K/V copy of one cache row's prefix.
-
-    The unit of storage of the cross-request prefix cache
-    (:mod:`repro.serving.prefix_cache`): the keys/values a row computed for a
-    prompt prefix, gathered out of the live cache with
-    :meth:`KVCache.gather_prefix` and spliced into a fresh row with
-    :meth:`KVCache.splice_prefix`.  Because causal attention makes position
-    ``i``'s K/V depend only on tokens ``0..i``, a segment gathered for one
-    prompt is byte-for-byte what any other prompt sharing that prefix would
-    compute — reuse is a pure compute-layout change.
-
-    Each layer holds arrays of shape ``(num_heads, length, head_dim)``.
-    """
-
-    def __init__(self, k_layers: List[np.ndarray], v_layers: List[np.ndarray]) -> None:
-        if len(k_layers) != len(v_layers) or not k_layers:
-            raise ValueError("KVSegment needs matching, non-empty per-layer K and V lists")
-        first = k_layers[0]
-        for arr in list(k_layers) + list(v_layers):
-            if arr.shape != first.shape:
-                raise ValueError("all KVSegment layers must share one (heads, length, head_dim) shape")
-        self.k_layers = list(k_layers)
-        self.v_layers = list(v_layers)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.k_layers)
-
-    @property
-    def num_heads(self) -> int:
-        return self.k_layers[0].shape[0]
-
-    @property
-    def length(self) -> int:
-        """Number of cached prefix positions the segment covers."""
-        return self.k_layers[0].shape[1]
-
-    @property
-    def head_dim(self) -> int:
-        return self.k_layers[0].shape[2]
-
-    @property
-    def nbytes(self) -> int:
-        """Total storage of the segment (K and V, all layers)."""
-        return sum(arr.nbytes for arr in self.k_layers) + sum(arr.nbytes for arr in self.v_layers)
-
-    def head(self, length: int) -> "KVSegment":
-        """A view of the segment's first ``length`` positions (no copy).
-
-        The prefix cache serves partial matches with this: an entry retained
-        for prompt ``A`` answers a lookup for prompt ``B`` sharing only the
-        first ``length`` tokens.  Views are safe because consumers only ever
-        read a segment (:meth:`KVCache.splice_prefix` copies).
-        """
-        if not 0 <= length <= self.length:
-            raise ValueError(f"head length {length} out of range [0, {self.length}]")
-        return KVSegment(
-            [k[:, :length] for k in self.k_layers],
-            [v[:, :length] for v in self.v_layers],
-        )
-
-
 class KVCache:
     """Per-layer K/V cache threaded through a transformer's attention blocks."""
 
@@ -269,9 +175,7 @@ class KVCache:
     def length(self) -> int:
         """Longest cached prefix across rows (identical across layers).
 
-        For the uniform caches used by single-stream decoding every row has
-        this length; ragged serving caches expose per-row lengths via
-        :attr:`lengths`.
+        Ragged caches expose per-row lengths via :attr:`lengths`.
         """
         return self.layers[0].length
 
@@ -293,35 +197,21 @@ class KVCache:
         """Per-row real-token widths declared for the next forward (or None)."""
         return self.layers[0].append_widths
 
-    @property
-    def nbytes(self) -> int:
-        """Allocated K/V buffer storage (all layers, full capacity, plus cross K/V).
-
-        This is *reserved* memory — ``batch x capacity`` positions per layer
-        whatever the rows actually hold — which is exactly the number the
-        paged pool's ``peak_kv_bytes`` is compared against in the
-        shared-prefix memory test.
-        """
-        total = sum(layer.k.nbytes + layer.v.nbytes for layer in self.layers)
-        for layer in self.layers:
-            if layer.has_cross:
-                total += layer.cross_k.nbytes + layer.cross_v.nbytes
-        return total
-
     def release(self) -> None:
         """No-op, for call-site symmetry with :meth:`PagedKVCache.release`.
 
         Row caches free their storage through garbage collection; paged
-        caches must drop pool block references explicitly.  The serving
-        engine releases every superseded cache generation unconditionally so
-        its step logic is identical across both memory modes.
+        caches must drop pool block references explicitly.  The step kernel
+        releases every superseded cache generation unconditionally, so it
+        runs unchanged over the sequential decoder's row cache and the
+        serving engine's paged one.
         """
 
     def set_append_widths(self, widths: Optional[Sequence[int]]) -> None:
         """Declare per-row real-token widths for the next incremental forward.
 
-        The serving engine right-pads every request's candidate window to a
-        common width so one batched forward covers all requests; ``widths``
+        The step kernel right-pads every lane's candidate window to a
+        common width so one batched forward covers all lanes; ``widths``
         tells each layer's :meth:`LayerKVCache.append` how many of those
         window positions actually belong to each row.  Pass ``None`` to clear
         (every position real again).  The setting persists until cleared, so
@@ -331,7 +221,7 @@ class KVCache:
         for layer in self.layers:
             layer.append_widths = arr
 
-    # -- speculative-decoding operations -------------------------------------
+    # -- batch-1 operations (no package caller; see the module docstring) ----
 
     def truncate(self, length: int) -> None:
         """Roll every layer (every row) back to at most ``length`` cached positions.
@@ -390,8 +280,8 @@ class KVCache:
         leaf order) to sit contiguously right after ``prefix_len`` and rolls
         the length back to ``prefix_len + len(node_positions)`` — the tree
         analogue of ``keep_row`` + ``truncate`` for row-batched verification.
-        Requires a batch-1 cache (single-stream decoding); the serving engine
-        uses :meth:`compact_paths` instead.
+        Requires a batch-1 cache; the step kernel uses :meth:`compact_paths`
+        instead.
         """
         if self.batch != 1:
             raise ValueError(f"keep_path requires a batch-1 cache, got batch {self.batch}")
@@ -412,86 +302,15 @@ class KVCache:
                 layer.v[0, :, prefix_len:new_length] = layer.v[0][:, prefix_len + index]
             layer.lengths = np.full_like(layer.lengths, new_length)
 
-    # -- prefix-reuse segment operations ---------------------------------------
-
-    def gather_prefix(self, row: int, length: int) -> KVSegment:
-        """Detach the first ``length`` cached positions of ``row`` into a segment.
-
-        The serving engine gathers a request's prompt-prefix K/V out of its
-        freshly prefilled row so the prefix cache can retain it after the row
-        itself is merged, compacted and eventually reclaimed.  The segment is
-        a copy — it stays valid however the source cache is reshaped later.
-        """
-        if not 0 <= row < self.batch:
-            raise IndexError(f"row {row} out of range for batch {self.batch}")
-        if length < 0 or length > int(self.layers[0].lengths[row]):
-            raise ValueError(
-                f"prefix length {length} out of range [0, {int(self.layers[0].lengths[row])}] for row {row}"
-            )
-        if any(layer.has_cross for layer in self.layers):
-            raise ValueError("gather_prefix does not support cross-attention caches")
-        return KVSegment(
-            [layer.k[row, :, :length].copy() for layer in self.layers],
-            [layer.v[row, :, :length].copy() for layer in self.layers],
-        )
-
-    def snapshot_prefix(self, row: int, length: int) -> KVSegment:
-        """The retention-unit snapshot of a row prefix — a copy, for row caches.
-
-        Mode-neutral alias the serving engine calls when retaining a prompt's
-        K/V: row caches copy the positions out (:meth:`gather_prefix`), paged
-        caches return a refcounted block reference
-        (:meth:`PagedKVCache.snapshot_prefix`) without copying anything.
-        """
-        return self.gather_prefix(row, length)
-
-    def splice_prefix(self, row: int, segment: KVSegment) -> None:
-        """Copy a retained segment into fresh ``row``, making it the row's prefix.
-
-        After the splice the row behaves exactly as if its first
-        ``segment.length`` tokens had just been prefilled: appends continue at
-        ``segment.length`` and attention sees the spliced K/V as cached past.
-        The row must be empty (length 0) — splicing is an admission-time
-        operation, not a general overwrite.
-        """
-        if not isinstance(segment, KVSegment):
-            raise TypeError(
-                f"row caches splice KVSegment copies, got {type(segment).__name__}; "
-                f"a PrefixCache mixes paged and row segments only if it is shared between "
-                f"engines with different kv_memory modes — give each mode its own cache"
-            )
-        if not 0 <= row < self.batch:
-            raise IndexError(f"row {row} out of range for batch {self.batch}")
-        if int(self.layers[0].lengths[row]) != 0:
-            raise ValueError(
-                f"splice_prefix requires a fresh row, but row {row} already holds "
-                f"{int(self.layers[0].lengths[row])} positions"
-            )
-        if segment.num_layers != self.num_layers:
-            raise ValueError(f"segment has {segment.num_layers} layers, cache has {self.num_layers}")
-        if segment.num_heads != self.num_heads or segment.head_dim != self.head_dim:
-            raise ValueError(
-                f"segment geometry ({segment.num_heads} heads x {segment.head_dim}) does not match "
-                f"cache ({self.num_heads} heads x {self.head_dim})"
-            )
-        if segment.length > self.capacity:
-            raise ValueError(f"segment length {segment.length} exceeds cache capacity {self.capacity}")
-        for layer, k_seg, v_seg in zip(self.layers, segment.k_layers, segment.v_layers):
-            layer.k[row, :, : segment.length] = k_seg
-            layer.v[row, :, : segment.length] = v_seg
-            layer.lengths[row] = segment.length
-
-    # -- multi-request serving operations -------------------------------------
+    # -- multi-row operations -------------------------------------------------
 
     def select_rows(self, rows: Sequence[int]) -> None:
         """Gather an arbitrary subset/ordering of rows, in place.
 
-        The multi-row generalisation of :meth:`keep_row`: the serving engine
-        uses it to keep each request's accepted candidate row out of the
-        expanded verification batch and to reclaim the rows of completed or
-        evicted requests.  Rows may be repeated or dropped; each surviving
-        row keeps its own length.  The copy detaches the survivors so the
-        dropped rows' storage can be freed.
+        The multi-row generalisation of :meth:`keep_row`: the step kernel
+        drops finished lanes with it.  Rows may be repeated or dropped; each
+        surviving row keeps its own length.  The copy detaches the survivors
+        so the dropped rows' storage can be freed.
         """
         rows = list(rows)
         for row in rows:
@@ -518,9 +337,9 @@ class KVCache:
     def truncate_rows(self, lengths: Sequence[int]) -> None:
         """Roll each row back to its own committed prefix length.
 
-        The per-row generalisation of :meth:`truncate`, used after a batched
-        serving step to discard every request's rejected speculative tokens
-        at once.  Entries longer than a row's current length are no-ops.
+        The per-row generalisation of :meth:`truncate`: discards every row's
+        rejected speculative tokens at once.  Entries longer than a row's
+        current length are no-ops.
         """
         target = np.asarray(lengths, dtype=np.int64)
         if target.shape != (self.batch,):
@@ -533,10 +352,9 @@ class KVCache:
     def repeat_rows(self, repeats: Union[int, Sequence[int]], capacity: Optional[int] = None) -> "KVCache":
         """Return a new cache with row ``r`` tiled ``repeats[r]`` times (in order).
 
-        Serving uses this to expand the one-row-per-request cache into one
-        row per speculative candidate before the shared verification forward;
-        per-row counts let requests propose different numbers of candidates.
-        The source cache is left untouched.
+        Expands a one-row-per-request cache into one row per speculative
+        candidate (row-batched verification); per-row counts let rows propose
+        different numbers of candidates.  The source cache is left untouched.
 
         Args:
             repeats: per-row tile counts (or one count for every row).
@@ -579,8 +397,8 @@ class KVCache:
 
         Fuses :meth:`select_rows` + :meth:`truncate_rows` into one copy that
         moves only each row's committed prefix — the per-step compaction of
-        the serving engine (keep each request's accepted candidate row, drop
-        its rejected speculative tail).  ``capacity`` restores a full-size
+        row-batched verification (keep each request's accepted candidate row,
+        drop its rejected speculative tail).  ``capacity`` restores a full-size
         cache when compacting out of a trimmed step cache.
         """
         rows = list(rows)
@@ -645,10 +463,9 @@ class KVCache:
     def concat(cls, caches: Sequence["KVCache"]) -> "KVCache":
         """Stack the rows of several same-geometry caches into one batched cache.
 
-        The serving engine prefills each newly admitted request into its own
-        batch-1 cache and then merges it into the shared per-request cache
-        with ``concat``.  All caches must agree on layer count, head geometry
-        and capacity; rows keep their own lengths (the result is ragged).
+        Merges freshly prefilled batch-1 caches into one shared cache.  All
+        caches must agree on layer count and head geometry; rows keep their
+        own lengths (the result is ragged).
         """
         if not caches:
             raise ValueError("concat needs at least one cache")
@@ -661,8 +478,7 @@ class KVCache:
             )
             if not same:
                 raise ValueError("concat requires caches with identical layer/head geometry")
-        # Capacities may differ (the serving engine keeps its persistent cache
-        # trimmed between steps); the merged cache takes the largest.
+        # Capacities may differ; the merged cache takes the largest.
         capacity = max(cache.capacity for cache in caches)
         total = sum(cache.batch for cache in caches)
         out = cls(first.num_layers, first.num_heads, first.head_dim, capacity, batch=0)

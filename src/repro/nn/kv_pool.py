@@ -1,40 +1,36 @@
 """Paged attention K/V memory: a refcounted block pool with copy-on-write.
 
-:class:`~repro.nn.kv_cache.KVCache` gives every request one contiguous row
-sized for the full context window.  That layout is simple but pays for it
-three ways at serving time:
+:class:`~repro.nn.kv_cache.KVCache` gives every row one contiguous buffer
+sized for the full context window.  Serving many requests from such rows
+would pay three ways: **reservation fragmentation** (peak memory scales with
+``rows x context window`` instead of with the tokens actually cached),
+**copying prefix reuse** (a prefix-cache hit copies the retained K/V into the
+new row, and retention copies it back out) and **copying reclamation**
+(finishing or cancelling a request compacts the whole shared cache around
+the vacated row).
 
-* **reservation fragmentation** — a row's buffer is allocated for
-  ``capacity`` positions however short the request actually runs, so peak
-  memory scales with ``rows x context window`` instead of with the tokens
-  actually cached;
-* **copying prefix reuse** — a prefix-cache hit must *copy* the retained
-  K/V into the new row (:meth:`KVCache.splice_prefix`), and retention must
-  copy it back *out* (:meth:`KVCache.gather_prefix`);
-* **copying reclamation** — cancelling or finishing a request compacts the
-  whole shared cache around the vacated row.
-
-This module is the vLLM-style answer, scaled to the numpy substrate.  K/V
-storage is cut into fixed-size **blocks** of ``block_size`` token positions,
-owned by one shared :class:`KVBlockPool`.  A sequence no longer owns storage;
-it owns a **block table** — the ordered list of block ids holding its prefix
-— so position ``p`` of a row lives at offset ``p % block_size`` of block
+This module is the vLLM-style answer, scaled to the numpy substrate, and the
+serving engine's only K/V storage.  K/V storage is cut into fixed-size
+**blocks** of ``block_size`` token positions, owned by one shared
+:class:`KVBlockPool`.  A sequence owns no storage; it owns a **block
+table** — the ordered list of block ids holding its prefix — so position
+``p`` of a row lives at offset ``p % block_size`` of block
 ``table[p // block_size]``.  One block id addresses the same token span in
 *every* layer (per-layer physical arrays, one logical id), so tables stay
 per-sequence, not per-layer.
 
 Blocks are **refcounted**.  Sharing a prefix between two sequences is
 aliasing the same block ids and bumping refcounts — zero K/V copies — and
-three operations that are O(tokens) copies for row caches become O(table)
-pointer updates here:
+three operations that would be O(tokens) copies over contiguous rows are
+O(table) pointer updates here:
 
 * prefix-cache hits (:meth:`PagedKVCache.splice_prefix` aliases the retained
   blocks into the fresh row);
-* speculative tiling (:meth:`PagedKVCache.repeat_rows` aliases each request
-  row once per candidate);
-* per-step compaction and cancellation (:meth:`PagedKVCache.compact_rows` /
-  :meth:`PagedKVCache.select_rows` re-alias survivors and decref the rest —
-  freeing a cancelled request is dropping its table).
+* per-step compaction (:meth:`PagedKVCache.compact_paths` aliases each
+  row's committed prefix and copies only the accepted tree path);
+* reclamation (:meth:`PagedKVCache.select_rows` re-aliases survivors and
+  decrefs the rest — freeing a finished or cancelled request is dropping its
+  table).
 
 Writes preserve sharing through **copy-on-write**: before a forward appends
 into a block whose refcount exceeds one, the block is copied into a fresh
@@ -42,8 +38,7 @@ exclusive block and the writer's table entry is repointed
 (:meth:`PagedKVCache._ensure_writable`).  Divergence therefore costs at most
 one partially-filled block per writer; everything up to the divergence point
 stays physically shared.  The pool counts these (``cow_events``) along with
-its high-water mark (``peak_blocks_in_use``), which is what the shared-prefix
-memory test compares against the row path's allocated bytes.
+its high-water mark (``peak_blocks_in_use``).
 
 The attention read path is a **block-granular gather**: each layer view
 (:class:`PagedLayerKV`) copies whole blocks into a dense
@@ -56,8 +51,8 @@ layer scatters and reads off it.  Positions past a row's own length may surface
 stale-but-finite block contents, exactly like the row cache's stale tail
 slots; the causal mask (or the caller's ``attn_bias``) pins their scores to
 ``-1e9``, whose softmax weight underflows to exactly ``0.0``, so stale
-storage can never leak into an output — the engine's paged/row
-token-identity tests pin this down.
+storage can never leak into an output — ``tests/test_kv_pool.py`` checks
+every ``append`` against the row cache bitwise.
 
 Exhaustion is explicit: :meth:`KVBlockPool.alloc` first invokes the
 ``on_pressure`` callback (the serving engine evicts prefix-cache retention,
@@ -249,9 +244,8 @@ class KVBlockPool:
 class PagedPrefix:
     """Refcounted reference to the blocks holding one prompt prefix's K/V.
 
-    The paged analogue of :class:`~repro.nn.kv_cache.KVSegment` — the unit
-    the prefix cache retains — except that it holds *references to shared
-    blocks* instead of a detached copy: retaining a prefix is
+    The unit the prefix cache retains.  It holds *references to shared
+    blocks*, not a detached copy: retaining a prefix is
     ``blocks_for(length)`` increfs, and serving a hit
     (:meth:`PagedKVCache.splice_prefix`) aliases the same blocks into the new
     row.  Zero token copies either way.
@@ -441,12 +435,12 @@ class PagedLayerKV:
 class PagedKVCache:
     """A batch of sequences over one :class:`KVBlockPool`: block tables + lengths.
 
-    The paged drop-in for the serving engine's use of
-    :class:`~repro.nn.kv_cache.KVCache`: the same batched/ragged surface
-    (``lengths``, ``append_widths``, ``layers`` for the forward, and the
-    multi-row serving operations), but rows are block tables into shared pool
-    storage, so the operations that copy tokens in the row cache become table
-    aliasing here — see the module docstring for the mapping.
+    The serving engine's shared cache.  It has the batched/ragged surface of
+    :class:`~repro.nn.kv_cache.KVCache` (``lengths``, ``append_widths``,
+    ``layers`` for the forward, and the multi-row operations), so the model
+    forward and the step kernel run over either, but rows are block tables
+    into shared pool storage, so the operations that copy tokens in the row
+    cache are table aliasing here — see the module docstring for the mapping.
 
     Every row's table entries hold one pool reference each.  The cache must
     be :meth:`release`\\ d (or consumed by :meth:`concat`) when discarded;
@@ -500,11 +494,6 @@ class PagedKVCache:
     def append_widths(self) -> Optional[np.ndarray]:
         """Per-row real-token widths declared for the next forward (or None)."""
         return self._append_widths
-
-    @property
-    def nbytes(self) -> int:
-        """Physical storage referenced by this cache's tables (shared blocks counted per table entry)."""
-        return sum(len(table) for table in self._tables) * self.pool.block_nbytes
 
     def blocks_held(self, row: int) -> int:
         """Pool blocks ``row``'s table currently references (shared or exclusive).
@@ -810,10 +799,9 @@ class PagedKVCache:
     def snapshot_prefix(self, row: int, length: int) -> PagedPrefix:
         """An owning :class:`PagedPrefix` over ``row``'s first ``length`` positions.
 
-        The paged :meth:`KVCache.gather_prefix`: instead of copying the K/V
-        out, the reference increfs the covering blocks, pinning them however
-        the row is later compacted, truncated or released.  The prefix cache
-        stores exactly this.
+        Instead of copying the K/V out, the reference increfs the covering
+        blocks, pinning them however the row is later compacted, truncated or
+        released.  The prefix cache stores exactly this.
         """
         if not 0 <= row < self.batch:
             raise IndexError(f"row {row} out of range for batch {self.batch}")
@@ -830,14 +818,8 @@ class PagedKVCache:
         After the splice the row behaves exactly as if its first
         ``prefix.length`` tokens had just been prefilled; its first divergent
         append copy-on-writes the trailing shared block.  The row must be
-        empty, like :meth:`KVCache.splice_prefix`.
+        empty: splicing is an admission-time operation, not an overwrite.
         """
-        if not isinstance(prefix, PagedPrefix):
-            raise TypeError(
-                f"paged caches splice PagedPrefix references, got {type(prefix).__name__}; "
-                f"a PrefixCache mixes paged and row segments only if it is shared between "
-                f"engines with different kv_memory modes — give each mode its own cache"
-            )
         if prefix.pool is not self.pool:
             raise ValueError("prefix and cache belong to different KVBlockPools")
         if not 0 <= row < self.batch:

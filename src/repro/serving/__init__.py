@@ -10,19 +10,15 @@ control over it, and the transports that drive the control:
   a token budget, with optional chunked-prefill pacing (:class:`Scheduler`,
   :class:`SchedulerConfig`);
 * :mod:`repro.serving.prefix_cache` — cross-request prompt-prefix reuse: a
-  token trie over retained KV segments, LRU-evicted under a token/byte
-  budget (:class:`PrefixCache`); under paged K/V memory, retention pins
-  shared pool blocks by refcount instead of copying, and hits splice in
-  zero-copy;
+  token trie over retained pool blocks, LRU-evicted under a token/byte
+  budget (:class:`PrefixCache`); retention pins shared blocks by refcount
+  instead of copying, and hits splice them in zero-copy;
 * :mod:`repro.serving.engine_core` — **layer 0**, :class:`ServingEngine`: the
   one owner of request state (ids, validation, results, listeners) and of the
   step loop that advances every in-flight request through one shared batched
   forward per iteration, token-identical to sequential
-  :meth:`SpeculativeDecoder.generate`.  K/V
-  memory defaults to the paged block pool of :mod:`repro.nn.kv_pool`
-  (``kv_memory="paged"``), with the contiguous row cache
-  (``kv_memory="row"``) kept as the reference oracle — see
-  ``docs/kv-memory.md``;
+  :meth:`SpeculativeDecoder.generate`.  K/V memory is the paged block pool
+  of :mod:`repro.nn.kv_pool` — see ``docs/kv-memory.md``;
 * :mod:`repro.serving.messages` / :mod:`repro.serving.control` — **layer 1**,
   the plain-data command/reply vocabulary and the :class:`EngineControl`
   that answers it against one engine; it translates and buffers events, and

@@ -1,31 +1,32 @@
-"""Continuous-batching serving engine over the shared ragged KV cache.
+"""Continuous-batching serving engine over one paged, ragged KV cache.
 
 :class:`ServingEngine` turns the single-stream speculative decoder into a
 multi-request server: many in-flight requests advance through **one shared
 batched forward per iteration**.  Each running request owns one row of a
-shared cache; rows sit at different prefix lengths (the cache is *ragged*),
-and every engine step:
+shared :class:`~repro.nn.kv_pool.PagedKVCache`; rows sit at different prefix
+lengths (the cache is *ragged*), and every engine step:
 
 1. **admits** queued requests the :class:`~repro.serving.scheduler.Scheduler`
    lets in, prefilling each prompt once and merging the new row into the
-   shared cache (``KVCache.concat``).  With a
+   shared cache (``PagedKVCache.concat``).  With a
    :class:`~repro.serving.prefix_cache.PrefixCache` attached, the longest
-   retained prefix of the prompt is spliced into the fresh row
-   (``KVCache.splice_prefix``) and only the suffix is prefilled; with
-   ``SchedulerConfig.max_prefill_tokens_per_step`` set, that prefill is
-   paced in fixed-token chunks interleaved with decode steps (requests wait
-   in the ``PREFILLING`` status) so long prompts never stall the in-flight
-   batch;
+   retained prefix of the prompt is aliased into the fresh row
+   (``PagedKVCache.splice_prefix``, zero K/V copies) and only the suffix is
+   prefilled; with ``SchedulerConfig.max_prefill_tokens_per_step`` set, that
+   prefill is paced in fixed-token chunks interleaved with decode steps
+   (requests wait in the ``PREFILLING`` status) so long prompts never stall
+   the in-flight batch;
 2. **proposes** speculative candidates per request from the logits held at
    its last committed position (steps 2-4 are the step kernel in
    :mod:`repro.core.decoding` — :func:`~repro.core.decoding.ntp_step` /
    :func:`~repro.core.decoding.speculative_step`, the same two functions
-   sequential :meth:`SpeculativeDecoder.generate` drives as a batch of one);
+   sequential :meth:`SpeculativeDecoder.generate` drives as a batch of one
+   over a row cache);
 3. **verifies** all candidates of all requests in a single batched cached
    forward, one token tree per request;
 4. **commits** each request's best accepted run and compacts the cache back
    to one row per request;
-5. **retires** finished requests, reclaiming their cache rows and freeing
+5. **retires** finished requests, reclaiming their pages and freeing
    scheduler budget so the next step can admit more work.
 
 The one class owns both halves of serving a request: the request table (id
@@ -39,22 +40,21 @@ transports (:class:`~repro.serving.server.AsyncServingEngine` in process,
 :class:`~repro.serving.router.Router`) drive that control.  Every row of the
 shared batched forward computes exactly what a batch-1 forward over that row
 would compute, so committed tokens are identical to sequential generation
-regardless of batching, chunking, prefix reuse or K/V memory mode
-(``tests/test_serving.py`` asserts it for all three strategies with 8
-concurrent requests, in both K/V memory modes; ``tests/test_router.py``
-asserts the router with one worker is token-identical to this class).
+regardless of batching, chunking or prefix reuse (``tests/test_serving.py``
+asserts it for all three strategies with 8 concurrent requests;
+``tests/test_router.py`` asserts the router with one worker is
+token-identical to this class).
 
-**K/V memory** comes in two interchangeable flavours (``kv_memory``, see
-``docs/kv-memory.md``): ``"paged"`` (the default; block tables over one
-shared refcounted pool, zero-copy sharing with copy-on-write) and ``"row"``
-(contiguous per-row buffers, the token-identity reference oracle).
+**K/V memory** is one refcounted block pool per engine (see
+``docs/kv-memory.md``): block tables over shared pages, zero-copy prefix
+sharing with copy-on-write, page-gated admission.
 :meth:`ServingEngine.kv_pool_stats` reports occupancy, sharing and
-copy-on-write counters either way.
+copy-on-write counters.
 
 Requests can be **cancelled** (:meth:`ServingEngine.cancel`) or given a
-**deadline** at submission; both free the request's scheduler budget,
-prefix-cache retention copy and shared cache row in the same step, whether
-it was queued, mid-prefill or decoding.  Every commit is funnelled through
+**deadline** at submission; both free the request's scheduler budget, its
+pages and its row of the shared cache in the same step, whether it was
+queued, mid-prefill or decoding.  Every commit is funnelled through
 :meth:`RequestState.record_commit`, the observation-only hook the async
 front-end turns into ``async for burst in handle.stream()``.
 
@@ -86,12 +86,10 @@ from repro.core.decoding import (
     select_best_candidate,  # noqa: F401 - likewise
     speculative_step,
     speculates,
-    tree_headroom,
 )
 from repro.models.generation import GenerationConfig
 from repro.models.medusa import MedusaLM
-from repro.nn.kv_cache import KVCache
-from repro.nn.kv_pool import KVBlockPool, PagedKVCache
+from repro.nn.kv_pool import PagedKVCache
 from repro.serving.prefix_cache import PrefixCache
 from repro.serving.request import GenerationRequest, RequestState, RequestStatus, derive_request_rng
 from repro.serving.scheduler import Scheduler, SchedulerConfig
@@ -121,14 +119,10 @@ class ServingEngine:
             admission reuses the longest retained prompt prefix instead of
             re-prefilling it, and every completed prefill is retained for
             later requests.  ``None`` (the default) disables reuse.
-        kv_memory: K/V storage mode — ``"paged"`` (the default; block tables
-            over one shared refcounted pool, zero-copy sharing with
-            copy-on-write) or ``"row"`` (contiguous per-row buffers, the
-            reference oracle).  Outputs are token-identical either way.
-        kv_block_size: Tokens per physical block in paged mode.  Smaller
+        kv_block_size: Tokens per physical block of the K/V pool.  Smaller
             blocks waste less capacity on partially-filled tails but cost
             more table indirection per gather.
-        kv_pool_blocks: Total physical blocks in the paged pool.  ``None``
+        kv_pool_blocks: Total physical blocks in the K/V pool.  ``None``
             sizes it from the scheduler budgets (worst-case committed
             context + speculative verification transient + prefix-cache
             retention); see :meth:`_default_pool_blocks`.
@@ -153,7 +147,6 @@ class ServingEngine:
         max_speculative_heads: Optional[int] = None,
         scheduler_config: Optional[SchedulerConfig] = None,
         prefix_cache: Optional[PrefixCache] = None,
-        kv_memory: str = "paged",
         kv_block_size: int = 16,
         kv_pool_blocks: Optional[int] = None,
         clock: Optional[Callable[[], float]] = None,
@@ -179,27 +172,14 @@ class ServingEngine:
         self.prefix_cache = prefix_cache
         #: Every timestamp the engine produces flows through this callable.
         self.clock: Callable[[], float] = clock or time.perf_counter
-        if kv_memory not in ("paged", "row"):
-            raise ValueError(f"kv_memory must be 'paged' or 'row', got {kv_memory!r}")
-        self.kv_memory = kv_memory
-        self._pool: Optional[KVBlockPool] = None
-        if kv_memory == "paged":
-            self._pool = model.new_block_pool(
-                block_size=kv_block_size,
-                num_blocks=kv_pool_blocks or self._default_pool_blocks(kv_block_size),
-            )
-            # Last-resort reclaim before the pool raises KVPoolExhausted:
-            # drop retained prefix-cache entries so their unshared blocks
-            # return to the free list mid-allocation.
-            self._pool.on_pressure = self._reclaim_pages
-        #: Prompt tokens physically copied into cache rows by prefix-cache
-        #: splices.  Row mode copies every reused position; paged mode
-        #: aliases blocks, so this stays 0 — the zero-copy assertion the
-        #: serving tests pin down.
-        self.prefix_copy_tokens = 0
-        #: Row-mode peak of summed live cache bytes (the paged pool tracks
-        #: its own physical peak; see :meth:`kv_pool_stats`).
-        self._kv_bytes_peak = 0
+        self._pool = model.new_block_pool(
+            block_size=kv_block_size,
+            num_blocks=kv_pool_blocks or self._default_pool_blocks(kv_block_size),
+        )
+        # Last-resort reclaim before the pool raises KVPoolExhausted:
+        # drop retained prefix-cache entries so their unshared blocks
+        # return to the free list mid-allocation.
+        self._pool.on_pressure = self._reclaim_pages
         if prefix_cache is not None:
             # Retained K/V is model-specific; binding rejects accidentally
             # sharing one cache across engines that wrap different models.
@@ -218,9 +198,8 @@ class ServingEngine:
         self.eos_id = vocab.eos_id
         self.bos_id = vocab.bos_id
         self.max_seq_len = model.backbone.max_seq_len
-        #: Shared ragged cache (``KVCache`` or ``PagedKVCache`` per
-        #: ``kv_memory``): one row per entry of ``_active`` (same order).
-        self._cache = None
+        #: Shared ragged cache: one row per entry of ``_active`` (same order).
+        self._cache: Optional[PagedKVCache] = None
         self._active: List[RequestState] = []
         #: Admitted requests whose prompts are still entering their private
         #: batch-1 caches (chunked prefill); FCFS order.
@@ -287,8 +266,6 @@ class ServingEngine:
         into :class:`~repro.nn.kv_pool.KVPoolExhausted` once both requests
         reach their peak.
         """
-        if self._pool is None:
-            return {}
         block_size = self._pool.block_size
         window = self.max_speculative_heads + 2
         overhead_blocks = 1 + self.num_candidates * (1 + -(-window // block_size))
@@ -305,76 +282,26 @@ class ServingEngine:
             "page_overhead_tokens": overhead_tokens,
         }
 
-    def free_kv_tokens(self) -> Optional[int]:
-        """Unreserved page capacity in tokens (``None`` in row mode).
+    def free_kv_tokens(self) -> int:
+        """Unreserved page capacity in tokens.
 
         The backpressure number a worker reports to its router: how many
         prompt+output tokens new admissions could claim right now without
         deferral.
         """
-        if self._pool is None:
-            return None
         return self._admission_kwargs()["free_page_tokens"]
 
-    def _new_row_cache(self):
-        """Fresh single-row cache for a prefilling request, in the engine's mode."""
-        if self._pool is not None:
-            return PagedKVCache(self._pool, batch=1)
-        # Room for the candidate tree the step kernel appends before compaction.
-        headroom = tree_headroom(self.num_candidates, self.max_speculative_heads)
-        return self.model.new_cache(capacity=self.max_seq_len + headroom)
-
-    def _concat(self, caches):
-        """Merge caches into one shared batch, dispatching on the memory mode."""
-        if self._pool is not None:
-            return PagedKVCache.concat(caches)
-        return KVCache.concat(caches)
-
-    def _note_kv_bytes(self) -> None:
-        """Track row-mode peak K/V bytes (paged mode: the pool tracks itself)."""
-        if self._pool is None:
-            self._kv_bytes_peak = max(self._kv_bytes_peak, self._row_kv_bytes())
-
-    def _row_kv_bytes(self) -> int:
-        total = self._cache.nbytes if self._cache is not None else 0
-        for state in self._prefilling:
-            if state.row_cache is not None:
-                total += state.row_cache.nbytes
-        return total
-
     def kv_pool_stats(self) -> dict:
-        """K/V memory counters of this engine, uniform across both modes.
+        """K/V memory counters of this engine: the pool's physical truth.
 
-        Paged mode reports the pool's physical truth — block occupancy,
-        cross-row sharing, copy-on-write events, peak blocks ever resident —
-        plus ``prefix_copy_tokens`` (always 0: prefix hits alias pages).
-        Row mode reports the same keys with block fields ``None``/0, byte
-        fields from the engine-tracked sum of live contiguous buffers
-        (*reserved* capacity, which is what row mode actually allocates),
-        and ``prefix_copy_tokens`` counting every spliced position.  The
-        shared-prefix memory bench compares ``peak_kv_bytes`` across modes.
+        Block occupancy, cross-row sharing, copy-on-write events and peak
+        blocks ever resident (see :meth:`KVBlockPool.stats
+        <repro.nn.kv_pool.KVBlockPool.stats>`), plus ``prefix_copy_tokens``,
+        always 0 because prefix hits alias pages instead of copying them.
         """
-        if self._pool is not None:
-            stats = self._pool.stats()
-            stats["kv_memory"] = "paged"
-            stats["prefix_copy_tokens"] = self.prefix_copy_tokens
-            return stats
-        in_use = self._row_kv_bytes()
-        self._kv_bytes_peak = max(self._kv_bytes_peak, in_use)
-        return {
-            "kv_memory": "row",
-            "block_size": None,
-            "num_blocks": None,
-            "blocks_in_use": None,
-            "blocks_free": None,
-            "occupancy": None,
-            "shared_blocks": 0,
-            "shared_block_ratio": 0.0,
-            "cow_events": 0,
-            "kv_bytes_in_use": in_use,
-            "peak_kv_bytes": self._kv_bytes_peak,
-            "prefix_copy_tokens": self.prefix_copy_tokens,
-        }
+        # prefix_copy_tokens stays a key because benchmarks/perf/workloads.py
+        # reports it as nn.kv.prefix_copy_tokens.
+        return {**self._pool.stats(), "prefix_copy_tokens": 0}
 
     # ------------------------------------------------------------------ #
     # Submission and results
@@ -670,10 +597,9 @@ class ServingEngine:
         elif state.status is RequestStatus.PREFILLING:
             self._prefilling.remove(state)
         self.scheduler.remove(state)
-        # Dropping the private row releases the prefill K/V computed so far,
-        # including any prefix-cache segment spliced in at admission; in
-        # paged mode the explicit release returns its block refs to the pool
-        # immediately (pages free now, not at garbage collection).
+        # Releasing the private row returns the block refs of the prefill K/V
+        # computed so far, including any retained prefix spliced in at
+        # admission, to the pool now (not at garbage collection).
         if state.row_cache is not None:
             state.row_cache.release()
         state.row_cache = None
@@ -702,22 +628,23 @@ class ServingEngine:
     def _admit(self) -> None:
         """Move newly admitted requests into prefill, splicing any reusable prefix.
 
-        Each admitted request gets a fresh batch-1 cache row.  With a prefix
-        cache attached, the longest retained prefix of the prompt (capped at
-        ``prompt_len - 1`` so the suffix forward always produces the
-        last-position logits that seed decoding) is spliced in — a zero-copy
-        block-table alias in paged mode, a per-layer copy in row mode; the
-        request then only prefills its suffix.
+        Each admitted request gets a fresh batch-1 row over the engine's
+        pool.  With a prefix cache attached, the longest retained prefix of
+        the prompt (capped at ``prompt_len - 1`` so the suffix forward always
+        produces the last-position logits that seed decoding) is spliced in
+        as a zero-copy block-table alias; the request then only prefills its
+        suffix.
 
-        In paged mode admission is additionally gated on the pool's free
-        pages (:meth:`_admission_kwargs`); before asking the scheduler, the
-        head-of-queue request pre-evicts retained prefix entries while it
-        would not fit, so retention never starves admission.
+        Admission is gated on the pool's free pages
+        (:meth:`_admission_kwargs`); before asking the scheduler, the request
+        it will consider first (:meth:`Scheduler.head
+        <repro.serving.scheduler.Scheduler.head>`, so priority order
+        included) pre-evicts retained prefix entries while it would not fit,
+        so retention never starves admission.
         """
-        if self._pool is not None and self.prefix_cache is not None and self.scheduler.waiting:
-            head = self.scheduler.waiting[0]
-            kwargs = self._admission_kwargs()
-            needed = head.request.footprint_tokens + kwargs["page_overhead_tokens"]
+        head = self.scheduler.head() if self.prefix_cache is not None else None
+        if head is not None:
+            needed = head.request.footprint_tokens + self._admission_kwargs()["page_overhead_tokens"]
             while (
                 self._admission_kwargs()["free_page_tokens"] < needed
                 and self.prefix_cache.evict_lru()
@@ -735,16 +662,12 @@ class ServingEngine:
                 # output, exactly like sequential generate.
                 self._finish(state)
                 continue
-            state.row_cache = self._new_row_cache()
+            state.row_cache = PagedKVCache(self._pool, batch=1)
             state.rng = derive_request_rng(state.request)
             if self.prefix_cache is not None:
-                matched, segment = self.prefix_cache.lookup(prompt, limit=len(prompt) - 1)
+                matched, prefix = self.prefix_cache.lookup(prompt, limit=len(prompt) - 1)
                 if matched:
-                    state.row_cache.splice_prefix(0, segment)
-                    if self._pool is None:
-                        # Row mode physically copies the reused positions;
-                        # paged splices alias blocks and charge nothing here.
-                        self.prefix_copy_tokens += matched
+                    state.row_cache.splice_prefix(0, prefix)
                     state.prefill_pos = matched
                     state.tokens_reused = matched
                     self.tokens_reused_total += matched
@@ -803,24 +726,20 @@ class ServingEngine:
             else:
                 still_prefilling.append(state)
         self._prefilling = still_prefilling
-        self._note_kv_bytes()
         if not ready:
             return
-        new_caches: List = []
+        new_caches: List[PagedKVCache] = []
         for state in ready:
             prompt = state.request.prompt_ids
             if self.prefix_cache is not None and self.prefix_cache.would_retain(prompt):
-                # snapshot_prefix is the mode-neutral retention hook: a
-                # per-layer copy (KVSegment) in row mode, a refcounted block
-                # pin (PagedPrefix, zero-copy) in paged mode.
+                # Retention pins the prompt's blocks by refcount (zero-copy).
                 self.prefix_cache.insert(prompt, state.row_cache.snapshot_prefix(0, len(prompt)))
             state.status = RequestStatus.RUNNING
             new_caches.append(state.row_cache)
             state.row_cache = None
             self._active.append(state)
         existing = [self._cache] if self._cache is not None and self._cache.batch > 0 else []
-        self._cache = self._concat(existing + new_caches)
-        self._note_kv_bytes()
+        self._cache = PagedKVCache.concat(existing + new_caches)
 
     # -- completion ------------------------------------------------------ #
 

@@ -165,15 +165,16 @@ class ShutdownCommand:
 class EngineStats:
     """Backpressure snapshot piggybacked on every step reply and heartbeat.
 
-    ``free_kv_tokens`` is ``None`` for row-mode engines (no page pool to
-    exhaust); routers treat it as unbounded.
+    ``free_kv_tokens`` is the engine's unreserved page capacity in tokens
+    (:meth:`ServingEngine.free_kv_tokens
+    <repro.serving.engine_core.ServingEngine.free_kv_tokens>`).
     """
 
     queue_depth: int
     num_prefilling: int
     num_active: int
     has_work: bool
-    free_kv_tokens: Optional[int]
+    free_kv_tokens: int
     steps_executed: int
 
 

@@ -1,4 +1,4 @@
-"""Cross-request prompt-prefix reuse: a token-trie over retained KV segments.
+"""Cross-request prompt-prefix reuse: a token trie over retained pool blocks.
 
 Real serving workloads re-send the same prompt preamble over and over — the
 eval benches in :mod:`repro.evalbench.rtllm` / :mod:`repro.evalbench.vgen`
@@ -8,63 +8,48 @@ batch of ``N`` requests over ``K`` distinct preambles, ``N - K`` prefills are
 redundant compute.
 
 :class:`PrefixCache` removes them.  It keeps recently served prompts in a
-token trie; each retained prompt owns a :class:`~repro.nn.kv_cache.KVSegment`
-(the per-layer K/V its prefill computed, detached from the live cache).  On
-admission the engine asks for the longest retained prefix of the new prompt:
+token trie; each retained prompt owns a :class:`~repro.nn.kv_pool.PagedPrefix`
+— a refcounted pin on the engine's :class:`~repro.nn.kv_pool.KVBlockPool`
+blocks its prefill wrote, so retention copies no K/V.  On admission the
+engine asks for the longest retained prefix of the new prompt:
 
 * the trie walk follows the new prompt's tokens as far as any retained
   prompt's path reaches — the match may be *partial* (two prompts sharing
   only their first ``m`` tokens still reuse those ``m`` positions), because
   causal attention makes position ``i``'s K/V depend only on tokens
   ``0..i``;
-* the matched segment prefix is spliced into the request's fresh cache row
-  (:meth:`KVCache.splice_prefix`) and only the prompt *suffix* is prefilled.
+* the matched prefix's blocks are aliased into the request's fresh cache
+  row (:meth:`PagedKVCache.splice_prefix
+  <repro.nn.kv_pool.PagedKVCache.splice_prefix>`, copy-on-write protects them
+  from divergent appends) and only the prompt *suffix* is prefilled.
 
 Retention is bounded: entries are LRU-evicted once the summed retained
 tokens (or bytes) exceed the configured budget.  Eviction removes the
 entry's trie path; nodes shared with surviving entries stay, so partial
 matches through shared preambles keep working.
 
-Retained segments come in the two K/V storage flavours of the engine
-(``docs/kv-memory.md``):
+Prompts sharing a trie path share the underlying blocks, so byte
+accounting follows the physical blocks: a block pinned by several retained
+prompts is charged against ``max_bytes`` **once** (the cache tracks
+per-block reference counts), and the byte budget measures real pool
+occupancy rather than the summed virtual prompt sizes
+(``docs/kv-memory.md``).
 
-* :class:`~repro.nn.kv_cache.KVSegment` — row mode.  Each retained prompt
-  owns an independent per-layer copy, so a preamble shared by ``N``
-  retained prompts is stored (and charged against the byte budget) ``N``
-  times.
-* :class:`~repro.nn.kv_pool.PagedPrefix` — paged mode.  Retention pins the
-  prompt's *blocks* in the engine's :class:`~repro.nn.kv_pool.KVBlockPool`
-  by reference count; no K/V is copied, and prompts sharing a trie path
-  share the underlying blocks.  Byte accounting follows the physical
-  blocks: a block pinned by several retained prompts is charged against
-  ``max_bytes`` **once** (the cache tracks per-block reference counts), so
-  the byte budget measures real pool occupancy rather than the summed
-  virtual sizes row mode would copy.
-
-Reuse is a pure compute-layout change — the spliced K/V is byte-for-byte
+Reuse is a pure compute-layout change — the aliased K/V is byte-for-byte
 what prefilling the prefix would recompute — so engine outputs stay
 token-identical with the cache enabled (asserted in ``tests/test_serving.py``
-and the golden fixtures).  In paged mode a hit is additionally *zero-copy*:
-the request's block table aliases the retained blocks instead of copying
-them (copy-on-write protects them from divergent appends).
+and the golden fixtures).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Optional, Sequence, Set, Tuple
 
-from repro.nn.kv_cache import KVSegment
 from repro.nn.kv_pool import PagedPrefix
 
 TokenKey = Tuple[int, ...]
-
-#: Retained-K/V handle: a per-layer copy (row mode) or a refcounted block
-#: reference (paged mode).  Both expose ``length``, ``nbytes`` and
-#: ``head(length)``; only :class:`PagedPrefix` has ``block_ids`` /
-#: ``block_nbytes`` / ``release``, which the cache probes with ``getattr``.
-Segment = Union[KVSegment, PagedPrefix]
 
 
 @dataclass
@@ -128,23 +113,23 @@ class _TrieNode:
 @dataclass
 class _Entry:
     tokens: TokenKey
-    segment: Segment
+    prefix: PagedPrefix
 
 
 @dataclass
 class PrefixCache:
-    """LRU token-trie of retained prompt prefixes and their KV segments.
+    """LRU token-trie of retained prompt prefixes and their pinned pool blocks.
 
     Args:
         max_tokens: Retention budget as summed retained prompt tokens.  A
             prompt longer than the whole budget is simply not retained.
-        max_bytes: Optional additional budget on summed segment storage
-            (K and V, all layers); ``None`` leaves bytes unbounded.  The
-            token and byte budgets are both enforced — eviction runs until
-            the cache satisfies every configured bound.  With paged
-            segments, a physical block pinned by several retained prompts
-            is charged **once** — the budget tracks real pool occupancy,
-            not the summed virtual prompt sizes.
+        max_bytes: Optional additional budget on the pinned blocks'
+            storage (K and V, all layers); ``None`` leaves bytes unbounded.
+            The token and byte budgets are both enforced — eviction runs
+            until the cache satisfies every configured bound.  A physical
+            block pinned by several retained prompts is charged **once** —
+            the budget tracks real pool occupancy, not the summed virtual
+            prompt sizes.
     """
 
     max_tokens: int = 4096
@@ -161,20 +146,19 @@ class PrefixCache:
         self._root = _TrieNode()
         self._num_tokens = 0
         self._num_bytes = 0
-        #: Per-block retention refcounts (paged segments only): how many
-        #: retained entries pin each physical block.  A block is charged to
-        #: ``_num_bytes`` when its count goes 0 -> 1 and credited back when
-        #: it returns to 0, so shared blocks are accounted exactly once.
+        #: Per-block retention refcounts: how many retained entries pin
+        #: each physical block.  A block is charged to ``_num_bytes`` when
+        #: its count goes 0 -> 1 and credited back when it returns to 0, so
+        #: shared blocks are accounted exactly once.
         self._block_refs: Dict[int, int] = {}
         self._owner: Optional[object] = None
 
     def bind(self, owner: object) -> None:
         """Tie the cache to one model; re-binding to a different model raises.
 
-        Retained K/V carries no record of which weights produced it, and
-        :meth:`KVCache.splice_prefix` can only validate *geometry* — two
+        Retained K/V carries no record of which weights produced it — two
         different models with the same layer/head shape would silently accept
-        each other's segments and corrupt outputs.  The serving engine calls
+        each other's prefixes and corrupt outputs.  The serving engine calls
         this at construction, so sharing one cache between engines is allowed
         exactly when they wrap the same model object.
         """
@@ -198,12 +182,7 @@ class PrefixCache:
 
     @property
     def num_bytes(self) -> int:
-        """Summed segment storage of all retained entries.
-
-        Row segments contribute their full copied size; paged segments
-        contribute each pinned physical block once, however many entries
-        share it.
-        """
+        """Storage of the blocks retained entries pin, each block counted once."""
         return self._num_bytes
 
     def __contains__(self, tokens: Sequence[int]) -> bool:
@@ -211,12 +190,13 @@ class PrefixCache:
 
     # -- lookup --------------------------------------------------------------
 
-    def lookup(self, tokens: Sequence[int], limit: Optional[int] = None) -> Tuple[int, Optional[Segment]]:
-        """Longest retained prefix of ``tokens``, as ``(matched_len, segment_view)``.
+    def lookup(self, tokens: Sequence[int], limit: Optional[int] = None) -> Tuple[int, Optional[PagedPrefix]]:
+        """Longest retained prefix of ``tokens``, as ``(matched_len, prefix_view)``.
 
         Walks the trie along ``tokens`` (at most ``limit`` of them) as deep as
-        any retained path reaches and returns a zero-copy view of a matching
-        entry's first ``matched_len`` positions, refreshing that entry's LRU
+        any retained path reaches and returns a non-owning view of a matching
+        entry's first ``matched_len`` positions (:meth:`PagedPrefix.head
+        <repro.nn.kv_pool.PagedPrefix.head>`), refreshing that entry's LRU
         position.  ``(0, None)`` on a miss.
 
         The serving engine passes ``limit=len(prompt) - 1`` so at least one
@@ -235,7 +215,7 @@ class PrefixCache:
         if depth == 0:
             self.stats.misses += 1
             return 0, None
-        # Every entry through this node shares (and its segment covers) the
+        # Every entry through this node shares (and its prefix covers) the
         # first ``depth`` tokens, so any member serves the match; an O(1)
         # arbitrary pick keeps the hot admission path independent of how many
         # entries share the preamble.  The touch refreshes that entry's LRU
@@ -245,19 +225,18 @@ class PrefixCache:
         self._entries.move_to_end(key)
         self.stats.hits += 1
         self.stats.tokens_reused += depth
-        return depth, entry.segment.head(depth)
+        return depth, entry.prefix.head(depth)
 
     # -- retention -----------------------------------------------------------
 
     def would_retain(self, tokens: Sequence[int]) -> bool:
         """Cheap pre-check: would :meth:`insert` store a new entry for ``tokens``?
 
-        Lets the engine skip gathering a prompt's K/V out of the live cache
-        (a full per-layer copy) when the insert would be discarded anyway.
-        An exact duplicate refreshes its LRU position here, preserving
-        :meth:`insert`'s touch-on-reinsert semantics.  The byte budget cannot
-        be checked without the segment, so a byte-only overflow is still
-        caught inside :meth:`insert`.
+        Lets the engine skip pinning a prompt's blocks when the insert would
+        be discarded anyway.  An exact duplicate refreshes its LRU position
+        here, preserving :meth:`insert`'s touch-on-reinsert semantics.  The
+        byte budget cannot be checked without the prefix, so a byte-only
+        overflow is still caught inside :meth:`insert`.
         """
         key = tuple(int(token) for token in tokens)
         if not key or len(key) > self.max_tokens:
@@ -267,35 +246,35 @@ class PrefixCache:
             return False
         return True
 
-    def insert(self, tokens: Sequence[int], segment: Segment) -> bool:
-        """Retain ``segment`` as the K/V of prompt ``tokens``; returns True if stored.
+    def insert(self, tokens: Sequence[int], prefix: PagedPrefix) -> bool:
+        """Retain ``prefix`` as the K/V of prompt ``tokens``; returns True if stored.
 
-        The segment must cover exactly ``len(tokens)`` positions.  Re-inserting
-        a retained prompt refreshes its LRU position without copying.  Prompts
+        The prefix must cover exactly ``len(tokens)`` positions.  Re-inserting
+        a retained prompt refreshes its LRU position without pinning.  Prompts
         that alone exceed a budget are not retained (retaining then instantly
         evicting everything else would just thrash).  After a successful
         insert, least-recently-used entries are evicted until every configured
         budget holds again.
 
-        The cache takes ownership of the segment: a rejected paged segment is
-        released immediately (unpinning its blocks), a retained one when it is
-        later evicted.
+        The cache takes ownership of the prefix: a rejected one is released
+        immediately (unpinning its blocks), a retained one when it is later
+        evicted.
         """
         key = tuple(int(token) for token in tokens)
-        if segment.length != len(key):
-            raise ValueError(f"segment covers {segment.length} positions for a {len(key)}-token prompt")
+        if prefix.length != len(key):
+            raise ValueError(f"prefix covers {prefix.length} positions for a {len(key)}-token prompt")
         stored = False
         if key and len(key) <= self.max_tokens and not (
-            self.max_bytes is not None and segment.nbytes > self.max_bytes
+            self.max_bytes is not None and prefix.nbytes > self.max_bytes
         ):
             if key in self._entries:
                 self._entries.move_to_end(key)
             else:
                 stored = True
         if not stored:
-            self._release_segment(segment)
+            prefix.release()
             return False
-        entry = _Entry(tokens=key, segment=segment)
+        entry = _Entry(tokens=key, prefix=prefix)
         self._entries[key] = entry
         node = self._root
         for token in key:
@@ -305,7 +284,7 @@ class PrefixCache:
             node = child
             node.entries.add(key)
         self._num_tokens += len(key)
-        self._charge(segment)
+        self._charge(prefix)
         self.stats.insertions += 1
         self._evict_to_budget(keep=key)
         return True
@@ -313,7 +292,7 @@ class PrefixCache:
     def evict_lru(self) -> bool:
         """Drop the least-recently-used entry; ``False`` when nothing is retained.
 
-        The paged engine's pool-pressure hook: eviction releases the entry's
+        The engine's pool-pressure hook: eviction releases the entry's
         block references, so any block no other entry (or live request) still
         shares returns to the pool's free list immediately.
         """
@@ -322,42 +301,25 @@ class PrefixCache:
         self._remove(next(iter(self._entries)))
         return True
 
-    def _charge(self, segment: Segment) -> None:
-        # Add the segment's storage to ``_num_bytes``.  Paged segments charge
-        # per *physical block*, first pin only; row segments charge their
-        # full copied size.
-        block_ids = getattr(segment, "block_ids", None)
-        if block_ids is None:
-            self._num_bytes += segment.nbytes
-            return
-        for block in block_ids:
+    def _charge(self, prefix: PagedPrefix) -> None:
+        # Add the prefix's storage to ``_num_bytes`` per *physical block*,
+        # first pin only.
+        for block in prefix.block_ids:
             count = self._block_refs.get(block, 0)
             if count == 0:
-                self._num_bytes += segment.block_nbytes
+                self._num_bytes += prefix.block_nbytes
             self._block_refs[block] = count + 1
 
-    def _discharge(self, segment: Segment) -> None:
+    def _discharge(self, prefix: PagedPrefix) -> None:
         # Inverse of :meth:`_charge`: credit bytes back when the last
         # retained pin of a block disappears.
-        block_ids = getattr(segment, "block_ids", None)
-        if block_ids is None:
-            self._num_bytes -= segment.nbytes
-            return
-        for block in block_ids:
+        for block in prefix.block_ids:
             count = self._block_refs[block] - 1
             if count == 0:
                 del self._block_refs[block]
-                self._num_bytes -= segment.block_nbytes
+                self._num_bytes -= prefix.block_nbytes
             else:
                 self._block_refs[block] = count
-
-    @staticmethod
-    def _release_segment(segment: Segment) -> None:
-        # Paged segments hold pool refcounts that must be dropped explicitly;
-        # row segments are plain copies with nothing to release.
-        release = getattr(segment, "release", None)
-        if release is not None:
-            release()
 
     def _evict_to_budget(self, keep: Optional[TokenKey] = None) -> None:
         # ``keep`` (the just-inserted entry) sits at the MRU tail, so the LRU
@@ -375,8 +337,8 @@ class PrefixCache:
     def _remove(self, key: TokenKey) -> None:
         entry = self._entries.pop(key)
         self._num_tokens -= len(key)
-        self._discharge(entry.segment)
-        self._release_segment(entry.segment)
+        self._discharge(entry.prefix)
+        entry.prefix.release()
         self.stats.evictions += 1
         # Unlink the entry from its trie path, pruning nodes no surviving
         # entry passes through (leaf-to-root, so parents see updated children).

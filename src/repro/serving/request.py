@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.decoding import DecodeResult, StepRecord
 from repro.models.generation import GenerationConfig
-from repro.nn.kv_cache import KVCache
+from repro.nn.kv_pool import PagedKVCache
 
 
 def derive_request_rng(request: "GenerationRequest") -> np.random.Generator:
@@ -176,7 +176,7 @@ class RequestState:
     #: Private batch-1 cache holding the prompt while the request is
     #: ``PREFILLING``; merged into the engine's shared cache (and dropped
     #: here) when prefill completes.
-    row_cache: Optional[KVCache] = None
+    row_cache: Optional[PagedKVCache] = None
     #: Base-head logits at the last committed position (``(V,)``).
     last_base: Optional[np.ndarray] = None
     #: Medusa-head logits at the last committed position.

@@ -166,6 +166,24 @@ class Scheduler:
         self.submitted_count += 1
         self.waiting.append(state)
 
+    def head(self) -> Optional[RequestState]:
+        """The queued request admission considers first (``None`` when idle).
+
+        With ``SchedulerConfig.priorities`` set, this first reorders
+        ``waiting`` by effective priority (class + aging bonus, FCFS within a
+        level — see :class:`PriorityConfig`), exactly as :meth:`admit` does,
+        so a caller sizing resources for the next admission sizes them for
+        the request that will actually be tried.  The order is total and
+        aging only advances inside :meth:`admit`, so calling this again
+        before :meth:`admit` changes nothing.
+        """
+        policy = self.config.priorities
+        if policy is not None and len(self.waiting) > 1:
+            self.waiting = deque(
+                sorted(self.waiting, key=lambda s: (-policy.effective_priority(s), s.submit_seq))
+            )
+        return self.waiting[0] if self.waiting else None
+
     def admit(
         self,
         free_page_tokens: Optional[int] = None,
@@ -177,9 +195,9 @@ class Scheduler:
         stops at the first request that does not fit, so later small requests
         cannot starve an earlier large one.  With
         ``SchedulerConfig.priorities`` set, the queue is first reordered by
-        effective priority (class + aging bonus, FCFS within a level — see
-        :class:`PriorityConfig`) and admission then proceeds identically over
-        that order; every request still waiting afterwards ages by one round.
+        effective priority (:meth:`head`) and admission then proceeds
+        identically over that order; every request still waiting afterwards
+        ages by one round.
         Either way, if nothing is running the head request is admitted
         unconditionally (progress guarantee).
 
@@ -196,18 +214,14 @@ class Scheduler:
                 it; a request that does not fit is **deferred** (page
                 exhaustion shows up as queueing, not as a mid-step
                 allocation failure) until running requests finish and free
-                their pages.  ``None`` — the row-cache engine — disables the
-                gate.
+                their pages.  ``None`` disables the gate (the scheduler on
+                its own, without an engine's pool behind it).
             page_overhead_tokens: Per-request page slack the engine reserves
                 on top of the footprint: the partially-filled last block plus
                 the transient copy-on-write blocks of speculative candidate
                 tiling.
         """
-        policy = self.config.priorities
-        if policy is not None and len(self.waiting) > 1:
-            self.waiting = deque(
-                sorted(self.waiting, key=lambda s: (-policy.effective_priority(s), s.submit_seq))
-            )
+        self.head()
         admitted: List[RequestState] = []
         tokens = self.tokens_in_flight
         pages_left = free_page_tokens
@@ -229,7 +243,7 @@ class Scheduler:
             tokens += footprint
             if pages_left is not None:
                 pages_left -= page_cost
-        if policy is not None:
+        if self.config.priorities is not None:
             for state in self.waiting:
                 state.waited_rounds += 1
         return admitted

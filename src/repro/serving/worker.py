@@ -125,7 +125,6 @@ def engine_from_pipeline(
     num_candidates: int = 3,
     scheduler_config: Any = None,
     prefix_cache_tokens: Optional[int] = None,
-    kv_memory: str = "paged",
     kv_block_size: int = 16,
     kv_pool_blocks: Optional[int] = None,
 ):
@@ -149,7 +148,6 @@ def engine_from_pipeline(
         num_candidates=num_candidates,
         scheduler_config=scheduler_config,
         prefix_cache=prefix_cache,
-        kv_memory=kv_memory,
         kv_block_size=kv_block_size,
         kv_pool_blocks=kv_pool_blocks,
     )

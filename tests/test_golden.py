@@ -3,10 +3,10 @@
 ``tests/golden/*.json`` pins exact prompt -> output token sequences for all
 three methods under greedy decoding and seeded sampling, generated by
 ``scripts/regen_golden.py`` from the same canonical pipeline configuration
-the ``tiny_pipeline`` fixture uses.  The step kernel — driven sequentially,
-by the engine in both K/V memory modes, through the async front-end and
-through a one-worker router — and the full-recompute oracle must all
-reproduce them bit-for-bit; a legitimate behaviour change regenerates the
+the ``tiny_pipeline`` fixture uses.  The step kernel — driven sequentially
+over the row cache, by the engine over the paged pool, through the async
+front-end and through a one-worker router — and the full-recompute oracle
+must all reproduce them bit-for-bit; a legitimate behaviour change regenerates the
 fixtures (and the diff documents exactly which sequences moved).
 """
 
@@ -75,12 +75,11 @@ def test_golden_tokens_reference_decoder(tiny_pipeline, method):
 
 
 @pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("kv_memory", ["paged", "row"])
-def test_golden_tokens_engine(tiny_pipeline, method, kv_memory):
+def test_golden_tokens_engine(tiny_pipeline, method):
     fixture = load_fixture(method)
     for case in fixture["cases"]:
         config = config_from_dict(case["config"])
-        engine = tiny_pipeline.engine_for(method, kv_memory=kv_memory)
+        engine = tiny_pipeline.engine_for(method)
         request_ids = [engine.submit_text(prompt, config) for prompt in fixture["prompts"]]
         results = engine.run()
         assert [results[request_id].token_ids for request_id in request_ids] == case["outputs"]

@@ -1,7 +1,7 @@
 """Unit tests for the paged K/V block pool (refcounts, COW, table ops).
 
-Engine-level behaviour — paged/row token identity across decode modes, the
-zero-copy prefix counter, page-gated admission — lives in
+Engine-level behaviour — token identity with sequential ``generate`` across
+decode modes, zero-copy prefix hits, page-gated admission — lives in
 ``tests/test_serving.py``.  This file pins down the storage layer itself:
 :class:`~repro.nn.kv_pool.KVBlockPool` allocation and refcounting,
 :class:`~repro.nn.kv_pool.PagedKVCache` table operations against the row
@@ -17,7 +17,7 @@ import pytest
 
 from proptest import Cases, for_all, num_cases
 
-from repro.nn.kv_cache import KVCache, KVSegment
+from repro.nn.kv_cache import KVCache
 from repro.nn.kv_pool import (
     KVBlockPool,
     KVPoolExhausted,
@@ -57,6 +57,18 @@ def append_both(row_cache: KVCache, paged: PagedKVCache, rng, width: int, widths
     finally:
         row_cache.set_append_widths(None)
         paged.set_append_widths(None)
+
+
+def row_with_prefix(source: KVCache, row: int, take: int, capacity: int) -> KVCache:
+    """A fresh batch-1 row cache holding ``source`` row ``row``'s first ``take`` positions.
+
+    The row-cache side of a paged prefix splice: appending the positions is
+    what a fresh row that had spliced them would hold.
+    """
+    fresh = KVCache(LAYERS, HEADS, HEAD_DIM, capacity=capacity, batch=1)
+    for layer, source_layer in zip(fresh.layers, source.layers):
+        layer.append(source_layer.k[row : row + 1, :, :take], source_layer.v[row : row + 1, :, :take])
+    return fresh
 
 
 def read_layer(paged: PagedKVCache, layer: int, view: int):
@@ -412,27 +424,6 @@ class TestZeroCopySplice:
         prefix.release()
         cache.release()
 
-    def test_mixing_modes_raises_a_friendly_error(self):
-        pool = make_pool()
-        paged = PagedKVCache(pool, batch=1)
-        rng = np.random.default_rng(9)
-        segment = KVSegment(
-            [rng.normal(size=(HEADS, 3, HEAD_DIM)).astype(np.float32) for _ in range(LAYERS)],
-            [rng.normal(size=(HEADS, 3, HEAD_DIM)).astype(np.float32) for _ in range(LAYERS)],
-        )
-        with pytest.raises(TypeError, match="PagedPrefix"):
-            paged.splice_prefix(0, segment)
-        row_cache = KVCache(LAYERS, HEADS, HEAD_DIM, capacity=16, batch=1)
-        paged2 = PagedKVCache(pool, batch=1)
-        for layer in paged2.layers:
-            layer.append(*random_kv(rng, 1, 3))
-        prefix = paged2.snapshot_prefix(0, 3)
-        with pytest.raises(TypeError, match="KVSegment"):
-            row_cache.splice_prefix(0, prefix)
-        prefix.release()
-        paged.release()
-        paged2.release()
-
 
 class TestPagedOpsFuzz:
     """Random op sequences: paged content tracks the row oracle; no leaks."""
@@ -472,11 +463,9 @@ class TestPagedOpsFuzz:
                 length = int(paged.lengths[source_row])
                 if length > 0:
                     take = cases.integer(1, length)
-                    segment = row_cache.gather_prefix(source_row, take)
                     prefix = paged.snapshot_prefix(source_row, take)
-                    fresh_row = KVCache(LAYERS, HEADS, HEAD_DIM, capacity=128, batch=1)
+                    fresh_row = row_with_prefix(row_cache, source_row, take, capacity=128)
                     fresh_paged = PagedKVCache(pool, batch=1)
-                    fresh_row.splice_prefix(0, segment)
                     fresh_paged.splice_prefix(0, prefix)
                     prefix.release()
                     row_cache = KVCache.concat([row_cache, fresh_row])
@@ -556,14 +545,14 @@ class TestAppendReturnsTheRowOraclesViews:
                 fresh_row = KVCache(LAYERS, HEADS, HEAD_DIM, capacity=160, batch=1)
                 fresh_paged = PagedKVCache(pool, batch=1)
                 if retained and cases.boolean(0.7):
-                    segment, prefix = cases.choice(retained)
+                    retained_row, prefix = cases.choice(retained)
                     take = cases.integer(1, prefix.length)
-                    fresh_row.splice_prefix(0, segment.head(take))
+                    fresh_row = row_with_prefix(retained_row, 0, take, capacity=160)
                     fresh_paged.splice_prefix(0, prefix.head(take))
                 # The divergent suffix copy-on-writes the spliced trailing block.
                 append_and_compare(fresh_row, fresh_paged, rng, cases.integer(1, 7))
                 length = fresh_paged.length
-                retained.append((fresh_row.gather_prefix(0, length), fresh_paged.snapshot_prefix(0, length)))
+                retained.append((row_with_prefix(fresh_row, 0, length, capacity=160), fresh_paged.snapshot_prefix(0, length)))
                 row_cache = KVCache.concat([row_cache, fresh_row]) if batch_now else fresh_row
                 paged = PagedKVCache.concat([paged, fresh_paged]) if batch_now else fresh_paged
             assert_same_content(row_cache, paged)

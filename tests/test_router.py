@@ -163,7 +163,7 @@ class TestEngineControl:
         control = EngineControl(engine)
         stats = control.handle(QueryCommand(kind="stats")).payload
         assert stats["queue_depth"] == 0 and not stats["has_work"]
-        assert control.handle(QueryCommand(kind="kv_pool_stats")).payload["kv_memory"] == "paged"
+        assert control.handle(QueryCommand(kind="kv_pool_stats")).payload["blocks_in_use"] == 0
         assert "hit_rate" in control.handle(QueryCommand(kind="prefix_cache_stats")).payload
         with pytest.raises(ValueError):
             control.handle(QueryCommand(kind="nonsense"))

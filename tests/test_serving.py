@@ -16,9 +16,11 @@ from proptest import Cases, for_all, num_cases
 
 from repro.core.decoding import DecodingStrategy
 from repro.models.generation import GenerationConfig
+from repro.nn.kv_pool import PagedKVCache
 from repro.serving import (
     GenerationRequest,
     PrefixCache,
+    PriorityConfig,
     RequestState,
     RequestStatus,
     Scheduler,
@@ -43,7 +45,6 @@ def _engine(
     method,
     strategy,
     prefix_cache=None,
-    kv_memory="paged",
     kv_block_size=16,
     kv_pool_blocks=None,
     **scheduler_kwargs,
@@ -54,7 +55,6 @@ def _engine(
         strategy=strategy,
         scheduler_config=SchedulerConfig(**scheduler_kwargs) if scheduler_kwargs else None,
         prefix_cache=prefix_cache,
-        kv_memory=kv_memory,
         kv_block_size=kv_block_size,
         kv_pool_blocks=kv_pool_blocks,
     )
@@ -204,11 +204,12 @@ class TestServingEngineBehaviour:
         assert engine.scheduler_latency(request_id) >= 0.0
 
 
-def _state(request_id: str, prompt_len: int, max_new: int) -> RequestState:
+def _state(request_id: str, prompt_len: int, max_new: int, priority: int = 0) -> RequestState:
     request = GenerationRequest(
         request_id=request_id,
         prompt_ids=list(range(prompt_len)),
         config=GenerationConfig.greedy_config(max_new),
+        priority=priority,
     )
     return RequestState(request=request)
 
@@ -298,6 +299,17 @@ class TestScheduler:
         assert scheduler.admit(free_page_tokens=0) == []
         # Once pages free up again, small requests resume flowing.
         assert [s.request.request_id for s in scheduler.admit(free_page_tokens=16)] == ["next"]
+
+    def test_head_is_the_request_admit_tries_first(self):
+        scheduler = Scheduler(SchedulerConfig(priorities=PriorityConfig(aging_rounds=8)))
+        assert scheduler.head() is None
+        low = _state("low", prompt_len=1, max_new=1)
+        high = _state("high", prompt_len=1, max_new=1, priority=5)
+        scheduler.submit(low)
+        scheduler.submit(high)
+        assert scheduler.head() is high
+        assert scheduler.head() is high  # reordering again changes nothing
+        assert scheduler.admit(free_page_tokens=2)[0] is high
 
 
 class TestSchedulerFuzz:
@@ -832,86 +844,83 @@ def _mixed_configs(count):
 
 
 class TestPagedKVMemory:
-    """The paged block pool: token identity with the row oracle, zero-copy
-    prefix hits, uniform stats, strictly lower peak memory, and no page
-    leaks across completion and cancellation."""
+    """The paged block pool: token identity with sequential generate (whose
+    row cache is the oracle), zero-copy prefix hits, peak memory that tracks
+    cached tokens, and no page leaks across completion and cancellation."""
 
     @pytest.mark.parametrize("method,strategy", METHODS)
     def test_row_oracle_matches_paged_default(self, tiny_pipeline, method, strategy):
-        """kv_memory='row' and the paged default commit identical tokens
-        under mixed greedy/sampling/tree configs, chunked prefill and prefix
-        reuse — the tests' strongest cross-mode identity statement."""
+        """The engine commits the tokens sequential generate commits over its
+        contiguous row cache, under mixed greedy/sampling/tree configs,
+        chunked prefill and prefix reuse — the tests' strongest cross-storage
+        identity statement."""
         prompts = _shared_prefix_prompts(tiny_pipeline, 6)
         configs = _mixed_configs(len(prompts))
+        decoder = tiny_pipeline.decoder_for(method)
+        sequential = [decoder.generate_from_text(p, c).token_ids for p, c in zip(prompts, configs)]
 
-        outputs = {}
-        for kv_memory in ("row", "paged"):
-            engine = _engine(
-                tiny_pipeline, method, strategy,
-                kv_memory=kv_memory,
-                prefix_cache=PrefixCache(max_tokens=4096),
-                max_active_requests=3, max_prefill_tokens_per_step=7,
-            )
-            request_ids = [engine.submit_text(p, c) for p, c in zip(prompts, configs)]
-            results = engine.run()
-            outputs[kv_memory] = [results[request_id].token_ids for request_id in request_ids]
-        assert outputs["paged"] == outputs["row"]
+        engine = _engine(
+            tiny_pipeline, method, strategy,
+            prefix_cache=PrefixCache(max_tokens=4096),
+            max_active_requests=3, max_prefill_tokens_per_step=7,
+        )
+        request_ids = [engine.submit_text(p, c) for p, c in zip(prompts, configs)]
+        results = engine.run()
+        assert engine.prefix_cache_stats()["hits"] > 0
+        assert [results[request_id].token_ids for request_id in request_ids] == sequential
 
-    def test_prefix_hits_are_zero_copy(self, tiny_pipeline):
-        """Paged prefix hits alias pool pages: the engine's copy counter
-        stays 0 while the row engine copies every reused position."""
+    def test_prefix_hits_are_zero_copy(self, tiny_pipeline, monkeypatch):
+        """Prefix hits alias pool pages: every splice the engine makes leaves
+        the hit row's table equal to the retained block ids, allocates no
+        block and copies none, and the copy counter stays 0."""
+        splices = []
+        original = PagedKVCache.splice_prefix
+
+        def checked_splice(cache, row, prefix):
+            pool = cache.pool
+            before = (pool.blocks_in_use, pool.cow_events)
+            original(cache, row, prefix)
+            assert cache._tables[row] == list(prefix.block_ids)
+            assert (pool.blocks_in_use, pool.cow_events) == before
+            splices.append(prefix.length)
+
+        monkeypatch.setattr(PagedKVCache, "splice_prefix", checked_splice)
         prompts = _shared_prefix_prompts(tiny_pipeline, 4) * 2
         config = GenerationConfig.greedy_config(8)
-        counters = {}
-        for kv_memory in ("paged", "row"):
-            engine = _engine(
-                tiny_pipeline, "ours", DecodingStrategy.OURS,
-                kv_memory=kv_memory,
-                prefix_cache=PrefixCache(max_tokens=4096), max_active_requests=2,
-            )
-            for prompt in prompts:
-                engine.submit_text(prompt, config)
-            engine.run()
-            assert engine.prefix_cache_stats()["hits"] > 0
-            counters[kv_memory] = engine.kv_pool_stats()["prefix_copy_tokens"]
-        assert counters["paged"] == 0
-        assert counters["row"] > 0
-
-    def test_kv_pool_stats_uniform_keys(self, tiny_pipeline):
-        """Both memory modes report the same stat keys, so replay reports
-        and dashboards need no per-mode branching."""
-        config = GenerationConfig.greedy_config(4)
-        stats = {}
-        for kv_memory in ("paged", "row"):
-            engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, kv_memory=kv_memory)
-            engine.submit_text("module m (input clk);", config)
-            engine.run()
-            stats[kv_memory] = engine.kv_pool_stats()
-        assert set(stats["paged"]) == set(stats["row"])
-        assert stats["paged"]["kv_memory"] == "paged"
-        assert stats["row"]["kv_memory"] == "row"
-        assert stats["paged"]["peak_kv_bytes"] > 0
-        assert stats["row"]["peak_kv_bytes"] > 0
-        assert stats["paged"]["blocks_in_use"] == 0  # everything released at drain
+        engine = _engine(
+            tiny_pipeline, "ours", DecodingStrategy.OURS,
+            prefix_cache=PrefixCache(max_tokens=4096), max_active_requests=2,
+        )
+        for prompt in prompts:
+            engine.submit_text(prompt, config)
+        engine.run()
+        stats = engine.prefix_cache_stats()
+        assert stats["hits"] == len(splices) > 0
+        assert stats["prompt_tokens_reused"] == sum(splices)
+        assert engine.kv_pool_stats()["prefix_copy_tokens"] == 0
 
     def test_paged_peak_kv_bytes_lower_on_shared_prefixes(self, tiny_pipeline):
-        """The headline memory claim, at test scale: paged peak K/V bytes
-        are strictly below the row engine's reserved-buffer peak on a
-        shared-prefix workload."""
+        """The headline memory claim, at test scale: on a shared-prefix
+        workload the pool's peak K/V bytes stay strictly below what
+        contiguous rows would reserve for the concurrently running requests
+        alone (one full context window each)."""
         prompts = _shared_prefix_prompts(tiny_pipeline, 4) * 2
         config = GenerationConfig.greedy_config(8)
-        peaks = {}
-        for kv_memory in ("paged", "row"):
-            engine = _engine(
-                tiny_pipeline, "ours", DecodingStrategy.OURS,
-                kv_memory=kv_memory,
-                prefix_cache=PrefixCache(max_tokens=4096), max_active_requests=4,
-            )
-            for prompt in prompts:
-                engine.submit_text(prompt, config)
-            engine.run()
-            peaks[kv_memory] = engine.kv_pool_stats()["peak_kv_bytes"]
-        assert 0 < peaks["paged"] < peaks["row"]
+        engine = _engine(
+            tiny_pipeline, "ours", DecodingStrategy.OURS,
+            prefix_cache=PrefixCache(max_tokens=4096), max_active_requests=4,
+        )
+        for prompt in prompts:
+            engine.submit_text(prompt, config)
+        max_running = 0
+        while engine.has_work:
+            engine.step()
+            max_running = max(max_running, engine.num_active)
+        pool = engine._pool
+        bytes_per_token = pool.block_nbytes // pool.block_size
+        row_reservation = max_running * engine.max_seq_len * bytes_per_token
+        assert max_running == 4
+        assert 0 < engine.kv_pool_stats()["peak_kv_bytes"] < row_reservation
 
     def test_pool_drains_after_run(self, tiny_pipeline):
         """No page leaks: after a run every block reference is back at zero
@@ -990,14 +999,65 @@ class TestPagedKVMemory:
             assert engine.result(request_id).token_ids == expected.token_ids
         assert engine._pool.blocks_in_use == 0
 
+    def test_pre_eviction_sizes_for_the_priority_head(self, tiny_pipeline):
+        """Retention never starves admission, with priorities on too: the
+        engine pre-evicts retained prefixes for the request admission will try
+        first (the high-priority one), not for the oldest queued request."""
+        engine = _engine(
+            tiny_pipeline, "ours", DecodingStrategy.OURS,
+            prefix_cache=PrefixCache(max_tokens=4096),
+            kv_block_size=16, kv_pool_blocks=40,
+            priorities=PriorityConfig(aging_rounds=8),
+        )
+        # Distinct leading tokens, so no prompt reuses another's blocks.
+        engine.submit([5] * 64, GenerationConfig.greedy_config(1))
+        engine.run()  # retains 64 prompt tokens: 4 blocks only the prefix cache holds
+        engine.submit([6] * 8, GenerationConfig.greedy_config(200))
+        engine.step()
+        assert engine.num_active == 1
+        kwargs = engine._admission_kwargs()
+        free, overhead = kwargs["free_page_tokens"], kwargs["page_overhead_tokens"]
+        # The small request (footprint 4) fits as is; the large one only once
+        # eviction frees more than the 8 tokens it lacks.
+        assert free >= 4 + overhead
+        small = engine.submit([7] * 3, GenerationConfig.greedy_config(1), priority=0)
+        large_footprint = free - overhead + 8
+        large = engine.submit([8] * 10, GenerationConfig.greedy_config(large_footprint - 10), priority=5)
+        engine.step()
+        waiting = [state.request.request_id for state in engine.scheduler.waiting]
+        assert large not in waiting
+        assert engine.prefix_cache.stats.evictions > 0
+        assert small in waiting  # what eviction freed went to the large request
+
+
+def _check_pool_invariants(engine) -> None:
+    """The engine's page bookkeeping between steps: every block's refcount is
+    exactly its occurrences in the shared cache's tables, the prefilling rows'
+    tables and the prefix cache's retained block ids, and the free list is
+    exactly the unreferenced blocks, each once."""
+    pool = engine._pool
+    tables = list(engine._cache._tables) if engine._cache is not None else []
+    for state in engine._prefilling:
+        tables += state.row_cache._tables
+    if engine.prefix_cache is not None:
+        tables += [entry.prefix.block_ids for entry in engine.prefix_cache._entries.values()]
+    held = np.zeros(pool.num_blocks, dtype=np.int64)
+    for table in tables:
+        np.add.at(held, list(table), 1)
+    np.testing.assert_array_equal(pool.refcounts, held)
+    assert len(set(pool._free)) == len(pool._free), "a block is on the free list twice"
+    assert sorted(pool._free) == np.flatnonzero(held == 0).tolist()
+
 
 class TestPagedEngineChurnFuzz:
     """Random submit/step/cancel churn against a deliberately small pool.
 
-    The paged invariants under adversarial scheduling: the engine always
-    drains (page exhaustion defers, never deadlocks), and every pool block
-    reference returns to zero afterwards (no leaks through cancellation,
-    retention, or mid-flight eviction)."""
+    The paged invariants under adversarial scheduling: after every step and
+    cancellation the pool's refcounts and free list match the engine's tables
+    and retention (:func:`_check_pool_invariants`), the engine always drains
+    (page exhaustion defers, never deadlocks), and every pool block reference
+    returns to zero afterwards (no leaks through cancellation, retention, or
+    mid-flight eviction)."""
 
     def _run_trace(self, cases: Cases, pipeline) -> None:
         prompts = _prompts(pipeline, 6)
@@ -1025,8 +1085,10 @@ class TestPagedEngineChurnFuzz:
                 submitted.append(engine.submit(ids[index % len(ids)], config))
             elif action == 1 and submitted and cases.boolean(0.3):
                 engine.cancel(cases.choice(submitted))
+                _check_pool_invariants(engine)
             elif engine.has_work:
                 engine.step()
+                _check_pool_invariants(engine)
         assert not pending and not engine.has_work, "churn trace did not drain"
         for request_id in submitted:
             engine.result(request_id)  # every request produced a result
