@@ -24,14 +24,18 @@ row of a shared KV cache each):
   each cache row to its accepted root-to-leaf path so rejected speculative
   tokens never pollute later steps.
 
-:class:`SpeculativeDecoder` drives the kernel as a batch of one over a row
+:class:`SpeculativeDecoder` is the one owner of the decoding policy (model,
+tokenizer, strategy, acceptance rule, candidate count, head cap) and of the
+three operations that apply it to lanes: :meth:`~SpeculativeDecoder.prefill`,
+:meth:`~SpeculativeDecoder.step` (the one dispatch to the two kernel
+functions) and :meth:`~SpeculativeDecoder.finish`.  Its
+:meth:`~SpeculativeDecoder.generate` runs them as a batch of one over a row
 :class:`~repro.nn.kv_cache.KVCache` (both backbones);
-:class:`~repro.serving.ServingEngine` drives it for every running
-request at once.  Both prefill the prompt once and then reach the model only
-through these two functions, so sequential and served generation commit
-identical tokens by construction.  ``tests/reference_decoder.py`` keeps an
-independent cache-free, tree-free loop as the oracle the kernel is tested
-against.
+:class:`~repro.serving.ServingEngine` serves a decoder and runs them for
+every running request at once over paged rows.  So sequential and served
+generation commit identical tokens by construction.
+``tests/reference_decoder.py`` keeps an independent cache-free, tree-free
+loop as the oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -584,7 +588,11 @@ def speculative_step(
 
 
 class SpeculativeDecoder:
-    """Generates Verilog with one of the three decoding strategies, one sequence at a time.
+    """The decoding policy: one of the three strategies with its settings.
+
+    :meth:`generate` decodes one sequence; a
+    :class:`~repro.serving.ServingEngine` serves the same decoder to many
+    requests through :meth:`prefill`, :meth:`step` and :meth:`finish`.
 
     Args:
         model: A trained :class:`~repro.models.medusa.MedusaLM` (decoder-only
@@ -621,6 +629,72 @@ class SpeculativeDecoder:
         self.eos_id = vocab.eos_id
         self.bos_id = vocab.bos_id
 
+    def prefill(
+        self,
+        lane: "RequestState",
+        cache,
+        tokens: Sequence[int],
+        *,
+        final: bool,
+        clock: Callable[[], float],
+    ) -> None:
+        """Forward one chunk of ``lane``'s context into its batch-1 ``cache`` row.
+
+        ``final`` marks the chunk that ends the context: its last position
+        seeds decoding, so ``last_base`` is set from it, and ``last_heads``
+        too when the step kernel will speculate.  Only the forward and that
+        head evaluation are timed into ``lane.prefill_seconds``.
+        """
+        chunk = np.asarray([tokens], dtype=np.int64)
+        start = clock()
+        base_logits, hidden = self.model.forward_hidden(chunk, cache=cache)
+        if final:
+            lane.last_base = base_logits[0, -1]
+            if speculates(self.strategy, self.max_speculative_heads):
+                lane.last_heads = [h[0] for h in self.model.head_logits_at(hidden[:, -1])]
+        lane.prefill_seconds += clock() - start
+
+    def step(self, cache, lanes: Sequence["RequestState"], clock: Callable[[], float]):
+        """One kernel step over every lane: :func:`speculative_step` or :func:`ntp_step`.
+
+        Returns ``(cache, continuing, finished)`` as the kernel functions do.
+        """
+        max_seq_len = self.model.backbone.max_seq_len
+        if speculates(self.strategy, self.max_speculative_heads):
+            return speculative_step(
+                self.model,
+                cache,
+                lanes,
+                strategy=self.strategy,
+                acceptance=self.acceptance,
+                num_candidates=self.num_candidates,
+                max_heads=self.max_speculative_heads,
+                frag_id=self.frag_id,
+                eos_id=self.eos_id,
+                max_seq_len=max_seq_len,
+                clock=clock,
+            )
+        return ntp_step(self.model, cache, lanes, eos_id=self.eos_id, max_seq_len=max_seq_len, clock=clock)
+
+    def finish(self, lane: "RequestState", clock: Callable[[], float]) -> DecodeResult:
+        """Freeze ``lane`` into its :class:`DecodeResult`.
+
+        Commits the grammar closure unless the lane was cancelled (a
+        cancelled lane keeps its partial output untouched), stamps
+        ``finished_at``, decodes the text, and drops the held logits so a
+        retained lane does not pin vocab-width arrays.
+        """
+        from repro.serving.request import RequestStatus  # serving imports this module
+
+        if lane.status is not RequestStatus.CANCELLED:
+            commit_grammar_closure(lane, self.tokenizer, clock())
+        lane.finished_at = clock()
+        text = self.tokenizer.decode(lane.output_ids, keep_frag=True)
+        code = self.tokenizer.decode(lane.output_ids, keep_frag=False)
+        lane.last_base = None
+        lane.last_heads = []
+        return lane.to_result(text, code)
+
     def generate(self, prompt_ids: Sequence[int], config: Optional[GenerationConfig] = None) -> DecodeResult:
         """Generate a completion for ``prompt_ids``.
 
@@ -636,14 +710,14 @@ class SpeculativeDecoder:
         from repro.serving.request import GenerationRequest, RequestState  # serving imports this module
 
         config = config or GenerationConfig.greedy_config()
+        clock = time.perf_counter
         max_seq_len = self.model.backbone.max_seq_len
-        speculative = speculates(self.strategy, self.max_speculative_heads)
         # The lane's context is what occupies decoder positions: the prompt,
         # or BOS alone when an encoder holds the prompt.
         context = [self.bos_id] if self.model.is_encoder_decoder else list(prompt_ids)
         lane = RequestState(
             GenerationRequest("sequential", context, config),
-            started_at=time.perf_counter(),
+            started_at=clock(),
             rng=np.random.default_rng(config.seed),
             grammar_mask=grammar_mask(config.grammar, self.tokenizer),
         )
@@ -651,39 +725,15 @@ class SpeculativeDecoder:
         if not lane_done(lane, max_seq_len):
             headroom = tree_headroom(self.num_candidates, self.max_speculative_heads)
             cache = self.model.new_cache(capacity=max_seq_len + headroom)
-            prefill_start = time.perf_counter()
             if self.model.is_encoder_decoder:
+                encode_start = clock()
                 self.model.encode_prompt(np.asarray(prompt_ids, dtype=np.int64))
-            base_logits, hidden = self.model.forward_hidden(np.asarray([context], dtype=np.int64), cache=cache)
-            lane.last_base = base_logits[0, -1]
-            if speculative:
-                lane.last_heads = [h[0] for h in self.model.head_logits_at(hidden[:, -1])]
-            lane.prefill_seconds = time.perf_counter() - prefill_start
+                lane.prefill_seconds += clock() - encode_start
+            self.prefill(lane, cache, context, final=True, clock=clock)
             lanes = [lane]
             while lanes:
-                if speculative:
-                    cache, lanes, _ = speculative_step(
-                        self.model,
-                        cache,
-                        lanes,
-                        strategy=self.strategy,
-                        acceptance=self.acceptance,
-                        num_candidates=self.num_candidates,
-                        max_heads=self.max_speculative_heads,
-                        frag_id=self.frag_id,
-                        eos_id=self.eos_id,
-                        max_seq_len=max_seq_len,
-                        clock=time.perf_counter,
-                    )
-                else:
-                    cache, lanes, _ = ntp_step(
-                        self.model, cache, lanes, eos_id=self.eos_id, max_seq_len=max_seq_len, clock=time.perf_counter
-                    )
-        commit_grammar_closure(lane, self.tokenizer, time.perf_counter())
-        lane.finished_at = time.perf_counter()
-        text = self.tokenizer.decode(lane.output_ids, keep_frag=True)
-        code = self.tokenizer.decode(lane.output_ids, keep_frag=False)
-        return lane.to_result(text, code)
+                cache, lanes, _ = self.step(cache, lanes, clock)
+        return self.finish(lane, clock)
 
     def generate_from_text(self, prompt: str, config: Optional[GenerationConfig] = None) -> DecodeResult:
         """Tokenize ``prompt`` and generate a completion."""

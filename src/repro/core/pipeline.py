@@ -239,7 +239,7 @@ class VerilogSpecPipeline:
                 for deterministic trace replay; ``None`` = wall clock).
 
         Returns:
-            A fresh engine wrapping the trained model for ``method``.
+            A fresh engine serving ``decoder_for(method, num_candidates)``.
         """
         from repro.serving import ServingEngine
 
@@ -247,13 +247,8 @@ class VerilogSpecPipeline:
         # passes kv_memory="paged"; the engine has no other K/V storage.
         if kv_memory != "paged":
             raise ValueError(f"kv_memory must be 'paged' (the engine's only K/V storage), got {kv_memory!r}")
-        if method not in self.models:
-            raise KeyError(f"method {method!r} has not been trained yet")
         return ServingEngine(
-            self.models[method],
-            self.tokenizer,
-            strategy=METHOD_STRATEGIES[method],
-            num_candidates=num_candidates,
+            self.decoder_for(method, num_candidates),
             scheduler_config=scheduler_config,
             prefix_cache=prefix_cache,
             kv_block_size=kv_block_size,

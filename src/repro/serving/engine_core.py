@@ -1,14 +1,18 @@
 """Continuous-batching serving engine over one paged, ragged KV cache.
 
-:class:`ServingEngine` turns the single-stream speculative decoder into a
-multi-request server: many in-flight requests advance through **one shared
-batched forward per iteration**.  Each running request owns one row of a
-shared :class:`~repro.nn.kv_pool.PagedKVCache`; rows sit at different prefix
-lengths (the cache is *ragged*), and every engine step:
+:class:`ServingEngine` serves a :class:`~repro.core.decoding.SpeculativeDecoder`
+to many requests at once: in-flight requests advance through **one shared
+batched forward per iteration**.  The decoder owns the decoding policy — the
+model, tokenizer, strategy, acceptance rule, candidate count and head cap —
+and the three operations that apply it to a lane: ``prefill``, ``step`` and
+``finish``.  The engine owns only what serving adds: the request table,
+admission, the paged K/V memory and the step loop.  Each running request owns
+one row of a shared :class:`~repro.nn.kv_pool.PagedKVCache`; rows sit at
+different prefix lengths (the cache is *ragged*), and every engine step:
 
 1. **admits** queued requests the :class:`~repro.serving.scheduler.Scheduler`
-   lets in, prefilling each prompt once and merging the new row into the
-   shared cache (``PagedKVCache.concat``).  With a
+   lets in, prefills each prompt once (``decoder.prefill``) and merges the
+   new row into the shared cache (``PagedKVCache.concat``).  With a
    :class:`~repro.serving.prefix_cache.PrefixCache` attached, the longest
    retained prefix of the prompt is aliased into the fresh row
    (``PagedKVCache.splice_prefix``, zero K/V copies) and only the suffix is
@@ -16,18 +20,19 @@ lengths (the cache is *ragged*), and every engine step:
    prefill is paced in fixed-token chunks interleaved with decode steps
    (requests wait in the ``PREFILLING`` status) so long prompts never stall
    the in-flight batch;
-2. **proposes** speculative candidates per request from the logits held at
-   its last committed position (steps 2-4 are the step kernel in
-   :mod:`repro.core.decoding` — :func:`~repro.core.decoding.ntp_step` /
-   :func:`~repro.core.decoding.speculative_step`, the same two functions
-   sequential :meth:`SpeculativeDecoder.generate` drives as a batch of one
-   over a row cache);
-3. **verifies** all candidates of all requests in a single batched cached
-   forward, one token tree per request;
-4. **commits** each request's best accepted run and compacts the cache back
-   to one row per request;
-5. **retires** finished requests, reclaiming their pages and freeing
-   scheduler budget so the next step can admit more work.
+2. **steps** every running request with one ``decoder.step`` call — the step
+   kernel of :mod:`repro.core.decoding`, which proposes candidates from the
+   logits held at each request's last committed position, verifies all of
+   them in a single batched cached forward (one token tree per request),
+   commits each request's best accepted run and compacts the cache back to
+   one row per request;
+3. **retires** finished requests (``decoder.finish`` freezes the result),
+   reclaiming their pages and freeing scheduler budget so the next step can
+   admit more work.
+
+:meth:`SpeculativeDecoder.generate` drives the same three operations as a
+batch of one over a row cache, so there is one decoding policy and one place
+it is written.
 
 The one class owns both halves of serving a request: the request table (id
 allocation, submission validation, result and state retention behind
@@ -72,46 +77,31 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.constrained.mask import grammar_mask
-from repro.core.acceptance import TypicalAcceptance
 from repro.core.decoding import (
     DecodeResult,
-    DecodingStrategy,
-    commit_grammar_closure,
+    SpeculativeDecoder,
     lane_done,
-    ntp_step,
     propose_candidates,  # noqa: F401 - benchmarks/perf/layers.py wraps this name on this module
     select_best_candidate,  # noqa: F401 - likewise
-    speculative_step,
-    speculates,
 )
 from repro.models.generation import GenerationConfig
-from repro.models.medusa import MedusaLM
 from repro.nn.kv_pool import PagedKVCache
 from repro.serving.prefix_cache import PrefixCache
 from repro.serving.request import GenerationRequest, RequestState, RequestStatus, derive_request_rng
 from repro.serving.scheduler import Scheduler, SchedulerConfig
-from repro.tokenizer.bpe import BPETokenizer
 
 
 class ServingEngine:
     """Serves many generation requests through one shared batched forward per step.
 
     Args:
-        model: A trained :class:`~repro.models.medusa.MedusaLM` with a
-            decoder-only backbone.
-        tokenizer: The tokenizer the model was trained with (grammar masks
-            and final text decoding need it).
-        strategy: Decoding regime applied to every request (``NTP`` commits
-            one token per step; ``MEDUSA``/``OURS`` speculate with the extra
-            heads).
-        acceptance: Typical-acceptance rule for sampling runs (defaults to
-            the paper's eq. 1 parameters).
-        num_candidates: Speculative candidates proposed per request per step.
-        max_speculative_heads: Cap on the Medusa heads used for speculation
-            (defaults to all heads the model has).
+        decoder: The :class:`~repro.core.decoding.SpeculativeDecoder` whose
+            policy every request is decoded with — its model (decoder-only
+            backbone), tokenizer, strategy, acceptance rule, candidate count
+            and head cap.  The engine prefills, steps and finishes requests
+            only through the decoder's ``prefill`` / ``step`` / ``finish``,
+            so a served request commits what ``decoder.generate`` commits.
         scheduler_config: Admission/fairness knobs; see
             :class:`~repro.serving.scheduler.SchedulerConfig`.
         prefix_cache: Optional cross-request
@@ -122,10 +112,10 @@ class ServingEngine:
         kv_block_size: Tokens per physical block of the K/V pool.  Smaller
             blocks waste less capacity on partially-filled tails but cost
             more table indirection per gather.
-        kv_pool_blocks: Total physical blocks in the K/V pool.  ``None``
-            sizes it from the scheduler budgets (worst-case committed
-            context + speculative verification transient + prefix-cache
-            retention); see :meth:`_default_pool_blocks`.
+        kv_pool_blocks: Total physical blocks in the K/V pool, at least 1.
+            ``None`` sizes it from the scheduler budgets (worst-case
+            committed context + speculative verification transient +
+            prefix-cache retention); see :meth:`_default_pool_blocks`.
         clock: Time source for every timestamp the engine stamps —
             submission, admission, commits, completion, deadline expiry and
             the prefill timing accumulator.  Defaults to
@@ -139,42 +129,32 @@ class ServingEngine:
 
     def __init__(
         self,
-        model: MedusaLM,
-        tokenizer: BPETokenizer,
-        strategy: DecodingStrategy = DecodingStrategy.OURS,
-        acceptance: Optional[TypicalAcceptance] = None,
-        num_candidates: int = 3,
-        max_speculative_heads: Optional[int] = None,
+        decoder: SpeculativeDecoder,
+        *,
         scheduler_config: Optional[SchedulerConfig] = None,
         prefix_cache: Optional[PrefixCache] = None,
         kv_block_size: int = 16,
         kv_pool_blocks: Optional[int] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
+        model = decoder.model
         if model.is_encoder_decoder:
             raise ValueError(
                 "serving supports decoder-only backbones; encoder-decoder "
                 "serving needs ragged cross-attention memories (not implemented)"
             )
-        self.model = model
-        self.tokenizer = tokenizer
-        self.strategy = strategy
-        self.acceptance = acceptance or TypicalAcceptance()
-        self.num_candidates = max(1, num_candidates)
-        self.max_speculative_heads = (
-            model.num_medusa_heads
-            if max_speculative_heads is None
-            else min(max_speculative_heads, model.num_medusa_heads)
-        )
-        #: Which step kernel runs, and so whether prefill evaluates the heads.
-        self.speculative = speculates(strategy, self.max_speculative_heads)
+        if kv_block_size < 1:
+            raise ValueError(f"kv_block_size must be at least 1, got {kv_block_size}")
+        if kv_pool_blocks is not None and kv_pool_blocks < 1:
+            raise ValueError(f"kv_pool_blocks must be at least 1 (or None to size it), got {kv_pool_blocks}")
+        self.decoder = decoder
         self.scheduler = Scheduler(scheduler_config or SchedulerConfig())
         self.prefix_cache = prefix_cache
         #: Every timestamp the engine produces flows through this callable.
         self.clock: Callable[[], float] = clock or time.perf_counter
         self._pool = model.new_block_pool(
             block_size=kv_block_size,
-            num_blocks=kv_pool_blocks or self._default_pool_blocks(kv_block_size),
+            num_blocks=self._default_pool_blocks(kv_block_size) if kv_pool_blocks is None else kv_pool_blocks,
         )
         # Last-resort reclaim before the pool raises KVPoolExhausted:
         # drop retained prefix-cache entries so their unshared blocks
@@ -193,10 +173,6 @@ class ServingEngine:
         self.tokens_reused_total = 0
         self.prefix_hits = 0
         self.prefix_misses = 0
-        vocab = tokenizer.vocab
-        self.frag_id = vocab.frag_id
-        self.eos_id = vocab.eos_id
-        self.bos_id = vocab.bos_id
         self.max_seq_len = model.backbone.max_seq_len
         #: Shared ragged cache: one row per entry of ``_active`` (same order).
         self._cache: Optional[PagedKVCache] = None
@@ -221,10 +197,13 @@ class ServingEngine:
 
         Worst-case committed context (the scheduler's token budget, plus one
         partially-filled tail block per request), plus the speculative
-        verification transient (each request tiled once per candidate; every
-        tile copy-on-writes its tail block and appends the speculative
-        window), plus full prefix-cache retention, plus a small slack so
-        transient chunked-prefill tails never graze the ceiling.
+        verification transient, plus full prefix-cache retention, plus a
+        small slack so transient chunked-prefill tails never graze the
+        ceiling.  The transient reserves, per running request and per
+        candidate, one tail block and the blocks of a ``heads + 2`` token
+        window.  The kernel actually appends one deduplicated tree to the
+        request's own row (at most :func:`~repro.core.decoding.tree_headroom`
+        positions), so this bounds that append from above.
         """
 
         def blocks(tokens: int) -> int:
@@ -232,8 +211,8 @@ class ServingEngine:
 
         cfg = self.scheduler.config
         decode = blocks(cfg.max_batch_tokens) + cfg.max_active_requests
-        window = self.max_speculative_heads + 2
-        speculative = cfg.max_active_requests * self.num_candidates * (1 + blocks(window))
+        window = self.decoder.max_speculative_heads + 2
+        speculative = cfg.max_active_requests * self.decoder.num_candidates * (1 + blocks(window))
         retention = blocks(self.prefix_cache.max_tokens) if self.prefix_cache is not None else 0
         return decode + speculative + retention + 8
 
@@ -253,10 +232,12 @@ class ServingEngine:
         """Scheduler.admit budgets: the pool's free pages, in tokens.
 
         The per-request overhead charges the tail block its footprint
-        rounds into plus the verification transient (one copy-on-write tail
-        block and a window's worth of fresh blocks per candidate tile), so
-        an admitted batch can always complete a speculative step without
-        tripping the pressure path.
+        rounds into plus the verification transient, reserved as in
+        :meth:`_default_pool_blocks` (per candidate, one tail block and the
+        blocks of a ``heads + 2`` token window — an upper bound on the one
+        tree the kernel appends to the request's row), so an admitted batch
+        can always complete a speculative step without tripping the
+        pressure path.
 
         Free pages are reported net of the *outstanding* claims of requests
         admitted earlier: each in-flight request was admitted against its
@@ -267,8 +248,8 @@ class ServingEngine:
         reach their peak.
         """
         block_size = self._pool.block_size
-        window = self.max_speculative_heads + 2
-        overhead_blocks = 1 + self.num_candidates * (1 + -(-window // block_size))
+        window = self.decoder.max_speculative_heads + 2
+        overhead_blocks = 1 + self.decoder.num_candidates * (1 + -(-window // block_size))
         overhead_tokens = overhead_blocks * block_size
         reserved = 0
         for row, state in enumerate(self._active):
@@ -339,7 +320,7 @@ class ServingEngine:
         prompt = list(prompt_ids)
         if not prompt:
             raise ValueError("cannot serve an empty prompt")
-        vocab_size = self.model.vocab_size
+        vocab_size = self.decoder.model.vocab_size
         for token in prompt:
             if not 0 <= int(token) < vocab_size:
                 raise ValueError(
@@ -381,7 +362,7 @@ class ServingEngine:
     ) -> str:
         """Tokenize ``prompt`` (adding BOS) and queue it for generation."""
         return self.submit(
-            self.tokenizer.encode(prompt, add_bos=True), config, request_id, priority, deadline
+            self.decoder.tokenizer.encode(prompt, add_bos=True), config, request_id, priority, deadline
         )
 
     @property
@@ -534,29 +515,7 @@ class ServingEngine:
         self._advance_prefill()
         if not self._active:
             return
-        if self.speculative:
-            self._cache, self._active, finished = speculative_step(
-                self.model,
-                self._cache,
-                self._active,
-                strategy=self.strategy,
-                acceptance=self.acceptance,
-                num_candidates=self.num_candidates,
-                max_heads=self.max_speculative_heads,
-                frag_id=self.frag_id,
-                eos_id=self.eos_id,
-                max_seq_len=self.max_seq_len,
-                clock=self.clock,
-            )
-        else:
-            self._cache, self._active, finished = ntp_step(
-                self.model,
-                self._cache,
-                self._active,
-                eos_id=self.eos_id,
-                max_seq_len=self.max_seq_len,
-                clock=self.clock,
-            )
+        self._cache, self._active, finished = self.decoder.step(self._cache, self._active, self.clock)
         for state in finished:
             self._finish(state)
 
@@ -655,7 +614,7 @@ class ServingEngine:
             prompt = state.request.prompt_ids
             # Built before the budget check so even a prompt-overflow finish
             # runs the grammar closure, exactly like sequential generate.
-            state.grammar_mask = grammar_mask(state.request.config.grammar, self.tokenizer)
+            state.grammar_mask = grammar_mask(state.request.config.grammar, self.decoder.tokenizer)
             if lane_done(state, self.max_seq_len):
                 # Nothing to decode (the prompt already fills the context
                 # window, or the token budget is zero): finish with an empty
@@ -709,16 +668,10 @@ class ServingEngine:
                 if budget is not None:
                     chunk_len = min(chunk_len, budget)
                     budget -= chunk_len
-                chunk = np.asarray(
-                    [prompt[state.prefill_pos : state.prefill_pos + chunk_len]], dtype=np.int64
+                end = state.prefill_pos + chunk_len
+                self.decoder.prefill(
+                    state, state.row_cache, prompt[state.prefill_pos : end], final=end == len(prompt), clock=self.clock
                 )
-                forward_start = self.clock()
-                base_logits, hidden = self.model.forward_hidden(chunk, cache=state.row_cache)
-                if state.prefill_pos + chunk_len == len(prompt):
-                    state.last_base = base_logits[0, -1]
-                    if self.speculative:
-                        state.last_heads = [h[0] for h in self.model.head_logits_at(hidden[:, -1])]
-                state.prefill_seconds += self.clock() - forward_start
                 state.prefill_pos += chunk_len
                 self.tokens_prefilled_total += chunk_len
             if state.prefill_pos == len(prompt):
@@ -752,19 +705,10 @@ class ServingEngine:
         ``CANCELLED`` status overwritten by the scheduler's ``FINISHED``
         transition).
         """
-        if state.status is not RequestStatus.CANCELLED:
-            # Cancelled requests freeze their partial output untouched.
-            commit_grammar_closure(state, self.tokenizer, self.clock())
-        state.finished_at = self.clock()
+        result = self.decoder.finish(state, self.clock)
         if release:
             self.scheduler.release(state)
-        text = self.tokenizer.decode(state.output_ids, keep_frag=True)
-        code = self.tokenizer.decode(state.output_ids, keep_frag=False)
-        self._results[state.request.request_id] = state.to_result(text, code)
-        # Drop the held logits so finished requests don't pin vocab-width
-        # arrays for the engine's lifetime.
-        state.last_base = None
-        state.last_heads = []
+        self._results[state.request.request_id] = result
         state.notify_done()
 
 

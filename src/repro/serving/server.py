@@ -562,7 +562,7 @@ class AsyncServingEngine:
     ) -> StreamHandle:
         """Tokenize ``prompt`` (adding BOS) and queue it for streaming."""
         return await self.submit(
-            self.engine.tokenizer.encode(prompt, add_bos=True), config, request_id, priority, deadline
+            self.engine.decoder.tokenizer.encode(prompt, add_bos=True), config, request_id, priority, deadline
         )
 
     def _cancel(self, request_id: str) -> bool:

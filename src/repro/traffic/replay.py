@@ -245,7 +245,7 @@ def replay_trace(
                 deferred.append((now + defer_retry_seconds, request, defer_count + 1))
                 return
         engine.submit(
-            engine.tokenizer.encode(request.prompt, add_bos=True),
+            engine.decoder.tokenizer.encode(request.prompt, add_bos=True),
             config=_request_config(request),
             request_id=request.request_id,
             priority=request.priority,
@@ -395,7 +395,7 @@ async def replay_trace_async(server, trace: Trace) -> ReplayReport:
             await asyncio.sleep(delay)
         submitted = loop.time() - start
         handle = await server.submit(
-            engine.tokenizer.encode(request.prompt, add_bos=True),
+            engine.decoder.tokenizer.encode(request.prompt, add_bos=True),
             config=_request_config(request),
             request_id=request.request_id,
             priority=request.priority,

@@ -2,7 +2,9 @@
 
 ``benchmarks/perf/layers.py`` wraps several dozen ``src/`` callables by name,
 ``benchmarks/perf/workloads.py`` builds engines through
-``Pipeline.engine_for`` keywords and reads ``kv_pool_stats()`` keys.  The
+``Pipeline.engine_for`` keywords and reads ``kv_pool_stats()`` keys, and
+``benchmarks/perf/probes.py`` builds a ``Router`` whose workers call
+``repro.serving.worker.engine_from_pipeline`` with a dict of keywords.  The
 benchmark directory is frozen, so a rename or deletion under ``src/`` that
 breaks it would otherwise surface only when the benchmark runs.  These tests
 resolve that surface without wrapping or editing anything under
@@ -21,6 +23,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.pipeline import VerilogSpecPipeline
+from repro.serving.worker import engine_from_pipeline
 
 PERF_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
 
@@ -70,6 +73,21 @@ def test_engine_for_accepts_every_call_the_workloads_make():
         keywords = {keyword.arg: None for keyword in call.keywords}
         signature.bind(None, *[None] * len(call.args), **keywords)
 
+
+def test_engine_from_pipeline_accepts_every_router_factory_the_probes_build():
+    tree = ast.parse((PERF_DIR / "probes.py").read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Router"
+    ]
+    assert calls, "benchmarks/perf/probes.py no longer builds a Router"
+    signature = inspect.signature(engine_from_pipeline)
+    for call in calls:
+        factory, factory_kwargs = call.args[:2]
+        assert ast.literal_eval(factory) == "repro.serving.worker:engine_from_pipeline"
+        assert isinstance(factory_kwargs, ast.Dict)
+        signature.bind(**{ast.literal_eval(key): None for key in factory_kwargs.keys})
 
 def test_engine_for_takes_only_the_paged_kv_memory(tiny_pipeline):
     literal = {

@@ -45,7 +45,7 @@ from repro.constrained import (
     prefilter_candidates,
     token_pieces,
 )
-from repro.core.decoding import DecodingStrategy
+from repro.core.decoding import DecodingStrategy, SpeculativeDecoder
 from repro.evalbench import EvaluationRunner
 from repro.evalbench.passk import pass_at_k, pass_at_k_single
 from repro.evalbench.rtllm import rtllm_suite
@@ -530,7 +530,7 @@ class TestConstrainedDecoding:
         decoder = tiny_pipeline.decoder_for(method)
         sequential = [decoder.generate_from_text(p, c) for p, c in zip(prompts, configs)]
 
-        engine = ServingEngine(tiny_pipeline.models[method], tiny_pipeline.tokenizer, strategy=strategy)
+        engine = ServingEngine(SpeculativeDecoder(tiny_pipeline.models[method], tiny_pipeline.tokenizer, strategy=strategy))
         request_ids = [engine.submit_text(p, c) for p, c in zip(prompts, configs)]
         results = engine.run()
 

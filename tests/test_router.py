@@ -28,7 +28,7 @@ import pytest
 
 from proptest import Cases, for_all, num_cases
 
-from repro.core.decoding import DecodingStrategy
+from repro.core.decoding import DecodingStrategy, SpeculativeDecoder
 from repro.models.generation import GenerationConfig
 from repro.serving import (
     EngineControl,
@@ -74,7 +74,7 @@ def pipeline_file(tiny_pipeline, tmp_path_factory):
 
 
 def _engine(pipeline, method, strategy, **kwargs):
-    return ServingEngine(pipeline.models[method], pipeline.tokenizer, strategy=strategy, **kwargs)
+    return ServingEngine(SpeculativeDecoder(pipeline.models[method], pipeline.tokenizer, strategy=strategy), **kwargs)
 
 
 def _engine_factory(pipeline, method, strategy, prefix_cache_tokens=None, **kwargs):

@@ -14,7 +14,8 @@ import pytest
 
 from proptest import Cases, for_all, num_cases
 
-from repro.core.decoding import DecodingStrategy
+from repro.core.acceptance import TypicalAcceptance
+from repro.core.decoding import DecodingStrategy, SpeculativeDecoder
 from repro.models.generation import GenerationConfig
 from repro.nn.kv_pool import PagedKVCache
 from repro.serving import (
@@ -50,9 +51,7 @@ def _engine(
     **scheduler_kwargs,
 ):
     return ServingEngine(
-        pipeline.models[method],
-        pipeline.tokenizer,
-        strategy=strategy,
+        SpeculativeDecoder(pipeline.models[method], pipeline.tokenizer, strategy=strategy),
         scheduler_config=SchedulerConfig(**scheduler_kwargs) if scheduler_kwargs else None,
         prefix_cache=prefix_cache,
         kv_block_size=kv_block_size,
@@ -158,6 +157,33 @@ class TestServingEquivalence:
             assert results[request_id].token_ids == expected.token_ids
             assert results[request_id].tokens_generated <= budget
 
+    def test_engine_follows_its_decoders_whole_policy(self, tiny_pipeline):
+        """A non-default acceptance rule and head cap reach served requests
+        through the decoder the engine serves: tokens and whole step records
+        equal that decoder's generate, sampling and grammar lanes alike."""
+        model = tiny_pipeline.models["ours"]
+        assert model.num_medusa_heads > 1
+        decoder = SpeculativeDecoder(
+            model,
+            tiny_pipeline.tokenizer,
+            strategy=DecodingStrategy.OURS,
+            acceptance=TypicalAcceptance(epsilon=0.05, delta=0.5),
+            max_speculative_heads=1,
+        )
+        prompts = _prompts(tiny_pipeline, 4)
+        configs = [GenerationConfig.sampling_config(0.9, 20, seed=seed) for seed in (3, 5, 7)]
+        configs.append(GenerationConfig.sampling_config(0.9, 20, seed=11, grammar="verilog"))
+        sequential = [decoder.generate_from_text(p, c) for p, c in zip(prompts, configs)]
+
+        engine = ServingEngine(decoder, scheduler_config=SchedulerConfig(max_active_requests=4))
+        request_ids = [engine.submit_text(p, c) for p, c in zip(prompts, configs)]
+        results = engine.run()
+        for request_id, expected in zip(request_ids, sequential):
+            assert results[request_id].token_ids == expected.token_ids
+            assert results[request_id].step_records == expected.step_records
+            # One speculative head: every candidate is at most two tokens.
+            assert all(record.proposed <= 2 for record in expected.step_records)
+
 
 class TestServingEngineBehaviour:
     def test_rejects_encoder_decoder_models(self, tiny_pipeline):
@@ -169,7 +195,19 @@ class TestServingEngineBehaviour:
         )
         model = MedusaLM(backbone, vocab_size=64, num_medusa_heads=2)
         with pytest.raises(ValueError, match="decoder-only"):
-            ServingEngine(model, tiny_pipeline.tokenizer)
+            ServingEngine(SpeculativeDecoder(model, tiny_pipeline.tokenizer))
+
+    def test_rejects_zero_kv_block_size(self, tiny_pipeline):
+        """Regression: the default pool sizing divided by the block size
+        before the pool could validate it (ZeroDivisionError)."""
+        with pytest.raises(ValueError, match="kv_block_size"):
+            tiny_pipeline.engine_for("ours", kv_block_size=0)
+
+    def test_rejects_zero_kv_pool_blocks(self, tiny_pipeline):
+        """Regression: ``kv_pool_blocks=0`` silently meant "size it for me";
+        only ``None`` derives the pool size."""
+        with pytest.raises(ValueError, match="kv_pool_blocks"):
+            tiny_pipeline.engine_for("ours", kv_pool_blocks=0)
 
     def test_rejects_empty_prompt_and_duplicate_ids(self, tiny_pipeline):
         engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)

@@ -32,9 +32,6 @@ from repro.constrained.mask import grammar_mask
 from repro.core.decoding import (
     DecodingStrategy,
     SpeculativeDecoder,
-    ntp_step,
-    speculates,
-    speculative_step,
     tree_headroom,
 )
 from repro.core.pipeline import PipelineConfig, VerilogSpecPipeline
@@ -181,10 +178,8 @@ class TestContextWindowEdges:
 def _run_together(decoder, jobs, paged):
     """Drive the kernel directly over all ``jobs`` as one batch; returns the lanes."""
     model = decoder.model
-    max_seq_len = model.backbone.max_seq_len
-    speculative = speculates(decoder.strategy, decoder.max_speculative_heads)
     pool = model.new_block_pool(block_size=8, num_blocks=64 * len(jobs)) if paged else None
-    row_capacity = max_seq_len + tree_headroom(decoder.num_candidates, decoder.max_speculative_heads)
+    row_capacity = model.backbone.max_seq_len + tree_headroom(decoder.num_candidates, decoder.max_speculative_heads)
     lanes, caches = [], []
     for index, (prompt_ids, config) in enumerate(jobs):
         lane = RequestState(
@@ -193,32 +188,13 @@ def _run_together(decoder, jobs, paged):
             grammar_mask=grammar_mask(config.grammar, decoder.tokenizer),
         )
         cache = PagedKVCache(pool, batch=1) if paged else model.new_cache(capacity=row_capacity)
-        base_logits, hidden = model.forward_hidden(np.asarray([prompt_ids], dtype=np.int64), cache=cache)
-        lane.last_base = base_logits[0, -1]
-        lane.last_heads = [h[0] for h in model.head_logits_at(hidden[:, -1])]
+        decoder.prefill(lane, cache, prompt_ids, final=True, clock=time.perf_counter)
         lanes.append(lane)
         caches.append(cache)
     cache = PagedKVCache.concat(caches) if paged else KVCache.concat(caches)
     running = lanes
     while running:
-        if speculative:
-            cache, running, _ = speculative_step(
-                model,
-                cache,
-                running,
-                strategy=decoder.strategy,
-                acceptance=decoder.acceptance,
-                num_candidates=decoder.num_candidates,
-                max_heads=decoder.max_speculative_heads,
-                frag_id=decoder.frag_id,
-                eos_id=decoder.eos_id,
-                max_seq_len=max_seq_len,
-                clock=time.perf_counter,
-            )
-        else:
-            cache, running, _ = ntp_step(
-                model, cache, running, eos_id=decoder.eos_id, max_seq_len=max_seq_len, clock=time.perf_counter
-            )
+        cache, running, _ = decoder.step(cache, running, time.perf_counter)
     cache.release()
     if paged:
         assert pool.blocks_in_use == 0
@@ -279,7 +255,7 @@ class TestNtpNeverEvaluatesHeads:
 
     def test_engine(self, tiny_pipeline, counted_model):
         model, calls = counted_model
-        engine = ServingEngine(model, tiny_pipeline.tokenizer, strategy=DecodingStrategy.NTP)
+        engine = ServingEngine(SpeculativeDecoder(model, tiny_pipeline.tokenizer, strategy=DecodingStrategy.NTP))
         for example in tiny_pipeline.examples[:2]:
             engine.submit_text(example.prompt_text(), GenerationConfig.greedy_config(5))
         engine.run()

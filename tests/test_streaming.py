@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.core.decoding import DecodingStrategy
+from repro.core.decoding import DecodingStrategy, SpeculativeDecoder
 from repro.models.generation import GenerationConfig
 from repro.serving import (
     AsyncServingEngine,
@@ -50,9 +50,7 @@ def _prompts(pipeline, count):
 
 def _engine(pipeline, method, strategy, prefix_cache=None, clock=None, **scheduler_kwargs):
     return ServingEngine(
-        pipeline.models[method],
-        pipeline.tokenizer,
-        strategy=strategy,
+        SpeculativeDecoder(pipeline.models[method], pipeline.tokenizer, strategy=strategy),
         scheduler_config=SchedulerConfig(**scheduler_kwargs) if scheduler_kwargs else None,
         prefix_cache=prefix_cache,
         clock=clock,

@@ -23,7 +23,7 @@ def _prompts(pipeline, count):
 
 
 def _engine_metrics(pipeline, prompts):
-    engine = ServingEngine(pipeline.models["ours"], pipeline.tokenizer)
+    engine = ServingEngine(pipeline.decoder_for("ours"))
     for index, prompt in enumerate(prompts):
         engine.submit(prompt, config=GenerationConfig.greedy_config(12), request_id=f"r{index}")
     results = engine.run()
@@ -32,7 +32,7 @@ def _engine_metrics(pipeline, prompts):
 
 def _router_metrics(pipeline, prompts):
     def factory():
-        return ServingEngine(pipeline.models["ours"], pipeline.tokenizer)
+        return ServingEngine(pipeline.decoder_for("ours"))
 
     router = Router(factory, config=RouterConfig(num_workers=1, start_method="fork"))
     with router:

@@ -124,7 +124,7 @@ class TestSimulatedDeterminism:
 
         for request in trace.requests:
             reference.submit(
-                reference.tokenizer.encode(request.prompt, add_bos=True),
+                reference.decoder.tokenizer.encode(request.prompt, add_bos=True),
                 config=GenerationConfig.greedy_config(max_new_tokens=request.max_new_tokens),
                 request_id=request.request_id,
             )
