@@ -29,11 +29,13 @@ tokenizer, strategy, acceptance rule, candidate count, head cap) and of the
 three operations that apply it to lanes: :meth:`~SpeculativeDecoder.prefill`,
 :meth:`~SpeculativeDecoder.step` (the one dispatch to the two kernel
 functions) and :meth:`~SpeculativeDecoder.finish`.  Its
-:meth:`~SpeculativeDecoder.generate` runs them as a batch of one over a row
-:class:`~repro.nn.kv_cache.KVCache` (both backbones);
+:meth:`~SpeculativeDecoder.generate_many` runs them over a row
+:class:`~repro.nn.kv_cache.KVCache` for one prompt decoded under several
+configs — one prefill, one lane per config, both backbones — and
+:meth:`~SpeculativeDecoder.generate` is that with one lane;
 :class:`~repro.serving.ServingEngine` serves a decoder and runs them for
-every running request at once over paged rows.  So sequential and served
-generation commit identical tokens by construction.
+every running request at once over paged rows.  So sequential, batched and
+served generation commit identical tokens by construction.
 ``tests/reference_decoder.py`` keeps an independent cache-free, tree-free
 loop as the oracle the kernel is tested against.
 """
@@ -280,17 +282,23 @@ class StepRecord:
 
 @dataclass
 class DecodeResult:
-    """Outcome of one generation run."""
+    """Outcome of one generation run.
+
+    A lane of :meth:`SpeculativeDecoder.generate_many` reports the batch's
+    wall time as its ``wall_time_seconds`` and the one prefill its lanes
+    share as its ``prefill_seconds``.
+    """
 
     token_ids: List[int]
     text: str
     code: str
     steps: int
     tokens_generated: int
+    #: Start to finish of the run; for a lane of a batch, of the whole batch.
     wall_time_seconds: float
     step_records: List[StepRecord] = field(default_factory=list)
     stopped_by_eos: bool = False
-    #: Time spent on the one-off prompt prefill.
+    #: Time spent on the one-off prompt prefill (shared by a batch's lanes).
     prefill_seconds: float = 0.0
     #: Prompt positions served from the serving engine's cross-request prefix
     #: cache instead of being prefilled; always 0 for sequential decoding.
@@ -590,7 +598,8 @@ def speculative_step(
 class SpeculativeDecoder:
     """The decoding policy: one of the three strategies with its settings.
 
-    :meth:`generate` decodes one sequence; a
+    :meth:`generate` decodes one sequence and :meth:`generate_many` one
+    prompt under several configs at once; a
     :class:`~repro.serving.ServingEngine` serves the same decoder to many
     requests through :meth:`prefill`, :meth:`step` and :meth:`finish`.
 
@@ -696,7 +705,7 @@ class SpeculativeDecoder:
         return lane.to_result(text, code)
 
     def generate(self, prompt_ids: Sequence[int], config: Optional[GenerationConfig] = None) -> DecodeResult:
-        """Generate a completion for ``prompt_ids``.
+        """Generate a completion for ``prompt_ids``: :meth:`generate_many` with one lane.
 
         Args:
             prompt_ids: Tokenized prompt (BOS included).
@@ -707,33 +716,63 @@ class SpeculativeDecoder:
             A :class:`DecodeResult` with the committed tokens, decoded text,
             per-step records and timing (prefill separated from decode).
         """
+        return self.generate_many(prompt_ids, [config or GenerationConfig.greedy_config()])[0]
+
+    def generate_many(self, prompt_ids: Sequence[int], configs: Sequence[GenerationConfig]) -> List[DecodeResult]:
+        """Decode one prompt under several configs as one batch of lanes over one row cache.
+
+        Each config gets its own lane with its own seeded generator and
+        grammar mask, so lane ``i`` commits exactly what :meth:`generate`
+        commits for ``configs[i]`` alone.  The prompt is prefilled once (the
+        encoder, for encoder-decoder backbones, runs once too); its cache row
+        is tiled to every lane that still has work, and each step verifies
+        every running lane in one forward until all retire.
+
+        Returns:
+            One :class:`DecodeResult` per config, in order (``[]`` for no
+            configs).  Every lane reports the one shared prefill as its
+            ``prefill_seconds`` and the batch's wall time as its own.
+        """
         from repro.serving.request import GenerationRequest, RequestState  # serving imports this module
 
-        config = config or GenerationConfig.greedy_config()
         clock = time.perf_counter
         max_seq_len = self.model.backbone.max_seq_len
-        # The lane's context is what occupies decoder positions: the prompt,
+        # A lane's context is what occupies decoder positions: the prompt,
         # or BOS alone when an encoder holds the prompt.
         context = [self.bos_id] if self.model.is_encoder_decoder else list(prompt_ids)
-        lane = RequestState(
-            GenerationRequest("sequential", context, config),
-            started_at=clock(),
-            rng=np.random.default_rng(config.seed),
-            grammar_mask=grammar_mask(config.grammar, self.tokenizer),
-        )
-        # A prompt that already fills the context window yields an empty output.
-        if not lane_done(lane, max_seq_len):
+        started = clock()
+        lanes = [
+            RequestState(
+                GenerationRequest("sequential", context, config),
+                started_at=started,
+                rng=np.random.default_rng(config.seed),
+                grammar_mask=grammar_mask(config.grammar, self.tokenizer),
+            )
+            for config in configs
+        ]
+        # A prompt that already fills the context window (or a zero budget)
+        # yields an empty output without a prefill.
+        running = [lane for lane in lanes if not lane_done(lane, max_seq_len)]
+        if running:
+            first = running[0]
             headroom = tree_headroom(self.num_candidates, self.max_speculative_heads)
             cache = self.model.new_cache(capacity=max_seq_len + headroom)
             if self.model.is_encoder_decoder:
                 encode_start = clock()
                 self.model.encode_prompt(np.asarray(prompt_ids, dtype=np.int64))
-                lane.prefill_seconds += clock() - encode_start
-            self.prefill(lane, cache, context, final=True, clock=clock)
-            lanes = [lane]
-            while lanes:
-                cache, lanes, _ = self.step(cache, lanes, clock)
-        return self.finish(lane, clock)
+                first.prefill_seconds += clock() - encode_start
+            self.prefill(first, cache, context, final=True, clock=clock)
+            # The prefill's logits are read-only from here on, so every lane
+            # can hold the same arrays.
+            for lane in running[1:]:
+                lane.last_base = first.last_base
+                lane.last_heads = first.last_heads
+                lane.prefill_seconds = first.prefill_seconds
+            if len(running) > 1:
+                cache.select_rows([0] * len(running))  # also tiles the cross-attention K/V
+            while running:
+                cache, running, _ = self.step(cache, running, clock)
+        return [self.finish(lane, clock) for lane in lanes]
 
     def generate_from_text(self, prompt: str, config: Optional[GenerationConfig] = None) -> DecodeResult:
         """Tokenize ``prompt`` and generate a completion."""

@@ -117,9 +117,13 @@ class EvaluationRunner:
         fails fast on a mislabeled pass@k column."""
         if sim_backend not in BACKENDS:
             raise ValueError(f"unknown simulation backend {sim_backend!r} (choose from {sorted(BACKENDS)})")
+        if samples_per_prompt < 1:
+            raise ValueError(f"samples_per_prompt must be at least 1, got {samples_per_prompt}")
+        self.temperatures = list(temperatures)
+        if not self.temperatures:
+            raise ValueError("temperatures must name at least one sampling temperature")
         self.decoder = decoder
         self.samples_per_prompt = samples_per_prompt
-        self.temperatures = list(temperatures)
         self.max_new_tokens = max_new_tokens
         self.k_values = list(k_values)
         self.sim_backend = sim_backend
@@ -133,18 +137,22 @@ class EvaluationRunner:
                 )
 
     def generate_results(self, problem: Problem) -> List[DecodeResult]:
-        """Decode ``samples_per_prompt`` results for ``problem`` (full records)."""
-        results: List[DecodeResult] = []
-        for index in range(self.samples_per_prompt):
+        """Decode ``samples_per_prompt`` results for ``problem`` (full records).
+
+        Sample 0 is greedy; sample ``i`` samples at temperature
+        ``temperatures[i % len(temperatures)]`` with seed ``i``.  All of a
+        problem's samples decode as lanes of one
+        :meth:`~repro.core.decoding.SpeculativeDecoder.generate_many` call,
+        so the prompt is encoded and prefilled once.
+        """
+        configs = [GenerationConfig.greedy_config(self.max_new_tokens, grammar=self.grammar)]
+        for index in range(1, self.samples_per_prompt):
             temperature = self.temperatures[index % len(self.temperatures)]
-            if index == 0:
-                config = GenerationConfig.greedy_config(self.max_new_tokens, grammar=self.grammar)
-            else:
-                config = GenerationConfig.sampling_config(
-                    temperature, self.max_new_tokens, seed=index, grammar=self.grammar
-                )
-            results.append(self.decoder.generate_from_text(problem.prompt, config))
-        return results
+            configs.append(
+                GenerationConfig.sampling_config(temperature, self.max_new_tokens, seed=index, grammar=self.grammar)
+            )
+        prompt_ids = self.decoder.tokenizer.encode(problem.prompt, add_bos=True)
+        return self.decoder.generate_many(prompt_ids, configs)
 
     def generate_samples(self, problem: Problem) -> List[str]:
         """Generate ``samples_per_prompt`` candidate designs for ``problem``."""

@@ -10,15 +10,17 @@ so each step only projects the *new* tokens and attends over the cached keys.
 row is one contiguous buffer sized for the full context window plus the
 candidate tree a speculative step appends.  It has two users:
 
-* **Sequential decoding** — :meth:`SpeculativeDecoder.generate
-  <repro.core.decoding.SpeculativeDecoder.generate>` drives the step kernel of
-  :mod:`repro.core.decoding` as a batch of one over a row cache, on both
-  backbones; for the encoder-decoder one the layer slots also hold the
-  projected encoder memory (cross-attention K/V, computed once at
-  prefill).  The kernel touches ``layers`` / ``lengths`` (through the model
-  forward and :meth:`LayerKVCache.append`), ``set_append_widths``,
-  ``compact_paths`` (keep the accepted token-tree path after verification,
-  in place), ``select_rows`` (drop finished lanes) and ``release``.
+* **Sequential decoding** — :meth:`SpeculativeDecoder.generate_many
+  <repro.core.decoding.SpeculativeDecoder.generate_many>` drives the step
+  kernel of :mod:`repro.core.decoding` over one or more lanes of one prompt
+  in a row cache, on both backbones; for the encoder-decoder one the layer
+  slots also hold the projected encoder memory (cross-attention K/V,
+  computed once at prefill).  The kernel touches ``layers`` / ``lengths``
+  (through the model forward and :meth:`LayerKVCache.append`),
+  ``set_append_widths``, ``compact_paths`` (keep the accepted token-tree
+  path after verification, in place), ``select_rows`` (tile the prefilled
+  prompt row to every lane, cross-attention K/V included, and drop finished
+  lanes) and ``release``.
 * **The tests' oracle** — the serving engine stores K/V only in the paged
   pool of :mod:`repro.nn.kv_pool` (``docs/kv-memory.md``), and
   ``tests/test_kv_pool.py`` checks every paged operation bitwise against the
@@ -247,7 +249,7 @@ class KVCache:
         return out
 
     def expand_batch(self, n: int) -> None:
-        """Tile a batch-1 cache to ``n`` identical rows (for batched verification)."""
+        """Tile a batch-1 cache to ``n`` identical rows."""
         if n == self.batch:
             return
         if self.batch != 1:
@@ -278,8 +280,7 @@ class KVCache:
         path, only that path's K/V belongs in the cache.  This gathers the
         window positions ``node_positions`` (tree-node indices, in root-to-
         leaf order) to sit contiguously right after ``prefix_len`` and rolls
-        the length back to ``prefix_len + len(node_positions)`` — the tree
-        analogue of ``keep_row`` + ``truncate`` for row-batched verification.
+        the length back to ``prefix_len + len(node_positions)``.
         Requires a batch-1 cache; the step kernel uses :meth:`compact_paths`
         instead.
         """
@@ -308,7 +309,8 @@ class KVCache:
         """Gather an arbitrary subset/ordering of rows, in place.
 
         The multi-row generalisation of :meth:`keep_row`: the step kernel
-        drops finished lanes with it.  Rows may be repeated or dropped; each
+        drops finished lanes with it, and ``generate_many`` tiles the one
+        prefilled prompt row to its lanes.  Rows may be repeated or dropped; each
         surviving row keeps its own length.  The copy detaches the survivors
         so the dropped rows' storage can be freed.
         """
@@ -352,16 +354,14 @@ class KVCache:
     def repeat_rows(self, repeats: Union[int, Sequence[int]], capacity: Optional[int] = None) -> "KVCache":
         """Return a new cache with row ``r`` tiled ``repeats[r]`` times (in order).
 
-        Expands a one-row-per-request cache into one row per speculative
-        candidate (row-batched verification); per-row counts let rows propose
-        different numbers of candidates.  The source cache is left untouched.
+        The source cache is left untouched.  No package code calls this (see
+        the module docstring); tiling rows in place is :meth:`select_rows`
+        with repeated indices.
 
         Args:
             repeats: per-row tile counts (or one count for every row).
             capacity: capacity of the returned cache; defaults to the source
-                capacity.  Step caches that only live for one verification
-                forward pass pass ``max(lengths) + window`` here, avoiding a
-                full-capacity allocation per step.
+                capacity (must hold the longest cached row).
         """
         if isinstance(repeats, (int, np.integer)):
             counts = np.full(self.batch, int(repeats), dtype=np.int64)
@@ -396,10 +396,8 @@ class KVCache:
         """Gather ``rows`` truncated to per-row ``lengths`` into a new cache.
 
         Fuses :meth:`select_rows` + :meth:`truncate_rows` into one copy that
-        moves only each row's committed prefix — the per-step compaction of
-        row-batched verification (keep each request's accepted candidate row,
-        drop its rejected speculative tail).  ``capacity`` restores a full-size
-        cache when compacting out of a trimmed step cache.
+        moves only each row's kept prefix.  ``capacity`` sets the new cache's
+        capacity (defaults to the source's).
         """
         rows = list(rows)
         for row in rows:

@@ -30,9 +30,9 @@ different prefix lengths (the cache is *ragged*), and every engine step:
    reclaiming their pages and freeing scheduler budget so the next step can
    admit more work.
 
-:meth:`SpeculativeDecoder.generate` drives the same three operations as a
-batch of one over a row cache, so there is one decoding policy and one place
-it is written.
+:meth:`SpeculativeDecoder.generate_many` drives the same three operations
+over lanes of one prompt in a row cache (``generate`` is one lane), so there
+is one decoding policy and one place it is written.
 
 The one class owns both halves of serving a request: the request table (id
 allocation, submission validation, result and state retention behind

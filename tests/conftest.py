@@ -99,3 +99,24 @@ def tiny_pipeline() -> VerilogSpecPipeline:
     pipeline.prepare()
     pipeline.train_all()
     return pipeline
+
+
+@pytest.fixture(scope="session")
+def encdec_pipeline() -> VerilogSpecPipeline:
+    """The tiny pipeline's encoder-decoder (CodeT5p-style) twin, all three methods trained."""
+    config = PipelineConfig(
+        corpus_items=30,
+        vocab_size=400,
+        architecture="encoder-decoder",
+        model_dim=32,
+        num_layers=1,
+        num_attention_heads=2,
+        num_medusa_heads=4,
+        max_seq_len=288,
+        epochs=1,
+        max_train_seq_len=160,
+    )
+    pipeline = VerilogSpecPipeline(config)
+    pipeline.prepare()
+    pipeline.train_all()
+    return pipeline

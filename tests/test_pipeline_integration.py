@@ -8,6 +8,7 @@ from repro.evalbench.problems import ProblemSuite
 from repro.evalbench.rtllm import rtllm_suite
 from repro.evalbench.runner import EvaluationRunner
 from repro.evalbench.speed import measure_speed, speedup
+from repro.models.generation import GenerationConfig
 from repro.verilog.fragments import FRAG
 from repro.verilog.syntax import check_syntax
 
@@ -138,3 +139,28 @@ class TestQualityRunner:
         samples = runner.generate_samples(mini_suite[0])
         assert len(samples) == 3
         assert all(isinstance(s, str) for s in samples)
+
+    @pytest.mark.parametrize("backbone", ["tiny_pipeline", "encdec_pipeline"])
+    def test_batched_samples_equal_one_generate_per_sample(self, request, backbone, mini_suite):
+        """The samples decoded as lanes of one prompt equal the per-sample ``generate`` loop."""
+        decoder = request.getfixturevalue(backbone).decoder_for("ours")
+        temperatures = (0.2, 0.4, 0.6, 0.8)
+        runner = EvaluationRunner(
+            decoder, samples_per_prompt=5, temperatures=temperatures, max_new_tokens=24, grammar="verilog"
+        )
+        problem = mini_suite[0]
+        expected = [decoder.generate_from_text(problem.prompt, GenerationConfig.greedy_config(24, grammar="verilog"))]
+        for index in range(1, 5):
+            config = GenerationConfig.sampling_config(temperatures[index % 4], 24, seed=index, grammar="verilog")
+            expected.append(decoder.generate_from_text(problem.prompt, config))
+        evaluation = runner.evaluate_problem(problem)
+        assert evaluation.samples == [result.code for result in expected]
+        assert evaluation.tokens_verified == sum(result.tokens_verified for result in expected)
+        assert evaluation.closure_tokens == sum(result.closure_tokens for result in expected)
+
+    @pytest.mark.parametrize(
+        "kwargs, parameter", [({"samples_per_prompt": 0}, "samples_per_prompt"), ({"temperatures": ()}, "temperatures")]
+    )
+    def test_rejects_an_empty_sample_plan(self, tiny_pipeline, kwargs, parameter):
+        with pytest.raises(ValueError, match=parameter):
+            EvaluationRunner(tiny_pipeline.decoder_for("ours"), **kwargs)

@@ -12,7 +12,8 @@ and served generation alike:
   window's edges;
 * **batch invariance** — lanes stepped together commit what each commits
   stepped alone, whatever configs share the batch and whichever KV backend
-  holds the rows;
+  holds the rows; ``generate_many``'s lanes of one prompt, which share one
+  prefill, equal per-config ``generate`` on both backbones;
 * the two accounting fixes that ride along: NTP runs never evaluate the
   Medusa heads, and grammar-closure tokens stay out of the per-step and
   per-second rates.
@@ -34,7 +35,6 @@ from repro.core.decoding import (
     SpeculativeDecoder,
     tree_headroom,
 )
-from repro.core.pipeline import PipelineConfig, VerilogSpecPipeline
 from repro.models.generation import GenerationConfig
 from repro.nn.kv_cache import KVCache
 from repro.nn.kv_pool import PagedKVCache
@@ -60,26 +60,6 @@ def assert_matches_reference(decoder, prompt_ids, config):
     assert _step_fields(got.step_records) == _step_fields(expected.step_records)
     assert got.closure_tokens == expected.closure_tokens
     return got
-
-
-@pytest.fixture(scope="module")
-def encdec_pipeline() -> VerilogSpecPipeline:
-    config = PipelineConfig(
-        corpus_items=30,
-        vocab_size=400,
-        architecture="encoder-decoder",
-        model_dim=32,
-        num_layers=1,
-        num_attention_heads=2,
-        num_medusa_heads=4,
-        max_seq_len=288,
-        epochs=1,
-        max_train_seq_len=160,
-    )
-    pipeline = VerilogSpecPipeline(config)
-    pipeline.prepare()
-    pipeline.train_all()
-    return pipeline
 
 
 class TestKernelMatchesReference:
@@ -227,6 +207,83 @@ class TestBatchInvariance:
 
     def test_lanes_together_match_lanes_alone(self, tiny_pipeline):
         for_all(num_cases(10, 120), lambda cases: self._prop(cases, tiny_pipeline), seed=61)
+
+
+#: Greedy, sampling and grammar lanes with different budgets, one of them 0.
+MIXED_CONFIGS = [
+    GenerationConfig.greedy_config(32),
+    GenerationConfig.sampling_config(0.8, 20, seed=3),
+    GenerationConfig.greedy_config(28, grammar="verilog"),
+    GenerationConfig.greedy_config(0),
+    GenerationConfig.sampling_config(1.2, 12, seed=11, grammar="verilog"),
+    GenerationConfig.sampling_config(0.6, 40, seed=5),
+]
+
+
+def _counting(monkeypatch, obj, name, calls):
+    """Record the first argument of every call to ``obj.name``."""
+    original = getattr(obj, name)
+    monkeypatch.setattr(obj, name, lambda first, *args, **kwargs: calls.append(first) or original(first, *args, **kwargs))
+
+
+class TestGenerateMany:
+    """One prompt under several configs: one prefill, then every lane in each step's forward."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("backbone", ["tiny_pipeline", "encdec_pipeline"])
+    def test_lanes_equal_generate_alone(self, request, backbone, method):
+        pipeline = request.getfixturevalue(backbone)
+        decoder = pipeline.decoder_for(method)
+        for example in pipeline.examples[:2]:
+            prompt_ids = pipeline.tokenizer.encode(example.prompt_text(), add_bos=True)
+            results = decoder.generate_many(prompt_ids, MIXED_CONFIGS)
+            assert len(results) == len(MIXED_CONFIGS)
+            for result, config in zip(results, MIXED_CONFIGS):
+                alone = decoder.generate(prompt_ids, config)
+                assert result.token_ids == alone.token_ids, config
+                assert result.step_records == alone.step_records, config
+                assert result.stopped_by_eos == alone.stopped_by_eos
+                assert result.closure_tokens == alone.closure_tokens
+            assert results[3].token_ids == [] and results[3].steps == 0
+            assert len({result.steps for result in results}) > 2  # lanes retire at different steps
+
+    @pytest.mark.parametrize("method", ["ntp", "ours"])
+    def test_prompt_fills_the_window(self, tiny_pipeline, method):
+        decoder = tiny_pipeline.decoder_for(method)
+        prompt_ids = [5] * decoder.model.backbone.max_seq_len
+        results = decoder.generate_many(prompt_ids, MIXED_CONFIGS)
+        for result, config in zip(results, MIXED_CONFIGS):
+            assert result.token_ids == decoder.generate(prompt_ids, config).token_ids
+            assert result.tokens_decoded == 0 and result.steps == 0
+            assert result.prefill_seconds == 0.0
+
+    def test_no_configs(self, tiny_pipeline):
+        assert tiny_pipeline.decoder_for("ours").generate_many([5, 6, 7], []) == []
+
+    def test_one_prefill_forward_for_all_lanes(self, tiny_pipeline, monkeypatch):
+        decoder = tiny_pipeline.decoder_for("ours")
+        prompt_ids = tiny_pipeline.tokenizer.encode(tiny_pipeline.examples[0].prompt_text(), add_bos=True)
+        # No verification window can be as wide as the prompt.
+        assert len(prompt_ids) > tree_headroom(decoder.num_candidates, decoder.max_speculative_heads)
+        inputs = []
+        _counting(monkeypatch, decoder.model, "forward_hidden", inputs)
+        results = decoder.generate_many(prompt_ids, MIXED_CONFIGS)
+        shapes = [np.asarray(input_ids).shape for input_ids in inputs]
+        assert [shape for shape in shapes if shape[1] == len(prompt_ids)] == [(1, len(prompt_ids))]
+        # Every later forward is one step's verification, shared by the running lanes.
+        assert len(shapes) == 1 + max(result.steps for result in results)
+        assert shapes[1][0] == sum(1 for config in MIXED_CONFIGS if config.max_new_tokens > 0)
+
+    def test_one_encoder_pass_for_all_lanes(self, encdec_pipeline, monkeypatch):
+        decoder = encdec_pipeline.decoder_for("ours")
+        prompt_ids = encdec_pipeline.tokenizer.encode(encdec_pipeline.examples[0].prompt_text(), add_bos=True)
+        encoded, inputs = [], []
+        _counting(monkeypatch, decoder.model.backbone, "encode", encoded)
+        _counting(monkeypatch, decoder.model, "forward_hidden", inputs)
+        results = decoder.generate_many(prompt_ids, MIXED_CONFIGS)
+        assert len(encoded) == 1
+        assert np.asarray(inputs[0]).shape == (1, 1)  # BOS alone: the encoder holds the prompt
+        assert len(inputs) == 1 + max(result.steps for result in results)
 
 
 class TestNtpNeverEvaluatesHeads:
