@@ -21,8 +21,11 @@ row of a shared KV cache each):
   position offsets), scores each whole tree once with exact-match (greedy)
   or typical acceptance (eq. 1),
   truncates to the last fragment boundary (``OURS``), commits, and compacts
-  each cache row to its accepted root-to-leaf path so rejected speculative
-  tokens never pollute later steps.
+  each cache row in place to its accepted root-to-leaf path so rejected
+  speculative tokens never pollute later steps.
+
+Both update the cache they are given in place — on the row cache and on the
+paged cache alike — and return ``(continuing, finished)``.
 
 :class:`SpeculativeDecoder` is the one owner of the decoding policy (model,
 tokenizer, strategy, acceptance rule, candidate count, head cap) and of the
@@ -454,7 +457,7 @@ def ntp_step(
         clock: time source stamped on every commit.
 
     Returns:
-        ``(cache, continuing, finished)`` — ``cache`` now holds one row per
+        ``(continuing, finished)`` — ``cache`` now holds one row per
         continuing lane, whose ``last_base`` is refreshed.
     """
     commit_time = clock()
@@ -468,7 +471,7 @@ def ntp_step(
         base_logits, _ = model.forward_hidden(tokens, cache=cache)
         for row, lane in enumerate(continuing):
             lane.last_base = base_logits[row, -1]
-    return cache, continuing, finished
+    return continuing, finished
 
 
 def speculative_step(
@@ -499,10 +502,9 @@ def speculative_step(
         frag_id: token id of the ``[FRAG]`` boundary marker.
 
     Returns:
-        ``(cache, continuing, finished)`` — a new cache with one row per
-        continuing lane, compacted to its committed tokens; the input cache
-        is released.  Continuing lanes hold refreshed ``last_base`` /
-        ``last_heads``.
+        ``(continuing, finished)`` — ``cache`` now holds one row per
+        continuing lane, compacted in place to its committed tokens.
+        Continuing lanes hold refreshed ``last_base`` / ``last_heads``.
     """
     prefixes = [int(length) for length in cache.lengths]
     all_candidates: List[List[List[int]]] = []
@@ -580,19 +582,15 @@ def speculative_step(
 
     # One batched Medusa-head evaluation at each lane's last committed node
     # (the only place head logits are ever read).
-    rows = list(range(len(lanes)))
-    head_logits = model.head_logits_at(hidden_v[rows, [path[-1] for path in paths]])
+    head_logits = model.head_logits_at(hidden_v[np.arange(len(lanes)), [path[-1] for path in paths]])
     for index, lane in enumerate(lanes):
         lane.last_heads = [h[index] for h in head_logits]
 
-    # Compact every row to its committed prefix + accepted path (paged caches
-    # alias the prefix blocks and copy only the path), then release the
-    # superseded cache with the rejected branches (paged: drop its block
-    # refs; a no-op for row caches).
-    new_cache = cache.compact_paths(rows, prefixes, paths)
-    cache.release()
-    continuing, finished = _retire(new_cache, lanes, max_seq_len)
-    return new_cache, continuing, finished
+    # Compact every row in place to its committed prefix + accepted path; the
+    # rejected branches become stale tail storage (row cache) or freed blocks
+    # (paged cache).
+    cache.compact_paths(prefixes, paths)
+    return _retire(cache, lanes, max_seq_len)
 
 
 class SpeculativeDecoder:
@@ -666,7 +664,8 @@ class SpeculativeDecoder:
     def step(self, cache, lanes: Sequence["RequestState"], clock: Callable[[], float]):
         """One kernel step over every lane: :func:`speculative_step` or :func:`ntp_step`.
 
-        Returns ``(cache, continuing, finished)`` as the kernel functions do.
+        ``cache`` is updated in place; returns ``(continuing, finished)`` as
+        the kernel functions do.
         """
         max_seq_len = self.model.backbone.max_seq_len
         if speculates(self.strategy, self.max_speculative_heads):
@@ -771,7 +770,7 @@ class SpeculativeDecoder:
             if len(running) > 1:
                 cache.select_rows([0] * len(running))  # also tiles the cross-attention K/V
             while running:
-                cache, running, _ = self.step(cache, running, clock)
+                running, _ = self.step(cache, running, clock)
         return [self.finish(lane, clock) for lane in lanes]
 
     def generate_from_text(self, prompt: str, config: Optional[GenerationConfig] = None) -> DecodeResult:

@@ -18,9 +18,10 @@ candidate tree a speculative step appends.  It has two users:
   computed once at prefill).  The kernel touches ``layers`` / ``lengths``
   (through the model forward and :meth:`LayerKVCache.append`),
   ``set_append_widths``, ``compact_paths`` (keep the accepted token-tree
-  path after verification, in place), ``select_rows`` (tile the prefilled
-  prompt row to every lane, cross-attention K/V included, and drop finished
-  lanes) and ``release``.
+  path after verification) and ``select_rows`` (tile the prefilled prompt
+  row to every lane, cross-attention K/V included, and drop finished
+  lanes).  Both run in place here and on the paged cache alike, so the
+  kernel keeps one cache object for its whole run on either storage.
 * **The tests' oracle** — the serving engine stores K/V only in the paged
   pool of :mod:`repro.nn.kv_pool` (``docs/kv-memory.md``), and
   ``tests/test_kv_pool.py`` checks every paged operation bitwise against the
@@ -47,37 +48,35 @@ import numpy as np
 
 
 def _flatten_paths(
-    source_lengths: np.ndarray, rows: Sequence[int], prefixes: Sequence[int], paths: Sequence[Sequence[int]]
-) -> Tuple[List[int], List[int], List[int], List[int], List[int]]:
+    lengths: np.ndarray, prefixes: Sequence[int], paths: Sequence[Sequence[int]]
+) -> Tuple[List[int], List[int], List[int], List[int]]:
     """Validate a ``compact_paths`` request and flatten it for one indexed copy.
 
-    Returns ``(rows, new_lengths, flat_rows, source, target)``: path node
-    ``j`` of new row ``i = flat_rows[n]`` moves from position ``source[n]``
-    of source row ``rows[i]`` to position ``target[n] = prefixes[i] + j``.
-    Plain lists: a step's paths are a handful of positions per row.
+    Returns ``(new_lengths, flat_rows, source, target)``: path node ``j`` of
+    row ``flat_rows[n]`` moves from position ``source[n]`` to position
+    ``target[n] = prefixes[row] + j``.  Plain lists: a step's paths are a
+    handful of positions per row.
     """
-    rows = list(rows)
-    for row in rows:
-        if not 0 <= row < len(source_lengths):
-            raise IndexError(f"row {row} out of range for batch {len(source_lengths)}")
-    if not (len(prefixes) == len(paths) == len(rows)):
-        raise ValueError(f"rows/prefixes/paths length mismatch: {len(rows)}/{len(prefixes)}/{len(paths)}")
+    if not len(prefixes) == len(paths) == len(lengths):
+        raise ValueError(
+            f"compact_paths compacts every row: {len(lengths)} rows, got {len(prefixes)} prefixes / {len(paths)} paths"
+        )
     new_lengths: List[int] = []
     flat_rows: List[int] = []
     source: List[int] = []
     target: List[int] = []
-    for i, (row, prefix, path) in enumerate(zip(rows, prefixes, paths)):
+    for row, (prefix, path) in enumerate(zip(prefixes, paths)):
         path = [int(node) for node in path]
-        if prefix < 0:
-            raise ValueError(f"negative prefix length {prefix}")
-        limit = int(source_lengths[row])
+        limit = int(lengths[row])
+        if not 0 <= prefix <= limit:
+            raise ValueError(f"row {row}: prefix length {prefix} out of range [0, {limit}]")
         if path and (min(path) < 0 or prefix + max(path) >= limit):
             raise IndexError(f"row {row}: path positions {path} out of range for window [0, {limit - prefix})")
         new_lengths.append(prefix + len(path))
-        flat_rows += [i] * len(path)
+        flat_rows += [row] * len(path)
         source += [prefix + node for node in path]
         target += range(prefix, prefix + len(path))
-    return rows, new_lengths, flat_rows, source, target
+    return new_lengths, flat_rows, source, target
 
 
 class LayerKVCache:
@@ -198,16 +197,6 @@ class KVCache:
     def append_widths(self) -> Optional[np.ndarray]:
         """Per-row real-token widths declared for the next forward (or None)."""
         return self.layers[0].append_widths
-
-    def release(self) -> None:
-        """No-op, for call-site symmetry with :meth:`PagedKVCache.release`.
-
-        Row caches free their storage through garbage collection; paged
-        caches must drop pool block references explicitly.  The step kernel
-        releases every superseded cache generation unconditionally, so it
-        runs unchanged over the sequential decoder's row cache and the
-        serving engine's paged one.
-        """
 
     def set_append_widths(self, widths: Optional[Sequence[int]]) -> None:
         """Declare per-row real-token widths for the next incremental forward.
@@ -428,9 +417,7 @@ class KVCache:
                 out_layer.cross_v = layer.cross_v[index].copy()
         return out
 
-    def compact_paths(
-        self, rows: Sequence[int], prefixes: Sequence[int], paths: Sequence[Sequence[int]]
-    ) -> "KVCache":
+    def compact_paths(self, prefixes: Sequence[int], paths: Sequence[Sequence[int]]) -> None:
         """Compact every row to its committed prefix plus its accepted tree path, in place.
 
         The multi-request generalisation of :meth:`keep_path`: after the
@@ -438,13 +425,11 @@ class KVCache:
         forward, row ``i`` keeps its committed prefix (``prefixes[i]``
         positions) followed by the K/V of the accepted path's tree nodes
         (window positions ``paths[i]``, in root-to-leaf order), slid down
-        onto the prefix — O(path), no allocation.  ``rows`` must be
-        ``range(batch)`` (rows are dropped with :meth:`select_rows`); returns
-        ``self``, the signature :meth:`PagedKVCache.compact_paths` shares.
+        onto the prefix — O(path), no allocation.  Every row is compacted
+        (rows are dropped with :meth:`select_rows`), exactly like
+        :meth:`PagedKVCache.compact_paths`.
         """
-        if list(rows) != list(range(self.batch)):
-            raise ValueError(f"compact_paths compacts every row in order, got rows {list(rows)}")
-        _, new_lengths, flat_rows, source, target = _flatten_paths(self.layers[0].lengths, rows, prefixes, paths)
+        new_lengths, flat_rows, source, target = _flatten_paths(self.layers[0].lengths, prefixes, paths)
         new_lengths = np.asarray(new_lengths, dtype=np.int64)
         moves = source != target  # false when every path already sits right after its prefix
         flat_rows, source, target = (np.asarray(index, dtype=np.int64) for index in (flat_rows, source, target))
@@ -455,7 +440,6 @@ class KVCache:
                 layer.k[flat_rows, :, target] = layer.k[flat_rows, :, source]
                 layer.v[flat_rows, :, target] = layer.v[flat_rows, :, source]
             layer.lengths = new_lengths.copy()
-        return self
 
     @classmethod
     def concat(cls, caches: Sequence["KVCache"]) -> "KVCache":

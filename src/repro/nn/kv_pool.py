@@ -21,13 +21,11 @@ per-sequence, not per-layer.
 
 Blocks are **refcounted**.  Sharing a prefix between two sequences is
 aliasing the same block ids and bumping refcounts — zero K/V copies — and
-three operations that would be O(tokens) copies over contiguous rows are
+two operations that would be O(tokens) copies over contiguous rows are
 O(table) pointer updates here:
 
 * prefix-cache hits (:meth:`PagedKVCache.splice_prefix` aliases the retained
   blocks into the fresh row);
-* per-step compaction (:meth:`PagedKVCache.compact_paths` aliases each
-  row's committed prefix and copies only the accepted tree path);
 * reclamation (:meth:`PagedKVCache.select_rows` re-aliases survivors and
   decrefs the rest — freeing a finished or cancelled request is dropping its
   table).
@@ -35,10 +33,17 @@ O(table) pointer updates here:
 Writes preserve sharing through **copy-on-write**: before a forward appends
 into a block whose refcount exceeds one, the block is copied into a fresh
 exclusive block and the writer's table entry is repointed
-(:meth:`PagedKVCache._ensure_writable`).  Divergence therefore costs at most
-one partially-filled block per writer; everything up to the divergence point
-stays physically shared.  The pool counts these (``cow_events``) along with
-its high-water mark (``peak_blocks_in_use``).
+(:meth:`PagedKVCache._ensure_writable`).  A block is copied only when a writer
+shares it — typically a row's trailing prefix block after a prefix splice —
+so divergence costs at most one partially-filled block per writer and
+everything up to the divergence point stays physically shared.  The pool
+counts these copies (``cow_events``) along with its high-water mark
+(``peak_blocks_in_use``).
+
+The per-step compaction (:meth:`PagedKVCache.compact_paths`) works in place
+exactly like the row cache's: the accepted tree path slides down onto the
+committed prefix inside the row's own blocks, which the tree append already
+made exclusive, and the blocks past the new length are released.
 
 The attention read path is a **block-granular gather**: each layer view
 (:class:`PagedLayerKV`) copies whole blocks into a dense
@@ -292,21 +297,6 @@ class PagedPrefix:
         """Number of cached prefix positions the reference covers."""
         return self._length
 
-    @property
-    def block_nbytes(self) -> int:
-        """Physical storage of one referenced block (K and V, all layers)."""
-        return self.pool.block_nbytes
-
-    @property
-    def nbytes(self) -> int:
-        """Physical storage of the referenced blocks — *not* exclusive ownership.
-
-        Blocks may be shared with live rows or sibling prefixes; budget
-        accounting that must not double-charge shared blocks uses
-        :attr:`block_ids` (see ``PrefixCache``).
-        """
-        return len(self.block_ids) * self.pool.block_nbytes
-
     def head(self, length: int) -> "PagedPrefix":
         """A non-owning reference to the first ``length`` positions (no copy, no incref)."""
         if not 0 <= length <= self._length:
@@ -444,8 +434,10 @@ class PagedKVCache:
 
     Every row's table entries hold one pool reference each.  The cache must
     be :meth:`release`\\ d (or consumed by :meth:`concat`) when discarded;
-    the serving engine does so explicitly at each step's compaction, which is
-    what the fuzz suite's leak checks (refcounts return to zero) pin down.
+    the operations that shrink rows in place (:meth:`select_rows`,
+    :meth:`truncate_rows`, :meth:`compact_paths`) drop the references they
+    vacate at once, which is what the fuzz suite's leak checks (refcounts
+    return to zero) pin down.
     """
 
     def __init__(self, pool: KVBlockPool, batch: int = 0) -> None:
@@ -591,8 +583,8 @@ class PagedKVCache:
     def release(self) -> None:
         """Drop every table's block references (idempotent).
 
-        The engine calls this the moment a cache generation is superseded
-        (step-cache compaction, cancellation); ``__del__`` only backstops
+        Owners call this the moment they discard a cache (the engine, for a
+        cancelled request's prefill row); ``__del__`` only backstops
         forgotten handles.
         """
         if self._released:
@@ -658,13 +650,11 @@ class PagedKVCache:
             while len(table) > keep:
                 pool.decref(table.pop())
 
-    def repeat_rows(self, repeats: Union[int, Sequence[int]], capacity: Optional[int] = None) -> "PagedKVCache":
+    def repeat_rows(self, repeats: Union[int, Sequence[int]]) -> "PagedKVCache":
         """Tile row ``r`` ``repeats[r]`` times into a new cache — by aliasing, no copy.
 
-        The speculative verification step's row tiling: every tile shares the
-        source row's blocks until its first divergent append copy-on-writes
-        the written block.  ``capacity`` is accepted for row-cache signature
-        compatibility and ignored — paged storage has no per-row capacity.
+        Every tile shares the source row's blocks until its first divergent
+        append copy-on-writes the written block.
         """
         if isinstance(repeats, (int, np.integer)):
             counts = np.full(self.batch, int(repeats), dtype=np.int64)
@@ -686,16 +676,12 @@ class PagedKVCache:
         out._layer_lengths = [np.repeat(lengths, counts) for lengths in self._layer_lengths]
         return out
 
-    def compact_rows(
-        self, rows: Sequence[int], lengths: Sequence[int], capacity: Optional[int] = None
-    ) -> "PagedKVCache":
+    def compact_rows(self, rows: Sequence[int], lengths: Sequence[int]) -> "PagedKVCache":
         """Gather ``rows`` truncated to per-row ``lengths`` into a new cache — by aliasing.
 
-        The per-step compaction: new row ``i`` aliases source row
-        ``rows[i]``'s first ``blocks_for(lengths[i])`` blocks.  The caller
-        releases the source caches afterwards, which frees every rejected
-        candidate's copy-on-write blocks.  ``capacity`` is ignored (see
-        :meth:`repeat_rows`).
+        New row ``i`` aliases source row ``rows[i]``'s first
+        ``blocks_for(lengths[i])`` blocks; releasing the source afterwards
+        frees every block no new row kept.
         """
         rows = list(rows)
         for row in rows:
@@ -720,50 +706,44 @@ class PagedKVCache:
         out._layer_lengths = [kept_lengths.copy() for _ in range(pool.num_layers)]
         return out
 
-    def compact_paths(
-        self, rows: Sequence[int], prefixes: Sequence[int], paths: Sequence[Sequence[int]]
-    ) -> "PagedKVCache":
-        """Gather per-row accepted tree paths into a new cache.
+    def compact_paths(self, prefixes: Sequence[int], paths: Sequence[Sequence[int]]) -> None:
+        """Compact every row to its committed prefix plus its accepted tree path, in place.
 
-        The paged :meth:`KVCache.compact_paths`: new row ``i`` is source row
-        ``rows[i]``'s committed prefix (``prefixes[i]`` positions, aliased)
-        followed by the K/V of the accepted path's tree nodes (window
-        positions ``paths[i]``, in root-to-leaf order).  The prefix is
-        shared; only the accepted path's handful of positions is copied —
-        O(path), not O(prefix) — landing after a copy-on-write of the
-        prefix's trailing partial block.  Always a new cache: the caller
-        releases the source, which frees the rejected branches' blocks.
+        The paged :meth:`KVCache.compact_paths`: row ``i`` keeps its
+        committed prefix (``prefixes[i]`` positions) followed by the K/V of
+        the accepted path's tree nodes (window positions ``paths[i]``, in
+        root-to-leaf order), slid down onto the prefix inside the row's own
+        blocks — one indexed read and one indexed write per pool array move
+        every row's path, O(path) — and the blocks past each row's new
+        length are released, which frees the rejected branches.  The tree
+        append already copy-on-wrote every block it wrote into, so the slide
+        finds them exclusive and copies no block.
         """
         self._write_plan = None
-        rows, new_lengths, flat_rows, source, target = _flatten_paths(
-            self._layer_lengths[0], rows, prefixes, paths
-        )
+        new_lengths, flat_rows, source, target = _flatten_paths(self._layer_lengths[0], prefixes, paths)
         pool = self.pool
         block_size = pool.block_size
-        out = PagedKVCache(pool, batch=0)
-        for row, prefix in zip(rows, prefixes):
-            table = list(self._tables[row][: blocks_for(prefix, block_size)])
-            for block in table:
-                pool.incref(block)
-            out._tables.append(table)
-        for i, (prefix, length) in enumerate(zip(prefixes, new_lengths)):
+        tables = self._tables
+        for row, (prefix, length) in enumerate(zip(prefixes, new_lengths)):
+            # A no-op after the tree append; never writes through a shared block.
             if length > prefix:
-                out._ensure_writable(i, prefix, length)
+                self._ensure_writable(row, prefix, length)
+        if source != target:
+            source_blocks = [tables[row][p // block_size] for row, p in zip(flat_rows, source)]
+            target_blocks = [tables[row][p // block_size] for row, p in zip(flat_rows, target)]
+            source_blocks, target_blocks, source, target = (
+                np.asarray(index, dtype=np.int64) for index in (source_blocks, target_blocks, source, target)
+            )
+            source_offsets, target_offsets = source % block_size, target % block_size
+            # The fancy-indexed read copies, so overlapping moves are safe.
+            for array in pool.k + pool.v:
+                array[target_blocks, :, target_offsets, :] = array[source_blocks, :, source_offsets, :]
+        for table, length in zip(tables, new_lengths):
+            keep = blocks_for(length, block_size)
+            while len(table) > keep:
+                pool.decref(table.pop())
         lengths = np.asarray(new_lengths, dtype=np.int64)
-        out._layer_lengths = [lengths.copy() for _ in range(pool.num_layers)]
-        # The writes land only in blocks ``out`` owns exclusively (the shared
-        # trailing prefix block was just copied), so the source tables still
-        # read the tree window as verified: one indexed read and one indexed
-        # write per pool array move every row's path.
-        source_blocks = [self._tables[rows[i]][p // block_size] for i, p in zip(flat_rows, source)]
-        target_blocks = [out._tables[i][p // block_size] for i, p in zip(flat_rows, target)]
-        source_blocks, target_blocks, source, target = (
-            np.asarray(index, dtype=np.int64) for index in (source_blocks, target_blocks, source, target)
-        )
-        source_offsets, target_offsets = source % block_size, target % block_size
-        for array in pool.k + pool.v:
-            array[target_blocks, :, target_offsets, :] = array[source_blocks, :, source_offsets, :]
-        return out
+        self._layer_lengths = [lengths.copy() for _ in range(pool.num_layers)]
 
     @classmethod
     def concat(cls, caches: Sequence["PagedKVCache"]) -> "PagedKVCache":

@@ -24,8 +24,8 @@ different prefix lengths (the cache is *ragged*), and every engine step:
    kernel of :mod:`repro.core.decoding`, which proposes candidates from the
    logits held at each request's last committed position, verifies all of
    them in a single batched cached forward (one token tree per request),
-   commits each request's best accepted run and compacts the cache back to
-   one row per request;
+   commits each request's best accepted run and compacts each row in place
+   to its committed tokens;
 3. **retires** finished requests (``decoder.finish`` freezes the result),
    reclaiming their pages and freeing scheduler budget so the next step can
    admit more work.
@@ -175,7 +175,7 @@ class ServingEngine:
         self.prefix_misses = 0
         self.max_seq_len = model.backbone.max_seq_len
         #: Shared ragged cache: one row per entry of ``_active`` (same order).
-        self._cache: Optional[PagedKVCache] = None
+        self._cache = PagedKVCache(self._pool)
         self._active: List[RequestState] = []
         #: Admitted requests whose prompts are still entering their private
         #: batch-1 caches (chunked prefill); FCFS order.
@@ -253,7 +253,7 @@ class ServingEngine:
         overhead_tokens = overhead_blocks * block_size
         reserved = 0
         for row, state in enumerate(self._active):
-            held = self._cache.blocks_held(row) * block_size if self._cache is not None else 0
+            held = self._cache.blocks_held(row) * block_size
             reserved += max(0, state.request.footprint_tokens + overhead_tokens - held)
         for state in self._prefilling:
             held = state.row_cache.blocks_held(0) * block_size if state.row_cache is not None else 0
@@ -515,7 +515,7 @@ class ServingEngine:
         self._advance_prefill()
         if not self._active:
             return
-        self._cache, self._active, finished = self.decoder.step(self._cache, self._active, self.clock)
+        self._active, finished = self.decoder.step(self._cache, self._active, self.clock)
         for state in finished:
             self._finish(state)
 
@@ -551,8 +551,7 @@ class ServingEngine:
         if state.status is RequestStatus.RUNNING:
             row = self._active.index(state)
             self._active.remove(state)
-            if self._cache is not None:
-                self._cache.select_rows([r for r in range(len(self._active) + 1) if r != row])
+            self._cache.select_rows([r for r in range(len(self._active) + 1) if r != row])
         elif state.status is RequestStatus.PREFILLING:
             self._prefilling.remove(state)
         self.scheduler.remove(state)
@@ -691,8 +690,7 @@ class ServingEngine:
             new_caches.append(state.row_cache)
             state.row_cache = None
             self._active.append(state)
-        existing = [self._cache] if self._cache is not None and self._cache.batch > 0 else []
-        self._cache = PagedKVCache.concat(existing + new_caches)
+        self._cache = PagedKVCache.concat([self._cache] + new_caches)
 
     # -- completion ------------------------------------------------------ #
 

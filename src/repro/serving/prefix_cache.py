@@ -24,16 +24,12 @@ engine asks for the longest retained prefix of the new prompt:
   from divergent appends) and only the prompt *suffix* is prefilled.
 
 Retention is bounded: entries are LRU-evicted once the summed retained
-tokens (or bytes) exceed the configured budget.  Eviction removes the
-entry's trie path; nodes shared with surviving entries stay, so partial
-matches through shared preambles keep working.
-
-Prompts sharing a trie path share the underlying blocks, so byte
-accounting follows the physical blocks: a block pinned by several retained
-prompts is charged against ``max_bytes`` **once** (the cache tracks
-per-block reference counts), and the byte budget measures real pool
-occupancy rather than the summed virtual prompt sizes
-(``docs/kv-memory.md``).
+tokens exceed the configured budget.  Eviction removes the entry's trie
+path; nodes shared with surviving entries stay, so partial matches through
+shared preambles keep working.  Prompts sharing a trie path share the
+underlying blocks; the pool's refcounts are the one record of who holds a
+block, and the engine's pool-pressure hook (:meth:`PrefixCache.evict_lru`)
+bounds retention by real pool occupancy (``docs/kv-memory.md``).
 
 Reuse is a pure compute-layout change — the aliased K/V is byte-for-byte
 what prefilling the prefix would recompute — so engine outputs stay
@@ -123,34 +119,18 @@ class PrefixCache:
     Args:
         max_tokens: Retention budget as summed retained prompt tokens.  A
             prompt longer than the whole budget is simply not retained.
-        max_bytes: Optional additional budget on the pinned blocks'
-            storage (K and V, all layers); ``None`` leaves bytes unbounded.
-            The token and byte budgets are both enforced — eviction runs
-            until the cache satisfies every configured bound.  A physical
-            block pinned by several retained prompts is charged **once** —
-            the budget tracks real pool occupancy, not the summed virtual
-            prompt sizes.
     """
 
     max_tokens: int = 4096
-    max_bytes: Optional[int] = None
     stats: PrefixCacheStats = field(default_factory=PrefixCacheStats)
 
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be positive, got {self.max_tokens}")
-        if self.max_bytes is not None and self.max_bytes < 1:
-            raise ValueError(f"max_bytes must be positive, got {self.max_bytes}")
         #: Retained entries, least-recently-used first.
         self._entries: "OrderedDict[TokenKey, _Entry]" = OrderedDict()
         self._root = _TrieNode()
         self._num_tokens = 0
-        self._num_bytes = 0
-        #: Per-block retention refcounts: how many retained entries pin
-        #: each physical block.  A block is charged to ``_num_bytes`` when
-        #: its count goes 0 -> 1 and credited back when it returns to 0, so
-        #: shared blocks are accounted exactly once.
-        self._block_refs: Dict[int, int] = {}
         self._owner: Optional[object] = None
 
     def bind(self, owner: object) -> None:
@@ -179,11 +159,6 @@ class PrefixCache:
     def num_tokens(self) -> int:
         """Summed token count of all retained entries."""
         return self._num_tokens
-
-    @property
-    def num_bytes(self) -> int:
-        """Storage of the blocks retained entries pin, each block counted once."""
-        return self._num_bytes
 
     def __contains__(self, tokens: Sequence[int]) -> bool:
         return tuple(tokens) in self._entries
@@ -234,9 +209,7 @@ class PrefixCache:
 
         Lets the engine skip pinning a prompt's blocks when the insert would
         be discarded anyway.  An exact duplicate refreshes its LRU position
-        here, preserving :meth:`insert`'s touch-on-reinsert semantics.  The
-        byte budget cannot be checked without the prefix, so a byte-only
-        overflow is still caught inside :meth:`insert`.
+        here, preserving :meth:`insert`'s touch-on-reinsert semantics.
         """
         key = tuple(int(token) for token in tokens)
         if not key or len(key) > self.max_tokens:
@@ -251,9 +224,9 @@ class PrefixCache:
 
         The prefix must cover exactly ``len(tokens)`` positions.  Re-inserting
         a retained prompt refreshes its LRU position without pinning.  Prompts
-        that alone exceed a budget are not retained (retaining then instantly
-        evicting everything else would just thrash).  After a successful
-        insert, least-recently-used entries are evicted until every configured
+        that alone exceed the budget are not retained (retaining then
+        instantly evicting everything else would just thrash).  After a
+        successful insert, least-recently-used entries are evicted until the
         budget holds again.
 
         The cache takes ownership of the prefix: a rejected one is released
@@ -263,15 +236,7 @@ class PrefixCache:
         key = tuple(int(token) for token in tokens)
         if prefix.length != len(key):
             raise ValueError(f"prefix covers {prefix.length} positions for a {len(key)}-token prompt")
-        stored = False
-        if key and len(key) <= self.max_tokens and not (
-            self.max_bytes is not None and prefix.nbytes > self.max_bytes
-        ):
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            else:
-                stored = True
-        if not stored:
+        if not self.would_retain(key):
             prefix.release()
             return False
         entry = _Entry(tokens=key, prefix=prefix)
@@ -284,9 +249,11 @@ class PrefixCache:
             node = child
             node.entries.add(key)
         self._num_tokens += len(key)
-        self._charge(prefix)
         self.stats.insertions += 1
-        self._evict_to_budget(keep=key)
+        # The new entry sits at the MRU tail and fits alone, so eviction stops
+        # before reaching it.
+        while self._num_tokens > self.max_tokens:
+            self._remove(next(iter(self._entries)))
         return True
 
     def evict_lru(self) -> bool:
@@ -301,43 +268,9 @@ class PrefixCache:
         self._remove(next(iter(self._entries)))
         return True
 
-    def _charge(self, prefix: PagedPrefix) -> None:
-        # Add the prefix's storage to ``_num_bytes`` per *physical block*,
-        # first pin only.
-        for block in prefix.block_ids:
-            count = self._block_refs.get(block, 0)
-            if count == 0:
-                self._num_bytes += prefix.block_nbytes
-            self._block_refs[block] = count + 1
-
-    def _discharge(self, prefix: PagedPrefix) -> None:
-        # Inverse of :meth:`_charge`: credit bytes back when the last
-        # retained pin of a block disappears.
-        for block in prefix.block_ids:
-            count = self._block_refs[block] - 1
-            if count == 0:
-                del self._block_refs[block]
-                self._num_bytes -= prefix.block_nbytes
-            else:
-                self._block_refs[block] = count
-
-    def _evict_to_budget(self, keep: Optional[TokenKey] = None) -> None:
-        # ``keep`` (the just-inserted entry) sits at the MRU tail, so the LRU
-        # head can only be it once everything else is gone — which the loop
-        # bound already forbids; insert's own budget pre-checks guarantee a
-        # sole surviving entry fits.
-        while self._over_budget() and len(self._entries) > (1 if keep in self._entries else 0):
-            self._remove(next(iter(self._entries)))
-
-    def _over_budget(self) -> bool:
-        if self._num_tokens > self.max_tokens:
-            return True
-        return self.max_bytes is not None and self._num_bytes > self.max_bytes
-
     def _remove(self, key: TokenKey) -> None:
         entry = self._entries.pop(key)
         self._num_tokens -= len(key)
-        self._discharge(entry.prefix)
         entry.prefix.release()
         self.stats.evictions += 1
         # Unlink the entry from its trie path, pruning nodes no surviving

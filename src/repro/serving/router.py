@@ -68,6 +68,10 @@ from repro.serving.worker import EngineWorker, WorkerSpec
 
 __all__ = ["Router", "RouterConfig", "RouterRequest"]
 
+#: Prompt tokens hashed for affinity routing; requests agreeing on this window
+#: co-locate on one replica's prefix cache.
+PREAMBLE_TOKENS = 16
+
 
 @dataclass
 class RouterConfig:
@@ -79,18 +83,12 @@ class RouterConfig:
     """
 
     num_workers: int = 2
-    #: Prompt tokens hashed for affinity routing; requests agreeing on this
-    #: window co-locate on one replica's prefix cache.
-    preamble_tokens: int = 16
     start_method: Optional[str] = None
-    heartbeat_interval: float = 0.2
     #: Outstanding-request gap at which affinity yields to least-loaded.
     imbalance_threshold: int = 4
     #: Crash restarts allowed per worker slot before the router gives up and
     #: fails that slot's in-flight requests.
     max_restarts: int = 2
-    #: Engine steps a worker runs between command polls.
-    steps_per_loop: int = 1
     seed: int = 0
     hello_timeout: float = 120.0
     #: Pump sleep while waiting in ``drain``/``result``.
@@ -184,8 +182,6 @@ class Router:
             worker_id=f"w{index}",
             factory=self.factory,
             factory_kwargs=self.factory_kwargs,
-            heartbeat_interval=self.config.heartbeat_interval,
-            steps_per_loop=self.config.steps_per_loop,
             seed=self.config.seed,
         )
         worker = EngineWorker(
@@ -231,7 +227,7 @@ class Router:
 
     def _route(self, prompt_ids: List[int]) -> int:
         """Pick a worker: sticky prefix affinity, least-loaded under imbalance."""
-        key = preamble_key(prompt_ids, self.config.preamble_tokens)
+        key = preamble_key(prompt_ids, PREAMBLE_TOKENS)
         index = self._affinity.get(key)
         if index is None or index >= len(self.workers):
             index = key % len(self.workers)
@@ -259,6 +255,9 @@ class Router:
         """
         self._ensure_running()
         if request_id is None:
+            # Skip ids the caller already chose.
+            while f"r{self._next_id}" in self._requests:
+                self._next_id += 1
             request_id = f"r{self._next_id}"
             self._next_id += 1
         if request_id in self._requests:
@@ -499,7 +498,12 @@ class Router:
         return record.stream_metrics
 
     def kv_pool_stats(self) -> dict:
-        """Per-worker K/V pool stats plus a numeric-summed fleet aggregate."""
+        """Per-worker K/V pool stats plus a fleet aggregate.
+
+        The aggregate sums the block counts and recomputes ``occupancy`` /
+        ``shared_block_ratio`` from those sums; ``block_size`` is the
+        workers' common block size (``None`` if they differ).
+        """
         return self._aggregate_query("kv_pool_stats")
 
     def prefix_cache_stats(self) -> dict:
@@ -543,7 +547,14 @@ class Router:
                     continue
                 current = aggregate.get(key)
                 aggregate[key] = value if current is None else current + value
-        # Ratios don't sum; recompute the fleet-level ones that matter.
+        # Ratios and sizes don't sum; recompute them from the summed counts.
+        in_use = aggregate.get("blocks_in_use")
+        if isinstance(in_use, (int, float)):
+            num_blocks = aggregate["num_blocks"]
+            aggregate["occupancy"] = in_use / num_blocks if num_blocks else 0.0
+            aggregate["shared_block_ratio"] = aggregate["shared_blocks"] / in_use if in_use else 0.0
+            block_sizes = {payload["block_size"] for payload in per_worker.values()}
+            aggregate["block_size"] = block_sizes.pop() if len(block_sizes) == 1 else None
         hits = aggregate.get("hits")
         misses = aggregate.get("misses")
         if isinstance(hits, (int, float)) and isinstance(misses, (int, float)):

@@ -114,6 +114,9 @@ class RequestDeadlineExceeded(RequestCancelled):
 #: Queue sentinel marking the end of a request's burst stream.
 _DONE = object()
 
+#: Seconds the step thread of an idle :class:`AsyncServingEngine` sleeps between polls.
+POLL_INTERVAL = 0.001
+
 
 class StreamHandle:
     """One submitted request, as seen by an asyncio consumer.
@@ -307,25 +310,23 @@ class AsyncServingEngine:
             running — do not call ``engine.step()``/``engine.run()``
             concurrently (submitting through the engine directly bypasses
             streaming and is also not supported while the server runs).
-        poll_interval: How long the step thread sleeps when the engine has
-            no work, in seconds.  Work submitted while the thread sleeps is
-            picked up at the next poll, so this bounds added first-step
-            latency on an idle server.
+
+    When the engine has no work the step thread sleeps
+    :data:`POLL_INTERVAL` seconds; work submitted meanwhile is picked up at
+    the next poll, so that bounds the added first-step latency of an idle
+    server.
 
     Use as an async context manager (``async with AsyncServingEngine(...)``),
     a synchronous one (``with`` — start/shutdown), or call
     :meth:`start` / :meth:`close` / :meth:`shutdown` explicitly.
     """
 
-    def __init__(self, engine: ServingEngine, poll_interval: float = 0.001) -> None:
-        if poll_interval <= 0:
-            raise ValueError(f"poll_interval must be positive, got {poll_interval}")
+    def __init__(self, engine: ServingEngine) -> None:
         self.engine = engine
         #: The message surface this server actually drives; results stay
         #: retained on the engine (``forget_on_done=False``) so synchronous
         #: ``engine.result()``/``stream_metrics()`` keep working afterwards.
         self.control = EngineControl(engine, forget_on_done=False)
-        self.poll_interval = poll_interval
         #: Serialises every engine touch: the step thread holds it per step,
         #: submit/cancel take it from the event loop.
         self._lock = _FairLock()
@@ -465,7 +466,7 @@ class AsyncServingEngine:
             if not worked:
                 # Idle: nothing queued, prefilling or running.  Sleep on the
                 # stop event so close() wakes us immediately.
-                self._stop.wait(self.poll_interval)
+                self._stop.wait(POLL_INTERVAL)
 
     def _drive_locked(self, command: object) -> object:
         """Handle one control command and fan its events out (lock held).

@@ -172,11 +172,11 @@ class WorkerSpec:
     worker_id: str
     factory: Any
     factory_kwargs: Dict[str, Any] = field(default_factory=dict)
-    heartbeat_interval: float = 0.2
-    #: Engine steps per loop iteration between command polls; >1 amortises
-    #: pipe traffic when the link is slower than the model.
-    steps_per_loop: int = 1
     seed: int = 0
+
+
+#: Seconds between the stats heartbeats a worker sends its router.
+HEARTBEAT_INTERVAL = 0.2
 
 
 def _worker_seed(spec: WorkerSpec) -> int:
@@ -189,10 +189,11 @@ def worker_main(conn: multiprocessing.connection.Connection, spec: WorkerSpec) -
     """Child-process entry point: build the engine, serve the message loop.
 
     Loop shape: drain every pending command (so cancels never queue behind
-    compute), then run up to ``spec.steps_per_loop`` engine steps if there is
-    work, shipping any resulting events as an unsolicited ``StepReply``; when
-    idle, block briefly on the pipe and emit heartbeats.  Command errors are
-    data (``SubmitReply.error``); step errors are fatal.
+    compute), then run one engine step if there is work, shipping any
+    resulting events as an unsolicited ``StepReply``; when idle, block
+    briefly on the pipe.  Heartbeats go out every :data:`HEARTBEAT_INTERVAL`
+    seconds.  Command errors are data (``SubmitReply.error``); step errors
+    are fatal.
     """
     out_seq = 0
 
@@ -245,15 +246,15 @@ def worker_main(conn: multiprocessing.connection.Connection, spec: WorkerSpec) -
 
             # 3. Step autonomously; ship events the steps produced.
             if control.engine.has_work:
-                reply = control.handle(StepCommand(max_steps=spec.steps_per_loop))
+                reply = control.handle(StepCommand())
                 if reply.commits or reply.finished:
                     send(reply)
             else:
                 # Idle: block briefly on the pipe so cancels/submits wake us.
-                conn.poll(min(spec.heartbeat_interval, 0.01))
+                conn.poll(0.01)
 
             now = time.perf_counter()
-            if now - last_heartbeat >= spec.heartbeat_interval:
+            if now - last_heartbeat >= HEARTBEAT_INTERVAL:
                 send(Heartbeat(worker_id=spec.worker_id, stats=control.stats(), timestamp=now))
                 last_heartbeat = now
     except (EOFError, BrokenPipeError, OSError):

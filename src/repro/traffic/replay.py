@@ -43,6 +43,9 @@ from repro.traffic.admission import AdmissionController, AdmissionDecision
 from repro.traffic.clock import SimulatedClock, WallClock
 from repro.traffic.trace import Trace, TraceRequest
 
+#: Seconds after which a request the admission gate deferred is offered again.
+DEFER_RETRY_SECONDS = 0.05
+
 
 @dataclass
 class StepCostModel:
@@ -189,7 +192,6 @@ def replay_trace(
     clock: Optional[object] = None,
     cost_model: Optional[StepCostModel] = None,
     admission: Optional[AdmissionController] = None,
-    defer_retry_seconds: float = 0.05,
 ) -> ReplayReport:
     """Replay ``trace`` against a synchronous engine; returns the report.
 
@@ -202,8 +204,7 @@ def replay_trace(
         clock: :class:`SimulatedClock` or :class:`WallClock` (default wall).
         cost_model: Virtual step costs (simulated clock only).
         admission: Optional SLO-aware gate consulted before every submit;
-            deferred requests are retried every ``defer_retry_seconds``.
-        defer_retry_seconds: Retry cadence for deferred requests.
+            deferred requests are retried every :data:`DEFER_RETRY_SECONDS`.
 
     Raises:
         ValueError: Simulated clock that the engine does not share.
@@ -242,7 +243,7 @@ def replay_trace(
                 )
                 return
             if decision is AdmissionDecision.DEFER:
-                deferred.append((now + defer_retry_seconds, request, defer_count + 1))
+                deferred.append((now + DEFER_RETRY_SECONDS, request, defer_count + 1))
                 return
         engine.submit(
             engine.decoder.tokenizer.encode(request.prompt, add_bos=True),

@@ -282,9 +282,8 @@ class TestRaggedServingOps:
         cache, prefixes, paths = self._tree_step()
         expected = self._expected_paths(cache, range(3), prefixes, paths)
         buffers = [(layer.k, layer.v) for layer in cache.layers]
-        compacted = cache.compact_paths(range(3), prefixes, paths)
-        # Same object, same buffers: no allocation, O(path) writes.
-        assert compacted is cache
+        assert cache.compact_paths(prefixes, paths) is None
+        # Same buffers: no allocation, O(path) writes.
         assert all(layer.k is k and layer.v is v for layer, (k, v) in zip(cache.layers, buffers))
         assert cache.lengths.tolist() == [9, 4, 7]
         for layer, rows in zip(cache.layers, expected):
@@ -294,8 +293,8 @@ class TestRaggedServingOps:
     def test_compact_paths_rejects_a_row_subset(self):
         cache, prefixes, paths = self._tree_step()
         before = [(layer.k.copy(), layer.lengths.copy()) for layer in cache.layers]
-        with pytest.raises(ValueError, match="every row in order"):
-            cache.compact_paths([2, 0], [prefixes[2], prefixes[0]], [paths[2], paths[0]])
+        with pytest.raises(ValueError, match="compacts every row"):
+            cache.compact_paths([prefixes[2], prefixes[0]], [paths[2], paths[0]])
         for layer, (k, lengths) in zip(cache.layers, before):
             assert np.array_equal(layer.k, k) and np.array_equal(layer.lengths, lengths)
 

@@ -89,6 +89,12 @@ def assert_same_content(row_cache: KVCache, paged: PagedKVCache):
             np.testing.assert_array_equal(v_paged[row, :, :length], row_layer.v[row, :, :length])
 
 
+def assert_tables_fit_lengths(paged: PagedKVCache):
+    """Every row holds exactly the blocks its length needs: none leaked past it, none missing."""
+    block_size = paged.pool.block_size
+    assert [len(table) for table in paged._tables] == [blocks_for(int(n), block_size) for n in paged.lengths]
+
+
 class TestBlocksFor:
     def test_rounding(self):
         assert blocks_for(0, 4) == 0
@@ -234,15 +240,14 @@ class TestPagedPrefix:
         prefix.release()
         cache.release()
 
-    def test_nbytes_and_geometry(self):
+    def test_geometry(self):
         pool = make_pool()
         cache = self._cache_with_row(pool, 5)
         prefix = cache.snapshot_prefix(0, 5)
         assert prefix.num_layers == LAYERS
         assert prefix.num_heads == HEADS
         assert prefix.head_dim == HEAD_DIM
-        assert prefix.block_nbytes == pool.block_nbytes
-        assert prefix.nbytes == blocks_for(5, BLOCK) * pool.block_nbytes
+        assert len(prefix.block_ids) == blocks_for(5, BLOCK)
         prefix.release()
         cache.release()
 
@@ -340,12 +345,28 @@ class TestPagedVsRowContent:
         append_both(row_cache, paged, rng, 5, widths=[5, 4])  # tree window
         prefixes = [6, 5]
         paths = [[0, 2, 4], [1, 3]]
-        row_new = row_cache.compact_paths([0, 1], prefixes, paths)
-        paged_new = paged.compact_paths([0, 1], prefixes, paths)
+        cow_before = pool.cow_events
+        assert row_cache.compact_paths(prefixes, paths) is None
+        assert paged.compact_paths(prefixes, paths) is None
+        assert row_cache.lengths.tolist() == [9, 7]
+        assert_same_content(row_cache, paged)
+        # In place: no block copied, and no row holds a block past its new length.
+        assert pool.cow_events == cow_before
+        assert_tables_fit_lengths(paged)
         paged.release()
-        assert row_new.lengths.tolist() == [9, 7]
-        assert_same_content(row_new, paged_new)
-        paged_new.release()
+        assert np.all(pool.refcounts == 0)
+
+    def test_compact_paths_frees_the_rejected_branches(self):
+        """Only the committed blocks stay held; the tree window's tail returns to the pool."""
+        pool, row_cache, paged = self._pair(batch=2)
+        rng = np.random.default_rng(12)
+        append_both(row_cache, paged, rng, 5)  # prefixes: 5 positions, two blocks each
+        append_both(row_cache, paged, rng, 9)  # tree windows up to position 14: four blocks each
+        assert pool.blocks_in_use == 8
+        paged.compact_paths([5, 5], [[0], []])
+        assert paged.lengths.tolist() == [6, 5]
+        assert pool.blocks_in_use == 4
+        paged.release()
         assert np.all(pool.refcounts == 0)
 
     def test_concat_consumes_sources(self):
@@ -435,7 +456,7 @@ class TestPagedOpsFuzz:
         row_cache = KVCache(LAYERS, HEADS, HEAD_DIM, capacity=128, batch=batch)
         paged = PagedKVCache(pool, batch=batch)
         for _ in range(cases.integer(1, 8)):
-            action = cases.integer(0, 3)
+            action = cases.integer(0, 4)
             batch_now = paged.batch
             if action == 0 and batch_now > 0:  # ragged append
                 width = cases.integer(1, 7)
@@ -458,6 +479,13 @@ class TestPagedOpsFuzz:
                 keep_rows = [r for r in range(batch_now) if r != victim]
                 row_cache.select_rows(keep_rows)
                 paged.select_rows(keep_rows)
+            elif action == 4 and batch_now > 0:  # tree window, then keep one path per row in place
+                prefixes = [int(length) for length in paged.lengths]
+                sizes = [cases.integer(1, 5) for _ in range(batch_now)]
+                append_both(row_cache, paged, rng, max(sizes), widths=sizes)
+                paths = [sorted(cases.subset(range(size), cases.integer(0, size))) for size in sizes]
+                row_cache.compact_paths(prefixes, paths)
+                paged.compact_paths(prefixes, paths)
             elif batch_now > 0:  # snapshot + splice into a fresh row
                 source_row = cases.integer(0, batch_now - 1)
                 length = int(paged.lengths[source_row])
@@ -471,6 +499,7 @@ class TestPagedOpsFuzz:
                     row_cache = KVCache.concat([row_cache, fresh_row])
                     paged = PagedKVCache.concat([paged, fresh_paged])
             assert_same_content(row_cache, paged)
+            assert_tables_fit_lengths(paged)
         paged.release()
         assert np.all(pool.refcounts == 0), "leaked block references"
         assert pool.num_free == pool.num_blocks
@@ -533,10 +562,10 @@ class TestAppendReturnsTheRowOraclesViews:
                 sizes = [cases.integer(1, 6) for _ in range(batch_now)]
                 append_and_compare(row_cache, paged, rng, max(sizes), sizes)
                 paths = [sorted(cases.subset(range(size), cases.integer(1, size))) for size in sizes]
-                row_cache = row_cache.compact_paths(range(batch_now), prefixes, paths)
-                compacted = paged.compact_paths(range(batch_now), prefixes, paths)
-                paged.release()
-                paged = compacted
+                cow_before = pool.cow_events
+                row_cache.compact_paths(prefixes, paths)
+                paged.compact_paths(prefixes, paths)
+                assert pool.cow_events == cow_before  # the tree append already made the window exclusive
             elif action == 3 and batch_now > 1:  # drop / reorder rows
                 keep = cases.subset(range(batch_now), cases.integer(1, batch_now))
                 row_cache.select_rows(keep)
@@ -556,6 +585,7 @@ class TestAppendReturnsTheRowOraclesViews:
                 row_cache = KVCache.concat([row_cache, fresh_row]) if batch_now else fresh_row
                 paged = PagedKVCache.concat([paged, fresh_paged]) if batch_now else fresh_paged
             assert_same_content(row_cache, paged)
+            assert_tables_fit_lengths(paged)
         paged.release()
         for _, prefix in retained:
             prefix.release()
@@ -631,7 +661,7 @@ class TestOncePerForwardWritePlan:
             "snapshot_prefix": lambda: cache.snapshot_prefix(0, 6),
             "repeat_rows": lambda: cache.repeat_rows(2),
             "compact_rows": lambda: cache.compact_rows([0, 1], [6, 0]),
-            "compact_paths": lambda: cache.compact_paths([0, 1], [8, 0], [[], []]),
+            "compact_paths": lambda: cache.compact_paths([8, 0], [[], []]),
         }[op]()
         assert cache._write_plan is None
         if shares is not None:
@@ -696,14 +726,14 @@ class TestPagedCompactPathsCounts:
         pool.k = [array.view(CountingArray) for array in pool.k]
         pool.v = [array.view(CountingArray) for array in pool.v]
         CountingArray.reads = CountingArray.writes = 0
-        compacted = paged.compact_paths([0, 1, 2], prefixes, paths)
+        paged.compact_paths(prefixes, paths)
         # K and V of each layer: one indexed read, one indexed write, whatever the row count.
         assert (CountingArray.reads, CountingArray.writes) == (2 * LAYERS, 2 * LAYERS)
         pool.k = [array.view(np.ndarray) for array in pool.k]
         pool.v = [array.view(np.ndarray) for array in pool.v]
+        row_cache.compact_paths(prefixes, paths)
+        assert_same_content(row_cache, paged)
         paged.release()
-        assert_same_content(row_cache.compact_paths([0, 1, 2], prefixes, paths), compacted)
-        compacted.release()
         assert np.all(pool.refcounts == 0)
 
 

@@ -16,9 +16,7 @@ from repro.nn.kv_pool import KVBlockPool, PagedKVCache, PagedPrefix, blocks_for
 from repro.serving.prefix_cache import PrefixCache
 
 LAYERS, HEADS, HEAD_DIM = 2, 2, 4
-BYTES_PER_TOKEN = 2 * LAYERS * HEADS * HEAD_DIM * 4  # K and V, float32
 BLOCK = 4
-BLOCK_NBYTES = BLOCK * BYTES_PER_TOKEN  # one pool block: K and V, all layers
 
 
 def make_paged_pool(num_blocks: int = 32) -> KVBlockPool:
@@ -173,38 +171,26 @@ class TestPrefixCacheRetention:
         assert not cache.insert([1, 2, 3, 4, 5], make_prefix(pool, 5))
         assert len(cache) == 0
 
-    def test_byte_budget(self, pool):
-        cache = PrefixCache(max_tokens=1000, max_bytes=3 * BLOCK_NBYTES)
-        cache.insert(list(range(1, 9)), make_prefix(pool, 8))  # two blocks
-        cache.insert([9], make_prefix(pool, 1))  # a partial block is charged whole
-        assert cache.num_bytes == 3 * BLOCK_NBYTES
-        cache.insert([10], make_prefix(pool, 1))  # over byte budget: evict LRU [1..8]
-        assert cache.num_bytes == 2 * BLOCK_NBYTES
-        assert cache.lookup([1, 2])[0] == 0
-        assert not cache.insert(list(range(20, 36)), make_prefix(pool, 16))  # alone over byte budget
-
     def test_clear(self, pool):
         cache = PrefixCache(max_tokens=100)
         cache.insert([1, 2, 3], make_prefix(pool, 3))
         cache.insert([4, 5], make_prefix(pool, 2))
         cache.clear()
         assert len(cache) == 0
-        assert cache.num_tokens == 0 and cache.num_bytes == 0
+        assert cache.num_tokens == 0 and pool.blocks_in_use == 0
         assert cache.lookup([1, 2, 3]) == (0, None)
 
     def test_validation(self, pool):
         with pytest.raises(ValueError, match="max_tokens"):
             PrefixCache(max_tokens=0)
-        with pytest.raises(ValueError, match="max_bytes"):
-            PrefixCache(max_tokens=10, max_bytes=0)
         cache = PrefixCache(max_tokens=10)
         with pytest.raises(ValueError, match="positions"):
             cache.insert([1, 2, 3], make_prefix(pool, 2))
         assert not cache.insert([], make_prefix(pool, 0))
 
     def test_would_retain_precheck(self, pool):
-        """would_retain mirrors insert's decision (minus the byte budget) and
-        refreshes LRU on exact duplicates, so the engine can skip gathering."""
+        """would_retain mirrors insert's decision and refreshes LRU on exact
+        duplicates, so the engine can skip pinning."""
         cache = PrefixCache(max_tokens=6)
         assert cache.would_retain([1, 2, 3])
         cache.insert([1, 2, 3], make_prefix(pool, 3))
@@ -246,28 +232,24 @@ class TestPrefixCacheRetention:
 
 
 class TestPagedSharedBlockAccounting:
-    """Regression: the byte budget counts each shared physical block once.
-
-    Paged retention pins pool blocks by reference instead of copying; two
-    entries sharing a prompt preamble pin the *same* blocks.  Charging each
-    entry its full ``nbytes`` would double-count the shared blocks, shrink
-    the effective byte budget, and evict entries the pool actually has room
-    for — so the cache keeps per-block retention refcounts and charges a
-    block only on its first pin."""
+    """Retention pins pool blocks by reference instead of copying; two
+    entries sharing a prompt preamble pin the *same* blocks.  The pool's
+    refcounts are the one record of who holds a block: a shared block stays
+    allocated while any entry pins it and returns to the free list with the
+    last pin."""
 
     def test_shared_blocks_charged_once(self):
         pool = make_paged_pool()
         row = paged_row(pool, 8)  # blocks [b0, b1] at block_size 4
         cache = PrefixCache(max_tokens=1000)
         assert cache.insert([1, 2, 3, 4, 5, 6, 7, 8], row.snapshot_prefix(0, 8))
-        assert cache.num_bytes == 2 * BLOCK_NBYTES
         # The shorter entry pins only b0, which the first entry already pinned.
         assert cache.insert([1, 2, 3, 4], row.snapshot_prefix(0, 4))
-        assert cache.num_bytes == 2 * BLOCK_NBYTES  # not 3: b0 counted once
+        blocks = list(row._tables[0])
         row.release()
         assert pool.blocks_in_use == 2  # retention alone keeps b0 and b1 alive
+        assert pool.refcounts[blocks].tolist() == [2, 1]  # b0: one block, two pins
         cache.clear()
-        assert cache.num_bytes == 0
         assert pool.blocks_in_use == 0
         assert np.all(pool.refcounts == 0)
 
@@ -279,38 +261,13 @@ class TestPagedSharedBlockAccounting:
         cache.insert([1, 2, 3, 4], row.snapshot_prefix(0, 4))
         row.release()
         # LRU is the 8-token entry: evicting it frees b1 (sole pin) but b0
-        # stays charged and alive through the surviving 4-token entry.
+        # stays alive through the surviving 4-token entry.
         assert cache.evict_lru()
-        assert cache.num_bytes == 1 * BLOCK_NBYTES
         assert pool.blocks_in_use == 1
         assert cache.lookup([1, 2, 3, 4], limit=3)[0] == 3  # survivor still serves
         assert cache.evict_lru()
-        assert cache.num_bytes == 0
         assert pool.blocks_in_use == 0
         assert not cache.evict_lru()  # empty cache: nothing to reclaim
-
-    def test_byte_budget_sized_by_physical_blocks(self):
-        """A budget of exactly two blocks admits a sharing entry for free and
-        only evicts when genuinely new blocks are pinned."""
-        pool = make_paged_pool()
-        row = paged_row(pool, 8)
-        other = paged_row(pool, 4, seed=1)
-        cache = PrefixCache(max_tokens=1000, max_bytes=2 * BLOCK_NBYTES)
-        assert cache.insert([1, 2, 3, 4, 5, 6, 7, 8], row.snapshot_prefix(0, 8))
-        # Shares both pinned blocks: charges nothing, evicts nothing.
-        assert cache.insert([1, 2, 3, 4], row.snapshot_prefix(0, 4))
-        assert len(cache) == 2 and cache.stats.evictions == 0
-        # A disjoint entry pins a genuinely new block: now over budget, the
-        # LRU 8-token entry goes; its shared b0 stays charged via the
-        # 4-token survivor, so exactly one block's bytes are credited back.
-        assert cache.insert([9, 9, 9, 9], other.snapshot_prefix(0, 4))
-        assert cache.stats.evictions == 1
-        assert cache.num_bytes == 2 * BLOCK_NBYTES
-        assert cache.lookup([1, 2, 3, 4], limit=3)[0] == 3
-        row.release()
-        other.release()
-        cache.clear()
-        assert pool.blocks_in_use == 0
 
     def test_rejected_insert_releases_block_pins(self):
         """insert takes prefix ownership: a rejected prefix must not
@@ -322,6 +279,5 @@ class TestPagedSharedBlockAccounting:
         assert np.all(pool.refcounts[list(prefix.block_ids)] == 2)
         assert not cache.insert([1, 2, 3, 4, 5, 6, 7, 8], prefix)
         assert np.all(pool.refcounts[list(prefix.block_ids)] == 1)  # unpinned
-        assert cache.num_bytes == 0
         row.release()
         assert pool.blocks_in_use == 0

@@ -46,9 +46,11 @@ from repro.serving.messages import (
     DrainCommand,
     DrainReply,
     QueryCommand,
+    QueryReply,
     StepCommand,
     StepReply,
     SubmitCommand,
+    SubmitReply,
     decode_config,
     decode_result,
     encode_config,
@@ -214,7 +216,8 @@ class TestEngineControl:
         assert engine.scheduler.tokens_in_flight == 0
         assert engine._active == [] and engine._prefilling == []
         # The only pages still held are the ones prefix retention pins.
-        assert engine.kv_pool_stats()["blocks_in_use"] == len(prefix_cache._block_refs) > 0
+        retained = {block for entry in prefix_cache._entries.values() for block in entry.prefix.block_ids}
+        assert engine.kv_pool_stats()["blocks_in_use"] == len(retained) > 0
         prefix_cache.clear()
         assert engine.kv_pool_stats()["blocks_in_use"] == 0
 
@@ -469,9 +472,13 @@ class TestRouterFuzz:
                 if request_id not in cancelled and not record.cancelled:
                     result = decode_result(record.result_payload)
                     assert record.tokens == list(result.token_ids)
-            # Pools drain to zero once the fleet is idle.
+            # Pools drain to zero once the fleet is idle; sizes and ratios are
+            # fleet-level, not sums over workers.
             pool = router.kv_pool_stats()
             assert pool["aggregate"]["blocks_in_use"] == 0
+            assert pool["aggregate"]["num_blocks"] == 24 * len(pool["workers"])
+            assert pool["aggregate"]["block_size"] == 16
+            assert pool["aggregate"]["occupancy"] == 0.0
             fleet = router.fleet_stats()["aggregate"]
             assert fleet["queue_depth"] == 0 and fleet["num_active"] == 0
 
@@ -483,12 +490,34 @@ class TestRouterFuzz:
         for_all(10, lambda case: self._trace(tiny_pipeline, case), seed=12)
 
 
+class _StubWorker:
+    """A worker answered in process: submits are accepted, queries return ``payload``."""
+
+    alive = True
+
+    def __init__(self, worker_id, payload=None):
+        self.worker_id = worker_id
+        self.payload = payload or {}
+
+    def request(self, command):
+        if isinstance(command, SubmitCommand):
+            return SubmitReply(request_id=command.request_id)
+        return QueryReply(kind=command.kind, payload=self.payload)
+
+    def collect(self):
+        return []
+
+
+def _stub_router(workers, threshold=4):
+    router = Router(factory=None, config=RouterConfig(num_workers=len(workers), imbalance_threshold=threshold))
+    router.workers = list(workers)
+    router._started = True
+    return router
+
+
 class TestAffinityRouting:
     def _stub_router(self, num_workers, threshold=4):
-        router = Router(factory=None, config=RouterConfig(num_workers=num_workers, imbalance_threshold=threshold))
-        router.workers = [object() for _ in range(num_workers)]  # routing only
-        router._started = True
-        return router
+        return _stub_router([object() for _ in range(num_workers)], threshold)  # routing only
 
     def test_same_preamble_sticks_to_one_worker(self):
         router = self._stub_router(4)
@@ -569,6 +598,30 @@ class TestRouterBehaviour:
             with pytest.raises(ValueError):
                 router.submit(prompt, config=GenerationConfig.greedy_config(4), request_id="dup")
             router.drain(timeout=300)
+
+    def test_auto_ids_skip_caller_chosen_ids(self):
+        router = _stub_router([_StubWorker("w0")])
+        assert router.submit([1, 2, 3], request_id="r0") == "r0"
+        assert router.submit([1, 2, 3]) == "r1"
+        assert router.submit([1, 2, 3], request_id="r3") == "r3"
+        assert [router.submit([1, 2, 3]) for _ in range(2)] == ["r2", "r4"]
+
+    def test_fleet_kv_stats_are_fleet_ratios_not_sums(self):
+        """Counts sum across workers; occupancy and sharing are recomputed from
+        the sums, and the block size is the workers' common one."""
+        payloads = [
+            {"block_size": 16, "num_blocks": 100, "blocks_in_use": 80, "occupancy": 0.8,
+             "shared_blocks": 40, "shared_block_ratio": 0.5, "cow_events": 3},
+            {"block_size": 16, "num_blocks": 100, "blocks_in_use": 60, "occupancy": 0.6,
+             "shared_blocks": 10, "shared_block_ratio": 10 / 60, "cow_events": 4},
+        ]
+        router = _stub_router([_StubWorker(f"w{index}", payload) for index, payload in enumerate(payloads)])
+        aggregate = router.kv_pool_stats()["aggregate"]
+        assert aggregate["block_size"] == 16
+        assert aggregate["num_blocks"] == 200 and aggregate["blocks_in_use"] == 140
+        assert aggregate["occupancy"] == 140 / 200
+        assert aggregate["shared_block_ratio"] == 50 / 140
+        assert aggregate["cow_events"] == 7
 
     def test_cancel_and_forget(self, tiny_pipeline):
         router = _router(tiny_pipeline, "ours", DecodingStrategy.OURS)

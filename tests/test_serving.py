@@ -17,7 +17,7 @@ from proptest import Cases, for_all, num_cases
 from repro.core.acceptance import TypicalAcceptance
 from repro.core.decoding import DecodingStrategy, SpeculativeDecoder
 from repro.models.generation import GenerationConfig
-from repro.nn.kv_pool import PagedKVCache
+from repro.nn.kv_pool import PagedKVCache, blocks_for
 from repro.serving import (
     GenerationRequest,
     PrefixCache,
@@ -984,6 +984,18 @@ class TestPagedKVMemory:
         assert engine._pool.blocks_in_use == 0
         assert np.all(engine._pool.refcounts == 0)
 
+    def test_no_prefix_cache_copies_no_block(self, tiny_pipeline):
+        """Copy-on-write happens only where a writer shares a block.  Without
+        a prefix cache no two rows ever share one, and the step's in-place
+        compaction creates no sharing, so a whole run copies nothing."""
+        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
+        for prompt in _prompts(tiny_pipeline, 6):
+            engine.submit_text(prompt, GenerationConfig.greedy_config(40))
+        results = engine.run()
+        assert sum(result.steps for result in results.values()) > 6
+        assert engine.kv_pool_stats()["cow_events"] == 0
+        assert engine._pool.blocks_in_use == 0
+
     def test_cancel_frees_pages(self, tiny_pipeline):
         """Cancelling an in-flight request releases its pages immediately."""
         engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, max_active_requests=2)
@@ -1071,12 +1083,16 @@ class TestPagedKVMemory:
 def _check_pool_invariants(engine) -> None:
     """The engine's page bookkeeping between steps: every block's refcount is
     exactly its occurrences in the shared cache's tables, the prefilling rows'
-    tables and the prefix cache's retained block ids, and the free list is
-    exactly the unreferenced blocks, each once."""
+    tables and the prefix cache's retained block ids, the free list is
+    exactly the unreferenced blocks, each once, and no row's table holds a
+    block past the ones its length needs (in-place compaction and
+    truncation must release what they vacate)."""
     pool = engine._pool
-    tables = list(engine._cache._tables) if engine._cache is not None else []
-    for state in engine._prefilling:
-        tables += state.row_cache._tables
+    rows = [engine._cache] + [state.row_cache for state in engine._prefilling]
+    for cache in rows:
+        for table, length in zip(cache._tables, cache.lengths):
+            assert len(table) <= blocks_for(int(length), pool.block_size), "a row holds a block past its length"
+    tables = [table for cache in rows for table in cache._tables]
     if engine.prefix_cache is not None:
         tables += [entry.prefix.block_ids for entry in engine.prefix_cache._entries.values()]
     held = np.zeros(pool.num_blocks, dtype=np.int64)

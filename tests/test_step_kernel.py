@@ -174,9 +174,11 @@ def _run_together(decoder, jobs, paged):
     cache = PagedKVCache.concat(caches) if paged else KVCache.concat(caches)
     running = lanes
     while running:
-        cache, running, _ = decoder.step(cache, running, time.perf_counter)
-    cache.release()
+        # The kernel keeps its cache: every step updates this one object in place.
+        running, _ = decoder.step(cache, running, time.perf_counter)
+        assert cache.batch == len(running)
     if paged:
+        # Retiring the last lanes dropped their rows, so every block is back.
         assert pool.blocks_in_use == 0
     return lanes
 

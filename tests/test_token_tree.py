@@ -203,14 +203,14 @@ class TestTreeLogitsEquivalence:
                 winner = cases.integer(0, tree.num_candidates - 1)
                 committed = cases.integer(1, len(tree.candidate_nodes[winner]))
                 paths.append(tree.path(winner, committed))
-            compacted = merged.compact_paths(range(batch), prefixes, paths)
+            merged.compact_paths(prefixes, paths)
             for row, (cache, prefix_len, path) in enumerate(zip(caches, prefixes, paths)):
                 cache.keep_path(prefix_len, path)
-                assert compacted.lengths[row] == cache.length
+                assert merged.lengths[row] == cache.length
                 view = cache.length
                 for layer_index in range(cache.num_layers):
                     np.testing.assert_array_equal(
-                        compacted.layers[layer_index].k[row, :, :view],
+                        merged.layers[layer_index].k[row, :, :view],
                         cache.layers[layer_index].k[0, :, :view],
                     )
 
