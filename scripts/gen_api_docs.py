@@ -3,7 +3,8 @@
 
 Extracts public classes and functions — with their docstrings — from the
 documented packages (``repro.serving``, ``repro.core``, ``repro.nn``,
-``repro.evalbench``, ``repro.sim``, ``repro.constrained``, ``repro.traffic``)
+``repro.evalbench``, ``repro.sim``, ``repro.constrained``, ``repro.traffic``,
+``repro.verilog``)
 and renders one markdown page per package under
 ``docs/api/``.  Pure ``ast``: nothing is imported, so generation is
 deterministic, side-effect-free and needs no third-party packages (the same
@@ -44,7 +45,7 @@ SRC = REPO / "src" / "repro"
 API_DIR = REPO / "docs" / "api"
 
 #: Packages rendered, in nav order: one docs/api/<name>.md page each.
-PACKAGES = ["serving", "core", "nn", "evalbench", "sim", "constrained", "traffic"]
+PACKAGES = ["serving", "core", "nn", "evalbench", "sim", "constrained", "traffic", "verilog"]
 
 BANNER = (
     "<!-- Generated by scripts/gen_api_docs.py — do not edit by hand.\n"

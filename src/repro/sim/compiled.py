@@ -50,7 +50,6 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.verilog import ast_nodes as ast
-from repro.verilog.parser import _LocalDeclaration
 from repro.verilog.syntax import check_syntax
 from repro.sim.expr import (
     COMPARE_OPS,
@@ -464,7 +463,7 @@ class CompiledSimulator(Simulator):
             # User tasks push local frames and may suspend; the interpreter
             # path handles frames/arguments exactly.
             return True, (lambda _s=scope, _t=stmt: self._exec_statement(_s, _t))
-        if isinstance(stmt, (ast.NullStatement, ast.DisableStatement, _LocalDeclaration)):
+        if isinstance(stmt, (ast.NullStatement, ast.DisableStatement, ast.LocalDeclaration)):
             return False, _noop
         message = f"unsupported statement {type(stmt).__name__}"
         return False, _raiser(message)

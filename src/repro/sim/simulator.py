@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.verilog import ast_nodes as ast
-from repro.verilog.parser import parse_source, _LocalDeclaration
+from repro.verilog.parser import parse_source
 from repro.sim.expr import EvaluationError, ExpressionEvaluator
 from repro.sim.rng import VerilogRng
 from repro.sim.values import FourState
@@ -210,11 +210,7 @@ class Simulator:
     # ------------------------------------------------------------------ #
 
     def _infer_top(self) -> str:
-        instantiated = set()
-        for module in self.modules.values():
-            for node in module.walk():
-                if isinstance(node, ast.ModuleInstance) and node.module_name in self.modules:
-                    instantiated.add(node.module_name)
+        instantiated = {instance.module_name for module in self.modules.values() for instance in module.instances}
         candidates = [name for name in self.modules if name not in instantiated]
         if not candidates:
             return next(iter(self.modules))
@@ -277,15 +273,15 @@ class Simulator:
         for port in module.ports:
             if port.name not in scope.signal_map:
                 self._declare_signal(scope, port.name, port.range, port.signed)
-        # Local declarations inside named blocks.
-        for node in module.walk():
-            if isinstance(node, _LocalDeclaration) and node.declaration is not None:
-                for name in node.declaration.names:
-                    if name not in scope.signal_map:
-                        if node.declaration.net_type == "integer":
-                            self._declare_signal(scope, name, None, True, default_width=32)
-                        else:
-                            self._declare_signal(scope, name, node.declaration.range, node.declaration.signed)
+        # Local declarations inside begin/end blocks.
+        for local in module.local_declarations:
+            declaration = local.declaration
+            for name in declaration.names:
+                if name not in scope.signal_map:
+                    if declaration.net_type == "integer":
+                        self._declare_signal(scope, name, None, True, default_width=32)
+                    else:
+                        self._declare_signal(scope, name, declaration.range, declaration.signed)
 
         # Net initialisers become time-0 initial assignments.
         for item in module.items:
@@ -667,7 +663,7 @@ class Simulator:
                 iterations += 1
                 if iterations > self.max_loop_iterations:
                     raise SimulationError("for loop iteration limit exceeded in function")
-        elif isinstance(statement, (ast.NullStatement, _LocalDeclaration)):
+        elif isinstance(statement, (ast.NullStatement, ast.LocalDeclaration)):
             pass
         # Delays/event controls are illegal inside functions; ignore defensively.
 
@@ -783,7 +779,7 @@ class Simulator:
             task = scope.tasks.get(statement.name)
             if task is not None:
                 yield from self._exec_user_task(scope, task, statement.args)
-        elif isinstance(statement, (ast.NullStatement, ast.DisableStatement, _LocalDeclaration)):
+        elif isinstance(statement, (ast.NullStatement, ast.DisableStatement, ast.LocalDeclaration)):
             return
         else:
             raise SimulationError(f"unsupported statement {type(statement).__name__}")

@@ -12,6 +12,7 @@ unknowns take the "unknown" branch value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 X_CHAR = "x"
@@ -91,8 +92,13 @@ class FourState:
         return FourState(width=width, value=value, unknown=unknown, zmask=zmask, signed=signed)
 
     @staticmethod
+    @lru_cache(maxsize=4096)
     def from_literal(width: Optional[int], base: str, digits: str, signed: bool = False) -> "FourState":
-        """Build a vector from the parts of a Verilog literal (e.g. 4, 'b', '10x1')."""
+        """Build a vector from the parts of a Verilog literal (e.g. 4, 'b', '10x1').
+
+        Memoised: a design's literals recur in every simulator built over it,
+        and a :class:`FourState` is immutable, so one value serves them all.
+        """
         digits = digits.replace("_", "")
         base = base.lower()
         bits_per_digit = {"b": 1, "o": 3, "h": 4, "d": 0}[base]

@@ -9,8 +9,9 @@ strings, system tasks, compiler directives (skipped), and both comment styles.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 
 class LexerError(ValueError):
@@ -152,8 +153,63 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}, {self.line}:{self.column})"
 
 
+def _char_class(chars: Iterable[str]) -> str:
+    return "[" + "".join(re.escape(ch) for ch in sorted(chars)) + "]"
+
+
+#: Whitespace and both comment styles, skipped before every token.  An
+#: unterminated ``/*`` is left in place for :data:`_TOKEN` to reject.
+_TRIVIA = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*")
+
+#: Pattern fragments shared by :data:`_TOKEN` and the error path.
+_DECIMAL = r"[0-9][0-9_]*"
+#: A based literal up to its base character.
+_BASED_HEAD = rf"(?:{_DECIMAL})?'[sS]?"
+#: A string literal without its closing quote.
+_STRING_BODY = r'"(?:[^"\\\n]|\\[^\n])*'
+
+#: Every token kind in one alternation, one named group per kind (the
+#: ``open_comment`` group only flags an error).  The first alternative that
+#: matches wins, so ``MULTI_CHAR_OPERATORS`` keeps its longest-first order.
+#: A plain decimal ends where its digits end (``(?![0-9_'])``): ``12'q``
+#: must fail as a whole (bad base), not backtrack into the NUMBER ``1``.
+_TOKEN = re.compile(
+    "|".join(
+        [
+            r"(?P<IDENTIFIER>[A-Za-z_][A-Za-z0-9_$]*|\\[^ \t\r\n]*)",
+            "(?P<PUNCTUATION>" + _char_class(PUNCTUATION) + ")",
+            "(?P<NUMBER>"
+            + _BASED_HEAD
+            + r"(?:[bB][01xzXZ_?]+|[oO][0-7xzXZ_?]+|[dD][0-9_]+|[hH][0-9a-fA-FxzXZ_?]+)|"
+            + _DECIMAL
+            + rf"(?![0-9_'])(?:\.{_DECIMAL})?(?:[eE](?=[0-9+-])[+-]?[0-9]*)?)",
+            r"(?P<open_comment>/\*)",
+            "(?P<OPERATOR>"
+            + "|".join(re.escape(op) for op in MULTI_CHAR_OPERATORS)
+            + "|"
+            + _char_class(SINGLE_CHAR_OPERATORS)
+            + ")",
+            "(?P<STRING>" + _STRING_BODY + '")',
+            r"(?P<SYSTEM_IDENTIFIER>\$[A-Za-z0-9_]*)",
+            r"(?P<DIRECTIVE>`[A-Za-z0-9_]*)",
+        ]
+    )
+)
+
+_KINDS = {kind.name: kind for kind in TokenKind}
+
+_STRING_BODY_RE = re.compile(_STRING_BODY)
+_BASED_HEAD_RE = re.compile(_BASED_HEAD)
+
+
 class Lexer:
-    """Streaming lexer over Verilog source text."""
+    """Streaming lexer over Verilog source text.
+
+    Each :meth:`next_token` is two matches of compiled patterns: the skipped
+    whitespace and comments, then the token.  Identifiers and numbers are
+    ASCII (IEEE 1364-2001 §3.7); any other character outside a string or a
+    comment is an ``unexpected character``.
+    """
 
     def __init__(self, source: str) -> None:
         self.source = source
@@ -161,168 +217,63 @@ class Lexer:
         self.line = 1
         self.column = 1
 
-    def _error(self, message: str) -> LexerError:
-        return LexerError(message, self.line, self.column)
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        if idx < len(self.source):
-            return self.source[idx]
-        return ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise self._error("unterminated block comment")
-            else:
-                return
-
-    def _lex_identifier(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        if self._peek() == "\\":
-            # Escaped identifier: backslash up to whitespace.
-            self._advance()
-            while self.pos < len(self.source) and self._peek() not in " \t\r\n":
-                self._advance()
-            return Token(TokenKind.IDENTIFIER, self.source[start : self.pos], line, column)
-        while self.pos < len(self.source) and (self._peek().isalnum() or self._peek() in "_$"):
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-        return Token(kind, text, line, column)
-
-    def _lex_system_identifier(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        self._advance()  # consume '$'
-        while self.pos < len(self.source) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        return Token(TokenKind.SYSTEM_IDENTIFIER, self.source[start : self.pos], line, column)
-
-    def _lex_directive(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        self._advance()  # consume '`'
-        while self.pos < len(self.source) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        return Token(TokenKind.DIRECTIVE, self.source[start : self.pos], line, column)
-
-    def _lex_number(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        # Optional size prefix (decimal digits, possibly with underscores).
-        while self.pos < len(self.source) and (self._peek().isdigit() or self._peek() == "_"):
-            self._advance()
-        if self._peek() == "'":
-            self._advance()
-            if self._peek().lower() == "s":
-                self._advance()
-            base = self._peek().lower()
-            # ``not base`` guards end-of-input: ``""`` is a substring of
-            # ``"bodh"``, so the containment check alone would fall through
-            # and crash on the dict lookup below.
-            if not base or base not in "bodh":
-                raise self._error(f"invalid number base {base!r}")
-            self._advance()
-            valid = {
-                "b": "01xzXZ_?",
-                "o": "01234567xzXZ_?",
-                "d": "0123456789_",
-                "h": "0123456789abcdefABCDEFxzXZ_?",
-            }[base]
-            if self._peek() not in valid:
-                raise self._error("number literal missing digits")
-            while self.pos < len(self.source) and self._peek() in valid:
-                self._advance()
+    def _move_to(self, pos: int) -> None:
+        """Advance ``pos``, ``line`` and ``column`` to ``pos``."""
+        newlines = self.source.count("\n", self.pos, pos)
+        if newlines:
+            self.line += newlines
+            self.column = pos - self.source.rindex("\n", self.pos, pos)
         else:
-            # Plain decimal / real number.
-            if self._peek() == "." and self._peek(1).isdigit():
-                self._advance()
-                while self.pos < len(self.source) and (self._peek().isdigit() or self._peek() == "_"):
-                    self._advance()
-            # Tuples, not strings: at end of input ``_peek()`` is ``""``, which
-            # is "in" every string (see ``not base`` above) and would walk
-            # ``pos`` past the end of the source.
-            if self._peek() in ("e", "E") and (self._peek(1).isdigit() or self._peek(1) in ("+", "-")):
-                self._advance()
-                if self._peek() in ("+", "-"):
-                    self._advance()
-                while self.pos < len(self.source) and self._peek().isdigit():
-                    self._advance()
-        return Token(TokenKind.NUMBER, self.source[start : self.pos], line, column)
+            self.column += pos - self.pos
+        self.pos = pos
 
-    def _lex_string(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        self._advance()  # consume opening quote
-        while self.pos < len(self.source) and self._peek() != '"':
-            if self._peek() == "\\":
-                self._advance()
-            if self._peek() == "\n":
-                raise self._error("unterminated string literal")
-            self._advance()
-        if self.pos >= len(self.source):
-            raise self._error("unterminated string literal")
-        self._advance()  # closing quote
-        return Token(TokenKind.STRING, self.source[start : self.pos], line, column)
+    def _error_at(self, start: int) -> LexerError:
+        """Diagnose the text at ``start`` that no token matches.
+
+        ``pos``, ``line`` and ``column`` move to where the error is anchored:
+        the end of the input for a construct the input ends inside, so a
+        caller can tell an incomplete trailing token from a dead one.
+        """
+        source = self.source
+        ch = source[start]
+        if source.startswith("/*", start):
+            pos, message = len(source), "unterminated block comment"
+        elif ch == '"':
+            pos = _STRING_BODY_RE.match(source, start).end()
+            if source.startswith("\\", pos):  # escaping a newline or the end of input
+                pos += 1
+            message = "unterminated string literal"
+        elif "0" <= ch <= "9" or (ch == "'" and source[start + 1 : start + 2].lower() in "bodhs"):
+            pos = _BASED_HEAD_RE.match(source, start).end()
+            base = source[pos : pos + 1].lower()
+            if not base or base not in "bodh":
+                message = f"invalid number base {base!r}"
+            else:
+                pos, message = pos + 1, "number literal missing digits"
+        else:
+            pos, message = start, f"unexpected character {ch!r}"
+        self._move_to(pos)
+        return LexerError(message, self.line, self.column)
 
     def next_token(self) -> Token:
         """Return the next token, or an EOF token when the input is exhausted."""
-        self._skip_whitespace_and_comments()
-        if self.pos >= len(self.source):
+        source = self.source
+        start = _TRIVIA.match(source, self.pos).end()
+        if start != self.pos:
+            self._move_to(start)
+        if start >= len(source):
             return Token(TokenKind.EOF, "", self.line, self.column)
-        ch = self._peek()
-        line, column = self.line, self.column
-
-        if ch.isalpha() or ch == "_" or ch == "\\":
-            return self._lex_identifier()
-        if ch == "$":
-            return self._lex_system_identifier()
-        if ch == "`":
-            return self._lex_directive()
-        if ch.isdigit():
-            return self._lex_number()
-        if ch == "'" and self._peek(1).lower() in "bodhs":
-            return self._lex_number()
-        if ch == '"':
-            return self._lex_string()
-
-        for op in MULTI_CHAR_OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token(TokenKind.OPERATOR, op, line, column)
-        if ch in SINGLE_CHAR_OPERATORS:
-            self._advance()
-            return Token(TokenKind.OPERATOR, ch, line, column)
-        if ch in PUNCTUATION:
-            self._advance()
-            return Token(TokenKind.PUNCTUATION, ch, line, column)
-        raise self._error(f"unexpected character {ch!r}")
+        match = _TOKEN.match(source, start)
+        if match is None or match.lastgroup == "open_comment":
+            raise self._error_at(start)
+        text = match.group()
+        kind = _KINDS[match.lastgroup]
+        if kind is TokenKind.IDENTIFIER and text in KEYWORDS:
+            kind = TokenKind.KEYWORD
+        token = Token(kind, text, self.line, self.column)
+        self.pos = match.end()
+        self.column += self.pos - start
+        return token
 
     def __iter__(self) -> Iterator[Token]:
         while True:

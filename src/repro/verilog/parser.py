@@ -91,6 +91,9 @@ class Parser:
             if token.kind is TokenKind.EOF:
                 break
         self.index = 0
+        # What the module being parsed records for elaboration (ModuleDef).
+        self._local_declarations: List[ast.LocalDeclaration] = []
+        self._instances: List[ast.ModuleInstance] = []
 
     # -- token helpers ------------------------------------------------------
 
@@ -158,6 +161,7 @@ class Parser:
             self._expect(")")
         self._expect(";")
 
+        self._local_declarations, self._instances = [], []
         items: List[ast.Node] = []
         while not self._check("endmodule"):
             if self._check_kind(TokenKind.EOF):
@@ -169,7 +173,14 @@ class Parser:
                 else:
                     items.append(item)
         self._expect("endmodule")
-        return ast.ModuleDef(name=name, ports=ports, items=items, parameters=parameters)
+        return ast.ModuleDef(
+            name=name,
+            ports=ports,
+            items=items,
+            parameters=parameters,
+            local_declarations=self._local_declarations,
+            instances=self._instances,
+        )
 
     def _parse_parameter_port_list(self) -> List[ast.ParameterDeclaration]:
         params: List[ast.ParameterDeclaration] = []
@@ -428,9 +439,12 @@ class Parser:
                 depth -= 1
                 self._advance()
                 continue
+            recorded = len(self._local_declarations), len(self._instances)
             try:
                 item = self._parse_module_item()
             except ParseError:
+                # The item is dropped, so is what it recorded.
+                del self._local_declarations[recorded[0] :], self._instances[recorded[1] :]
                 self._advance()
                 continue
             if item is not None:
@@ -486,6 +500,7 @@ class Parser:
             if not self._accept(","):
                 break
         self._expect(";")
+        self._instances.extend(instances)
         return instances
 
     def _parse_connection_list(self) -> List[ast.PortConnection]:
@@ -577,12 +592,9 @@ class Parser:
             if self._check_kind(TokenKind.EOF):
                 raise ParseError("unexpected end of file inside begin/end block", self._peek())
             if declarations_allowed and self._peek().text in ("integer", "reg", "real", "time"):
-                decl = self._parse_net_declaration()
-                # Local declarations are modelled as statements wrapping nothing;
-                # keep them as NullStatements carrying no simulation semantics
-                # beyond name introduction, which the simulator handles at
-                # elaboration time through module-level scanning.
-                statements.append(_LocalDeclaration(declaration=decl))
+                local = ast.LocalDeclaration(declaration=self._parse_net_declaration())
+                statements.append(local)
+                self._local_declarations.append(local)
                 continue
             declarations_allowed = False
             statements.append(self._parse_statement())
@@ -866,16 +878,6 @@ class Parser:
             parts.append(self.parse_expression())
         self._expect("}")
         return ast.Concatenation(parts=parts)
-
-
-from dataclasses import dataclass, field  # noqa: E402  (local statement wrapper)
-
-
-@dataclass
-class _LocalDeclaration(ast.Statement):
-    """A declaration appearing inside a named begin/end block."""
-
-    declaration: ast.NetDeclaration = field(default=None)  # type: ignore[assignment]
 
 
 def _parse_number_token(text: str) -> ast.Number:

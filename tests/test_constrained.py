@@ -133,6 +133,12 @@ class TestClassifyPrefix:
         for cut in range(len(source) + 1):
             assert classify_prefix(source[:cut]) is not PrefixVerdict.INVALID, source[:cut]
 
+    def test_based_literal_without_digits_at_the_end_stays_viable(self):
+        """``4'd`` at end of input is an incomplete NUMBER: healed with a digit, not parsed as-is."""
+        text = "module m(output [3:0] y); assign y = 4'd"
+        assert classify_prefix(text) is PrefixVerdict.VIABLE
+        assert is_complete_source(text + completion_suffix(text))
+
     def test_lexer_partial_number_raises_lexer_error(self):
         """``4'`` at end of input is a LexerError, not a KeyError crash."""
         lexer = Lexer("assign w = 4'")

@@ -1,8 +1,12 @@
-"""Tests for the Verilog lexer."""
+"""Tests for the Verilog lexer, including a differential run against the character-level oracle."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from proptest import Cases, for_all, num_cases
+from reference_lexer import ReferenceLexer
+from repro.evalbench.rtllm import rtllm_suite
+from repro.evalbench.vgen import vgen_suite
 from repro.verilog.lexer import KEYWORDS, Lexer, LexerError, Token, TokenKind, tokenize
 
 
@@ -158,14 +162,19 @@ class TestWholeModule:
         assert collected[-1].kind is TokenKind.EOF
 
 
-@pytest.mark.parametrize("name", ["alu_8bit", "up_counter_4"])
-def test_lexer_never_reads_past_the_end_of_any_prefix(name):
-    """``_peek()`` is ``""`` at end of input and ``"" in "eE"`` is true: a prefix ending in a
-    plain decimal used to leave ``pos`` two past the end, hiding the trailing number from
-    ``constrained.viability``'s "may this token still grow" check."""
-    from repro.evalbench.rtllm import rtllm_suite
+#: Strings that escape a quote, a backslash and a newline.
+_STRING_ESCAPES = 'initial begin $display("q=\\"%d\\" \\\\ done\\n", q); $write("\\\\"); end\n'
 
-    reference = {problem.name: problem for problem in rtllm_suite()}[name].reference
+
+@pytest.mark.parametrize("name", ["alu_8bit", "up_counter_4", "string_escape"])
+def test_lexer_never_reads_past_the_end_of_any_prefix(name):
+    """``constrained.viability`` reads ``pos >= len(text)`` as "the text ends inside a token".
+
+    A prefix ending in a plain decimal once left ``pos`` two past the end, and an unterminated
+    string ending in a backslash one past it."""
+    texts = {problem.name: problem.reference for problem in rtllm_suite()}
+    texts["string_escape"] = _STRING_ESCAPES
+    reference = texts[name]
     for cut in range(len(reference) + 1):
         source = reference[:cut]
         lexer = Lexer(source)
@@ -205,3 +214,82 @@ def test_number_literals_round_trip_text(value, base):
     assert len(tokens) == 1
     assert tokens[0].kind is TokenKind.NUMBER
     assert tokens[0].text == literal
+
+
+@pytest.mark.parametrize("literal", ["4'd", "8'h", "2'sb"])
+def test_based_literal_without_digits_is_missing_them_at_end_of_input_too(literal):
+    lexer = Lexer(literal)
+    with pytest.raises(LexerError, match="number literal missing digits"):
+        lexer.next_token()
+    assert lexer.pos == len(literal)  # an incomplete trailing token, not a dead one
+    with pytest.raises(LexerError, match="number literal missing digits"):
+        tokenize(literal + ";")
+
+
+def test_bad_base_fails_the_whole_literal():
+    """``12'q`` is an error at the ``q``, not the NUMBER ``1`` followed by more tokens."""
+    lexer = Lexer("12'q")
+    with pytest.raises(LexerError, match="line 1, col 4: invalid number base 'q'"):
+        lexer.next_token()
+
+
+def test_non_ascii_is_unexpected_outside_strings_and_comments():
+    with pytest.raises(LexerError, match="unexpected character 'é'"):
+        tokenize("wire café;")
+    assert [t.text for t in tokenize('$display("café"); // café\n/* café */ x')] == [
+        "$display", "(", '"café"', ")", ";", "x"
+    ]
+
+
+# --------------------------------------------------------------------------- #
+# Differential: the compiled-pattern lexer against the character-level oracle
+# --------------------------------------------------------------------------- #
+
+SUITE_TEXTS = [
+    text
+    for problem in list(rtllm_suite()) + list(vgen_suite())
+    for text in (problem.prompt, problem.reference, problem.testbench)
+]
+
+#: ASCII characters from every class the lexer tells apart, plus two it rejects.
+_ALPHABET = "aAbBdDeEhHoOsSxXzZ09_$`'\"\\/*+-<>=!&|^~%?:;,.()[]{}#@ \t\r\n\x0c\x7f"
+
+
+def _lex_trace(lexer):
+    """``(kind, text, line, column, pos)`` after every token, ending at EOF or at the error."""
+    trace = []
+    while True:
+        try:
+            token = lexer.next_token()
+        except LexerError as error:
+            trace.append(("error", str(error), error.line, error.column, lexer.pos))
+            return trace
+        trace.append((token.kind, token.text, token.line, token.column, lexer.pos))
+        if token.kind is TokenKind.EOF:
+            return trace
+
+
+def _assert_lexes_like_the_oracle(text: str) -> None:
+    assert _lex_trace(Lexer(text)) == _lex_trace(ReferenceLexer(text)), repr(text)
+
+
+def test_suite_texts_and_every_prefix_lex_like_the_oracle():
+    assert len(SUITE_TEXTS) == 138
+    for text in SUITE_TEXTS:
+        _assert_lexes_like_the_oracle(text)
+    references = {problem.name: problem.reference for problem in rtllm_suite()}
+    for name in ("alu_8bit", "ctrl_fsm", "priority_encoder", "up_counter_4"):
+        reference = references[name]
+        for cut in range(len(reference) + 1):
+            _assert_lexes_like_the_oracle(reference[:cut])
+
+
+def test_splices_and_random_strings_lex_like_the_oracle():
+    def prop(cases: Cases) -> None:
+        head, tail = cases.choice(SUITE_TEXTS), cases.choice(SUITE_TEXTS)
+        cut, start = cases.integer(0, len(head)), cases.integer(0, len(tail))
+        _assert_lexes_like_the_oracle(head[:cut] + tail[start : start + cases.integer(0, 120)])
+        for _ in range(4):
+            _assert_lexes_like_the_oracle("".join(cases.choice(_ALPHABET) for _ in range(cases.integer(0, 16))))
+
+    for_all(num_cases(300, 20_000), prop, seed=29)

@@ -16,7 +16,10 @@ each pinned here without a clock:
 from __future__ import annotations
 
 import copy
+import dataclasses
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -31,8 +34,10 @@ from repro.sim.compiled import NOT_THE_DUT, BatchReport, CompiledSimulator, simu
 from repro.sim.rng import VerilogRng
 from repro.sim.simulator import Simulator
 from repro.sim.testbench import run_testbench_batch
-from repro.verilog.ast_nodes import SourceFile
+from repro.sim.values import FourState
+from repro.verilog.ast_nodes import LocalDeclaration, ModuleDef, ModuleInstance, Node, SourceFile
 from repro.verilog.parser import parse_source
+from repro.verilog.significant import extract_significant_tokens
 from repro.verilog.syntax import check_syntax
 
 from proptest import Cases, for_all, num_cases
@@ -203,3 +208,90 @@ def test_batch_report_says_why_candidates_fell_back():
     assert (report.vectorized, report.fallback, report.groups) == (1, 5, 1)
     assert report.reasons == {NOT_THE_DUT: 3, "unsupported item AlwaysBlock": 2}
     assert sum(report.reasons.values()) == report.fallback
+
+
+# --------------------------------------------------------------------------- #
+# Elaboration reads what the parser recorded, and literals are built once
+# --------------------------------------------------------------------------- #
+
+#: Block-local declarations in a function, nested named blocks and a
+#: generate region whose error recovery drops an item that had already
+#: declared ``dropped`` and one that had already built instance ``u4``.
+_RECORD_EDGES = """
+module sub(input a, output y); assign y = a; endmodule
+module top;
+  reg r;
+  function f; input x; begin : fb integer k; f = x; end endfunction
+  initial begin : outer
+    integer i;
+    reg [3:0] t;
+    begin : inner real q; end
+  end
+  generate
+    always begin integer dropped; + ; end
+    sub u3(r, );
+    sub u4(r), ;
+  endgenerate
+  sub u1(.a(r), .y()), u2(r, );
+endmodule
+"""
+
+
+def _compile_unit(problem) -> SourceFile:
+    """The evaluator's memo-hit compile unit: the design's and the testbench's parsed modules."""
+    return SourceFile(modules=check_syntax(problem.reference).ast.modules + check_syntax(problem.testbench).ast.modules)
+
+
+@pytest.mark.parametrize("name", ["alu_8bit", "up_counter_4", "sync_fifo_4x8"])
+def test_building_a_simulator_walks_no_module(monkeypatch, name):
+    problem = BY_NAME[name]
+    unit = _compile_unit(problem)
+    walked = []
+
+    def counting_walk(module):
+        walked.append(module.name)
+        return Node.walk(module)
+
+    monkeypatch.setattr(ModuleDef, "walk", counting_walk)
+    for backend in (Simulator, CompiledSimulator):
+        for top in (unit.modules[-1].name, None):
+            simulator = backend(unit, top=top, max_time=100_000, rng=VerilogRng(VerilogRng.DEFAULT_SEED))
+            assert simulator.top_name == unit.modules[-1].name
+    assert walked == []
+
+
+@pytest.mark.parametrize("text", [text for p in PROBLEMS for text in (p.reference, p.testbench)] + [_RECORD_EDGES])
+def test_the_parse_time_record_is_what_a_walk_finds(text):
+    for module in parse_source(text).modules:
+        nodes = list(module.walk())
+        assert len({id(node) for node in nodes}) == len(nodes)  # the record is not visited
+        assert [id(n) for n in module.local_declarations] == [
+            id(n) for n in nodes if isinstance(n, LocalDeclaration)
+        ]
+        assert [id(n) for n in module.instances] == [id(n) for n in nodes if isinstance(n, ModuleInstance)]
+        assert module == dataclasses.replace(module, local_declarations=[], instances=[])
+
+
+def test_the_record_survives_generate_error_recovery():
+    top = parse_source(_RECORD_EDGES).module("top")
+    assert [local.declaration.names for local in top.local_declarations] == [["k"], ["i"], ["t"], ["q"]]
+    assert [instance.instance_name for instance in top.instances] == ["u3", "u1", "u2"]
+    simulator = Simulator(_RECORD_EDGES)
+    assert simulator.top_name == "top"
+    assert {"i", "t", "q", "k"} <= set(simulator.signals) and "dropped" not in simulator.signals
+
+
+def test_significant_tokens_of_the_suite_are_unchanged():
+    texts = [text for problem in PROBLEMS for text in (problem.reference, problem.testbench)]
+    digest = hashlib.sha256(json.dumps([extract_significant_tokens(text) for text in texts]).encode()).hexdigest()
+    assert digest == "814d86d1877ef24cccfbd3553c0c60e8f73add038800303e2cb95f0d439cf2e1"
+
+
+def test_a_rebuilt_simulator_reuses_every_literal_value():
+    unit = _compile_unit(BY_NAME["alu_8bit"])
+    CompiledSimulator(unit, max_time=100_000)
+    before = FourState.from_literal.cache_info()
+    CompiledSimulator(unit, max_time=100_000)
+    after = FourState.from_literal.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    assert FourState.from_literal(8, "h", "A5") is FourState.from_literal(8, "h", "A5")
