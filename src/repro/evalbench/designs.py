@@ -681,52 +681,6 @@ endmodule
     return prompt, reference, testbench
 
 
-def clock_divider(module_name: str = "clk_div2", width: int = 1) -> DesignTriple:
-    """Divide-by-2^width clock divider."""
-    ratio = 2 ** (width)
-    prompt = (
-        f"Implement a Verilog module named {module_name} that divides the input clock frequency by {ratio}. "
-        "Ports: input clk, input rst, output clk_out. Use a counter; rst asynchronously clears it. "
-        "clk_out is the most significant bit of the counter."
-    )
-    reference = (
-        f"module {module_name} (\n    input clk,\n    input rst,\n    output clk_out\n);\n"
-        f"    reg [{width - 1}:0] div_count;\n"
-        "    always @(posedge clk or posedge rst) begin\n"
-        f"        if (rst) div_count <= {width}'d0;\n        else div_count <= div_count + 1'b1;\n    end\n"
-        f"    assign clk_out = div_count[{width - 1}];\nendmodule\n"
-    )
-    testbench = f"""module {module_name}_tb;
-    reg clk = 0, rst;
-    wire clk_out;
-    integer errors;
-    integer transitions;
-    reg prev;
-    {module_name} dut(.clk(clk), .rst(rst), .clk_out(clk_out));
-    always #5 clk = ~clk;
-    initial begin
-        errors = 0;
-        transitions = 0;
-        rst = 1;
-        #12 rst = 0;
-        prev = clk_out;
-        repeat (16) begin
-            #10;
-            if (clk_out !== prev) transitions = transitions + 1;
-            prev = clk_out;
-        end
-        if (transitions !== 16 / {ratio // 2 if ratio > 1 else 1} / 1) begin
-        end
-        if (transitions < 2) begin errors = errors + 1; $display("MISMATCH clk_out never toggles"); end
-        if (errors == 0) $display("TEST PASSED");
-        else $display("TEST FAILED: %d errors", errors);
-        $finish;
-    end
-endmodule
-"""
-    return prompt, reference, testbench
-
-
 def edge_detector(module_name: str = "edge_detector", falling: bool = False) -> DesignTriple:
     """Rising/falling edge detector producing a one-cycle pulse."""
     kind = "falling" if falling else "rising"
@@ -851,47 +805,6 @@ def ring_counter(module_name: str = "ring_counter", width: int = 4) -> DesignTri
         if (q !== {width}'d4) begin errors = errors + 1; $display("MISMATCH step2 %b", q); end
         #{10 * (width - 2)};
         if (q !== {width}'d1) begin errors = errors + 1; $display("MISMATCH wrap %b", q); end
-        if (errors == 0) $display("TEST PASSED");
-        else $display("TEST FAILED: %d errors", errors);
-        $finish;
-    end
-endmodule
-"""
-    return prompt, reference, testbench
-
-
-def pipeline_register(module_name: str = "pipe_reg", width: int = 8, stages: int = 2) -> DesignTriple:
-    """Two-stage pipeline register."""
-    prompt = (
-        f"Implement a Verilog module named {module_name}: a {stages}-stage pipeline register for {width}-bit data. "
-        f"Ports: input clk, input rst, input [{width - 1}:0] din, output reg [{width - 1}:0] dout. "
-        f"Data appears at dout exactly {stages} clock cycles after it is presented at din; rst clears both stages."
-    )
-    reference = (
-        f"module {module_name} (\n    input clk,\n    input rst,\n    input [{width - 1}:0] din,\n"
-        f"    output reg [{width - 1}:0] dout\n);\n"
-        f"    reg [{width - 1}:0] stage1;\n"
-        "    always @(posedge clk or posedge rst) begin\n"
-        f"        if (rst) begin stage1 <= {width}'d0; dout <= {width}'d0; end\n"
-        "        else begin stage1 <= din; dout <= stage1; end\n    end\nendmodule\n"
-    )
-    testbench = f"""module {module_name}_tb;
-    reg clk = 0, rst;
-    reg [{width - 1}:0] din;
-    wire [{width - 1}:0] dout;
-    integer errors;
-    {module_name} dut(.clk(clk), .rst(rst), .din(din), .dout(dout));
-    always #5 clk = ~clk;
-    initial begin
-        errors = 0;
-        rst = 1; din = 0;
-        #12 rst = 0;
-        din = {width}'d7;
-        #10 din = {width}'d11;
-        #10;
-        if (dout !== {width}'d7) begin errors = errors + 1; $display("MISMATCH stage latency: %d", dout); end
-        #10;
-        if (dout !== {width}'d11) begin errors = errors + 1; $display("MISMATCH second value: %d", dout); end
         if (errors == 0) $display("TEST PASSED");
         else $display("TEST FAILED: %d errors", errors);
         $finish;

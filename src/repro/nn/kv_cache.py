@@ -33,11 +33,17 @@ carries its own length (``lengths``), appends land at per-row offsets, and
 ``set_append_widths`` declares how many of the incoming window positions are
 real per row (the rest is right-padding that must not be stored).
 
-Eight operations have no caller in the package and stay only because the
-repository benchmark (``benchmarks/perf/layers.py``) wraps them by name:
-``repeat_rows``, ``truncate_rows``, ``compact_rows``, ``concat``,
-``expand_batch``, ``keep_row``, ``keep_path`` and ``truncate``.  The tests
-still exercise them; new code should not call them.
+Only :meth:`LayerKVCache.append`, :meth:`KVCache.select_rows`,
+:meth:`KVCache.compact_paths` and :meth:`KVCache.concat` write K/V buffers,
+and each leaves every buffer position finite (``docs/decoding.md``,
+"Finite-buffer invariant").  Seven more operations have no caller in the
+package and stay only because the repository benchmark
+(``benchmarks/perf/layers.py``) wraps them by name.  Each is a composition of
+those three: ``truncate`` / ``truncate_rows`` are ``compact_paths`` with empty
+paths, ``expand_batch`` / ``keep_row`` are ``select_rows``, ``keep_path`` is
+``compact_paths`` on one row, and ``repeat_rows`` / ``compact_rows`` are
+``concat`` of the one cache followed by ``select_rows``.  New code should not
+call them.
 """
 
 from __future__ import annotations
@@ -77,6 +83,29 @@ def _flatten_paths(
         source += [prefix + node for node in path]
         target += range(prefix, prefix + len(path))
     return new_lengths, flat_rows, source, target
+
+
+def _truncation_targets(lengths: Sequence[int], batch: int) -> np.ndarray:
+    """Validate a ``truncate_rows`` request: one non-negative length per row."""
+    target = np.asarray(lengths, dtype=np.int64)
+    if target.shape != (batch,):
+        raise ValueError(f"lengths shape {target.shape} != (batch,) = ({batch},)")
+    if np.any(target < 0):
+        raise ValueError(f"cannot truncate to negative lengths {target}")
+    return target
+
+
+def _repeat_index(repeats: Union[int, Sequence[int]], batch: int) -> np.ndarray:
+    """Validate a ``repeat_rows`` request: the row index listing row ``r`` ``repeats[r]`` times, in order."""
+    if isinstance(repeats, (int, np.integer)):
+        counts = np.full(batch, int(repeats), dtype=np.int64)
+    else:
+        counts = np.asarray(repeats, dtype=np.int64)
+        if counts.shape != (batch,):
+            raise ValueError(f"repeats shape {counts.shape} != (batch,) = ({batch},)")
+    if np.any(counts < 0):
+        raise ValueError(f"repeat counts must be non-negative, got {counts}")
+    return np.repeat(np.arange(batch), counts)
 
 
 class LayerKVCache:
@@ -215,27 +244,8 @@ class KVCache:
     # -- batch-1 operations (no package caller; see the module docstring) ----
 
     def truncate(self, length: int) -> None:
-        """Roll every layer (every row) back to at most ``length`` cached positions.
-
-        Used after candidate verification to discard the K/V of speculated
-        tokens that typical acceptance or the fragment-integrity check
-        rejected.  Truncating beyond the current length is a no-op.
-        """
-        if length < 0:
-            raise ValueError(f"cannot truncate to negative length {length}")
-        for layer in self.layers:
-            layer.lengths = np.minimum(layer.lengths, length)
-
-    @staticmethod
-    def _retile(source: np.ndarray, rows: int, length: int) -> np.ndarray:
-        """Fresh ``rows``-batch capacity buffer holding ``source``'s first ``length`` positions.
-
-        Copying only the filled prefix keeps per-step cache management O(prefix)
-        rather than O(capacity).
-        """
-        out = np.empty((rows,) + source.shape[1:], dtype=source.dtype)
-        out[:, :, :length] = source[:, :, :length]
-        return out
+        """Roll every row back to at most ``length`` cached positions (longer: no-op)."""
+        self.truncate_rows([length] * self.batch)
 
     def expand_batch(self, n: int) -> None:
         """Tile a batch-1 cache to ``n`` identical rows."""
@@ -243,65 +253,32 @@ class KVCache:
             return
         if self.batch != 1:
             raise ValueError(f"expand_batch requires a batch-1 cache, got batch {self.batch}")
-        for layer in self.layers:
-            layer.k = self._retile(layer.k, n, layer.length)
-            layer.v = self._retile(layer.v, n, layer.length)
-            layer.lengths = np.repeat(layer.lengths, n)
-            if layer.has_cross:
-                layer.cross_k = np.repeat(layer.cross_k, n, axis=0)
-                layer.cross_v = np.repeat(layer.cross_v, n, axis=0)
+        self.select_rows([0] * n)
 
     def keep_row(self, row: int) -> None:
-        """Collapse an expanded cache back to a single batch row.
-
-        The copy detaches the kept row from the expanded arrays so the
-        discarded candidates' storage can be freed.
-        """
-        if not 0 <= row < self.batch:
-            raise IndexError(f"row {row} out of range for batch {self.batch}")
+        """Collapse the cache to its one batch row ``row``."""
         self.select_rows([row])
 
     def keep_path(self, prefix_len: int, node_positions: Sequence[int]) -> None:
-        """Compact an appended token-tree window down to one accepted path, in place.
+        """Keep a batch-1 cache's first ``prefix_len`` positions plus one accepted tree path.
 
-        Token-tree verification appends the *whole* deduplicated candidate
-        tree after the committed prefix; once acceptance picks a root-to-leaf
-        path, only that path's K/V belongs in the cache.  This gathers the
-        window positions ``node_positions`` (tree-node indices, in root-to-
-        leaf order) to sit contiguously right after ``prefix_len`` and rolls
-        the length back to ``prefix_len + len(node_positions)``.
-        Requires a batch-1 cache; the step kernel uses :meth:`compact_paths`
-        instead.
+        ``node_positions`` are the path's window positions after
+        ``prefix_len`` (tree-node indices, in root-to-leaf order).
         """
         if self.batch != 1:
             raise ValueError(f"keep_path requires a batch-1 cache, got batch {self.batch}")
-        if prefix_len < 0:
-            raise ValueError(f"negative prefix length {prefix_len}")
-        index = np.asarray(list(node_positions), dtype=np.int64)
-        length = self.length
-        if index.size and (int(index.min()) < 0 or prefix_len + int(index.max()) >= length):
-            raise IndexError(
-                f"path positions {index} out of range for window [{0}, {length - prefix_len})"
-            )
-        new_length = prefix_len + index.size
-        for layer in self.layers:
-            if index.size:
-                # Fancy indexing copies, so the in-place write is safe even
-                # though source and destination ranges overlap.
-                layer.k[0, :, prefix_len:new_length] = layer.k[0][:, prefix_len + index]
-                layer.v[0, :, prefix_len:new_length] = layer.v[0][:, prefix_len + index]
-            layer.lengths = np.full_like(layer.lengths, new_length)
+        self.compact_paths([prefix_len], [node_positions])
 
     # -- multi-row operations -------------------------------------------------
 
     def select_rows(self, rows: Sequence[int]) -> None:
         """Gather an arbitrary subset/ordering of rows, in place.
 
-        The multi-row generalisation of :meth:`keep_row`: the step kernel
-        drops finished lanes with it, and ``generate_many`` tiles the one
-        prefilled prompt row to its lanes.  Rows may be repeated or dropped; each
-        surviving row keeps its own length.  The copy detaches the survivors
-        so the dropped rows' storage can be freed.
+        The step kernel drops finished lanes with it, and ``generate_many``
+        tiles the one prefilled prompt row to its lanes.  Rows may be
+        repeated or dropped; each surviving row keeps its own length.  The
+        copy detaches the survivors so the dropped rows' storage can be
+        freed.
         """
         rows = list(rows)
         for row in rows:
@@ -326,108 +303,34 @@ class KVCache:
                 layer.cross_v = layer.cross_v[index].copy()
 
     def truncate_rows(self, lengths: Sequence[int]) -> None:
-        """Roll each row back to its own committed prefix length.
+        """Roll each row back to its own length; entries past a row's length are no-ops."""
+        target = _truncation_targets(lengths, self.batch)
+        self.compact_paths(np.minimum(self.lengths, target).tolist(), [[]] * self.batch)
 
-        The per-row generalisation of :meth:`truncate`: discards every row's
-        rejected speculative tokens at once.  Entries longer than a row's
-        current length are no-ops.
-        """
-        target = np.asarray(lengths, dtype=np.int64)
-        if target.shape != (self.batch,):
-            raise ValueError(f"lengths shape {target.shape} != (batch,) = ({self.batch},)")
-        if np.any(target < 0):
-            raise ValueError(f"cannot truncate to negative lengths {target}")
-        for layer in self.layers:
-            layer.lengths = np.minimum(layer.lengths, target)
-
-    def repeat_rows(self, repeats: Union[int, Sequence[int]], capacity: Optional[int] = None) -> "KVCache":
-        """Return a new cache with row ``r`` tiled ``repeats[r]`` times (in order).
-
-        The source cache is left untouched.  No package code calls this (see
-        the module docstring); tiling rows in place is :meth:`select_rows`
-        with repeated indices.
-
-        Args:
-            repeats: per-row tile counts (or one count for every row).
-            capacity: capacity of the returned cache; defaults to the source
-                capacity (must hold the longest cached row).
-        """
-        if isinstance(repeats, (int, np.integer)):
-            counts = np.full(self.batch, int(repeats), dtype=np.int64)
-        else:
-            counts = np.asarray(repeats, dtype=np.int64)
-            if counts.shape != (self.batch,):
-                raise ValueError(f"repeats shape {counts.shape} != (batch,) = ({self.batch},)")
-        if np.any(counts < 0):
-            raise ValueError(f"repeat counts must be non-negative, got {counts}")
-        new_capacity = self.capacity if capacity is None else capacity
-        if new_capacity < self.length:
-            raise ValueError(f"capacity {new_capacity} below cached length {self.length}")
-        out = KVCache(self.num_layers, self.num_heads, self.head_dim, new_capacity, batch=0)
-        for layer, out_layer in zip(self.layers, out.layers):
-            view = layer.length
-            rows = int(counts.sum())
-            # Zero-filled for the ragged-buffer invariant (see select_rows).
-            new_k = np.zeros((rows, self.num_heads, new_capacity, self.head_dim), dtype=layer.k.dtype)
-            new_v = np.zeros_like(new_k)
-            index = np.repeat(np.arange(self.batch), counts)
-            new_k[:, :, :view] = layer.k[index, :, :view]
-            new_v[:, :, :view] = layer.v[index, :, :view]
-            out_layer.k = new_k
-            out_layer.v = new_v
-            out_layer.lengths = np.repeat(layer.lengths, counts)
-            if layer.has_cross:
-                out_layer.cross_k = np.repeat(layer.cross_k, counts, axis=0)
-                out_layer.cross_v = np.repeat(layer.cross_v, counts, axis=0)
+    def repeat_rows(self, repeats: Union[int, Sequence[int]]) -> "KVCache":
+        """A new cache with row ``r`` tiled ``repeats[r]`` times (in order); the source is untouched."""
+        index = _repeat_index(repeats, self.batch)
+        out = KVCache.concat([self])
+        out.select_rows(index)
         return out
 
-    def compact_rows(self, rows: Sequence[int], lengths: Sequence[int], capacity: Optional[int] = None) -> "KVCache":
-        """Gather ``rows`` truncated to per-row ``lengths`` into a new cache.
-
-        Fuses :meth:`select_rows` + :meth:`truncate_rows` into one copy that
-        moves only each row's kept prefix.  ``capacity`` sets the new cache's
-        capacity (defaults to the source's).
-        """
-        rows = list(rows)
-        for row in rows:
-            if not 0 <= row < self.batch:
-                raise IndexError(f"row {row} out of range for batch {self.batch}")
-        target = np.asarray(lengths, dtype=np.int64)
-        if target.shape != (len(rows),):
-            raise ValueError(f"lengths shape {target.shape} != ({len(rows)},)")
-        if np.any(target < 0):
-            raise ValueError(f"cannot compact to negative lengths {target}")
-        new_capacity = self.capacity if capacity is None else capacity
-        index = np.asarray(rows, dtype=np.int64)
-        kept_lengths = np.minimum(self.layers[0].lengths[index], target)
-        if int(kept_lengths.max(initial=0)) > new_capacity:
-            raise ValueError(f"capacity {new_capacity} below kept length {int(kept_lengths.max(initial=0))}")
-        out = KVCache(self.num_layers, self.num_heads, self.head_dim, new_capacity, batch=0)
-        view = int(kept_lengths.max(initial=0))
-        for layer, out_layer in zip(self.layers, out.layers):
-            new_k = np.zeros((len(rows), self.num_heads, new_capacity, self.head_dim), dtype=layer.k.dtype)
-            new_v = np.zeros_like(new_k)
-            new_k[:, :, :view] = layer.k[index, :, :view]
-            new_v[:, :, :view] = layer.v[index, :, :view]
-            out_layer.k = new_k
-            out_layer.v = new_v
-            out_layer.lengths = kept_lengths.copy()
-            if layer.has_cross:
-                out_layer.cross_k = layer.cross_k[index].copy()
-                out_layer.cross_v = layer.cross_v[index].copy()
+    def compact_rows(self, rows: Sequence[int], lengths: Sequence[int]) -> "KVCache":
+        """A new cache of ``rows``, each truncated to its entry of ``lengths``; the source is untouched."""
+        out = KVCache.concat([self])
+        out.select_rows(rows)
+        out.truncate_rows(lengths)
         return out
 
     def compact_paths(self, prefixes: Sequence[int], paths: Sequence[Sequence[int]]) -> None:
         """Compact every row to its committed prefix plus its accepted tree path, in place.
 
-        The multi-request generalisation of :meth:`keep_path`: after the
-        decode step verifies one token tree per row inside the shared
-        forward, row ``i`` keeps its committed prefix (``prefixes[i]``
+        After the decode step verifies one token tree per row inside the
+        shared forward, row ``i`` keeps its committed prefix (``prefixes[i]``
         positions) followed by the K/V of the accepted path's tree nodes
         (window positions ``paths[i]``, in root-to-leaf order), slid down
-        onto the prefix — O(path), no allocation.  Every row is compacted
-        (rows are dropped with :meth:`select_rows`), exactly like
-        :meth:`PagedKVCache.compact_paths`.
+        onto the prefix — O(path), no allocation.  Empty paths make it a
+        rollback.  Every row is compacted (rows are dropped with
+        :meth:`select_rows`), exactly like :meth:`PagedKVCache.compact_paths`.
         """
         new_lengths, flat_rows, source, target = _flatten_paths(self.layers[0].lengths, prefixes, paths)
         new_lengths = np.asarray(new_lengths, dtype=np.int64)

@@ -72,7 +72,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn.kv_cache import _flatten_paths
+from repro.nn.kv_cache import _flatten_paths, _repeat_index, _truncation_targets
 
 
 class KVPoolExhausted(RuntimeError):
@@ -605,6 +605,28 @@ class PagedKVCache:
 
     # -- multi-request serving operations -------------------------------------
 
+    def _alias_rows(self, rows: Sequence[int], lengths: Optional[np.ndarray] = None) -> List[List[int]]:
+        """New block tables aliasing ``rows`` (cut to ``lengths[i]`` positions when given).
+
+        Every entry of the returned tables holds one new pool reference
+        (one incref per entry); the caller adopts them into a cache.  The
+        aliased blocks become shared, so the pending write plan is dropped.
+        """
+        for row in rows:
+            if not 0 <= row < self.batch:
+                raise IndexError(f"row {row} out of range for batch {self.batch}")
+        self._write_plan = None
+        pool = self.pool
+        tables: List[List[int]] = []
+        for i, row in enumerate(rows):
+            table = self._tables[row]
+            if lengths is not None:
+                table = table[: blocks_for(int(lengths[i]), pool.block_size)]
+            for block in table:
+                pool.incref(block)
+            tables.append(list(table))
+        return tables
+
     def select_rows(self, rows: Sequence[int]) -> None:
         """Re-alias the cache to an arbitrary subset/ordering of rows, in place.
 
@@ -614,41 +636,20 @@ class PagedKVCache:
         row around it.
         """
         rows = list(rows)
-        for row in rows:
-            if not 0 <= row < self.batch:
-                raise IndexError(f"row {row} out of range for batch {self.batch}")
-        pool = self.pool
-        new_tables: List[List[int]] = []
-        for row in rows:
-            table = list(self._tables[row])
-            for block in table:
-                pool.incref(block)
-            new_tables.append(table)
-        old_tables = self._tables
-        self._tables = new_tables
-        self._write_plan = None
+        old_tables, self._tables = self._tables, self._alias_rows(rows)
         for table in old_tables:
             for block in table:
-                pool.decref(block)
+                self.pool.decref(block)
         index = np.asarray(rows, dtype=np.int64)
         self._layer_lengths = [lengths[index].copy() for lengths in self._layer_lengths]
 
     def truncate_rows(self, lengths: Sequence[int]) -> None:
-        """Roll each row back to its own committed prefix, freeing vacated blocks."""
-        target = np.asarray(lengths, dtype=np.int64)
-        if target.shape != (self.batch,):
-            raise ValueError(f"lengths shape {target.shape} != (batch,) = ({self.batch},)")
-        if np.any(target < 0):
-            raise ValueError(f"cannot truncate to negative lengths {target}")
-        self._write_plan = None
-        for i, layer_lengths in enumerate(self._layer_lengths):
-            self._layer_lengths[i] = np.minimum(layer_lengths, target)
-        pool = self.pool
-        for row, table in enumerate(self._tables):
-            new_length = int(max(lengths[row] for lengths in self._layer_lengths))
-            keep = blocks_for(new_length, pool.block_size)
-            while len(table) > keep:
-                pool.decref(table.pop())
+        """Roll each row back to its own committed prefix, freeing vacated blocks.
+
+        :meth:`compact_paths` with empty paths.
+        """
+        target = _truncation_targets(lengths, self.batch)
+        self.compact_paths(np.minimum(self._layer_lengths[0], target).tolist(), [[]] * self.batch)
 
     def repeat_rows(self, repeats: Union[int, Sequence[int]]) -> "PagedKVCache":
         """Tile row ``r`` ``repeats[r]`` times into a new cache — by aliasing, no copy.
@@ -656,24 +657,10 @@ class PagedKVCache:
         Every tile shares the source row's blocks until its first divergent
         append copy-on-writes the written block.
         """
-        if isinstance(repeats, (int, np.integer)):
-            counts = np.full(self.batch, int(repeats), dtype=np.int64)
-        else:
-            counts = np.asarray(repeats, dtype=np.int64)
-            if counts.shape != (self.batch,):
-                raise ValueError(f"repeats shape {counts.shape} != (batch,) = ({self.batch},)")
-        if np.any(counts < 0):
-            raise ValueError(f"repeat counts must be non-negative, got {counts}")
-        self._write_plan = None
-        pool = self.pool
-        out = PagedKVCache(pool, batch=0)
-        for row, count in enumerate(counts):
-            for _ in range(int(count)):
-                table = list(self._tables[row])
-                for block in table:
-                    pool.incref(block)
-                out._tables.append(table)
-        out._layer_lengths = [np.repeat(lengths, counts) for lengths in self._layer_lengths]
+        index = _repeat_index(repeats, self.batch)
+        out = PagedKVCache(self.pool)
+        out._tables = self._alias_rows(index.tolist())
+        out._layer_lengths = [lengths[index] for lengths in self._layer_lengths]
         return out
 
     def compact_rows(self, rows: Sequence[int], lengths: Sequence[int]) -> "PagedKVCache":
@@ -684,26 +671,11 @@ class PagedKVCache:
         frees every block no new row kept.
         """
         rows = list(rows)
-        for row in rows:
-            if not 0 <= row < self.batch:
-                raise IndexError(f"row {row} out of range for batch {self.batch}")
-        target = np.asarray(lengths, dtype=np.int64)
-        if target.shape != (len(rows),):
-            raise ValueError(f"lengths shape {target.shape} != ({len(rows)},)")
-        if np.any(target < 0):
-            raise ValueError(f"cannot compact to negative lengths {target}")
-        index = np.asarray(rows, dtype=np.int64)
-        kept_lengths = np.minimum(self._layer_lengths[0][index], target) if rows else target
-        self._write_plan = None
-        pool = self.pool
-        out = PagedKVCache(pool, batch=0)
-        for i, row in enumerate(rows):
-            keep = blocks_for(int(kept_lengths[i]), pool.block_size)
-            table = list(self._tables[row][:keep])
-            for block in table:
-                pool.incref(block)
-            out._tables.append(table)
-        out._layer_lengths = [kept_lengths.copy() for _ in range(pool.num_layers)]
+        target = _truncation_targets(lengths, len(rows))
+        out = PagedKVCache(self.pool)
+        out._tables = self._alias_rows(rows, target)
+        kept_lengths = np.minimum(self._layer_lengths[0][np.asarray(rows, dtype=np.int64)], target)
+        out._layer_lengths = [kept_lengths.copy() for _ in range(self.pool.num_layers)]
         return out
 
     def compact_paths(self, prefixes: Sequence[int], paths: Sequence[Sequence[int]]) -> None:

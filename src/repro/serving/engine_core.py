@@ -86,7 +86,7 @@ from repro.core.decoding import (
     select_best_candidate,  # noqa: F401 - likewise
 )
 from repro.models.generation import GenerationConfig
-from repro.nn.kv_pool import PagedKVCache
+from repro.nn.kv_pool import PagedKVCache, blocks_for
 from repro.serving.prefix_cache import PrefixCache
 from repro.serving.request import GenerationRequest, RequestState, RequestStatus, derive_request_rng
 from repro.serving.scheduler import Scheduler, SchedulerConfig
@@ -199,22 +199,25 @@ class ServingEngine:
         partially-filled tail block per request), plus the speculative
         verification transient, plus full prefix-cache retention, plus a
         small slack so transient chunked-prefill tails never graze the
-        ceiling.  The transient reserves, per running request and per
-        candidate, one tail block and the blocks of a ``heads + 2`` token
+        ceiling.  The transient is :meth:`_speculative_blocks` per running
+        request.
+        """
+        cfg = self.scheduler.config
+        decode = blocks_for(cfg.max_batch_tokens, block_size) + cfg.max_active_requests
+        speculative = cfg.max_active_requests * self._speculative_blocks(block_size)
+        retention = blocks_for(self.prefix_cache.max_tokens, block_size) if self.prefix_cache is not None else 0
+        return decode + speculative + retention + 8
+
+    def _speculative_blocks(self, block_size: int) -> int:
+        """Pool blocks one running request's speculative verification may add.
+
+        Per candidate, one tail block and the blocks of a ``heads + 2`` token
         window.  The kernel actually appends one deduplicated tree to the
         request's own row (at most :func:`~repro.core.decoding.tree_headroom`
         positions), so this bounds that append from above.
         """
-
-        def blocks(tokens: int) -> int:
-            return -(-tokens // block_size)
-
-        cfg = self.scheduler.config
-        decode = blocks(cfg.max_batch_tokens) + cfg.max_active_requests
         window = self.decoder.max_speculative_heads + 2
-        speculative = cfg.max_active_requests * self.decoder.num_candidates * (1 + blocks(window))
-        retention = blocks(self.prefix_cache.max_tokens) if self.prefix_cache is not None else 0
-        return decode + speculative + retention + 8
+        return self.decoder.num_candidates * (1 + blocks_for(window, block_size))
 
     def _reclaim_pages(self) -> bool:
         """Pool-pressure hook: free pages by dropping a retained prefix entry.
@@ -232,12 +235,10 @@ class ServingEngine:
         """Scheduler.admit budgets: the pool's free pages, in tokens.
 
         The per-request overhead charges the tail block its footprint
-        rounds into plus the verification transient, reserved as in
-        :meth:`_default_pool_blocks` (per candidate, one tail block and the
-        blocks of a ``heads + 2`` token window — an upper bound on the one
-        tree the kernel appends to the request's row), so an admitted batch
-        can always complete a speculative step without tripping the
-        pressure path.
+        rounds into plus the verification transient
+        (:meth:`_speculative_blocks`, as in :meth:`_default_pool_blocks`),
+        so an admitted batch can always complete a speculative step without
+        tripping the pressure path.
 
         Free pages are reported net of the *outstanding* claims of requests
         admitted earlier: each in-flight request was admitted against its
@@ -248,9 +249,7 @@ class ServingEngine:
         reach their peak.
         """
         block_size = self._pool.block_size
-        window = self.decoder.max_speculative_heads + 2
-        overhead_blocks = 1 + self.decoder.num_candidates * (1 + -(-window // block_size))
-        overhead_tokens = overhead_blocks * block_size
+        overhead_tokens = (1 + self._speculative_blocks(block_size)) * block_size
         reserved = 0
         for row, state in enumerate(self._active):
             held = self._cache.blocks_held(row) * block_size

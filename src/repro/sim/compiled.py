@@ -112,15 +112,6 @@ class _State:
         self.slot_of: Dict[str, int] = {name: slot for slot, name in enumerate(self.names)}
         self.mask_of: Dict[str, int] = {name: 1 << slot for slot, name in enumerate(self.names)}
 
-    def dirty_mask(self, changed_names) -> int:
-        mask_of = self.mask_of
-        dirty = 0
-        for name in changed_names:
-            bit = mask_of.get(name)
-            if bit is not None:
-                dirty |= bit
-        return dirty
-
     def current(self) -> List[FourState]:
         """Snapshot of the current value array in slot order."""
         return [signal.value for signal in self.signals]
@@ -843,10 +834,7 @@ class CompiledSimulator(Simulator):
     # ------------------------------------------------------------------ #
 
     def _exec_process(self, process) -> Generator:
-        compiled = self._compiled_processes.get(process.pid)
-        if compiled is None:
-            return super()._exec_process(process)
-        is_async, fn = compiled
+        is_async, fn = self._compiled_processes[process.pid]
         return self._run_compiled_process(process, is_async, fn)
 
     def _run_compiled_process(self, process, is_async: bool, fn: Callable) -> Generator:
@@ -910,25 +898,17 @@ class CompiledSimulator(Simulator):
         # dispatch above for concatenation parts).
         return lambda value: Simulator._write_target(self, scope, target, value)
 
-    def _evaluate_continuous(self, initial: bool = False) -> None:
-        if self._cont_entries is None:
-            super()._evaluate_continuous(initial)
-            return
+    def _evaluate_continuous(self) -> None:
         for entry in self._cont_entries:
             try:
                 width = entry.width if entry.width_fn is None else entry.width_fn()
                 entry.writer(entry.rhs_fn(width))
             except (EvaluationError, SimulationError):
-                if initial:
-                    continue
-                raise
+                continue
 
     def _propagate_changes(self, waiting) -> None:
         changes = self._changed_signals
         if not changes:
-            return
-        if self._state is None:
-            super()._propagate_changes(waiting)
             return
         entries = self._cont_entries
         any_volatile = self._cont_any_volatile

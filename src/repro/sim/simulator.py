@@ -949,7 +949,7 @@ class Simulator:
         # Continuous assignments are modelled as zero-delay combinational
         # re-evaluation after every delta step; evaluate them once up front.
         self._changed_signals = {}
-        self._evaluate_continuous(initial=True)
+        self._evaluate_continuous()
 
         for process in self.processes:
             process.start()
@@ -1011,16 +1011,14 @@ class Simulator:
         elif command == _CMD_FINISH:
             self.finished = True
 
-    def _evaluate_continuous(self, initial: bool = False) -> None:
+    def _evaluate_continuous(self) -> None:
         for scope, lhs, rhs in self.continuous:
             try:
                 width = self._target_width_safe(scope, lhs)
                 value = self._evaluate_possibly_scoped(scope, rhs, width)
                 self._write_target(scope, lhs, value)
             except (EvaluationError, SimulationError):
-                if initial:
-                    continue
-                raise
+                continue
 
     def _evaluate_possibly_scoped(
         self, scope: _InstanceScope, expr: ast.Expression, context_width: Optional[int] = None

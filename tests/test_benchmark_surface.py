@@ -23,6 +23,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.pipeline import VerilogSpecPipeline
+from repro.nn.kv_cache import KVCache
+from repro.nn.kv_pool import PagedKVCache
 from repro.serving.worker import engine_from_pipeline
 
 PERF_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
@@ -54,6 +56,35 @@ def test_every_name_the_layer_tracer_wraps_resolves(layers):
     tracer.install()  # layers._install plus the SpeculativeDecoder.generate wrap
     assert len(wrapped) > 30
     assert "generate" in {attr for _, attr in wrapped}
+
+
+#: The K/V ops only the benchmark calls: ROADMAP 2(d) deletes them once layers.py stops wrapping by name.
+BENCHMARK_ONLY_KV_OPS = {"truncate", "truncate_rows", "expand_batch", "keep_row", "keep_path", "repeat_rows", "compact_rows"}
+
+
+def _public_methods(cls):
+    return {
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_") and (inspect.isfunction(value) or isinstance(value, (classmethod, staticmethod)))
+    }
+
+
+def test_every_public_kv_op_has_a_package_caller_or_is_wrapped_by_the_benchmark(layers):
+    """A new public K/V op that nothing in ``src/`` calls fails here, not in a later clean-up."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    kv_modules = {src / "nn" / "kv_cache.py", src / "nn" / "kv_pool.py"}
+    referenced = {
+        node.attr
+        for path in src.rglob("*.py")
+        if path not in kv_modules
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    wrapped = set(layers._ROW_RESHAPE) | set(layers._PAGED_RESHAPE)
+    public = _public_methods(KVCache) | _public_methods(PagedKVCache)
+    assert public <= referenced | wrapped, f"public K/V ops with no caller: {sorted(public - referenced - wrapped)}"
+    assert public - referenced == BENCHMARK_ONLY_KV_OPS
 
 
 def _engine_for_calls():

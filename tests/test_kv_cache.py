@@ -72,9 +72,10 @@ class TestKVCacheOps:
         cache.layers[1].append(k, k)
         cache.expand_batch(3)
         assert cache.batch == 3
-        # Only the filled prefix is defined; capacity tails stay uninitialised.
+        # Every row holds the filled prefix; the capacity tails are zero (finite), never garbage.
         assert np.array_equal(cache.layers[0].k[0, :, :2], k[0])
         assert np.array_equal(cache.layers[0].k[2, :, :2], k[0])
+        assert np.all(cache.layers[0].k[:, :, 2:] == 0.0)
         with pytest.raises(ValueError, match="batch-1"):
             cache.expand_batch(5)
 
@@ -212,14 +213,6 @@ class TestRaggedServingOps:
         # Source is untouched.
         assert merged.batch == 2
 
-    def test_repeat_rows_trimmed_capacity(self):
-        merged = KVCache.concat([self._filled(1.0, 2), self._filled(2.0, 4)])
-        tiled = merged.repeat_rows(2, capacity=6)
-        assert tiled.capacity == 6
-        assert tiled.layers[0].k.shape[2] == 6
-        with pytest.raises(ValueError, match="capacity"):
-            merged.repeat_rows(2, capacity=3)  # below the longest row
-
     def test_select_rows_gathers_and_drops(self):
         merged = KVCache.concat([self._filled(1.0, 2), self._filled(2.0, 3), self._filled(3.0, 4)])
         merged.select_rows([2, 0])
@@ -303,6 +296,52 @@ class TestRaggedServingOps:
         step = np.full((2, 4, 2, 8), 9.0, dtype=np.float32)
         with pytest.raises(ValueError, match="overflow"):
             merged.layers[0].append(step, step)  # row 1 would exceed capacity 16
+
+
+def _ragged(batch: int) -> KVCache:
+    """Rows holding 6, 5, ... random positions: every buffer position finite."""
+    rng = np.random.default_rng(11)
+    cache = KVCache(num_layers=2, num_heads=2, head_dim=4, capacity=12, batch=batch)
+    cache.set_append_widths([6 - row for row in range(batch)])
+    for layer in cache.layers:
+        layer.append(*(rng.normal(size=(batch, 2, 6, 4)).astype(np.float32) for _ in range(2)))
+    cache.set_append_widths(None)
+    return cache
+
+
+#: Every row-cache operation: the batch of the cache it runs on, and the call.
+ROW_OPS = {
+    "truncate": (1, lambda cache: cache.truncate(3)),
+    "truncate_rows": (2, lambda cache: cache.truncate_rows([3, 2])),
+    "expand_batch": (1, lambda cache: cache.expand_batch(3)),
+    "keep_row": (2, lambda cache: cache.keep_row(1)),
+    "keep_path": (1, lambda cache: cache.keep_path(2, [0, 2])),
+    "repeat_rows": (2, lambda cache: cache.repeat_rows([2, 1])),
+    "compact_rows": (2, lambda cache: cache.compact_rows([1, 0, 1], [4, 3, 2])),
+    "select_rows": (2, lambda cache: cache.select_rows([1, 1, 0])),
+    "compact_paths": (2, lambda cache: cache.compact_paths([2, 3], [[0, 2], [1]])),
+    "concat": (2, lambda cache: KVCache.concat([cache, cache])),
+}
+
+
+@pytest.mark.parametrize("op", list(ROW_OPS))
+def test_every_row_op_leaves_every_buffer_position_finite(op, monkeypatch):
+    """The finite-buffer invariant (docs/decoding.md) even if ``np.empty`` hands out NaN."""
+    batch, run = ROW_OPS[op]
+    cache = _ragged(batch)
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if np.issubdtype(out.dtype, np.floating):
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    result = run(cache)
+    for touched in [cache] if result is None else [cache, result]:
+        for layer in touched.layers:
+            assert np.isfinite(layer.k).all() and np.isfinite(layer.v).all()
 
 
 class TestIncrementalEquivalence:
