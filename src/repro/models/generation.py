@@ -134,7 +134,10 @@ def sampling_probabilities(logits: np.ndarray, config: GenerationConfig) -> np.n
 
 
 def top_k_token_ids(logits: np.ndarray, k: int) -> np.ndarray:
-    """Return the ``k`` most probable token ids, most probable first."""
+    """Return the ``k`` most probable token ids, most probable first (none for ``k <= 0``)."""
     k = min(k, logits.shape[-1])
+    if k <= 0:
+        # argpartition(logits, -k)[-k:] would keep every id at k = 0 ([-0:]) and all but one at k = -1.
+        return np.zeros(0, dtype=np.intp)
     indices = np.argpartition(logits, -k)[-k:]
     return indices[np.argsort(logits[indices])[::-1]]

@@ -42,7 +42,8 @@ class MedusaHead(Module):
         self._input = hidden
         pre = self.res_linear.forward(hidden)
         self._pre_activation = pre
-        residual = hidden + gelu(pre)
+        residual = gelu(pre)
+        residual += hidden
         return self.lm_head.forward(residual)
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
@@ -192,7 +193,8 @@ class MedusaLM(Module):
         All heads are evaluated as one stacked product: ``(1, N, 1, D) @
         (H, 1, D, D)`` makes every (head, row) pair the same ``(1, D) @ (D, D)``
         product :meth:`MedusaHead.forward` computes on ``hidden[:, None]``, so
-        the logits are bitwise those of the per-head forward.
+        the logits are bitwise those of the per-head forward.  The residual
+        is added into the fresh ``gelu`` output, as in that forward.
 
         Returns:
             One ``(N, V)`` logits array per Medusa head.
@@ -203,7 +205,9 @@ class MedusaLM(Module):
         expanded = hidden[None, :, None, :]
         pre = expanded @ res_weight[:, None]
         pre += res_bias[:, None, None]
-        logits = (expanded + gelu(pre)) @ lm_weight[:, None]
+        residual = gelu(pre)
+        residual += expanded
+        logits = residual @ lm_weight[:, None]
         logits += lm_bias[:, None, None]
         return list(logits[:, :, 0])
 

@@ -1,4 +1,11 @@
-"""Numerically-stable functional primitives used across the NN substrate."""
+"""Numerically-stable functional primitives used across the NN substrate.
+
+The hot-path kernels call ufuncs and their ``.reduce`` directly: ``np.max``
+/ ``np.sum`` / ``np.clip`` run the same loops behind a Python wrapper whose
+call overhead, at this model size, rivals the arithmetic.  Each works in the
+temporaries it allocated, in its formula's operation order, so values are
+bitwise the out-of-place expression's.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +15,28 @@ import numpy as np
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax along ``axis`` with max-subtraction for stability."""
+    """Softmax along ``axis`` with max-subtraction for stability; ``x`` is left alone."""
     # A float buffer of the dtype np.exp would pick, so integer input still works in place.
-    out = np.subtract(x, np.max(x, axis=axis, keepdims=True), dtype=np.result_type(x, np.float16))
-    np.exp(out, out=out)
-    out /= np.sum(out, axis=axis, keepdims=True)
-    return out
+    shifted = np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), dtype=np.result_type(x, np.float16))
+    return _normalised_exp(shifted, axis)
+
+
+def softmax_in_place(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """:func:`softmax` of the float array ``x``, written over ``x`` and returned.
+
+    For a buffer the caller owns and no longer needs, such as the attention
+    scores a matmul just returned: it saves softmax's second array of the
+    same size, and the values are bitwise ``softmax(x)``.
+    """
+    x -= np.maximum.reduce(x, axis=axis, keepdims=True)
+    return _normalised_exp(x, axis)
+
+
+def _normalised_exp(shifted: np.ndarray, axis: int) -> np.ndarray:
+    """``exp(shifted)`` divided by its sum along ``axis``, in place."""
+    np.exp(shifted, out=shifted)
+    shifted /= np.add.reduce(shifted, axis=axis, keepdims=True)
+    return shifted
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -28,8 +51,12 @@ def entropy(probabilities: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np
     Used by the typical-acceptance criterion (paper eq. 1), where the
     acceptance threshold is scaled by ``exp(-H(p_base))``.
     """
-    clipped = np.clip(probabilities, eps, 1.0)
-    return -np.sum(probabilities * np.log(clipped), axis=axis)
+    # np.clip's two ufuncs in its order (maximum, then minimum), on one buffer.
+    terms = np.maximum(probabilities, eps)
+    np.minimum(terms, 1.0, out=terms)
+    np.log(terms, out=terms)
+    terms *= probabilities
+    return -np.add.reduce(terms, axis=axis)
 
 
 def cross_entropy(
@@ -94,10 +121,20 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
     The cube is written as ``x * x * x`` on purpose: numpy's float32 ``x**3``
     dispatches to a generic ``pow`` loop that is ~100x slower than two
-    multiplies and dominated the whole decoding hot path.
+    multiplies and dominated the whole decoding hot path.  The inner term
+    is built in one temporary, in the formula's order
+    ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x)))``.
     """
-    cube = x * x * x
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * cube)))
+    inner = x * x
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= _GELU_C
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    out = 0.5 * x
+    out *= inner
+    return out
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:

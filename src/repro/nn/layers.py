@@ -10,6 +10,11 @@ Every layer follows the same contract:
 
 Shapes follow the convention ``(batch, time, dim)`` for activations and
 ``(batch, time)`` for token ids.
+
+Forwards call ufuncs and their ``.reduce`` directly (not NumPy's Python
+reduction wrappers) and finish in place the buffers they allocated, in the
+out-of-place formulas' operation order: values and backward stashes are
+bitwise those formulas'.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.functional import gelu, gelu_grad, softmax
+from repro.nn.functional import gelu, gelu_grad, softmax_in_place
 
 
 class Parameter:
@@ -141,13 +146,28 @@ class LayerNorm(Module):
         self._cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        # The ufunc sequence np.var runs internally, minus its second mean.
-        centered = x - x.mean(axis=-1, keepdims=True)
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalized = centered * inv_std
+        """Normalise ``x`` over its last axis, then scale by gamma and shift by beta.
+
+        The means are ``ndarray.mean``'s ufunc sequence (``np.add.reduce``,
+        then an in-place divide by the count) without its wrapper, and the
+        variance is ``np.var``'s minus its second mean.  The centred copy is
+        this call's own buffer, so it is normalised in place; it and
+        ``inv_std`` are stashed for the backward.
+        """
+        dim = x.shape[-1]
+        mean = np.add.reduce(x, axis=-1, keepdims=True)
+        mean /= dim
+        normalized = x - mean
+        var = np.add.reduce(normalized * normalized, axis=-1, keepdims=True)
+        var /= dim
+        var += self.eps
+        inv_std = np.sqrt(var, out=var)
+        np.divide(1.0, inv_std, out=inv_std)
+        normalized *= inv_std
         self._cache = (normalized, inv_std, x)
-        return normalized * self.gamma.data + self.beta.data
+        out = normalized * self.gamma.data
+        out += self.beta.data
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         normalized, inv_std, _x = self._cache
@@ -160,6 +180,26 @@ class LayerNorm(Module):
         mean_dnorm = dnorm.mean(axis=-1, keepdims=True)
         mean_dnorm_norm = (dnorm * normalized).mean(axis=-1, keepdims=True)
         return (dnorm - mean_dnorm - normalized * mean_dnorm_norm) * inv_std
+
+
+def _attention_weights(
+    scores: np.ndarray, scale: float, attn_bias: Optional[np.ndarray] = None, mask: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Attention weights from raw ``(batch, heads, query, key)`` scores, computed over ``scores``.
+
+    ``scores`` is the array the caller's ``q @ k^T`` just returned, so the one
+    score pipeline — divide by ``scale``, add ``attn_bias`` (``(batch, query,
+    key)``, broadcast over heads) or write ``-1e9`` where ``mask`` is set,
+    then max-subtract / ``exp`` / sum-divide — runs in place on it and no
+    second score-sized array is allocated.  The returned weights are that
+    buffer.
+    """
+    scores /= scale
+    if attn_bias is not None:
+        scores += attn_bias[:, None, :, :]
+    elif mask is not None:
+        np.copyto(scores, -1e9, where=mask)
+    return softmax_in_place(scores, axis=-1)
 
 
 class CausalSelfAttention(Module):
@@ -192,8 +232,13 @@ class CausalSelfAttention(Module):
         present, the whole sequence otherwise — so the caller is responsible
         for masking stale/padded key slots too.  This is the hook token-tree
         verification uses to let each tree node attend exactly its ancestor
-        chain plus the cached prefix.  With a cache the bias is added in the
+        chain plus the cached prefix.  The bias is added in place, in the
         scores' dtype (a float64 bias does not upcast the step).
+
+        The causal mask is built only when it masks a key: with a cache,
+        when the shortest row's first query (at position ``min(past)``)
+        precedes the last key, so a single query over rows of equal length
+        (every next-token step) skips it.
         """
         batch, time, dim = x.shape
         qkv = self.qkv.forward(x)
@@ -203,45 +248,34 @@ class CausalSelfAttention(Module):
             return tensor.reshape(batch, time, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
         qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
+        mask = None
         if layer_cache is not None:
             # Per-row pasts: serving batches requests whose cached prefixes
             # have different lengths (ragged rows), so each row masks against
-            # its own past.  Uniform caches reduce to the classic causal mask.
-            past_rows = layer_cache.lengths.copy()
+            # its own past.  Both storages rebind ``lengths`` on append, so
+            # ``past`` keeps the pre-append values without a copy.
+            past = layer_cache.lengths
             kh, vh = layer_cache.append(kh, vh)
-            scores = qh @ kh.transpose(0, 1, 3, 2)
-            scores /= self.scale
-            if attn_bias is not None:
-                if attn_bias.shape != (batch, time, kh.shape[2]):
-                    raise ValueError(
-                        f"attn_bias shape {attn_bias.shape} != (batch, query, key) = "
-                        f"({batch}, {time}, {kh.shape[2]})"
-                    )
-                scores += attn_bias[:, None, :, :]
-            elif self.causal:
+            keys = kh.shape[2]
+            if attn_bias is None and self.causal and int(np.minimum.reduce(past, initial=keys)) + 1 < keys:
                 # Row r's query i sits at absolute position past_r + i and may
                 # attend to keys 0..past_r+i.  Keys past a row's own length are
                 # stale storage from longer rows; they sit at positions
                 # > past_r + i for every valid query, so the same comparison
                 # masks them too.
-                key_positions = np.arange(kh.shape[2])
-                query_positions = past_rows[:, None] + np.arange(time)[None, :]
-                mask = key_positions[None, None, :] > query_positions[:, :, None]
-                np.copyto(scores, -1e9, where=mask[:, None, :, :])
+                query_positions = past[:, None] + np.arange(time)[None, :]
+                mask = (np.arange(keys)[None, None, :] > query_positions[:, :, None])[:, None, :, :]
         else:
-            scores = qh @ kh.transpose(0, 1, 3, 2) / self.scale
-            if attn_bias is not None:
-                if attn_bias.shape != (batch, time, time):
-                    raise ValueError(
-                        f"attn_bias shape {attn_bias.shape} != (batch, query, key) = ({batch}, {time}, {time})"
-                    )
-                scores = scores + attn_bias[:, None, :, :]
-            elif self.causal:
+            keys = time
+            if attn_bias is None and self.causal:
                 # Query i may attend to keys 0..i.
                 key_positions = np.arange(time)
                 mask = key_positions[None, :] > key_positions[:, None]
-                np.copyto(scores, -1e9, where=np.broadcast_to(mask, scores.shape))
-        weights = softmax(scores, axis=-1)
+        if attn_bias is not None and attn_bias.shape != (batch, time, keys):
+            raise ValueError(
+                f"attn_bias shape {attn_bias.shape} != (batch, query, key) = ({batch}, {time}, {keys})"
+            )
+        weights = _attention_weights(qh @ kh.transpose(0, 1, 3, 2), self.scale, attn_bias, mask)
         context = weights @ vh
         merged = context.transpose(0, 2, 1, 3).reshape(batch, time, dim)
         out = self.proj.forward(merged)
@@ -315,11 +349,10 @@ class CrossAttention(Module):
             vh = split_heads(v, mem_time)
             if layer_cache is not None:
                 if kh.shape[0] != batch:
-                    kh = np.repeat(kh, batch // kh.shape[0], axis=0)
-                    vh = np.repeat(vh, batch // vh.shape[0], axis=0)
+                    kh = kh.repeat(batch // kh.shape[0], axis=0)
+                    vh = vh.repeat(batch // vh.shape[0], axis=0)
                 layer_cache.set_cross(kh, vh)
-        scores = qh @ kh.transpose(0, 1, 3, 2) / self.scale
-        weights = softmax(scores, axis=-1)
+        weights = _attention_weights(qh @ kh.transpose(0, 1, 3, 2), self.scale)
         context = weights @ vh
         merged = context.transpose(0, 2, 1, 3).reshape(batch, time, dim)
         out = self.out_proj.forward(merged)

@@ -95,9 +95,17 @@ class TransformerBlock(Module):
         self.mlp = FeedForward(dim, 4 * dim, rng, name=f"{name}.mlp")
 
     def forward(self, x: np.ndarray, layer_cache=None, attn_bias: Optional[np.ndarray] = None) -> np.ndarray:
-        x = x + self.attn.forward(self.ln1.forward(x), layer_cache=layer_cache, attn_bias=attn_bias)
-        x = x + self.mlp.forward(self.ln2.forward(x))
-        return x
+        """``x + attn(ln1(x))``, then ``h + mlp(ln2(h))``.
+
+        Each sublayer returns a fresh array, so the residual is added into it
+        (``h += x`` is bitwise ``x + h``); the sublayer inputs the norms stash
+        are never written.
+        """
+        h = self.attn.forward(self.ln1.forward(x), layer_cache=layer_cache, attn_bias=attn_bias)
+        h += x
+        out = self.mlp.forward(self.ln2.forward(h))
+        out += h
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad_mlp = self.ln2.backward(self.mlp.backward(grad_output))
@@ -121,10 +129,14 @@ class CrossTransformerBlock(Module):
     def forward(
         self, x: np.ndarray, memory: Optional[np.ndarray], layer_cache=None, attn_bias: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        x = x + self.self_attn.forward(self.ln1.forward(x), layer_cache=layer_cache, attn_bias=attn_bias)
-        x = x + self.cross_attn.forward(self.ln2.forward(x), memory, layer_cache=layer_cache)
-        x = x + self.mlp.forward(self.ln3.forward(x))
-        return x
+        """Self-attention, cross-attention and MLP, each with a residual added into its fresh output."""
+        h = self.self_attn.forward(self.ln1.forward(x), layer_cache=layer_cache, attn_bias=attn_bias)
+        h += x
+        g = self.cross_attn.forward(self.ln2.forward(h), memory, layer_cache=layer_cache)
+        g += h
+        out = self.mlp.forward(self.ln3.forward(g))
+        out += g
+        return out
 
     def backward(self, grad_output: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         grad_mlp = self.ln3.backward(self.mlp.backward(grad_output))

@@ -290,6 +290,11 @@ class TestGeneration:
         logits = np.array([1.0, 0.0])
         assert len(top_k_token_ids(logits, 10)) == 2
 
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    def test_top_k_non_positive_is_empty(self, k):
+        ids = top_k_token_ids(np.array([0.5, 3.0, 2.0, -1.0]), k)
+        assert ids.shape == (0,) and ids.dtype.kind == "i"
+
     def test_config_factories(self):
         greedy = GenerationConfig.greedy_config(50)
         sampled = GenerationConfig.sampling_config(0.6, 70, seed=3)
