@@ -17,6 +17,9 @@ guarantees the docs actually rely on:
 * every backticked repository path in ``docs/*.md`` or ``README.md``
   (`` `tests/test_x.py` ``, `` `benchmarks/bench_*.py` ``) names a file that
   exists, so deleting a file cannot leave prose pointing at it;
+* every bare file name (``medusa.py``, not the tail of a path) in
+  ``docs/*.md``, ``README.md`` or a ``src/repro`` docstring or comment is the
+  name of some ``.py`` file in the repository, for the same reason;
 * code cross-references name something that exists: every fully-qualified
   ``repro.*`` target of a Sphinx role (``:class:`~repro.x.Y```) in a
   ``src/repro`` docstring, and every `` `repro.x.y` `` dotted path in
@@ -32,9 +35,11 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import io
 import re
 import sys
 import textwrap
+import tokenize
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -52,6 +57,8 @@ DOTTED_RE = re.compile(r"`(repro(?:\.\w+)+)`")
 #: A backticked repository path, e.g. `tests/test_golden.py`, optionally
 #: followed by ``::test_name`` or arguments; may be a glob.
 REPO_PATH_RE = re.compile(r"`((?:benchmarks|tests|examples|scripts|src)/[^`\s:]+\.(?:py|md|json))\b")
+#: A bare file name, e.g. medusa.py: not the tail of a path or of a dotted name.
+BARE_NAME_RE = re.compile(r"(?<![\w/.-])([A-Za-z_]\w*\.py)\b")
 
 
 def slugify(heading: str) -> str:
@@ -150,8 +157,31 @@ def check_paths() -> list[str]:
     return problems
 
 
+def prose(path: Path) -> str:
+    """The docstrings and comments of a Python source file."""
+    text = path.read_text()
+    tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+    parts = [token.string for token in tokens if token.type == tokenize.COMMENT]
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            parts.append(ast.get_docstring(node) or "")
+    return "\n".join(parts)
+
+
+def check_bare_names() -> list[str]:
+    """Bare ``name.py`` mentions that name no Python file in the repository."""
+    known = {path.name for path in REPO.rglob("*.py") if ".git" not in path.parts}
+    sources = [(path, path.read_text()) for path in [*sorted(DOCS.glob("*.md")), REPO / "README.md"]]
+    sources += [(path, prose(path)) for path in sorted((SRC / "repro").glob("**/*.py"))]
+    problems = []
+    for path, text in sources:
+        for name in sorted(set(BARE_NAME_RE.findall(text)) - known):
+            problems.append(f"{path.relative_to(REPO)}: no file named {name}")
+    return problems
+
+
 def check() -> list[str]:
-    problems: list[str] = check_references() + check_paths()
+    problems: list[str] = check_references() + check_paths() + check_bare_names()
     doc_files = sorted(DOCS.glob("**/*.md"))
     if not doc_files:
         return ["docs/ contains no markdown files"]
@@ -247,7 +277,7 @@ def main() -> int:
         print(f"\n{len(problems)} problem(s) found")
         return 1
     pages = len(list(DOCS.glob('**/*.md')))
-    print(f"docs OK: {pages} pages, nav complete, headings, links, paths and code references valid")
+    print(f"docs OK: {pages} pages, nav complete, headings, links, paths, file names and code references valid")
     return 0
 
 

@@ -611,7 +611,8 @@ class SpeculativeDecoder:
             the paper's eq. 1 parameters).
         num_candidates: Candidate continuations verified per step.
         max_speculative_heads: Cap on the Medusa heads used for speculation
-            (defaults to all heads the model has).
+            (defaults to all heads the model has; clamped to
+            ``[0, num_medusa_heads]``).
     """
 
     def __init__(
@@ -629,7 +630,9 @@ class SpeculativeDecoder:
         self.acceptance = acceptance or TypicalAcceptance()
         self.num_candidates = max(1, num_candidates)
         self.max_speculative_heads = (
-            model.num_medusa_heads if max_speculative_heads is None else min(max_speculative_heads, model.num_medusa_heads)
+            model.num_medusa_heads
+            if max_speculative_heads is None
+            else max(0, min(max_speculative_heads, model.num_medusa_heads))
         )
         vocab = tokenizer.vocab
         self.frag_id = vocab.frag_id

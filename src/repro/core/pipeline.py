@@ -17,9 +17,8 @@ from repro.core.training import MedusaTrainer, TrainerConfig, TrainingSample
 from repro.data.alpaca import AlpacaExample, build_alpaca_dataset, subset_fractions
 from repro.data.corpus import CorpusConfig, SyntheticVerilogCorpus
 from repro.data.refinement import RefinementConfig, refine_corpus
-from repro.models.decoder_lm import DecoderConfig, TinyCodeLlama
-from repro.models.encdec_lm import EncDecConfig, TinyCodeT5p
 from repro.models.medusa import MedusaLM
+from repro.nn.transformer import DecoderOnlyTransformer, EncoderDecoderTransformer
 from repro.tokenizer.bpe import BPETokenizer
 
 #: Mapping from method name to decoding strategy.
@@ -58,6 +57,10 @@ class PipelineConfig:
     max_train_seq_len: int = 256
     # Data fraction used for training (1.0 = full corpus).
     data_fraction: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.architecture not in ("decoder-only", "encoder-decoder"):
+            raise ValueError(f"architecture must be 'decoder-only' or 'encoder-decoder', got {self.architecture!r}")
 
 
 @dataclass
@@ -114,27 +117,23 @@ class VerilogSpecPipeline:
         vocab_size = self.tokenizer.vocab_size
         config = self.config
         if config.architecture == "encoder-decoder":
-            backbone = TinyCodeT5p(
-                EncDecConfig(
-                    vocab_size=vocab_size,
-                    dim=config.model_dim,
-                    num_encoder_layers=config.num_layers,
-                    num_decoder_layers=config.num_layers,
-                    num_heads=config.num_attention_heads,
-                    max_seq_len=config.max_seq_len,
-                    seed=config.model_seed,
-                )
+            backbone = EncoderDecoderTransformer(
+                vocab_size=vocab_size,
+                dim=config.model_dim,
+                num_encoder_layers=config.num_layers,
+                num_decoder_layers=config.num_layers,
+                num_heads=config.num_attention_heads,
+                max_seq_len=config.max_seq_len,
+                seed=config.model_seed,
             )
         else:
-            backbone = TinyCodeLlama(
-                DecoderConfig(
-                    vocab_size=vocab_size,
-                    dim=config.model_dim,
-                    num_layers=config.num_layers,
-                    num_heads=config.num_attention_heads,
-                    max_seq_len=config.max_seq_len,
-                    seed=config.model_seed,
-                )
+            backbone = DecoderOnlyTransformer(
+                vocab_size=vocab_size,
+                dim=config.model_dim,
+                num_layers=config.num_layers,
+                num_heads=config.num_attention_heads,
+                max_seq_len=config.max_seq_len,
+                seed=config.model_seed,
             )
         num_heads = 0 if method == "ntp" else config.num_medusa_heads
         return MedusaLM(backbone, vocab_size=vocab_size, num_medusa_heads=num_heads, seed=config.model_seed)

@@ -1,13 +1,16 @@
-"""Model zoo: scale-reduced CodeLlama/CodeT5p substitutes and Medusa wrapper."""
+"""Model layer: the Medusa wrapper over a transformer backbone, and sampling.
 
-from repro.models.decoder_lm import TinyCodeLlama
-from repro.models.encdec_lm import TinyCodeT5p
+:class:`MedusaLM` holds a :class:`~repro.nn.transformer.DecoderOnlyTransformer`
+(the CodeLlama substitute) or an
+:class:`~repro.nn.transformer.EncoderDecoderTransformer` (the CodeT5p
+substitute) as its backbone and attaches the base LM head and the Medusa
+heads to its last hidden states.
+"""
+
 from repro.models.medusa import MedusaHead, MedusaLM
 from repro.models.generation import GenerationConfig, sample_from_logits
 
 __all__ = [
-    "TinyCodeLlama",
-    "TinyCodeT5p",
     "MedusaHead",
     "MedusaLM",
     "GenerationConfig",

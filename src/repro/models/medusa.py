@@ -18,13 +18,14 @@ The same wrapper serves three training/decoding regimes:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.nn.kv_cache import KVCache
 from repro.nn.layers import Linear, Module
 from repro.nn.functional import gelu, gelu_grad
+from repro.nn.transformer import DecoderOnlyTransformer, EncoderDecoderTransformer
 
 
 class MedusaHead(Module):
@@ -55,11 +56,15 @@ class MedusaHead(Module):
 
 
 class MedusaLM(Module):
-    """Backbone + base LM head + ``n`` Medusa heads."""
+    """Transformer backbone + base LM head + ``n`` Medusa heads.
+
+    :meth:`parameters` walks the attributes in assignment order (backbone, base head, heads); the
+    optimizer keeps its state in that order.
+    """
 
     def __init__(
         self,
-        backbone,
+        backbone: Union[DecoderOnlyTransformer, EncoderDecoderTransformer],
         vocab_size: int,
         num_medusa_heads: int = 10,
         seed: int = 0,
@@ -112,12 +117,16 @@ class MedusaLM(Module):
     # -- forward -------------------------------------------------------------
 
     @property
-    def architecture(self) -> str:
-        return self.backbone.architecture
-
-    @property
     def is_encoder_decoder(self) -> bool:
-        return self.backbone.architecture == "encoder-decoder"
+        return isinstance(self.backbone, EncoderDecoderTransformer)
+
+    def _hidden_states(self, input_ids, encoder_ids, cache, attn_bias=None, position_offsets=None) -> np.ndarray:
+        """Backbone hidden states; ``encoder_ids`` runs the encoder first (a decoder-only backbone has none)."""
+        if encoder_ids is not None:
+            if not self.is_encoder_decoder:
+                raise ValueError("encoder_ids given to a decoder-only backbone, which has no encoder")
+            self.encode_prompt(encoder_ids)
+        return self.backbone.forward(np.asarray(input_ids, dtype=np.int64), cache, attn_bias, position_offsets)
 
     def forward(
         self,
@@ -130,7 +139,8 @@ class MedusaLM(Module):
         Args:
             input_ids: ``(T,)`` or ``(B, T)`` decoder-side token ids (for
                 decoder-only backbones this is prompt+output concatenated).
-            encoder_ids: prompt ids for encoder-decoder backbones.
+            encoder_ids: prompt ids for encoder-decoder backbones (the
+                encoder runs first); decoder-only backbones reject them.
             cache: per-layer KV cache; when given, ``input_ids`` extend the
                 cached prefix and logits cover only the new positions.
 
@@ -139,7 +149,7 @@ class MedusaLM(Module):
             ``(B, T, V)`` and ``head_logits`` is a list of the same shape, one
             per Medusa head.
         """
-        hidden = self.backbone.hidden_states(input_ids, encoder_ids, cache=cache)
+        hidden = self._hidden_states(input_ids, encoder_ids, cache)
         self._last_hidden = hidden
         base_logits = self.base_head.forward(hidden)
         head_logits = [head.forward(hidden) for head in self.medusa_heads]
@@ -177,9 +187,7 @@ class MedusaLM(Module):
             ``(base_logits, hidden)`` with shapes ``(B, T, V)`` and
             ``(B, T, D)``.
         """
-        hidden = self.backbone.hidden_states(
-            input_ids, encoder_ids, cache=cache, attn_bias=attn_bias, position_offsets=position_offsets
-        )
+        hidden = self._hidden_states(input_ids, encoder_ids, cache, attn_bias, position_offsets)
         self._last_hidden = hidden
         return self.base_head.forward(hidden), hidden
 
@@ -244,34 +252,9 @@ class MedusaLM(Module):
             grad_hidden = grad_hidden + head.backward(grad)
         self.backbone.backward(grad_hidden)
 
-    # -- parameters -----------------------------------------------------------
-
-    def parameters(self):
-        yield from self.backbone.parameters()
-        yield from self.base_head.parameters()
-        for head in self.medusa_heads:
-            yield from head.parameters()
-
-    def zero_grad(self) -> None:
-        self.backbone.zero_grad()
-        self.base_head.zero_grad()
-        for head in self.medusa_heads:
-            head.zero_grad()
-
-    def num_parameters(self) -> int:
-        total = self.backbone.num_parameters() + self.base_head.num_parameters()
-        return total + sum(head.num_parameters() for head in self.medusa_heads)
-
     # -- convenience ----------------------------------------------------------
 
     def encode_prompt(self, prompt_ids: np.ndarray) -> None:
         """For encoder-decoder backbones: run and cache the encoder."""
         if self.is_encoder_decoder:
             self.backbone.encode(np.asarray(prompt_ids, dtype=np.int64))
-
-    def last_position_logits(
-        self, input_ids: np.ndarray, encoder_ids: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Logits at the final sequence position only (``(V,)`` arrays)."""
-        base_logits, head_logits = self.forward(input_ids, encoder_ids)
-        return base_logits[0, -1], [h[0, -1] for h in head_logits]

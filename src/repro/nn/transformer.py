@@ -1,17 +1,18 @@
 """Transformer backbones: decoder-only and encoder-decoder.
 
 These are the scale-reduced substitutes for CodeLlama (decoder-only) and
-CodeT5p (encoder-decoder).  Both expose the same interface the Medusa wrapper
-and the speculative decoder need:
+CodeT5p (encoder-decoder), and each is the backbone a
+:class:`~repro.models.medusa.MedusaLM` holds.  Both expose the same interface:
 
-* ``forward(...)`` returns the final hidden states ``(batch, time, dim)``;
+* ``forward(token_ids, cache, attn_bias, position_offsets)`` returns the final
+  hidden states ``(batch, time, dim)`` (encoder-decoder: after ``encode``);
 * ``backward(grad_hidden)`` backpropagates a gradient arriving at those hidden
   states through the whole backbone.
 
 The language-model head(s) live outside the backbone (see
-:mod:`repro.models.decoder_lm` and :mod:`repro.models.medusa`) so that the
-Medusa construction — extra heads attached to the *last hidden states* — is the
-same for both architectures, exactly as in the paper's Fig. 2.
+:mod:`repro.models.medusa`) so that the Medusa construction — extra heads
+attached to the *last hidden states* — is the same for both architectures,
+exactly as in the paper's Fig. 2.
 """
 
 from __future__ import annotations
@@ -289,40 +290,36 @@ class EncoderDecoderTransformer(Module):
 
     def forward(
         self,
-        decoder_ids: np.ndarray,
-        encoder_ids: Optional[np.ndarray] = None,
+        token_ids: np.ndarray,
         cache: Optional[KVCache] = None,
         attn_bias: Optional[np.ndarray] = None,
         position_offsets: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Return decoder hidden states ``(batch, time, dim)``.
 
-        When ``encoder_ids`` is provided the encoder runs first; otherwise the
-        memory cached by the most recent :meth:`encode` call is reused (as the
-        generation loop does: encode once, decode incrementally).  With
-        ``cache``, decoder self-attention K/V and the per-layer cross-attention
-        projections of the encoder memory are cached, and ``decoder_ids`` are
-        the continuation of the cached prefix.  ``attn_bias`` /
-        ``position_offsets`` generalise decoder self-attention masking and
-        positions exactly as in :meth:`DecoderOnlyTransformer.forward`
-        (cross-attention always sees the whole encoder memory and is
-        unaffected).
+        Cross-attention reads the encoder memory cached by the most recent
+        :meth:`encode` call (the generation loop encodes once and decodes
+        incrementally).  With ``cache``, decoder self-attention K/V and the
+        per-layer cross-attention projections of the encoder memory are
+        cached, and ``token_ids`` are the continuation of the cached prefix.
+        ``attn_bias`` / ``position_offsets`` generalise decoder self-attention
+        masking and positions exactly as in
+        :meth:`DecoderOnlyTransformer.forward` (cross-attention always sees
+        the whole encoder memory and is unaffected).
         """
-        if encoder_ids is not None:
-            self.encode(encoder_ids)
-        if decoder_ids.ndim == 1:
-            decoder_ids = decoder_ids[None, :]
-        batch, time = decoder_ids.shape
+        if token_ids.ndim == 1:
+            token_ids = token_ids[None, :]
+        batch, time = token_ids.shape
         memory = self._cached_memory
         cross_ready = cache is not None and all(layer.has_cross for layer in cache.layers)
         if memory is None and not cross_ready:
-            raise RuntimeError("encode() must be called before forward() without encoder_ids")
+            raise RuntimeError("encode() must be called before forward()")
         positions = _decode_positions(cache, batch, time, self.max_seq_len, position_offsets)
-        x = self.token_embedding.forward(decoder_ids) + self.position_embedding.forward(positions)
+        x = self.token_embedding.forward(token_ids) + self.position_embedding.forward(positions)
         # The decoder embeddings overwrite the encoder's cached activations in
         # the shared embedding layers, so the backward pass re-encodes; we keep
         # the decoder cache here for the standard joint backward.
-        self._decoder_ids = decoder_ids
+        self._decoder_ids = token_ids
         layer_caches = cache.layers if cache is not None else [None] * len(self.decoder_blocks)
         for block, layer_cache in zip(self.decoder_blocks, layer_caches):
             x = block.forward(x, memory, layer_cache=layer_cache, attn_bias=attn_bias)

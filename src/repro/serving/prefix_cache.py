@@ -172,7 +172,8 @@ class PrefixCache:
         any retained path reaches and returns a non-owning view of a matching
         entry's first ``matched_len`` positions (:meth:`PagedPrefix.head
         <repro.nn.kv_pool.PagedPrefix.head>`), refreshing that entry's LRU
-        position.  ``(0, None)`` on a miss.
+        position.  ``(0, None)`` on a miss; a ``limit`` of 0 or less is
+        always a miss.
 
         The serving engine passes ``limit=len(prompt) - 1`` so at least one
         prompt token is always prefilled — the forward over the suffix is
@@ -180,7 +181,7 @@ class PrefixCache:
         """
         depth = 0
         node = self._root
-        bound = len(tokens) if limit is None else min(limit, len(tokens))
+        bound = len(tokens) if limit is None else max(0, min(limit, len(tokens)))
         for token in tokens[:bound]:
             child = node.children.get(int(token))
             if child is None:

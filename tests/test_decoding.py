@@ -105,6 +105,16 @@ class TestSpeculativeDecoding:
         decoder = SpeculativeDecoder(model, tiny_pipeline.tokenizer, max_speculative_heads=100)
         assert decoder.max_speculative_heads == model.num_medusa_heads
 
+    def test_negative_max_speculative_heads_clamped_to_zero(self, tiny_pipeline, sample_prompt):
+        """A negative cap means no speculation; kept as is, it shrank the row cache below the context window."""
+        model = tiny_pipeline.models["ours"]
+        decoder = SpeculativeDecoder(model, tiny_pipeline.tokenizer, max_speculative_heads=-3)
+        assert decoder.max_speculative_heads == 0
+        ids = tiny_pipeline.tokenizer.encode(sample_prompt, add_bos=True)
+        long_prompt = (ids * (model.backbone.max_seq_len // len(ids) + 1))[: model.backbone.max_seq_len - 4]
+        result = decoder.generate(long_prompt, GenerationConfig.greedy_config(8))
+        assert 0 < result.tokens_generated <= 4
+
     def test_generate_accepts_raw_ids(self, decoders, tiny_pipeline, sample_prompt):
         ids = tiny_pipeline.tokenizer.encode(sample_prompt, add_bos=True)
         result = decoders["ours"].generate(ids, GenerationConfig.greedy_config(8))

@@ -26,14 +26,17 @@ import pytest
 from repro.core.acceptance import TypicalAcceptance
 from repro.core.decoding import score_tree
 from repro.core.token_tree import TokenTree, tree_bias_cached, tree_position_offsets
-from repro.models.decoder_lm import DecoderConfig, TinyCodeLlama
-from repro.models.encdec_lm import EncDecConfig, TinyCodeT5p
 from repro.models.medusa import MedusaLM
 from repro.nn.functional import entropy, gelu, softmax
 from repro.nn.kv_cache import KVCache, LayerKVCache
 from repro.nn.kv_pool import KVBlockPool, PagedKVCache
 from repro.nn.layers import CausalSelfAttention, CrossAttention, LayerNorm, Linear
-from repro.nn.transformer import CrossTransformerBlock, TransformerBlock
+from repro.nn.transformer import (
+    CrossTransformerBlock,
+    DecoderOnlyTransformer,
+    EncoderDecoderTransformer,
+    TransformerBlock,
+)
 
 DIM, HEADS = 48, 4
 
@@ -467,10 +470,10 @@ def test_the_wrapper_detector_sees_a_wrapper_call():
 
 def _model(architecture: str) -> MedusaLM:
     if architecture == "decoder-only":
-        backbone = TinyCodeLlama(DecoderConfig(vocab_size=60, dim=DIM, num_layers=2, num_heads=HEADS, max_seq_len=96))
+        backbone = DecoderOnlyTransformer(vocab_size=60, dim=DIM, num_layers=2, num_heads=HEADS, max_seq_len=96)
     else:
-        backbone = TinyCodeT5p(
-            EncDecConfig(vocab_size=60, dim=DIM, num_encoder_layers=1, num_decoder_layers=2, num_heads=HEADS, max_seq_len=96)
+        backbone = EncoderDecoderTransformer(
+            vocab_size=60, dim=DIM, num_encoder_layers=1, num_decoder_layers=2, num_heads=HEADS, max_seq_len=96
         )
     return MedusaLM(backbone, 60, num_medusa_heads=3, seed=0)
 

@@ -3,28 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.models.decoder_lm import DecoderConfig, TinyCodeLlama
-from repro.models.encdec_lm import EncDecConfig, TinyCodeT5p
 from repro.models.medusa import MedusaLM
 from repro.nn.kv_cache import KVCache
+from repro.nn.transformer import DecoderOnlyTransformer, EncoderDecoderTransformer
 
 ATOL = 1e-5
 
 
 @pytest.fixture(scope="module")
 def decoder_lm() -> MedusaLM:
-    backbone = TinyCodeLlama(
-        DecoderConfig(vocab_size=64, dim=32, num_layers=2, num_heads=4, max_seq_len=96, seed=3)
-    )
+    backbone = DecoderOnlyTransformer(vocab_size=64, dim=32, num_layers=2, num_heads=4, max_seq_len=96, seed=3)
     return MedusaLM(backbone, vocab_size=64, num_medusa_heads=3, seed=3)
 
 
 @pytest.fixture(scope="module")
 def encdec_lm() -> MedusaLM:
-    backbone = TinyCodeT5p(
-        EncDecConfig(
-            vocab_size=64, dim=32, num_encoder_layers=2, num_decoder_layers=2, num_heads=4, max_seq_len=96, seed=4
-        )
+    backbone = EncoderDecoderTransformer(
+        vocab_size=64, dim=32, num_encoder_layers=2, num_decoder_layers=2, num_heads=4, max_seq_len=96, seed=4
     )
     return MedusaLM(backbone, vocab_size=64, num_medusa_heads=2, seed=4)
 
@@ -414,7 +409,7 @@ class TestIncrementalEquivalence:
         encdec_lm.forward(np.asarray([1]), cache=cache)
         assert all(layer.has_cross for layer in cache.layers)
         # Wipe the transformer's memory: cached cross K/V must be sufficient.
-        encdec_lm.backbone.transformer._cached_memory = None
+        encdec_lm.backbone._cached_memory = None
         base, _ = encdec_lm.forward(np.asarray([2]), cache=cache)
         assert base.shape[1] == 1
 

@@ -741,21 +741,18 @@ class TestModelPoolFactories:
     def test_transformer_make_block_pool_geometry(self, tiny_pipeline):
         model = tiny_pipeline.models["ours"]
         pool = model.new_block_pool(block_size=8, num_blocks=32)
-        backbone_attn = model.backbone.transformer.blocks[0].attn
-        assert pool.num_layers == len(model.backbone.transformer.blocks)
+        backbone_attn = model.backbone.blocks[0].attn
+        assert pool.num_layers == len(model.backbone.blocks)
         assert pool.num_heads == backbone_attn.num_heads
         assert pool.head_dim == backbone_attn.head_dim
         assert pool.block_size == 8 and pool.num_blocks == 32
 
     def test_encoder_decoder_rejected(self):
-        from repro.models.encdec_lm import EncDecConfig, TinyCodeT5p
         from repro.models.medusa import MedusaLM
+        from repro.nn.transformer import EncoderDecoderTransformer
 
-        backbone = TinyCodeT5p(
-            EncDecConfig(
-                vocab_size=64, dim=32, num_encoder_layers=1, num_decoder_layers=1,
-                num_heads=2, max_seq_len=64,
-            )
+        backbone = EncoderDecoderTransformer(
+            vocab_size=64, dim=32, num_encoder_layers=1, num_decoder_layers=1, num_heads=2, max_seq_len=64
         )
         model = MedusaLM(backbone, vocab_size=64, num_medusa_heads=2)
         with pytest.raises(ValueError, match="decoder-only"):

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 import repro.models.medusa as medusa_module
-from repro.models.decoder_lm import DecoderConfig, TinyCodeLlama
-from repro.models.encdec_lm import EncDecConfig, TinyCodeT5p
 from repro.models.generation import GenerationConfig, sample_from_logits, top_k_token_ids
 from repro.models.medusa import MedusaHead, MedusaLM
 from repro.nn.layers import Linear
 from repro.nn.optim import AdamW
+from repro.nn.transformer import DecoderOnlyTransformer, EncoderDecoderTransformer
 
 
 VOCAB = 60
@@ -20,35 +19,33 @@ VOCAB = 60
 
 @pytest.fixture(scope="module")
 def decoder_backbone():
-    return TinyCodeLlama(DecoderConfig(vocab_size=VOCAB, dim=16, num_layers=1, num_heads=2, max_seq_len=64))
+    return DecoderOnlyTransformer(vocab_size=VOCAB, dim=16, num_layers=1, num_heads=2, max_seq_len=64)
 
 
 @pytest.fixture(scope="module")
 def encdec_backbone():
-    return TinyCodeT5p(
-        EncDecConfig(vocab_size=VOCAB, dim=16, num_encoder_layers=1, num_decoder_layers=1, num_heads=2, max_seq_len=64)
+    return EncoderDecoderTransformer(
+        vocab_size=VOCAB, dim=16, num_encoder_layers=1, num_decoder_layers=1, num_heads=2, max_seq_len=64
     )
 
 
 class TestBackbones:
-    def test_decoder_architecture_tag(self, decoder_backbone):
-        assert decoder_backbone.architecture == "decoder-only"
-
-    def test_encdec_architecture_tag(self, encdec_backbone):
-        assert encdec_backbone.architecture == "encoder-decoder"
-
     def test_decoder_hidden_shape(self, decoder_backbone):
-        hidden = decoder_backbone.hidden_states(np.array([[1, 2, 3]]))
+        hidden = decoder_backbone.forward(np.array([[1, 2, 3]]))
         assert hidden.shape == (1, 3, 16)
 
     def test_encdec_hidden_shape(self, encdec_backbone):
-        hidden = encdec_backbone.hidden_states(np.array([[1, 2]]), np.array([[3, 4, 5]]))
+        encdec_backbone.encode(np.array([[3, 4, 5]]))
+        hidden = encdec_backbone.forward(np.array([[1, 2]]))
         assert hidden.shape == (1, 2, 16)
 
     def test_encdec_encode_caching(self, encdec_backbone):
+        """``forward`` reads the memory of the last ``encode``, until the next one replaces it."""
         encdec_backbone.encode(np.array([[3, 4, 5]]))
-        hidden = encdec_backbone.hidden_states(np.array([[1, 2]]))
-        assert hidden.shape == (1, 2, 16)
+        first = encdec_backbone.forward(np.array([[1, 2]]))
+        assert np.array_equal(encdec_backbone.forward(np.array([[1, 2]])), first)
+        encdec_backbone.encode(np.array([[6, 7, 8]]))
+        assert not np.array_equal(encdec_backbone.forward(np.array([[1, 2]])), first)
 
     def test_parameter_counts(self, decoder_backbone, encdec_backbone):
         assert decoder_backbone.num_parameters() > 0
@@ -108,7 +105,7 @@ class TestMedusaLM:
         assert all(p.lr_scale == 1.0 for p in model.base_head.parameters())
 
     def test_backward_reaches_backbone(self):
-        backbone = TinyCodeLlama(DecoderConfig(vocab_size=VOCAB, dim=16, num_layers=1, num_heads=2, max_seq_len=32))
+        backbone = DecoderOnlyTransformer(vocab_size=VOCAB, dim=16, num_layers=1, num_heads=2, max_seq_len=32)
         model = MedusaLM(backbone, vocab_size=VOCAB, num_medusa_heads=2)
         base, heads = model.forward(np.array([[1, 2, 3]]))
         model.zero_grad()
@@ -116,11 +113,23 @@ class TestMedusaLM:
         backbone_grads = sum(float(np.abs(p.grad).sum()) for p in backbone.parameters())
         assert backbone_grads > 0
 
-    def test_last_position_logits(self, decoder_backbone):
+    @pytest.mark.parametrize("backbone_name", ["decoder_backbone", "encdec_backbone"])
+    def test_parameter_order(self, backbone_name, request):
+        """Backbone first, then the base head, then each Medusa head in order: the optimizer's order."""
+        backbone = request.getfixturevalue(backbone_name)
+        model = MedusaLM(backbone, vocab_size=VOCAB, num_medusa_heads=3)
+        heads = [f"medusa{i}.{layer}.{kind}" for i in range(3) for layer in ("res", "lm") for kind in ("weight", "bias")]
+        expected = [p.name for p in backbone.parameters()] + ["base_head.weight", "base_head.bias"] + heads
+        assert [p.name for p in model.parameters()] == expected
+        assert model.num_parameters() == sum(p.data.size for p in model.parameters())
+
+    def test_encoder_ids_rejected_on_decoder_only(self, decoder_backbone):
         model = MedusaLM(decoder_backbone, vocab_size=VOCAB, num_medusa_heads=2)
-        base, heads = model.last_position_logits(np.array([[1, 2, 3]]))
-        assert base.shape == (VOCAB,)
-        assert all(h.shape == (VOCAB,) for h in heads)
+        assert not model.is_encoder_decoder
+        with pytest.raises(ValueError, match="decoder-only"):
+            model.forward(np.array([[1, 2, 3]]), encoder_ids=np.array([[4, 5]]))
+        with pytest.raises(ValueError, match="decoder-only"):
+            model.forward_hidden(np.array([[1, 2, 3]]), encoder_ids=np.array([[4, 5]]))
 
     def test_parameters_include_all_heads(self, decoder_backbone):
         model = MedusaLM(decoder_backbone, vocab_size=VOCAB, num_medusa_heads=3)
@@ -168,15 +177,14 @@ class TestStackedHeads:
     def model(self, request):
         # Fresh backbones: these tests train, and the module-scoped ones are shared.
         if request.param == "decoder-d48-v700":  # the benchmark's head geometry
-            backbone = TinyCodeLlama(DecoderConfig(vocab_size=700, dim=48, num_layers=1, num_heads=2, max_seq_len=32))
+            backbone = DecoderOnlyTransformer(vocab_size=700, dim=48, num_layers=1, num_heads=2, max_seq_len=32)
             return MedusaLM(backbone, vocab_size=700, num_medusa_heads=8, seed=5)
         if request.param == "decoder":
-            backbone = TinyCodeLlama(DecoderConfig(vocab_size=VOCAB, dim=16, num_layers=1, num_heads=2, max_seq_len=64))
+            backbone = DecoderOnlyTransformer(vocab_size=VOCAB, dim=16, num_layers=1, num_heads=2, max_seq_len=64)
         else:
-            config = EncDecConfig(
+            backbone = EncoderDecoderTransformer(
                 vocab_size=VOCAB, dim=16, num_encoder_layers=1, num_decoder_layers=1, num_heads=2, max_seq_len=64
             )
-            backbone = TinyCodeT5p(config)
         return MedusaLM(backbone, vocab_size=VOCAB, num_medusa_heads=3, seed=5)
 
     def test_matches_per_head_forward(self, model):
@@ -215,7 +223,7 @@ class TestStackedHeadCounts:
     """Counts, not clocks."""
 
     def _model(self):
-        backbone = TinyCodeLlama(DecoderConfig(vocab_size=700, dim=48, num_layers=1, num_heads=2, max_seq_len=32))
+        backbone = DecoderOnlyTransformer(vocab_size=700, dim=48, num_layers=1, num_heads=2, max_seq_len=32)
         return MedusaLM(backbone, vocab_size=700, num_medusa_heads=8, seed=5)
 
     def test_one_product_no_per_head_linear(self, monkeypatch):

@@ -243,7 +243,8 @@ class TestTransformers:
 
     def test_encoder_decoder_shapes(self):
         model = EncoderDecoderTransformer(vocab_size=40, dim=16, num_encoder_layers=1, num_decoder_layers=1, num_heads=2, max_seq_len=32)
-        hidden = model.forward(np.array([[1, 2, 3]]), np.array([[5, 6, 7, 8]]))
+        model.encode(np.array([[5, 6, 7, 8]]))
+        hidden = model.forward(np.array([[1, 2, 3]]))
         assert hidden.shape == (1, 3, 16)
 
     def test_encoder_decoder_requires_encode_first(self):
@@ -260,13 +261,16 @@ class TestTransformers:
 
     def test_encoder_output_depends_on_prompt(self):
         model = EncoderDecoderTransformer(vocab_size=40, dim=16, max_seq_len=32, seed=4)
-        out_a = model.forward(np.array([[4, 5]]), np.array([[1, 2, 3]]))
-        out_b = model.forward(np.array([[4, 5]]), np.array([[7, 8, 9]]))
+        model.encode(np.array([[1, 2, 3]]))
+        out_a = model.forward(np.array([[4, 5]]))
+        model.encode(np.array([[7, 8, 9]]))
+        out_b = model.forward(np.array([[4, 5]]))
         assert not np.allclose(out_a, out_b, atol=1e-5)
 
     def test_encoder_decoder_backward_runs(self):
         model = EncoderDecoderTransformer(vocab_size=30, dim=16, max_seq_len=16)
-        hidden = model.forward(np.array([[1, 2, 3]]), np.array([[4, 5]]))
+        model.encode(np.array([[4, 5]]))
+        hidden = model.forward(np.array([[1, 2, 3]]))
         model.zero_grad()
         model.backward(np.ones_like(hidden))
         assert any(np.abs(p.grad).sum() > 0 for p in model.parameters())

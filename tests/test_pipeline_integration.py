@@ -63,6 +63,11 @@ class TestPipelinePreparation:
         assert len(artifacts.examples) <= len(full.examples)
         assert len(artifacts.examples) >= len(full.examples) // 2 - 1
 
+    @pytest.mark.parametrize("architecture", ["encoder_decoder", "decoder", ""])
+    def test_unknown_architecture_rejected(self, architecture):
+        with pytest.raises(ValueError, match="'decoder-only' or 'encoder-decoder'"):
+            PipelineConfig(architecture=architecture)
+
     def test_build_model_requires_prepare(self):
         pipeline = VerilogSpecPipeline(PipelineConfig())
         with pytest.raises(RuntimeError):

@@ -91,6 +91,14 @@ class TestPrefixCacheLookup:
         assert matched == 3
         assert view.length == 3
 
+    @pytest.mark.parametrize("limit", [0, -1, -3])
+    def test_non_positive_limit_is_a_miss(self, pool, limit):
+        """A negative limit is no Python slice from the end: it matches nothing."""
+        cache = PrefixCache(max_tokens=100)
+        cache.insert([1, 2, 3], make_prefix(pool, 3))
+        assert cache.lookup([1, 2, 3], limit=limit) == (0, None)
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+
     def test_longest_of_several_entries_wins(self, pool):
         cache = PrefixCache(max_tokens=100)
         cache.insert([1, 2], make_prefix(pool, 2, seed=1))

@@ -187,11 +187,11 @@ class TestServingEquivalence:
 
 class TestServingEngineBehaviour:
     def test_rejects_encoder_decoder_models(self, tiny_pipeline):
-        from repro.models.encdec_lm import EncDecConfig, TinyCodeT5p
         from repro.models.medusa import MedusaLM
+        from repro.nn.transformer import EncoderDecoderTransformer
 
-        backbone = TinyCodeT5p(
-            EncDecConfig(vocab_size=64, dim=32, num_encoder_layers=1, num_decoder_layers=1, num_heads=2, max_seq_len=64)
+        backbone = EncoderDecoderTransformer(
+            vocab_size=64, dim=32, num_encoder_layers=1, num_decoder_layers=1, num_heads=2, max_seq_len=64
         )
         model = MedusaLM(backbone, vocab_size=64, num_medusa_heads=2)
         with pytest.raises(ValueError, match="decoder-only"):

@@ -27,10 +27,10 @@ from proptest import Cases, for_all, num_cases
 
 from repro.core.decoding import dedupe_candidates, propose_candidates
 from repro.core.token_tree import TokenTree, tree_bias_cached, tree_position_offsets
-from repro.models.decoder_lm import DecoderConfig, TinyCodeLlama
 from repro.models.generation import GenerationConfig
 from repro.models.medusa import MedusaLM
 from repro.nn.kv_cache import KVCache
+from repro.nn.transformer import DecoderOnlyTransformer
 
 VOCAB = 59
 
@@ -38,7 +38,7 @@ VOCAB = 59
 @pytest.fixture(scope="module")
 def untrained_model() -> MedusaLM:
     """A small untrained decoder-only MedusaLM (logits equivalence needs no training)."""
-    backbone = TinyCodeLlama(DecoderConfig(vocab_size=VOCAB, dim=32, num_layers=2, num_heads=4, max_seq_len=96))
+    backbone = DecoderOnlyTransformer(vocab_size=VOCAB, dim=32, num_layers=2, num_heads=4, max_seq_len=96)
     return MedusaLM(backbone, vocab_size=VOCAB, num_medusa_heads=3, seed=7)
 
 

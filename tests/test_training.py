@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.training import MedusaLoss, MedusaTrainer, TrainerConfig, TrainingSample
-from repro.models.decoder_lm import DecoderConfig, TinyCodeLlama
-from repro.models.encdec_lm import EncDecConfig, TinyCodeT5p
 from repro.models.medusa import MedusaLM
+from repro.nn.transformer import DecoderOnlyTransformer, EncoderDecoderTransformer
 from repro.tokenizer.bpe import BPETokenizer
 
 
@@ -28,11 +27,11 @@ def small_tokenizer():
 def _tiny_model(tokenizer, num_heads=3, architecture="decoder-only"):
     vocab = tokenizer.vocab_size
     if architecture == "encoder-decoder":
-        backbone = TinyCodeT5p(
-            EncDecConfig(vocab_size=vocab, dim=16, num_encoder_layers=1, num_decoder_layers=1, num_heads=2, max_seq_len=128)
+        backbone = EncoderDecoderTransformer(
+            vocab_size=vocab, dim=16, num_encoder_layers=1, num_decoder_layers=1, num_heads=2, max_seq_len=128
         )
     else:
-        backbone = TinyCodeLlama(DecoderConfig(vocab_size=vocab, dim=16, num_layers=1, num_heads=2, max_seq_len=128))
+        backbone = DecoderOnlyTransformer(vocab_size=vocab, dim=16, num_layers=1, num_heads=2, max_seq_len=128)
     return MedusaLM(backbone, vocab_size=vocab, num_medusa_heads=num_heads)
 
 
