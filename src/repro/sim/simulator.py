@@ -179,7 +179,11 @@ class Simulator:
         rng: Optional[VerilogRng] = None,
     ) -> None:
         self.source_file = parse_source(source) if isinstance(source, str) else source
-        self.modules: Dict[str, ast.ModuleDef] = {m.name: m for m in self.source_file.modules}
+        self.modules: Dict[str, ast.ModuleDef] = {}
+        for module in self.source_file.modules:
+            if module.name in self.modules:  # iverilog rejects a re-declared module too
+                raise SimulationError(f"module {module.name!r} is declared more than once")
+            self.modules[module.name] = module
         self.top_name = top or self._infer_top()
         self.max_time = max_time
         self.max_events = max_events

@@ -1,17 +1,17 @@
 """Lexer for a practical subset of Verilog-2001.
 
-The lexer converts Verilog source text into a stream of :class:`Token` objects.
-It covers the constructs needed by the reproduction: module definitions,
-declarations, procedural blocks, expressions, numeric literals in every base,
-strings, system tasks, compiler directives (skipped), and both comment styles.
+The lexer converts Verilog source text into a list of :class:`Token` objects,
+one regular-expression match per token.  It covers the constructs needed by
+the reproduction: module definitions, declarations, procedural blocks,
+expressions, numeric literals in every base, strings, system tasks, compiler
+directives (skipped), and both comment styles.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 
 class LexerError(ValueError):
@@ -127,9 +127,8 @@ SINGLE_CHAR_OPERATORS = set("+-*/%<>!&|^~=?")
 PUNCTUATION = set("()[]{};:,.#@")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token (an immutable tuple, compared by value).
 
     Attributes:
         kind: the token category.
@@ -158,8 +157,8 @@ def _char_class(chars: Iterable[str]) -> str:
 
 
 #: Whitespace and both comment styles, skipped before every token.  An
-#: unterminated ``/*`` is left in place for :data:`_TOKEN` to reject.
-_TRIVIA = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*")
+#: unterminated ``/*`` is left in place for the ``open_comment`` group.
+_TRIVIA = r"(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*"
 
 #: Pattern fragments shared by :data:`_TOKEN` and the error path.
 _DECIMAL = r"[0-9][0-9_]*"
@@ -168,13 +167,21 @@ _BASED_HEAD = rf"(?:{_DECIMAL})?'[sS]?"
 #: A string literal without its closing quote.
 _STRING_BODY = r'"(?:[^"\\\n]|\\[^\n])*'
 
-#: Every token kind in one alternation, one named group per kind (the
-#: ``open_comment`` group only flags an error).  The first alternative that
-#: matches wins, so ``MULTI_CHAR_OPERATORS`` keeps its longest-first order.
-#: A plain decimal ends where its digits end (``(?![0-9_'])``): ``12'q``
+#: One match is the trivia before a token, then the token: one named group per
+#: kind, tried in order, so ``MULTI_CHAR_OPERATORS`` keeps its longest-first
+#: order.  A plain decimal ends where its digits end (``(?![0-9_'])``): ``12'q``
 #: must fail as a whole (bad base), not backtrack into the NUMBER ``1``.
+#:
+#: The last alternative, ``stop``, takes the end of the input or any
+#: character no token starts with, so the token part matches wherever the
+#: trivia ends.  That keeps the trivia whole: the engine never backtracks into
+#: it (were the token part able to fail, ``endmodule // variant 3`` could end
+#: in the NUMBER ``3``, and the trivia would have to be atomic), and
+#: ``finditer`` never skips text.  ``open_comment`` and ``stop`` end the scan
+#: (:data:`_GROUP_KINDS` maps them to None).
 _TOKEN = re.compile(
-    "|".join(
+    rf"(?P<trivia>{_TRIVIA})(?:"
+    + "|".join(
         [
             r"(?P<IDENTIFIER>[A-Za-z_][A-Za-z0-9_$]*|\\[^ \t\r\n]*)",
             "(?P<PUNCTUATION>" + _char_class(PUNCTUATION) + ")",
@@ -192,87 +199,130 @@ _TOKEN = re.compile(
             "(?P<STRING>" + _STRING_BODY + '")',
             r"(?P<SYSTEM_IDENTIFIER>\$[A-Za-z0-9_]*)",
             r"(?P<DIRECTIVE>`[A-Za-z0-9_]*)",
+            r"(?P<stop>(?s:.)|\Z)",
         ]
     )
+    + ")"
 )
 
-_KINDS = {kind.name: kind for kind in TokenKind}
+#: Token kind by group number (``match.lastindex``); None ends the scan.
+_GROUP_NAMES = {index: name for name, index in _TOKEN.groupindex.items()}
+_GROUP_KINDS = tuple(TokenKind.__members__.get(_GROUP_NAMES.get(index, "")) for index in range(_TOKEN.groups + 1))
 
 _STRING_BODY_RE = re.compile(_STRING_BODY)
 _BASED_HEAD_RE = re.compile(_BASED_HEAD)
 
 
-class Lexer:
-    """Streaming lexer over Verilog source text.
+def _error_at(source: str, start: int, line: int, line_start: int) -> Tuple[LexerError, int]:
+    """Diagnose the text at ``start`` (on ``line``, which begins at ``line_start``) that no token matches.
 
-    Each :meth:`next_token` is two matches of compiled patterns: the skipped
-    whitespace and comments, then the token.  Identifiers and numbers are
-    ASCII (IEEE 1364-2001 §3.7); any other character outside a string or a
-    comment is an ``unexpected character``.
+    Returns the error and the offset it is anchored at: the end of the input
+    for a construct the input ends inside, so a caller can tell an incomplete
+    trailing token from a dead one.
+    """
+    ch = source[start]
+    if source.startswith("/*", start):
+        pos, message = len(source), "unterminated block comment"
+    elif ch == '"':
+        pos = _STRING_BODY_RE.match(source, start).end()
+        if source.startswith("\\", pos):  # escaping a newline or the end of input
+            pos += 1
+        message = "unterminated string literal"
+    elif "0" <= ch <= "9" or (ch == "'" and source[start + 1 : start + 2].lower() in "bodhs"):
+        pos = _BASED_HEAD_RE.match(source, start).end()
+        base = source[pos : pos + 1].lower()
+        if not base or base not in "bodh":
+            message = f"invalid number base {base!r}"
+        else:
+            pos, message = pos + 1, "number literal missing digits"
+    else:
+        pos, message = start, f"unexpected character {ch!r}"
+    newlines = source.count("\n", start, pos)
+    if newlines:
+        line += newlines
+        line_start = source.rindex("\n", start, pos) + 1
+    return LexerError(message, line, pos - line_start + 1), pos
+
+
+class Lexer:
+    """Verilog source text, lexed once, read as a stream.
+
+    The constructor scans the whole source, one :data:`_TOKEN` match per
+    token, and keeps the result: :attr:`error` is the :class:`LexerError` at
+    the first text no token matches (None if there is none), and
+    :attr:`tokens` the tokens before it, ending with the EOF token when there
+    is no error.  :meth:`next_token` and iteration are a cursor over that
+    scan: they return the tokens in order, then raise the error.
+    :attr:`pos`, :attr:`line` and :attr:`column` are where the cursor stands:
+    after the last token returned, or at the error's anchor.
+
+    Identifiers and numbers are ASCII (IEEE 1364-2001 §3.7); any other
+    character outside a string or a comment is an ``unexpected character``.
     """
 
     def __init__(self, source: str) -> None:
         self.source = source
+        tokens: List[Token] = []
+        append = tokens.append
+        new_token = tuple.__new__  # Token without its Python-level __new__
+        group_kinds = _GROUP_KINDS
+        identifier, keyword = TokenKind.IDENTIFIER, TokenKind.KEYWORD
+        line, line_start = 1, 0
+        # No token spans a newline, so the line changes only in trivia, and
+        # only once a token starts past the next newline.
+        next_newline = source.find("\n")
+        if next_newline < 0:
+            next_newline = len(source)
+        for match in _TOKEN.finditer(source):
+            start = match.end(1)  # the trivia, group 1, ends where the token starts
+            if start > next_newline:
+                line += source.count("\n", next_newline, start)
+                line_start = source.rindex("\n", next_newline, start) + 1
+                next_newline = source.find("\n", start)
+                if next_newline < 0:
+                    next_newline = len(source)
+            index = match.lastindex
+            kind = group_kinds[index]
+            if kind is None:
+                break
+            text = match[index]
+            if kind is identifier and text in KEYWORDS:
+                kind = keyword
+            append(new_token(Token, (kind, text, line, start - line_start + 1)))
+        self.tokens = tokens
+        self.error: Optional[LexerError] = None
+        self._error_pos = 0  # where the error is anchored
+        if start < len(source):
+            self.error, self._error_pos = _error_at(source, start, line, line_start)
+        else:
+            append(new_token(Token, (TokenKind.EOF, "", line, start - line_start + 1)))
+
+        # The cursor.
         self.pos = 0
         self.line = 1
         self.column = 1
-
-    def _move_to(self, pos: int) -> None:
-        """Advance ``pos``, ``line`` and ``column`` to ``pos``."""
-        newlines = self.source.count("\n", self.pos, pos)
-        if newlines:
-            self.line += newlines
-            self.column = pos - self.source.rindex("\n", self.pos, pos)
-        else:
-            self.column += pos - self.pos
-        self.pos = pos
-
-    def _error_at(self, start: int) -> LexerError:
-        """Diagnose the text at ``start`` that no token matches.
-
-        ``pos``, ``line`` and ``column`` move to where the error is anchored:
-        the end of the input for a construct the input ends inside, so a
-        caller can tell an incomplete trailing token from a dead one.
-        """
-        source = self.source
-        ch = source[start]
-        if source.startswith("/*", start):
-            pos, message = len(source), "unterminated block comment"
-        elif ch == '"':
-            pos = _STRING_BODY_RE.match(source, start).end()
-            if source.startswith("\\", pos):  # escaping a newline or the end of input
-                pos += 1
-            message = "unterminated string literal"
-        elif "0" <= ch <= "9" or (ch == "'" and source[start + 1 : start + 2].lower() in "bodhs"):
-            pos = _BASED_HEAD_RE.match(source, start).end()
-            base = source[pos : pos + 1].lower()
-            if not base or base not in "bodh":
-                message = f"invalid number base {base!r}"
-            else:
-                pos, message = pos + 1, "number literal missing digits"
-        else:
-            pos, message = start, f"unexpected character {ch!r}"
-        self._move_to(pos)
-        return LexerError(message, self.line, self.column)
+        self._next = 0
+        self._line_start = 0
 
     def next_token(self) -> Token:
-        """Return the next token, or an EOF token when the input is exhausted."""
-        source = self.source
-        start = _TRIVIA.match(source, self.pos).end()
-        if start != self.pos:
-            self._move_to(start)
-        if start >= len(source):
-            return Token(TokenKind.EOF, "", self.line, self.column)
-        match = _TOKEN.match(source, start)
-        if match is None or match.lastgroup == "open_comment":
-            raise self._error_at(start)
-        text = match.group()
-        kind = _KINDS[match.lastgroup]
-        if kind is TokenKind.IDENTIFIER and text in KEYWORDS:
-            kind = TokenKind.KEYWORD
-        token = Token(kind, text, self.line, self.column)
-        self.pos = match.end()
-        self.column += self.pos - start
+        """Return the next token, or an EOF token when the input is exhausted.
+
+        Raises:
+            LexerError: at the first text no token matches, with :attr:`pos`
+                at its anchor.
+        """
+        if self._next == len(self.tokens):
+            error = self.error
+            self.pos, self.line, self.column = self._error_pos, error.line, error.column
+            raise error
+        token = self.tokens[self._next]
+        if token.kind is not TokenKind.EOF:
+            self._next += 1
+        for _ in range(token.line - self.line):
+            self._line_start = self.source.index("\n", self._line_start) + 1
+        self.line = token.line
+        self.column = token.column + len(token.text)
+        self.pos = self._line_start + self.column - 1
         return token
 
     def __iter__(self) -> Iterator[Token]:
@@ -292,8 +342,11 @@ def tokenize(source: str, include_eof: bool = False) -> List[Token]:
 
     Returns:
         The list of tokens in source order.
+
+    Raises:
+        LexerError: if some text matches no token.
     """
-    tokens = list(Lexer(source))
-    if not include_eof and tokens and tokens[-1].kind is TokenKind.EOF:
-        tokens.pop()
-    return tokens
+    lexer = Lexer(source)
+    if lexer.error is not None:
+        raise lexer.error
+    return lexer.tokens if include_eof else lexer.tokens[:-1]

@@ -68,28 +68,43 @@ _GATE_TYPES = {"and", "or", "not", "nand", "nor", "xor", "xnor", "buf"}
 _NET_TYPES = {"wire", "reg", "integer", "real", "time", "tri", "supply0", "supply1", "genvar"}
 
 
+#: Line-oriented compiler directives: the rest of the line (and of every
+#: continuation line after a trailing backslash) is their payload.
+_LINE_DIRECTIVES = frozenset({"`timescale", "`define", "`include", "`default_nettype"})
+
+
+def _drop_directives(tokens: List[Token], source: str) -> List[Token]:
+    """``tokens`` without directives and the payload of line-oriented ones.
+
+    The payload (```timescale 1ns/1ps``, a ```define`` body) is dropped,
+    matching how the paper's data pipeline treats directives.
+    """
+    lines = source.split("\n")
+    kept: List[Token] = []
+    skip_through = 0  # the last line whose tokens are a directive's payload
+    for token in tokens:
+        if token.line <= skip_through and token.kind is not TokenKind.EOF:
+            continue
+        if token.kind is TokenKind.DIRECTIVE:
+            if token.text in _LINE_DIRECTIVES:
+                skip_through = token.line
+                while skip_through < len(lines) and lines[skip_through - 1].rstrip("\r").endswith("\\"):
+                    skip_through += 1
+            continue
+        kept.append(token)
+    return kept
+
+
 class Parser:
     """Token-stream parser producing :class:`~repro.verilog.ast_nodes.SourceFile`."""
 
     def __init__(self, source: str) -> None:
-        self.tokens: List[Token] = []
         lexer = Lexer(source)
-        skip_line: Optional[int] = None
-        while True:
-            token = lexer.next_token()
-            if skip_line is not None and token.kind is not TokenKind.EOF and token.line == skip_line:
-                # Remaining payload of a line-oriented compiler directive
-                # (`timescale 1ns/1ps etc.) is dropped, matching how the
-                # paper's data pipeline treats directives.
-                continue
-            skip_line = None
-            if token.kind is TokenKind.DIRECTIVE:
-                if token.text in ("`timescale", "`define", "`include", "`default_nettype"):
-                    skip_line = token.line
-                continue
-            self.tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                break
+        if lexer.error is not None:
+            raise lexer.error
+        self.tokens: List[Token] = lexer.tokens
+        if "`" in source:
+            self.tokens = _drop_directives(self.tokens, source)
         self.index = 0
         # What the module being parsed records for elaboration (ModuleDef).
         self._local_declarations: List[ast.LocalDeclaration] = []
@@ -97,9 +112,9 @@ class Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+    def _peek(self) -> Token:
+        # The last token is EOF and _advance never moves past it.
+        return self.tokens[self.index]
 
     def _advance(self) -> Token:
         token = self.tokens[self.index]
@@ -108,21 +123,23 @@ class Parser:
         return token
 
     def _check(self, text: str) -> bool:
-        return self._peek().text == text
+        return self.tokens[self.index].text == text
 
     def _check_kind(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self.tokens[self.index].kind is kind
 
     def _accept(self, text: str) -> bool:
-        if self._check(text):
-            self._advance()
+        if self.tokens[self.index].text == text:
+            self.index += 1  # never past EOF: its text is empty, and no caller asks for that
             return True
         return False
 
     def _expect(self, text: str) -> Token:
-        if not self._check(text):
-            raise ParseError(f"expected {text!r}", self._peek())
-        return self._advance()
+        token = self.tokens[self.index]
+        if token.text != text:
+            raise ParseError(f"expected {text!r}", token)
+        self.index += 1  # as in _accept
+        return token
 
     def _expect_identifier(self) -> str:
         token = self._peek()

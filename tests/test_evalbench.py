@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.evalbench.designs import adder, counter, data_register, mux2
-from repro.evalbench.functional import check_design_functional
+from repro.evalbench.functional import check_design_functional, check_designs_functional
 from repro.evalbench.passk import pass_at_k, pass_at_k_from_counts, pass_at_k_single, pass_rate
 from repro.evalbench.problems import Problem
 from repro.evalbench.rtllm import rtllm_suite
@@ -120,6 +120,20 @@ class TestGraders:
         wrong = reference.replace("sel ? b : a", "sel ? a : b")
         result = check_design_functional(wrong, problem)
         assert result.compiled and not result.passed
+
+    @pytest.mark.parametrize("backend", ["interpreter", "compiled"])
+    def test_design_declaring_its_module_twice_fails_compile(self, backend):
+        """iverilog rejects a re-declared module, so the right copy declared last must not pass the wrong one."""
+        prompt, reference, testbench = mux2("mux2to1", width=8)
+        problem = Problem(name="x", prompt=prompt, reference=reference, testbench=testbench, module_name="mux2to1")
+        twice = reference.replace("sel ? b : a", "sel ? a : b") + "\n" + reference
+        syntax = check_design_compiles(twice, testbench)
+        assert syntax.parses and not syntax.compiles
+        assert syntax.errors == ["module 'mux2to1' is declared more than once"]
+        result = check_design_functional(twice, problem, backend=backend)
+        assert not result.compiled and not result.passed
+        batch = check_designs_functional([twice, reference], problem, backend=backend)
+        assert [(graded.compiled, graded.passed) for graded in batch] == [(False, False), (True, True)]
 
     def test_unparseable_design_fails_syntax(self):
         prompt, reference, testbench = adder("adder_8bit")

@@ -1,5 +1,7 @@
 """Tests for the Verilog lexer, including a differential run against the character-level oracle."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +9,9 @@ from proptest import Cases, for_all, num_cases
 from reference_lexer import ReferenceLexer
 from repro.evalbench.rtllm import rtllm_suite
 from repro.evalbench.vgen import vgen_suite
+from repro.verilog import lexer as lexer_module
 from repro.verilog.lexer import KEYWORDS, Lexer, LexerError, Token, TokenKind, tokenize
+from repro.verilog.parser import Parser, parse_source
 
 
 class TestBasicTokens:
@@ -293,3 +297,137 @@ def test_splices_and_random_strings_lex_like_the_oracle():
             _assert_lexes_like_the_oracle("".join(cases.choice(_ALPHABET) for _ in range(cases.integer(0, 16))))
 
     for_all(num_cases(300, 20_000), prop, seed=29)
+
+
+# --------------------------------------------------------------------------- #
+# One scan: the parser's token list is the stream, and positions survive trivia
+# --------------------------------------------------------------------------- #
+
+_LINE_DIRECTIVES = ("`timescale", "`define", "`include", "`default_nettype")
+
+
+def _streamed_without_directive_lines(text: str):
+    """``list(Lexer(text))`` minus directives and the rest of a line directive's line (and its continuations)."""
+    streamed = list(Lexer(text))
+    lines = text.split("\n")
+    payloads = []  # (directive line, directive column, last payload line)
+    for token in streamed:
+        if token.kind is TokenKind.DIRECTIVE and token.text in _LINE_DIRECTIVES:
+            last = token.line
+            while last < len(lines) and lines[last - 1].rstrip("\r").endswith("\\"):
+                last += 1
+            payloads.append((token.line, token.column, last))
+    return [
+        token
+        for token in streamed
+        if token.kind is not TokenKind.DIRECTIVE
+        and (
+            token.kind is TokenKind.EOF
+            or not any((line, column) < (token.line, token.column) and token.line <= last for line, column, last in payloads)
+        )
+    ]
+
+
+def _parser_tokens_or_error(text: str):
+    try:
+        return Parser(text).tokens
+    except LexerError as error:
+        return str(error)
+
+
+def _stream_or_error(text: str):
+    try:
+        return _streamed_without_directive_lines(text)
+    except LexerError as error:
+        return str(error)
+
+
+def test_the_parser_reads_the_stream_minus_directive_lines():
+    for text in SUITE_TEXTS:
+        assert _parser_tokens_or_error(text) == _stream_or_error(text), text
+        directed = "`timescale 1ns/1ps\n`define PAIR(a, b) \\\n  {a, b}\n" + text + "\n`default_nettype none"
+        assert _parser_tokens_or_error(directed) == _stream_or_error(directed), directed
+    references = {problem.name: problem.reference for problem in rtllm_suite()}
+    for name in ("alu_8bit", "ctrl_fsm", "priority_encoder", "up_counter_4"):
+        reference = "`timescale 1ns/1ps\n" + references[name]
+        for cut in range(len(reference) + 1):
+            assert _parser_tokens_or_error(reference[:cut]) == _stream_or_error(reference[:cut]), cut
+
+
+@pytest.mark.parametrize("comment", ["// variant 3", "// variant 3\n", "/* variant 3 */", "// 8'd"])
+def test_a_trailing_comment_is_never_reread_as_tokens(comment):
+    source = "module m; endmodule " + comment
+    tokens = tokenize(source, include_eof=True)
+    assert [t.text for t in tokens] == ["module", "m", ";", "endmodule", ""]
+    assert tokens[-1].line == 1 + comment.count("\n")
+    assert parse_source("module m; endmodule\n" + comment) == parse_source("module m; endmodule")
+
+
+def test_a_multi_line_block_comment_moves_line_and_column():
+    lexer = Lexer("wire /* one\n two\n three */  x;\n")
+    assert [(t.text, t.line, t.column) for t in lexer.tokens] == [
+        ("wire", 1, 1), ("x", 3, 12), (";", 3, 13), ("", 4, 1)
+    ]
+    assert _lex_trace(Lexer(lexer.source)) == _lex_trace(ReferenceLexer(lexer.source))
+
+
+def test_crlf_line_endings():
+    source = "module m;\r\n  wire a;\r\nendmodule\r\n"
+    lexer = Lexer(source)
+    assert [(t.text, t.line, t.column) for t in lexer.tokens] == [
+        ("module", 1, 1), ("m", 1, 8), (";", 1, 9), ("wire", 2, 3), ("a", 2, 8), (";", 2, 9),
+        ("endmodule", 3, 1), ("", 4, 1),
+    ]
+    assert _lex_trace(Lexer(source)) == _lex_trace(ReferenceLexer(source))
+    assert parse_source(source) == parse_source(source.replace("\r\n", "\n"))
+
+
+def test_the_stream_raises_the_scanned_error_where_the_scan_met_it():
+    lexer = Lexer("wire a; 12'q")
+    assert [t.text for t in lexer.tokens] == ["wire", "a", ";"]
+    assert str(lexer.error) == "line 1, col 12: invalid number base 'q'"
+    assert [lexer.next_token().text for _ in range(3)] == ["wire", "a", ";"]
+    assert lexer.pos == len("wire a;")
+    with pytest.raises(LexerError) as raised:
+        lexer.next_token()
+    assert raised.value is lexer.error and lexer.pos == len("wire a; 12'")
+
+
+# --------------------------------------------------------------------------- #
+# Hot path: parsing makes no per-token Python call into the lexer module
+# --------------------------------------------------------------------------- #
+
+
+def lexer_calls(run) -> int:
+    """The Python calls into ``repro/verilog/lexer.py`` made while ``run()`` runs."""
+    lexer_file = lexer_module.__file__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == lexer_file:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_the_lexer_call_detector_sees_per_token_calls():
+    source = rtllm_suite()[0].reference
+    tokens = tokenize(source, include_eof=True)
+    assert lexer_calls(lambda: list(Lexer(source))) >= len(tokens)  # next_token per token
+    assert lexer_calls(lambda: [token.is_keyword() for token in tokens]) == len(tokens)
+
+
+def test_parsing_makes_a_bounded_number_of_lexer_calls():
+    small = "\n".join(problem.reference for problem in list(rtllm_suite())[:12])
+    large = "\n".join([small] * 4)
+    assert len(tokenize(small)) >= 500
+    calls = lexer_calls(lambda: parse_source(small))
+    assert calls <= 4
+    assert lexer_calls(lambda: parse_source(large)) == calls

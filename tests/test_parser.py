@@ -67,6 +67,22 @@ endmodule
         source = "`timescale 1ns / 1ps\nmodule a; endmodule"
         assert parse_module(source).name == "a"
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_define_continuation_lines_are_its_payload(self, newline):
+        """A ```define`` body continued with a trailing backslash is dropped whole, as iverilog reads it."""
+        body = newline.join(
+            ["`define ADD(a,b) \\", "  ((a)+ \\", "   (b))", "module m(input a, output y); assign y = a; endmodule"]
+        )
+        module = parse_module(body)
+        assert module.name == "m"
+        assert module == parse_module("module m(input a, output y); assign y = a; endmodule")
+
+    def test_directive_payload_ends_at_a_line_without_backslash(self):
+        source = "`define W 8\nmodule m; wire [`W-1:0] x; endmodule"
+        assert parse_module(source).items[0].names == ["x"]
+        with pytest.raises(ParseError, match="expected 'module' at line 2"):
+            parse_source("`define W 8 // note\n  junk\nmodule m; endmodule")
+
 
 class TestDeclarations:
     def test_wire_declaration_with_init(self):

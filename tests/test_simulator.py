@@ -47,6 +47,12 @@ endmodule
         with pytest.raises(SimulationError):
             Simulator(source, top="top")
 
+    def test_redeclared_module_raises(self):
+        """iverilog rejects a compile unit that declares a module twice; the last copy must not win."""
+        source = "module m; endmodule\nmodule top; m u0(); endmodule\nmodule m; wire w; endmodule"
+        with pytest.raises(SimulationError, match="module 'm' is declared more than once"):
+            Simulator(source, top="top")
+
     def test_memory_array_declared(self):
         source = "module m; reg [7:0] mem [0:15]; endmodule"
         simulator = Simulator(source, top="m")
