@@ -3,20 +3,21 @@
 The grammar mask (:mod:`repro.constrained.mask`) needs one primitive: given
 the text decoded so far, is it still the prefix of *some* syntactically valid
 Verilog source?  This module answers that by driving the repo's own lexer and
-recursive-descent parser (:mod:`repro.verilog`) in a prefix-tolerant way:
+recursive-descent parser (:mod:`repro.verilog`) in a prefix-tolerant way.
+Each probed text is lexed once (:class:`~repro.verilog.lexer.Lexer`) and that
+one scan is parsed (:func:`_probe`):
 
-* the **lexer** runs in streaming mode; an error is tolerated only when it
-  consumed the input to the very end (an unterminated string/comment or a
-  number still missing its digits is an *incomplete trailing token*, not a
-  syntax error).  An error anchored mid-stream can never be repaired by more
-  input, so the prefix is dead;
-* the **parser** runs over the cleanly-lexed portion; a :class:`ParseError`
-  whose offending token is EOF (or raised with the parser's lookahead already
-  at EOF) means the prefix merely *ends too early* and stays viable, while an
-  error anchored at a real token rejects the prefix outright;
+* a **lexer error** is tolerated only when it is anchored at the end of the
+  text (an unterminated string/comment or a number still missing its digits
+  is an *incomplete trailing token*, not a syntax error).  An error anchored
+  before the end can never be repaired by more input, so the prefix is dead;
+* the **parser** runs over the scan; a :class:`ParseError` whose offending
+  token is EOF (or raised with the parser's lookahead already at EOF) means
+  the prefix merely *ends too early* and stays viable, while an error
+  anchored at a real token rejects the prefix outright;
 * the **last token is tentative** when it touches the end of the text: an
   identifier like ``endmodul`` may still grow into the ``endmodule`` keyword,
-  so a parse failure with the last token included is retried without it.
+  so a parse failure is retried with concrete extensions of that token.
 
 The key property the mask relies on is *prefix-closure*: every prefix of a
 viable string is itself viable (more input can only be appended at the end),
@@ -33,11 +34,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional
 
-from repro.verilog.lexer import KEYWORDS, MULTI_CHAR_OPERATORS, Lexer, LexerError, TokenKind
+from repro.verilog.lexer import KEYWORDS, MULTI_CHAR_OPERATORS, Lexer, Token, TokenKind
 from repro.verilog.parser import ParseError, Parser
 
 
@@ -52,100 +52,42 @@ class PrefixVerdict(enum.Enum):
     COMPLETE = "complete"
 
 
-#: Token kinds that may still grow when they touch the end of the text
-#: (``endmodul`` -> ``endmodule``, ``<`` -> ``<=``, ``4`` -> ``4'h0``...).
-#: Strings end with their closing quote and punctuation is single-char, so
-#: neither can extend.
-_EXTENDABLE_KINDS = frozenset(
-    {
-        TokenKind.IDENTIFIER,
-        TokenKind.KEYWORD,
-        TokenKind.NUMBER,
-        TokenKind.OPERATOR,
-        TokenKind.DIRECTIVE,
-        TokenKind.SYSTEM_IDENTIFIER,
-    }
-)
+class _Probe(NamedTuple):
+    """What one lex and one parse of a text say about it."""
 
-
-@dataclass(frozen=True)
-class _ScanResult:
-    """Outcome of the prefix-tolerant streaming lex."""
-
-    #: False when the lexer rejected the text mid-stream (dead prefix).
-    ok: bool
-    #: True when the text ends inside an incomplete token (unterminated
-    #: string/comment, number missing digits...); ``cut`` then marks where
-    #: the incomplete construct starts.
-    partial: bool = False
-    #: Character offset at which the incomplete trailing construct begins.
-    cut: int = 0
-    #: The lexer's error message when ``partial`` (drives closure healing).
-    partial_message: str = ""
-    #: True when the last complete token touches the end of the text and its
-    #: kind may extend with more characters.
-    extendable: bool = False
-    #: Character offset where the last complete token starts.
-    last_start: int = 0
-    #: Source text of the last complete token.
-    last_text: str = ""
-    #: Kind of the last complete token (None when the text has no tokens).
-    last_kind: Optional[TokenKind] = None
-
-
-def _scan(text: str) -> _ScanResult:
-    """Stream-lex ``text``, tolerating an incomplete construct only at the end."""
-    lexer = Lexer(text)
-    last_start = 0
-    last_end = 0
-    last_text = ""
-    last_kind: Optional[TokenKind] = None
-    while True:
-        before = lexer.pos
-        try:
-            token = lexer.next_token()
-        except LexerError as exc:
-            if lexer.pos >= len(text):
-                # The error consumed the input: an incomplete trailing token,
-                # repairable by appending more characters.
-                return _ScanResult(
-                    ok=True,
-                    partial=True,
-                    cut=before,
-                    partial_message=str(exc),
-                    last_start=last_start,
-                    last_text=last_text,
-                    last_kind=last_kind,
-                )
-            return _ScanResult(ok=False)
-        if token.kind is TokenKind.EOF:
-            break
-        last_start = lexer.pos - len(token.text)
-        last_end = lexer.pos
-        last_text = token.text
-        last_kind = token.kind
-    extendable = last_kind in _EXTENDABLE_KINDS and last_end == len(text) and last_end > 0
-    return _ScanResult(
-        ok=True,
-        extendable=extendable,
-        last_start=last_start,
-        last_text=last_text,
-        last_kind=last_kind,
-    )
+    #: The parse's verdict; INVALID when the text does not lex.
+    verdict: PrefixVerdict
+    #: The parse error (empty for COMPLETE), from which
+    #: :func:`completion_suffix` reads the parser's ``expected ...`` demand,
+    #: or the lexer error, from which :func:`_heal_partial_tail` reads the
+    #: incomplete construct.
+    message: str
+    #: True when the lexer error is anchored at the end of the text: it ends
+    #: inside an incomplete token (unterminated string/comment, number missing
+    #: digits...) that more characters may still finish.
+    partial: bool
+    #: The last token when it touches the end of the text, so it may still
+    #: grow; None when trivia follows it or the text does not lex.
+    last: Optional[Token]
+    #: True when the text ends inside a ``//`` comment, which only a newline closes.
+    in_line_comment: bool
 
 
 @lru_cache(maxsize=16384)
-def _parse_probe(body: str) -> Tuple[PrefixVerdict, str]:
-    """Parse ``body`` (cleanly lexable) and classify the outcome.
-
-    Returns ``(verdict, message)`` where ``message`` is the parse error text
-    (empty for COMPLETE) — :func:`completion_suffix` reads the parser's own
-    ``expected ...`` demand out of it.
-    """
-    try:
-        parser = Parser(body)
-    except (LexerError, RecursionError):
-        return PrefixVerdict.INVALID, "unlexable"
+def _probe(text: str) -> _Probe:
+    """Lex ``text`` once, parse that scan, and classify the outcome."""
+    lexer = Lexer(text)
+    if lexer.error is not None:
+        return _Probe(PrefixVerdict.INVALID, str(lexer.error), lexer.error_pos >= len(text), None, False)
+    tokens = lexer.tokens
+    last = None
+    if len(tokens) > 1:
+        # No token spans a newline, so the last token touches the end exactly
+        # when EOF starts on its line, right after it.
+        eof, before = tokens[-1], tokens[-2]
+        if eof.line == before.line and eof.column == before.column + len(before.text):
+            last = before
+    parser = Parser(lexer)
     try:
         parser.parse_source()
     except ParseError as exc:
@@ -155,12 +97,12 @@ def _parse_probe(body: str) -> Tuple[PrefixVerdict, str]:
         # An error at (or raised while looking at) EOF means the input simply
         # ended too early — more tokens may fix it.  Anchored at a real token
         # it is a hard rejection: that token can never change.
-        if at_eof:
-            return PrefixVerdict.VIABLE, str(exc)
-        return PrefixVerdict.INVALID, str(exc)
+        verdict, message = (PrefixVerdict.VIABLE if at_eof else PrefixVerdict.INVALID), str(exc)
     except RecursionError:
-        return PrefixVerdict.INVALID, "recursion limit"
-    return PrefixVerdict.COMPLETE, ""
+        verdict, message = PrefixVerdict.INVALID, "recursion limit"
+    else:
+        verdict, message = PrefixVerdict.COMPLETE, ""
+    return _Probe(verdict, message, False, last, lexer.in_line_comment)
 
 
 @lru_cache(maxsize=65536)
@@ -171,32 +113,27 @@ def classify_prefix(text: str) -> PrefixVerdict:
     follow.  COMPLETE requires at least one fully parsed module and no
     dangling partial token.
     """
-    scan = _scan(text)
-    if not scan.ok:
-        return PrefixVerdict.INVALID
-    if scan.partial:
+    probe = _probe(text)
+    if probe.partial:
         # The incomplete tail commits to one token kind (an open string can
         # only become a STRING, ``4'``/``4'h`` only a NUMBER, an open ``/*``
         # only whitespace), so heal it into a concrete witness of that kind
         # and parse in context: a number dangling where the grammar can never
         # accept a number is a dead prefix even though the token itself could
         # be finished.
-        healed = _heal_partial_tail(text, scan.partial_message)
-        if healed is None:
+        healed = _heal_partial_tail(text, probe.message)
+        if healed is None or _probe(text + healed).verdict is PrefixVerdict.INVALID:
             return PrefixVerdict.INVALID
-        verdict, _ = _parse_probe(text + healed)
-        return PrefixVerdict.VIABLE if verdict is not PrefixVerdict.INVALID else PrefixVerdict.INVALID
-    verdict, _ = _parse_probe(text)
-    if verdict is PrefixVerdict.INVALID and scan.extendable:
+        return PrefixVerdict.VIABLE
+    if probe.verdict is PrefixVerdict.INVALID and _extend_last_token(text, probe.last) is not None:
         # The last token touches the end of the text, so it may still grow
         # into a *different* token (``endmodul`` -> ``endmodule`` keyword,
         # ``begin`` -> ``beginx`` identifier, ``<`` -> ``<=``).  Viability
         # needs a concrete witness: some extension whose parse survives.
         # Merely dropping the token would wrongly revive prefixes like
         # ``endmodule`` whose every extension is equally dead.
-        if _extend_last_token(text, scan) is not None:
-            return PrefixVerdict.VIABLE
-    return verdict
+        return PrefixVerdict.VIABLE
+    return probe.verdict
 
 
 def is_viable_prefix(text: str) -> bool:
@@ -244,29 +181,45 @@ def _heal_partial_tail(text: str, message: str) -> Optional[str]:
     return None
 
 
-def _extend_last_token(text: str, scan: _ScanResult) -> Optional[str]:
+def _extend_last_token(text: str, last: Optional[Token]) -> Optional[str]:
     """Grow a tentative last token into one that keeps the prefix alive.
 
     Used when the text is viable *only* because its last token may extend
-    (e.g. committed pieces ending in ``endmodul``): try completing it into
-    each keyword / multi-char operator it prefixes.
+    (e.g. committed pieces ending in ``endmodul``): try completing ``last``,
+    the token touching the end of ``text`` (None when none does), into each
+    keyword / multi-char operator it prefixes, or into a comment or a real
+    literal.  Strings end with their closing quote and punctuation is
+    single-char, so neither grows: only a ``.`` can still join the token
+    before it.
     """
-    tail = scan.last_text
+    if last is None:
+        return None
+    tail = last.text
     candidates = []
-    if scan.last_kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
+    if last.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
         candidates = [kw[len(tail):] for kw in sorted(KEYWORDS) if kw.startswith(tail) and len(kw) > len(tail)]
-        if scan.last_kind is TokenKind.KEYWORD:
+        if last.kind is TokenKind.KEYWORD:
             # A keyword can also grow into a plain identifier (``begin`` ->
             # ``beginx``), which changes its token kind and may start e.g. a
             # module instantiation where the keyword itself was illegal.
             candidates.append("x")
-    elif scan.last_kind is TokenKind.OPERATOR:
+        elif tail in ("e", "E"):
+            # ``2.5e`` -> the real ``2.5e0``; after anything but a number,
+            # ``e0`` is an identifier just like ``e``.
+            candidates.append("0")
+    elif last.kind is TokenKind.OPERATOR:
         candidates = [op[len(tail):] for op in MULTI_CHAR_OPERATORS if op.startswith(tail) and len(op) > len(tail)]
-    elif scan.last_kind is TokenKind.NUMBER:
+        if tail == "/":
+            candidates.append("/")  # a ``//`` comment, where division is illegal
+    elif last.kind is TokenKind.NUMBER:
         candidates = ["'h0"]
+    elif tail == ".":
+        # ``1.`` -> the real ``1.0``.  After anything but a plain decimal the
+        # ``0`` is a token of its own behind the ``.``, and the LL(1) parse
+        # fails at that ``.`` just as it did without the ``0``.
+        candidates = ["0"]
     for extension in candidates:
-        probe, _ = _parse_probe(text + extension)
-        if probe is not PrefixVerdict.INVALID:
+        if _probe(text + extension).verdict is not PrefixVerdict.INVALID:
             return extension
     return None
 
@@ -286,43 +239,39 @@ def completion_suffix(text: str, max_appends: int = 128) -> Optional[str]:
     suffix = ""
     for _ in range(max_appends):
         current = text + suffix
-        scan = _scan(current)
-        if not scan.ok:
-            return None
-        if scan.partial:
-            healed = _heal_partial_tail(current, scan.partial_message)
+        probe = _probe(current)
+        if probe.partial:
+            healed = _heal_partial_tail(current, probe.message)
             if healed is None:
                 return None
             suffix += healed
             continue
-        verdict, message = _parse_probe(current)
-        if verdict is PrefixVerdict.COMPLETE:
+        if probe.verdict is PrefixVerdict.COMPLETE:
             return suffix
-        if verdict is PrefixVerdict.INVALID:
-            if not scan.extendable:
-                return None
-            extension = _extend_last_token(current, scan)
+        if probe.verdict is PrefixVerdict.INVALID:
+            extension = _extend_last_token(current, probe.last)
             if extension is None:
                 return None
             suffix += extension
             continue
         # VIABLE: satisfy the parser's immediate demand.
         piece = None
-        match = _EXPECTED_RE.match(message)
+        match = _EXPECTED_RE.match(probe.message)
         if match is not None:
             piece = match.group(1)
         else:
             for marker, closer in _EOF_CLOSERS:
-                if message.startswith(marker):
+                if probe.message.startswith(marker):
                     piece = closer
                     break
         if piece is None:
             return None
-        suffix += " " + piece
+        # A space would leave the piece inside a trailing ``//`` comment.
+        suffix += ("\n" if probe.in_line_comment else " ") + piece
     return None
 
 
 def clear_viability_caches() -> None:
     """Drop the memoized classifications (tests use this to bound memory)."""
-    _parse_probe.cache_clear()
+    _probe.cache_clear()
     classify_prefix.cache_clear()

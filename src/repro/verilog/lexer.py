@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 
 class LexerError(ValueError):
@@ -158,7 +158,8 @@ def _char_class(chars: Iterable[str]) -> str:
 
 #: Whitespace and both comment styles, skipped before every token.  An
 #: unterminated ``/*`` is left in place for the ``open_comment`` group.
-_TRIVIA = r"(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*"
+#: ``line_comment`` holds the last line comment, for :attr:`Lexer.in_line_comment`.
+_TRIVIA = r"(?:[ \t\r\n]+|(?P<line_comment>//[^\n]*)|/\*(?s:.*?)\*/)*"
 
 #: Pattern fragments shared by :data:`_TOKEN` and the error path.
 _DECIMAL = r"[0-9][0-9_]*"
@@ -245,16 +246,18 @@ def _error_at(source: str, start: int, line: int, line_start: int) -> Tuple[Lexe
 
 
 class Lexer:
-    """Verilog source text, lexed once, read as a stream.
+    """Verilog source text, lexed once.
 
     The constructor scans the whole source, one :data:`_TOKEN` match per
     token, and keeps the result: :attr:`error` is the :class:`LexerError` at
     the first text no token matches (None if there is none), and
     :attr:`tokens` the tokens before it, ending with the EOF token when there
-    is no error.  :meth:`next_token` and iteration are a cursor over that
-    scan: they return the tokens in order, then raise the error.
-    :attr:`pos`, :attr:`line` and :attr:`column` are where the cursor stands:
-    after the last token returned, or at the error's anchor.
+    is no error.  :attr:`error_pos` is the offset the error is anchored at:
+    ``len(source)`` for a construct the source ends inside (an unterminated
+    string or block comment, a number still missing its digits), so a caller
+    can tell an incomplete trailing token from a dead one.
+    :attr:`in_line_comment` is True when the source ends inside a ``//``
+    comment, which only a newline closes.
 
     Identifiers and numbers are ASCII (IEEE 1364-2001 §3.7); any other
     character outside a string or a comment is an ``unexpected character``.
@@ -291,46 +294,14 @@ class Lexer:
             append(new_token(Token, (kind, text, line, start - line_start + 1)))
         self.tokens = tokens
         self.error: Optional[LexerError] = None
-        self._error_pos = 0  # where the error is anchored
+        self.error_pos = 0
+        # The last match's trivia ends the scan; its last line comment is
+        # still open if it runs to the end of the source.
+        self.in_line_comment = match.end("line_comment") == len(source)
         if start < len(source):
-            self.error, self._error_pos = _error_at(source, start, line, line_start)
+            self.error, self.error_pos = _error_at(source, start, line, line_start)
         else:
             append(new_token(Token, (TokenKind.EOF, "", line, start - line_start + 1)))
-
-        # The cursor.
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self._next = 0
-        self._line_start = 0
-
-    def next_token(self) -> Token:
-        """Return the next token, or an EOF token when the input is exhausted.
-
-        Raises:
-            LexerError: at the first text no token matches, with :attr:`pos`
-                at its anchor.
-        """
-        if self._next == len(self.tokens):
-            error = self.error
-            self.pos, self.line, self.column = self._error_pos, error.line, error.column
-            raise error
-        token = self.tokens[self._next]
-        if token.kind is not TokenKind.EOF:
-            self._next += 1
-        for _ in range(token.line - self.line):
-            self._line_start = self.source.index("\n", self._line_start) + 1
-        self.line = token.line
-        self.column = token.column + len(token.text)
-        self.pos = self._line_start + self.column - 1
-        return token
-
-    def __iter__(self) -> Iterator[Token]:
-        while True:
-            token = self.next_token()
-            yield token
-            if token.kind is TokenKind.EOF:
-                return
 
 
 def tokenize(source: str, include_eof: bool = False) -> List[Token]:

@@ -96,15 +96,18 @@ def _drop_directives(tokens: List[Token], source: str) -> List[Token]:
 
 
 class Parser:
-    """Token-stream parser producing :class:`~repro.verilog.ast_nodes.SourceFile`."""
+    """Parser over one :class:`Lexer`'s scan, producing :class:`~repro.verilog.ast_nodes.SourceFile`.
 
-    def __init__(self, source: str) -> None:
-        lexer = Lexer(source)
+    ``Parser(lexer)`` raises the lexer's error, if it met one, and otherwise
+    parses its tokens; :func:`parse_source` is the entry point that takes text.
+    """
+
+    def __init__(self, lexer: Lexer) -> None:
         if lexer.error is not None:
             raise lexer.error
         self.tokens: List[Token] = lexer.tokens
-        if "`" in source:
-            self.tokens = _drop_directives(self.tokens, source)
+        if "`" in lexer.source:
+            self.tokens = _drop_directives(self.tokens, lexer.source)
         self.index = 0
         # What the module being parsed records for elaboration (ModuleDef).
         self._local_declarations: List[ast.LocalDeclaration] = []
@@ -915,7 +918,7 @@ def _parse_number_token(text: str) -> ast.Number:
 
 def parse_source(source: str) -> ast.SourceFile:
     """Parse ``source`` into a :class:`SourceFile` AST."""
-    return Parser(source).parse_source()
+    return Parser(Lexer(source)).parse_source()
 
 
 def parse_module(source: str) -> ast.ModuleDef:

@@ -25,6 +25,8 @@ module guard, pass@k strictness) live here too.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from repro.constrained import (
     PrefixVerdict,
     SyntaxMaskState,
     classify_prefix,
+    clear_viability_caches,
     completion_suffix,
     closure_token_ids,
     grammar_mask,
@@ -56,13 +59,26 @@ from repro.models.generation import (
     sample_from_logits,
 )
 from repro.serving import ServingEngine
-from repro.verilog.lexer import Lexer, LexerError, TokenKind
+from repro.verilog.lexer import Lexer, LexerError
+from repro.verilog.parser import parse_source
 from repro.verilog.syntax import check_syntax
 
 
 # --------------------------------------------------------------------------- #
 # Viable-prefix classification
 # --------------------------------------------------------------------------- #
+
+
+#: Valid sources whose every prefix must stay viable: a ``/`` that may still
+#: open a comment where division is illegal, a ``.`` or an ``e`` that may
+#: still grow into a real literal, and text inside a ``//`` comment.
+COMPLETE_SOURCES = [
+    "module top(a, b, y);\n  wire t;\n  assign t = a & b;\n  assign y = ~t;\nendmodule\n",
+    "module top(a, y); // note\n  input a; /* note */\n  output y;\n"
+    "  always @(a) begin // note\n  end\n  assign y = a / 2;\nendmodule\n",
+    "module t;\n  reg r;\n  initial begin\n    #1.5 r = 1;\n  end\nendmodule\n",
+    "module t;\n  real r;\n  initial r = 2.5e3;\nendmodule\n",
+]
 
 
 class TestClassifyPrefix:
@@ -129,9 +145,16 @@ class TestClassifyPrefix:
 
     def test_prefix_closure_along_complete_source(self):
         """Every prefix of a valid source is viable (the mask's core invariant)."""
-        source = "module top(a, b, y);\n  wire t;\n  assign t = a & b;\n  assign y = ~t;\nendmodule\n"
-        for cut in range(len(source) + 1):
-            assert classify_prefix(source[:cut]) is not PrefixVerdict.INVALID, source[:cut]
+        for source in COMPLETE_SOURCES:
+            assert is_complete_source(source)
+            for cut in range(len(source) + 1):
+                assert classify_prefix(source[:cut]) is not PrefixVerdict.INVALID, source[:cut]
+
+    def test_every_prefix_of_a_complete_source_closes(self):
+        for source in COMPLETE_SOURCES:
+            for cut in range(len(source) + 1):
+                suffix = completion_suffix(source[:cut])
+                assert suffix is not None and is_complete_source(source[:cut] + suffix), source[:cut]
 
     def test_based_literal_without_digits_at_the_end_stays_viable(self):
         """``4'd`` at end of input is an incomplete NUMBER: healed with a digit, not parsed as-is."""
@@ -140,11 +163,10 @@ class TestClassifyPrefix:
         assert is_complete_source(text + completion_suffix(text))
 
     def test_lexer_partial_number_raises_lexer_error(self):
-        """``4'`` at end of input is a LexerError, not a KeyError crash."""
+        """``4'`` at end of input is a LexerError anchored at the end, not a KeyError crash."""
         lexer = Lexer("assign w = 4'")
-        with pytest.raises(LexerError):
-            while lexer.next_token().kind is not TokenKind.EOF:
-                pass
+        assert isinstance(lexer.error, LexerError)
+        assert lexer.error_pos == len("assign w = 4'")
 
 
 class TestCompletionSuffix:
@@ -159,6 +181,8 @@ class TestCompletionSuffix:
             "module m; always @(posedge clk) begin",
             "module m; /* open comment",
             "module m; wire w; assign w = 4'",
+            "module m; // note",
+            "module m; wire w; // a /* b",
         ],
     )
     def test_closure_completes(self, prefix):
@@ -171,6 +195,77 @@ class TestCompletionSuffix:
 
     def test_dead_prefix_has_no_closure(self):
         assert completion_suffix("endmodule") is None
+
+    def test_only_a_closure_after_a_line_comment_starts_with_a_newline(self):
+        assert completion_suffix("module m; // note") == "\nendmodule"
+        assert completion_suffix("module m; /* // */") == " endmodule"
+        assert completion_suffix("module m; // note\n") == " endmodule"
+
+
+# --------------------------------------------------------------------------- #
+# One scan per probed text
+# --------------------------------------------------------------------------- #
+
+
+def _lexed_sources(run):
+    """The source of every ``Lexer`` built while ``run()`` runs, in order."""
+    constructor = Lexer.__init__.__code__
+    sources = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is constructor:
+            sources.append(frame.f_locals["source"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return sources
+
+
+class TestOneScanPerText:
+    def test_the_counter_sees_every_lexer(self):
+        assert _lexed_sources(lambda: Lexer("wire a;")) == ["wire a;"]
+        assert _lexed_sources(lambda: parse_source("module m; endmodule")) == ["module m; endmodule"]
+        assert _lexed_sources(lambda: [Lexer(text) for text in ("a", "b", "a")]) == ["a", "b", "a"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "module m; wire w;",
+            "module m; endmodule",
+            "module m; @",
+            "// note",
+            "module m; assign w = a &",
+            # ``begin`` is illegal here and would grow into ``beginx``, but
+            # trivia follows it, so no extension is probed: not a space on
+            # its line, nor a newline with EOF in the column right after it.
+            "module m; begin ",
+            "module m; begin\n" + " " * len("module m; begin"),
+        ],
+    )
+    def test_classify_prefix_lexes_a_fresh_text_once(self, text):
+        clear_viability_caches()
+        assert _lexed_sources(lambda: classify_prefix(text)) == [text]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "module m; always @(posedge clk) begin",
+            "module m; /* open comment",
+            "module m; endmodul",
+            "module m; initial begin /",
+            "module m; // note",
+        ],
+    )
+    def test_completion_suffix_lexes_each_probed_text_once(self, text):
+        clear_viability_caches()
+        sources = _lexed_sources(lambda: completion_suffix(text))
+        assert sources[0] == text
+        assert len(sources) == len(set(sources)), sources
+        assert is_complete_source(text + completion_suffix(text))
 
 
 # --------------------------------------------------------------------------- #

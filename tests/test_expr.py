@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.expr import EvaluationError, ExpressionEvaluator
 from repro.sim.values import FourState
+from repro.verilog.lexer import Lexer
 from repro.verilog.parser import Parser
 
 
@@ -29,7 +30,7 @@ class _DictScope:
 
 
 def _evaluate(text, signals=None, ctx=None):
-    parser = Parser(f"module m; wire x; assign x = {text}; endmodule")
+    parser = Parser(Lexer(f"module m; wire x; assign x = {text}; endmodule"))
     module = parser.parse_source().modules[0]
     assign = [i for i in module.items if hasattr(i, "assignments")][0]
     expr = assign.assignments[0][1]
@@ -210,14 +211,14 @@ class TestStructuredExpressions:
 
     def test_function_call_dispatch(self):
         scope = _DictScope(functions={"double": lambda args: FourState.from_int(args[0].to_int() * 2, width=16)})
-        parser = Parser("module m; wire x; assign x = double(21); endmodule")
+        parser = Parser(Lexer("module m; wire x; assign x = double(21); endmodule"))
         module = parser.parse_source().modules[0]
         expr = [i for i in module.items if hasattr(i, "assignments")][0].assignments[0][1]
         assert ExpressionEvaluator(scope).evaluate(expr).to_int() == 42
 
     def test_evaluate_int_requires_known(self):
         evaluator = ExpressionEvaluator(_DictScope({"a": FourState.unknown_value(4)}))
-        parser = Parser("module m; wire x; assign x = a; endmodule")
+        parser = Parser(Lexer("module m; wire x; assign x = a; endmodule"))
         expr = [i for i in parser.parse_source().modules[0].items if hasattr(i, "assignments")][0].assignments[0][1]
         with pytest.raises(EvaluationError):
             evaluator.evaluate_int(expr)

@@ -160,11 +160,6 @@ class TestWholeModule:
         assert "data_register" in texts
         assert "<=" in texts
 
-    def test_lexer_is_iterable(self):
-        lexer = Lexer("assign y = a & b;")
-        collected = list(lexer)
-        assert collected[-1].kind is TokenKind.EOF
-
 
 #: Strings that escape a quote, a backslash and a newline.
 _STRING_ESCAPES = 'initial begin $display("q=\\"%d\\" \\\\ done\\n", q); $write("\\\\"); end\n'
@@ -172,29 +167,26 @@ _STRING_ESCAPES = 'initial begin $display("q=\\"%d\\" \\\\ done\\n", q); $write(
 
 @pytest.mark.parametrize("name", ["alu_8bit", "up_counter_4", "string_escape"])
 def test_lexer_never_reads_past_the_end_of_any_prefix(name):
-    """``constrained.viability`` reads ``pos >= len(text)`` as "the text ends inside a token".
+    """``constrained.viability`` reads ``error_pos >= len(text)`` as "the text ends inside a token".
 
-    A prefix ending in a plain decimal once left ``pos`` two past the end, and an unterminated
-    string ending in a backslash one past it."""
+    An unterminated string ending in a backslash once anchored its error one past the end.  Without
+    an error, EOF sits exactly at the end."""
     texts = {problem.name: problem.reference for problem in rtllm_suite()}
     texts["string_escape"] = _STRING_ESCAPES
     reference = texts[name]
     for cut in range(len(reference) + 1):
         source = reference[:cut]
         lexer = Lexer(source)
-        try:
-            for token in lexer:
-                assert lexer.pos <= len(source), (cut, token)
-        except LexerError:
-            pass
-        assert lexer.pos <= len(source), cut
+        assert lexer.error_pos <= len(source), cut
+        if lexer.error is None:
+            eof = lexer.tokens[-1]
+            assert (eof.line, eof.column) == (source.count("\n") + 1, len(source) - source.rfind("\n")), cut
 
 
 def test_trailing_decimal_keeps_its_text_and_position():
-    lexer = Lexer("assign a = 8")
-    tokens = list(lexer)
+    tokens = Lexer("assign a = 8").tokens
     assert [t.text for t in tokens[:-1]] == ["assign", "a", "=", "8"]
-    assert lexer.pos == len("assign a = 8")
+    assert (tokens[-1].line, tokens[-1].column) == (1, len("assign a = 8") + 1)
     assert [t.text for t in tokenize("1.5e-3 2E+4 7e 8")] == ["1.5e-3", "2E+4", "7", "e", "8"]
 
 
@@ -223,9 +215,8 @@ def test_number_literals_round_trip_text(value, base):
 @pytest.mark.parametrize("literal", ["4'd", "8'h", "2'sb"])
 def test_based_literal_without_digits_is_missing_them_at_end_of_input_too(literal):
     lexer = Lexer(literal)
-    with pytest.raises(LexerError, match="number literal missing digits"):
-        lexer.next_token()
-    assert lexer.pos == len(literal)  # an incomplete trailing token, not a dead one
+    assert "number literal missing digits" in str(lexer.error)
+    assert lexer.error_pos == len(literal)  # an incomplete trailing token, not a dead one
     with pytest.raises(LexerError, match="number literal missing digits"):
         tokenize(literal + ";")
 
@@ -233,8 +224,8 @@ def test_based_literal_without_digits_is_missing_them_at_end_of_input_too(litera
 def test_bad_base_fails_the_whole_literal():
     """``12'q`` is an error at the ``q``, not the NUMBER ``1`` followed by more tokens."""
     lexer = Lexer("12'q")
-    with pytest.raises(LexerError, match="line 1, col 4: invalid number base 'q'"):
-        lexer.next_token()
+    assert lexer.tokens == []
+    assert str(lexer.error) == "line 1, col 4: invalid number base 'q'"
 
 
 def test_non_ascii_is_unexpected_outside_strings_and_comments():
@@ -259,22 +250,33 @@ SUITE_TEXTS = [
 _ALPHABET = "aAbBdDeEhHoOsSxXzZ09_$`'\"\\/*+-<>=!&|^~%?:;,.()[]{}#@ \t\r\n\x0c\x7f"
 
 
-def _lex_trace(lexer):
-    """``(kind, text, line, column, pos)`` after every token, ending at EOF or at the error."""
+def _scan_trace(text: str):
+    """``Lexer(text)``'s tokens as ``(kind, text, line, column)``, then its error and anchor, if any."""
+    lexer = Lexer(text)
+    trace = [(token.kind, token.text, token.line, token.column) for token in lexer.tokens]
+    if lexer.error is not None:
+        error = lexer.error
+        trace.append(("error", str(error), error.line, error.column, lexer.error_pos))
+    return trace
+
+
+def _oracle_trace(text: str):
+    """The same trace, streamed from the character-level oracle."""
+    oracle = ReferenceLexer(text)
     trace = []
     while True:
         try:
-            token = lexer.next_token()
+            token = oracle.next_token()
         except LexerError as error:
-            trace.append(("error", str(error), error.line, error.column, lexer.pos))
+            trace.append(("error", str(error), error.line, error.column, oracle.pos))
             return trace
-        trace.append((token.kind, token.text, token.line, token.column, lexer.pos))
+        trace.append((token.kind, token.text, token.line, token.column))
         if token.kind is TokenKind.EOF:
             return trace
 
 
 def _assert_lexes_like_the_oracle(text: str) -> None:
-    assert _lex_trace(Lexer(text)) == _lex_trace(ReferenceLexer(text)), repr(text)
+    assert _scan_trace(text) == _oracle_trace(text), repr(text)
 
 
 def test_suite_texts_and_every_prefix_lex_like_the_oracle():
@@ -300,18 +302,18 @@ def test_splices_and_random_strings_lex_like_the_oracle():
 
 
 # --------------------------------------------------------------------------- #
-# One scan: the parser's token list is the stream, and positions survive trivia
+# One scan: the parser reads the scan's tokens, and positions survive trivia
 # --------------------------------------------------------------------------- #
 
 _LINE_DIRECTIVES = ("`timescale", "`define", "`include", "`default_nettype")
 
 
-def _streamed_without_directive_lines(text: str):
-    """``list(Lexer(text))`` minus directives and the rest of a line directive's line (and its continuations)."""
-    streamed = list(Lexer(text))
+def _scanned_without_directive_lines(text: str):
+    """``tokenize(text)`` (with EOF) minus directives and the rest of a line directive's line (and its continuations)."""
+    scanned = tokenize(text, include_eof=True)
     lines = text.split("\n")
     payloads = []  # (directive line, directive column, last payload line)
-    for token in streamed:
+    for token in scanned:
         if token.kind is TokenKind.DIRECTIVE and token.text in _LINE_DIRECTIVES:
             last = token.line
             while last < len(lines) and lines[last - 1].rstrip("\r").endswith("\\"):
@@ -319,7 +321,7 @@ def _streamed_without_directive_lines(text: str):
             payloads.append((token.line, token.column, last))
     return [
         token
-        for token in streamed
+        for token in scanned
         if token.kind is not TokenKind.DIRECTIVE
         and (
             token.kind is TokenKind.EOF
@@ -330,28 +332,28 @@ def _streamed_without_directive_lines(text: str):
 
 def _parser_tokens_or_error(text: str):
     try:
-        return Parser(text).tokens
+        return Parser(Lexer(text)).tokens
     except LexerError as error:
         return str(error)
 
 
-def _stream_or_error(text: str):
+def _scan_or_error(text: str):
     try:
-        return _streamed_without_directive_lines(text)
+        return _scanned_without_directive_lines(text)
     except LexerError as error:
         return str(error)
 
 
 def test_the_parser_reads_the_stream_minus_directive_lines():
     for text in SUITE_TEXTS:
-        assert _parser_tokens_or_error(text) == _stream_or_error(text), text
+        assert _parser_tokens_or_error(text) == _scan_or_error(text), text
         directed = "`timescale 1ns/1ps\n`define PAIR(a, b) \\\n  {a, b}\n" + text + "\n`default_nettype none"
-        assert _parser_tokens_or_error(directed) == _stream_or_error(directed), directed
+        assert _parser_tokens_or_error(directed) == _scan_or_error(directed), directed
     references = {problem.name: problem.reference for problem in rtllm_suite()}
     for name in ("alu_8bit", "ctrl_fsm", "priority_encoder", "up_counter_4"):
         reference = "`timescale 1ns/1ps\n" + references[name]
         for cut in range(len(reference) + 1):
-            assert _parser_tokens_or_error(reference[:cut]) == _stream_or_error(reference[:cut]), cut
+            assert _parser_tokens_or_error(reference[:cut]) == _scan_or_error(reference[:cut]), cut
 
 
 @pytest.mark.parametrize("comment", ["// variant 3", "// variant 3\n", "/* variant 3 */", "// 8'd"])
@@ -368,7 +370,7 @@ def test_a_multi_line_block_comment_moves_line_and_column():
     assert [(t.text, t.line, t.column) for t in lexer.tokens] == [
         ("wire", 1, 1), ("x", 3, 12), (";", 3, 13), ("", 4, 1)
     ]
-    assert _lex_trace(Lexer(lexer.source)) == _lex_trace(ReferenceLexer(lexer.source))
+    _assert_lexes_like_the_oracle(lexer.source)
 
 
 def test_crlf_line_endings():
@@ -378,19 +380,51 @@ def test_crlf_line_endings():
         ("module", 1, 1), ("m", 1, 8), (";", 1, 9), ("wire", 2, 3), ("a", 2, 8), (";", 2, 9),
         ("endmodule", 3, 1), ("", 4, 1),
     ]
-    assert _lex_trace(Lexer(source)) == _lex_trace(ReferenceLexer(source))
+    _assert_lexes_like_the_oracle(source)
     assert parse_source(source) == parse_source(source.replace("\r\n", "\n"))
 
 
-def test_the_stream_raises_the_scanned_error_where_the_scan_met_it():
+def test_the_parser_raises_the_scanned_error_where_the_scan_met_it():
     lexer = Lexer("wire a; 12'q")
     assert [t.text for t in lexer.tokens] == ["wire", "a", ";"]
     assert str(lexer.error) == "line 1, col 12: invalid number base 'q'"
-    assert [lexer.next_token().text for _ in range(3)] == ["wire", "a", ";"]
-    assert lexer.pos == len("wire a;")
+    assert lexer.error_pos == len("wire a; 12'")
     with pytest.raises(LexerError) as raised:
-        lexer.next_token()
-    assert raised.value is lexer.error and lexer.pos == len("wire a; 12'")
+        Parser(lexer)
+    assert raised.value is lexer.error
+
+
+@pytest.mark.parametrize(
+    "source, inside",
+    [
+        ("", False),
+        ("a // x", True),
+        ("// x", True),
+        ("//", True),
+        ("a // x\n", False),
+        ("a // x\r", True),
+        ("a /* // */", False),
+        ("a /* x */ // y /* z", True),
+        ("a // x */", True),
+        ("// x\n/* y\n // z */ ", False),
+        ("a /", False),
+        ("a /* open //", False),  # an error: the text ends inside a block comment
+    ],
+)
+def test_the_scan_knows_when_the_source_ends_inside_a_line_comment(source, inside):
+    assert Lexer(source).in_line_comment is inside
+
+
+def test_a_source_ends_inside_a_line_comment_when_appended_text_adds_no_token():
+    def prop(cases: Cases) -> None:
+        text = cases.choice(SUITE_TEXTS)
+        source = text[: cases.integer(0, len(text))] + cases.choice(["", " ", "\n", " // c", "/* c */"])
+        lexer = Lexer(source)
+        if lexer.error is None:
+            swallowed = len(Lexer(source + " x").tokens) == len(lexer.tokens)
+            assert lexer.in_line_comment is swallowed, repr(source)
+
+    for_all(num_cases(300, 5_000), prop, seed=35)
 
 
 # --------------------------------------------------------------------------- #
@@ -420,7 +454,7 @@ def lexer_calls(run) -> int:
 def test_the_lexer_call_detector_sees_per_token_calls():
     source = rtllm_suite()[0].reference
     tokens = tokenize(source, include_eof=True)
-    assert lexer_calls(lambda: list(Lexer(source))) >= len(tokens)  # next_token per token
+    assert lexer_calls(lambda: Lexer(source)) == 1
     assert lexer_calls(lambda: [token.is_keyword() for token in tokens]) == len(tokens)
 
 
