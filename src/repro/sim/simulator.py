@@ -7,8 +7,9 @@ assignment region and a time wheel.
 
 It supports the synthesizable subset produced by the corpus generator and the
 benchmark reference designs, plus the testbench constructs needed for grading:
-delays, edge-sensitive event controls, ``$display``/``$write``, ``$monitor``,
-``$time``, ``$random``, ``$finish`` and ``$stop``.
+delays, edge-sensitive event controls, ``$display``/``$write``, ``$time``,
+``$random``, ``$finish``, ``$stop`` and ``$fatal``.  ``$monitor`` prints once,
+like ``$display``, when it executes; it does not re-fire on later changes.
 """
 
 from __future__ import annotations
@@ -202,7 +203,6 @@ class Simulator:
         self._ready: List[_Process] = []
         self._nba_queue: List[Tuple[_InstanceScope, ast.Expression, FourState]] = []
         self._changed_signals: Dict[str, Tuple[FourState, FourState]] = {}
-        self._monitors: List[Tuple[_InstanceScope, List[ast.Expression]]] = []
         #: The ``$random`` stream; injectable so a testbench runner can hand
         #: identically-seeded streams to both backends of a differential run.
         self.rng = rng if rng is not None else VerilogRng(random_seed)
@@ -863,16 +863,17 @@ class Simulator:
             self.finished = True
             yield (_CMD_FINISH, None)
             return
-        if name in ("$display", "$write", "$strobe", "$error", "$fatal"):
-            text = self._format_display(scope, statement.args)
-            self.display_lines.append(text)
-            if name == "$fatal":
-                self.finished = True
-                yield (_CMD_FINISH, None)
-            return
-        if name == "$monitor":
-            self._monitors.append((scope, statement.args))
+        if name in ("$display", "$write", "$strobe", "$error", "$monitor"):
+            # ``$monitor`` prints once, when it executes; it does not re-fire.
             self.display_lines.append(self._format_display(scope, statement.args))
+            return
+        if name == "$fatal":
+            args = statement.args
+            if args and not isinstance(args[0], ast.StringLiteral):
+                args = args[1:]  # the leading finish_number (IEEE 1800) is not printed
+            self.display_lines.append(self._format_display(scope, args))
+            self.finished = True
+            yield (_CMD_FINISH, None)
             return
         if name in ("$dumpfile", "$dumpvars", "$dumpoff", "$dumpon", "$readmemh", "$readmemb", "$timeformat"):
             return

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.compiled import CompiledSimulator
 from repro.sim.simulator import SimulationError, Simulator
 from repro.sim.testbench import run_testbench
 
@@ -478,6 +479,71 @@ endmodule
 """
         _, result = _simulate(source, top="m")
         assert result.display_lines == ["9 5"]
+
+
+@pytest.mark.parametrize("backend", [Simulator, CompiledSimulator], ids=["interpreter", "compiled"])
+class TestBothBackends:
+    def test_vector_writes(self, backend):
+        """Bit, part, indexed-part and concatenation targets, blocking and non-blocking."""
+        source = """
+module m;
+    reg [7:0] q, p;
+    reg [15:0] w;
+    reg [3:0] hi, lo;
+    integer i;
+    initial begin
+        q = 0;
+        q[3] = 1;
+        q[7:6] = 2'b10;
+        p = 8'hff;
+        p[5:2] = 0;
+        i = 4;
+        w = 0;
+        w[i +: 4] = 4'hA;
+        w[15 -: 4] = 4'h5;
+        {hi, lo} = 8'hC3;
+        $display("%h %h %h %h %h", q, p, w, hi, lo);
+        q[2] <= 1;
+        q[1:0] <= 2'b11;
+        #1 $display("%h", q);
+        $finish;
+    end
+endmodule
+"""
+        result = backend(source, top="m").run()
+        assert result.error is None
+        assert result.display_lines == ["88 c3 50a0 c 3", "8f"]
+
+    def test_fatal_prints_format_not_finish_number(self, backend):
+        source = """
+module m;
+    reg [3:0] c;
+    initial begin
+        c = 5;
+        $fatal(1, "boom %0d", c);
+        $display("not reached");
+    end
+endmodule
+"""
+        result = backend(source, top="m").run()
+        assert result.finished
+        assert result.display_lines == ["boom 5"]
+
+    def test_monitor_prints_once_when_it_executes(self, backend):
+        source = """
+module m;
+    reg [3:0] c;
+    initial begin
+        c = 0;
+        $monitor("c=%0d", c);
+        c = 3;
+        #1 c = 5;
+        #1 $finish;
+    end
+endmodule
+"""
+        result = backend(source, top="m").run()
+        assert result.display_lines == ["c=0"]
 
 
 class TestRunTestbench:

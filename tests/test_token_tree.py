@@ -26,7 +26,7 @@ import pytest
 from proptest import Cases, for_all, num_cases
 
 from repro.core.decoding import dedupe_candidates, propose_candidates
-from repro.core.token_tree import TokenTree, tree_bias_cached, tree_position_offsets
+from repro.core.token_tree import TokenTree, tree_bias_cached, tree_position_offsets, tree_size
 from repro.models.generation import GenerationConfig
 from repro.models.medusa import MedusaLM
 from repro.nn.kv_cache import KVCache
@@ -90,6 +90,16 @@ class TestTokenTreeStructure:
         tree = TokenTree.from_candidates(candidates)
         assert tree.candidate_nodes[0] == tree.candidate_nodes[1]
         assert tree.size == 4  # 3,4,5 shared + the 9 branch
+
+    def test_tree_size_counts_distinct_prefixes_without_building(self):
+        """``tree_size`` (the unpruned count of a constrained step) equals the built tree's size."""
+
+        def prop(cases: Cases) -> None:
+            candidates = random_candidates(cases)
+            assert tree_size(candidates) == TokenTree.from_candidates(candidates).size
+
+        for_all(num_cases(25, 400), prop, seed=13)
+        assert tree_size([[3, 4, 5], [3, 4, 5], [3, 9]]) == 4
 
     def test_rejects_empty_candidates(self):
         with pytest.raises(ValueError):
