@@ -13,7 +13,11 @@ did not change.  This bench pins the contract from three angles:
   scheduling matters) the compiled backend must deliver >= 5x the
   interpreter's events/sec;
 * **batched throughput** — sweeping many candidates over one testbench as a
-  vectorized NumPy program must beat scalar compiled grading per design.
+  vectorized NumPy program must beat scalar compiled grading per design;
+* **shared testbench** — on a sequential testbench, which the sweep does not
+  take, the batch binds every candidate into one compiled simulator; its
+  verdicts must equal per-design grading (its designs/sec is reported, not
+  asserted).
 
 Results land in ``sim_compiled.json`` via :func:`emit_bench_json` for the CI
 artifact job.
@@ -31,6 +35,7 @@ from repro.evalbench.vgen import vgen_suite
 from repro.sim.compiled import CompiledSimulator
 from repro.sim.rng import VerilogRng
 from repro.sim.simulator import Simulator
+from repro.verilog.syntax import check_syntax
 
 from conftest import FULL, SMOKE, emit_bench_json
 
@@ -164,12 +169,35 @@ def test_sim_compiled_speed_and_verdicts(benchmark):
     assert [r.passed for r in batch_results] == [r.passed for r in scalar_results]
     batch_speedup = scalar_time / batch_time if batch_time > 0 else float("inf")
 
+    # Shared testbench: one simulator, the testbench compiled once, each design bound in.
+    shared_problem = next(problem for name, problem in problems if name.endswith("up_counter_4"))
+    shared_candidates = [
+        shared_problem.reference if i % 3 == 0 else _mutate(shared_problem.reference, i)
+        for i in range(BATCH_CANDIDATES)
+    ]
+    # Parse every text first (check_syntax memoises), so both timings are simulation only.
+    assert all(check_syntax(text).ok for text in shared_candidates + [shared_problem.testbench])
+    start = time.perf_counter()
+    per_design_results = [
+        check_design_functional(candidate, shared_problem, backend="compiled")
+        for candidate in shared_candidates
+    ]
+    per_design_time = time.perf_counter() - start
+    start = time.perf_counter()
+    shared_results = check_designs_functional(shared_candidates, shared_problem, backend="compiled")
+    shared_time = time.perf_counter() - start
+    assert [r.passed for r in shared_results] == [r.passed for r in per_design_results]
+
     print("\n=== Simulation backends (counter + wire-network kernel) ===")
     print(f"interpreter: {interp_eps:>10,.0f} events/sec  ({interp_time:.3f}s)")
     print(f"compiled:    {compiled_eps:>10,.0f} events/sec  ({compiled_time:.3f}s)  {speedup:.2f}x")
     print(
         f"batched:     {len(candidates) / batch_time:>10,.1f} designs/sec  "
         f"(scalar {len(candidates) / scalar_time:,.1f}/sec)  {batch_speedup:.2f}x"
+    )
+    print(
+        f"shared tb:   {len(shared_candidates) / shared_time:>10,.1f} designs/sec  "
+        f"(per design {len(shared_candidates) / per_design_time:,.1f}/sec)  {per_design_time / shared_time:.2f}x"
     )
 
     emit_bench_json(
@@ -183,6 +211,13 @@ def test_sim_compiled_speed_and_verdicts(benchmark):
             "batch_designs_per_sec": len(candidates) / batch_time,
             "scalar_designs_per_sec": len(candidates) / scalar_time,
             "batch_speedup": batch_speedup,
+            "shared_testbench": {
+                "problem": shared_problem.name,
+                "candidates": len(shared_candidates),
+                "per_design_designs_per_sec": len(shared_candidates) / per_design_time,
+                "shared_designs_per_sec": len(shared_candidates) / shared_time,
+                "speedup": per_design_time / shared_time,
+            },
             "reference_problems": len(problems),
             "verdict_mismatches": len(mismatched),
         },

@@ -44,10 +44,11 @@ def check_designs_functional(
 ) -> List[FunctionalEvalResult]:
     """Grade many candidate designs against one problem's testbench.
 
-    The compiled backend batches eligible candidates into a single vectorized
-    sweep (:func:`repro.sim.testbench.run_testbench_batch`), which is the main
-    lever for grading large sample sets quickly; results are identical to
-    per-design :func:`check_design_functional` calls.
+    The compiled backend (:func:`repro.sim.testbench.run_testbench_batch`)
+    batches eligible candidates into a single vectorized sweep and binds every
+    other candidate into one simulator whose testbench is compiled once;
+    these are the levers for grading large sample sets quickly.  Results are
+    identical to per-design :func:`check_design_functional` calls.
     """
     results = run_testbench_batch(list(designs), problem.testbench, max_time=max_time, backend=backend)
     return [

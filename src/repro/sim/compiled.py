@@ -36,6 +36,21 @@ hoped — to be cycle-identical: same :class:`SimulationResult` fields, same
 ``$display`` bytes, same ``$random`` draws (see
 ``tests/test_sim_differential.py`` and ``tests/test_sim_golden.py``).
 
+One testbench per batch
+-----------------------
+
+:meth:`CompiledSimulator.bind` re-binds a simulator to the next design under
+the same top module (the testbench), so :func:`repro.sim.testbench.run_testbench_batch`
+elaborates the testbench and compiles its processes once per call instead of
+once per candidate.  A bind drops the previous design's scopes, signals,
+processes, port-binding assigns, writers and compiled processes; returns the
+testbench's signals, processes, time, output, queues and ``$random`` stream to
+the state construction left them in; then elaborates the top's instances at
+their item positions (:meth:`Simulator._elaborate_instances`), rebuilds the
+slot table and continuous entries and compiles only the design's processes.
+Construction takes the same steps, so signal, process and continuous-assign
+order — and every result — equal a fresh simulator's.
+
 Batched vectorized mode
 -----------------------
 
@@ -77,8 +92,10 @@ from repro.sim.simulator import (
     _CMD_FINISH,
     _CMD_WAIT_EVENT,
     _InstanceScope,
+    _Process,
     _ScopedExpression,
     _apply_format,
+    _module_table,
     Signal,
     SimulationError,
     SimulationResult,
@@ -148,6 +165,10 @@ class CompiledSimulator(Simulator):
     Elaboration, the event loop, the NBA region and all four-state semantics
     are inherited; only statement/expression execution and continuous-assign
     propagation are replaced by their compiled forms.
+
+    :meth:`bind` swaps the design under the same top module: the top's own
+    processes stay compiled, and only the instances are elaborated and
+    compiled again.  Construction is the first bind.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -157,15 +178,80 @@ class CompiledSimulator(Simulator):
         self._cont_entries: Optional[List[_CompiledAssign]] = None
         self._cont_static_mask = 0
         self._cont_any_volatile = False
-        self._compiled_processes: Dict[int, StmtFn] = {}
+        self._compiled_processes: Dict[_Process, StmtFn] = {}
         super().__init__(*args, **kwargs)
+
+    # ------------------------------------------------------------------ #
+    # Binding
+    # ------------------------------------------------------------------ #
+
+    def _elaborate(self) -> None:
+        self._elaborate_top()
+        # The top module's processes read only its own scope and resolve
+        # hierarchical names at run time, so they compile once, here.
+        for process in self._top.processes:
+            self._compiled_processes[process] = self._compile_statement(process.scope, process.body)
+        self._elaborate_instances()
         self._compile()
+
+    def bind(self, source: ast.SourceFile) -> None:
+        """Re-bind to ``source``: the next design under test with the same top module.
+
+        ``source`` must hold the top module object this simulator elaborated
+        (the same parsed testbench).  The simulator returns to the state
+        construction left it in — the top's signals unknown, its processes
+        unstarted, time, output, queues and the ``$random`` stream rewound —
+        then elaborates and compiles the top's instances from ``source``'s
+        modules.  Signal, process and continuous-assignment order equal a
+        fresh ``CompiledSimulator(source, ...)``'s, and so does every result
+        and error: a bind raises what construction would raise.
+        """
+        modules = _module_table(source.modules)
+        if modules.get(self.top_name) is not self._top.scope.module:
+            raise ValueError(f"bind needs the top module {self.top_name!r} this simulator elaborated")
+        self.source_file, self.modules = source, modules
+        self._rewind_top()
+        self._elaborate_instances()
+        self._compile()
+
+    def _rewind_top(self) -> None:
+        top = self._top
+        # Closing a generator runs the ``finally`` of a task it is suspended
+        # in, which pops the task's frame off its scope's ``locals``: the top
+        # scope's locals are empty again afterwards.
+        for process in self.processes:
+            if process.generator is not None:
+                process.generator.close()
+        for process in top.processes:
+            process.generator = None
+            process.waiting_events = []
+            process.done = False
+        for signal in top.signals:
+            signal.value = FourState.unknown_value(signal.width)
+            signal.array = {}
+        self.rng.state = top.rng_state
+        self.time = 0
+        self.finished = False
+        self.display_lines = []
+        self.event_count = 0
+        self._event_queue = []
+        self._ready = []
+        self._nba_queue = []
+        self._changed_signals = {}
+        # Writers are keyed on ``id()`` of a scope and a target node.  The
+        # previous design's scopes and nodes are freed, and a new object may
+        # reuse one of their ids; the top scope's targets are nodes of the
+        # top module, or made by its elaboration and kept in ``top``.
+        top_id = id(top.scope)
+        self._writers = {key: writer for key, writer in self._writers.items() if key[0] == top_id}
+        self._compiled_processes = {process: self._compiled_processes[process] for process in top.processes}
 
     # ------------------------------------------------------------------ #
     # Compilation
     # ------------------------------------------------------------------ #
 
     def _compile(self) -> None:
+        """Lower every continuous assignment and compile the processes not compiled yet."""
         self._state = _State(self.signals)
         entries: List[_CompiledAssign] = []
         for scope, lhs, rhs in self.continuous:
@@ -183,8 +269,10 @@ class CompiledSimulator(Simulator):
         for entry in entries:
             self._cont_static_mask |= entry.dep_mask
         self._cont_any_volatile = any(entry.volatile for entry in entries)
+        compiled = self._compiled_processes
         for process in self.processes:
-            self._compiled_processes[process.pid] = self._compile_statement(process.scope, process.body)
+            if process not in compiled:
+                compiled[process] = self._compile_statement(process.scope, process.body)
 
     # -- dependency analysis -------------------------------------------------
 
@@ -646,7 +734,7 @@ class CompiledSimulator(Simulator):
     # ------------------------------------------------------------------ #
 
     def _exec_process(self, process) -> Generator:
-        is_async, fn = self._compiled_processes[process.pid]
+        is_async, fn = self._compiled_processes[process]
         return self._run_compiled_process(process, is_async, fn)
 
     def _run_compiled_process(self, process, is_async: bool, fn: Callable) -> Generator:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.verilog import ast_nodes as ast
 from repro.verilog.parser import parse_source
@@ -129,9 +129,11 @@ class _InstanceScope:
 
 
 class _Process:
-    """A schedulable process (initial / always / continuous assign driver)."""
+    """A schedulable process: an ``initial`` or ``always`` block, or a variable's initialiser.
 
-    _ids = itertools.count()
+    ``pid`` is the process's position in :attr:`Simulator.processes`, set by
+    :meth:`Simulator._elaborate_instances`; it breaks ties in the time wheel.
+    """
 
     def __init__(
         self,
@@ -146,7 +148,7 @@ class _Process:
         self.body = body
         self.repeat_forever = repeat_forever
         self.name = name
-        self.pid = next(self._ids)
+        self.pid = 0
         self.generator: Optional[Generator] = None
         self.waiting_events: List[Tuple[Optional[str], str]] = []
         self.done = False
@@ -154,6 +156,20 @@ class _Process:
     def start(self) -> Generator:
         self.generator = self.simulator._exec_process(self)
         return self.generator
+
+
+class _TopModule(NamedTuple):
+    """What elaborating the top module's own items leaves for :meth:`Simulator._elaborate_instances`."""
+
+    scope: _InstanceScope
+    #: Each ``ModuleInstance`` item of the top, with the lengths of
+    #: ``processes`` and ``continuous`` when elaboration reached it.
+    instances: List[Tuple[ast.ModuleInstance, int, int]]
+    signals: List[Signal]
+    processes: List[_Process]
+    continuous: List[Tuple[_InstanceScope, ast.Expression, ast.Expression]]
+    #: The ``$random`` stream's state after the top's own elaboration.
+    rng_state: int
 
 
 class Simulator:
@@ -180,11 +196,7 @@ class Simulator:
         rng: Optional[VerilogRng] = None,
     ) -> None:
         self.source_file = parse_source(source) if isinstance(source, str) else source
-        self.modules: Dict[str, ast.ModuleDef] = {}
-        for module in self.source_file.modules:
-            if module.name in self.modules:  # iverilog rejects a re-declared module too
-                raise SimulationError(f"module {module.name!r} is declared more than once")
-            self.modules[module.name] = module
+        self.modules = _module_table(self.source_file.modules)
         self.top_name = top or self._infer_top()
         self.max_time = max_time
         self.max_events = max_events
@@ -226,9 +238,45 @@ class Simulator:
         return candidates[-1]
 
     def _elaborate(self) -> None:
+        self._elaborate_top()
+        self._elaborate_instances()
+
+    def _elaborate_top(self) -> None:
+        """Elaborate the top module's own items into ``self._top``; its instances wait for :meth:`_elaborate_instances`."""
         if self.top_name not in self.modules:
             raise SimulationError(f"top module {self.top_name!r} not found")
-        self._elaborate_module(self.modules[self.top_name], prefix="", parameter_overrides={})
+        instances: List[Tuple[ast.ModuleInstance, int, int]] = []
+        scope = self._elaborate_module(
+            self.modules[self.top_name], prefix="", parameter_overrides={}, top_instances=instances
+        )
+        self._top = _TopModule(
+            scope, instances, list(self.signals.values()), self.processes, self.continuous, self.rng.state
+        )
+
+    def _elaborate_instances(self) -> None:
+        """Elaborate the top module's instances at the item positions :meth:`_elaborate_top` recorded.
+
+        Starts from the top module's own signals, scope, processes and
+        continuous assignments, so calling it again drops the previous
+        instances' and elaborates ``self.modules``' current definitions.
+        Signals, processes and continuous assignments come out in the order
+        one pass over the top's items gives, and each process's ``pid`` is its
+        position in ``processes``.
+        """
+        top = self._top
+        self.signals = {signal.name: signal for signal in top.signals}
+        self.scopes = [top.scope]
+        self.processes, self.continuous = [], []
+        processes_done = continuous_done = 0
+        for instance, processes_end, continuous_end in top.instances:
+            self.processes += top.processes[processes_done:processes_end]
+            self.continuous += top.continuous[continuous_done:continuous_end]
+            processes_done, continuous_done = processes_end, continuous_end
+            self._elaborate_instance(top.scope, instance, 0)
+        self.processes += top.processes[processes_done:]
+        self.continuous += top.continuous[continuous_done:]
+        for pid, process in enumerate(self.processes):
+            process.pid = pid
 
     def _elaborate_module(
         self,
@@ -236,6 +284,7 @@ class Simulator:
         prefix: str,
         parameter_overrides: Dict[str, FourState],
         depth: int = 0,
+        top_instances: Optional[List[Tuple[ast.ModuleInstance, int, int]]] = None,
     ) -> _InstanceScope:
         if depth > 16:
             raise SimulationError("module instantiation nesting too deep (recursive design?)")
@@ -310,7 +359,10 @@ class Simulator:
             elif isinstance(item, ast.GateInstance):
                 self._elaborate_gate(scope, item)
             elif isinstance(item, ast.ModuleInstance):
-                self._elaborate_instance(scope, item, depth)
+                if top_instances is None:
+                    self._elaborate_instance(scope, item, depth)
+                else:
+                    top_instances.append((item, len(self.processes), len(self.continuous)))
             elif isinstance(item, ast.GenerateBlock):
                 for sub in item.items:
                     if isinstance(sub, ast.ContinuousAssign):
@@ -1075,6 +1127,16 @@ class Simulator:
             if edge == "negedge" and new_bit == "0" and old_bit != "0":
                 return True
         return False
+
+
+def _module_table(modules: Sequence[ast.ModuleDef]) -> Dict[str, ast.ModuleDef]:
+    """Modules by name; a name declared twice is an error, as in iverilog."""
+    table: Dict[str, ast.ModuleDef] = {}
+    for module in modules:
+        if module.name in table:
+            raise SimulationError(f"module {module.name!r} is declared more than once")
+        table[module.name] = module
+    return table
 
 
 @dataclass

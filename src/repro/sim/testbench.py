@@ -42,6 +42,9 @@ FAIL_PATTERNS = (
     re.compile(r"\bERROR\b", re.IGNORECASE),
 )
 
+#: What building a simulator raises for a compile unit iverilog would not compile.
+_ELABORATION_ERRORS = (SimulationError, RecursionError, ValueError)
+
 
 @dataclass
 class TestbenchResult:
@@ -93,10 +96,10 @@ def run_testbench(
         raise ValueError(f"unknown simulation backend {backend!r} (choose from {sorted(BACKENDS)})") from None
     design_check = check_syntax(design_source)
     if not design_check.ok:
-        return TestbenchResult(compiled=False, simulated=False, passed=False, errors=design_check.errors)
+        return _not_compiled(design_check.errors)
     tb_check = check_syntax(testbench_source)
     if not tb_check.ok:
-        return TestbenchResult(compiled=False, simulated=False, passed=False, errors=tb_check.errors)
+        return _not_compiled(tb_check.errors)
 
     compile_unit = SourceFile(modules=design_check.ast.modules + tb_check.ast.modules)
     if top is None and tb_check.module_names:
@@ -106,8 +109,8 @@ def run_testbench(
         simulator = simulator_cls(
             compile_unit, top=top, max_time=max_time, max_events=max_events, rng=VerilogRng(random_seed)
         )
-    except (SimulationError, RecursionError, ValueError) as exc:
-        return TestbenchResult(compiled=False, simulated=False, passed=False, errors=[str(exc)])
+    except _ELABORATION_ERRORS as exc:
+        return _not_compiled([str(exc)])
 
     return _result_from_simulation(simulator.run())
 
@@ -125,9 +128,13 @@ def run_testbench_batch(
 
     With the compiled backend, candidates that fit the vectorizable subset
     (purely combinational, vector-style testbench) are simulated as one NumPy
-    sweep over the candidate axis (:func:`repro.sim.compiled.simulate_batch`);
-    everything else falls back to per-candidate :func:`run_testbench` with
-    identical results, so callers never need to know which path ran.
+    sweep over the candidate axis (:func:`repro.sim.compiled.simulate_batch`).
+    Every other candidate runs on one :class:`CompiledSimulator` for the whole
+    call: the testbench is elaborated and its processes compiled once, and
+    each candidate is bound in with :meth:`CompiledSimulator.bind`.  The
+    interpreter backend runs per-candidate :func:`run_testbench`.  Every path
+    returns what :func:`run_testbench` returns for that candidate, error text
+    included, so callers never need to know which path ran.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown simulation backend {backend!r} (choose from {sorted(BACKENDS)})")
@@ -154,6 +161,10 @@ def run_testbench_batch(
                 for index, sim_result in zip(eligible, batch):
                     if sim_result is not None:
                         results[index] = _result_from_simulation(sim_result)
+            if resolved_top is not None:
+                _run_on_one_simulator(
+                    results, design_sources, tb_check.ast, resolved_top, max_time, max_events, random_seed
+                )
     for index, source in enumerate(design_sources):
         if results[index] is None:
             results[index] = run_testbench(
@@ -166,6 +177,47 @@ def run_testbench_batch(
                 random_seed=random_seed,
             )
     return results  # type: ignore[return-value]
+
+
+def _run_on_one_simulator(
+    results: List[Optional[TestbenchResult]],
+    design_sources: Sequence[str],
+    testbench: SourceFile,
+    top: str,
+    max_time: int,
+    max_events: int,
+    random_seed: int,
+) -> None:
+    """Fill each missing result by binding its design into one shared :class:`CompiledSimulator`.
+
+    The simulator is built by the first candidate that elaborates; a
+    candidate that fails before then gets the error construction raised, and
+    the next one tries construction again.
+    """
+    simulator: Optional[CompiledSimulator] = None
+    for index, source in enumerate(design_sources):
+        if results[index] is not None:
+            continue
+        design_check = check_syntax(source)
+        if not design_check.ok:
+            results[index] = _not_compiled(design_check.errors)
+            continue
+        compile_unit = SourceFile(modules=design_check.ast.modules + testbench.modules)
+        try:
+            if simulator is None:
+                simulator = CompiledSimulator(
+                    compile_unit, top=top, max_time=max_time, max_events=max_events, rng=VerilogRng(random_seed)
+                )
+            else:
+                simulator.bind(compile_unit)
+        except _ELABORATION_ERRORS as exc:
+            results[index] = _not_compiled([str(exc)])
+            continue
+        results[index] = _result_from_simulation(simulator.run())
+
+
+def _not_compiled(errors: List[str]) -> TestbenchResult:
+    return TestbenchResult(compiled=False, simulated=False, passed=False, errors=errors)
 
 
 def _result_from_simulation(result: SimulationResult) -> TestbenchResult:

@@ -41,7 +41,7 @@ from repro.verilog.significant import extract_significant_tokens
 from repro.verilog.syntax import check_syntax
 
 from proptest import Cases, for_all, num_cases
-from test_sim_differential import _array_case, _clocked_case, _combinational_case, _termination_case
+from test_sim_differential import _array_case, _clocked_case, _combinational_case, _termination_case, operator_mutants
 
 PROBLEMS = list(rtllm_suite()) + list(vgen_suite())
 BY_NAME = {problem.name: problem for problem in PROBLEMS}
@@ -62,7 +62,7 @@ def _grade(problem, candidates):
 
 
 # One problem per dispatch: vector sweep, vector testbench with designs that fall
-# back (always block), sequential testbench (per-candidate run_testbench).
+# back (always block), sequential testbench (candidates bound into one simulator).
 @pytest.mark.parametrize("name", ["adder_8bit", "mux4to1_8", "up_counter_4"])
 def test_grading_a_sample_set_parses_each_distinct_text_once(monkeypatch, name):
     problem = BY_NAME[name]
@@ -113,9 +113,11 @@ def test_results_of_one_text_do_not_alias():
 
 @pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.name)
 def test_simulating_leaves_the_parsed_modules_untouched(problem):
-    design = check_syntax(problem.reference).ast
+    candidates = [problem.reference] + operator_mutants(problem.reference, 3)
+    designs = [check_syntax(candidate).ast for candidate in candidates]
+    design = designs[0]
     testbench = check_syntax(problem.testbench).ast
-    design_before, testbench_before = copy.deepcopy(design), copy.deepcopy(testbench)
+    designs_before, testbench_before = copy.deepcopy(designs), copy.deepcopy(testbench)
     for backend in (Simulator, CompiledSimulator):
         simulator = backend(
             SourceFile(modules=design.modules + testbench.modules),
@@ -125,9 +127,15 @@ def test_simulating_leaves_the_parsed_modules_untouched(problem):
         )
         assert simulator.run().error is None
     simulate_batch([problem.reference], problem.testbench)
-    # The batch path read these very objects, not a parse of its own.
-    assert check_syntax(problem.reference).ast is design and check_syntax(problem.testbench).ast is testbench
-    assert design == design_before
+    # Binding: one testbench AST under every candidate, through the batch and directly.
+    run_testbench_batch(candidates, problem.testbench)
+    for candidate_ast in designs:
+        simulator.bind(SourceFile(modules=candidate_ast.modules + testbench.modules))
+        simulator.run()
+    # Every path read these very objects, not a parse of its own.
+    assert all(check_syntax(candidate).ast is tree for candidate, tree in zip(candidates, designs))
+    assert check_syntax(problem.testbench).ast is testbench
+    assert designs == designs_before
     assert testbench == testbench_before
 
 

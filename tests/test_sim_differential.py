@@ -16,15 +16,21 @@ under the ``slow`` marker (``--runslow`` / ``REPRO_RUN_SLOW=1``).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import dataclasses
+import re
+from typing import List, Optional, Tuple
 
 import pytest
 
 from repro.evalbench.designs import combinational_testbench
+from repro.evalbench.rtllm import rtllm_suite
+from repro.evalbench.vgen import vgen_suite
 from repro.sim.compiled import CompiledSimulator, simulate_batch
 from repro.sim.rng import VerilogRng
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SimulationError, Simulator, _ScopedExpression
 from repro.sim.testbench import run_testbench, run_testbench_batch
+from repro.verilog.ast_nodes import SourceFile
+from repro.verilog.syntax import check_syntax
 
 from proptest import Cases, for_all, num_cases
 
@@ -565,6 +571,274 @@ def test_run_testbench_batch_matches_scalar() -> None:
             assert got.output == want.output
 
     for_all(num_cases(quick=8, full=60), prop, seed=SEED + 4)
+
+
+# --------------------------------------------------------------------------- #
+# One testbench per batch: binding designs into a shared simulator
+# --------------------------------------------------------------------------- #
+
+REFERENCE_PROBLEMS = list(rtllm_suite()) + list(vgen_suite())
+
+_OPERATOR_SWAPS = {
+    "+": "-", "-": "+", "&": "|", "|": "&", "^": "|", "==": "!=", "!=": "==", "<<": ">>", ">>": "<<",
+    "posedge": "negedge",
+}  # fmt: skip
+_SWAP_SITE = re.compile(r"posedge|==|!=|&&|\|\||<<|>>|<=|>=|[+\-&|^]")
+_INPUT_PORT = re.compile(r"\binput\s+(?:wire\s+)?(?:\[[^\]]*\]\s*)?(\w+)")
+
+#: Event budget of the bind sequences: every reference design needs < 100
+#: events, and the runaway candidate exhausts it in a few milliseconds.
+BIND_MAX_EVENTS = 500
+
+
+def operator_mutants(reference: str, count: int) -> List[str]:
+    """``count`` distinct variants of ``reference`` that parse.
+
+    Single-site mutants first (operator swaps, then uses of one input
+    replaced by another input), then, when the design has too few sites,
+    the reference with a trailing comment.
+    """
+    header_end = reference.find(");") + 2
+    sites = [
+        (match.start(), match.end(), _OPERATOR_SWAPS[match.group()])
+        for match in _SWAP_SITE.finditer(reference, header_end)
+        if match.group() in _OPERATOR_SWAPS
+    ]
+    inputs = _INPUT_PORT.findall(reference[:header_end])
+    for match in re.finditer(r"\b\w+\b", reference[header_end:]):
+        sites += [
+            (header_end + match.start(), header_end + match.end(), other)
+            for other in inputs
+            if match.group() in inputs and other != match.group()
+        ]
+    mutants: List[str] = []
+    for start, end, replacement in sites:
+        candidate = reference[:start] + replacement + reference[end:]
+        if candidate not in mutants and check_syntax(candidate).ok:
+            mutants.append(candidate)
+            if len(mutants) == count:
+                return mutants
+    return mutants + [f"{reference}// variant {n}\n" for n in range(count - len(mutants))]
+
+
+def _with_item(design: str, item: str) -> str:
+    """``design`` with ``item`` added to the end of its first module."""
+    return design.replace("endmodule", f"    {item}\nendmodule", 1)
+
+
+#: Starts at time 1, while the testbench is mid-run, and spins at that time
+#: until the event limit stops the simulation.
+_RUNAWAY_ITEM = "reg runaway_r;\n    initial begin #1; forever #0 runaway_r = ~runaway_r; end"
+
+
+def bind_sequence(reference: str) -> List[str]:
+    """The reference, 3 operator mutants, three designs that do not elaborate, a runaway, the reference."""
+    name = re.search(r"module\s+(\w+)", reference).group(1)
+    return (
+        [reference]
+        + operator_mutants(reference, 3)
+        + [
+            _with_item(reference, "no_such_block u_missing ();"),
+            reference + "\n" + reference,
+            reference.replace(f"module {name}", f"module {name}_renamed", 1),
+            _with_item(reference, _RUNAWAY_ITEM),
+            reference,
+        ]
+    )
+
+
+def assert_results_identical(got, want, label: str) -> None:
+    """Every ``TestbenchResult`` field is equal."""
+    for field in dataclasses.fields(want):
+        assert getattr(got, field.name) == getattr(want, field.name), f"{label}: {field.name} differs"
+
+
+def assert_batch_matches_per_candidate(candidates: List[str], testbench: str, **limits) -> list:
+    """``run_testbench_batch`` returns, field for field, what ``run_testbench`` returns for each candidate."""
+    batch = run_testbench_batch(candidates, testbench, **limits)
+    for index, (candidate, got) in enumerate(zip(candidates, batch)):
+        assert_results_identical(got, run_testbench(candidate, testbench, **limits), f"candidate {index}")
+    return batch
+
+
+def _continuous_order(simulator: Simulator) -> list:
+    def placed(scope, expr):
+        if isinstance(expr, _ScopedExpression):
+            return expr.scope.prefix, expr.expr
+        return scope.prefix, expr
+
+    return [(placed(scope, lhs), placed(scope, rhs)) for scope, lhs, rhs in simulator.continuous]
+
+
+def assert_binds_match_fresh(candidates: List[str], testbench_source: str, **limits) -> None:
+    """Binding each candidate in turn into one simulator equals a fresh simulator per candidate.
+
+    Compared: the elaboration error, signal / process / continuous-assignment
+    order, every ``SimulationResult`` field and the final signal state.
+    """
+    testbench = check_syntax(testbench_source).ast
+    top = testbench.modules[-1].name
+    shared: Optional[CompiledSimulator] = None
+    for index, candidate in enumerate(candidates):
+        unit = SourceFile(modules=check_syntax(candidate).ast.modules + testbench.modules)
+        fresh = fresh_error = bound_error = None
+        try:
+            fresh = CompiledSimulator(unit, top=top, rng=VerilogRng(SEED), **limits)
+        except (SimulationError, ValueError) as exc:
+            fresh_error = str(exc)
+        try:
+            if shared is None:
+                shared = CompiledSimulator(unit, top=top, rng=VerilogRng(SEED), **limits)
+            else:
+                shared.bind(unit)
+        except (SimulationError, ValueError) as exc:
+            bound_error = str(exc)
+        label = f"candidate {index}"
+        assert bound_error == fresh_error, label
+        if fresh is None:
+            continue
+        assert list(shared.signals) == list(fresh.signals), label
+        assert [(p.pid, p.name) for p in shared.processes] == [(p.pid, p.name) for p in fresh.processes], label
+        assert _continuous_order(shared) == _continuous_order(fresh), label
+        # Nothing is left keyed on the previous design: its ids may be reused.
+        assert set(shared._compiled_processes) == set(shared.processes), label
+        assert {scope_id for scope_id, _node in shared._writers} <= {id(scope) for scope in shared.scopes}, label
+        got, want = shared.run(), fresh.run()
+        for field in dataclasses.fields(want):
+            assert getattr(got, field.name) == getattr(want, field.name), f"{label}: {field.name} differs"
+        assert shared.final_state() == fresh.final_state(), label
+
+
+@pytest.mark.parametrize("problem", REFERENCE_PROBLEMS, ids=lambda problem: problem.name)
+def test_binding_sequence_matches_fresh_simulators(problem) -> None:
+    candidates = bind_sequence(problem.reference)
+    assert len(candidates) == 9 and all(check_syntax(candidate).ok for candidate in candidates)
+    batch = assert_batch_matches_per_candidate(candidates, problem.testbench, max_events=BIND_MAX_EVENTS)
+    assert batch[0].passed and batch[-1].passed
+    assert [result.compiled for result in batch[4:7]] == [False, False, False]
+    assert batch[7].errors == ["event limit exceeded"]
+    # The vector sweep takes some combinational candidates; this covers them all.
+    assert_binds_match_fresh(candidates, problem.testbench, max_events=BIND_MAX_EVENTS)
+
+
+_LEAK_DUT = """module leak_dut (input clk, input [3:0] d, output reg [3:0] q);
+    reg [3:0] r;
+    always @(posedge clk) begin r <= d; q <= r ^ d; end
+endmodule
+"""
+
+#: The testbench reads ``dut.r``; this candidate has no ``r``.
+_LEAK_DUT_WITHOUT_R = """module leak_dut (input clk, input [3:0] d, output reg [3:0] q);
+    always @(posedge clk) q <= d;
+endmodule
+"""
+
+#: Every piece of testbench state a previous run could leave behind: a
+#: ``reg clk = 0`` initialiser, a memory array the testbench writes (and reads
+#: before writing), ``$random`` draws, a user task with a local (run by the
+#: interpreter, suspended inside the task when the runaway candidate stops)
+#: and a hierarchical read of the design.
+_LEAK_TESTBENCH = """module leak_tb;
+    reg clk = 0;
+    reg [3:0] d;
+    wire [3:0] q;
+    reg [3:0] mem [0:3];
+    integer i;
+    leak_dut dut(.clk(clk), .d(d), .q(q));
+    always #5 clk = ~clk;
+    task drive;
+        input [3:0] value;
+        reg [3:0] scrambled;
+        begin
+            scrambled = value ^ 4'h5;
+            d = scrambled;
+            @(posedge clk);
+            #1;
+        end
+    endtask
+    initial begin
+        $display("mem[0] before any write: %b", mem[0]);
+        for (i = 0; i < 4; i = i + 1) begin
+            mem[i] = $random;
+            drive(mem[i]);
+            $display("i=%0d mem=%h q=%h r=%h", i, mem[i], q, dut.r);
+        end
+        $display("TEST PASSED");
+        $finish;
+    end
+endmodule
+"""
+
+
+def test_binding_leaks_no_testbench_state() -> None:
+    runaway = _with_item(_LEAK_DUT, _RUNAWAY_ITEM.replace("#1", "#7"))
+    candidates = [_LEAK_DUT, _LEAK_DUT_WITHOUT_R, _LEAK_DUT, runaway, _LEAK_DUT, _LEAK_DUT_WITHOUT_R]
+    batch = assert_batch_matches_per_candidate(candidates, _LEAK_TESTBENCH, max_events=BIND_MAX_EVENTS)
+    assert batch[0].passed and batch[0] == batch[2] == batch[4]
+    assert "mem[0] before any write: xxxx" in batch[4].output
+    assert "unknown hierarchical signal 'dut.r'" in batch[1].errors[0]
+    assert batch[3].errors == ["event limit exceeded"]
+    assert_binds_match_fresh(candidates, _LEAK_TESTBENCH, max_events=BIND_MAX_EVENTS)
+
+    # The runaway stops the testbench inside ``drive``, with the task's frame pushed.
+    testbench = check_syntax(_LEAK_TESTBENCH).ast
+    simulator = CompiledSimulator(
+        SourceFile(modules=check_syntax(runaway).ast.modules + testbench.modules),
+        top="leak_tb",
+        max_events=BIND_MAX_EVENTS,
+    )
+    assert simulator.run().error == "event limit exceeded"
+    assert [list(frame) for frame in simulator.scopes[0].locals] == [["value", "scrambled"]]
+    simulator.bind(SourceFile(modules=check_syntax(_LEAK_DUT).ast.modules + testbench.modules))
+    assert simulator.scopes[0].locals == []
+
+
+def test_binding_random_clocked_designs() -> None:
+    def prop(cases: Cases) -> None:
+        design, testbench = _clocked_case(cases)
+        mutant = design.replace("d +", "d -", 1)
+        unknown = _with_item(design, "no_such_block u_missing ();")
+        candidates = [mutant, design, unknown, design, mutant]
+        assert_batch_matches_per_candidate(candidates, testbench)
+        assert_binds_match_fresh(candidates, testbench)
+
+    for_all(num_cases(quick=6, full=60), prop, seed=SEED + 6)
+
+
+def test_batch_compiles_the_testbench_once(monkeypatch) -> None:
+    """Twelve candidates on a sequential testbench compile the testbench's processes once, not twelve times."""
+    problem = next(problem for problem in REFERENCE_PROBLEMS if problem.name == "up_counter_4")
+    candidates = [problem.reference] + operator_mutants(problem.reference, 11)
+    expected = [run_testbench(candidate, problem.testbench) for candidate in candidates]
+
+    top_level_calls: List[object] = []
+    depth = 0
+    compile_statement = CompiledSimulator._compile_statement
+
+    def counting(self, scope, stmt):
+        nonlocal depth
+        if depth == 0 and scope.prefix == "":
+            top_level_calls.append(stmt)
+        depth += 1
+        try:
+            return compile_statement(self, scope, stmt)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(CompiledSimulator, "_compile_statement", counting)
+    run_testbench(problem.reference, problem.testbench)
+    per_simulation = len(top_level_calls)
+    assert per_simulation == 3  # the clk initialiser, the clock and the stimulus
+    top_level_calls.clear()
+    assert run_testbench_batch(candidates, problem.testbench) == expected
+    assert len(top_level_calls) == per_simulation
+
+
+def test_bind_rejects_another_top_module() -> None:
+    simulator = CompiledSimulator(_LEAK_DUT + _LEAK_TESTBENCH, top="leak_tb")
+    other = check_syntax(_LEAK_DUT + _LEAK_TESTBENCH).ast
+    with pytest.raises(ValueError, match="bind needs the top module"):
+        simulator.bind(SourceFile(modules=list(other.modules)))
 
 
 @pytest.mark.slow

@@ -26,6 +26,10 @@ from repro.evalbench.vgen import vgen_suite
 from repro.sim.compiled import CompiledSimulator
 from repro.sim.rng import VerilogRng
 from repro.sim.simulator import Simulator
+from repro.verilog.ast_nodes import SourceFile
+from repro.verilog.syntax import check_syntax
+
+from test_sim_differential import operator_mutants
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "sim_reference_designs.json"
 
@@ -50,6 +54,10 @@ def capture_sim_case(name: str, design: str, testbench: str, backend: str = "int
     simulator = BACKEND_CLASSES[backend](
         combined, max_time=200_000, max_events=200_000, rng=VerilogRng(GOLDEN_SEED)
     )
+    return _observed(name, simulator)
+
+
+def _observed(name: str, simulator: Simulator) -> Dict:
     result = simulator.run()
     return {
         "name": name,
@@ -88,6 +96,27 @@ def test_backends_reproduce_golden_simulations(backend: str, golden_cases) -> No
         for key in ("finished", "time", "cycles", "error", "display_lines", "final_state"):
             if live[key] != frozen[key]:
                 mismatches.append(f"{name} [{backend}]: {key} diverged")
+    assert not mismatches, "\n".join(mismatches)
+
+
+def test_rebound_simulator_reproduces_golden_simulations(golden_cases) -> None:
+    """Each reference, bound into a compiled simulator that has just run a mutant on the same testbench."""
+    mismatches = []
+    for name, problem in golden_problems():
+        testbench = check_syntax(problem.testbench).ast
+        mutant = operator_mutants(problem.reference, 1)[0]
+        simulator = CompiledSimulator(
+            SourceFile(modules=check_syntax(mutant).ast.modules + testbench.modules),
+            max_time=200_000,
+            max_events=200_000,
+            rng=VerilogRng(GOLDEN_SEED),
+        )
+        simulator.run()
+        simulator.bind(SourceFile(modules=check_syntax(problem.reference).ast.modules + testbench.modules))
+        live = _observed(name, simulator)
+        for key in ("finished", "time", "cycles", "error", "display_lines", "final_state"):
+            if live[key] != golden_cases[name][key]:
+                mismatches.append(f"{name} [rebound]: {key} diverged")
     assert not mismatches, "\n".join(mismatches)
 
 
