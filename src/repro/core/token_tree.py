@@ -102,13 +102,16 @@ class TokenTree:
     def ancestor_mask(self) -> np.ndarray:
         """Boolean ``(size, size)`` matrix: ``[i, j]`` iff ``j`` is ``i`` or an ancestor of ``i``."""
         size = self.size
-        mask = np.zeros((size, size), dtype=bool)
-        for node in range(size):
-            ancestor = node
-            while ancestor >= 0:
-                mask[node, ancestor] = True
-                ancestor = self.parents[ancestor]
-        return mask
+        # Parents precede children, so row ``n`` is row ``parents[n]``, built
+        # already and set only in columns up to the parent, plus ``n``.  The
+        # rows are one byte buffer until the end: one NumPy call.
+        flat = bytearray(size * size)
+        for node, parent in enumerate(self.parents):
+            row = node * size
+            if parent >= 0:
+                flat[row : row + parent + 1] = flat[parent * size : parent * size + parent + 1]
+            flat[row + node] = 1
+        return np.frombuffer(flat, dtype=bool).reshape(size, size)
 
     def path(self, candidate_index: int, length: Optional[int] = None) -> List[int]:
         """Node ids of the first ``length`` tokens of a candidate (its accepted path)."""

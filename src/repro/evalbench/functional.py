@@ -4,44 +4,29 @@ A design is functionally correct when its outputs match the expected results
 for all testbench-provided stimuli (paper Sec. IV-B.2).  The self-checking
 testbenches in :mod:`repro.evalbench.designs` encode the expected values and
 print ``TEST PASSED`` only when every check succeeds, so functional grading
-reduces to running the simulation and inspecting its output.
+reduces to running the simulation and inspecting its output.  The same run
+gives the syntax verdict: :attr:`~repro.sim.testbench.TestbenchResult.compiled`
+says whether the design and the testbench compiled together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from repro.evalbench.problems import Problem
-from repro.sim.testbench import DEFAULT_BACKEND, run_testbench, run_testbench_batch
-
-
-@dataclass
-class FunctionalEvalResult:
-    """Outcome of a functional check."""
-
-    compiled: bool
-    passed: bool
-    output: str = ""
-    errors: List[str] = field(default_factory=list)
+from repro.sim.testbench import DEFAULT_BACKEND, TestbenchResult, run_testbench, run_testbench_batch
 
 
 def check_design_functional(
     design: str, problem: Problem, max_time: int = 100_000, backend: str = DEFAULT_BACKEND
-) -> FunctionalEvalResult:
+) -> TestbenchResult:
     """Simulate ``design`` against ``problem``'s testbench and grade the output."""
-    result = run_testbench(design, problem.testbench, max_time=max_time, backend=backend)
-    return FunctionalEvalResult(
-        compiled=result.compiled,
-        passed=result.passed,
-        output=result.output,
-        errors=result.errors,
-    )
+    return run_testbench(design, problem.testbench, max_time=max_time, backend=backend)
 
 
 def check_designs_functional(
     designs: Sequence[str], problem: Problem, max_time: int = 100_000, backend: str = DEFAULT_BACKEND
-) -> List[FunctionalEvalResult]:
+) -> List[TestbenchResult]:
     """Grade many candidate designs against one problem's testbench.
 
     The compiled backend (:func:`repro.sim.testbench.run_testbench_batch`)
@@ -50,13 +35,4 @@ def check_designs_functional(
     these are the levers for grading large sample sets quickly.  Results are
     identical to per-design :func:`check_design_functional` calls.
     """
-    results = run_testbench_batch(list(designs), problem.testbench, max_time=max_time, backend=backend)
-    return [
-        FunctionalEvalResult(
-            compiled=result.compiled,
-            passed=result.passed,
-            output=result.output,
-            errors=result.errors,
-        )
-        for result in results
-    ]
+    return run_testbench_batch(list(designs), problem.testbench, max_time=max_time, backend=backend)

@@ -169,16 +169,16 @@ class EvaluationRunner:
             evaluation.tokens_verified += result.tokens_verified
             evaluation.tokens_verified_unpruned += result.tokens_verified_unpruned
             evaluation.closure_tokens += result.closure_tokens
-        for design in samples:
-            syntax = check_design_compiles(design, problem.testbench)
-            evaluation.parse_flags.append(syntax.parses)
-            evaluation.syntax_flags.append(syntax.compiles)
-        # Grade all compiling samples in one call: with the compiled backend
-        # they share a single vectorized sweep of the problem's testbench.
-        compiling = [design for design, ok in zip(samples, evaluation.syntax_flags) if ok]
-        graded = iter(check_designs_functional(compiling, problem, backend=self.sim_backend))
-        for ok in evaluation.syntax_flags:
-            evaluation.functional_flags.append(next(graded).passed if ok else False)
+        # Without a testbench this only parses the design; the parse is
+        # memoised, so grading below parses no sample again.
+        evaluation.parse_flags = [check_design_compiles(design).parses for design in samples]
+        # One testbench run per sample gives both other verdicts: ``compiled``
+        # is the syntax flag (design and testbench compile together) and
+        # ``passed`` the functional one.  With the compiled backend the
+        # samples share a single vectorized sweep of the problem's testbench.
+        for graded in check_designs_functional(samples, problem, backend=self.sim_backend):
+            evaluation.syntax_flags.append(graded.compiled)
+            evaluation.functional_flags.append(graded.passed)
         return evaluation
 
     def evaluate_suite(self, suite: ProblemSuite, label: str = "", problems: Optional[Sequence[Problem]] = None) -> QualityReport:

@@ -39,17 +39,16 @@ hoped — to be cycle-identical: same :class:`SimulationResult` fields, same
 One testbench per batch
 -----------------------
 
-:meth:`CompiledSimulator.bind` re-binds a simulator to the next design under
-the same top module (the testbench), so :func:`repro.sim.testbench.run_testbench_batch`
-elaborates the testbench and compiles its processes once per call instead of
-once per candidate.  A bind drops the previous design's scopes, signals,
-processes, port-binding assigns, writers and compiled processes; returns the
-testbench's signals, processes, time, output, queues and ``$random`` stream to
-the state construction left them in; then elaborates the top's instances at
-their item positions (:meth:`Simulator._elaborate_instances`), rebuilds the
-slot table and continuous entries and compiles only the design's processes.
-Construction takes the same steps, so signal, process and continuous-assign
-order — and every result — equal a fresh simulator's.
+:meth:`Simulator.bind` re-binds a simulator to the next design under the same
+top module (the testbench), so :func:`repro.sim.testbench.run_testbench_batch`
+elaborates the testbench once per call instead of once per candidate, on
+either backend.  ``CompiledSimulator`` adds only its own state: a bind also
+drops the previous design's writers and compiled processes, and after the
+top's instances are elaborated it rebuilds the slot table and continuous
+entries and compiles only the design's processes.  Construction takes the
+same steps (elaborate everything, then compile), so signal, process and
+continuous-assign order — and every result — equal a fresh simulator's, and
+a design that does not elaborate is never compiled.
 
 Batched vectorized mode
 -----------------------
@@ -95,7 +94,6 @@ from repro.sim.simulator import (
     _Process,
     _ScopedExpression,
     _apply_format,
-    _module_table,
     Signal,
     SimulationError,
     SimulationResult,
@@ -166,9 +164,11 @@ class CompiledSimulator(Simulator):
     are inherited; only statement/expression execution and continuous-assign
     propagation are replaced by their compiled forms.
 
-    :meth:`bind` swaps the design under the same top module: the top's own
-    processes stay compiled, and only the instances are elaborated and
-    compiled again.  Construction is the first bind.
+    Construction elaborates, then compiles.  :meth:`bind` swaps the design
+    under the same top module: the top's own processes stay compiled, and
+    only the instances are elaborated and compiled again.  So construction
+    is the first bind, and a design that does not elaborate costs no
+    compile.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -186,65 +186,25 @@ class CompiledSimulator(Simulator):
     # ------------------------------------------------------------------ #
 
     def _elaborate(self) -> None:
-        self._elaborate_top()
-        # The top module's processes read only its own scope and resolve
-        # hierarchical names at run time, so they compile once, here.
-        for process in self._top.processes:
-            self._compiled_processes[process] = self._compile_statement(process.scope, process.body)
-        self._elaborate_instances()
+        super()._elaborate()
         self._compile()
 
     def bind(self, source: ast.SourceFile) -> None:
-        """Re-bind to ``source``: the next design under test with the same top module.
-
-        ``source`` must hold the top module object this simulator elaborated
-        (the same parsed testbench).  The simulator returns to the state
-        construction left it in — the top's signals unknown, its processes
-        unstarted, time, output, queues and the ``$random`` stream rewound —
-        then elaborates and compiles the top's instances from ``source``'s
-        modules.  Signal, process and continuous-assignment order equal a
-        fresh ``CompiledSimulator(source, ...)``'s, and so does every result
-        and error: a bind raises what construction would raise.
-        """
-        modules = _module_table(source.modules)
-        if modules.get(self.top_name) is not self._top.scope.module:
-            raise ValueError(f"bind needs the top module {self.top_name!r} this simulator elaborated")
-        self.source_file, self.modules = source, modules
-        self._rewind_top()
-        self._elaborate_instances()
+        """:meth:`Simulator.bind`, then compile the new design's processes and assigns."""
+        super().bind(source)
         self._compile()
 
     def _rewind_top(self) -> None:
-        top = self._top
-        # Closing a generator runs the ``finally`` of a task it is suspended
-        # in, which pops the task's frame off its scope's ``locals``: the top
-        # scope's locals are empty again afterwards.
-        for process in self.processes:
-            if process.generator is not None:
-                process.generator.close()
-        for process in top.processes:
-            process.generator = None
-            process.waiting_events = []
-            process.done = False
-        for signal in top.signals:
-            signal.value = FourState.unknown_value(signal.width)
-            signal.array = {}
-        self.rng.state = top.rng_state
-        self.time = 0
-        self.finished = False
-        self.display_lines = []
-        self.event_count = 0
-        self._event_queue = []
-        self._ready = []
-        self._nba_queue = []
-        self._changed_signals = {}
+        super()._rewind_top()
         # Writers are keyed on ``id()`` of a scope and a target node.  The
         # previous design's scopes and nodes are freed, and a new object may
         # reuse one of their ids; the top scope's targets are nodes of the
-        # top module, or made by its elaboration and kept in ``top``.
-        top_id = id(top.scope)
+        # top module, or made by its elaboration and kept in ``top``.  The
+        # top's processes read only its own scope and resolve hierarchical
+        # names at run time, so they stay compiled.
+        top_id = id(self._top.scope)
         self._writers = {key: writer for key, writer in self._writers.items() if key[0] == top_id}
-        self._compiled_processes = {process: self._compiled_processes[process] for process in top.processes}
+        self._compiled_processes = {process: self._compiled_processes[process] for process in self._top.processes}
 
     # ------------------------------------------------------------------ #
     # Compilation

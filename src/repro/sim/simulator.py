@@ -178,7 +178,9 @@ class Simulator:
     ``source`` is Verilog text or an already parsed
     :class:`~repro.verilog.ast_nodes.SourceFile`.  A parsed file may be shared
     (with other simulators, with :func:`repro.verilog.syntax.check_syntax`'s
-    memo): elaboration and simulation only read the AST.
+    memo): elaboration and simulation only read the AST.  :meth:`bind` swaps
+    the design under the same top module, so one simulator grades a problem's
+    samples with its testbench elaborated once.
     """
 
     #: Safety bounds preventing runaway simulations of malformed generated code.
@@ -277,6 +279,51 @@ class Simulator:
         self.continuous += top.continuous[continuous_done:]
         for pid, process in enumerate(self.processes):
             process.pid = pid
+
+    def bind(self, source: ast.SourceFile) -> None:
+        """Re-bind to ``source``: the next design under test with the same top module.
+
+        ``source`` must hold the top module object this simulator elaborated
+        (the same parsed testbench).  The simulator returns to the state
+        construction left it in — the top's signals unknown, its processes
+        unstarted, time, output, queues and the ``$random`` stream rewound —
+        then elaborates the top's instances from ``source``'s modules.
+        Signal, process and continuous-assignment order equal a fresh
+        simulator's built from ``source``, and so does every result and
+        error: a bind raises what construction would raise.
+        """
+        modules = _module_table(source.modules)
+        if modules.get(self.top_name) is not self._top.scope.module:
+            raise ValueError(f"bind needs the top module {self.top_name!r} this simulator elaborated")
+        self.source_file, self.modules = source, modules
+        self._rewind_top()
+        self._elaborate_instances()
+
+    def _rewind_top(self) -> None:
+        """Reset every piece of per-run state to what elaborating the top module left."""
+        top = self._top
+        # Closing a generator runs the ``finally`` of a task it is suspended
+        # in, which pops the task's frame off its scope's ``locals``: the top
+        # scope's locals are empty again afterwards.
+        for process in self.processes:
+            if process.generator is not None:
+                process.generator.close()
+        for process in top.processes:
+            process.generator = None
+            process.waiting_events = []
+            process.done = False
+        for signal in top.signals:
+            signal.value = FourState.unknown_value(signal.width)
+            signal.array = {}
+        self.rng.state = top.rng_state
+        self.time = 0
+        self.finished = False
+        self.display_lines = []
+        self.event_count = 0
+        self._event_queue = []
+        self._ready = []
+        self._nba_queue = []
+        self._changed_signals = {}
 
     def _elaborate_module(
         self,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.verilog.ast_nodes import SourceFile
-from repro.verilog.syntax import check_syntax
+from repro.verilog.syntax import SyntaxCheckResult, check_syntax
 from repro.sim.compiled import CompiledSimulator, simulate_batch
 from repro.sim.rng import VerilogRng
 from repro.sim.simulator import SimulationError, SimulationResult, Simulator
@@ -57,11 +57,6 @@ class TestbenchResult:
     errors: List[str] = field(default_factory=list)
     simulation_time: int = 0
 
-    @property
-    def syntax_ok(self) -> bool:
-        """Alias used by the syntax-quality evaluation."""
-        return self.compiled
-
 
 def run_testbench(
     design_source: str,
@@ -90,29 +85,9 @@ def run_testbench(
         if the simulation ran and the output contains a pass marker and no
         fail marker.
     """
-    try:
-        simulator_cls = BACKENDS[backend]
-    except KeyError:
-        raise ValueError(f"unknown simulation backend {backend!r} (choose from {sorted(BACKENDS)})") from None
-    design_check = check_syntax(design_source)
-    if not design_check.ok:
-        return _not_compiled(design_check.errors)
+    simulator_cls = _backend_class(backend)
     tb_check = check_syntax(testbench_source)
-    if not tb_check.ok:
-        return _not_compiled(tb_check.errors)
-
-    compile_unit = SourceFile(modules=design_check.ast.modules + tb_check.ast.modules)
-    if top is None and tb_check.module_names:
-        top = tb_check.module_names[-1]
-
-    try:
-        simulator = simulator_cls(
-            compile_unit, top=top, max_time=max_time, max_events=max_events, rng=VerilogRng(random_seed)
-        )
-    except _ELABORATION_ERRORS as exc:
-        return _not_compiled([str(exc)])
-
-    return _result_from_simulation(simulator.run())
+    return _simulate_each([None], [design_source], tb_check, top, simulator_cls, max_time, max_events, random_seed)[0]
 
 
 def run_testbench_batch(
@@ -129,72 +104,50 @@ def run_testbench_batch(
     With the compiled backend, candidates that fit the vectorizable subset
     (purely combinational, vector-style testbench) are simulated as one NumPy
     sweep over the candidate axis (:func:`repro.sim.compiled.simulate_batch`).
-    Every other candidate runs on one :class:`CompiledSimulator` for the whole
-    call: the testbench is elaborated and its processes compiled once, and
-    each candidate is bound in with :meth:`CompiledSimulator.bind`.  The
-    interpreter backend runs per-candidate :func:`run_testbench`.  Every path
-    returns what :func:`run_testbench` returns for that candidate, error text
-    included, so callers never need to know which path ran.
+    Every other candidate goes through the loop :func:`run_testbench` runs:
+    one simulator for the whole call, whose testbench is elaborated once,
+    with each candidate bound in by :meth:`~repro.sim.simulator.Simulator.bind`.
+    Every path returns what :func:`run_testbench` returns for that candidate,
+    error text included, so callers never need to know which path ran.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown simulation backend {backend!r} (choose from {sorted(BACKENDS)})")
+    simulator_cls = _backend_class(backend)
     if not design_sources:
         return []
     results: List[Optional[TestbenchResult]] = [None] * len(design_sources)
-    if backend == "compiled":
-        tb_check = check_syntax(testbench_source)
-        if tb_check.ok:
-            resolved_top = top
-            if resolved_top is None and tb_check.module_names:
-                resolved_top = tb_check.module_names[-1]
-            eligible = [
-                index for index, source in enumerate(design_sources) if check_syntax(source).ok
-            ]
-            batch = simulate_batch(
-                [design_sources[index] for index in eligible],
-                testbench_source,
-                top=resolved_top,
-                max_time=max_time,
-                max_events=max_events,
-            )
-            if batch is not None:
-                for index, sim_result in zip(eligible, batch):
-                    if sim_result is not None:
-                        results[index] = _result_from_simulation(sim_result)
-            if resolved_top is not None:
-                _run_on_one_simulator(
-                    results, design_sources, tb_check.ast, resolved_top, max_time, max_events, random_seed
-                )
-    for index, source in enumerate(design_sources):
-        if results[index] is None:
-            results[index] = run_testbench(
-                source,
-                testbench_source,
-                top=top,
-                max_time=max_time,
-                max_events=max_events,
-                backend=backend,
-                random_seed=random_seed,
-            )
-    return results  # type: ignore[return-value]
+    tb_check = check_syntax(testbench_source)
+    if simulator_cls is CompiledSimulator and tb_check.ok:
+        eligible = [index for index, source in enumerate(design_sources) if check_syntax(source).ok]
+        batch = simulate_batch(
+            [design_sources[index] for index in eligible],
+            testbench_source,
+            top=top or tb_check.module_names[-1],
+            max_time=max_time,
+            max_events=max_events,
+        )
+        for index, sim_result in zip(eligible, batch or ()):
+            if sim_result is not None:
+                results[index] = _result_from_simulation(sim_result)
+    return _simulate_each(results, design_sources, tb_check, top, simulator_cls, max_time, max_events, random_seed)
 
 
-def _run_on_one_simulator(
+def _simulate_each(
     results: List[Optional[TestbenchResult]],
     design_sources: Sequence[str],
-    testbench: SourceFile,
-    top: str,
+    tb_check: SyntaxCheckResult,
+    top: Optional[str],
+    simulator_cls: type,
     max_time: int,
     max_events: int,
     random_seed: int,
-) -> None:
-    """Fill each missing result by binding its design into one shared :class:`CompiledSimulator`.
+) -> List[TestbenchResult]:
+    """Fill each missing result by simulating its design on one ``simulator_cls``, and return ``results``.
 
-    The simulator is built by the first candidate that elaborates; a
-    candidate that fails before then gets the error construction raised, and
-    the next one tries construction again.
+    The simulator is built by the first candidate that elaborates, and each
+    later candidate is bound into it.  A candidate that fails before then
+    gets the error construction raised, and the next one tries construction
+    again.
     """
-    simulator: Optional[CompiledSimulator] = None
+    simulator: Optional[Simulator] = None
     for index, source in enumerate(design_sources):
         if results[index] is not None:
             continue
@@ -202,11 +155,18 @@ def _run_on_one_simulator(
         if not design_check.ok:
             results[index] = _not_compiled(design_check.errors)
             continue
-        compile_unit = SourceFile(modules=design_check.ast.modules + testbench.modules)
+        if not tb_check.ok:
+            results[index] = _not_compiled(tb_check.errors)
+            continue
+        compile_unit = SourceFile(modules=design_check.ast.modules + tb_check.ast.modules)
         try:
             if simulator is None:
-                simulator = CompiledSimulator(
-                    compile_unit, top=top, max_time=max_time, max_events=max_events, rng=VerilogRng(random_seed)
+                simulator = simulator_cls(
+                    compile_unit,
+                    top=top or tb_check.module_names[-1],
+                    max_time=max_time,
+                    max_events=max_events,
+                    rng=VerilogRng(random_seed),
                 )
             else:
                 simulator.bind(compile_unit)
@@ -214,6 +174,14 @@ def _run_on_one_simulator(
             results[index] = _not_compiled([str(exc)])
             continue
         results[index] = _result_from_simulation(simulator.run())
+    return results  # type: ignore[return-value]
+
+
+def _backend_class(backend: str) -> type:
+    try:
+        return BACKENDS[backend]
+    except KeyError:
+        raise ValueError(f"unknown simulation backend {backend!r} (choose from {sorted(BACKENDS)})") from None
 
 
 def _not_compiled(errors: List[str]) -> TestbenchResult:

@@ -28,7 +28,7 @@ from repro.evalbench.vgen import vgen_suite
 from repro.sim.compiled import CompiledSimulator, simulate_batch
 from repro.sim.rng import VerilogRng
 from repro.sim.simulator import SimulationError, Simulator, _ScopedExpression
-from repro.sim.testbench import run_testbench, run_testbench_batch
+from repro.sim.testbench import BACKENDS, run_testbench, run_testbench_batch
 from repro.verilog.ast_nodes import SourceFile
 from repro.verilog.syntax import check_syntax
 
@@ -578,6 +578,7 @@ def test_run_testbench_batch_matches_scalar() -> None:
 # --------------------------------------------------------------------------- #
 
 REFERENCE_PROBLEMS = list(rtllm_suite()) + list(vgen_suite())
+BACKEND_CLASSES = list(BACKENDS.values())
 
 _OPERATOR_SWAPS = {
     "+": "-", "-": "+", "&": "|", "|": "&", "^": "|", "==": "!=", "!=": "==", "<<": ">>", ">>": "<<",
@@ -670,43 +671,47 @@ def _continuous_order(simulator: Simulator) -> list:
     return [(placed(scope, lhs), placed(scope, rhs)) for scope, lhs, rhs in simulator.continuous]
 
 
-def assert_binds_match_fresh(candidates: List[str], testbench_source: str, **limits) -> None:
-    """Binding each candidate in turn into one simulator equals a fresh simulator per candidate.
+def assert_binds_match_fresh(
+    candidates: List[str], testbench_source: str, backend: type = CompiledSimulator, **limits
+) -> None:
+    """Binding each candidate in turn into one ``backend`` simulator equals a fresh simulator per candidate.
 
     Compared: the elaboration error, signal / process / continuous-assignment
     order, every ``SimulationResult`` field and the final signal state.
     """
     testbench = check_syntax(testbench_source).ast
     top = testbench.modules[-1].name
-    shared: Optional[CompiledSimulator] = None
+    shared: Optional[Simulator] = None
     for index, candidate in enumerate(candidates):
         unit = SourceFile(modules=check_syntax(candidate).ast.modules + testbench.modules)
         fresh = fresh_error = bound_error = None
         try:
-            fresh = CompiledSimulator(unit, top=top, rng=VerilogRng(SEED), **limits)
+            fresh = backend(unit, top=top, rng=VerilogRng(SEED), **limits)
         except (SimulationError, ValueError) as exc:
             fresh_error = str(exc)
         try:
             if shared is None:
-                shared = CompiledSimulator(unit, top=top, rng=VerilogRng(SEED), **limits)
+                shared = backend(unit, top=top, rng=VerilogRng(SEED), **limits)
             else:
                 shared.bind(unit)
         except (SimulationError, ValueError) as exc:
             bound_error = str(exc)
-        label = f"candidate {index}"
+        label = f"{backend.__name__} candidate {index}"
         assert bound_error == fresh_error, label
         if fresh is None:
             continue
         assert list(shared.signals) == list(fresh.signals), label
         assert [(p.pid, p.name) for p in shared.processes] == [(p.pid, p.name) for p in fresh.processes], label
         assert _continuous_order(shared) == _continuous_order(fresh), label
-        # Nothing is left keyed on the previous design: its ids may be reused.
-        assert set(shared._compiled_processes) == set(shared.processes), label
-        assert {scope_id for scope_id, _node in shared._writers} <= {id(scope) for scope in shared.scopes}, label
+        if backend is CompiledSimulator:
+            # Nothing is left keyed on the previous design: its ids may be reused.
+            assert set(shared._compiled_processes) == set(shared.processes), label
+            assert {scope_id for scope_id, _node in shared._writers} <= {id(scope) for scope in shared.scopes}, label
         got, want = shared.run(), fresh.run()
         for field in dataclasses.fields(want):
             assert getattr(got, field.name) == getattr(want, field.name), f"{label}: {field.name} differs"
         assert shared.final_state() == fresh.final_state(), label
+
 
 
 @pytest.mark.parametrize("problem", REFERENCE_PROBLEMS, ids=lambda problem: problem.name)
@@ -718,7 +723,8 @@ def test_binding_sequence_matches_fresh_simulators(problem) -> None:
     assert [result.compiled for result in batch[4:7]] == [False, False, False]
     assert batch[7].errors == ["event limit exceeded"]
     # The vector sweep takes some combinational candidates; this covers them all.
-    assert_binds_match_fresh(candidates, problem.testbench, max_events=BIND_MAX_EVENTS)
+    for backend in BACKEND_CLASSES:
+        assert_binds_match_fresh(candidates, problem.testbench, backend, max_events=BIND_MAX_EVENTS)
 
 
 _LEAK_DUT = """module leak_dut (input clk, input [3:0] d, output reg [3:0] q);
@@ -773,24 +779,25 @@ endmodule
 def test_binding_leaks_no_testbench_state() -> None:
     runaway = _with_item(_LEAK_DUT, _RUNAWAY_ITEM.replace("#1", "#7"))
     candidates = [_LEAK_DUT, _LEAK_DUT_WITHOUT_R, _LEAK_DUT, runaway, _LEAK_DUT, _LEAK_DUT_WITHOUT_R]
-    batch = assert_batch_matches_per_candidate(candidates, _LEAK_TESTBENCH, max_events=BIND_MAX_EVENTS)
-    assert batch[0].passed and batch[0] == batch[2] == batch[4]
-    assert "mem[0] before any write: xxxx" in batch[4].output
-    assert "unknown hierarchical signal 'dut.r'" in batch[1].errors[0]
-    assert batch[3].errors == ["event limit exceeded"]
-    assert_binds_match_fresh(candidates, _LEAK_TESTBENCH, max_events=BIND_MAX_EVENTS)
-
-    # The runaway stops the testbench inside ``drive``, with the task's frame pushed.
     testbench = check_syntax(_LEAK_TESTBENCH).ast
-    simulator = CompiledSimulator(
-        SourceFile(modules=check_syntax(runaway).ast.modules + testbench.modules),
-        top="leak_tb",
-        max_events=BIND_MAX_EVENTS,
-    )
-    assert simulator.run().error == "event limit exceeded"
-    assert [list(frame) for frame in simulator.scopes[0].locals] == [["value", "scrambled"]]
-    simulator.bind(SourceFile(modules=check_syntax(_LEAK_DUT).ast.modules + testbench.modules))
-    assert simulator.scopes[0].locals == []
+    for backend, simulator_cls in BACKENDS.items():
+        batch = assert_batch_matches_per_candidate(candidates, _LEAK_TESTBENCH, max_events=BIND_MAX_EVENTS, backend=backend)
+        assert batch[0].passed and batch[0] == batch[2] == batch[4]
+        assert "mem[0] before any write: xxxx" in batch[4].output
+        assert "unknown hierarchical signal 'dut.r'" in batch[1].errors[0]
+        assert batch[3].errors == ["event limit exceeded"]
+        assert_binds_match_fresh(candidates, _LEAK_TESTBENCH, simulator_cls, max_events=BIND_MAX_EVENTS)
+
+        # The runaway stops the testbench inside ``drive``, with the task's frame pushed.
+        simulator = simulator_cls(
+            SourceFile(modules=check_syntax(runaway).ast.modules + testbench.modules),
+            top="leak_tb",
+            max_events=BIND_MAX_EVENTS,
+        )
+        assert simulator.run().error == "event limit exceeded"
+        assert [list(frame) for frame in simulator.scopes[0].locals] == [["value", "scrambled"]]
+        simulator.bind(SourceFile(modules=check_syntax(_LEAK_DUT).ast.modules + testbench.modules))
+        assert simulator.scopes[0].locals == []
 
 
 def test_binding_random_clocked_designs() -> None:
@@ -800,7 +807,8 @@ def test_binding_random_clocked_designs() -> None:
         unknown = _with_item(design, "no_such_block u_missing ();")
         candidates = [mutant, design, unknown, design, mutant]
         assert_batch_matches_per_candidate(candidates, testbench)
-        assert_binds_match_fresh(candidates, testbench)
+        for backend in BACKEND_CLASSES:
+            assert_binds_match_fresh(candidates, testbench, backend)
 
     for_all(num_cases(quick=6, full=60), prop, seed=SEED + 6)
 
@@ -834,11 +842,30 @@ def test_batch_compiles_the_testbench_once(monkeypatch) -> None:
     assert len(top_level_calls) == per_simulation
 
 
+def test_construction_that_fails_on_the_design_compiles_nothing(monkeypatch) -> None:
+    """Construction elaborates the whole hierarchy before it compiles a process of the testbench."""
+    problem = next(problem for problem in REFERENCE_PROBLEMS if problem.name == "up_counter_4")
+    testbench = check_syntax(problem.testbench).ast
+    missing = check_syntax(_with_item(problem.reference, "no_such_block u_missing ();")).ast
+    compiled: List[object] = []
+    compile_statement = CompiledSimulator._compile_statement
+
+    def counting(self, scope, stmt):
+        compiled.append(stmt)
+        return compile_statement(self, scope, stmt)
+
+    monkeypatch.setattr(CompiledSimulator, "_compile_statement", counting)
+    with pytest.raises(SimulationError, match="unknown module 'no_such_block'"):
+        CompiledSimulator(SourceFile(modules=missing.modules + testbench.modules), top=testbench.modules[-1].name)
+    assert compiled == []
+
+
 def test_bind_rejects_another_top_module() -> None:
-    simulator = CompiledSimulator(_LEAK_DUT + _LEAK_TESTBENCH, top="leak_tb")
     other = check_syntax(_LEAK_DUT + _LEAK_TESTBENCH).ast
-    with pytest.raises(ValueError, match="bind needs the top module"):
-        simulator.bind(SourceFile(modules=list(other.modules)))
+    for simulator_cls in BACKEND_CLASSES:
+        simulator = simulator_cls(_LEAK_DUT + _LEAK_TESTBENCH, top="leak_tb")
+        with pytest.raises(ValueError, match="bind needs the top module"):
+            simulator.bind(SourceFile(modules=list(other.modules)))
 
 
 @pytest.mark.slow

@@ -115,6 +115,26 @@ class TestTokenTreeStructure:
         assert mask[3].tolist() == [True, False, False, True]
         assert np.array_equal(np.diag(mask), np.ones(tree.size, dtype=bool))
 
+    def test_ancestor_mask_equals_the_per_node_walk(self):
+        """Built from parent rows, the mask is bitwise the walk up each node's ancestor chain."""
+
+        def walk_oracle(tree: TokenTree) -> np.ndarray:
+            mask = np.zeros((tree.size, tree.size), dtype=bool)
+            for node in range(tree.size):
+                ancestor = node
+                while ancestor >= 0:
+                    mask[node, ancestor] = True
+                    ancestor = tree.parents[ancestor]
+            return mask
+
+        def prop(cases: Cases) -> None:
+            tree = TokenTree.from_candidates(random_candidates(cases))
+            mask = tree.ancestor_mask()
+            assert mask.dtype == bool and mask.shape == (tree.size, tree.size) and mask.flags.writeable
+            assert np.array_equal(mask, walk_oracle(tree))
+
+        for_all(num_cases(40, 600), prop, seed=17)
+
 
 class TestTreeLogitsEquivalence:
     """Tree-masked forwards must reproduce plain causal logits exactly where read."""
