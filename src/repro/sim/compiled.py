@@ -56,19 +56,20 @@ Batched vectorized mode
 :func:`simulate_batch` runs *many candidate designs* against *one shared
 testbench* as NumPy sweeps over a candidate axis: the testbench is unrolled
 into a straight-line stimulus program, each eligible candidate is lowered to a
-two-state netlist of uint64 array operations, structurally identical
+two-state netlist of uint64 array operations (continuous assigns, and
+combinational ``always`` blocks as mux trees), structurally identical
 candidates are grouped (their constants lifted into per-candidate arrays of
 shape ``(C, 1)``) and evaluated against the stimulus matrix of shape
 ``(1, V)`` in one pass.  Anything outside the eligible subset — sequential
-logic, four-state outputs, non-vector testbenches — transparently falls back
-to the scalar compiled backend, so batching is purely an optimisation, never
-a semantics change.
+logic, latches, four-state outputs, non-vector testbenches — transparently
+falls back to the scalar compiled backend, so batching is purely an
+optimisation, never a semantics change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -866,6 +867,9 @@ class _VectorProgram:
     total_time: int
     pass_text: str
     fail_fmt: str
+    #: The DUT instance precedes the initial block, so the DUT's ``always``
+    #: blocks wait on their signals before the first stimulus is driven.
+    dut_first: bool
 
 
 @dataclass
@@ -880,15 +884,21 @@ class _Netlist:
     ops: Tuple[tuple, ...]
     consts: Tuple[int, ...]
     outputs: Tuple[Tuple[str, int], ...]  # (name, op index)
+    #: Per combinational ``always`` block, the op indices of the signals that
+    #: wake it: the sweep counts the interpreter's process steps from them.
+    wakes: Tuple[Tuple[int, ...], ...]
 
     @property
     def key(self) -> tuple:
-        return (self.ops, self.outputs)
+        return (self.ops, self.outputs, self.wakes)
 
 
 #: :attr:`BatchReport.reasons` key for a candidate that is not exactly one
 #: module named like the testbench's DUT instance (or does not parse).
 NOT_THE_DUT = "not a single module matching the testbench's DUT"
+#: :attr:`BatchReport.reasons` key for a candidate whose always blocks would
+#: run past the interpreter's event or loop limit: the interpreter reports it.
+_OVER_LIMIT = "event or loop limit"
 
 
 @dataclass
@@ -896,9 +906,11 @@ class BatchReport:
     """How a :func:`simulate_batch` call dispatched its candidates.
 
     ``reasons`` says why each fallback candidate left the vector path: the
-    lowering's message (``"signed port"``, ``"unsupported item AlwaysBlock"``,
-    ...) or :data:`NOT_THE_DUT`, mapped to how many candidates it turned away;
-    its values sum to ``fallback``.
+    lowering's message (``"signed port"``, ``"latch: always block leaves a
+    target unassigned on some path"``, ...), :data:`NOT_THE_DUT`, or
+    ``"event or loop limit"`` for a candidate whose ``always`` blocks would
+    stop the interpreter with an error, mapped to how many candidates it
+    turned away; its values sum to ``fallback``.
     """
 
     vectorized: int = 0
@@ -929,6 +941,9 @@ class _ConstScope:
 
 
 def _const_int(expr: ast.Expression, scope: Optional[_ConstScope] = None) -> Optional[int]:
+    number = _number_value(expr)
+    if number is not None:
+        return number.value  # a plain literal, without the evaluator
     try:
         return (scope or _ConstScope()).evaluator.evaluate_int(expr)
     except (EvaluationError, Exception):
@@ -993,6 +1008,7 @@ def _extract_vector_program(module: ast.ModuleDef) -> Optional[_VectorProgram]:
             if instance is not None or item.parameter_overrides:
                 return None
             instance = item
+            dut_first = initial is None
         elif isinstance(item, ast.InitialBlock):
             if initial is not None:
                 return None
@@ -1086,6 +1102,7 @@ def _extract_vector_program(module: ast.ModuleDef) -> Optional[_VectorProgram]:
         total_time=total_time,
         pass_text=pass_text,
         fail_fmt=fail_fmt,
+        dut_first=dut_first,
     )
 
 
@@ -1197,8 +1214,66 @@ class _Ineligible(Exception):
     """A candidate falls outside the vectorizable subset."""
 
 
+class _Comb(NamedTuple):
+    """A combinational ``always`` block: one netlist node beside the continuous assigns."""
+
+    #: The statement under the event control.
+    body: ast.Statement
+    #: The names it assigns, in order of first assignment.
+    targets: Tuple[str, ...]
+    #: The signals whose change re-runs it: what it reads under ``@*``, its
+    #: list otherwise (never its own targets, which only it changes).
+    wakes: Tuple[str, ...]
+
+
+_LOOPS = (ast.ForStatement, ast.WhileStatement, ast.RepeatStatement, ast.ForeverStatement)
+#: While an always block is lowered: each target's op so far, None when only
+#: some paths assigned it.
+_Env = Dict[str, Optional[int]]
+
+
+def _add_names(expr: ast.Node, names: Dict[str, None]) -> None:
+    """Add the identifiers under ``expr`` to ``names`` in ``expr.walk()`` order, without its generators."""
+    if isinstance(expr, ast.Identifier):
+        names[expr.name] = None
+    elif isinstance(expr, ast.BinaryOp):
+        _add_names(expr.left, names)
+        _add_names(expr.right, names)
+    elif isinstance(expr, ast.UnaryOp):
+        _add_names(expr.operand, names)
+    elif not isinstance(expr, ast.Number):
+        for child in expr.children():
+            _add_names(child, names)
+
+
 class _NetlistLowerer:
-    """Lowers one candidate module to a :class:`_Netlist`."""
+    """Lowers one candidate module to a :class:`_Netlist`.
+
+    Continuous assigns and combinational ``always`` blocks are nodes of one
+    dependency order.  A block is lowered by symbolic execution of its
+    blocking assignments: ``name -> op index`` for what it has assigned so
+    far, ``if`` / ``else`` arms merged with ``mux``, and ``case`` / ``casez``
+    items as a priority chain of compares (``casez`` masks its ``?`` bits)
+    ending in ``default``.  Each refusal raises :class:`_Ineligible` with the
+    reason :attr:`BatchReport.reasons` counts; besides unknown items,
+    statements and expressions, a block is refused when
+
+    * a target is not assigned on every path (a latch);
+    * it reads one of its targets before writing it;
+    * no input wakes it (``always @* q = 0;`` never runs, so ``q`` stays X);
+    * its explicit sensitivity list misses a signal it reads, or has an edge;
+    * it wakes on the output of an ``always`` block, or on an assign listed
+      before one of its own inputs, or the testbench drives the DUT before
+      the DUT's processes wait.  Under these three rules each block runs once
+      at time 0 and once per step where a wake signal changed, which is the
+      interpreter's event count the sweep must reproduce.
+
+    Expressions keep the interpreter's self-determined widths.  A ``?:``
+    with arms of different widths takes the wider width; its per-element
+    width is then unknown, so it may feed only operators whose value does
+    not depend on it (compares, logic, ``|``/``&``/``^``, the assignment's
+    truncation) and is refused elsewhere.
+    """
 
     def __init__(self, module: ast.ModuleDef, program: _VectorProgram) -> None:
         self.module = module
@@ -1207,21 +1282,39 @@ class _NetlistLowerer:
         self.ops: List[tuple] = []
         self.consts: List[int] = []
         self.widths: List[int] = []  # result width per op
+        #: Mixed-width ``?:`` results and what inherits their width.
+        self.loose: Set[int] = set()
         self.wires: Dict[str, int] = {}  # name -> op index (once lowered)
         self.wire_widths: Dict[str, int] = {}
         self.input_widths: Dict[str, int] = {}
-        #: name -> (rhs, total_ctx, lsb, width); the slice fields are None for
-        #: plain targets and describe this name's chunk of a concat target.
-        self.assigns: Dict[str, Tuple[ast.Expression, Optional[int], Optional[int], Optional[int]]] = {}
+        #: name -> what assigns it: an assign's (rhs, total_ctx, lsb, width),
+        #: whose slice fields are None for plain targets and describe this
+        #: name's chunk of a concat target, or the :class:`_Comb` block.
+        self.assigns: Dict[str, Union[Tuple[ast.Expression, Optional[int], Optional[int], Optional[int]], _Comb]] = {}
+        #: name -> position of its assign in the module's assign list.
+        self.assign_positions: Dict[str, int] = {}
+        self.blocks: List[_Comb] = []
+        #: While a block is lowered: its targets, and what each holds so far.
+        self.block_targets: Tuple[str, ...] = ()
+        self.env: _Env = {}
 
     # -- structure -----------------------------------------------------------
 
     def lower(self) -> _Netlist:
         self._collect_declarations()
         self._collect_assigns()
+        self._collect_blocks()
         order = self._topological_order()
+        if self.blocks:
+            self._check_wakes(order)
         for name in order:
-            rhs, total_ctx, lsb, slice_width = self.assigns[name]
+            if name in self.wires:
+                continue  # a block's other target, lowered with the block
+            node = self.assigns[name]
+            if isinstance(node, _Comb):
+                self._lower_comb(node)
+                continue
+            rhs, total_ctx, lsb, slice_width = node
             if total_ctx is None:
                 op_index = self._lower_expr(rhs, ctx=self.wire_widths[name])
                 op_index = self._mask_to(op_index, self.wire_widths[name])
@@ -1237,7 +1330,10 @@ class _NetlistLowerer:
             if name not in self.wires:
                 raise _Ineligible(f"output {name} undriven")
             outputs.append((name, self.wires[name]))
-        return _Netlist(ops=tuple(self.ops), consts=tuple(self.consts), outputs=tuple(sorted(outputs)))
+        wakes = tuple(
+            tuple(self._lower_expr(ast.Identifier(name=name), None) for name in comb.wakes) for comb in self.blocks
+        )
+        return _Netlist(ops=tuple(self.ops), consts=tuple(self.consts), outputs=tuple(sorted(outputs)), wakes=wakes)
 
     def _collect_declarations(self) -> None:
         module = self.module
@@ -1253,6 +1349,10 @@ class _NetlistLowerer:
                 raise _Ineligible("non-constant range")
             return abs(msb - lsb) + 1
 
+        def declare(name: str, rng: Optional[ast.Range]) -> None:
+            # A name declared twice takes the wider range, as in elaboration.
+            widths[name] = max(widths.get(name, 1), width_of(rng))
+
         for item in list(module.parameters) + list(module.items):
             if isinstance(item, ast.ParameterDeclaration):
                 for name, value_expr in zip(item.names, item.values):
@@ -1266,7 +1366,7 @@ class _NetlistLowerer:
         for port in module.ports:
             if port.direction is not None:
                 directions[port.name] = port.direction
-                widths[port.name] = width_of(port.range)
+                declare(port.name, port.range)
                 if port.signed:
                     raise _Ineligible("signed port")
         for item in module.items:
@@ -1275,17 +1375,17 @@ class _NetlistLowerer:
                     raise _Ineligible("signed port")
                 for name in item.names:
                     directions[name] = item.direction
-                    widths[name] = width_of(item.range)
+                    declare(name, item.range)
             elif isinstance(item, ast.NetDeclaration):
-                if item.net_type not in ("wire",) or item.signed:
+                if item.net_type not in ("wire", "reg") or item.signed:
                     raise _Ineligible(f"unsupported declaration {item.net_type}")
                 if any(init is not None for init in item.initializers):
                     raise _Ineligible("wire initializer")
                 if any(rng is not None for rng in item.array_ranges):
                     raise _Ineligible("array declaration")
                 for name in item.names:
-                    widths.setdefault(name, width_of(item.range))
-            elif isinstance(item, (ast.ContinuousAssign, ast.ParameterDeclaration)):
+                    declare(name, item.range)
+            elif isinstance(item, (ast.ContinuousAssign, ast.ParameterDeclaration, ast.AlwaysBlock)):
                 continue
             else:
                 raise _Ineligible(f"unsupported item {type(item).__name__}")
@@ -1310,17 +1410,20 @@ class _NetlistLowerer:
                 self.wire_widths[name] = width
 
     def _collect_assigns(self) -> None:
+        position = 0
         for item in self.module.items:
             if not isinstance(item, ast.ContinuousAssign):
                 continue
             if item.delay is not None:
                 raise _Ineligible("assign delay")
             for lhs, rhs in item.assignments:
+                position += 1
                 if isinstance(lhs, ast.Identifier):
                     name = lhs.name
                     if name not in self.wire_widths or name in self.assigns:
                         raise _Ineligible("multiply-driven or unknown target")
                     self.assigns[name] = (rhs, None, None, None)
+                    self.assign_positions[name] = position
                 elif isinstance(lhs, ast.Concatenation):
                     parts: List[Tuple[str, int]] = []
                     for part in lhs.parts:
@@ -1336,8 +1439,89 @@ class _NetlistLowerer:
                         if name in self.assigns:
                             raise _Ineligible("multiply-driven target")
                         self.assigns[name] = (rhs, total, cursor, width)
+                        self.assign_positions[name] = position
                 else:
                     raise _Ineligible("non-identifier assign target")
+
+    def _collect_blocks(self) -> None:
+        items = [item for item in self.module.items if isinstance(item, ast.AlwaysBlock)]
+        if not items:
+            return
+        if not self.program.dut_first:
+            raise _Ineligible("testbench drives the DUT before its always blocks wait")
+        if self.module.local_declarations:
+            raise _Ineligible("block-local declaration")
+        for item in items:
+            control = item.body
+            if not isinstance(control, ast.EventControlStatement) or control.body is None:
+                raise _Ineligible("always block without an event control")
+            if any(event.edge is not None for event in control.controls):
+                raise _Ineligible("edge-triggered always block")
+            targets: Dict[str, None] = {}
+            names: Dict[str, None] = {}
+            self._scan_block(control.body, targets, names)
+            reads = [name for name in self._signals_in(names) if name not in targets]
+            wakes = reads
+            if not control.is_star:
+                listed: Dict[str, None] = {}
+                for event in control.controls:
+                    if event.signal is not None:
+                        _add_names(event.signal, listed)
+                wakes = [name for name in self._signals_in(listed) if name not in targets]
+                if not set(reads) <= set(wakes):
+                    raise _Ineligible("sensitivity list misses a signal the block reads")
+            if not any(name in self.input_widths for name in wakes):
+                raise _Ineligible("always block reads no input")
+            comb = _Comb(control.body, tuple(targets), tuple(wakes))
+            for name in targets:
+                if name not in self.wire_widths:
+                    raise _Ineligible("always block assigns an input or an undeclared name")
+                if name in self.assigns:
+                    raise _Ineligible("multiply-driven target")
+                self.assigns[name] = comb
+            self.blocks.append(comb)
+
+    def _scan_block(self, stmt: ast.Statement, targets: Dict[str, None], names: Dict[str, None]) -> None:
+        """Record the names ``stmt`` assigns and the names it reads, in walk order.
+
+        Refuses every statement form :meth:`_execute` does not lower.
+        """
+        if isinstance(stmt, ast.Block):
+            for child in stmt.statements:
+                self._scan_block(child, targets, names)
+        elif isinstance(stmt, ast.Assignment):
+            if not stmt.blocking:
+                raise _Ineligible("non-blocking assignment in always block")
+            if stmt.delay is not None:
+                raise _Ineligible("intra-assignment delay in always block")
+            parts = stmt.target.parts if isinstance(stmt.target, ast.Concatenation) else [stmt.target]
+            for part in parts:
+                if not isinstance(part, ast.Identifier):
+                    raise _Ineligible("unsupported procedural target")
+                targets[part.name] = None
+            _add_names(stmt.value, names)
+        elif isinstance(stmt, ast.IfStatement):
+            _add_names(stmt.condition, names)
+            self._scan_block(stmt.then_body, targets, names)
+            if stmt.else_body is not None:
+                self._scan_block(stmt.else_body, targets, names)
+        elif isinstance(stmt, ast.CaseStatement):
+            if stmt.kind not in ("case", "casez"):
+                raise _Ineligible(f"{stmt.kind} in always block")
+            _add_names(stmt.subject, names)
+            for item in stmt.items:
+                for pattern in item.patterns:
+                    _add_names(pattern, names)
+                if item.body is not None:
+                    self._scan_block(item.body, targets, names)
+        elif isinstance(stmt, _LOOPS):
+            raise _Ineligible("loop in always block")
+        elif not isinstance(stmt, ast.NullStatement):
+            raise _Ineligible(f"unsupported statement {type(stmt).__name__} in always block")
+
+    def _signals_in(self, names: Dict[str, None]) -> List[str]:
+        """The declared signals among ``names`` (the interpreter's sensitivity drops the rest)."""
+        return [name for name in names if name in self.wire_widths or name in self.input_widths]
 
     def _topological_order(self) -> List[str]:
         color: Dict[str, int] = {}
@@ -1352,7 +1536,7 @@ class _NetlistLowerer:
             if state == 1:
                 raise _Ineligible("combinational loop")
             color[name] = 1
-            for dep in self._expr_deps(self.assigns[name][0]):
+            for dep in self._deps(name):
                 visit(dep, depth + 1)
             color[name] = 2
             order.append(name)
@@ -1361,12 +1545,124 @@ class _NetlistLowerer:
             visit(name, 0)
         return order
 
-    def _expr_deps(self, expr: ast.Expression) -> List[str]:
-        deps = []
-        for node in expr.walk():
-            if isinstance(node, ast.Identifier) and node.name in self.assigns:
-                deps.append(node.name)
-        return deps
+    def _deps(self, name: str) -> List[str]:
+        node = self.assigns[name]
+        if isinstance(node, _Comb):
+            return [wake for wake in node.wakes if wake in self.assigns]
+        names: Dict[str, None] = {}
+        _add_names(node[0], names)
+        return [dep for dep in names if dep in self.assigns]
+
+    def _check_wakes(self, order: List[str]) -> None:
+        """Refuse the wake signals whose changes the per-step count would miss.
+
+        In the interpreter a block wakes once for every settle in which a
+        signal it waits on changes.  That is once per changed step only when
+        the signal has settled before any block runs (it derives from no
+        block's output) and settles in one pass of the assign list (every
+        assign it derives from comes after the assigns it reads).
+        """
+        from_blocks: Set[str] = set()
+        for name in order:
+            if isinstance(self.assigns[name], _Comb) or any(dep in from_blocks for dep in self._deps(name)):
+                from_blocks.add(name)
+        for comb in self.blocks:
+            if from_blocks.intersection(comb.wakes):
+                raise _Ineligible("always block waits on an always block's output")
+            pending = [name for name in comb.wakes if name in self.assigns]
+            seen = set(pending)
+            while pending:
+                name = pending.pop()
+                for dep in self._deps(name):
+                    if self.assign_positions[dep] >= self.assign_positions[name]:
+                        raise _Ineligible("always block waits on an assign listed before its inputs")
+                    if dep not in seen:
+                        seen.add(dep)
+                        pending.append(dep)
+
+    def _lower_comb(self, comb: _Comb) -> None:
+        self.block_targets = comb.targets
+        env = self._execute(comb.body, {})
+        self.block_targets = ()
+        for name in comb.targets:
+            if env.get(name) is None:
+                raise _Ineligible("latch: always block leaves a target unassigned on some path")
+            self.wires[name] = env[name]  # type: ignore[assignment]
+
+    def _execute(self, stmt: Optional[ast.Statement], env: _Env) -> _Env:
+        """Return what each target holds after ``stmt`` runs from ``env`` (a new dict when it assigns)."""
+        if stmt is None or isinstance(stmt, ast.NullStatement):
+            return env
+        if isinstance(stmt, ast.Block):
+            for child in stmt.statements:
+                env = self._execute(child, env)
+            return env
+        self.env = env
+        if isinstance(stmt, ast.Assignment):
+            parts = stmt.target.parts if isinstance(stmt.target, ast.Concatenation) else [stmt.target]
+            widths = [self.wire_widths[part.name] for part in parts]
+            total = sum(widths)
+            if total > _MAX_WIDTH:
+                raise _Ineligible("wide concat target")
+            value = self._mask_to(self._lower_expr(stmt.value, total), total)
+            env = dict(env)
+            cursor = total
+            for part, width in zip(parts, widths):  # MSB-first, as the interpreter splits it
+                cursor -= width
+                env[part.name] = value if len(parts) == 1 else self._emit(("bits", value, cursor, width), width)
+            return env
+        if isinstance(stmt, ast.IfStatement):
+            cond = self._lower_expr(stmt.condition, None)
+            return self._merge(cond, self._execute(stmt.then_body, env), self._execute(stmt.else_body, env))
+        # A case statement: the first matching item runs, else the last default.
+        subject = self._lower_expr(stmt.subject, None)
+        arms: List[Tuple[int, Optional[ast.Statement]]] = []
+        default: Optional[ast.CaseItem] = None
+        for item in stmt.items:
+            if item.is_default:
+                default = item
+                continue
+            match: Optional[int] = None
+            for pattern in item.patterns:
+                hit = self._lower_case_match(stmt.kind, subject, pattern)
+                match = hit if match is None else self._emit(("logic", "||", match, hit), 1)
+            if match is not None:
+                arms.append((match, item.body))
+        result = env if default is None else self._execute(default.body, env)
+        for match, body in reversed(arms):
+            result = self._merge(match, self._execute(body, env), result)
+        return result
+
+    def _merge(self, cond: int, if_true: _Env, if_false: _Env) -> _Env:
+        if if_true is if_false:
+            return if_true
+        merged: Dict[str, Optional[int]] = {}
+        for name in list(if_true) + [name for name in if_false if name not in if_true]:
+            a, b = if_true.get(name), if_false.get(name)
+            if a is None or b is None:
+                merged[name] = None  # assigned on one side only
+            else:
+                merged[name] = a if a == b else self._emit(("mux", cond, a, b), self.widths[a])
+        return merged
+
+    def _lower_case_match(self, kind: str, subject: int, pattern: ast.Expression) -> int:
+        if kind == "casez" and isinstance(pattern, ast.Number):
+            try:
+                value = FourState.from_literal(pattern.width, pattern.base, pattern.value_text or pattern.text)
+            except (ValueError, KeyError) as exc:
+                raise _Ineligible("four-state or signed literal") from exc
+            if value.zmask:
+                # ``?``/``z`` pattern bits match anything; both sides are
+                # extended to the wider width first, a z MSB extending as z.
+                self._fixed(subject)
+                width = max(self.widths[subject], value.width)
+                value = value.resize(width)
+                if width > _MAX_WIDTH or pattern.signed or value.unknown != value.zmask:
+                    raise _Ineligible("unsupported casez pattern")
+                care = self._emit_const(((1 << width) - 1) & ~value.zmask, width)
+                masked = self._emit(("bit", "&", subject, care, width), width)
+                return self._emit(("cmp", "==", masked, self._emit_const(value.value, width)), 1)
+        return self._emit(("cmp", "==", subject, self._lower_expr(pattern, None)), 1)
 
     # -- expression lowering -------------------------------------------------
 
@@ -1381,9 +1677,20 @@ class _NetlistLowerer:
         return self._emit(("const", slot, width), width)
 
     def _mask_to(self, op_index: int, width: int) -> int:
-        if self.widths[op_index] == width:
+        if self.widths[op_index] == width and op_index not in self.loose:
             return op_index
         return self._emit(("resize", op_index, width), width)
+
+    def _fixed(self, *op_indices: int) -> None:
+        """Refuse a use whose value depends on the width of a mixed-width ``?:``."""
+        if self.loose.intersection(op_indices):
+            raise _Ineligible("width-sensitive use of a mixed-width conditional")
+
+    def _loose_width(self, width: int, operands: Tuple[int, int], ctx: Optional[int]) -> bool:
+        """Whether ``width``, the widest of ``operands`` and ``ctx``, is reached only by a mixed-width ``?:``."""
+        if not self.loose.intersection(operands):
+            return False
+        return max([self.widths[side] for side in operands if side not in self.loose] + [ctx or 0, 1]) < width
 
     def _lower_expr(self, expr: ast.Expression, ctx: Optional[int]) -> int:
         if isinstance(expr, ast.Number):
@@ -1402,6 +1709,11 @@ class _NetlistLowerer:
                 return self._emit_const(value.value, value.width)
             if name in self.input_widths:
                 return self._emit(("input", name, self.input_widths[name]), self.input_widths[name])
+            if name in self.block_targets:
+                op_index = self.env.get(name)
+                if op_index is None:
+                    raise _Ineligible("always block reads its own target before writing it")
+                return op_index
             if name in self.wires:
                 return self.wires[name]
             raise _Ineligible(f"unresolved identifier {name!r}")
@@ -1415,12 +1727,15 @@ class _NetlistLowerer:
             if_false = self._lower_expr(expr.if_false, ctx)
             width_true = self.widths[if_true]
             width_false = self.widths[if_false]
-            if width_true != width_false:
-                # A per-element width mix would change downstream masking.
-                raise _Ineligible("conditional arms of different widths")
-            return self._emit(("mux", cond, if_true, if_false), width_true)
+            # Lowered values are zero-extended, so the wider arm's width holds
+            # either; the interpreter's result has the chosen arm's width.
+            op_index = self._emit(("mux", cond, if_true, if_false), max(width_true, width_false))
+            if width_true != width_false or self.loose.intersection((if_true, if_false)):
+                self.loose.add(op_index)
+            return op_index
         if isinstance(expr, ast.Concatenation):
             parts = [self._lower_expr(part, None) for part in expr.parts]
+            self._fixed(*parts)
             total = sum(self.widths[part] for part in parts)
             if not parts or total > _MAX_WIDTH:
                 raise _Ineligible("unsupported concatenation")
@@ -1430,12 +1745,14 @@ class _NetlistLowerer:
             if count is None or count <= 0:
                 raise _Ineligible("non-constant replication")
             inner = self._lower_expr(expr.value, None)
+            self._fixed(inner)
             width = self.widths[inner]
             if width * count > _MAX_WIDTH:
                 raise _Ineligible("wide replication")
             return self._emit(("rep", inner, count, width), width * count)
         if isinstance(expr, ast.BitSelect):
             target = self._lower_expr(expr.target, None)
+            self._fixed(target)
             width = self.widths[target]
             index = _const_int(expr.index, self.scope)
             if index is not None:
@@ -1450,6 +1767,7 @@ class _NetlistLowerer:
             if expr.mode != ":":
                 raise _Ineligible("indexed part select")
             target = self._lower_expr(expr.target, None)
+            self._fixed(target)
             msb = _const_int(expr.msb, self.scope)
             lsb = _const_int(expr.lsb, self.scope)
             if msb is None or lsb is None:
@@ -1468,13 +1786,15 @@ class _NetlistLowerer:
         if op == "+":
             return operand
         if op == "~":
+            self._fixed(operand)
             return self._emit(("not", operand, width), width)
         if op == "!":
             return self._emit(("lnot", operand), 1)
         if op in ("&", "|", "^", "~&", "~|", "~^", "^~"):
+            if op in ("&", "~&"):
+                self._fixed(operand)
             return self._emit(("reduce", op, operand, width), 1)
         raise _Ineligible(f"unsupported unary {op!r}")  # unary minus → signed
-
 
     def _lower_binary(self, expr: ast.BinaryOp, ctx: Optional[int]) -> int:
         op = expr.op
@@ -1494,15 +1814,23 @@ class _NetlistLowerer:
             # Unsigned operands make the arithmetic variants equal to the
             # logical shifts; over-shift (amount > 63) is handled in the
             # kernel, which forces the result to zero.
+            self._fixed(left)
             base_op = "<<" if op in ("<<", "<<<") else ">>"
             return self._emit(("shift", base_op, left, right, width_left), width_left)
         if op in ("&", "|", "^", "~^", "^~"):
+            if op not in ("&", "|", "^"):
+                self._fixed(left, right)
             width = max(width_left, width_right)
-            return self._emit(("bit", "~^" if op == "^~" else op, left, right, width), width)
+            op_index = self._emit(("bit", "~^" if op == "^~" else op, left, right, width), width)
+            if self._loose_width(width, (left, right), None):
+                self.loose.add(op_index)
+            return op_index
         if op in ("+", "-", "*", "/", "%"):
             out_width = max(width_left, width_right, ctx or 0, 1)
             if out_width > _MAX_WIDTH:
                 raise _Ineligible("wide arithmetic")
+            if self._loose_width(out_width, (left, right), ctx):
+                self._fixed(left, right)  # the result is masked to that width
             return self._emit(("arith", op, left, right, out_width), out_width)
         raise _Ineligible(f"unsupported binary {op!r}")
 
@@ -1647,10 +1975,18 @@ def simulate_batch(
 ) -> Optional[List[Optional[SimulationResult]]]:
     """Vectorized sweep of many candidate designs over one testbench.
 
+    A candidate is lowered when it is continuous assigns and combinational
+    ``always`` blocks (``if`` / ``case`` / ``casez`` over blocking
+    assignments) on unsigned signals of at most 64 bits.  Its result counts
+    the interpreter's process steps too: the testbench's, and each ``always``
+    block's once at time 0 plus once per step in which a signal it waits on
+    changed.
+
     Returns None when the testbench itself is outside the vector subset;
     otherwise a list aligned with ``design_sources`` where each entry is a
     :class:`SimulationResult` bit-identical to the scalar backends' result,
-    or None for candidates that must fall back to scalar simulation.
+    or None for candidates that must fall back to scalar simulation
+    (``report.reasons`` says why).
     """
     tb_check = check_syntax(testbench_source)
     if not tb_check.ok or len(tb_check.ast.modules) != 1:
@@ -1682,19 +2018,25 @@ def simulate_batch(
     stimulus = {
         name: np.asarray(values, dtype=np.uint64).reshape(1, -1) for name, values in program.stimulus.items()
     }
+    steps = program.num_steps
     for key, members in groups.items():
-        ops, outputs = key
+        ops, outputs, wakes = key
         consts = np.asarray([netlists[index].consts for index in members], dtype=np.uint64).reshape(
             len(members), -1
         )
         values = _evaluate_group(ops, consts, stimulus)
         candidate_count = len(members)
-        steps = program.num_steps
         out_matrix = {
             name: np.broadcast_to(values[op_index], (candidate_count, steps)) for name, op_index in outputs
         }
+        counts = _event_counts(values, wakes, candidate_count, steps, max_events)
         for row, index in enumerate(members):
-            results[index] = _replay_program(program, {name: out_matrix[name][row] for name in out_matrix})
+            if counts[row] is None:
+                # The interpreter stops with an error: let it say which.
+                reasons[_OVER_LIMIT] = reasons.get(_OVER_LIMIT, 0) + 1
+                continue
+            outputs_row = {name: out_matrix[name][row] for name in out_matrix}
+            results[index] = _replay_program(program, outputs_row, counts[row])
     if report is not None:
         report.vectorized += sum(1 for result in results if result is not None)
         report.fallback += sum(1 for result in results if result is None)
@@ -1716,7 +2058,34 @@ def _lower_candidate(source: str, program: _VectorProgram, tb_name: str) -> _Net
         raise _Ineligible(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _replay_program(program: _VectorProgram, outputs: Dict[str, np.ndarray]) -> SimulationResult:
+def _event_counts(
+    values: List[np.ndarray], wakes: Tuple[Tuple[int, ...], ...], count: int, steps: int, max_events: int
+) -> List[Optional[int]]:
+    """The interpreter's process steps per candidate of a group, or None past its event or loop limit.
+
+    The testbench's initial block steps once per delay plus once to finish.
+    An always block steps once at time 0 to start waiting, then runs in the
+    first step (every input goes from X to known) and in each later step
+    where one of its wake signals differs from the step before.
+    """
+    if not wakes:
+        return [steps + 1] * count
+    events = np.full(count, steps + 1)
+    over_limit = np.zeros(count, dtype=bool)
+    for block in wakes:
+        changed = np.zeros((count, steps - 1), dtype=bool)
+        for op_index in block:
+            value = values[op_index]
+            if value.shape[-1] > 1:  # a per-candidate constant never changes
+                changed |= value[:, 1:] != value[:, :-1]
+        runs = 1 + changed.sum(axis=1)
+        events += 1 + runs
+        over_limit |= runs > Simulator.DEFAULT_MAX_LOOP_ITERATIONS
+    over_limit |= events > max_events
+    return [None if over else total for over, total in zip(over_limit.tolist(), events.tolist())]
+
+
+def _replay_program(program: _VectorProgram, outputs: Dict[str, np.ndarray], cycles: int) -> SimulationResult:
     """Re-run the stimulus program against one candidate's output matrix.
 
     Display synthesis goes through :func:`_apply_format` so mismatch lines are
@@ -1735,13 +2104,11 @@ def _replay_program(program: _VectorProgram, outputs: Dict[str, np.ndarray]) -> 
         lines.append(
             _apply_format(program.fail_fmt, [FourState.from_int(errors, width=32, signed=True)], program.total_time)
         )
-    # Event accounting of the scalar loop: one step per delay resume plus the
-    # final segment that runs the report and hits $finish.
     return SimulationResult(
         finished=True,
         time=program.total_time,
         output="\n".join(lines),
         display_lines=lines,
-        cycles=program.num_steps + 1,
+        cycles=cycles,
         error=None,
     )

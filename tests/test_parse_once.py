@@ -211,10 +211,12 @@ def test_batch_report_says_why_candidates_fell_back():
     assert report.reasons == {NOT_THE_DUT: 3}
 
     # The report accumulates over calls; a lowering refusal carries the lowerer's own message.
-    results = simulate_batch([always_mux.reference] * 2, always_mux.testbench, report=report)
+    latch_mux = always_mux.reference.replace("            default: out = d;\n", "")
+    assert latch_mux != always_mux.reference
+    results = simulate_batch([latch_mux] * 2, always_mux.testbench, report=report)
     assert results == [None, None]
     assert (report.vectorized, report.fallback, report.groups) == (1, 5, 1)
-    assert report.reasons == {NOT_THE_DUT: 3, "unsupported item AlwaysBlock": 2}
+    assert report.reasons == {NOT_THE_DUT: 3, "latch: always block leaves a target unassigned on some path": 2}
     assert sum(report.reasons.values()) == report.fallback
 
 

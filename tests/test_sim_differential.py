@@ -25,7 +25,7 @@ import pytest
 from repro.evalbench.designs import combinational_testbench
 from repro.evalbench.rtllm import rtllm_suite
 from repro.evalbench.vgen import vgen_suite
-from repro.sim.compiled import CompiledSimulator, simulate_batch
+from repro.sim.compiled import BatchReport, CompiledSimulator, simulate_batch
 from repro.sim.rng import VerilogRng
 from repro.sim.simulator import SimulationError, Simulator, _ScopedExpression
 from repro.sim.testbench import BACKENDS, run_testbench, run_testbench_batch
@@ -58,11 +58,15 @@ def assert_backends_identical(design: str, testbench: str, max_time: int = 100_0
     assert compiled_state == oracle_state
 
 
-def assert_batch_matches_oracle(design: str, testbench: str) -> None:
-    """When the vector subset applies, it must reproduce the oracle exactly."""
+def assert_batch_matches_oracle(design: str, testbench: str) -> bool:
+    """When the vector subset applies, it must reproduce the oracle exactly.
+
+    Returns whether it applied, so a family can assert that it tested the
+    vector path at all.
+    """
     batch = simulate_batch([design], testbench)
     if batch is None or batch[0] is None:
-        return  # outside the vectorizable subset: scalar fallback covers it
+        return False  # outside the vectorizable subset: scalar fallback covers it
     oracle, _state = _run_backend(Simulator, design, testbench, max_time=200_000)
     vector = batch[0]
     assert vector.finished == oracle.finished
@@ -70,6 +74,7 @@ def assert_batch_matches_oracle(design: str, testbench: str) -> None:
     assert vector.cycles == oracle.cycles
     assert vector.display_lines == oracle.display_lines
     assert vector.output == oracle.output
+    return True
 
 
 # --------------------------------------------------------------------------- #
@@ -80,21 +85,25 @@ _BINARY_OPS = ["+", "-", "*", "&", "|", "^", "<<", ">>", "==", "!=", "<", "<=", 
 _UNARY_OPS = ["~", "!", "&", "|", "^"]
 
 
-def _random_expr(cases: Cases, names, depth: int) -> str:
+def _random_expr(cases: Cases, names, depth: int, conditionals: bool = True) -> str:
     if depth <= 0 or cases.boolean(0.3):
         if cases.boolean(0.3):
             width = cases.integer(1, 8)
             return f"{width}'d{cases.integer(0, (1 << width) - 1)}"
         return cases.choice(names)
     kind = cases.integer(0, 3)
+    if kind == 2 and not conditionals:
+        kind = 0
     if kind == 0:
-        return f"({_random_expr(cases, names, depth - 1)} {cases.choice(_BINARY_OPS)} {_random_expr(cases, names, depth - 1)})"
+        left = _random_expr(cases, names, depth - 1, conditionals)
+        return f"({left} {cases.choice(_BINARY_OPS)} {_random_expr(cases, names, depth - 1, conditionals)})"
     if kind == 1:
-        return f"({cases.choice(_UNARY_OPS)}{_random_expr(cases, names, depth - 1)})"
+        return f"({cases.choice(_UNARY_OPS)}{_random_expr(cases, names, depth - 1, conditionals)})"
     if kind == 2:
         cond = _random_expr(cases, names, depth - 1)
         return f"({cond} ? {_random_expr(cases, names, depth - 1)} : {_random_expr(cases, names, depth - 1)})"
-    return f"{{{_random_expr(cases, names, depth - 1)}, {_random_expr(cases, names, depth - 1)}}}"
+    left = _random_expr(cases, names, depth - 1, conditionals)
+    return f"{{{left}, {_random_expr(cases, names, depth - 1, conditionals)}}}"
 
 
 def _combinational_case(cases: Cases) -> Tuple[str, str]:
@@ -122,6 +131,109 @@ def _combinational_case(cases: Cases) -> Tuple[str, str]:
         expected = {name: cases.integer(0, (1 << width) - 1) for name, width in outputs}
         vectors.append((driven, expected))
     testbench = combinational_testbench("fuzz_comb", inputs, outputs, vectors)
+    return design, testbench
+
+
+def _decl(kind: str, name: str, width: int) -> str:
+    return f"{kind} [{width - 1}:0] {name}" if width > 1 else f"{kind} {name}"
+
+
+def _override(cases: Cases, targets, names, widths, depth: int, indent: str) -> List[str]:
+    """Random statements that may assign any of ``targets``, nested ``if`` / ``case`` / ``casez`` included."""
+    kind = cases.integer(0, 3) if depth > 0 else 0
+    if kind == 0:
+        target = cases.choice(targets)
+        return [f"{indent}{target} = {_random_expr(cases, names, 2, conditionals=False)};"]
+    inner = indent + "    "
+    if kind == 1:
+        lines = [f"{indent}if ({_random_expr(cases, names, 1, conditionals=False)}) begin"]
+        lines += _override(cases, targets, names, widths, depth - 1, inner)
+        if cases.boolean():
+            lines.append(f"{indent}end else begin")
+            lines += _override(cases, targets, names, widths, depth - 1, inner)
+        return lines + [f"{indent}end"]
+    if kind == 2:
+        subject = _random_expr(cases, names, 1, conditionals=False)
+        lines = [f"{indent}case ({subject})"]
+        for _ in range(cases.integer(1, 3)):
+            width = cases.integer(1, 4)
+            patterns = ", ".join(f"{width}'d{cases.integer(0, (1 << width) - 1)}" for _ in range(cases.integer(1, 2)))
+            lines += [f"{inner}{patterns}: begin"] + _override(cases, targets, names, widths, depth - 1, inner + "    ")
+            lines.append(f"{inner}end")
+    else:
+        subject = cases.choice([name for name in names if name.startswith("i")])
+        lines = [f"{indent}casez ({subject})"]
+        for _ in range(cases.integer(1, 3)):
+            bits = "".join(cases.choice("01??") for _ in range(widths[subject]))
+            lines += [f"{inner}{widths[subject]}'b{bits}: begin"]
+            lines += _override(cases, targets, names, widths, depth - 1, inner + "    ")
+            lines.append(f"{inner}end")
+    if cases.boolean():
+        lines += [f"{inner}default: begin"] + _override(cases, targets, names, widths, depth - 1, inner + "    ")
+        lines.append(f"{inner}end")
+    return lines + [f"{indent}endcase"]
+
+
+def _always_case(cases: Cases) -> Tuple[str, str]:
+    """A random design of combinational ``always`` blocks plus a vector testbench for it.
+
+    Wires computed from the inputs feed one or two blocks.  Each block
+    assigns every target a default first, then overrides some of them under
+    nested ``if`` / ``case`` / ``casez``; its sensitivity is ``@*`` or an
+    explicit list of every input and wire.  Outputs are block targets or
+    assigns that read the blocks.  Inputs often hold their value from one
+    vector to the next, so some steps wake no block.
+    """
+    inputs = [(f"i{n}", cases.integer(1, 6)) for n in range(cases.integer(1, 3))]
+    widths = dict(inputs)
+    items: List[str] = []
+    visible = [name for name, _width in inputs]
+    for n in range(cases.integer(0, 2)):
+        width = cases.integer(1, 8)
+        items.append(f"    {_decl('wire', f'w{n}', width)};")
+        items.append(f"    assign w{n} = {_random_expr(cases, visible, 2, conditionals=False)};")
+        visible.append(f"w{n}")
+        widths[f"w{n}"] = width
+    outputs = [(f"o{n}", cases.integer(1, 8)) for n in range(cases.integer(1, 3))]
+    blocks = cases.integer(1, 2)
+    owners = {name: cases.integer(0, blocks) for name, _width in outputs}  # block index, or `blocks`: an assign
+    block_regs: List[str] = []
+    for block in range(blocks):
+        targets = [name for name, owner in owners.items() if owner == block]
+        scratch = f"r{block}"
+        items.append(f"    {_decl('reg', scratch, cases.integer(1, 8))};")
+        targets.append(scratch)
+        sensitivity = "*"
+        if cases.boolean(0.3):
+            sensitivity = "(" + cases.choice([" or ", ", "]).join(visible) + ")"
+        lines = [f"    always @{sensitivity} begin"]
+        order = cases.subset(targets, len(targets))
+        for index, target in enumerate(order):
+            value = _random_expr(cases, visible + order[:index], 2, conditionals=False)
+            if index == 0:  # every block reads an input, so the first stimulus wakes it
+                value = f"{cases.choice([name for name, _width in inputs])} ^ {value}"
+            lines.append(f"        {target} = {value};")
+        for _ in range(cases.integer(1, 2)):
+            lines += _override(cases, targets, visible + targets, widths, cases.integer(1, 3), "        ")
+        items += lines + ["    end"]
+        block_regs += targets
+    for name, owner in owners.items():
+        if owner == blocks:
+            items.append(f"    assign {name} = {_random_expr(cases, visible + block_regs, 2, conditionals=False)};")
+    ports = [f"    {_decl('input', name, width)}" for name, width in inputs]
+    ports += [
+        f"    {_decl('output reg' if owners[name] < blocks else 'output', name, width)}" for name, width in outputs
+    ]
+    design = "module fuzz_always (\n" + ",\n".join(ports) + "\n);\n" + "\n".join(items) + "\nendmodule\n"
+    vectors = []
+    driven = {name: cases.integer(0, (1 << width) - 1) for name, width in inputs}
+    for _ in range(cases.integer(1, 6)):
+        for name, width in inputs:
+            if cases.boolean(0.6):
+                driven[name] = cases.integer(0, (1 << width) - 1)
+        expected = {name: cases.integer(0, (1 << width) - 1) for name, width in outputs}
+        vectors.append((dict(driven), expected))
+    testbench = combinational_testbench("fuzz_always", inputs, outputs, vectors)
     return design, testbench
 
 
@@ -253,12 +365,25 @@ endmodule
 
 
 def test_differential_combinational() -> None:
+    vectorized = []
+
     def prop(cases: Cases) -> None:
         design, testbench = _combinational_case(cases)
         assert_backends_identical(design, testbench)
-        assert_batch_matches_oracle(design, testbench)
+        vectorized.append(assert_batch_matches_oracle(design, testbench))
 
     for_all(num_cases(quick=25, full=300), prop, seed=SEED)
+    # Before mixed-width ``?:`` arms lowered, 11 of 25 (173 of 300) did.
+    assert sum(vectorized) >= num_cases(quick=11, full=173)
+
+
+def test_differential_combinational_always() -> None:
+    def prop(cases: Cases) -> None:
+        design, testbench = _always_case(cases)
+        assert_backends_identical(design, testbench)
+        assert assert_batch_matches_oracle(design, testbench), design
+
+    for_all(num_cases(quick=25, full=300), prop, seed=SEED + 6)
 
 
 def test_differential_clocked_nba() -> None:
@@ -571,6 +696,142 @@ def test_run_testbench_batch_matches_scalar() -> None:
             assert got.output == want.output
 
     for_all(num_cases(quick=8, full=60), prop, seed=SEED + 4)
+
+
+# --------------------------------------------------------------------------- #
+# Combinational always blocks: hand-written shapes, refusals and limits
+# --------------------------------------------------------------------------- #
+
+_REFUSAL_PORTS = [("a", 4), ("b", 4), ("sel", 1)], [("q", 4)]
+_REFUSAL_VECTORS = [
+    ({"a": 3, "b": 5, "sel": 0}, {"q": 3}),
+    ({"a": 3, "b": 5, "sel": 1}, {"q": 5}),
+    ({"a": 9, "b": 5, "sel": 1}, {"q": 5}),
+]
+_REFUSAL_TESTBENCH = combinational_testbench("refuse", *_REFUSAL_PORTS, _REFUSAL_VECTORS)
+
+#: name -> (body of ``refuse``, the reason :class:`BatchReport` gives).
+_REFUSED_BLOCKS = {
+    "latch": ("always @* if (sel) q = b;", "latch: always block leaves a target unassigned on some path"),
+    "reads_own_target": ("always @* q = q + a;", "always block reads its own target before writing it"),
+    "no_input": ("always @* q = 4'd0;", "always block reads no input"),
+    "sensitivity_misses_a_read": ("always @(a) q = sel ? b : a;", "sensitivity list misses a signal the block reads"),
+    "nonblocking": ("always @* q <= sel ? b : a;", "non-blocking assignment in always block"),
+    "loop": (
+        "reg [1:0] i;\nalways @* begin q = a; for (i = 0; i < 2; i = i + 1) q = q ^ b; end",
+        "loop in always block",
+    ),
+    "casex": ("always @* casex (sel) 1'bx: q = b; default: q = a; endcase", "casex in always block"),
+    "unknown_statement": (
+        "always @* begin q = sel ? b : a; $display(q); end",
+        "unsupported statement SystemTaskCall in always block",
+    ),
+    "edge": ("always @(posedge sel or a or b) q = sel ? b : a;", "edge-triggered always block"),
+    # The interpreter runs the first block twice in a step: before and after
+    # the second one changes ``t``.
+    "waits_on_a_block": (
+        "reg [3:0] t;\nalways @* q = t | a;\nalways @* t = sel ? b : a;",
+        "always block waits on an always block's output",
+    ),
+    # ``u`` is 0 once settled, but when ``a`` changes it is first computed
+    # from the old ``v``: that glitch wakes the block in the interpreter.
+    "assign_out_of_order": (
+        "wire [3:0] u, v;\nassign u = v ^ a;\nassign v = a;\nalways @* q = u ^ {3'd0, sel};",
+        "always block waits on an assign listed before its inputs",
+    ),
+}
+
+
+#: Block shapes the fuzz does not generate, each lowered and checked against the interpreter.
+_LOWERED_BLOCKS = {
+    "concat_target": "reg [1:0] hi;\nreg [2:0] lo;\nalways @* begin {hi, lo} = a + b; q = {hi, lo[1:0]}; end",
+    "casez_narrow_pattern": "always @* casez (a) 2'b?1: q = b; 3'b1?0: q = ~b; default: q = a; endcase",
+    "casez_z_msb_extends": "always @* casez (a) 2'bz1: q = b; default: q = a ^ b; endcase",
+    "case_wide_pattern": "always @* case (sel) 8'd1: q = b; 8'd256: q = 4'd9; default: q = a; endcase",
+    "case_only_default": "always @* case (a) default: q = b - a; endcase",
+    "case_two_defaults": "always @* case (a) default: q = b; 4'd3: q = 4'd1; default: q = a; endcase",
+    "mixed_width_conditional": "always @* q = sel ? ~sel : a;",
+    "named_block_and_null": "always @(*) begin : body ; q = a; if (sel) q = b; end",
+    "else_if_chain": "always @* if (a < b) q = a; else if (a == b) q = 4'd0; else q = b;",
+    "reg_driven_by_assign": "reg [3:0] r;\nassign r = a & b;\nalways @* q = sel ? r : a;",
+    "duplicate_declaration": "wire [1:0] w;\nwire [3:0] w;\nassign w = a + b;\nalways @* q = w ^ {3'd0, sel};",
+    "same_value_both_arms": "always @* begin q = a; if (sel) q = a; end",
+}
+
+
+#: A spread of input combinations, all expecting 0.
+_SPREAD_TESTBENCH = combinational_testbench(
+    "refuse",
+    *_REFUSAL_PORTS,
+    [({"a": a, "b": b, "sel": sel}, {"q": 0}) for a in (0, 3, 5, 15) for b in (0, 9) for sel in (0, 1)],
+)
+
+
+@pytest.mark.parametrize("shape", sorted(_LOWERED_BLOCKS))
+def test_hand_written_always_blocks_lower_like_the_interpreter(shape: str) -> None:
+    design = _refusal_design(_LOWERED_BLOCKS[shape])
+    for testbench in (_REFUSAL_TESTBENCH, _SPREAD_TESTBENCH):
+        assert_backends_identical(design, testbench)
+        assert assert_batch_matches_oracle(design, testbench), shape
+
+
+def _refusal_design(body: str) -> str:
+    return "module refuse (input [3:0] a, input [3:0] b, input sel, output reg [3:0] q);\n" + body + "\nendmodule\n"
+
+
+def assert_refused_like_scalar(design: str, testbench: str, reason: str, **limits) -> None:
+    report = BatchReport()
+    assert simulate_batch([design], testbench, report=report, **limits) == [None]
+    assert report.reasons == {reason: 1}
+    batch = run_testbench_batch([design], testbench, **limits)[0]
+    assert_results_identical(batch, run_testbench(design, testbench, **limits), reason)
+
+
+@pytest.mark.parametrize("shape", sorted(_REFUSED_BLOCKS))
+def test_refused_always_blocks_fall_back_with_their_reason(shape: str) -> None:
+    body, reason = _REFUSED_BLOCKS[shape]
+    assert_refused_like_scalar(_refusal_design(body), _REFUSAL_TESTBENCH, reason)
+
+
+def test_always_blocks_need_the_dut_waiting_before_the_first_stimulus() -> None:
+    # With the initial block first, the stimulus at time 0 is driven before
+    # the block waits, so the interpreter never runs it: q stays X.
+    lines = _REFUSAL_TESTBENCH.splitlines(keepends=True)
+    instance = next(line for line in lines if "refuse dut(" in line)
+    lines.remove(instance)
+    late_instance = "".join(lines).replace("endmodule", instance + "endmodule")
+    design = _refusal_design("always @* q = sel ? b : a;")
+    assert_refused_like_scalar(design, late_instance, "testbench drives the DUT before its always blocks wait")
+    assert "got x" in run_testbench(design, late_instance).output
+    assert simulate_batch([design], _REFUSAL_TESTBENCH) != [None]
+
+
+def test_always_blocks_over_the_event_or_loop_limit_fall_back(monkeypatch) -> None:
+    # Three steps: the testbench takes 4 events, the block 1 + 3.
+    design = _refusal_design("always @* q = sel ? b : a;")
+    [result] = simulate_batch([design], _REFUSAL_TESTBENCH)
+    assert result.cycles == 8
+    assert_refused_like_scalar(design, _REFUSAL_TESTBENCH, "event or loop limit", max_events=7)
+    monkeypatch.setattr(Simulator, "DEFAULT_MAX_LOOP_ITERATIONS", 2)
+    assert_refused_like_scalar(design, _REFUSAL_TESTBENCH, "event or loop limit")
+    assert "never suspends" in run_testbench(design, _REFUSAL_TESTBENCH).errors[0]
+
+
+def test_every_vector_testbench_reference_is_vectorized() -> None:
+    vector_style = 0
+    for problem in REFERENCE_PROBLEMS:
+        report = BatchReport()
+        batch = simulate_batch([problem.reference], problem.testbench, report=report)
+        if batch is None:
+            continue  # not a vector-style testbench
+        vector_style += 1
+        assert batch[0] is not None, (problem.name, report.reasons)
+        assert_results_identical(
+            run_testbench_batch([problem.reference], problem.testbench)[0],
+            run_testbench(problem.reference, problem.testbench),
+            problem.name,
+        )
+    assert vector_style >= 31  # of the 46 problems
 
 
 # --------------------------------------------------------------------------- #
