@@ -23,7 +23,7 @@ from repro.evalbench.passk import pass_at_k, pass_rate
 from repro.evalbench.problems import Problem, ProblemSuite
 from repro.evalbench.syntax_eval import check_design_compiles
 from repro.models.generation import GenerationConfig
-from repro.sim.testbench import BACKENDS, DEFAULT_BACKEND
+from repro.sim.testbench import DEFAULT_BACKEND, simulator_class
 
 
 @dataclass
@@ -115,8 +115,7 @@ class EvaluationRunner:
         larger than ``samples_per_prompt`` raise instead of warn-and-clamp
         (:func:`repro.evalbench.passk.pass_at_k_single`), so a benchmark run
         fails fast on a mislabeled pass@k column."""
-        if sim_backend not in BACKENDS:
-            raise ValueError(f"unknown simulation backend {sim_backend!r} (choose from {sorted(BACKENDS)})")
+        simulator_class(sim_backend)  # an unknown backend raises here, before any sampling
         if samples_per_prompt < 1:
             raise ValueError(f"samples_per_prompt must be at least 1, got {samples_per_prompt}")
         self.temperatures = list(temperatures)

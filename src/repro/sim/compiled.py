@@ -28,13 +28,18 @@ Cycle identity
 
 :class:`CompiledSimulator` subclasses :class:`~repro.sim.simulator.Simulator`
 and reuses its elaboration, scheduler (``run``/``_run_loop``/``_step_process``)
-and four-state write path verbatim; the compiled closures bind the *same*
-``apply_*`` operator functions from :mod:`repro.sim.expr` that the interpreter
-dispatches to.  Any construct the compiler does not compile falls back to
-the interpreter for exactly that subtree.  The result is asserted — not merely
-hoped — to be cycle-identical: same :class:`SimulationResult` fields, same
-``$display`` bytes, same ``$random`` draws (see
-``tests/test_sim_differential.py`` and ``tests/test_sim_golden.py``).
+and four-state write path verbatim.  Every value an expression closure
+returns comes from the function of :mod:`repro.sim.expr` (its docstring
+lists them) that the interpreter's evaluator calls for the same form; a
+closure only fixes, at compile time, which rule runs and the order its
+operands are evaluated in, which is the interpreter's (index before target,
+count before the repeated value).  The ``$display`` family is
+:data:`~repro.sim.simulator._DISPLAY_TASKS` on both.  Any construct the
+compiler does not compile falls back to the interpreter for exactly that
+subtree.  The result is asserted to be cycle-identical: same
+:class:`SimulationResult` fields, same ``$display`` bytes, same ``$random``
+draws (see ``tests/test_sim_differential.py``, ``tests/test_sim_golden.py``
+and, per expression form, ``tests/test_expr.py``).
 
 One testbench per batch
 -----------------------
@@ -79,18 +84,23 @@ from repro.sim.expr import (
     COMPARE_OPS,
     EvaluationError,
     ExpressionEvaluator,
-    apply_arith,
-    apply_bitwise,
-    apply_case_equality,
-    apply_compare,
-    apply_logical,
-    apply_shift,
     apply_unary,
+    binary_rule,
+    bit_select,
+    concatenate,
+    known_int,
+    literal_value,
+    part_select,
+    replicate,
+    select_bounds,
+    string_value,
+    unknown_choice,
 )
 from repro.sim.simulator import (
     _CMD_DELAY,
     _CMD_FINISH,
     _CMD_WAIT_EVENT,
+    _DISPLAY_TASKS,
     _InstanceScope,
     _Process,
     _ScopedExpression,
@@ -109,15 +119,9 @@ ExprFn = Callable[[Optional[int]], FourState]
 #: Compiled statement: (is_async, fn); async fns return generators.
 StmtFn = Tuple[bool, Callable]
 
-_DISPLAY_TASKS = ("$display", "$write", "$strobe", "$error")
+#: Tasks the interpreter ignores that compile to a no-op; every other
+#: unknown task is left to the interpreter, which ignores it too.
 _IGNORED_TASKS = ("$dumpfile", "$dumpvars", "$dumpoff", "$dumpon", "$readmemh", "$readmemb", "$timeformat")
-
-
-def _int_of(value: FourState) -> int:
-    """``evaluate_int`` semantics over an already-evaluated value."""
-    if not value.is_fully_known:
-        raise EvaluationError("expression has unknown bits where a constant is required")
-    return value.to_int()
 
 
 class _State:
@@ -326,17 +330,16 @@ class CompiledSimulator(Simulator):
         if isinstance(expr, _ScopedExpression):
             return self._compile_expr(expr.scope, expr.expr)
         if isinstance(expr, ast.Number):
-            constant = FourState.from_literal(expr.width, expr.base, expr.value_text or expr.text, signed=expr.signed)
+            constant = literal_value(expr)
             return lambda ctx, _v=constant: _v
         if isinstance(expr, ast.StringLiteral):
-            data = expr.text.encode("ascii", errors="replace")
-            constant = FourState.from_int(int.from_bytes(data, "big") if data else 0, width=max(8 * len(data), 8))
+            constant = string_value(expr.text)
             return lambda ctx, _v=constant: _v
         if isinstance(expr, ast.Identifier):
             return self._compile_identifier(scope, expr.name)
         if isinstance(expr, ast.UnaryOp):
             operand_fn = self._compile_expr(scope, expr.operand)
-            return lambda ctx, _op=expr.op, _f=operand_fn: apply_unary(_op, _f(ctx))
+            return lambda ctx, _op=expr.op, _f=operand_fn: apply_unary(_op, _f(ctx), ctx)
         if isinstance(expr, ast.BinaryOp):
             return self._compile_binary(scope, expr)
         if isinstance(expr, ast.Conditional):
@@ -351,30 +354,19 @@ class CompiledSimulator(Simulator):
                 if truth is False:
                     return false_fn(ctx)
                 if_true = true_fn(ctx)
-                if_false = false_fn(ctx)
-                return FourState.unknown_value(max(if_true.width, if_false.width))
+                return unknown_choice(if_true, false_fn(ctx))
 
             return eval_conditional
         if isinstance(expr, ast.Concatenation):
             part_fns = [self._compile_expr(scope, part) for part in expr.parts]
-
-            def eval_concatenation(_ctx: Optional[int]) -> FourState:
-                bit_string = "".join(fn(None).to_bit_string() for fn in part_fns)
-                if not bit_string:
-                    return FourState.from_int(0, width=1)
-                return FourState.from_bits(bit_string)
-
-            return eval_concatenation
+            return lambda _ctx: concatenate([fn(None) for fn in part_fns])
         if isinstance(expr, ast.Replication):
             count_fn = self._compile_expr(scope, expr.count)
             inner_fn = self._compile_expr(scope, expr.value)
 
             def eval_replication(_ctx: Optional[int]) -> FourState:
-                count = _int_of(count_fn(None))
-                inner = inner_fn(None)
-                if count <= 0:
-                    raise EvaluationError("replication count must be positive")
-                return FourState.from_bits(inner.to_bit_string() * count)
+                count = known_int(count_fn(None))
+                return replicate(count, inner_fn(None))
 
             return eval_replication
         if isinstance(expr, ast.BitSelect):
@@ -388,10 +380,7 @@ class CompiledSimulator(Simulator):
                     element = scope.read_indexed(target_name, index.to_int())
                     if element is not None:
                         return element
-                target = target_fn(None)
-                if not index.is_fully_known:
-                    return FourState.unknown_value(1)
-                return FourState.from_bits(target.bit(index.to_int()))
+                return bit_select(target_fn(None), index)
 
             return eval_bit_select
         if isinstance(expr, ast.PartSelect):
@@ -402,20 +391,8 @@ class CompiledSimulator(Simulator):
 
             def eval_part_select(_ctx: Optional[int]) -> FourState:
                 target = target_fn(None)
-                if mode == ":":
-                    msb = _int_of(msb_fn(None))
-                    lsb = _int_of(lsb_fn(None))
-                else:
-                    base = _int_of(msb_fn(None))
-                    width = _int_of(lsb_fn(None))
-                    if mode == "+:":
-                        lsb, msb = base, base + width - 1
-                    else:
-                        msb, lsb = base, base - width + 1
-                if msb < lsb:
-                    msb, lsb = lsb, msb
-                bits = "".join(target.bit(i) for i in range(msb, lsb - 1, -1))
-                return FourState.from_bits(bits or "x")
+                first = known_int(msb_fn(None))
+                return part_select(target, *select_bounds(mode, first, known_int(lsb_fn(None))))
 
             return eval_part_select
         if isinstance(expr, ast.FunctionCall):
@@ -458,21 +435,10 @@ class CompiledSimulator(Simulator):
         left_fn = self._compile_expr(scope, expr.left)
         right_fn = self._compile_expr(scope, expr.right)
         op = expr.op
-        # Bind the semantics function at compile time; the dispatch mirrors
-        # expr.apply_binary exactly.  Both operands are always evaluated
-        # (Verilog has no short-circuit), left before right.
-        if op in ("&&", "||"):
-            return lambda ctx: apply_logical(op, left_fn(ctx), right_fn(ctx))
-        if op in ("===", "!=="):
-            return lambda ctx: apply_case_equality(op, left_fn(ctx), right_fn(ctx))
-        if op in COMPARE_OPS:
-            compare = COMPARE_OPS[op]
-            return lambda ctx: apply_compare(compare, left_fn(ctx), right_fn(ctx))
-        if op in ("<<", ">>", "<<<", ">>>"):
-            return lambda ctx: apply_shift(op, left_fn(ctx), right_fn(ctx))
-        if op in ("&", "|", "^", "~^", "^~"):
-            return lambda ctx: apply_bitwise(op, left_fn(ctx), right_fn(ctx))
-        return lambda ctx: apply_arith(op, left_fn(ctx), right_fn(ctx), ctx)
+        rule = binary_rule(op)
+        # Both operands are always evaluated (Verilog has no short-circuit),
+        # left before right.
+        return lambda ctx: rule(op, left_fn(ctx), right_fn(ctx), ctx)
 
     # -- statements ----------------------------------------------------------
 
@@ -646,7 +612,7 @@ class CompiledSimulator(Simulator):
         body = None if stmt.body is None else self._compile_statement(scope, stmt.body)
 
         def run_delay() -> Generator:
-            delay = _int_of(delay_fn(None))
+            delay = known_int(delay_fn(None))
             yield (_CMD_DELAY, max(delay, 0))
             if body is not None:
                 is_async, fn = body
@@ -954,12 +920,22 @@ def _number_value(expr: ast.Expression) -> Optional[FourState]:
     if not isinstance(expr, ast.Number):
         return None
     try:
-        value = FourState.from_literal(expr.width, expr.base, expr.value_text or expr.text, signed=expr.signed)
+        value = literal_value(expr)
     except (ValueError, KeyError):
         return None
     if not value.is_fully_known or value.signed:
         return None
     return value
+
+
+def _const_width(rng: ast.Range, scope: _ConstScope) -> Optional[int]:
+    """Bit count of a declared ``[msb:lsb]`` range, or None when a bound is not a constant."""
+    msb = _const_int(rng.msb, scope)
+    lsb = _const_int(rng.lsb, scope)
+    if msb is None or lsb is None:
+        return None
+    msb, lsb = select_bounds(":", msb, lsb)
+    return msb - lsb + 1
 
 
 def _extract_vector_program(module: ast.ModuleDef) -> Optional[_VectorProgram]:
@@ -986,14 +962,8 @@ def _extract_vector_program(module: ast.ModuleDef) -> Optional[_VectorProgram]:
                 return None
             if item.signed:
                 return None
-            width = 1
-            if item.range is not None:
-                msb = _const_int(item.range.msb, const_scope)
-                lsb = _const_int(item.range.lsb, const_scope)
-                if msb is None or lsb is None:
-                    return None
-                width = abs(msb - lsb) + 1
-            if width > _MAX_WIDTH:
+            width = 1 if item.range is None else _const_width(item.range, const_scope)
+            if width is None or width > _MAX_WIDTH:
                 return None
             for name in item.names:
                 if item.net_type == "reg":
@@ -1341,13 +1311,10 @@ class _NetlistLowerer:
         widths: Dict[str, int] = {}
 
         def width_of(rng: Optional[ast.Range]) -> int:
-            if rng is None:
-                return 1
-            msb = _const_int(rng.msb, self.scope)
-            lsb = _const_int(rng.lsb, self.scope)
-            if msb is None or lsb is None:
+            width = 1 if rng is None else _const_width(rng, self.scope)
+            if width is None:
                 raise _Ineligible("non-constant range")
-            return abs(msb - lsb) + 1
+            return width
 
         def declare(name: str, rng: Optional[ast.Range]) -> None:
             # A name declared twice takes the wider range, as in elaboration.
@@ -1648,7 +1615,7 @@ class _NetlistLowerer:
     def _lower_case_match(self, kind: str, subject: int, pattern: ast.Expression) -> int:
         if kind == "casez" and isinstance(pattern, ast.Number):
             try:
-                value = FourState.from_literal(pattern.width, pattern.base, pattern.value_text or pattern.text)
+                value = literal_value(pattern)
             except (ValueError, KeyError) as exc:
                 raise _Ineligible("four-state or signed literal") from exc
             if value.zmask:
@@ -1772,8 +1739,7 @@ class _NetlistLowerer:
             lsb = _const_int(expr.lsb, self.scope)
             if msb is None or lsb is None:
                 raise _Ineligible("non-constant part select")
-            if msb < lsb:
-                msb, lsb = lsb, msb
+            msb, lsb = select_bounds(":", msb, lsb)
             if lsb < 0 or msb >= self.widths[target]:
                 raise _Ineligible("out-of-range part select")
             return self._emit(("bits", target, lsb, msb - lsb + 1), msb - lsb + 1)
@@ -1968,7 +1934,6 @@ def _evaluate_group(
 def simulate_batch(
     design_sources: Sequence[str],
     testbench_source: str,
-    top: Optional[str] = None,
     max_time: int = 200_000,
     max_events: int = 200_000,
     report: Optional[BatchReport] = None,
@@ -1992,8 +1957,6 @@ def simulate_batch(
     if not tb_check.ok or len(tb_check.ast.modules) != 1:
         return None
     tb_module = tb_check.ast.modules[0]
-    if top is not None and tb_module.name != top:
-        return None
     program = _extract_vector_program(tb_module)
     if program is None:
         return None

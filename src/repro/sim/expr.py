@@ -5,17 +5,25 @@ operations.  It is used by the simulator for every right-hand side, condition,
 delay and index expression, and also at elaboration time for parameter and
 range expressions (where everything must be fully known).
 
-The operator semantics live in the module-level ``apply_*`` functions so that
-the compiled backend (:mod:`repro.sim.compiled`) can bind them directly into
-closures: both backends execute the exact same four-state operator code,
-which is what makes the cycle-identity guarantee structural rather than a
-matter of keeping two implementations in sync.
+Every value rule lives here, once, as a module-level function: the operators
+(:func:`apply_unary`, and :func:`binary_rule`'s ``apply_*`` function per
+binary operator), literals (:func:`literal_value`, :func:`string_value`), the
+all-X result of ``?:`` under an unknown condition (:func:`unknown_choice`),
+concatenation, replication, bit and part selects (:func:`concatenate`,
+:func:`replicate`, :func:`bit_select`, :func:`part_select`, with
+:func:`select_bounds` for the ``:`` / ``+:`` / ``-:`` bounds), the
+known-integer check (:func:`known_int`) and the write of a bit range into a
+vector (:func:`merge_bits`).
+:class:`ExpressionEvaluator` calls them, and so do the closures of the
+compiled backend (:mod:`repro.sim.compiled`) and the interpreter's write
+path (:mod:`repro.sim.simulator`).  What the two backends share is therefore
+the code itself, not two implementations kept in step.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.verilog import ast_nodes as ast
 from repro.sim.values import FourState
@@ -79,11 +87,10 @@ def _reduce(op: str, value: FourState) -> FourState:
 
 
 # --------------------------------------------------------------------------- #
-# Shared operator semantics (used by both the interpreter and the compiler)
+# Shared value rules (used by the interpreter, the compiler and the write path)
 # --------------------------------------------------------------------------- #
 
-#: Comparison operators resolved once; ``apply_compare`` looks the callable up
-#: per call, the compiled backend captures it at compile time.
+#: The relational and equality operators :func:`apply_compare` applies.
 COMPARE_OPS: Dict[str, Callable[[int, int], bool]] = {
     "==": operator.eq,
     "!=": operator.ne,
@@ -94,7 +101,7 @@ COMPARE_OPS: Dict[str, Callable[[int, int], bool]] = {
 }
 
 
-def apply_unary(op: str, operand: FourState) -> FourState:
+def apply_unary(op: str, operand: FourState, _ctx: Optional[int] = None) -> FourState:
     """Apply a unary operator (including reductions) to an evaluated operand."""
     if op == "+":
         return operand
@@ -113,7 +120,7 @@ def apply_unary(op: str, operand: FourState) -> FourState:
     return _reduce(op, operand)
 
 
-def apply_logical(op: str, left: FourState, right: FourState) -> FourState:
+def apply_logical(op: str, left: FourState, right: FourState, _ctx: Optional[int] = None) -> FourState:
     """``&&`` / ``||`` with three-valued truth."""
     lt, rt = left.is_true(), right.is_true()
     if op == "&&":
@@ -129,7 +136,7 @@ def apply_logical(op: str, left: FourState, right: FourState) -> FourState:
     return FourState.from_int(0, width=1)
 
 
-def apply_case_equality(op: str, left: FourState, right: FourState) -> FourState:
+def apply_case_equality(op: str, left: FourState, right: FourState, _ctx: Optional[int] = None) -> FourState:
     """``===`` / ``!==``: bit-exact comparison including X/Z bits."""
     equal = (
         left.to_bit_string().rjust(max(left.width, right.width), "0")
@@ -138,17 +145,17 @@ def apply_case_equality(op: str, left: FourState, right: FourState) -> FourState
     return FourState.from_int(int(equal if op == "===" else not equal), width=1)
 
 
-def apply_compare(compare: Callable[[int, int], bool], left: FourState, right: FourState) -> FourState:
+def apply_compare(op: str, left: FourState, right: FourState, _ctx: Optional[int] = None) -> FourState:
     """Relational/equality comparison; unknown inputs compare to X."""
     if not left.is_fully_known or not right.is_fully_known:
         return FourState.unknown_value(1)
     signed = left.signed and right.signed
     a = left.to_signed_int() if signed else left.value
     b = right.to_signed_int() if signed else right.value
-    return FourState.from_int(int(compare(a, b)), width=1)
+    return FourState.from_int(int(COMPARE_OPS[op](a, b)), width=1)
 
 
-def apply_shift(op: str, left: FourState, right: FourState) -> FourState:
+def apply_shift(op: str, left: FourState, right: FourState, _ctx: Optional[int] = None) -> FourState:
     """``<<``/``>>``/``<<<``/``>>>`` with X shift amounts producing X."""
     if not right.is_fully_known:
         return FourState.unknown_value(left.width)
@@ -161,18 +168,15 @@ def apply_shift(op: str, left: FourState, right: FourState) -> FourState:
     return FourState(left.width, left.value >> shift, left.unknown >> shift, left.zmask >> shift, left.signed)
 
 
-def apply_bitwise(op: str, left: FourState, right: FourState) -> FourState:
+def apply_bitwise(op: str, left: FourState, right: FourState, _ctx: Optional[int] = None) -> FourState:
     """Bitwise ``&``/``|``/``^``/``~^`` with per-bit X propagation."""
     width = max(left.width, right.width)
     a = left.resize(width)
     b = right.resize(width)
     if op == "&":
         value = a.value & b.value
-        unknown = (a.unknown | b.unknown) & ~((~a.value & ~a.unknown) | (~b.value & ~b.unknown) & ((1 << width) - 1))
-        unknown &= (1 << width) - 1
         # A known-0 bit forces the result bit to known 0.
-        known_zero = ((~a.value & ~a.unknown) | (~b.value & ~b.unknown)) & ((1 << width) - 1)
-        unknown &= ~known_zero
+        unknown = (a.unknown | b.unknown) & ~((~a.value & ~a.unknown) | (~b.value & ~b.unknown))
     elif op == "|":
         value = a.value | b.value
         known_one = (a.value & ~a.unknown) | (b.value & ~b.unknown)
@@ -199,19 +203,129 @@ def apply_arith(op: str, left: FourState, right: FourState, ctx: Optional[int]) 
     return FourState.from_int(raw, width=out_width, signed=signed)
 
 
-def apply_binary(op: str, left: FourState, right: FourState, ctx: Optional[int]) -> FourState:
-    """Dispatch a binary operator to its ``apply_*`` semantics function."""
+def binary_rule(op: str) -> Callable[[str, FourState, FourState, Optional[int]], FourState]:
+    """The ``apply_*`` function of binary operator ``op``; each takes ``(op, left, right, ctx)``."""
     if op in ("&&", "||"):
-        return apply_logical(op, left, right)
+        return apply_logical
     if op in ("===", "!=="):
-        return apply_case_equality(op, left, right)
+        return apply_case_equality
     if op in COMPARE_OPS:
-        return apply_compare(COMPARE_OPS[op], left, right)
+        return apply_compare
     if op in ("<<", ">>", "<<<", ">>>"):
-        return apply_shift(op, left, right)
+        return apply_shift
     if op in ("&", "|", "^", "~^", "^~"):
-        return apply_bitwise(op, left, right)
-    return apply_arith(op, left, right, ctx)
+        return apply_bitwise
+    return apply_arith
+
+
+def known_int(value: FourState) -> int:
+    """The integer of a value that must be fully known: a constant, count, bound or delay."""
+    if not value.is_fully_known:
+        raise EvaluationError("expression has unknown bits where a constant is required")
+    return value.to_int()
+
+
+def literal_value(expr: ast.Number) -> FourState:
+    """The value of a numeric literal (memoised by :meth:`FourState.from_literal`)."""
+    return FourState.from_literal(expr.width, expr.base, expr.value_text or expr.text, signed=expr.signed)
+
+
+def string_value(text: str) -> FourState:
+    """A string literal as a vector: 8 bits per ASCII character, first character highest."""
+    data = text.encode("ascii", errors="replace")
+    return FourState.from_int(int.from_bytes(data, "big") if data else 0, width=max(8 * len(data), 8))
+
+
+def unknown_choice(if_true: FourState, if_false: FourState) -> FourState:
+    """``c ? a : b`` under an unknown ``c``: all X, as wide as the wider arm."""
+    return FourState.unknown_value(max(if_true.width, if_false.width))
+
+
+def concatenate(parts: Sequence[FourState]) -> FourState:
+    """``{a, b, ...}``: the parts side by side, the first one highest; ``{}`` is ``1'b0``."""
+    width = value = unknown = zmask = 0
+    for part in parts:
+        width += part.width
+        value = (value << part.width) | part.value
+        unknown = (unknown << part.width) | part.unknown
+        zmask = (zmask << part.width) | part.zmask
+    if width == 0:
+        return FourState.from_int(0, width=1)
+    return FourState(width, value, unknown, zmask)
+
+
+def replicate(count: int, inner: FourState) -> FourState:
+    """``{count{inner}}``: ``count`` copies of ``inner`` side by side."""
+    if count <= 0:
+        raise EvaluationError("replication count must be positive")
+    # Multiplying by 0b...0001 0001 places one copy every ``inner.width`` bits.
+    spread = ((1 << (inner.width * count)) - 1) // ((1 << inner.width) - 1)
+    return FourState(inner.width * count, inner.value * spread, inner.unknown * spread, inner.zmask * spread)
+
+
+def select_bounds(mode: str, first: int, second: int) -> Tuple[int, int]:
+    """``(msb, lsb)`` of ``[first:second]``, ``[first +: second]`` or ``[first -: second]``, with ``msb >= lsb``.
+
+    A declared range ``[msb:lsb]`` is the ``":"`` mode; its width is
+    ``msb - lsb + 1`` of the result.
+    """
+    if mode == "+:":
+        msb, lsb = first + second - 1, first
+    elif mode == "-:":
+        msb, lsb = first, first - second + 1
+    else:
+        msb, lsb = first, second
+    return (msb, lsb) if msb >= lsb else (lsb, msb)
+
+
+def _overlap(width: int, msb: int, lsb: int) -> Tuple[int, int]:
+    """``(low, high)``: the bits of a ``width``-bit vector inside ``[msb:lsb]``; empty when ``low > high``."""
+    return max(lsb, 0), min(msb, width - 1)
+
+
+def part_select(target: FourState, msb: int, lsb: int) -> FourState:
+    """``target[msb:lsb]`` (``msb >= lsb``); a bit outside ``target`` reads as X."""
+    width = msb - lsb + 1
+    low, high = _overlap(target.width, msb, lsb)
+    if low > high:
+        return FourState.unknown_value(width)
+    inside = (1 << (high - low + 1)) - 1
+    offset = low - lsb  # where target bit ``low`` lands in the result
+    outside = ((1 << width) - 1) & ~(inside << offset)
+    return FourState(
+        width,
+        ((target.value >> low) & inside) << offset,
+        (((target.unknown >> low) & inside) << offset) | outside,
+        ((target.zmask >> low) & inside) << offset,
+    )
+
+
+def bit_select(target: FourState, index: FourState) -> FourState:
+    """``target[index]`` of a vector; an unknown index reads as X."""
+    if not index.is_fully_known:
+        return FourState.unknown_value(1)
+    return part_select(target, index.to_int(), index.to_int())
+
+
+def merge_bits(current: FourState, msb: int, lsb: int, value: FourState) -> FourState:
+    """``current`` with bits ``msb:lsb`` (``msb >= lsb``) replaced by ``value``, resized to that range.
+
+    Only the bits inside ``current`` are written: a range that reaches below
+    bit 0 or above the top bit keeps its in-range part (IEEE 1364-2005 5.2.1).
+    """
+    value = value.resize(msb - lsb + 1)
+    low, high = _overlap(current.width, msb, lsb)
+    if low > high:
+        return current
+    mask = ((1 << (high - low + 1)) - 1) << low
+    drop = low - lsb  # the value's bits that fall below bit 0
+    return FourState(
+        current.width,
+        (current.value & ~mask) | (((value.value >> drop) << low) & mask),
+        (current.unknown & ~mask) | (((value.unknown >> drop) << low) & mask),
+        (current.zmask & ~mask) | (((value.zmask >> drop) << low) & mask),
+        current.signed,
+    )
 
 
 class ExpressionEvaluator:
@@ -245,59 +359,50 @@ class ExpressionEvaluator:
 
     def evaluate_int(self, expr: ast.Expression) -> int:
         """Evaluate ``expr`` expecting a fully-known integer result."""
-        value = self.evaluate(expr)
-        if not value.is_fully_known:
-            raise EvaluationError("expression has unknown bits where a constant is required")
-        return value.to_int()
+        return known_int(self.evaluate(expr))
+
+    def evaluate_bounds(self, mode: str, first: ast.Expression, second: ast.Expression) -> Tuple[int, int]:
+        """:func:`select_bounds` of a part select or declared range whose bounds are known integers."""
+        return select_bounds(mode, self.evaluate_int(first), self.evaluate_int(second))
+
+    def range_width(self, rng: ast.Range) -> int:
+        """Bit count of a declared ``[msb:lsb]`` range."""
+        msb, lsb = self.evaluate_bounds(":", rng.msb, rng.lsb)
+        return msb - lsb + 1
 
     # -- handlers ------------------------------------------------------------
 
     def _eval_number(self, expr: ast.Number, _ctx: Optional[int]) -> FourState:
-        return FourState.from_literal(expr.width, expr.base, expr.value_text or expr.text, signed=expr.signed)
+        return literal_value(expr)
 
     def _eval_identifier(self, expr: ast.Identifier, _ctx: Optional[int]) -> FourState:
         return self.scope.read_signal(expr.name)
 
     def _eval_string(self, expr: ast.StringLiteral, _ctx: Optional[int]) -> FourState:
-        data = expr.text.encode("ascii", errors="replace")
-        value = int.from_bytes(data, "big") if data else 0
-        width = max(8 * len(data), 8)
-        return FourState.from_int(value, width=width)
+        return string_value(expr.text)
 
     def _eval_unary(self, expr: ast.UnaryOp, ctx: Optional[int]) -> FourState:
-        return apply_unary(expr.op, self.evaluate(expr.operand, ctx))
+        return apply_unary(expr.op, self.evaluate(expr.operand, ctx), ctx)
 
     def _eval_binary(self, expr: ast.BinaryOp, ctx: Optional[int]) -> FourState:
         left = self.evaluate(expr.left, ctx)
-        right = self.evaluate(expr.right, ctx)
-        return apply_binary(expr.op, left, right, ctx)
+        return binary_rule(expr.op)(expr.op, left, self.evaluate(expr.right, ctx), ctx)
 
     def _eval_conditional(self, expr: ast.Conditional, ctx: Optional[int]) -> FourState:
-        condition = self.evaluate(expr.condition)
-        truth = condition.is_true()
+        truth = self.evaluate(expr.condition).is_true()
         if truth is True:
             return self.evaluate(expr.if_true, ctx)
         if truth is False:
             return self.evaluate(expr.if_false, ctx)
         if_true = self.evaluate(expr.if_true, ctx)
-        if_false = self.evaluate(expr.if_false, ctx)
-        width = max(if_true.width, if_false.width)
-        return FourState.unknown_value(width)
+        return unknown_choice(if_true, self.evaluate(expr.if_false, ctx))
 
     def _eval_concatenation(self, expr: ast.Concatenation, _ctx: Optional[int]) -> FourState:
-        bit_string = ""
-        for part in expr.parts:
-            bit_string += self.evaluate(part).to_bit_string()
-        if not bit_string:
-            return FourState.from_int(0, width=1)
-        return FourState.from_bits(bit_string)
+        return concatenate([self.evaluate(part) for part in expr.parts])
 
     def _eval_replication(self, expr: ast.Replication, _ctx: Optional[int]) -> FourState:
         count = self.evaluate_int(expr.count)
-        inner = self._eval_concatenation(expr.value, None)
-        if count <= 0:
-            raise EvaluationError("replication count must be positive")
-        return FourState.from_bits(inner.to_bit_string() * count)
+        return replicate(count, self._eval_concatenation(expr.value, None))
 
     def _eval_bit_select(self, expr: ast.BitSelect, _ctx: Optional[int]) -> FourState:
         index = self.evaluate(expr.index)
@@ -308,27 +413,11 @@ class ExpressionEvaluator:
                 element = reader(expr.target.name, index.to_int())
                 if element is not None:
                     return element
-        target = self.evaluate(expr.target)
-        if not index.is_fully_known:
-            return FourState.unknown_value(1)
-        return FourState.from_bits(target.bit(index.to_int()))
+        return bit_select(self.evaluate(expr.target), index)
 
     def _eval_part_select(self, expr: ast.PartSelect, _ctx: Optional[int]) -> FourState:
         target = self.evaluate(expr.target)
-        if expr.mode == ":":
-            msb = self.evaluate_int(expr.msb)
-            lsb = self.evaluate_int(expr.lsb)
-        else:
-            base = self.evaluate_int(expr.msb)
-            width = self.evaluate_int(expr.lsb)
-            if expr.mode == "+:":
-                lsb, msb = base, base + width - 1
-            else:
-                msb, lsb = base, base - width + 1
-        if msb < lsb:
-            msb, lsb = lsb, msb
-        bits = "".join(target.bit(i) for i in range(msb, lsb - 1, -1))
-        return FourState.from_bits(bits or "x")
+        return part_select(target, *self.evaluate_bounds(expr.mode, expr.msb, expr.lsb))
 
     def _eval_function_call(self, expr: ast.FunctionCall, _ctx: Optional[int]) -> FourState:
         args = [self.evaluate(arg) for arg in expr.args]

@@ -21,7 +21,7 @@ from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple,
 
 from repro.verilog import ast_nodes as ast
 from repro.verilog.parser import parse_source
-from repro.sim.expr import EvaluationError, ExpressionEvaluator
+from repro.sim.expr import EvaluationError, ExpressionEvaluator, merge_bits, part_select
 from repro.sim.rng import VerilogRng
 from repro.sim.values import FourState
 
@@ -63,6 +63,10 @@ class SimulationResult:
 _CMD_DELAY = "delay"
 _CMD_WAIT_EVENT = "wait_event"
 _CMD_FINISH = "finish"
+
+#: Tasks that print one formatted line each time they execute.  ``$monitor``
+#: prints the same way here, but only the interpreter runs it.
+_DISPLAY_TASKS = ("$display", "$write", "$strobe", "$error")
 
 
 class _InstanceScope:
@@ -447,11 +451,9 @@ class Simulator:
         width = default_width
         if rng is not None:
             try:
-                msb = scope.evaluator.evaluate_int(rng.msb)
-                lsb = scope.evaluator.evaluate_int(rng.lsb)
+                width = scope.evaluator.range_width(rng)
             except EvaluationError as exc:
                 raise SimulationError(f"cannot evaluate range of {name}: {exc}") from exc
-            width = abs(msb - lsb) + 1
         existing = self.signals.get(flat)
         if existing is not None:
             if width > existing.width:
@@ -467,10 +469,8 @@ class Simulator:
 
     def _make_array(self, scope: _InstanceScope, name: str, array_range: ast.Range) -> None:
         signal = scope.resolve_signal(name)
-        msb = scope.evaluator.evaluate_int(array_range.msb)
-        lsb = scope.evaluator.evaluate_int(array_range.lsb)
         signal.is_array = True
-        signal.array_size = abs(msb - lsb) + 1
+        signal.array_size = scope.evaluator.range_width(array_range)
         signal.array = {}
 
     def _elaborate_gate(self, scope: _InstanceScope, gate: ast.GateInstance) -> None:
@@ -613,39 +613,23 @@ class Simulator:
                     signal.array[idx] = value.resize(signal.width)
                     self._changed_signals.setdefault(signal.name, (signal.value, signal.value))
                     return
-                self._write_bits(scope, signal, idx, idx, value)
+                self._set_signal(signal, merge_bits(signal.value, idx, idx, value))
                 return
         if isinstance(target, ast.PartSelect):
             base = target.target
             if isinstance(base, ast.Identifier):
                 signal = scope.resolve_signal(base.name)
-                if target.mode == ":":
-                    msb = scope.evaluator.evaluate_int(target.msb)
-                    lsb = scope.evaluator.evaluate_int(target.lsb)
-                else:
-                    anchor = scope.evaluator.evaluate_int(target.msb)
-                    width = scope.evaluator.evaluate_int(target.lsb)
-                    if target.mode == "+:":
-                        lsb, msb = anchor, anchor + width - 1
-                    else:
-                        msb, lsb = anchor, anchor - width + 1
-                if msb < lsb:
-                    msb, lsb = lsb, msb
-                self._write_bits(scope, signal, msb, lsb, value)
+                msb, lsb = scope.evaluator.evaluate_bounds(target.mode, target.msb, target.lsb)
+                self._set_signal(signal, merge_bits(signal.value, msb, lsb, value))
                 return
         if isinstance(target, ast.Concatenation):
             # Split value MSB-first across the parts.
-            widths = []
-            for part in target.parts:
-                widths.append(self._target_width(scope, part))
-            total = sum(widths)
-            value = value.resize(total)
-            bit_string = value.to_bit_string()
-            cursor = 0
+            widths = [self._target_width(scope, part) for part in target.parts]
+            value = value.resize(sum(widths))
+            cursor = value.width
             for part, width in zip(target.parts, widths):
-                chunk = bit_string[cursor : cursor + width]
-                cursor += width
-                self._write_target(scope, part, FourState.from_bits(chunk))
+                cursor -= width
+                self._write_target(scope, part, part_select(value, cursor + width - 1, cursor))
             return
         raise SimulationError(f"unsupported assignment target {type(target).__name__}")
 
@@ -655,30 +639,11 @@ class Simulator:
         if isinstance(target, ast.BitSelect):
             return 1
         if isinstance(target, ast.PartSelect):
-            msb = scope.evaluator.evaluate_int(target.msb)
-            lsb = scope.evaluator.evaluate_int(target.lsb)
-            if target.mode != ":":
-                return lsb
-            return abs(msb - lsb) + 1
+            msb, lsb = scope.evaluator.evaluate_bounds(target.mode, target.msb, target.lsb)
+            return msb - lsb + 1
         if isinstance(target, ast.Concatenation):
             return sum(self._target_width(scope, p) for p in target.parts)
         return 32
-
-    def _write_bits(self, scope: _InstanceScope, signal: Signal, msb: int, lsb: int, value: FourState) -> None:
-        del scope
-        width = msb - lsb + 1
-        value = value.resize(width)
-        current = signal.value
-        mask = ((1 << width) - 1) << lsb
-        new_bits = (value.value << lsb) & mask
-        new_unknown = (value.unknown << lsb) & mask
-        combined_value = (current.value & ~mask) | new_bits
-        combined_unknown = (current.unknown & ~mask) | new_unknown
-        combined_z = (current.zmask & ~mask) | ((value.zmask << lsb) & mask)
-        self._set_signal(
-            signal,
-            FourState(signal.width, combined_value & ~combined_unknown, combined_unknown, combined_z, signal.signed),
-        )
 
     # ------------------------------------------------------------------ #
     # System tasks / functions
@@ -703,20 +668,12 @@ class Simulator:
 
     def run_function(self, scope: _InstanceScope, func: ast.FunctionDeclaration, args: List[FourState]) -> FourState:
         frame: Dict[str, FourState] = {}
-        return_width = 32
-        if func.range is not None:
-            msb = scope.evaluator.evaluate_int(func.range.msb)
-            lsb = scope.evaluator.evaluate_int(func.range.lsb)
-            return_width = abs(msb - lsb) + 1
+        return_width = 32 if func.range is None else scope.evaluator.range_width(func.range)
         frame[func.name] = FourState.unknown_value(return_width)
         input_names: List[str] = []
         for item in func.items:
             if isinstance(item, ast.PortDeclaration) and item.direction == "input":
-                width = 1
-                if item.range is not None:
-                    msb = scope.evaluator.evaluate_int(item.range.msb)
-                    lsb = scope.evaluator.evaluate_int(item.range.lsb)
-                    width = abs(msb - lsb) + 1
+                width = 1 if item.range is None else scope.evaluator.range_width(item.range)
                 for port_name in item.names:
                     input_names.append(port_name)
                     frame[port_name] = FourState.unknown_value(width)
@@ -962,7 +919,7 @@ class Simulator:
             self.finished = True
             yield (_CMD_FINISH, None)
             return
-        if name in ("$display", "$write", "$strobe", "$error", "$monitor"):
+        if name in _DISPLAY_TASKS or name == "$monitor":
             # ``$monitor`` prints once, when it executes; it does not re-fire.
             self.display_lines.append(self._format_display(scope, statement.args))
             return
@@ -974,29 +931,21 @@ class Simulator:
             self.finished = True
             yield (_CMD_FINISH, None)
             return
-        if name in ("$dumpfile", "$dumpvars", "$dumpoff", "$dumpon", "$readmemh", "$readmemb", "$timeformat"):
-            return
-        # Unknown tasks are ignored (matching iverilog's warning-and-continue).
+        # Every other task is ignored: ``$dumpvars`` and the like, and unknown
+        # tasks (matching iverilog's warning-and-continue).
         return
         yield  # pragma: no cover - makes this a generator
 
     def _exec_user_task(self, scope: _InstanceScope, task: ast.TaskDeclaration, args: List[ast.Expression]) -> Generator:
         frame: Dict[str, FourState] = {}
         input_names: List[str] = []
-        output_names: List[str] = []
         for item in task.items:
             if isinstance(item, ast.PortDeclaration):
-                width = 1
-                if item.range is not None:
-                    msb = scope.evaluator.evaluate_int(item.range.msb)
-                    lsb = scope.evaluator.evaluate_int(item.range.lsb)
-                    width = abs(msb - lsb) + 1
+                width = 1 if item.range is None else scope.evaluator.range_width(item.range)
                 for port_name in item.names:
                     frame[port_name] = FourState.unknown_value(width)
                     if item.direction == "input":
                         input_names.append(port_name)
-                    else:
-                        output_names.append(port_name)
             elif isinstance(item, ast.NetDeclaration):
                 for local_name in item.names:
                     frame[local_name] = FourState.unknown_value(32)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.verilog.ast_nodes import SourceFile
 from repro.verilog.syntax import SyntaxCheckResult, check_syntax
@@ -61,7 +61,6 @@ class TestbenchResult:
 def run_testbench(
     design_source: str,
     testbench_source: str,
-    top: Optional[str] = None,
     max_time: int = 200_000,
     max_events: int = 200_000,
     backend: str = DEFAULT_BACKEND,
@@ -71,8 +70,8 @@ def run_testbench(
 
     Args:
         design_source: the (possibly model-generated) design under test.
-        testbench_source: the benchmark testbench that instantiates the design.
-        top: explicit top module name; inferred from the testbench when omitted.
+        testbench_source: the benchmark testbench that instantiates the design;
+            its last module is the top module.
         max_time: simulation time limit.
         max_events: event-count limit (guards against runaway generated code).
         backend: ``"interpreter"`` or ``"compiled"`` (see :data:`BACKENDS`).
@@ -85,15 +84,14 @@ def run_testbench(
         if the simulation ran and the output contains a pass marker and no
         fail marker.
     """
-    simulator_cls = _backend_class(backend)
+    simulator_cls = simulator_class(backend)
     tb_check = check_syntax(testbench_source)
-    return _simulate_each([None], [design_source], tb_check, top, simulator_cls, max_time, max_events, random_seed)[0]
+    return _simulate_each([None], [design_source], tb_check, simulator_cls, max_time, max_events, random_seed)[0]
 
 
 def run_testbench_batch(
     design_sources: Sequence[str],
     testbench_source: str,
-    top: Optional[str] = None,
     max_time: int = 200_000,
     max_events: int = 200_000,
     backend: str = DEFAULT_BACKEND,
@@ -110,7 +108,7 @@ def run_testbench_batch(
     Every path returns what :func:`run_testbench` returns for that candidate,
     error text included, so callers never need to know which path ran.
     """
-    simulator_cls = _backend_class(backend)
+    simulator_cls = simulator_class(backend)
     if not design_sources:
         return []
     results: List[Optional[TestbenchResult]] = [None] * len(design_sources)
@@ -118,23 +116,18 @@ def run_testbench_batch(
     if simulator_cls is CompiledSimulator and tb_check.ok:
         eligible = [index for index, source in enumerate(design_sources) if check_syntax(source).ok]
         batch = simulate_batch(
-            [design_sources[index] for index in eligible],
-            testbench_source,
-            top=top or tb_check.module_names[-1],
-            max_time=max_time,
-            max_events=max_events,
+            [design_sources[index] for index in eligible], testbench_source, max_time=max_time, max_events=max_events
         )
         for index, sim_result in zip(eligible, batch or ()):
             if sim_result is not None:
                 results[index] = _result_from_simulation(sim_result)
-    return _simulate_each(results, design_sources, tb_check, top, simulator_cls, max_time, max_events, random_seed)
+    return _simulate_each(results, design_sources, tb_check, simulator_cls, max_time, max_events, random_seed)
 
 
 def _simulate_each(
     results: List[Optional[TestbenchResult]],
     design_sources: Sequence[str],
     tb_check: SyntaxCheckResult,
-    top: Optional[str],
     simulator_cls: type,
     max_time: int,
     max_events: int,
@@ -151,33 +144,43 @@ def _simulate_each(
     for index, source in enumerate(design_sources):
         if results[index] is not None:
             continue
-        design_check = check_syntax(source)
-        if not design_check.ok:
-            results[index] = _not_compiled(design_check.errors)
-            continue
-        if not tb_check.ok:
-            results[index] = _not_compiled(tb_check.errors)
-            continue
-        compile_unit = SourceFile(modules=design_check.ast.modules + tb_check.ast.modules)
-        try:
-            if simulator is None:
-                simulator = simulator_cls(
-                    compile_unit,
-                    top=top or tb_check.module_names[-1],
-                    max_time=max_time,
-                    max_events=max_events,
-                    rng=VerilogRng(random_seed),
-                )
-            else:
-                simulator.bind(compile_unit)
-        except _ELABORATION_ERRORS as exc:
-            results[index] = _not_compiled([str(exc)])
-            continue
-        results[index] = _result_from_simulation(simulator.run())
+        options = dict(max_time=max_time, max_events=max_events, rng=VerilogRng(random_seed))
+        simulator, errors = elaborate_with_testbench(check_syntax(source), tb_check, simulator, simulator_cls, **options)
+        results[index] = _not_compiled(errors) if errors else _result_from_simulation(simulator.run())
     return results  # type: ignore[return-value]
 
 
-def _backend_class(backend: str) -> type:
+def elaborate_with_testbench(
+    design_check: SyntaxCheckResult,
+    tb_check: SyntaxCheckResult,
+    simulator: Optional[Simulator] = None,
+    simulator_cls: type = Simulator,
+    **options,
+) -> Tuple[Optional[Simulator], List[str]]:
+    """Decide whether a design and its testbench compile together, as iverilog's compile step would.
+
+    Both sources must parse, and their modules must elaborate as one compile
+    unit whose top module is the testbench's last module.  The design is
+    bound into ``simulator`` when one is given
+    (:meth:`~repro.sim.simulator.Simulator.bind`); otherwise a
+    ``simulator_cls`` is built with ``options``.  Returns the simulator and no
+    errors, or ``simulator`` as given and the parse or elaboration errors.
+    """
+    for check in (design_check, tb_check):
+        if not check.ok:
+            return simulator, check.errors
+    compile_unit = SourceFile(modules=design_check.ast.modules + tb_check.ast.modules)
+    try:
+        if simulator is None:
+            return simulator_cls(compile_unit, top=tb_check.module_names[-1], **options), []
+        simulator.bind(compile_unit)
+        return simulator, []
+    except _ELABORATION_ERRORS as exc:
+        return simulator, [str(exc)]
+
+
+def simulator_class(backend: str) -> type:
+    """The simulator class of a :data:`BACKENDS` name; an unknown name raises ``ValueError``."""
     try:
         return BACKENDS[backend]
     except KeyError:

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.evalbench.designs import combinational_testbench
+from repro.evalbench.functional import check_designs_functional
+from repro.evalbench.rtllm import rtllm_suite
 from repro.sim.compiled import CompiledSimulator, simulate_batch
 from repro.sim.simulator import SimulationError, Simulator
-from repro.sim.testbench import run_testbench
+from repro.sim.testbench import run_testbench, run_testbench_batch
 
 
 def _simulate(source, top=None, max_time=100_000):
@@ -632,3 +634,66 @@ def test_context_determined_widths_follow_ieee_1364(case, backend):
     else:
         output = run_testbench(design, testbench, backend=backend).output
     assert output.splitlines()[-1] == "TEST PASSED", output
+
+
+# Writes whose range reaches outside the vector write only the bits inside it
+# (IEEE 1364-2005 5.2.1), below bit 0 as above the top bit.
+_OUT_OF_RANGE_WRITES = """
+module m;
+    reg [3:0] w, q;
+    integer i;
+    initial begin
+        w = 4'b0000; q = 4'b1111; i = -1;
+        w[i] = 1'b1;           // bit -1: nothing written
+        q[1 -: 4] = 4'b0110;   // bits 1:-2: q[1:0] = 2'b01
+        $display("%b %b", w, q);
+        q[0 -: 2] <= 2'b01;    // bits 0:-1: q[0] = 1'b0
+        #1 $display("%b", q);
+        w[5:2] = 4'b1011;      // bits 5:2: w[3:2] = 2'b11
+        $display("%b", w);
+        i = 32'h7fffffff;
+        w[i] = 1'b0;           // far above the top bit: nothing written
+        i = 32'h80000000;      // -2**31: far below bit 0, reads x
+        $display("%b %b", w, q[i]);
+        $finish;
+    end
+endmodule
+"""
+
+#: ``shift_register_4`` with a non-blocking write to ``q[0:-1]``: only ``q[0]`` takes ``serial_in``.
+_SHIFT_REGISTER_BELOW_BIT_0 = """module shift_register (
+    input clk,
+    input rst,
+    input serial_in,
+    output reg [3:0] q
+);
+    always @(posedge clk or posedge rst) begin
+        if (rst) q <= 4'd0;
+        else q[0 -: 2] <= {serial_in, q[3]};
+    end
+endmodule
+"""
+
+
+@pytest.mark.parametrize("backend", [Simulator, CompiledSimulator])
+def test_writes_outside_the_vector_keep_their_in_range_bits(backend):
+    result = backend(_OUT_OF_RANGE_WRITES, top="m").run()
+    assert result.error is None
+    assert result.display_lines == ["0000 1101", "1100", "1100", "1100 x"]
+
+
+@pytest.mark.parametrize("backend", ["interpreter", "compiled"])
+def test_a_write_below_bit_0_is_graded_not_raised(backend):
+    problem = rtllm_suite().get("shift_register_4")
+    designs = [problem.reference, _SHIFT_REGISTER_BELOW_BIT_0]
+    expected = ["TEST PASSED", "MISMATCH q=0001 expected 1011\nTEST FAILED: 1 errors"]
+    for results in (
+        run_testbench_batch(designs, problem.testbench, backend=backend),
+        check_designs_functional(designs, problem, backend=backend),
+        [run_testbench(design, problem.testbench, backend=backend) for design in designs],
+    ):
+        assert [result.output for result in results] == expected
+        assert [(result.compiled, result.simulated, result.passed) for result in results] == [
+            (True, True, True),
+            (True, True, False),
+        ]
