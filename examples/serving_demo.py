@@ -233,6 +233,10 @@ def main() -> None:
         raise SystemExit("prefix reuse changed the served outputs")
     baseline_stats = baseline_engine.prefix_cache_stats()
     stats = reuse_engine.prefix_cache_stats()
+    # Each preamble spans more than one 16-token KV block, so every request
+    # after the first two must reuse retained K/V.
+    if stats["prompt_tokens_reused"] == 0:
+        raise SystemExit("the prefix cache reused no prompt tokens")
     print(
         f"\nPrefix reuse over {len(shared)} shared-preamble requests: "
         f"{stats['prompt_tokens_prefilled']} prompt tokens prefilled vs "

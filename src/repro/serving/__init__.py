@@ -10,9 +10,9 @@ control over it, and the transports that drive the control:
   a token budget, with optional chunked-prefill pacing (:class:`Scheduler`,
   :class:`SchedulerConfig`);
 * :mod:`repro.serving.prefix_cache` — cross-request prompt-prefix reuse: a
-  token trie over retained pool blocks, LRU-evicted under a token/byte
-  budget (:class:`PrefixCache`); retention pins shared blocks by refcount
-  instead of copying, and hits splice them in zero-copy;
+  trie with one node per retained pool block, LRU-evicted under a token
+  budget (:class:`PrefixCache`, one per engine); retention pins shared
+  blocks by refcount instead of copying, and hits splice them in zero-copy;
 * :mod:`repro.serving.engine_core` — **layer 0**, :class:`ServingEngine`: the
   one owner of request state (ids, validation, results, listeners) and of the
   step loop that advances every in-flight request through one shared batched

@@ -108,7 +108,9 @@ class ServingEngine:
             :class:`~repro.serving.prefix_cache.PrefixCache`.  When given,
             admission reuses the longest retained prompt prefix instead of
             re-prefilling it, and every completed prefill is retained for
-            later requests.  ``None`` (the default) disables reuse.
+            later requests.  The engine binds the cache to its K/V pool,
+            so a cache serves one engine.  ``None`` (the default) disables
+            reuse.
         kv_block_size: Tokens per physical block of the K/V pool.  Smaller
             blocks waste less capacity on partially-filled tails but cost
             more table indirection per gather.
@@ -161,14 +163,12 @@ class ServingEngine:
         # return to the free list mid-allocation.
         self._pool.on_pressure = self._reclaim_pages
         if prefix_cache is not None:
-            # Retained K/V is model-specific; binding rejects accidentally
-            # sharing one cache across engines that wrap different models.
-            prefix_cache.bind(model)
+            # Retained K/V lives in this engine's pool (of this model), so
+            # binding rejects a cache another engine already uses.
+            prefix_cache.bind(self._pool)
         #: Prompt tokens actually run through prefill forwards / served from
         #: retained K/V instead — the prefill-savings numerator and
-        #: denominator.  Counted per engine (a shared PrefixCache carries its
-        #: own cache-lifetime counters), so reports stay scoped to this
-        #: engine's traffic.
+        #: denominator.
         self.tokens_prefilled_total = 0
         self.tokens_reused_total = 0
         self.prefix_hits = 0
@@ -381,15 +381,11 @@ class ServingEngine:
     def prefix_cache_stats(self) -> dict:
         """Prefill accounting: reuse hit rate and prefilled-vs-reused tokens.
 
-        Every number is scoped to *this engine's* traffic — a
-        :class:`~repro.serving.prefix_cache.PrefixCache` may be shared
-        between engines wrapping the same model, and mixing its
-        cache-lifetime counters into a per-engine report would silently
-        disagree with the per-engine token columns (the cache's own view
-        stays available as ``engine.prefix_cache.stats``).  Meaningful with
-        or without an attached cache: the no-reuse baseline reports its
-        total prefilled prompt tokens here too, which is what the
-        shared-prefix bench compares against.
+        Every number is counted by the engine itself (the cache's own
+        counters stay available as ``engine.prefix_cache.stats``), so the
+        report is meaningful with or without an attached cache: the no-reuse
+        baseline reports its total prefilled prompt tokens here too, which is
+        what the shared-prefix bench compares against.
         """
         reused = self.tokens_reused_total
         prefilled = self.tokens_prefilled_total
@@ -622,7 +618,7 @@ class ServingEngine:
             state.row_cache = PagedKVCache(self._pool, batch=1)
             state.rng = derive_request_rng(state.request)
             if self.prefix_cache is not None:
-                matched, prefix = self.prefix_cache.lookup(prompt, limit=len(prompt) - 1)
+                matched, prefix = self.prefix_cache.lookup(tuple(prompt), limit=len(prompt) - 1)
                 if matched:
                     state.row_cache.splice_prefix(0, prefix)
                     state.prefill_pos = matched
@@ -681,10 +677,11 @@ class ServingEngine:
             return
         new_caches: List[PagedKVCache] = []
         for state in ready:
-            prompt = state.request.prompt_ids
-            if self.prefix_cache is not None and self.prefix_cache.would_retain(prompt):
-                # Retention pins the prompt's blocks by refcount (zero-copy).
-                self.prefix_cache.insert(prompt, state.row_cache.snapshot_prefix(0, len(prompt)))
+            if self.prefix_cache is not None:
+                key = tuple(state.request.prompt_ids)
+                if self.prefix_cache.would_retain(key):
+                    # Retention pins the prompt's blocks by refcount (zero-copy).
+                    self.prefix_cache.insert(key, state.row_cache.snapshot_prefix(0, len(key)))
             state.status = RequestStatus.RUNNING
             new_caches.append(state.row_cache)
             state.row_cache = None

@@ -9,8 +9,11 @@ themselves in ``tests/test_kv_pool.py``.  This file exercises the
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
+from proptest import Cases, for_all, num_cases
 
 from repro.nn.kv_pool import KVBlockPool, PagedKVCache, PagedPrefix, blocks_for
 from repro.serving.prefix_cache import PrefixCache
@@ -160,18 +163,19 @@ class TestPrefixCacheRetention:
         class CountingNode(prefix_cache_module._TrieNode):
             __slots__ = ()
 
-            def __init__(self) -> None:
+            def __init__(self, *args) -> None:
                 built.append(self)
-                super().__init__()
+                super().__init__(*args)
 
         monkeypatch.setattr(prefix_cache_module, "_TrieNode", CountingNode)
+        pool = KVBlockPool(LAYERS, HEADS, HEAD_DIM, block_size=16, num_blocks=8)
         cache = PrefixCache(max_tokens=64)
         built.clear()  # the root
         preamble = list(range(20))
         cache.insert(preamble + [100, 101], make_prefix(pool, 22))
-        assert len(built) == 22
-        cache.insert(preamble + [200], make_prefix(pool, 21))  # 20 shared tokens, one new
-        assert len(built) == 23
+        assert len(built) == 2  # one full block and the 6-token tail
+        cache.insert(preamble + [200], make_prefix(pool, 21))  # first block shared
+        assert len(built) == 3  # only its own 5-token tail is new
         assert cache.lookup(preamble + [200, 5])[0] == 21
 
     def test_oversized_prompt_not_retained(self, pool):
@@ -213,6 +217,50 @@ class TestPrefixCacheRetention:
         cache.insert([7, 8, 9], make_prefix(pool, 3))
         assert cache.lookup([4, 5, 6])[0] == 0  # evicted
         assert cache.lookup([1, 2, 3])[0] == 3  # survived the touch
+
+    def test_a_hit_refreshes_the_newest_entry_through_the_matched_node(self, pool):
+        """Two entries pass through the node a match ends in: the one
+        retained later serves the hit and is refreshed, so the older one is
+        the LRU victim."""
+        cache = PrefixCache(max_tokens=15)
+        older, newer = make_prefix(pool, 5, seed=1), make_prefix(pool, 5, seed=2)
+        cache.insert([1, 2, 3, 4, 5], older)
+        cache.insert([1, 2, 3, 4, 6], newer)
+        cache.lookup([1, 2, 3, 4], limit=0)  # a miss touches nothing
+        matched, view = cache.lookup([1, 2, 3, 4, 9])  # ends after block (1, 2, 3, 4)
+        assert matched == 4 and view.block_ids == newer.block_ids[:1]
+        cache.insert([7, 8, 9, 7, 8], make_prefix(pool, 5))
+        cache.insert([6, 6, 6, 6, 6], make_prefix(pool, 5))  # over budget: evicts the LRU
+        assert [1, 2, 3, 4, 5] not in cache and [1, 2, 3, 4, 6] in cache
+
+    def test_a_match_inside_a_block_goes_through_the_first_block_in_token_order(self, pool):
+        """Blocks (1, 2, 3, 4) and (1, 2, 3, 5) both match [1, 2, 3, 9] three
+        tokens deep: the first in token order serves the hit, however old."""
+        cache = PrefixCache(max_tokens=100)
+        first, later = make_prefix(pool, 4, seed=1), make_prefix(pool, 4, seed=2)
+        cache.insert([1, 2, 3, 5], later)
+        cache.insert([1, 2, 3, 4], first)
+        cache.insert([1, 2, 3, 5, 7], make_prefix(pool, 5, seed=3))
+        matched, view = cache.lookup([1, 2, 3, 9])
+        assert matched == 3 and view.block_ids == first.block_ids
+
+    def test_a_cache_holds_the_blocks_of_one_pool(self, pool):
+        """A cache adopts the pool of the first prefix it stores (or the one
+        it is bound to) and rejects a prefix from any other pool."""
+        other = make_paged_pool()
+        cache = PrefixCache(max_tokens=10)
+        cache.insert([1, 2], make_prefix(pool, 2))
+        stranger = make_prefix(other, 2)
+        with pytest.raises(ValueError, match="different KVBlockPool"):
+            cache.insert([3, 4], stranger)
+        with pytest.raises(ValueError, match="different model or engine"):
+            cache.bind(other)
+        cache.bind(pool)
+        bound = PrefixCache(max_tokens=10)
+        bound.bind(other)
+        with pytest.raises(ValueError, match="different KVBlockPool"):
+            bound.insert([1, 2], make_prefix(pool, 2))
+        stranger.release()
 
     def test_bind_rejects_second_owner(self):
         cache = PrefixCache(max_tokens=10)
@@ -289,3 +337,88 @@ class TestPagedSharedBlockAccounting:
         assert np.all(pool.refcounts[list(prefix.block_ids)] == 1)  # unpinned
         row.release()
         assert pool.blocks_in_use == 0
+
+
+class TestBlockTrieMatchesATokenTrie:
+    """The block trie answers every lookup as a token trie would.
+
+    Prompts over a 3-token alphabet share whole and partial blocks often;
+    random insert / lookup / evict_lru sequences run under a small budget
+    against a brute-force model of the retained prompts, at block sizes 1, 3
+    and 16.  The model also pins which entry a hit refreshes: the most
+    recently retained of those through the node the match ends in, which
+    for a match ending inside a block is the first in token order of the
+    blocks that match as far."""
+
+    ALPHABET = 3
+
+    def _run_trace(self, cases: Cases) -> None:
+        pool = KVBlockPool(LAYERS, HEADS, HEAD_DIM, block_size=cases.choice([1, 3, 16]), num_blocks=160)
+        cache = PrefixCache(max_tokens=cases.integer(6, 60))
+        #: Retained prompt -> (retention serial, block ids), least recently used first.
+        model: "OrderedDict[tuple, tuple]" = OrderedDict()
+        serial = 0
+
+        def common(first, second) -> int:
+            length = 0
+            while length < min(len(first), len(second)) and first[length] == second[length]:
+                length += 1
+            return length
+
+        def random_prompt() -> tuple:
+            if model and cases.boolean(0.6):
+                base = cases.choice(list(model))
+                head = base[: cases.integer(0, len(base))]
+                return head + tuple(cases.token_list(cases.integer(0, 6), self.ALPHABET))
+            return tuple(cases.token_list(cases.integer(1, 30), self.ALPHABET))
+
+        for _ in range(cases.integer(5, 40)):
+            action = cases.integer(0, 9)
+            if action < 4:
+                prompt = random_prompt()
+                if not prompt:
+                    continue
+                prefix = make_prefix(pool, len(prompt), seed=cases.integer(0, 99))
+                stored = cache.insert(list(prompt), prefix)
+                if prompt in model:
+                    model.move_to_end(prompt)
+                    assert not stored
+                elif len(prompt) > cache.max_tokens:
+                    assert not stored
+                else:
+                    assert stored
+                    serial += 1
+                    model[prompt] = (serial, prefix.block_ids)
+                    while sum(len(p) for p in model) > cache.max_tokens:
+                        model.popitem(last=False)
+            elif action < 9:
+                prompt = random_prompt()
+                limit = None if cases.boolean() else cases.integer(-1, len(prompt) + 1)
+                bound = len(prompt) if limit is None else max(0, min(limit, len(prompt)))
+                depth = max((min(common(p, prompt), bound) for p in model), default=0)
+                matched, view = cache.lookup(prompt, limit=limit)
+                assert matched == depth, (prompt, limit, list(model))
+                if depth == 0:
+                    assert view is None
+                    continue
+                covering = [p for p in model if common(p, prompt) >= depth]
+                assert any(view.block_ids == model[p][1][: blocks_for(depth, pool.block_size)] for p in covering)
+                # The block the match ends in (the first in token order when it
+                # ends inside one), and the newest entry through it.
+                last = (depth - 1) // pool.block_size * pool.block_size
+                ending = min(p[last : last + pool.block_size] for p in covering)
+                through = [p for p in covering if p[last : last + pool.block_size] == ending]
+                refreshed = max(through, key=lambda p: model[p][0])
+                assert view.block_ids == model[refreshed][1][: blocks_for(depth, pool.block_size)]
+                model.move_to_end(refreshed)
+            else:
+                assert cache.evict_lru() == bool(model)
+                if model:
+                    model.popitem(last=False)
+            assert len(cache) == len(model) and all(prompt in cache for prompt in model)
+            assert cache.num_tokens == sum(len(p) for p in model)
+        cache.clear()
+        assert pool.blocks_in_use == 0
+
+    def test_block_trie_matches_a_token_trie(self):
+        for_all(num_cases(60, 600), self._run_trace, seed=61)

@@ -752,8 +752,26 @@ class TestPrefixReuse:
         _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, prefix_cache=cache)
         with pytest.raises(ValueError, match="different model"):
             _engine(tiny_pipeline, "ntp", DecodingStrategy.NTP, prefix_cache=cache)
-        # Sharing between engines wrapping the *same* model stays allowed.
-        _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, prefix_cache=cache)
+        # Each engine builds its own block pool, so even an engine over the
+        # same model cannot take a cache another engine is bound to.
+        with pytest.raises(ValueError, match="different model or engine"):
+            _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, prefix_cache=cache)
+
+    def test_prefix_cache_rejects_a_second_engine_after_a_hit(self, tiny_pipeline):
+        """Regression: an engine over a cache whose entries live in another
+        engine's pool used to be built, then crash in ``splice_prefix`` on its
+        first hit.  It is now refused at construction."""
+        cache = PrefixCache(max_tokens=4096)
+        first = _engine(
+            tiny_pipeline, "ours", DecodingStrategy.OURS, prefix_cache=cache, max_active_requests=1
+        )
+        config = GenerationConfig.greedy_config(4)
+        for prompt in _shared_prefix_prompts(tiny_pipeline, 3):
+            first.submit_text(prompt, config)
+        first.run()
+        assert first.prefix_cache_stats()["hits"] >= 1
+        with pytest.raises(ValueError, match="each engine needs its own cache"):
+            _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, prefix_cache=cache)
 
     def test_one_token_prompts_never_reuse(self, tiny_pipeline):
         """At least one prompt token is always prefilled (it produces the
@@ -1116,7 +1134,9 @@ class TestPagedEngineChurnFuzz:
     def _run_trace(self, cases: Cases, pipeline) -> None:
         prompts = _prompts(pipeline, 6)
         cache = PrefixCache(max_tokens=cases.integer(40, 512)) if cases.boolean() else None
-        probe = _engine(pipeline, "ours", DecodingStrategy.OURS, prefix_cache=cache)
+        # The page overhead does not depend on the prefix cache, and a cache
+        # binds to the one engine (pool) it serves.
+        probe = _engine(pipeline, "ours", DecodingStrategy.OURS)
         overhead_tokens = probe._admission_kwargs()["page_overhead_tokens"]
         ids = [pipeline.tokenizer.encode(p, add_bos=True) for p in prompts]
         worst = max(len(i) for i in ids) + 8 + overhead_tokens
