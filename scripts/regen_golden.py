@@ -19,6 +19,11 @@ fixtures:
 
     PYTHONPATH=src python scripts/regen_golden.py            # everything
     PYTHONPATH=src python scripts/regen_golden.py --only sim # simulation only
+    PYTHONPATH=src python scripts/regen_golden.py --check    # exit 1 if a file would change
+
+``--check`` regenerates into memory and compares with the committed files
+without writing: a behaviour change that moves a fixture, or a fixture edited
+by hand, fails it.
 """
 
 from __future__ import annotations
@@ -52,18 +57,20 @@ def golden_configs() -> list:
 
 
 def config_to_dict(config: GenerationConfig) -> dict:
+    # ``top_k`` is always 0 (there is no top-k truncation) and ``greedy`` is
+    # implied by the temperature; both keys stay so the files regenerate
+    # byte for byte (tests/test_golden.py::config_from_dict checks them).
     return {
         "max_new_tokens": config.max_new_tokens,
         "temperature": config.temperature,
-        "top_k": config.top_k,
+        "top_k": 0,
         "greedy": config.greedy,
         "seed": config.seed,
     }
 
 
-def regen_sim_goldens() -> None:
-    """Freeze interpreter runs of every reference design + testbench."""
-    GOLDEN_DIR.mkdir(exist_ok=True)
+def sim_goldens() -> dict:
+    """Interpreter runs of every reference design + testbench, by fixture path."""
     cases = [
         capture_sim_case(name, problem.reference, problem.testbench, backend="interpreter")
         for name, problem in golden_problems()
@@ -75,18 +82,17 @@ def regen_sim_goldens() -> None:
         ),
         "cases": cases,
     }
-    path = GOLDEN_DIR / "sim_reference_designs.json"
-    path.write_text(json.dumps(fixture, indent=2) + "\n")
-    print(f"wrote {path.relative_to(REPO)}: {len(cases)} reference simulations")
+    return {GOLDEN_DIR / "sim_reference_designs.json": json.dumps(fixture, indent=2) + "\n"}
 
 
-def regen_token_goldens() -> None:
+def token_goldens() -> dict:
+    """Prompt -> output token fixtures of every method, by fixture path."""
     pipeline = VerilogSpecPipeline(tiny_pipeline_config())
     pipeline.prepare()
     pipeline.train_all()
     prompts = [example.prompt_text() for example in pipeline.examples][:NUM_PROMPTS]
 
-    GOLDEN_DIR.mkdir(exist_ok=True)
+    files = {}
     for method in METHODS:
         decoder = pipeline.decoder_for(method)
         cases = []
@@ -99,10 +105,8 @@ def regen_token_goldens() -> None:
             "prompts": prompts,
             "cases": cases,
         }
-        path = GOLDEN_DIR / f"{method}.json"
-        path.write_text(json.dumps(fixture, indent=2) + "\n")
-        total = sum(len(ids) for case in cases for ids in case["outputs"])
-        print(f"wrote {path.relative_to(REPO)}: {len(cases)} configs x {len(prompts)} prompts, {total} tokens")
+        files[GOLDEN_DIR / f"{method}.json"] = json.dumps(fixture, indent=2) + "\n"
+    return files
 
 
 def main() -> int:
@@ -113,11 +117,32 @@ def main() -> int:
         default="all",
         help="which fixture family to regenerate (default: all)",
     )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; exit 1 if a regenerated fixture differs from the committed file",
+    )
     args = parser.parse_args()
+    files = {}
     if args.only in ("tokens", "all"):
-        regen_token_goldens()
+        files.update(token_goldens())
     if args.only in ("sim", "all"):
-        regen_sim_goldens()
+        files.update(sim_goldens())
+    stale = []
+    for path, text in files.items():
+        name = path.relative_to(REPO)
+        if args.check:
+            if not path.is_file() or path.read_text() != text:
+                stale.append(name)
+            continue
+        GOLDEN_DIR.mkdir(exist_ok=True)
+        path.write_text(text)
+        print(f"wrote {name}")
+    if stale:
+        print("golden fixtures differ from a regeneration: " + ", ".join(map(str, stale)), file=sys.stderr)
+        return 1
+    if args.check:
+        print(f"{len(files)} golden fixtures regenerate byte for byte")
     return 0
 
 

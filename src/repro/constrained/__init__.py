@@ -25,7 +25,6 @@ from repro.constrained.mask import (
     masked_argmax,
     masked_choice,
     masked_sample,
-    token_pieces,
 )
 from repro.constrained.viability import (
     PrefixVerdict,
@@ -52,5 +51,4 @@ __all__ = [
     "masked_choice",
     "masked_sample",
     "prefilter_candidates",
-    "token_pieces",
 ]

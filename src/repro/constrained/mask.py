@@ -8,13 +8,14 @@ viable Verilog prefix (:mod:`repro.constrained.viability`).
 
 Design points that keep it cheap and identity-preserving:
 
-* **token pieces** — each vocabulary id is mapped once to its decoded text
-  contribution (``Ġ``/``Ċ`` markers expanded; ``[PAD]``/``[BOS]``/
-  ``[IGNORE]``/``[EOS]`` decode to nothing; ``[FRAG]`` is stripped from code).
-  Empty-piece structural tokens can never change the text, so ``[FRAG]`` is
-  always allowed — fragment-integrity truncation keeps working under the
-  grammar unchanged — while pad/bos/ignore/unk are never sensible mid-decode
-  and are masked out;
+* **token pieces** — the mask reads the tokenizer's own code piece table
+  (:meth:`~repro.tokenizer.bpe.BPETokenizer.piece_table` with
+  ``keep_frag=False``, built once per vocabulary): each id's contribution to
+  ``decode(ids, keep_frag=False)``, so the text the mask constrains is by
+  construction the text the graders see.  Empty-piece structural tokens
+  can never change the text, so ``[FRAG]`` is always allowed —
+  fragment-integrity truncation keeps working under the grammar unchanged —
+  while pad/bos/ignore/unk are never sensible mid-decode and are masked out;
 * **EOS gating** — ``[EOS]`` is allowed exactly when the accumulated text is
   already a complete source (>= 1 module), so a finished design can stop but
   an open module cannot;
@@ -38,51 +39,19 @@ from repro.constrained.viability import (
     classify_prefix,
     completion_suffix,
 )
-from repro.models.generation import (
-    GenerationConfig,
-    _fallback_rng,
-    sample_from_logits,
-    sampling_probabilities,
-)
+from repro.models.generation import GenerationConfig, sample_from_logits, sampling_probabilities
 
 #: Grammars :func:`grammar_mask` knows how to build.  The only entry today is
 #: the in-repo Verilog grammar; the registry exists so ``GenerationConfig``
 #: can carry a plain string and reject typos at mask-construction time.
 SUPPORTED_GRAMMARS = ("verilog",)
 
-_SPACE_MARKER = "Ġ"
-_NEWLINE_MARKER = "Ċ"
-
-#: Per-tokenizer piece-table cache attribute (built once per vocabulary).
-_PIECES_ATTR = "_constrained_piece_table"
-
-
-def token_pieces(tokenizer) -> List[str]:
-    """Per-id decoded code-text contribution of every vocabulary token.
-
-    Mirrors ``BPETokenizer.decode(..., keep_frag=False)`` token by token:
-    structural specials contribute the empty string, everything else expands
-    its whitespace markers.  The table is cached on the tokenizer (one
-    vocabulary, one table).
-    """
-    cached = getattr(tokenizer, _PIECES_ATTR, None)
-    if cached is not None and len(cached) == tokenizer.vocab_size:
-        return cached
-    special = tokenizer.special
-    silent = {special.pad, special.ignore, special.bos, special.eos, special.frag}
-    pieces = [
-        "" if token in silent else token.replace(_SPACE_MARKER, " ").replace(_NEWLINE_MARKER, "\n")
-        for token in tokenizer.vocab.tokens()
-    ]
-    setattr(tokenizer, _PIECES_ATTR, pieces)
-    return pieces
-
-
 class SyntaxMaskState:
     """Incremental syntax mask: committed text plus per-token viability tests.
 
     Args:
-        pieces: per-id decoded text contribution (see :func:`token_pieces`).
+        pieces: per-id code text contribution (the tokenizer's
+            ``piece_table(keep_frag=False)``).
         eos_id: end-of-sequence id; allowed only on a complete source.
         blocked_ids: ids never allowed under the grammar (pad/bos/unk/ignore —
             they decode to nothing useful mid-generation).
@@ -183,7 +152,7 @@ def grammar_mask(grammar: Optional[str], tokenizer) -> Optional[SyntaxMaskState]
         raise ValueError(f"unknown grammar {grammar!r} (supported: {SUPPORTED_GRAMMARS})")
     vocab = tokenizer.vocab
     blocked = [vocab.pad_id, vocab.bos_id, vocab.unk_id, vocab.ignore_id]
-    return SyntaxMaskState(token_pieces(tokenizer), eos_id=vocab.eos_id, blocked_ids=blocked)
+    return SyntaxMaskState(tokenizer.piece_table(keep_frag=False), eos_id=vocab.eos_id, blocked_ids=blocked)
 
 
 def masked_argmax(logits: np.ndarray, mask: Optional[SyntaxMaskState]) -> int:
@@ -235,7 +204,7 @@ def masked_choice(
 def masked_sample(
     logits: np.ndarray,
     config: GenerationConfig,
-    rng: Optional[np.random.Generator],
+    rng: np.random.Generator,
     mask: Optional[SyntaxMaskState],
 ) -> int:
     """Drop-in grammar-aware replacement for ``sample_from_logits``.
@@ -249,10 +218,8 @@ def masked_sample(
     """
     if mask is None:
         return sample_from_logits(logits, config, rng)
-    if config.greedy or config.temperature <= 0.0:
+    if config.greedy:
         return masked_argmax(logits, mask)
-    if rng is None:
-        rng = _fallback_rng(config.seed)
     return masked_choice(sampling_probabilities(logits, config), rng, mask)
 
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.constrained.mask import SyntaxMaskState, closure_token_ids, grammar_mask, masked_sample
 from repro.core.acceptance import TypicalAcceptance
-from repro.core.integrity import truncate_to_complete_fragment
+from repro.core.integrity import ends_at_fragment_boundary, truncate_to_complete_fragment
 from repro.core.token_tree import (
     TokenTree,
     pad_tree_tokens,
@@ -209,7 +209,8 @@ def select_best_candidate(
     mode — and the typical-acceptance rule, eq. 1, under sampling).
 
     Args:
-        candidates: candidate token lists (unpadded).
+        candidates: candidate token lists (unpadded, each non-empty; every
+            run keeps at least its first token, so the winner is never empty).
         accepted_tails: per candidate, the length of its accepted prefix after
             the first token.
         strategy: :attr:`DecodingStrategy.OURS` additionally truncates the
@@ -236,10 +237,6 @@ def select_best_candidate(
             best_tokens = tokens
             best_accepted = accepted
             best_row = row
-    if not best_tokens:
-        best_tokens = [candidates[0][0]]
-        best_accepted = 1
-        best_row = 0
     return best_tokens, best_accepted, best_row
 
 
@@ -553,7 +550,7 @@ def speculative_step(
     finally:
         cache.set_append_widths(None)
 
-    greedy = [lane.request.config.greedy or lane.request.config.temperature <= 0.0 for lane in lanes]
+    greedy = [lane.request.config.greedy for lane in lanes]
     # One vectorised argmax serves the greedy verification of every lane.
     argmax_v = np.argmax(base_v, axis=-1) if any(greedy) else None
     paths: List[List[int]] = []
@@ -570,7 +567,7 @@ def speculative_step(
                 proposed=len(candidates[0]),
                 accepted=best_accepted,
                 committed=len(best_tokens),
-                ends_at_boundary=best_tokens[-1] in (frag_id, eos_id),
+                ends_at_boundary=ends_at_fragment_boundary(best_tokens, frag_id, eos_id),
                 verified=tree.size,
                 verified_unpruned=unpruned_counts[index],
             )
@@ -778,6 +775,5 @@ class SpeculativeDecoder:
         return [self.finish(lane, clock) for lane in lanes]
 
     def generate_from_text(self, prompt: str, config: Optional[GenerationConfig] = None) -> DecodeResult:
-        """Tokenize ``prompt`` and generate a completion."""
-        prompt_ids = self.tokenizer.encode(prompt, add_bos=True)
-        return self.generate(prompt_ids, config)
+        """Tokenize ``prompt`` (:meth:`BPETokenizer.encode_prompt`) and generate a completion."""
+        return self.generate(self.tokenizer.encode_prompt(prompt), config)

@@ -6,12 +6,13 @@ integrity of the current code fragment*: if the tokens up to position ``v``
 already form a complete fragment (they end at a ``[FRAG]`` boundary), the
 outputs of the remaining heads are dropped.
 
-Operationally, with ``[FRAG]`` being a single vocabulary token, a prefix is
-complete exactly when its last token is the ``[FRAG]`` marker (or when it ends
-with EOS).  The integrity check therefore truncates the accepted run back to
-the last such boundary — unless the run contains *no* boundary at all, in which
-case the first token is kept so that decoding always makes progress (this
-mirrors the base model's guaranteed one-token advance in Medusa).
+This module is the one definition of that boundary rule.  With ``[FRAG]``
+being a single vocabulary token, a run is complete exactly when its last
+token is the ``[FRAG]`` marker or EOS (:func:`ends_at_fragment_boundary`).
+The integrity check truncates the accepted run back to the last such
+boundary — unless the run contains *no* boundary at all, in which case the
+first token is kept so that decoding always makes progress (this mirrors the
+base model's guaranteed one-token advance in Medusa).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ def truncate_to_complete_fragment(
     accepted_tokens: Sequence[int],
     frag_id: int,
     eos_id: Optional[int] = None,
-    minimum_tokens: int = 1,
 ) -> List[int]:
     """Drop trailing tokens that would leave an incomplete fragment.
 
@@ -32,24 +32,17 @@ def truncate_to_complete_fragment(
             order (the token at ``t+1`` first).
         frag_id: id of the ``[FRAG]`` fragment-boundary token.
         eos_id: optional end-of-sequence id; an EOS also closes a fragment.
-        minimum_tokens: the minimum number of tokens to keep when no boundary
-            is present (1 preserves Medusa's guaranteed single-token progress;
-            0 would stall decoding).
 
     Returns:
         The (possibly shorter) list of tokens that ends at a fragment boundary,
-        or the first ``minimum_tokens`` tokens when the run contains none.
+        or the first token alone when the run contains none, so a non-empty
+        run always keeps at least one token.
     """
     tokens = list(accepted_tokens)
-    if not tokens:
-        return tokens
-    last_boundary = -1
-    for index, token in enumerate(tokens):
-        if token == frag_id or (eos_id is not None and token == eos_id):
-            last_boundary = index
-    if last_boundary >= 0:
-        return tokens[: last_boundary + 1]
-    return tokens[: max(minimum_tokens, 0)]
+    end = len(tokens)
+    while end > 1 and not ends_at_fragment_boundary(tokens[:end], frag_id, eos_id):
+        end -= 1
+    return tokens[:end]
 
 
 def ends_at_fragment_boundary(tokens: Sequence[int], frag_id: int, eos_id: Optional[int] = None) -> bool:

@@ -149,7 +149,7 @@ class VerilogSpecPipeline:
         samples: List[TrainingSample] = []
         for example in self.examples:
             target_text = example.output_with_frag if method == "ours" else example.output
-            prompt_ids = self.tokenizer.encode(example.prompt_text(), add_bos=True)
+            prompt_ids = self.tokenizer.encode_prompt(example.prompt_text())
             target_ids = self.tokenizer.encode(target_text, add_eos=True)
             samples.append(TrainingSample(prompt_ids=prompt_ids, target_ids=target_ids, name=example.name))
         return samples

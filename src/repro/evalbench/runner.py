@@ -150,7 +150,7 @@ class EvaluationRunner:
             configs.append(
                 GenerationConfig.sampling_config(temperature, self.max_new_tokens, seed=index, grammar=self.grammar)
             )
-        prompt_ids = self.decoder.tokenizer.encode(problem.prompt, add_bos=True)
+        prompt_ids = self.decoder.tokenizer.encode_prompt(problem.prompt)
         return self.decoder.generate_many(prompt_ids, configs)
 
     def generate_samples(self, problem: Problem) -> List[str]:

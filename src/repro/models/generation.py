@@ -3,13 +3,13 @@
 The paper evaluates two decoding regimes per prompt: greedy decoding and
 sampling at a fixed temperature.  Both reduce to picking a token from a logits
 vector; :func:`sample_from_logits` implements that choice deterministically for
-greedy decoding and via a seeded random generator for temperature sampling.
+greedy decoding and via the lane's seeded generator for temperature sampling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,6 +19,11 @@ from repro.nn.functional import softmax
 @dataclass
 class GenerationConfig:
     """Configuration of a single generation run.
+
+    Whether a run is greedy or samples is decided by ``temperature`` alone:
+    a temperature of zero or below is greedy (:attr:`greedy`), and every
+    decode path (the sampler, the grammar mask, tree verification) reads that
+    one property.
 
     ``grammar`` selects grammar-constrained decoding
     (:mod:`repro.constrained`): ``"verilog"`` masks every sampled token so
@@ -30,20 +35,22 @@ class GenerationConfig:
 
     max_new_tokens: int = 192
     temperature: float = 0.0
-    top_k: int = 0
-    greedy: bool = True
-    #: Sampling seed.  ``None`` asks the serving engine to derive a seed from
-    #: the request id (:func:`repro.serving.request.derive_request_rng`) so
-    #: concurrent requests draw independent streams yet resubmission — e.g.
-    #: a router requeue after a worker crash — replays identical tokens.
-    #: Direct ``sample_from_logits`` callers passing ``seed=None`` fall back
-    #: to a fresh OS-entropy stream (non-reproducible, like numpy itself).
+    #: Sampling seed of the lane's generator.  ``None`` asks the serving
+    #: engine to derive a seed from the request id
+    #: (:func:`repro.serving.request.derive_request_rng`) so concurrent
+    #: requests draw independent streams yet resubmission — e.g. a router
+    #: requeue after a worker crash — replays identical tokens.
     seed: Optional[int] = 0
     grammar: Optional[str] = None
 
+    @property
+    def greedy(self) -> bool:
+        """True when the run takes the argmax instead of sampling."""
+        return self.temperature <= 0.0
+
     @classmethod
     def greedy_config(cls, max_new_tokens: int = 192, grammar: Optional[str] = None) -> "GenerationConfig":
-        return cls(max_new_tokens=max_new_tokens, temperature=0.0, greedy=True, grammar=grammar)
+        return cls(max_new_tokens=max_new_tokens, temperature=0.0, grammar=grammar)
 
     @classmethod
     def sampling_config(
@@ -53,84 +60,39 @@ class GenerationConfig:
         seed: int = 0,
         grammar: Optional[str] = None,
     ) -> "GenerationConfig":
-        return cls(
-            max_new_tokens=max_new_tokens,
-            temperature=temperature,
-            greedy=False,
-            seed=seed,
-            grammar=grammar,
-        )
+        return cls(max_new_tokens=max_new_tokens, temperature=temperature, seed=seed, grammar=grammar)
 
 
-#: Fallback generators for ``sample_from_logits(rng=None)``, one per seed
-#: (``None`` keys a single shared OS-entropy generator).
-#: A fresh ``default_rng(seed)`` per call would hand every position the same
-#: generator state, collapsing "temperature sampling" into a deterministic
-#: per-logits map; keeping the generator alive across calls restores an
-#: actual random stream while staying reproducible per seed.
-_FALLBACK_RNGS: Dict[Optional[int], np.random.Generator] = {}
-
-
-def reset_fallback_rngs() -> None:
-    """Drop the per-seed fallback generators (tests use this for isolation)."""
-    _FALLBACK_RNGS.clear()
-
-
-def _fallback_rng(seed: Optional[int]) -> np.random.Generator:
-    generator = _FALLBACK_RNGS.get(seed)
-    if generator is None:
-        generator = _FALLBACK_RNGS[seed] = np.random.default_rng(seed)
-    return generator
-
-
-def sample_from_logits(
-    logits: np.ndarray,
-    config: GenerationConfig,
-    rng: Optional[np.random.Generator] = None,
-) -> int:
+def sample_from_logits(logits: np.ndarray, config: GenerationConfig, rng: np.random.Generator) -> int:
     """Pick a token id from a ``(V,)`` logits vector.
 
     Greedy configurations return the argmax.  Sampling configurations divide
-    the logits by the temperature, optionally truncate to the top-k most
-    probable tokens, and draw from the resulting distribution.
+    the logits by the temperature and draw from the resulting distribution.
 
     Args:
         logits: ``(V,)`` unnormalised scores.
-        config: decoding configuration; ``top_k`` larger than the vocabulary
-            is clamped to ``V`` (i.e. no truncation), matching
-            :func:`top_k_token_ids`.
-        rng: seeded generator for sampling; defaults to a persistent
-            per-``config.seed`` generator whose state advances across calls
-            (a fresh generator per call would make every position draw from
-            identical state — the decode loops thread their own generator,
-            but the fallback must not silently de-randomise direct callers).
+        config: decoding configuration.
+        rng: the lane's generator (``RequestState.rng``), consumed only when
+            sampling; its state advances across calls, so successive
+            positions draw from one stream.
 
     Returns:
         The chosen token id.
     """
-    if config.greedy or config.temperature <= 0.0:
+    if config.greedy:
         return int(np.argmax(logits))
     probabilities = sampling_probabilities(logits, config)
-    generator = rng if rng is not None else _fallback_rng(config.seed)
-    return int(generator.choice(len(probabilities), p=probabilities))
+    return int(rng.choice(len(probabilities), p=probabilities))
 
 
 def sampling_probabilities(logits: np.ndarray, config: GenerationConfig) -> np.ndarray:
-    """The temperature/top-k sampling distribution of :func:`sample_from_logits`.
+    """The temperature sampling distribution of :func:`sample_from_logits`.
 
     Exposed so grammar-constrained sampling (:func:`repro.constrained.mask
     .masked_choice`) can draw from exactly the distribution unconstrained
     sampling uses — the identity guarantee when the mask never intervenes.
     """
-    scaled = logits / max(config.temperature, 1e-6)
-    if config.top_k and config.top_k > 0:
-        top_k = min(config.top_k, scaled.shape[-1])
-        if top_k < scaled.shape[-1]:
-            top_indices = np.argpartition(scaled, -top_k)[-top_k:]
-            mask = np.full_like(scaled, -np.inf)
-            mask[top_indices] = scaled[top_indices]
-            scaled = mask
-    return softmax(scaled)
+    return softmax(logits / max(config.temperature, 1e-6))
 
 
 def top_k_token_ids(logits: np.ndarray, k: int) -> np.ndarray:

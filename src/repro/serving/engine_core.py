@@ -359,10 +359,8 @@ class ServingEngine:
         priority: int = 0,
         deadline: Optional[float] = None,
     ) -> str:
-        """Tokenize ``prompt`` (adding BOS) and queue it for generation."""
-        return self.submit(
-            self.decoder.tokenizer.encode(prompt, add_bos=True), config, request_id, priority, deadline
-        )
+        """Tokenize ``prompt`` (:meth:`BPETokenizer.encode_prompt`) and queue it for generation."""
+        return self.submit(self.decoder.tokenizer.encode_prompt(prompt), config, request_id, priority, deadline)
 
     @property
     def has_work(self) -> bool:

@@ -76,7 +76,7 @@ class GenerationRequest:
         request_id: Caller-visible identifier (engine-assigned if omitted at
             submission).
         prompt_ids: Tokenized prompt (BOS included, as produced by
-            ``tokenizer.encode(..., add_bos=True)``).
+            ``tokenizer.encode_prompt(...)``).
         config: Per-request decoding configuration; requests in the same
             batch may use different budgets, temperatures and seeds.
         context_limit: The serving model's context window (``max_seq_len``),

@@ -561,9 +561,9 @@ class AsyncServingEngine:
         priority: int = 0,
         deadline: Optional[float] = None,
     ) -> StreamHandle:
-        """Tokenize ``prompt`` (adding BOS) and queue it for streaming."""
+        """Tokenize ``prompt`` (:meth:`BPETokenizer.encode_prompt`) and queue it for streaming."""
         return await self.submit(
-            self.engine.decoder.tokenizer.encode(prompt, add_bos=True), config, request_id, priority, deadline
+            self.engine.decoder.tokenizer.encode_prompt(prompt), config, request_id, priority, deadline
         )
 
     def _cancel(self, request_id: str) -> bool:

@@ -705,7 +705,8 @@ class CompiledSimulator(Simulator):
                     if scope.locals:
                         for frame in reversed(scope.locals):
                             if name in frame:
-                                frame[name] = value.resize(frame[name].width)
+                                local = frame[name]
+                                frame[name] = value.resize(local.width, signed=local.signed)
                                 return
                     # Inlined Simulator._set_signal — this is the hottest
                     # write path, one call layer matters.  Change records are

@@ -123,6 +123,13 @@ class _InstanceScope:
 
     # Helpers ---------------------------------------------------------------
 
+    def local_frame(self, name: str) -> Optional[Dict[str, FourState]]:
+        """The innermost function/task call frame that declares ``name``, if any."""
+        for frame in reversed(self.locals):
+            if name in frame:
+                return frame
+        return None
+
     def flat_name(self, local_name: str) -> str:
         return f"{self.prefix}{local_name}" if self.prefix else local_name
 
@@ -593,14 +600,26 @@ class Simulator:
             return
         if isinstance(target, ast.Identifier):
             # Local function/task frames first.
-            for frame in reversed(scope.locals):
-                if target.name in frame:
-                    width = frame[target.name].width
-                    frame[target.name] = value.resize(width)
-                    return
+            frame = scope.local_frame(target.name) if scope.locals else None
+            if frame is not None:
+                local = frame[target.name]
+                frame[target.name] = value.resize(local.width, signed=local.signed)
+                return
             signal = scope.resolve_signal(target.name)
             self._set_signal(signal, value)
             return
+        if scope.locals and isinstance(target, (ast.BitSelect, ast.PartSelect)):
+            frame = scope.local_frame(target.target.name) if isinstance(target.target, ast.Identifier) else None
+            if frame is not None:
+                if isinstance(target, ast.BitSelect):
+                    index = scope.evaluator.evaluate(target.index)
+                    if not index.is_fully_known:
+                        return
+                    msb = lsb = index.to_int()
+                else:
+                    msb, lsb = scope.evaluator.evaluate_bounds(target.mode, target.msb, target.lsb)
+                frame[target.target.name] = merge_bits(frame[target.target.name], msb, lsb, value)
+                return
         if isinstance(target, ast.BitSelect):
             base = target.target
             if isinstance(base, ast.Identifier):
@@ -635,6 +654,9 @@ class Simulator:
 
     def _target_width(self, scope: _InstanceScope, target: ast.Expression) -> int:
         if isinstance(target, ast.Identifier):
+            frame = scope.local_frame(target.name) if scope.locals else None
+            if frame is not None:
+                return frame[target.name].width
             return scope.resolve_signal(target.name).width
         if isinstance(target, ast.BitSelect):
             return 1
@@ -667,65 +689,53 @@ class Simulator:
         return FourState.unknown_value(32)
 
     def run_function(self, scope: _InstanceScope, func: ast.FunctionDeclaration, args: List[FourState]) -> FourState:
-        frame: Dict[str, FourState] = {}
-        return_width = 32 if func.range is None else scope.evaluator.range_width(func.range)
-        frame[func.name] = FourState.unknown_value(return_width)
-        input_names: List[str] = []
-        for item in func.items:
-            if isinstance(item, ast.PortDeclaration) and item.direction == "input":
-                width = 1 if item.range is None else scope.evaluator.range_width(item.range)
-                for port_name in item.names:
-                    input_names.append(port_name)
-                    frame[port_name] = FourState.unknown_value(width)
-            elif isinstance(item, ast.NetDeclaration):
-                for local_name in item.names:
-                    frame[local_name] = FourState.unknown_value(32)
-        for port_name, arg in zip(input_names, args):
-            frame[port_name] = arg.resize(frame[port_name].width)
+        """Call ``func``: its body runs through :meth:`_exec_statement` to completion.
+
+        A delay, event control or nonblocking assignment inside a function
+        raises :class:`SimulationError` (IEEE 1364-2005 10.4.4 forbids them).
+        """
+        frame = self._call_frame(scope, func.items, args)
+        frame[func.name] = FourState.unknown_value(32 if func.range is None else scope.evaluator.range_width(func.range))
+        queued = len(self._nba_queue)
         scope.locals.append(frame)
         try:
             for statement in func.body:
-                self._exec_function_statement(scope, statement, frame)
+                for command, _ in self._exec_statement(scope, statement):
+                    if command != _CMD_FINISH:
+                        raise SimulationError(f"function {func.name} contains a delay or event control")
         finally:
             scope.locals.pop()
+        if len(self._nba_queue) != queued:
+            raise SimulationError(f"function {func.name} contains a nonblocking assignment")
         return frame[func.name]
 
-    def _exec_function_statement(self, scope: _InstanceScope, statement: ast.Statement, frame: Dict[str, FourState]) -> None:
-        if isinstance(statement, ast.Block):
-            for child in statement.statements:
-                self._exec_function_statement(scope, child, frame)
-        elif isinstance(statement, ast.Assignment):
-            value = scope.evaluator.evaluate(statement.value)
-            if isinstance(statement.target, ast.Identifier) and statement.target.name in frame:
-                frame[statement.target.name] = value.resize(frame[statement.target.name].width)
+    def _call_frame(
+        self, scope: _InstanceScope, items: Sequence[ast.Node], args: Sequence[FourState]
+    ) -> Dict[str, FourState]:
+        """The locals of one function or task call, with ``args`` bound to its inputs in order.
+
+        Every port and variable starts unknown at its declared width and
+        signedness (``integer`` is 32-bit signed); an input takes its
+        argument resized to that shape.
+        """
+        frame: Dict[str, FourState] = {}
+        inputs: List[str] = []
+        for item in items:
+            if isinstance(item, ast.PortDeclaration):
+                if item.direction == "input":
+                    inputs.extend(item.names)
+            elif not isinstance(item, ast.NetDeclaration):
+                continue
+            if item.net_type == "integer":
+                width, signed = 32, True
             else:
-                self._write_target(scope, statement.target, value)
-        elif isinstance(statement, ast.IfStatement):
-            truth = scope.evaluator.evaluate(statement.condition).is_true()
-            if truth:
-                self._exec_function_statement(scope, statement.then_body, frame)
-            elif statement.else_body is not None:
-                self._exec_function_statement(scope, statement.else_body, frame)
-        elif isinstance(statement, ast.CaseStatement):
-            subject = scope.evaluator.evaluate(statement.subject)
-            chosen = self._select_case_item(scope, statement, subject)
-            if chosen is not None and chosen.body is not None:
-                self._exec_function_statement(scope, chosen.body, frame)
-        elif isinstance(statement, ast.ForStatement):
-            self._exec_function_statement(scope, statement.init, frame)
-            iterations = 0
-            while True:
-                truth = scope.evaluator.evaluate(statement.condition).is_true()
-                if not truth:
-                    break
-                self._exec_function_statement(scope, statement.body, frame)
-                self._exec_function_statement(scope, statement.step, frame)
-                iterations += 1
-                if iterations > self.max_loop_iterations:
-                    raise SimulationError("for loop iteration limit exceeded in function")
-        elif isinstance(statement, (ast.NullStatement, ast.LocalDeclaration)):
-            pass
-        # Delays/event controls are illegal inside functions; ignore defensively.
+                width = 1 if item.range is None else scope.evaluator.range_width(item.range)
+                signed = item.signed
+            for name in item.names:
+                frame[name] = FourState(width, 0, (1 << width) - 1, 0, signed)
+        for name, arg in zip(inputs, args):
+            frame[name] = arg.resize(frame[name].width, signed=frame[name].signed)
+        return frame
 
     # ------------------------------------------------------------------ #
     # Statement execution (generator-based coroutines)
@@ -937,21 +947,7 @@ class Simulator:
         yield  # pragma: no cover - makes this a generator
 
     def _exec_user_task(self, scope: _InstanceScope, task: ast.TaskDeclaration, args: List[ast.Expression]) -> Generator:
-        frame: Dict[str, FourState] = {}
-        input_names: List[str] = []
-        for item in task.items:
-            if isinstance(item, ast.PortDeclaration):
-                width = 1 if item.range is None else scope.evaluator.range_width(item.range)
-                for port_name in item.names:
-                    frame[port_name] = FourState.unknown_value(width)
-                    if item.direction == "input":
-                        input_names.append(port_name)
-            elif isinstance(item, ast.NetDeclaration):
-                for local_name in item.names:
-                    frame[local_name] = FourState.unknown_value(32)
-        arg_values = [scope.evaluator.evaluate(a) for a in args]
-        for port_name, value in zip(input_names, arg_values):
-            frame[port_name] = value.resize(frame[port_name].width)
+        frame = self._call_frame(scope, task.items, [scope.evaluator.evaluate(a) for a in args])
         scope.locals.append(frame)
         try:
             for body_statement in task.body:

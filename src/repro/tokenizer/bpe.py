@@ -47,6 +47,8 @@ class BPETokenizer:
             "(" + "|".join(re.escape(tok) for tok in self.special.as_list()) + ")"
         )
         self._encode_cache: Dict[str, List[str]] = {}
+        #: :meth:`piece_table` per ``keep_frag``, rebuilt when the vocabulary grows.
+        self._piece_tables: Dict[bool, List[str]] = {}
 
     # ------------------------------------------------------------------ #
     # Training
@@ -165,6 +167,16 @@ class BPETokenizer:
             ids.append(self.vocab.eos_id)
         return ids
 
+    def encode_prompt(self, text: str) -> List[int]:
+        """The ids a model is prompted with for instruction ``text``.
+
+        The one place a prompt becomes model-facing ids: decoding, serving,
+        trace replay, evaluation and training all call it, so the prompt a
+        method is trained on and the prompt it is evaluated with cannot
+        differ in format.
+        """
+        return self.encode(text, add_bos=True)
+
     def _encode_word(self, word: str) -> List[str]:
         cached = self._encode_cache.get(word)
         if cached is not None:
@@ -185,32 +197,41 @@ class BPETokenizer:
         self._encode_cache[word] = result
         return result
 
-    def decode_tokens(self, tokens: Sequence[str]) -> str:
-        """Reassemble text from string tokens."""
-        out: List[str] = []
-        for token in tokens:
-            if token in (self.special.pad, self.special.ignore, self.special.bos, self.special.eos):
-                continue
-            if token == self.special.frag:
-                out.append(self.special.frag)
-                continue
-            text = token.replace(_SPACE_MARKER, " ").replace(_NEWLINE_MARKER, "\n")
-            out.append(text)
-        return "".join(out)
+    def piece_table(self, keep_frag: bool = True) -> List[str]:
+        """Per-id text of every vocabulary token: what :meth:`decode` joins.
+
+        Whitespace markers are expanded; ``[PAD]``, ``[IGNORE]``, BOS and EOS
+        contribute nothing, and ``[FRAG]`` contributes itself when
+        ``keep_frag`` and nothing otherwise (the code view).  Each table is
+        built once per vocabulary and shared: the grammar mask
+        (:mod:`repro.constrained.mask`) constrains exactly the code text
+        ``decode(ids, keep_frag=False)`` returns.
+        """
+        table = self._piece_tables.get(keep_frag)
+        if table is None or len(table) != len(self.vocab):
+            special = self.special
+            silent = {special.pad, special.ignore, special.bos, special.eos}
+            if not keep_frag:
+                silent.add(special.frag)
+            table = [
+                "" if token in silent else token.replace(_SPACE_MARKER, " ").replace(_NEWLINE_MARKER, "\n")
+                for token in self.vocab.tokens()
+            ]
+            self._piece_tables[keep_frag] = table
+        return table
 
     def decode(self, ids: Sequence[int], keep_frag: bool = True) -> str:
         """Decode token ids back to text.
 
         Args:
-            ids: token ids.
-            keep_frag: when False, ``[FRAG]`` markers are stripped so the
+            ids: token ids; an id outside ``[0, V)`` decodes to ``[UNK]``.
+            keep_frag: when False, ``[FRAG]`` tokens are dropped so the
                 result is plain Verilog code.
         """
-        tokens = [self.vocab.id_to_token(i) for i in ids]
-        text = self.decode_tokens(tokens)
-        if not keep_frag:
-            text = text.replace(self.special.frag, "")
-        return text
+        table = self.piece_table(keep_frag)
+        size = len(table)
+        unk = table[self.vocab.unk_id]
+        return "".join([table[i] if 0 <= i < size else unk for i in ids])
 
     @property
     def vocab_size(self) -> int:

@@ -14,10 +14,14 @@ plus the usual BOS/EOS/UNK bookkeeping tokens.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional
+
+
+#: The fragment-boundary marker: written into the training text by
+#: :func:`repro.verilog.fragments.insert_frag_markers` and split out of any
+#: text by the tokenizer as one atomic token.
+FRAG = "[FRAG]"
 
 
 @dataclass(frozen=True)
@@ -28,7 +32,7 @@ class SpecialTokens:
     unk: str = "[UNK]"
     bos: str = "<s>"
     eos: str = "</s>"
-    frag: str = "[FRAG]"
+    frag: str = FRAG
     ignore: str = "[IGNORE]"
 
     def as_list(self) -> List[str]:
@@ -105,20 +109,3 @@ class Vocabulary:
     def tokens(self) -> List[str]:
         """All tokens in id order."""
         return list(self._id_to_token)
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Serialise the vocabulary to a JSON file."""
-        payload = {"tokens": self._id_to_token, "special": self.special.__dict__}
-        Path(path).write_text(json.dumps(payload, indent=2))
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Vocabulary":
-        """Load a vocabulary previously written by :meth:`save`."""
-        payload = json.loads(Path(path).read_text())
-        special = SpecialTokens(**payload["special"])
-        vocab = cls(special=special)
-        for token in payload["tokens"]:
-            vocab.add(token)
-        return vocab

@@ -238,14 +238,14 @@ class AdmissionController:
         self.detector.observe(ttft_seconds, now)
 
     def decide(
-        self, tenant: str, traffic_class: str, decode_tokens: int, now: float
+        self, tenant: str, traffic_class: str, token_budget: int, now: float
     ) -> AdmissionDecision:
         """Admission decision for one request attempt (updates counters).
 
         Args:
             tenant: Tenant id the request belongs to.
             traffic_class: ``"interactive"`` or ``"bulk"``.
-            decode_tokens: Token budget charged to the tenant's bucket.
+            token_budget: Token budget charged to the tenant's bucket.
             now: Current (possibly virtual) time.
         """
         counters = self._counters(tenant)
@@ -261,7 +261,7 @@ class AdmissionController:
             # Clamp the charge to the bucket capacity: a request whose budget
             # exceeds `burst` would otherwise defer forever, which is
             # starvation, not rate limiting.
-            charge = min(float(decode_tokens), bucket.burst)
+            charge = min(float(token_budget), bucket.burst)
             if not bucket.try_spend(charge, now):
                 counters.deferred += 1
                 return AdmissionDecision.DEFER

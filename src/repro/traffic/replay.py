@@ -63,12 +63,12 @@ class StepCostModel:
     prefill_token_seconds: float = 0.0005
     decode_token_seconds: float = 0.001
 
-    def cost(self, prefill_tokens: int, decode_tokens: int) -> float:
+    def cost(self, prefill_tokens: int, committed_tokens: int) -> float:
         """Virtual seconds one step took given its token work."""
         return (
             self.step_seconds
             + self.prefill_token_seconds * prefill_tokens
-            + self.decode_token_seconds * decode_tokens
+            + self.decode_token_seconds * committed_tokens
         )
 
 
@@ -222,7 +222,7 @@ def replay_trace(
     deferred: List[tuple] = []  # (retry_at, TraceRequest, defer_count)
     flights: Dict[str, _Flight] = {}
     outcomes: Dict[str, RequestOutcome] = {}
-    decode_tokens_step = [0]
+    committed_tokens_step = [0]
     steps = 0
     start = clock()
 
@@ -246,7 +246,7 @@ def replay_trace(
                 deferred.append((now + DEFER_RETRY_SECONDS, request, defer_count + 1))
                 return
         engine.submit(
-            engine.decoder.tokenizer.encode(request.prompt, add_bos=True),
+            engine.decoder.tokenizer.encode_prompt(request.prompt),
             config=_request_config(request),
             request_id=request.request_id,
             priority=request.priority,
@@ -261,8 +261,8 @@ def replay_trace(
         flights[request.request_id] = flight
         engine.attach_listeners(
             request.request_id,
-            on_commit=lambda burst: decode_tokens_step.__setitem__(
-                0, decode_tokens_step[0] + len(burst)
+            on_commit=lambda burst: committed_tokens_step.__setitem__(
+                0, committed_tokens_step[0] + len(burst)
             ),
         )
 
@@ -314,7 +314,7 @@ def replay_trace(
         release_due()
         cancel_due()
         if engine.has_work:
-            decode_tokens_step[0] = 0
+            committed_tokens_step[0] = 0
             prefilled_before = engine.tokens_prefilled_total
             engine.step()
             steps += 1
@@ -322,7 +322,7 @@ def replay_trace(
                 clock.advance(
                     cost_model.cost(
                         engine.tokens_prefilled_total - prefilled_before,
-                        decode_tokens_step[0],
+                        committed_tokens_step[0],
                     )
                 )
             observe_ttfts()
@@ -396,7 +396,7 @@ async def replay_trace_async(server, trace: Trace) -> ReplayReport:
             await asyncio.sleep(delay)
         submitted = loop.time() - start
         handle = await server.submit(
-            engine.decoder.tokenizer.encode(request.prompt, add_bos=True),
+            engine.decoder.tokenizer.encode_prompt(request.prompt),
             config=_request_config(request),
             request_id=request.request_id,
             priority=request.priority,
@@ -459,7 +459,7 @@ def replay_trace_router(router, trace: Trace, tokenizer) -> ReplayReport:
     for request in trace.requests:
         wall.sleep(start + request.arrival_seconds - wall())
         router.submit(
-            tokenizer.encode(request.prompt, add_bos=True),
+            tokenizer.encode_prompt(request.prompt),
             config=_request_config(request),
             request_id=request.request_id,
             priority=request.priority,

@@ -25,7 +25,6 @@ from repro.verilog.fragments import (
     insert_frag_markers,
     segment_code,
     strip_frag_markers,
-    is_complete_fragment,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "insert_frag_markers",
     "segment_code",
     "strip_frag_markers",
-    "is_complete_fragment",
 ]

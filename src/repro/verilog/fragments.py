@@ -10,8 +10,11 @@ This module provides:
 
 * :func:`segment_code` — split code into (fragment, is_significant) pieces;
 * :func:`insert_frag_markers` — produce the ``[FRAG]``-annotated text;
-* :func:`strip_frag_markers` — recover plain code from annotated text;
-* :func:`is_complete_fragment` — the integrity predicate used by the decoder.
+* :func:`strip_frag_markers` — recover plain code from annotated text.
+
+The marker string itself is :data:`repro.tokenizer.vocab.FRAG`, the
+tokenizer's atomic ``[FRAG]`` token.  Where decoding may stop is decided on
+token ids, not on text: :mod:`repro.core.integrity` owns that rule.
 """
 
 from __future__ import annotations
@@ -19,10 +22,8 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Sequence, Tuple
 
+from repro.tokenizer.vocab import FRAG
 from repro.verilog.significant import extract_significant_tokens
-
-#: The fragment-boundary marker inserted between meaningful code fragments.
-FRAG = "[FRAG]"
 
 #: Tokens that never need word boundaries (operators / punctuation).
 _NON_WORD = re.compile(r"[^0-9A-Za-z_]")
@@ -105,30 +106,3 @@ def insert_frag_markers(
 def strip_frag_markers(annotated: str) -> str:
     """Remove every ``[FRAG]`` marker, recovering the plain source text."""
     return annotated.replace(FRAG, "")
-
-
-def is_complete_fragment(annotated: str) -> bool:
-    """Return True if ``annotated`` ends at a fragment boundary.
-
-    A decoded prefix is *complete* (safe to stop at) when, after trailing
-    whitespace is removed, it ends with a ``[FRAG]`` marker or is empty.  This
-    is the predicate the speculative decoder's integrity check uses to decide
-    how far an accepted token run may extend (paper Sec. III-B).
-    """
-    trimmed = annotated.rstrip()
-    if not trimmed:
-        return True
-    return trimmed.endswith(FRAG)
-
-
-def fragment_boundary_positions(annotated_tokens: Sequence[str]) -> List[int]:
-    """Indices of ``[FRAG]`` markers in a tokenised annotated sequence.
-
-    Args:
-        annotated_tokens: sequence of string tokens (e.g. BPE pieces decoded
-            back to strings) where the marker appears as its own token.
-
-    Returns:
-        The positions ``i`` with ``annotated_tokens[i] == FRAG``.
-    """
-    return [i for i, token in enumerate(annotated_tokens) if token == FRAG]

@@ -106,9 +106,6 @@ class TestIntegrityTruncation:
         tokens = [10, 11, 12]
         assert truncate_to_complete_fragment(tokens, FRAG) == [10]
 
-    def test_no_boundary_minimum_zero(self):
-        assert truncate_to_complete_fragment([10, 11], FRAG, minimum_tokens=0) == []
-
     def test_empty_input(self):
         assert truncate_to_complete_fragment([], FRAG) == []
 

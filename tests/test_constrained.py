@@ -46,18 +46,13 @@ from repro.constrained import (
     masked_choice,
     masked_sample,
     prefilter_candidates,
-    token_pieces,
 )
 from repro.core.decoding import DecodingStrategy, SpeculativeDecoder
 from repro.evalbench import EvaluationRunner
 from repro.evalbench.passk import pass_at_k, pass_at_k_single
 from repro.evalbench.rtllm import rtllm_suite
 from repro.evalbench.problems import ProblemSuite
-from repro.models.generation import (
-    GenerationConfig,
-    reset_fallback_rngs,
-    sample_from_logits,
-)
+from repro.models.generation import GenerationConfig, sample_from_logits
 from repro.serving import ServingEngine
 from repro.verilog.lexer import Lexer, LexerError
 from repro.verilog.parser import parse_source
@@ -283,9 +278,9 @@ class TestSyntaxMaskState:
 
     def test_piece_table(self, tiny_pipeline):
         tokenizer = tiny_pipeline.tokenizer
-        pieces = token_pieces(tokenizer)
+        pieces = tokenizer.piece_table(keep_frag=False)
         assert len(pieces) == tokenizer.vocab_size
-        assert pieces is token_pieces(tokenizer)  # cached per tokenizer
+        assert pieces is tokenizer.piece_table(keep_frag=False)  # built once per vocabulary
         vocab = tokenizer.vocab
         for special in (vocab.pad_id, vocab.bos_id, vocab.eos_id, vocab.ignore_id):
             assert pieces[special] == ""
@@ -431,33 +426,6 @@ class TestMaskedSampling:
 # --------------------------------------------------------------------------- #
 
 
-class TestFallbackRng:
-    def test_successive_fallback_samples_differ(self):
-        """rng=None must advance a persistent generator, not reseed per call."""
-        reset_fallback_rngs()
-        logits = np.zeros(64)  # uniform: fresh-seeded rngs would repeat forever
-        config = GenerationConfig.sampling_config(1.0, 8, seed=0)
-        draws = {sample_from_logits(logits, config, rng=None) for _ in range(8)}
-        assert len(draws) > 1
-
-    def test_fallback_stream_is_reproducible(self):
-        logits = np.zeros(64)
-        config = GenerationConfig.sampling_config(1.0, 8, seed=5)
-        reset_fallback_rngs()
-        first = [sample_from_logits(logits, config, rng=None) for _ in range(6)]
-        reset_fallback_rngs()
-        second = [sample_from_logits(logits, config, rng=None) for _ in range(6)]
-        assert first == second
-
-    def test_fallback_streams_keyed_by_seed(self):
-        logits = np.zeros(64)
-        reset_fallback_rngs()
-        a = [sample_from_logits(logits, GenerationConfig.sampling_config(1.0, 8, seed=1), None) for _ in range(6)]
-        reset_fallback_rngs()
-        b = [sample_from_logits(logits, GenerationConfig.sampling_config(1.0, 8, seed=2), None) for _ in range(6)]
-        assert a != b
-
-
 class TestCheckSyntaxModuleGuard:
     @pytest.mark.parametrize("source", ["", "   \n", "// only a comment\n", "/* block */ // more\n"])
     def test_module_free_source_fails(self, source):
@@ -577,8 +545,6 @@ class TestConstrainedDecoding:
             config = GenerationConfig(
                 max_new_tokens=spec["max_new_tokens"],
                 temperature=spec["temperature"],
-                top_k=spec["top_k"],
-                greedy=True,
                 seed=spec["seed"],
                 grammar="verilog",
             )
@@ -648,7 +614,7 @@ class TestConstrainedDecoding:
         and the finished design always parses."""
         decoder = tiny_pipeline.decoder_for("ours")
         tokenizer = tiny_pipeline.tokenizer
-        pieces = token_pieces(tokenizer)
+        pieces = tokenizer.piece_table(keep_frag=False)
         prompts = [example.prompt_text() for example in tiny_pipeline.examples]
 
         def property_fn(cases):

@@ -34,13 +34,17 @@ def load_fixture(method: str) -> dict:
 
 
 def config_from_dict(data: dict) -> GenerationConfig:
-    return GenerationConfig(
-        max_new_tokens=data["max_new_tokens"],
-        temperature=data["temperature"],
-        top_k=data["top_k"],
-        greedy=data["greedy"],
-        seed=data["seed"],
-    )
+    """The config a fixture case pins.
+
+    The files keep ``top_k`` and ``greedy`` keys from when those were config
+    fields; they must hold what the code now implies (no top-k truncation,
+    greedy exactly when the temperature is not positive) and are otherwise
+    ignored.
+    """
+    config = GenerationConfig(max_new_tokens=data["max_new_tokens"], temperature=data["temperature"], seed=data["seed"])
+    assert data["top_k"] == 0
+    assert data["greedy"] == config.greedy
+    return config
 
 
 def test_fixture_pipeline_matches_test_fixture(tiny_pipeline):

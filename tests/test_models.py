@@ -1,6 +1,7 @@
 """Tests for the model zoo: backbones, Medusa wrapper, generation utilities."""
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -256,7 +257,9 @@ class TestStackedHeadCounts:
 class TestGeneration:
     def test_greedy_picks_argmax(self):
         logits = np.array([0.1, 5.0, -2.0])
-        assert sample_from_logits(logits, GenerationConfig.greedy_config()) == 1
+        rng = np.random.default_rng(0)
+        assert sample_from_logits(logits, GenerationConfig.greedy_config(), rng) == 1
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # greedy draws nothing
 
     def test_sampling_deterministic_with_seed(self):
         logits = np.random.default_rng(0).normal(size=20)
@@ -265,30 +268,12 @@ class TestGeneration:
         rng_b = np.random.default_rng(7)
         assert sample_from_logits(logits, config, rng_a) == sample_from_logits(logits, config, rng_b)
 
-    def test_sampling_respects_top_k(self):
-        logits = np.array([10.0, 9.0, -100.0, -100.0])
-        config = GenerationConfig(max_new_tokens=1, temperature=1.0, greedy=False, top_k=2, seed=0)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert sample_from_logits(logits, config, rng) in (0, 1)
-
     def test_low_temperature_concentrates(self):
         logits = np.array([2.0, 1.0, 0.0])
-        config = GenerationConfig(max_new_tokens=1, temperature=0.05, greedy=False, seed=0)
+        config = GenerationConfig(max_new_tokens=1, temperature=0.05, seed=0)
         rng = np.random.default_rng(0)
         samples = [sample_from_logits(logits, config, rng) for _ in range(25)]
         assert samples.count(0) >= 24
-
-    def test_sampling_top_k_exceeding_vocab_is_clamped(self):
-        """Regression: top_k > V used to raise ValueError from np.argpartition."""
-        logits = np.array([2.0, 1.0, 0.5])
-        config = GenerationConfig(max_new_tokens=1, temperature=1.0, greedy=False, top_k=10, seed=0)
-        rng = np.random.default_rng(0)
-        token = sample_from_logits(logits, config, rng)
-        assert token in (0, 1, 2)
-        # top_k == V is also a no-op truncation, not an error.
-        config_eq = GenerationConfig(max_new_tokens=1, temperature=1.0, greedy=False, top_k=3, seed=0)
-        assert sample_from_logits(logits, config_eq, np.random.default_rng(0)) == token
 
     def test_top_k_token_ids_sorted(self):
         logits = np.array([0.5, 3.0, 2.0, -1.0])
@@ -308,3 +293,16 @@ class TestGeneration:
         sampled = GenerationConfig.sampling_config(0.6, 70, seed=3)
         assert greedy.greedy and greedy.max_new_tokens == 50
         assert not sampled.greedy and sampled.temperature == 0.6 and sampled.seed == 3
+
+    def test_greedy_is_read_from_the_temperature(self):
+        """``greedy`` is a property of the temperature, not a field a config can contradict."""
+        assert [field.name for field in dataclasses.fields(GenerationConfig)] == [
+            "max_new_tokens",
+            "temperature",
+            "seed",
+            "grammar",
+        ]
+        assert GenerationConfig(temperature=0.0).greedy and GenerationConfig(temperature=-1.0).greedy
+        assert not GenerationConfig(temperature=1e-3).greedy
+        with pytest.raises(TypeError):
+            GenerationConfig(greedy=True)  # type: ignore[call-arg]

@@ -697,3 +697,95 @@ def test_a_write_below_bit_0_is_graded_not_raised(backend):
             (True, True, True),
             (True, True, False),
         ]
+
+
+# Function and task bodies run through the one statement executor, and every
+# local has its declared width and signedness (IEEE 1364-2005 10.3, 10.4).
+# Each body below is called as ``f(8'h ...)`` or ``t(8'hff)`` from module
+# ``m``; the expected lines are the IEEE results.
+_CALLABLE_CASES = {
+    "declared_local_width": (
+        "function [7:0] f; input [7:0] a; reg [3:0] tmp; begin tmp = 8'hff; f = tmp; end endfunction",
+        "x = f(8'd0); $display(\"%0d\", x);",
+        ["15"],
+    ),
+    "while_in_function": (
+        "function [7:0] f; input [7:0] a; reg [3:0] tmp;"
+        " begin tmp = 0; f = 0; while (tmp < 3) begin tmp = tmp + 1; f = f + tmp; end end endfunction",
+        "x = f(8'd0); $display(\"%0d\", x);",
+        ["6"],
+    ),
+    "repeat_in_function": (
+        "function [7:0] f; input [7:0] a; reg [3:0] tmp; begin tmp = 5; f = 0; repeat (2) f = f + tmp; end endfunction",
+        "x = f(8'd0); $display(\"%0d\", x);",
+        ["10"],
+    ),
+    "return_width_is_the_context": (
+        "function [8:0] f; input [7:0] a; input [7:0] b; begin f = a + b; end endfunction",
+        "x = f(8'hff, 8'hff); $display(\"%0d\", x);",
+        ["510"],
+    ),
+    "integer_local_is_signed": (
+        "function [39:0] f; input [7:0] a; integer k; begin k = 32'hffffffff; f = k; end endfunction",
+        "w = f(8'd0); $display(\"%h\", w);",
+        ["ffffffffff"],
+    ),
+    "bit_writes_into_the_return_value": (
+        "function [3:0] f; input [3:0] a; integer i; begin for (i = 0; i < 4; i = i + 1) f[i] = a[3 - i]; end endfunction",
+        "x = f(4'b0011); $display(\"%b\", x[3:0]);",
+        ["1100"],
+    ),
+    "part_writes_into_the_return_value": (
+        "function [7:0] f; input [7:0] a; begin f[7:4] = a[3:0]; f[3:0] = a[7:4]; end endfunction",
+        "x = f(8'h3c); $display(\"%h\", x[7:0]);",
+        ["c3"],
+    ),
+    "local_shadows_a_module_signal": (
+        "function [39:0] f; input [7:0] a; integer w; begin w = 32'hffffffff; f = w; end endfunction",
+        "w = f(8'd0); $display(\"%h\", w);",
+        ["ffffffffff"],
+    ),
+    "display_in_function": (
+        "function [7:0] f; input [7:0] a; begin $display(\"in f %0d\", a); f = a; end endfunction",
+        "x = f(8'd3); $display(\"%0d\", x);",
+        ["in f 3", "3"],
+    ),
+    "declared_task_local_width": (
+        "task t; input [7:0] a; reg [3:0] tmp; begin tmp = a; $display(\"%0d\", tmp); end endtask",
+        "t(8'hff);",
+        ["15"],
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", [Simulator, CompiledSimulator], ids=["interpreter", "compiled"])
+@pytest.mark.parametrize("case", sorted(_CALLABLE_CASES))
+def test_function_and_task_bodies_follow_ieee_1364(case, backend):
+    declaration, call, expected = _CALLABLE_CASES[case]
+    source = (
+        f"module m;\n    reg [8:0] x;\n    reg [39:0] w;\n    {declaration}\n"
+        f"    initial begin {call} $finish; end\nendmodule\n"
+    )
+    result = backend(source, top="m").run()
+    assert result.error is None
+    assert result.display_lines == expected
+
+
+@pytest.mark.parametrize("backend", [Simulator, CompiledSimulator], ids=["interpreter", "compiled"])
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("#1 f = a;", "function f contains a delay or event control"),
+        ("@(a) f = a;", "function f contains a delay or event control"),
+        ("f <= a;", "function f contains a nonblocking assignment"),
+    ],
+)
+def test_timing_and_nonblocking_writes_in_a_function_are_errors(body, error, backend):
+    source = (
+        "module m;\n    reg [7:0] x;\n"
+        f"    function [7:0] f; input [7:0] a; begin {body} end endfunction\n"
+        "    initial begin x = f(8'd3); $display(\"%0d\", x); $finish; end\nendmodule\n"
+    )
+    result = backend(source, top="m").run()
+    assert result.error == error
+    assert result.display_lines == []

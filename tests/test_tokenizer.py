@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proptest import for_all, num_cases
+from repro.constrained.mask import grammar_mask
+from repro.data.corpus import CorpusConfig, SyntheticVerilogCorpus
 from repro.tokenizer.bpe import BPETokenizer
-from repro.tokenizer.vocab import Vocabulary
+from repro.tokenizer.vocab import SpecialTokens, Vocabulary
 from repro.verilog.fragments import FRAG, insert_frag_markers
 
 
@@ -57,14 +60,6 @@ class TestVocabulary:
         vocab = Vocabulary(["x"])
         assert "x" in vocab
         assert "y" not in vocab
-
-    def test_save_load_round_trip(self, tmp_path):
-        vocab = Vocabulary(["module", "endmodule"])
-        path = tmp_path / "vocab.json"
-        vocab.save(path)
-        loaded = Vocabulary.load(path)
-        assert loaded.tokens() == vocab.tokens()
-        assert loaded.frag_id == vocab.frag_id
 
 
 class TestBPETraining:
@@ -132,6 +127,10 @@ class TestEncodingDecoding:
         assert trained_tokenizer.encode("") == []
         assert trained_tokenizer.decode([]) == ""
 
+    def test_encode_prompt_is_bos_then_the_text(self, trained_tokenizer):
+        text = "Write a Verilog module named counter."
+        assert trained_tokenizer.encode_prompt(text) == trained_tokenizer.encode(text, add_bos=True)
+
     def test_save_load_round_trip(self, trained_tokenizer, tmp_path):
         path = tmp_path / "tok.json"
         trained_tokenizer.save(path)
@@ -174,3 +173,71 @@ def test_frag_annotation_round_trip_through_tokenizer(seed):
     ids = tokenizer.encode(annotated)
     decoded = tokenizer.decode(ids, keep_frag=True)
     assert decoded.count(FRAG) == annotated.count(FRAG)
+
+
+class TestPieceTables:
+    """``decode`` is a join over the tokenizer's per-id piece tables, and the
+    grammar mask constrains the code table itself."""
+
+    def test_decode_is_the_join_of_the_piece_tables(self, trained_tokenizer):
+        size = trained_tokenizer.vocab_size
+        unk = trained_tokenizer.special.unk
+
+        def property_fn(cases):
+            ids = [cases.integer(-3, size + 3) for _ in range(cases.integer(0, 40))]
+            for keep_frag in (True, False):
+                pieces = trained_tokenizer.piece_table(keep_frag)
+                expected = "".join(pieces[i] if 0 <= i < size else unk for i in ids)
+                assert trained_tokenizer.decode(ids, keep_frag=keep_frag) == expected
+            # No ordinary piece of this vocabulary spells the marker, so the
+            # code view is also the marker-free text.
+            assert trained_tokenizer.decode(ids, keep_frag=False) == trained_tokenizer.decode(ids).replace(FRAG, "")
+
+        for_all(num_cases(40, 400), property_fn, seed=42)
+
+    def test_out_of_range_ids_decode_to_unk(self, trained_tokenizer):
+        size = trained_tokenizer.vocab_size
+        for keep_frag in (True, False):
+            assert trained_tokenizer.decode([-1, size, -size], keep_frag=keep_frag) == "[UNK]" * 3
+
+    def test_the_mask_reads_the_tokenizers_code_table(self, trained_tokenizer):
+        table = trained_tokenizer.piece_table(keep_frag=False)
+        assert table is trained_tokenizer.piece_table(keep_frag=False)
+        assert grammar_mask("verilog", trained_tokenizer)._pieces is table
+        vocab = trained_tokenizer.vocab
+        assert table[vocab.frag_id] == "" and trained_tokenizer.piece_table(keep_frag=True)[vocab.frag_id] == FRAG
+
+    def test_tables_follow_a_growing_vocabulary(self):
+        tokenizer = BPETokenizer()
+        assert len(tokenizer.piece_table(keep_frag=False)) == len(tokenizer.vocab)
+        tokenizer.train(CORPUS, vocab_size=120)
+        assert len(tokenizer.piece_table(keep_frag=False)) == tokenizer.vocab_size
+        ids = tokenizer.encode("module counter;")
+        assert tokenizer.decode(ids) == "module counter;"
+
+    def test_ordinary_pieces_spelling_the_marker_stay_in_the_code_view(self):
+        """Only the ``[FRAG]`` token is dropped from code: ordinary pieces that
+        happen to spell ``[FRAG]`` are text like any other."""
+        tokenizer = BPETokenizer()
+        tokenizer.train(["[FRAGMENT]"], vocab_size=20, min_frequency=2)
+        ids = [tokenizer.vocab.token_to_id(ch) for ch in "[FRAG]"]
+        assert tokenizer.vocab.unk_id not in ids and tokenizer.vocab.frag_id not in ids
+        assert tokenizer.decode(ids, keep_frag=False) == FRAG
+        assert tokenizer.decode(ids + [tokenizer.vocab.frag_id], keep_frag=False) == FRAG
+        assert tokenizer.decode(ids + [tokenizer.vocab.frag_id], keep_frag=True) == FRAG + FRAG
+
+
+def test_one_marker_literal_for_the_data_and_the_tokenizer():
+    """The marker the training data is annotated with is the tokenizer's
+    atomic special token: every marker encodes to ``frag_id``."""
+    assert SpecialTokens().frag is FRAG
+    corpus = SyntheticVerilogCorpus(CorpusConfig(seed=3))
+    items = [corpus.generate_item(family, seed) for family in ("register", "counter") for seed in range(3)]
+    annotated = [insert_frag_markers(item.code) for item in items]
+    tokenizer = BPETokenizer()
+    tokenizer.train(annotated, vocab_size=400)
+    frag_id = tokenizer.vocab.frag_id
+    for text in annotated:
+        ids = tokenizer.encode(text)
+        assert ids.count(frag_id) == text.count(FRAG) > 0
+        assert all(FRAG not in tokenizer.vocab.id_to_token(i) for i in ids if i != frag_id)

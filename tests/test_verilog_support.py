@@ -4,9 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.verilog.fragments import (
     FRAG,
-    fragment_boundary_positions,
     insert_frag_markers,
-    is_complete_fragment,
     segment_code,
     strip_frag_markers,
 )
@@ -136,18 +134,6 @@ class TestFragMarkers:
     def test_identifier_wrapped(self, sample_design):
         annotated = insert_frag_markers(sample_design)
         assert f"{FRAG}data_register{FRAG}" in annotated
-
-    def test_is_complete_fragment(self):
-        assert is_complete_fragment("")
-        assert is_complete_fragment("   ")
-        assert is_complete_fragment(f"{FRAG}module{FRAG}")
-        assert is_complete_fragment(f"{FRAG}module{FRAG}  \n")
-        assert not is_complete_fragment(f"{FRAG}modu")
-        assert not is_complete_fragment("module")
-
-    def test_fragment_boundary_positions(self):
-        tokens = [FRAG, "module", FRAG, " ", "name", FRAG]
-        assert fragment_boundary_positions(tokens) == [0, 2, 5]
 
     def test_insert_on_invalid_code_still_terminates(self):
         # Invalid code has no AST keywords; only the extra keywords segment it.
