@@ -56,13 +56,13 @@ else:
     SPEED_PROMPTS = 6
 
 
-def pytest_collection_modifyitems(items) -> None:
-    # The quality benches report pass@5 from SAMPLES_PER_PROMPT samples (3, or
-    # 1 in smoke mode), which repro.evalbench.passk clamps with a UserWarning.
-    # pyproject.toml turns repro's UserWarnings into errors; here that one
-    # stays a warning, as it was.
-    for item in items:
-        item.add_marker(pytest.mark.filterwarnings("default:pass@.*evaluating at k=:UserWarning"))
+def pass_k_values(wanted, samples: int) -> tuple:
+    """The ``k`` of ``wanted`` that ``samples`` samples per prompt can estimate.
+
+    pass@k is undefined for ``k > n`` (``repro.evalbench.passk`` raises), so a
+    quality bench requests, and emits, only these columns.
+    """
+    return tuple(k for k in wanted if k <= samples)
 
 
 def default_pipeline_config(**overrides) -> PipelineConfig:

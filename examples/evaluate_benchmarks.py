@@ -47,7 +47,6 @@ def main() -> None:
                 samples_per_prompt=SAMPLES_PER_PROMPT,
                 max_new_tokens=120,
                 k_values=K_VALUES,
-                strict_pass_k=True,
             )
             report = runner.evaluate_suite(suite, label=method)
             for metric, pass_at_k, rate in (

@@ -7,32 +7,26 @@ probability that at least one of ``k`` randomly chosen samples passes is
 prompts.  ``Pass Rate`` is the fraction of prompts for which *any* of the
 samples passed.
 
-Requesting ``k`` larger than the sample count ``n`` is a misconfiguration:
-the estimator is undefined there, and silently evaluating at ``k = n``
-mislabels the reported column (a "pass@10" computed from 5 samples is a
-pass@5).  The single-prompt helpers surface it — as a :class:`UserWarning`
-by default (the clamped value is still returned, keeping exploratory use
-working) or a :class:`ValueError` under ``strict=True``, which the
-evaluation runner enables so benchmark tables can never ship mislabeled
-columns.
+Requesting ``k`` larger than the sample count ``n`` raises
+:class:`ValueError`: the estimator is undefined there, and evaluating at
+``k = n`` instead would mislabel the reported column (a "pass@10" computed
+from 5 samples is a pass@5).
 """
 
 from __future__ import annotations
 
-import warnings
 from math import comb
 from typing import Sequence
 
 
-def pass_at_k_single(n: int, c: int, k: int, strict: bool = False) -> float:
+def pass_at_k_single(n: int, c: int, k: int) -> float:
     """pass@k for one prompt with ``n`` samples and ``c`` passing samples.
 
     Args:
         n: number of samples drawn for the prompt.
         c: number of passing samples (``0 <= c <= n``).
-        k: the ``k`` of pass@k; must be positive.
-        strict: when ``k > n > 0``, raise :class:`ValueError` instead of
-            warning and evaluating at ``k = n``.
+        k: the ``k`` of pass@k; must be positive and, when ``n > 0``, at
+            most ``n``.
     """
     if n < 0 or c < 0 or c > n:
         raise ValueError("invalid sample counts")
@@ -41,15 +35,7 @@ def pass_at_k_single(n: int, c: int, k: int, strict: bool = False) -> float:
     if n == 0:
         return 0.0
     if k > n:
-        if strict:
-            raise ValueError(f"pass@{k} requested with only n={n} samples; the estimator needs k <= n")
-        warnings.warn(
-            f"pass@{k} requested with only n={n} samples; evaluating at k={n} "
-            "(the reported value is pass@" + str(n) + ", not pass@" + str(k) + ")",
-            UserWarning,
-            stacklevel=2,
-        )
-        k = n
+        raise ValueError(f"pass@{k} requested with only n={n} samples; the estimator needs k <= n")
     if c == 0:
         return 0.0
     if n - c < k:
@@ -57,17 +43,17 @@ def pass_at_k_single(n: int, c: int, k: int, strict: bool = False) -> float:
     return 1.0 - comb(n - c, k) / comb(n, k)
 
 
-def pass_at_k_from_counts(counts: Sequence[Sequence[int]], k: int, strict: bool = False) -> float:
+def pass_at_k_from_counts(counts: Sequence[Sequence[int]], k: int) -> float:
     """Mean pass@k over prompts given ``(n, c)`` pairs."""
     if not counts:
         return 0.0
-    return sum(pass_at_k_single(n, c, k, strict=strict) for n, c in counts) / len(counts)
+    return sum(pass_at_k_single(n, c, k) for n, c in counts) / len(counts)
 
 
-def pass_at_k(results_per_prompt: Sequence[Sequence[bool]], k: int, strict: bool = False) -> float:
+def pass_at_k(results_per_prompt: Sequence[Sequence[bool]], k: int) -> float:
     """Mean pass@k over prompts given per-sample pass/fail flags."""
     counts = [(len(results), sum(bool(r) for r in results)) for results in results_per_prompt]
-    return pass_at_k_from_counts(counts, k, strict=strict)
+    return pass_at_k_from_counts(counts, k)
 
 
 def pass_rate(results_per_prompt: Sequence[Sequence[bool]]) -> float:

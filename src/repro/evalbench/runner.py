@@ -74,15 +74,13 @@ class QualityReport:
     closure_tokens: int = 0
 
     def row(self, metric: str = "function") -> Dict[str, float]:
-        """One Table-I-style row: pass@1/5/10 plus Pass Rate, in percent."""
+        """One Table-I-style row, in percent: a ``pass@k`` column for each
+        ``k`` the report computed, in order, then ``pass_rate``."""
         source = self.function_pass_at_k if metric == "function" else self.syntax_pass_at_k
         rate = self.function_pass_rate if metric == "function" else self.syntax_pass_rate
-        return {
-            "pass@1": 100.0 * source.get(1, 0.0),
-            "pass@5": 100.0 * source.get(5, 0.0),
-            "pass@10": 100.0 * source.get(10, 0.0),
-            "pass_rate": 100.0 * rate,
-        }
+        row = {f"pass@{k}": 100.0 * value for k, value in source.items()}
+        row["pass_rate"] = 100.0 * rate
+        return row
 
     @property
     def verified_savings_ratio(self) -> float:
@@ -108,13 +106,11 @@ class EvaluationRunner:
         k_values: Sequence[int] = (1, 5, 10),
         sim_backend: str = DEFAULT_BACKEND,
         grammar: Optional[str] = None,
-        strict_pass_k: bool = False,
     ) -> None:
         """``grammar`` selects constrained decoding for every sample (see the
-        module docstring); ``strict_pass_k`` makes a ``k`` in ``k_values``
-        larger than ``samples_per_prompt`` raise instead of warn-and-clamp
-        (:func:`repro.evalbench.passk.pass_at_k_single`), so a benchmark run
-        fails fast on a mislabeled pass@k column."""
+        module docstring).  A ``k`` in ``k_values`` larger than
+        ``samples_per_prompt`` raises here, before any sampling: pass@k is
+        undefined for ``k > n`` (:func:`repro.evalbench.passk.pass_at_k_single`)."""
         simulator_class(sim_backend)  # an unknown backend raises here, before any sampling
         if samples_per_prompt < 1:
             raise ValueError(f"samples_per_prompt must be at least 1, got {samples_per_prompt}")
@@ -127,13 +123,9 @@ class EvaluationRunner:
         self.k_values = list(k_values)
         self.sim_backend = sim_backend
         self.grammar = grammar
-        self.strict_pass_k = strict_pass_k
-        if strict_pass_k:
-            oversized = [k for k in self.k_values if k > samples_per_prompt]
-            if oversized:
-                raise ValueError(
-                    f"k_values {oversized} exceed samples_per_prompt={samples_per_prompt} under strict_pass_k"
-                )
+        oversized = [k for k in self.k_values if k > samples_per_prompt]
+        if oversized:
+            raise ValueError(f"k_values {oversized} exceed samples_per_prompt={samples_per_prompt}")
 
     def generate_results(self, problem: Problem) -> List[DecodeResult]:
         """Decode ``samples_per_prompt`` results for ``problem`` (full records).
@@ -192,13 +184,13 @@ class EvaluationRunner:
             label=label,
             num_prompts=len(selected),
             samples_per_prompt=self.samples_per_prompt,
-            syntax_pass_at_k={k: pass_at_k(syntax_matrix, k, strict=self.strict_pass_k) for k in self.k_values},
-            function_pass_at_k={k: pass_at_k(function_matrix, k, strict=self.strict_pass_k) for k in self.k_values},
+            syntax_pass_at_k={k: pass_at_k(syntax_matrix, k) for k in self.k_values},
+            function_pass_at_k={k: pass_at_k(function_matrix, k) for k in self.k_values},
             syntax_pass_rate=pass_rate(syntax_matrix),
             function_pass_rate=pass_rate(function_matrix),
             prompt_results=prompt_results,
             grammar=self.grammar,
-            parse_pass_at_k={k: pass_at_k(parse_matrix, k, strict=self.strict_pass_k) for k in self.k_values},
+            parse_pass_at_k={k: pass_at_k(parse_matrix, k) for k in self.k_values},
             parse_pass_rate=pass_rate(parse_matrix),
             tokens_verified=sum(p.tokens_verified for p in prompt_results),
             tokens_verified_unpruned=sum(p.tokens_verified_unpruned for p in prompt_results),

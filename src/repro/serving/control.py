@@ -1,50 +1,65 @@
 """Message-driven control surface over a :class:`ServingEngine`.
 
 :class:`EngineControl` answers the plain-data commands of
-:mod:`repro.serving.messages` against one engine, buffering the token bursts
-and completions each step produces into :class:`CommitEvent` /
-:class:`FinishedEvent` lists that ride back on the next :class:`StepReply`.
-It is deliberately transport-agnostic: the in-process async front-end
-(:class:`~repro.serving.server.AsyncServingEngine`) calls :meth:`handle`
-directly on its step thread, while :class:`~repro.serving.worker.EngineWorker`
-calls the *same* method for commands arriving over a ``multiprocessing``
-pipe — which is the mechanism behind the router's identity guarantee (one
-worker ≡ in-process engine, asserted in ``tests/test_router.py``).
+:mod:`repro.serving.messages` against one engine and buffers the token bursts
+and completions each step produces as :class:`CommitEvent` /
+:class:`FinishedEvent` lists.  It is deliberately transport-agnostic: both
+transports serve their engine with one loop around :meth:`EngineControl.pump`
+(answer every queued command in order, run at most one engine step, hand back
+the replies and the events) — the in-process async front-end
+(:class:`~repro.serving.server.AsyncServingEngine`) on its step thread,
+:class:`~repro.serving.worker.EngineWorker` over a ``multiprocessing`` pipe.
+That is the mechanism behind the router's identity guarantee (one worker ≡
+in-process engine, asserted in ``tests/test_router.py``).
 
-Exception policy: :meth:`handle` is transparent — a validation error from
-``submit`` or an engine bug inside ``step`` propagates to the caller, who
-applies the policy appropriate to its transport (the worker loop converts
-submit errors into ``SubmitReply(error=...)`` data and treats step errors as
-fatal; the in-process server lets submit errors raise at the call site and
-step errors trigger its crash fan-out).
+Exception policy: :meth:`EngineControl.pump` returns, rather than raises, a
+command's :class:`Exception` (in place of its reply) and the step's error, and
+the transport applies its own policy (the worker turns submit errors into
+``SubmitReply(error=...)`` data and treats every other error as fatal; the
+in-process server raises a command's error at its call site and fails every
+handle on a step error).  :meth:`EngineControl.handle`, the one-command
+dispatcher under the pump, is transparent.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from typing import List, Optional
+from dataclasses import asdict, dataclass
+from typing import List, Optional, Sequence
 
 from repro.serving.engine_core import ServingEngine
 from repro.serving.messages import (
     CancelCommand,
     CancelReply,
     CommitEvent,
-    DrainCommand,
-    DrainReply,
     EngineStats,
     FinishedEvent,
     QueryCommand,
     QueryReply,
     ShutdownCommand,
     ShutdownReply,
-    StepCommand,
-    StepReply,
     SubmitCommand,
     SubmitReply,
     decode_config,
     encode_result,
 )
 from repro.serving.request import RequestState, RequestStatus
+
+
+@dataclass
+class Pumped:
+    """What one :meth:`EngineControl.pump` call did.
+
+    ``replies`` pairs with the commands in order; a command that raised
+    yields its exception instead of a reply.  ``commits`` / ``finished`` are
+    every event buffered since the previous call, the step's included.
+    ``error`` is what the step raised, if it did (events the step committed
+    before raising are still in ``commits``).
+    """
+
+    replies: List[object]
+    commits: List[CommitEvent]
+    finished: List[FinishedEvent]
+    error: Optional[BaseException] = None
 
 
 class EngineControl:
@@ -74,21 +89,45 @@ class EngineControl:
     # Command dispatch
     # ------------------------------------------------------------------ #
 
+    def pump(self, commands: Sequence[object]) -> Pumped:
+        """One iteration of a transport's serve loop.
+
+        Answers ``commands`` in order, then runs one engine step if the
+        engine has work — unless a :class:`ShutdownCommand` was among them:
+        the transport tears down after relaying its reply, so nothing steps.
+        This is the only place :meth:`ServingEngine.step` is called from, so
+        a cancel queued before the call lands before the next step.
+        """
+        replies: List[object] = []
+        for command in commands:
+            try:
+                replies.append(self.handle(command))
+            except Exception as exc:  # the caller's mistake: the transport decides
+                replies.append(exc)
+        error: Optional[BaseException] = None
+        stopping = any(isinstance(command, ShutdownCommand) for command in commands)
+        if self.engine.has_work and not stopping:
+            try:
+                self.engine.step()
+                self.steps_executed += 1
+            except BaseException as exc:  # noqa: BLE001 — a crash of any kind is the transport's to report
+                error = exc
+        commits, self._commits = self._commits, []
+        finished, self._finished = self._finished, []
+        return Pumped(replies, commits, finished, error)
+
     def handle(self, command: object) -> object:
         """Answer one command with its paired reply (see ``reply_type_for``)."""
         if isinstance(command, SubmitCommand):
             return self._submit(command)
         if isinstance(command, CancelCommand):
             return self._cancel(command)
-        if isinstance(command, StepCommand):
-            return StepReply(*self._step_batch(command.max_steps))
-        if isinstance(command, DrainCommand):
-            return DrainReply(*self._step_batch(None))
         if isinstance(command, QueryCommand):
             return self._query(command)
         if isinstance(command, ShutdownCommand):
-            # Transport owns the actual teardown (the worker loop exits after
-            # relaying this reply); in-process there is nothing to stop.
+            # The transport owns the actual teardown: the worker loop exits
+            # after relaying this reply; the async server's close batch ends
+            # with one so that serving it steps nothing.
             return ShutdownReply()
         raise TypeError(f"unknown engine command: {command!r}")
 
@@ -135,21 +174,6 @@ class EngineControl:
         if self.forget_on_done:
             self.engine.forget(request_id)
 
-    def _step_batch(self, max_steps: Optional[int]):
-        """Run up to ``max_steps`` engine steps (``None`` = drain); return events."""
-        steps = 0
-        while self.engine.has_work and (max_steps is None or steps < max_steps):
-            self.engine.step()
-            steps += 1
-            self.steps_executed += 1
-        return self.drain_events() + (self.stats(),)
-
-    def drain_events(self):
-        """Hand over (and clear) the buffered commit and finished events."""
-        commits, self._commits = self._commits, []
-        finished, self._finished = self._finished, []
-        return commits, finished
-
     def _query(self, command: QueryCommand) -> QueryReply:
         if command.kind == "stats":
             payload = asdict(self.stats())
@@ -178,4 +202,4 @@ class EngineControl:
         )
 
 
-__all__ = ["EngineControl"]
+__all__ = ["EngineControl", "Pumped"]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Type
 
 from repro.core.decoding import DecodeResult, StepRecord
 from repro.models.generation import GenerationConfig
@@ -122,23 +122,6 @@ class CancelCommand:
 
 
 @dataclass(frozen=True)
-class StepCommand:
-    """Run up to ``max_steps`` engine iterations, returning buffered events.
-
-    The engine stops early when it runs out of work; ``max_steps > 1`` lets a
-    worker amortise one pipe round-trip over several steps when the link is
-    slower than the model.
-    """
-
-    max_steps: int = 1
-
-
-@dataclass(frozen=True)
-class DrainCommand:
-    """Step until no request is queued, prefilling or running."""
-
-
-@dataclass(frozen=True)
 class QueryCommand:
     """Read engine state without advancing it.
 
@@ -221,22 +204,6 @@ class CancelReply:
 
 
 @dataclass(frozen=True)
-class StepReply:
-    """Events produced by the steps just executed, plus a stats snapshot."""
-
-    commits: List[CommitEvent]
-    finished: List[FinishedEvent]
-    stats: EngineStats
-
-
-@dataclass(frozen=True)
-class DrainReply:
-    commits: List[CommitEvent]
-    finished: List[FinishedEvent]
-    stats: EngineStats
-
-
-@dataclass(frozen=True)
 class QueryReply:
     kind: str
     payload: dict
@@ -250,6 +217,20 @@ class ShutdownReply:
 # --------------------------------------------------------------------------- #
 # Worker-originated events (unsolicited)
 # --------------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class StepReply:
+    """The events of one serve-loop iteration, plus a stats snapshot.
+
+    Unsolicited: a worker sends one after each
+    :meth:`~repro.serving.control.EngineControl.pump` that produced events
+    (the commands' own replies go out first).
+    """
+
+    commits: List[CommitEvent]
+    finished: List[FinishedEvent]
+    stats: EngineStats
 
 
 @dataclass(frozen=True)
@@ -302,8 +283,6 @@ class Envelope:
 _REPLY_TYPES: Dict[type, type] = {
     SubmitCommand: SubmitReply,
     CancelCommand: CancelReply,
-    StepCommand: StepReply,
-    DrainCommand: DrainReply,
     QueryCommand: QueryReply,
     ShutdownCommand: ShutdownReply,
 }
@@ -321,8 +300,6 @@ __all__ = [
     "CancelCommand",
     "CancelReply",
     "CommitEvent",
-    "DrainCommand",
-    "DrainReply",
     "EngineStats",
     "Envelope",
     "FinishedEvent",
@@ -332,7 +309,6 @@ __all__ = [
     "QueryReply",
     "ShutdownCommand",
     "ShutdownReply",
-    "StepCommand",
     "StepReply",
     "SubmitCommand",
     "SubmitReply",

@@ -50,7 +50,6 @@ from repro.serving.messages import (
     CancelCommand,
     CancelReply,
     CommitEvent,
-    DrainReply,
     Envelope,
     FinishedEvent,
     Heartbeat,
@@ -338,7 +337,7 @@ class Router:
     def _apply_envelope(self, index: int, envelope: Envelope) -> bool:
         """Apply one envelope; returns True when it reports a worker death."""
         payload = envelope.payload
-        if isinstance(payload, (StepReply, DrainReply)):
+        if isinstance(payload, StepReply):
             for commit in payload.commits:
                 self._apply_commit(commit)
             for finished in payload.finished:
@@ -530,7 +529,9 @@ class Router:
         return {"workers": per_worker, "aggregate": aggregate}
 
     def _aggregate_query(self, kind: str) -> dict:
-        self._ensure_running()
+        # A supervision sweep first, so a worker that died idle is restarted
+        # and answers rather than dropping out of the fleet's numbers.
+        self.poll()
         per_worker: Dict[str, dict] = {}
         for index, worker in enumerate(self.workers):
             if not worker.alive:

@@ -7,14 +7,13 @@ background thread and exposes each request as a :class:`StreamHandle` whose
 moment the engine commits them — one burst per speculative step (one token
 per burst under NTP), which is exactly the unit the paper's decoder produces.
 
-Since the multi-process sharding refactor, the server does not touch engine
-internals at all: it drives an
+The server does not touch engine internals: it drives an
 :class:`~repro.serving.control.EngineControl` with the plain-data commands of
-:mod:`repro.serving.messages` (``SubmitCommand``/``StepCommand``/
-``CancelCommand``) and fans the returned :class:`CommitEvent` /
-:class:`FinishedEvent` streams out to the handles.  A
-:class:`~repro.serving.worker.EngineWorker` process answers the identical
-messages over a pipe, which is why in-process streaming and routed serving
+:mod:`repro.serving.messages` (``SubmitCommand``/``CancelCommand``) and fans
+the :class:`CommitEvent` / :class:`FinishedEvent` streams its
+:meth:`~repro.serving.control.EngineControl.pump` returns out to the
+handles.  A :class:`~repro.serving.worker.EngineWorker` process runs the
+same pump over a pipe, which is why in-process streaming and routed serving
 produce byte-identical token streams.
 
 Design rules:
@@ -24,18 +23,18 @@ Design rules:
   computes.  The concatenation of streamed bursts is therefore
   byte-identical to the batch ``result().token_ids`` for every decode mode —
   asserted in ``tests/test_streaming.py``.
-* **One lock, two threads.**  The event loop submits/cancels under the same
-  lock the step thread holds while stepping, so engine state is never
-  touched concurrently; event fan-out to handles also happens under that
-  lock, so bursts and completions reach each handle's queue in commit order.
-  The lock is FIFO-fair (:class:`_FairLock`): the step thread re-takes it
-  at once after every step, and must not win that race against a waiting
-  submit or cancel for a whole run.
-  Handles receive them with ``loop.call_soon_threadsafe`` — the only asyncio
-  API that is safe to call from outside the loop.  The handle registry has
-  its own small lock: handles register on the loop thread and are read by
-  the step thread's crash fan-out, and fencing the registry separately keeps
-  registration from ever waiting out a whole engine step.
+* **One owner, one loop.**  While it runs, the step thread alone touches
+  the engine, the control and the handle registry.  ``submit`` and the
+  cancels put a command and a future on its inbox; each iteration calls
+  ``pump`` once on everything queued, which answers the commands in order
+  and then steps the engine at most once — so a cancel lands before the
+  next step, a handle is registered before any of its bursts, and an idle
+  thread sleeps on the inbox until a call wakes it.  Events reach a
+  handle's queue in engine order through ``loop.call_soon_threadsafe``.
+  Every closer closes the inbox and joins the thread; only then does the
+  caller own the engine and serve the leftover calls and the close-time
+  cancels through the same ``pump``.  Anything escaping the loop fails
+  every in-flight handle and queued call, and later calls are refused.
 * **Cooperative cancellation.**  ``handle.cancel()`` (or a per-request
   ``deadline=``) routes to the engine's cancel, which frees the request's
   scheduler budget, prefix-cache retention copy and shared-cache row in the
@@ -65,8 +64,8 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from collections import deque
-from typing import AsyncIterator, Deque, Dict, List, Optional, Sequence
+from concurrent.futures import Future
+from typing import AsyncIterator, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.core.decoding import DecodeResult
 from repro.models.generation import GenerationConfig
@@ -74,10 +73,10 @@ from repro.serving.control import EngineControl
 from repro.serving.engine_core import ServingEngine
 from repro.serving.messages import (
     CancelCommand,
-    CommitEvent,
     FinishedEvent,
-    StepCommand,
+    ShutdownCommand,
     SubmitCommand,
+    SubmitReply,
     decode_result,
     encode_config,
 )
@@ -114,9 +113,6 @@ class RequestDeadlineExceeded(RequestCancelled):
 #: Queue sentinel marking the end of a request's burst stream.
 _DONE = object()
 
-#: Seconds the step thread of an idle :class:`AsyncServingEngine` sleeps between polls.
-POLL_INTERVAL = 0.001
-
 
 class StreamHandle:
     """One submitted request, as seen by an asyncio consumer.
@@ -127,7 +123,7 @@ class StreamHandle:
     lists; the queue is bounded in practice by ``max_new_tokens``).
     """
 
-    def __init__(self, server: "AsyncServingEngine", request_id: str, loop: asyncio.AbstractEventLoop) -> None:
+    def __init__(self, server: "AsyncServingEngine", loop: asyncio.AbstractEventLoop) -> None:
         self._server = server
         self._loop = loop
         self._queue: "asyncio.Queue[object]" = asyncio.Queue()
@@ -137,8 +133,9 @@ class StreamHandle:
         #: or the raw engine exception when the step thread crashed.
         self._error: Optional[BaseException] = None
         self._cancel_requested = False
-        #: Caller-visible id of the underlying engine request.
-        self.request_id = request_id
+        #: Caller-visible id of the underlying engine request; the step
+        #: thread sets it when it answers the submit.
+        self.request_id = ""
 
     # -- engine-thread side (event fan-out) -------------------------------- #
 
@@ -175,18 +172,12 @@ class StreamHandle:
         self._error = error
         self._done.set()
         self._queue.put_nowait(_DONE)
-        # Settled handles leave the server's in-flight registry immediately —
-        # a long-lived server must not retain every result it ever produced.
-        self._server._discard(self)
 
     def _fail(self, error: BaseException) -> None:
         """Engine-thread crash: unblock the consumer with the original error."""
-        if self._done.is_set():
-            return
         self._error = error
         self._done.set()
         self._queue.put_nowait(_DONE)
-        self._server._discard(self)
 
     @property
     def done(self) -> bool:
@@ -245,76 +236,104 @@ class StreamHandle:
         """Cooperatively cancel this request; returns False if already done.
 
         Safe to call from the event loop at any point in the request's life:
-        queued, mid-prefill or mid-decode.  The engine frees the request's
-        scheduler budget and cache rows in the same step; this handle's
+        queued, mid-prefill or mid-decode.  The step thread answers the
+        cancel before its next engine step, and the engine frees the
+        request's scheduler budget and cache rows at once; this handle's
         stream then ends quietly and :meth:`result` raises
         :class:`RequestCancelled`.
 
-        Blocks the calling thread while the step thread holds the engine
-        lock (typically well under one step on this repo's model sizes);
-        latency-sensitive loops with many concurrent streams should prefer
-        :meth:`cancel_async`, which waits on a worker thread instead.
+        Blocks the calling thread until the step thread answers — at most
+        the rest of one engine step; latency-sensitive loops with many
+        concurrent streams should prefer :meth:`cancel_async`, which awaits
+        the answer instead.
         """
+        if self.done:
+            return False
         self._cancel_requested = True
-        return self._server._cancel(self.request_id)
+        return self._server._send(CancelCommand(request_id=self.request_id)).result().cancelled
 
     async def cancel_async(self) -> bool:
-        """Like :meth:`cancel`, but acquires the engine lock off the event
-        loop — burst delivery to other streams continues while this
-        cancellation waits its turn (the same discipline ``submit`` uses)."""
+        """Like :meth:`cancel`, but awaits the step thread's answer, so burst
+        delivery to other streams continues while this cancellation waits."""
+        if self.done:
+            return False
         self._cancel_requested = True
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self._server._cancel, self.request_id)
+        reply = await asyncio.wrap_future(self._server._send(CancelCommand(request_id=self.request_id)))
+        return reply.cancelled
 
 
-class _FairLock:
-    """FIFO mutex guarding the engine: a release hands the lock to the longest waiter.
+class _Call(NamedTuple):
+    """One inbox entry: a command, the future its reply resolves, and the
+    handle a submit registers.  ``future`` is None for the commands a close
+    serves for itself."""
 
-    ``threading.Lock`` promises no fairness, and the step thread releases the
-    engine lock only to take it again at once; it can win every one of those
-    races and starve a waiting submit or cancel until the engine runs out of
-    work — ``cancel()`` then returns False for a request that was mid-decode
-    when it was called.  With hand-over on release a foreign caller waits at
-    most one engine step.
+    command: object
+    future: Optional[Future]
+    handle: Optional[StreamHandle] = None
+
+
+class _Inbox:
+    """The step thread's queue of calls; open only while a step thread owns the engine.
+
+    A put on a closed inbox is refused, so no command waits for an answer
+    that will never come; what was still queued when it closed stays for the
+    engine's next owner to :meth:`take_left`.
     """
 
     def __init__(self) -> None:
-        self._mutex = threading.Lock()
-        self._held = False
-        #: One private, already-acquired lock per waiting thread, oldest first.
-        self._waiters: Deque[threading.Lock] = deque()
+        self._ready = threading.Condition()
+        self._calls: List[_Call] = []
+        self._open = False
 
-    def __enter__(self) -> None:
-        with self._mutex:
-            if not self._held:
-                self._held = True
-                return
-            turn = threading.Lock()
-            turn.acquire()
-            self._waiters.append(turn)
-        turn.acquire()  # returns when a releasing holder hands the lock over
+    def open(self) -> None:
+        with self._ready:
+            self._open = True
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        with self._mutex:
-            if self._waiters:
-                self._waiters.popleft().release()  # ownership passes; still held
-            else:
-                self._held = False
+    def put(self, call: _Call) -> bool:
+        """Queue ``call`` and wake the step thread; False if the inbox is closed."""
+        with self._ready:
+            if not self._open:
+                return False
+            self._calls.append(call)
+            self._ready.notify()
+            return True
+
+    def take(self, wait: bool) -> Optional[List[_Call]]:
+        """Every queued call, oldest first, or None once closed.
+
+        With ``wait``, block until there is a call or the inbox closes.
+        """
+        with self._ready:
+            while wait and self._open and not self._calls:
+                self._ready.wait()
+            return None if not self._open else self.take_left()
+
+    def take_left(self) -> List[_Call]:
+        """Every queued call, oldest first, open or not."""
+        with self._ready:
+            calls, self._calls = self._calls, []
+            return calls
+
+    def close(self) -> None:
+        """Refuse further calls and wake a waiting taker."""
+        with self._ready:
+            self._open = False
+            self._ready.notify_all()
 
 
 class AsyncServingEngine:
     """Drives a :class:`ServingEngine` on a background thread, async-first.
 
     Args:
-        engine: The engine to serve.  The server owns its step loop while
-            running — do not call ``engine.step()``/``engine.run()``
-            concurrently (submitting through the engine directly bypasses
-            streaming and is also not supported while the server runs).
+        engine: The engine to serve.  While the server runs, its step thread
+            owns the engine — do not step, run or submit to the engine
+            directly (a direct submit also bypasses streaming); once
+            :meth:`close` / :meth:`shutdown` returns, the caller owns it.
 
-    When the engine has no work the step thread sleeps
-    :data:`POLL_INTERVAL` seconds; work submitted meanwhile is picked up at
-    the next poll, so that bounds the added first-step latency of an idle
-    server.
+    With no work the step thread blocks on its inbox, and a submit wakes it
+    at once.  :meth:`submit`, :meth:`StreamHandle.cancel` and
+    :meth:`StreamHandle.cancel_async` raise ``RuntimeError`` while the server
+    is not running.
 
     Use as an async context manager (``async with AsyncServingEngine(...)``),
     a synchronous one (``with`` — start/shutdown), or call
@@ -327,18 +346,16 @@ class AsyncServingEngine:
         #: retained on the engine (``forget_on_done=False``) so synchronous
         #: ``engine.result()``/``stream_metrics()`` keep working afterwards.
         self.control = EngineControl(engine, forget_on_done=False)
-        #: Serialises every engine touch: the step thread holds it per step,
-        #: submit/cancel take it from the event loop.
-        self._lock = _FairLock()
-        self._stop = threading.Event()
+        self._inbox = _Inbox()
+        #: The step thread; kept until a close has joined it and served what
+        #: it left, so every closer joins it before touching the engine.
         self._thread: Optional[threading.Thread] = None
-        #: In-flight handles by request id; settled handles drop out
-        #: immediately.  Guarded by ``_registry_lock`` — the loop thread
-        #: registers/discards while the step thread reads for event fan-out,
-        #: and before this fence the crash fan-out iterated a list the loop
-        #: thread was mutating.
+        #: Serialises start() and the closers' owner-side serving.
+        self._owner_lock = threading.Lock()
+        #: In-flight handles by request id, touched only by the engine's
+        #: owner: registered when their submit is answered, dropped when
+        #: their finished event or a crash is dispatched.
         self._registry: Dict[str, StreamHandle] = {}
-        self._registry_lock = threading.Lock()
         #: The exception that killed the step thread, if one did.
         self._crashed: Optional[BaseException] = None
 
@@ -349,25 +366,20 @@ class AsyncServingEngine:
         """True while the background step thread is alive."""
         return self._thread is not None and self._thread.is_alive()
 
-    @property
-    def _handles(self) -> List[StreamHandle]:
-        """Snapshot of the in-flight handles (registration order)."""
-        with self._registry_lock:
-            return list(self._registry.values())
-
     def start(self) -> None:
         """Start the background step thread (idempotent while running).
 
         Raises ``RuntimeError`` after a step-thread crash — the engine's
         shared cache state is suspect once a step died mid-flight.
         """
-        if self._crashed is not None:
-            raise RuntimeError("serving step thread crashed; build a fresh engine") from self._crashed
-        if self.running:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._step_loop, name="serving-engine-step", daemon=True)
-        self._thread.start()
+        with self._owner_lock:
+            if self._crashed is not None:
+                raise self._refusal()
+            if self.running:
+                return
+            self._inbox.open()
+            self._thread = threading.Thread(target=self._step_loop, name="serving-engine-step", daemon=True)
+            self._thread.start()
 
     async def close(self, cancel_pending: bool = True) -> None:
         """Stop the step thread; by default cancel whatever is still in flight.
@@ -375,21 +387,18 @@ class AsyncServingEngine:
         ``cancel_pending=True`` cancels unfinished requests so consumers
         blocked on ``stream()``/``result()`` unblock (with
         :class:`RequestCancelled`) instead of hanging forever on a server
-        that no longer steps.  Pass False to leave engine state untouched —
-        the caller can then drive ``engine.run()`` synchronously.
+        that no longer steps.  Pass False to leave those requests in the
+        engine — the caller can then drive ``engine.run()`` synchronously,
+        or :meth:`start` the server again.
         """
-        thread = self._prepare_stop()
-        if thread is not None:
+        self._inbox.close()  # wakes the step thread
+        if self._thread is not None:
             # Join off the event loop so a long in-flight step cannot block it.
-            await asyncio.get_running_loop().run_in_executor(None, thread.join)
-        if cancel_pending:
-            self._cancel_pending()
-            # The cancellations above settle their handles via call_soon;
-            # yield once so those callbacks run before we prune, otherwise a
-            # repeatedly start()/close()d server retains every handle it ever
-            # cancelled at close.
-            await asyncio.sleep(0)
-        self._prune_settled()
+            await asyncio.get_running_loop().run_in_executor(None, self._thread.join)
+        self._serve_close(cancel_pending)
+        # Run the settle callbacks the close just scheduled, so every handle
+        # it settled is done when close returns.
+        await asyncio.sleep(0)
 
     def shutdown(self, cancel_pending: bool = True) -> None:
         """Synchronous :meth:`close`: join the step thread, settle pending handles.
@@ -398,34 +407,35 @@ class AsyncServingEngine:
         already exited: handles whose loop is closed are settled in place
         (their ``done``/``result`` state stays observable) instead of being
         stranded on a server that no longer steps.  Safe to call repeatedly,
-        from ``with``-statement exit, or after :meth:`close`.
+        from ``with``-statement exit, after :meth:`close`, or from another
+        thread while a close is under way.
         """
-        thread = self._prepare_stop()
-        if thread is not None:
-            thread.join()
-        if cancel_pending:
-            self._cancel_pending()
-        self._prune_settled()
+        self._inbox.close()  # wakes the step thread
+        if self._thread is not None:
+            self._thread.join()
+        self._serve_close(cancel_pending)
 
-    def _prepare_stop(self) -> Optional[threading.Thread]:
-        """Signal the step loop to exit; return the thread to join (if any)."""
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        return thread
+    def _serve_close(self, cancel_pending: bool) -> None:
+        """As the engine's owner once the step thread is joined, answer what
+        was still queued, then (by default) cancel every request whose
+        handle is pending.
 
-    def _cancel_pending(self) -> None:
-        """Cancel every in-flight request whose handle has not settled yet."""
-        with self._lock:
-            # Skip handles whose own cancel is already in flight — resetting
-            # their flag here would turn the documented quiet stream end into
-            # a surprise RequestCancelled.
-            pending = [h for h in self._handles if not h.done and not h._cancel_requested]
-            for handle in pending:
-                self._drive_locked(CancelCommand(request_id=handle.request_id))
-
-    def _prune_settled(self) -> None:
-        with self._registry_lock:
-            self._registry = {rid: h for rid, h in self._registry.items() if not h.done}
+        Each batch ends with a :class:`ShutdownCommand`, so the pump answers
+        it without stepping the engine.  After a crash the queued calls are
+        refused instead: the engine's state is suspect.
+        """
+        with self._owner_lock:
+            if self.running:  # a start() since this close's join owns the engine
+                return
+            self._thread = None
+            queued = self._inbox.take_left()
+            if self._crashed is not None:
+                self._refuse(queued)
+                return
+            stop = _Call(ShutdownCommand(), None)
+            self._serve(queued + [stop])
+            if cancel_pending:
+                self._serve([_Call(CancelCommand(request_id=rid), None) for rid in self._registry] + [stop])
 
     async def __aenter__(self) -> "AsyncServingEngine":
         self.start()
@@ -444,62 +454,87 @@ class AsyncServingEngine:
     # -- the step loop and event fan-out ----------------------------------- #
 
     def _step_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                with self._lock:
-                    worked = self.engine.has_work
-                    if worked:
-                        self._drive_locked(StepCommand(max_steps=1))
-                    else:
-                        # Even idle, drain events a foreign path produced
-                        # (e.g. engine.cancel called directly under the lock)
-                        # so their handles settle without waiting for work.
-                        self._dispatch(*self.control.drain_events())
-            except BaseException as error:  # noqa: BLE001 — must not die silently
-                # A crashed step thread must not strand consumers on
-                # stream()/result() forever: fail every in-flight handle
-                # with the original error and stop stepping.
-                self._crashed = error
-                for handle in self._handles:
-                    handle._deliver(handle._fail, error)
-                return
-            if not worked:
-                # Idle: nothing queued, prefilling or running.  Sleep on the
-                # stop event so close() wakes us immediately.
-                self._stop.wait(POLL_INTERVAL)
+        try:
+            while True:
+                # Block for work only when the engine has none of its own.
+                calls = self._inbox.take(wait=not self.engine.has_work)
+                if calls is None:  # closed by close()/shutdown()
+                    return
+                self._serve(calls)
+        except BaseException as error:  # noqa: BLE001 — must not die silently
+            self._crash(error)
 
-    def _drive_locked(self, command: object) -> object:
-        """Handle one control command and fan its events out (lock held).
+    def _serve(self, calls: List[_Call]) -> None:
+        """One :meth:`EngineControl.pump` over ``calls``, by the engine's owner.
 
-        Fan-out happens while the engine lock is still held, so every handle
-        observes commits and completions in exactly the order the engine
-        produced them — a cancel racing in from the loop thread cannot
-        interleave its settle between a step's burst and that burst's
-        delivery.
+        Answers each call's future (a command's error is raised at its call
+        site), registers each submitted handle, then fans the events out in
+        the order the engine produced them.  Raises what the step raised,
+        after that fan-out.
         """
-        reply = self.control.handle(command)
-        # Step/drain replies carry their events; other commands (cancel, a
-        # foreign engine.cancel between steps) leave them in the control's
-        # buffer — take whichever place they landed.
-        commits = list(getattr(reply, "commits", []))
-        finished = list(getattr(reply, "finished", []))
-        buffered_commits, buffered_finished = self.control.drain_events()
-        self._dispatch(commits + buffered_commits, finished + buffered_finished)
-        return reply
-
-    def _dispatch(self, commits: List[CommitEvent], finished: List[FinishedEvent]) -> None:
-        for event in commits:
-            handle = self._lookup(event.request_id)
+        # A caller that gave up (its awaiting task was cancelled) is skipped.
+        calls = [call for call in calls if call.future is None or call.future.set_running_or_notify_cancel()]
+        pumped = self.control.pump([call.command for call in calls])
+        for call, reply in zip(calls, pumped.replies):
+            if isinstance(reply, SubmitReply):
+                call.handle.request_id = reply.request_id
+                self._registry[reply.request_id] = call.handle
+            if call.future is None:
+                continue
+            if isinstance(reply, Exception):
+                call.future.set_exception(reply)
+            else:
+                call.future.set_result(reply)
+        for event in pumped.commits:
+            handle = self._registry.get(event.request_id)
             if handle is not None:
                 handle._on_commit(list(event.tokens))
-        for event in finished:
-            handle = self._lookup(event.request_id)
+        for event in pumped.finished:
+            # Settled handles leave the registry before their result is
+            # delivered — a long-lived server must not retain every result it
+            # ever produced — and go back if delivering raised, so that the
+            # crash path fails them.
+            handle = self._registry.pop(event.request_id, None)
             if handle is not None:
-                handle._on_done(event)
+                try:
+                    handle._on_done(event)
+                except BaseException:
+                    self._registry[event.request_id] = handle
+                    raise
+        if pumped.error is not None:
+            raise pumped.error
 
-    def _lookup(self, request_id: str) -> Optional[StreamHandle]:
-        with self._registry_lock:
-            return self._registry.get(request_id)
+    def _crash(self, error: BaseException) -> None:
+        """The step thread died: refuse every call, queued or new, and fail
+        every in-flight handle with ``error`` — a dead step thread must not
+        strand consumers on ``stream()``/``result()`` forever."""
+        # Refuse new calls before any consumer can see the crash.
+        self._crashed = error
+        self._inbox.close()
+        self._refuse(self._inbox.take_left())
+        crashed, self._registry = self._registry, {}
+        for handle in crashed.values():
+            handle._deliver(handle._fail, error)
+
+    def _refuse(self, calls: List[_Call]) -> None:
+        for call in calls:
+            if call.future is not None and call.future.set_running_or_notify_cancel():
+                call.future.set_exception(self._refusal())
+
+    def _refusal(self) -> RuntimeError:
+        """The error a call gets when no step thread owns the engine."""
+        if self._crashed is None:
+            return RuntimeError("serving step thread is not running; call start() first")
+        error = RuntimeError("serving step thread crashed; build a fresh engine")
+        error.__cause__ = self._crashed
+        return error
+
+    def _send(self, command: object, handle: Optional[StreamHandle] = None) -> Future:
+        """Queue ``command`` for the step thread; the future resolves to its reply."""
+        future: Future = Future()
+        if not self._inbox.put(_Call(command, future, handle)):
+            raise self._refusal()
+        return future
 
     # -- submission -------------------------------------------------------- #
 
@@ -514,16 +549,13 @@ class AsyncServingEngine:
         """Queue a tokenized prompt; returns its :class:`StreamHandle`.
 
         Mirrors :meth:`ServingEngine.submit` (same validation, same
-        semantics for ``priority`` and ``deadline``); the handle is
-        registered under the engine lock, before any step can run, so the
-        stream never misses a burst.  The lock is acquired on a worker
-        thread (the step thread may hold it for a whole engine step), so
-        awaiting ``submit`` never stalls the event loop — burst delivery to
-        other consumers continues while this submission waits its turn.
+        semantics for ``priority`` and ``deadline``; a validation error is
+        raised here).  The step thread answers the submit before its next
+        engine step and registers the handle before it dispatches any event,
+        so the stream never misses a burst; awaiting never stalls the event
+        loop.
         """
-        if self._crashed is not None:
-            raise RuntimeError("serving step thread crashed; build a fresh engine") from self._crashed
-        loop = asyncio.get_running_loop()
+        handle = StreamHandle(self, asyncio.get_running_loop())
         command = SubmitCommand(
             prompt_ids=[int(t) for t in prompt_ids],
             config=None if config is None else encode_config(config),
@@ -531,26 +563,7 @@ class AsyncServingEngine:
             priority=priority,
             deadline=deadline,
         )
-
-        def locked_submit() -> StreamHandle:
-            with self._lock:
-                if self._crashed is not None:
-                    raise RuntimeError(
-                        "serving step thread crashed; build a fresh engine"
-                    ) from self._crashed
-                reply = self.control.handle(command)
-                handle = StreamHandle(self, reply.request_id, loop)
-                with self._registry_lock:
-                    self._registry[reply.request_id] = handle
-                return handle
-
-        handle = await loop.run_in_executor(None, locked_submit)
-        if self._crashed is not None and not handle.done:
-            # The step thread died between our submission and this resume; if
-            # its crash fan-out already failed the handle this is a no-op
-            # (_fail checks done), otherwise fail it here — a consumer must
-            # never hang on a dead server.
-            handle._fail(self._crashed)
+        await asyncio.wrap_future(self._send(command, handle))
         return handle
 
     async def submit_text(
@@ -565,17 +578,6 @@ class AsyncServingEngine:
         return await self.submit(
             self.engine.decoder.tokenizer.encode_prompt(prompt), config, request_id, priority, deadline
         )
-
-    def _cancel(self, request_id: str) -> bool:
-        with self._lock:
-            reply = self._drive_locked(CancelCommand(request_id=request_id))
-        return reply.cancelled
-
-    def _discard(self, handle: StreamHandle) -> None:
-        """Forget a settled handle (runs on the event loop, like close())."""
-        with self._registry_lock:
-            if self._registry.get(handle.request_id) is handle:
-                del self._registry[handle.request_id]
 
 
 __all__ = [

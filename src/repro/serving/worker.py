@@ -4,15 +4,17 @@ The multi-process transport of the serving stack (``docs/sharding.md``).  A
 worker is a child process running :func:`worker_main`: it builds its own
 engine from a spawn-safe factory, wraps it in an
 :class:`~repro.serving.control.EngineControl` (``forget_on_done=True``), and
-then alternates between answering commands from its pipe and stepping the
-engine autonomously whenever it has work.  Everything crossing the pipe is an
+then serves it with the same loop as the in-process front-end: each
+iteration hands every command waiting on the pipe to
+:meth:`~repro.serving.control.EngineControl.pump`, which answers them and
+steps the engine once if it has work.  Everything crossing the pipe is an
 :class:`~repro.serving.messages.Envelope` around the plain-data messages of
 :mod:`repro.serving.messages`:
 
 * command replies carry ``reply_to=<command seq>`` so the parent can match
   them while unsolicited traffic streams in between;
-* autonomous steps that produced commits/finishes ship as unsolicited
-  :class:`StepReply` envelopes (``reply_to=None``);
+* the commits and finishes of an iteration ship as one unsolicited
+  :class:`StepReply` envelope (``reply_to=None``);
 * an idle worker emits :class:`Heartbeat` events so the router can
   distinguish "healthy but idle" from "hung";
 * an exception escaping ``engine.step`` is a worker bug, not a caller
@@ -57,8 +59,6 @@ from repro.serving.messages import (
     Envelope,
     Heartbeat,
     ShutdownCommand,
-    ShutdownReply,
-    StepCommand,
     StepReply,
     SubmitCommand,
     SubmitReply,
@@ -188,12 +188,12 @@ def _worker_seed(spec: WorkerSpec) -> int:
 def worker_main(conn: multiprocessing.connection.Connection, spec: WorkerSpec) -> None:
     """Child-process entry point: build the engine, serve the message loop.
 
-    Loop shape: drain every pending command (so cancels never queue behind
-    compute), then run one engine step if there is work, shipping any
-    resulting events as an unsolicited ``StepReply``; when idle, block
-    briefly on the pipe.  Heartbeats go out every :data:`HEARTBEAT_INTERVAL`
-    seconds.  Command errors are data (``SubmitReply.error``); step errors
-    are fatal.
+    Loop shape: pump every command waiting on the pipe (so cancels never
+    queue behind compute) together with one engine step, send the replies,
+    then the iteration's events as an unsolicited ``StepReply``; when idle,
+    block on the pipe until a command arrives or a heartbeat is due.
+    Heartbeats go out every :data:`HEARTBEAT_INTERVAL` seconds.  Submit
+    errors are data (``SubmitReply.error``); every other error is fatal.
     """
     out_seq = 0
 
@@ -219,50 +219,38 @@ def worker_main(conn: multiprocessing.connection.Connection, spec: WorkerSpec) -
 
     try:
         while True:
-            # 1. Answer every pending command before stepping.
+            envelopes: List[Envelope] = []
             while conn.poll(0):
-                envelope = conn.recv()
-                command = envelope.payload
-                if isinstance(command, ShutdownCommand):
-                    send(ShutdownReply(), reply_to=envelope.seq)
-                    return
-                if isinstance(command, SubmitCommand):
+                envelopes.append(conn.recv())
+            pumped = control.pump([envelope.payload for envelope in envelopes])
+            for envelope, reply in zip(envelopes, pumped.replies):
+                if isinstance(reply, Exception):
+                    if not isinstance(envelope.payload, SubmitCommand):
+                        raise reply
                     # A bad submit is the caller's mistake, not the worker's:
                     # it travels back as data instead of killing the loop.
-                    try:
-                        reply = control.handle(command)
-                    except Exception as exc:
-                        reply = SubmitReply(request_id=command.request_id or "", error=str(exc))
-                    send(reply, reply_to=envelope.seq)
-                    continue
-                send(control.handle(command), reply_to=envelope.seq)
-
-            # 2. Ship events buffered by command handling (a cancel settles a
-            #    request without any step running — if it was the only work,
-            #    the step branch below never fires to flush it).
-            commits, finished = control.drain_events()
-            if commits or finished:
-                send(StepReply(commits=commits, finished=finished, stats=control.stats()))
-
-            # 3. Step autonomously; ship events the steps produced.
-            if control.engine.has_work:
-                reply = control.handle(StepCommand())
-                if reply.commits or reply.finished:
-                    send(reply)
-            else:
-                # Idle: block briefly on the pipe so cancels/submits wake us.
-                conn.poll(0.01)
-
+                    reply = SubmitReply(request_id=envelope.payload.request_id or "", error=str(reply))
+                send(reply, reply_to=envelope.seq)
+            if pumped.commits or pumped.finished:
+                send(StepReply(commits=pumped.commits, finished=pumped.finished, stats=control.stats()))
+            if pumped.error is not None:
+                raise pumped.error
+            if any(isinstance(envelope.payload, ShutdownCommand) for envelope in envelopes):
+                return
             now = time.perf_counter()
             if now - last_heartbeat >= HEARTBEAT_INTERVAL:
                 send(Heartbeat(worker_id=spec.worker_id, stats=control.stats(), timestamp=now))
                 last_heartbeat = now
+            if not control.engine.has_work:
+                # Idle: sleep on the pipe, so a command wakes us at once.
+                conn.poll(last_heartbeat + HEARTBEAT_INTERVAL - now)
     except (EOFError, BrokenPipeError, OSError):
         # Parent went away; nothing left to serve.
         return
     except BaseException as exc:
-        # A step crashed: report and exit non-zero so the supervisor
-        # restarts us and requeues our in-flight requests.
+        # A step (or a command other than submit) crashed: report and exit
+        # non-zero so the supervisor restarts us and requeues our in-flight
+        # requests.
         try:
             send(WorkerFatal(worker_id=spec.worker_id, error=_format_error(exc)))
         except (BrokenPipeError, OSError):
@@ -381,7 +369,10 @@ class EngineWorker:
     def request(self, command: object, timeout: float = 60.0) -> object:
         """Round-trip one command, buffering unsolicited traffic meanwhile."""
         expected = reply_type_for(command)
-        seq = self.send(command)
+        try:
+            seq = self.send(command)
+        except (BrokenPipeError, OSError):
+            raise EOFError(f"worker {self.worker_id!r} died mid-request") from None
         conn = self.conn
         assert conn is not None
         deadline = time.perf_counter() + timeout
@@ -412,9 +403,13 @@ class EngineWorker:
     # -- lifecycle --------------------------------------------------------- #
 
     def kill(self) -> None:
-        """Hard-kill the process (crash injection for tests and benches)."""
+        """Hard-kill the process (crash injection for tests and benches).
+
+        Returns once the process is dead, so :attr:`alive` is already False.
+        """
         if self.process is not None and self.process.is_alive():
             self.process.kill()
+            self.process.join()
 
     def terminate(self) -> None:
         if self.process is not None and self.process.is_alive():

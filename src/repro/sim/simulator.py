@@ -694,8 +694,8 @@ class Simulator:
         A delay, event control or nonblocking assignment inside a function
         raises :class:`SimulationError` (IEEE 1364-2005 10.4.4 forbids them).
         """
-        frame = self._call_frame(scope, func.items, args)
-        frame[func.name] = FourState.unknown_value(32 if func.range is None else scope.evaluator.range_width(func.range))
+        frame, _ = self._call_frame(scope, func.items, args)
+        frame[func.name] = _unknown_local(scope, func)
         queued = len(self._nba_queue)
         scope.locals.append(frame)
         try:
@@ -711,31 +711,28 @@ class Simulator:
 
     def _call_frame(
         self, scope: _InstanceScope, items: Sequence[ast.Node], args: Sequence[FourState]
-    ) -> Dict[str, FourState]:
-        """The locals of one function or task call, with ``args`` bound to its inputs in order.
+    ) -> Tuple[Dict[str, FourState], List[Tuple[str, str]]]:
+        """The locals of one function or task call, and its ``(port, direction)`` list.
 
         Every port and variable starts unknown at its declared width and
-        signedness (``integer`` is 32-bit signed); an input takes its
-        argument resized to that shape.
+        signedness (``integer`` is 32-bit signed).  ``args`` bind to the
+        ports by position, in declaration order; an ``input`` or ``inout``
+        takes its argument resized to the port's shape.
         """
         frame: Dict[str, FourState] = {}
-        inputs: List[str] = []
+        ports: List[Tuple[str, str]] = []
         for item in items:
             if isinstance(item, ast.PortDeclaration):
-                if item.direction == "input":
-                    inputs.extend(item.names)
+                ports.extend((name, item.direction) for name in item.names)
             elif not isinstance(item, ast.NetDeclaration):
                 continue
-            if item.net_type == "integer":
-                width, signed = 32, True
-            else:
-                width = 1 if item.range is None else scope.evaluator.range_width(item.range)
-                signed = item.signed
+            unknown = _unknown_local(scope, item)
             for name in item.names:
-                frame[name] = FourState(width, 0, (1 << width) - 1, 0, signed)
-        for name, arg in zip(inputs, args):
-            frame[name] = arg.resize(frame[name].width, signed=frame[name].signed)
-        return frame
+                frame[name] = unknown
+        for (name, direction), arg in zip(ports, args):
+            if direction != "output":
+                frame[name] = arg.resize(frame[name].width, signed=frame[name].signed)
+        return frame, ports
 
     # ------------------------------------------------------------------ #
     # Statement execution (generator-based coroutines)
@@ -947,13 +944,18 @@ class Simulator:
         yield  # pragma: no cover - makes this a generator
 
     def _exec_user_task(self, scope: _InstanceScope, task: ast.TaskDeclaration, args: List[ast.Expression]) -> Generator:
-        frame = self._call_frame(scope, task.items, [scope.evaluator.evaluate(a) for a in args])
+        frame, ports = self._call_frame(scope, task.items, [scope.evaluator.evaluate(a) for a in args])
         scope.locals.append(frame)
         try:
             for body_statement in task.body:
                 yield from self._exec_statement(scope, body_statement)
         finally:
             scope.locals.pop()
+        # IEEE 1364-2005 10.2.2: on return, every output and inout port is
+        # assigned to its argument, in the caller's scope.
+        for (name, direction), target in zip(ports, args):
+            if direction != "input":
+                self._write_target(scope, target, frame[name])
 
     def _format_display(self, scope: _InstanceScope, args: Sequence[ast.Expression]) -> str:
         if not args:
@@ -1119,6 +1121,20 @@ class Simulator:
             if edge == "negedge" and new_bit == "0" and old_bit != "0":
                 return True
         return False
+
+
+def _unknown_local(
+    scope: _InstanceScope, declaration: Union[ast.PortDeclaration, ast.NetDeclaration, ast.FunctionDeclaration]
+) -> FourState:
+    """An all-X value of a call local's declared shape: ``integer`` is 32-bit
+    signed, otherwise the range's width (1 bit without one) and signedness.
+    A function's return value is declared the same way."""
+    if declaration.net_type == "integer":
+        width, signed = 32, True
+    else:
+        width = 1 if declaration.range is None else scope.evaluator.range_width(declaration.range)
+        signed = declaration.signed
+    return FourState(width, 0, (1 << width) - 1, 0, signed)
 
 
 def _module_table(modules: Sequence[ast.ModuleDef]) -> Dict[str, ast.ModuleDef]:

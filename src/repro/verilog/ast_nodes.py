@@ -430,12 +430,19 @@ class GateInstance(Node):
 
 @dataclass
 class FunctionDeclaration(Node):
-    """A ``function ... endfunction`` definition."""
+    """A ``function ... endfunction`` definition.
+
+    The return type is ``net_type`` (``"integer"`` or None), ``range`` and
+    ``signed``, read like a declaration's: ``integer`` is 32-bit signed,
+    otherwise the range's width (1 bit without one).
+    """
 
     name: str
     range: Optional[Range]
     items: List[Node] = field(default_factory=list)
     body: List[Statement] = field(default_factory=list)
+    signed: bool = False
+    net_type: Optional[str] = None
 
 
 @dataclass

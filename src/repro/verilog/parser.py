@@ -382,8 +382,7 @@ class Parser:
         self._accept("automatic")
         signed = self._accept("signed")
         rng = self._parse_optional_range()
-        if self._check("integer"):
-            self._advance()
+        net_type = self._advance().text if self._check("integer") else None
         name = self._expect_identifier()
         items: List[ast.Node] = []
         body: List[ast.Statement] = []
@@ -403,8 +402,9 @@ class Parser:
             else:
                 body.append(self._parse_statement())
         self._expect("endfunction")
-        del signed  # recorded implicitly by the declaration subset we keep
-        return ast.FunctionDeclaration(name=name, range=rng, items=items, body=body)
+        return ast.FunctionDeclaration(
+            name=name, range=rng, items=items, body=body, signed=signed, net_type=net_type
+        )
 
     def _parse_function_port(self) -> ast.PortDeclaration:
         direction = "input"

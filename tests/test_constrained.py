@@ -48,7 +48,7 @@ from repro.constrained import (
     prefilter_candidates,
 )
 from repro.core.decoding import DecodingStrategy, SpeculativeDecoder
-from repro.evalbench import EvaluationRunner
+from repro.evalbench import EvaluationRunner, QualityReport
 from repro.evalbench.passk import pass_at_k, pass_at_k_single
 from repro.evalbench.rtllm import rtllm_suite
 from repro.evalbench.problems import ProblemSuite
@@ -448,16 +448,11 @@ class TestPassAtKStrictness:
         assert pass_at_k_single(0, 0, 1) == 0.0
         assert pass_at_k_single(6, 4, 3) == 1.0  # n - c < k: certain hit
 
-    def test_oversized_k_warns_and_clamps(self):
-        with pytest.warns(UserWarning, match="pass@10 requested with only n=5"):
-            value = pass_at_k_single(5, 2, 10)
-        assert value == pass_at_k_single(5, 2, 5)
-
-    def test_oversized_k_strict_raises(self):
+    def test_oversized_k_raises(self):
+        with pytest.raises(ValueError, match="pass@10 requested with only n=5"):
+            pass_at_k_single(5, 2, 10)
         with pytest.raises(ValueError, match="k <= n"):
-            pass_at_k_single(5, 2, 10, strict=True)
-        with pytest.raises(ValueError):
-            pass_at_k([[True, False]], 3, strict=True)
+            pass_at_k([[True, False]], 3)
 
     def test_invalid_counts_raise(self):
         with pytest.raises(ValueError):
@@ -465,14 +460,23 @@ class TestPassAtKStrictness:
         with pytest.raises(ValueError):
             pass_at_k_single(3, 1, 0)
 
-    def test_runner_strict_rejects_oversized_k_at_init(self, tiny_pipeline):
-        with pytest.raises(ValueError, match="strict_pass_k"):
-            EvaluationRunner(
-                tiny_pipeline.decoder_for("ours"),
-                samples_per_prompt=3,
-                k_values=(1, 5),
-                strict_pass_k=True,
-            )
+    def test_runner_rejects_oversized_k_at_init(self, tiny_pipeline):
+        with pytest.raises(ValueError, match=r"k_values \[5\] exceed samples_per_prompt=3"):
+            EvaluationRunner(tiny_pipeline.decoder_for("ours"), samples_per_prompt=3, k_values=(1, 5))
+
+    def test_report_row_has_only_the_computed_columns(self):
+        report = QualityReport(
+            suite="s",
+            label="l",
+            num_prompts=1,
+            samples_per_prompt=3,
+            syntax_pass_at_k={1: 0.5},
+            function_pass_at_k={1: 0.25, 2: 0.5},
+            syntax_pass_rate=1.0,
+            function_pass_rate=0.75,
+        )
+        assert report.row("function") == {"pass@1": 25.0, "pass@2": 50.0, "pass_rate": 75.0}
+        assert report.row("syntax") == {"pass@1": 50.0, "pass_rate": 100.0}
 
 
 # --------------------------------------------------------------------------- #

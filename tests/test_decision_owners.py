@@ -99,9 +99,9 @@ def test_every_prompt_entry_point_gives_the_training_ids(tiny_pipeline):
         "replay_trace": lambda: replay_trace(spy, trace),
         "replay_trace_async": lambda: asyncio.run(replay_trace_async(spy, trace)),
         "replay_trace_router": lambda: replay_trace_router(spy, trace, spy.tokenizer),
-        "EvaluationRunner.generate_results": lambda: EvaluationRunner(spy, samples_per_prompt=1).generate_results(
-            problem
-        ),
+        "EvaluationRunner.generate_results": lambda: EvaluationRunner(
+            spy, samples_per_prompt=1, k_values=(1,)
+        ).generate_results(problem),
     }
     for name, call in entry_points.items():
         with pytest.raises(_Handed):

@@ -24,9 +24,9 @@ class TestPassAtK:
         # n=4, c=2, k=2: 1 - C(2,2)/C(4,2) = 1 - 1/6
         assert pass_at_k_single(4, 2, 2) == pytest.approx(1 - 1 / 6)
 
-    def test_k_larger_than_n_clamped(self):
-        with pytest.warns(UserWarning, match="evaluating at k="):
-            assert pass_at_k_single(3, 1, 10) == 1.0
+    def test_k_larger_than_n_raises(self):
+        with pytest.raises(ValueError, match="k <= n"):
+            pass_at_k_single(3, 1, 10)
 
     def test_invalid_counts_raise(self):
         with pytest.raises(ValueError):
@@ -62,10 +62,10 @@ class TestPassAtK:
         """Property: 0 <= pass@k <= 1 and pass@k is nondecreasing in k."""
         c = min(c, n)
         if k > n:
-            with pytest.warns(UserWarning, match="evaluating at k="):
-                value = pass_at_k_single(n, c, k)
-        else:
-            value = pass_at_k_single(n, c, k)
+            with pytest.raises(ValueError, match="k <= n"):
+                pass_at_k_single(n, c, k)
+            return
+        value = pass_at_k_single(n, c, k)
         assert 0.0 <= value <= 1.0
         assert pass_at_k_single(n, c, min(k + 1, n)) >= value - 1e-12
 

@@ -73,7 +73,7 @@ def test_evaluate_problem_elaborates_each_sample_once(monkeypatch, backend) -> N
         elaborate_instances(self)
 
     monkeypatch.setattr(Simulator, "_elaborate_instances", counting)
-    runner = EvaluationRunner(decoder=None, samples_per_prompt=len(samples), sim_backend=backend)
+    runner = EvaluationRunner(decoder=None, samples_per_prompt=len(samples), k_values=(1,), sim_backend=backend)
     evaluation = runner.evaluate_problem(problem, samples=samples)
     assert elaborated == [BACKENDS[backend].__name__] * len(samples)
     assert evaluation.parse_flags == evaluation.syntax_flags == [True] * len(samples)

@@ -22,8 +22,13 @@ prove spawn safety.
 
 from __future__ import annotations
 
+import asyncio
+import multiprocessing
+import sys
+import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from proptest import Cases, for_all, num_cases
@@ -31,6 +36,7 @@ from proptest import Cases, for_all, num_cases
 from repro.core.decoding import DecodingStrategy, SpeculativeDecoder
 from repro.models.generation import GenerationConfig
 from repro.serving import (
+    AsyncServingEngine,
     EngineControl,
     PrefixCache,
     RequestStatus,
@@ -43,14 +49,17 @@ from repro.serving import (
 )
 from repro.serving.messages import (
     CancelCommand,
-    DrainCommand,
-    DrainReply,
+    CancelReply,
     QueryCommand,
+    Envelope,
     QueryReply,
-    StepCommand,
+    ShutdownCommand,
+    ShutdownReply,
     StepReply,
     SubmitCommand,
     SubmitReply,
+    WorkerFatal,
+    WorkerHello,
     decode_config,
     decode_result,
     encode_config,
@@ -59,6 +68,7 @@ from repro.serving.messages import (
     reply_type_for,
 )
 from repro.serving.request import GenerationRequest
+from repro.serving.worker import WorkerSpec, worker_main
 from repro.traffic import SimulatedClock
 
 METHODS = [
@@ -94,6 +104,21 @@ def _engine_factory(pipeline, method, strategy, prefix_cache_tokens=None, **kwar
 def _router(pipeline, method, strategy, num_workers=1, config=None, **factory_kwargs):
     config = config or RouterConfig(num_workers=num_workers, start_method="fork")
     return Router(_engine_factory(pipeline, method, strategy, **factory_kwargs), config=config)
+
+
+def _pump(control, times=None):
+    """Pump ``control`` with no commands ``times`` times (None: until the
+    engine runs out of work); return every commit and finished event."""
+    commits, finished = [], []
+    count = 0
+    while True:
+        pumped = control.pump([])
+        assert pumped.replies == [] and pumped.error is None
+        commits += pumped.commits
+        finished += pumped.finished
+        count += 1
+        if count == times or (times is None and not control.engine.has_work):
+            return commits, finished
 
 
 def _prompt_ids(pipeline, count):
@@ -135,14 +160,51 @@ class TestMessages:
         assert preamble_key([1, 2, 3], 3) == 9974032063344415273
 
     def test_reply_type_pairing(self):
-        assert reply_type_for(SubmitCommand(prompt_ids=[1])) is not None
-        assert reply_type_for(StepCommand()) is StepReply
-        assert reply_type_for(DrainCommand()) is DrainReply
+        assert reply_type_for(SubmitCommand(prompt_ids=[1])) is SubmitReply
+        assert reply_type_for(CancelCommand(request_id="r")) is CancelReply
+        assert reply_type_for(QueryCommand(kind="stats")) is QueryReply
+        assert reply_type_for(ShutdownCommand()) is ShutdownReply
         with pytest.raises(TypeError):
             reply_type_for(object())
 
 
 class TestEngineControl:
+    def test_pump_answers_in_order_then_steps_at_most_once(self, tiny_pipeline):
+        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
+        control = EngineControl(engine)
+        prompt = _prompt_ids(tiny_pipeline, 1)[0]
+        pumped = control.pump(
+            [
+                SubmitCommand(prompt_ids=prompt, request_id="a"),
+                QueryCommand(kind="nonsense"),
+                CancelCommand(request_id="ghost"),
+            ]
+        )
+        assert pumped.replies[0] == SubmitReply(request_id="a")
+        assert isinstance(pumped.replies[1], ValueError)  # a command's error is its reply
+        assert pumped.replies[2] == CancelReply(cancelled=False)
+        assert pumped.error is None and control.steps_executed == 1
+        # A shutdown is answered, and nothing steps after it.
+        pumped = control.pump([ShutdownCommand()])
+        assert pumped.replies == [ShutdownReply()]
+        assert control.steps_executed == 1 and engine.has_work
+        # Events a command produced without a step come back from the same call.
+        pumped = control.pump([ShutdownCommand(), CancelCommand(request_id="a")])
+        assert pumped.replies[1] == CancelReply(cancelled=True)
+        assert [event.request_id for event in pumped.finished] == ["a"]
+
+    def test_pump_returns_a_step_error_after_the_replies(self, tiny_pipeline):
+        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
+        control = EngineControl(engine)
+
+        def bad_step():
+            raise RuntimeError("boom")
+
+        engine.step = bad_step
+        pumped = control.pump([SubmitCommand(prompt_ids=_prompt_ids(tiny_pipeline, 1)[0], request_id="a")])
+        assert pumped.replies == [SubmitReply(request_id="a")]
+        assert isinstance(pumped.error, RuntimeError) and control.steps_executed == 0
+
     def test_drain_reports_all_tokens_and_finish(self, tiny_pipeline):
         engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
         control = EngineControl(engine)
@@ -151,14 +213,13 @@ class TestEngineControl:
             SubmitCommand(prompt_ids=prompt, config=encode_config(GenerationConfig.greedy_config(16)))
         )
         assert submit.error is None
-        reply = control.handle(DrainCommand())
-        committed = [t for event in reply.commits for t in event.tokens]
-        assert len(reply.finished) == 1
-        finished = reply.finished[0]
-        assert finished.request_id == submit.request_id
-        result = decode_result(finished.result)
+        commits, finished = _pump(control)
+        committed = [t for event in commits for t in event.tokens]
+        assert len(finished) == 1
+        assert finished[0].request_id == submit.request_id
+        result = decode_result(finished[0].result)
         assert committed == list(result.token_ids)
-        assert not reply.stats.has_work
+        assert not control.stats().has_work
 
     def test_queries(self, tiny_pipeline):
         engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
@@ -180,8 +241,8 @@ class TestEngineControl:
         control = EngineControl(engine, forget_on_done=True)
         prompt = _prompt_ids(tiny_pipeline, 1)[0]
         submit = control.handle(SubmitCommand(prompt_ids=prompt))
-        reply = control.handle(DrainCommand())
-        assert reply.finished[0].stream_metrics["ttft_seconds"] is not None
+        _, finished = _pump(control)
+        assert finished[0].stream_metrics["ttft_seconds"] is not None
         with pytest.raises(KeyError):
             engine.result(submit.request_id)  # worker retains nothing
         # Nothing accumulates over many submit→drain cycles either, whatever
@@ -200,14 +261,14 @@ class TestEngineControl:
             expiring = control.handle(
                 SubmitCommand(prompt_ids=prompts[1], config=long_config, deadline=1.0)
             ).request_id
-            finished = control.handle(StepCommand(max_steps=2)).finished
+            _, finished = _pump(control, 2)
             if cycle == 0:
                 doomed = control.handle(SubmitCommand(prompt_ids=prompts[2], config=long_config))
-                finished += control.handle(StepCommand(max_steps=2)).finished
+                finished += _pump(control, 2)[1]
                 assert engine.request_status(doomed.request_id) is RequestStatus.RUNNING
                 assert control.handle(CancelCommand(request_id=doomed.request_id)).cancelled
             clock.advance(2.0)
-            finished += control.handle(DrainCommand()).finished
+            finished += _pump(control)[1]
             timed_out = [event.request_id for event in finished if event.timed_out]
             assert timed_out == [expiring]
             assert len(finished) == (3 if cycle == 0 else 2)
@@ -233,12 +294,75 @@ class TestEngineControl:
         ).request_id
         commits = []
         while engine.has_work:
-            commits += control.handle(StepCommand(max_steps=1)).commits
+            commits += control.pump([]).commits
             clock.advance(0.25)
         timeline = engine.stream_metrics(request_id)["commit_events"]
         assert len(commits) == len(timeline) > 1
         assert [event.timestamp for event in commits] == [3.0 + offset for offset, _ in timeline]
         assert [len(event.tokens) for event in commits] == [count for _, count in timeline]
+
+
+def _spy_on_step(engine):
+    """Record the code object of every caller of ``engine.step``."""
+    callers = []
+    real_step = engine.step
+
+    def step():
+        callers.append(sys._getframe(1).f_code)
+        return real_step()
+
+    engine.step = step
+    return callers
+
+
+class TestOneServeLoop:
+    """Both transports reach ``engine.step()`` only through ``EngineControl.pump``."""
+
+    def test_worker_steps_only_through_the_pump(self, tiny_pipeline):
+        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
+        callers = _spy_on_step(engine)
+        parent, child = multiprocessing.Pipe()
+        spec = WorkerSpec(worker_id="spy", factory=lambda: engine)
+        numpy_state = np.random.get_state()  # worker_main seeds the global rng
+        thread = threading.Thread(target=worker_main, args=(child, spec), daemon=True)
+        thread.start()
+
+        def receive():
+            assert parent.poll(60), "the worker went silent"
+            payload = parent.recv().payload
+            assert not isinstance(payload, WorkerFatal), payload.error
+            return payload
+
+        try:
+            assert isinstance(receive(), WorkerHello)
+            submit = SubmitCommand(prompt_ids=_prompt_ids(tiny_pipeline, 1)[0], request_id="a")
+            parent.send(Envelope(worker_id="spy", seq=1, payload=submit))
+            finished = []
+            while not finished:
+                payload = receive()
+                if isinstance(payload, StepReply):
+                    finished += payload.finished
+            parent.send(Envelope(worker_id="spy", seq=2, payload=ShutdownCommand()))
+            while not isinstance(receive(), ShutdownReply):
+                pass
+        finally:
+            thread.join(timeout=60)
+            np.random.set_state(numpy_state)
+        assert not thread.is_alive()
+        assert [event.request_id for event in finished] == ["a"]
+        assert callers and set(callers) == {EngineControl.pump.__code__}
+
+    def test_async_front_end_steps_only_through_the_pump(self, tiny_pipeline):
+        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
+        callers = _spy_on_step(engine)
+
+        async def run():
+            async with AsyncServingEngine(engine) as server:
+                handle = await server.submit(_prompt_ids(tiny_pipeline, 1)[0], GenerationConfig.greedy_config(8))
+                return await handle.result()
+
+        assert asyncio.run(run()).token_ids
+        assert callers and set(callers) == {EngineControl.pump.__code__}
 
 
 class TestDeterministicRequestRng:

@@ -755,6 +755,45 @@ _CALLABLE_CASES = {
         "t(8'hff);",
         ["15"],
     ),
+    # 10.2.2: a task's output and inout ports are copied to their arguments
+    # on return; arguments bind to the ports by position.
+    "task_output_is_copied_to_its_argument": (
+        "task t; input [7:0] a; output [7:0] y; begin y = a + 1; end endtask",
+        "x = 0; t(8'd4, x); $display(\"%0d\", x);",
+        ["5"],
+    ),
+    "task_inout_reads_and_writes_its_argument": (
+        "task t; inout [7:0] y; begin y = y + 3; end endtask",
+        "x = 4; t(x); $display(\"%0d\", x);",
+        ["7"],
+    ),
+    "task_ports_bind_by_position": (
+        "task t; output [7:0] y; input [7:0] a; begin y = a * 2; end endtask",
+        "x = 0; t(x, 8'd5); $display(\"%0d\", x);",
+        ["10"],
+    ),
+    "task_output_into_a_part_select": (
+        "task t; input [7:0] a; output [7:0] y; begin y = a + 1; end endtask",
+        "w = 0; t(8'd4, w[15:8]); $display(\"%0h\", w);",
+        ["500"],
+    ),
+    # 10.4.1: a function without a range returns one bit; ``integer`` and
+    # ``signed`` return types are signed.
+    "function_without_a_range_returns_one_bit": (
+        "function f; input a; begin f = a; end endfunction",
+        "$display(\"%b\", {f(1'b1), 1'b0});",
+        ["10"],
+    ),
+    "integer_function_returns_32_signed_bits": (
+        "function integer f; input a; begin f = -1; end endfunction",
+        "$display(\"%0d %0d\", f(1'b0), $bits(f(1'b0)));",
+        ["-1 32"],
+    ),
+    "signed_function_return": (
+        "function signed [7:0] f; input [7:0] a; begin f = a; end endfunction",
+        "$display(\"%0d\", f(8'hff));",
+        ["-1"],
+    ),
 }
 
 

@@ -28,7 +28,9 @@ from repro.serving import (
     RequestStatus,
     SchedulerConfig,
     ServingEngine,
+    StreamHandle,
 )
+from repro.serving.messages import CancelCommand, QueryCommand, QueryReply
 from repro.traffic import SimulatedClock
 
 METHODS = [
@@ -323,68 +325,15 @@ class TestCancellation:
             engine.submit([1, 2], deadline=0.0)
 
 
-class TestEngineLockFairness:
-    """The async server's engine lock: mutual exclusion and FIFO hand-over."""
-
-    def test_release_hands_over_to_the_waiter(self):
-        """The step-loop pattern (release, re-acquire at once) cannot overtake a waiter."""
-        from repro.serving.server import _FairLock
-
-        lock = _FairLock()
-        order = []
-
-        def waiter():
-            with lock:
-                order.append("waiter")
-
-        for _ in range(50):
-            order.clear()
-            with lock:
-                thread = threading.Thread(target=waiter)
-                thread.start()
-                while not lock._waiters:  # until the waiter is queued behind us
-                    pass
-            with lock:
-                order.append("holder")
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-            assert order == ["waiter", "holder"]
-
-    def test_mutual_exclusion_under_contention(self):
-        from repro.serving.server import _FairLock
-
-        lock = _FairLock()
-        counter = [0]
-
-        def work():
-            for _ in range(2000):
-                with lock:
-                    value = counter[0]
-                    counter[0] = value + 1  # lost updates without exclusion
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert counter[0] == 6 * 2000
-        assert not lock._held and not lock._waiters
-
-
 class TestAsyncCancellation:
     """Handle-level cancellation/timeout semantics of the async front-end.
 
     The mid-decode cancels below are issued relative to the request's own
     progress (a burst has arrived), never after a wall-clock sleep, and run
     on the NTP engine: one token per step leaves ~200 steps of the context
-    window still to go, and the fair engine lock lets the cancel in after at
-    most one of them, however fast the machine or the decode kernel is.
+    window still to go, and the step thread drains its inbox before every
+    step, so the cancel lands after at most one of them, however fast the
+    machine or the decode kernel is.
     """
 
     def test_own_cancel_ends_stream_quietly_result_raises(self, tiny_pipeline):
@@ -427,10 +376,11 @@ class TestAsyncCancellation:
 
                 async def chop():
                     # The cancel comes from outside the handle (an operator
-                    # or admission-control path), so the stream must raise.
+                    # or admission-control path) through the step thread's
+                    # inbox, so the stream must raise.
                     await decoding.wait()
-                    with server._lock:
-                        assert server.engine.cancel(handle.request_id)
+                    reply = await asyncio.wrap_future(server._send(CancelCommand(request_id=handle.request_id)))
+                    assert reply.cancelled
 
                 async def consume():
                     with pytest.raises(RequestCancelled):
@@ -498,7 +448,7 @@ class TestAsyncCancellation:
             with pytest.raises(RuntimeError, match="boom"):
                 async for _ in handle.stream():
                     pass
-            assert server._handles == []  # failed handles are not retained
+            assert server._registry == {}  # failed handles are not retained
             # A crashed server refuses new work instead of queueing it forever.
             with pytest.raises(RuntimeError, match="crashed"):
                 await server.submit_text("module n", GenerationConfig.greedy_config(4))
@@ -508,29 +458,62 @@ class TestAsyncCancellation:
 
         asyncio.run(run())
 
-    def test_submit_racing_crash_fails_handle(self, tiny_pipeline):
-        """A crash landing between submission and handle registration must
-        still fail the handle (the crash fan-out could not see it yet)."""
+    def test_crash_in_the_first_step_after_a_submit_fails_its_handle(self, tiny_pipeline):
+        """The step thread answers a submit and steps in one pump: the handle
+        is registered before the crash is dispatched, so the crash fails it
+        instead of stranding it, and every later call is refused."""
         engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
 
         async def run():
-            server = AsyncServingEngine(engine)  # never started: no step thread
-            real_submit = engine.submit
+            async with AsyncServingEngine(engine) as server:
+                first = await server.submit_text("module m", GenerationConfig.greedy_config(4))
+                assert (await first.result()).token_ids  # a healthy step thread first
+                assert not engine.has_work  # so the next step is the submit's own
 
-            def crash_during_submit(*args, **kwargs):
-                rid = real_submit(*args, **kwargs)
-                server._crashed = RuntimeError("boom mid-submit")
-                return rid
+                def bad_step():
+                    raise RuntimeError("boom: first step after the submit")
 
-            engine.submit = crash_during_submit
-            handle = await server.submit_text("module m", GenerationConfig.greedy_config(4))
-            with pytest.raises(RuntimeError, match="boom mid-submit"):
-                await handle.result()
-            # ... and once _crashed is visible at entry, submit refuses outright.
-            with pytest.raises(RuntimeError, match="crashed"):
-                await server.submit_text("module n", GenerationConfig.greedy_config(4))
+                engine.step = bad_step
+                handle = await server.submit_text("module n", GenerationConfig.greedy_config(4))
+                with pytest.raises(RuntimeError, match="boom"):
+                    await handle.result()
+                assert server._registry == {}
+                with pytest.raises(RuntimeError, match="crashed"):
+                    await server.submit_text("module o", GenerationConfig.greedy_config(4))
+                with pytest.raises(RuntimeError, match="crashed"):
+                    server._send(CancelCommand(request_id=handle.request_id))
 
         asyncio.run(run())
+
+    def test_a_crash_outside_the_step_fails_every_handle(self, tiny_pipeline, monkeypatch):
+        """Anything that escapes the step thread's loop, not only a failing
+        engine step, takes the crash path: every in-flight handle fails with
+        it and every later call is refused instead of waiting forever."""
+        engine = _engine(tiny_pipeline, "ntp", DecodingStrategy.NTP)
+        real_on_done = StreamHandle._on_done
+
+        def on_done(handle, event):
+            if event.request_id == "short":
+                raise RuntimeError("boom: fan-out exploded")
+            real_on_done(handle, event)
+
+        monkeypatch.setattr(StreamHandle, "_on_done", on_done)
+
+        async def run():
+            async with AsyncServingEngine(engine) as server:
+                long = await server.submit_text(
+                    _prompts(tiny_pipeline, 1)[0], GenerationConfig.greedy_config(500)
+                )
+                short = await server.submit_text("module m", GenerationConfig.greedy_config(2), request_id="short")
+                for handle in (short, long):
+                    with pytest.raises(RuntimeError, match="boom"):
+                        await handle.result()
+                assert server._registry == {}
+                assert long.cancel() is False  # settled by the crash: no round trip
+                with pytest.raises(RuntimeError, match="crashed"):
+                    await server.submit_text("module n", GenerationConfig.greedy_config(2))
+
+        asyncio.run(asyncio.wait_for(run(), 60))
 
     def test_cancel_async_matches_sync_cancel(self, tiny_pipeline):
         engine = _engine(tiny_pipeline, "ntp", DecodingStrategy.NTP)
@@ -561,8 +544,8 @@ class TestAsyncCancellation:
                 for index in range(3):
                     handle = await server.submit_text("module m", GenerationConfig.greedy_config(2))
                     await handle.result()
-                    assert handle not in server._handles
-                assert server._handles == []
+                    assert handle not in server._registry.values()
+                assert server._registry == {}
 
         asyncio.run(run())
 
@@ -583,6 +566,169 @@ class TestAsyncCancellation:
                 await blocker.result()
 
         asyncio.run(run())
+
+
+class TestOneOwner:
+    """While it runs, the step thread owns the engine; after a close joins
+    it, the caller does, and answers whatever was still queued."""
+
+    def test_close_answers_the_calls_still_queued(self, tiny_pipeline):
+        engine = _engine(tiny_pipeline, "ntp", DecodingStrategy.NTP)
+        config = GenerationConfig.greedy_config(500)
+        prompt = _prompts(tiny_pipeline, 1)[0]
+        inside, release = threading.Event(), threading.Event()
+        real_step = engine.step
+
+        def held_step():
+            inside.set()
+            release.wait()
+            return real_step()
+
+        engine.step = held_step
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            server = AsyncServingEngine(engine)
+            server.start()
+            first = asyncio.ensure_future(server.submit_text(prompt, config))
+            await loop.run_in_executor(None, inside.wait)  # the step thread is mid-step
+            second = asyncio.ensure_future(server.submit_text(prompt, config))
+            await asyncio.sleep(0)  # the second submit is queued behind that step
+            closing = loop.run_in_executor(None, server.shutdown)
+            while server._inbox._open:  # shutdown closed the inbox; the thread is still mid-step
+                await asyncio.sleep(0)
+            release.set()
+            await closing
+            handles = [await first, await second]  # answered by the thread, then by shutdown
+            for handle in handles:
+                with pytest.raises(RequestCancelled):
+                    await handle.result()
+            assert server._registry == {}
+            assert not engine.has_work
+            with pytest.raises(RuntimeError, match="not running"):
+                await server.submit_text(prompt, config)
+
+        asyncio.run(run())
+
+    def test_a_second_closer_waits_for_the_step_thread(self, tiny_pipeline):
+        """A shutdown() from another thread while close() awaits the join
+        joins the step thread too: neither closer pumps the engine while the
+        step thread still owns it."""
+        engine = _engine(tiny_pipeline, "ntp", DecodingStrategy.NTP)
+        server = AsyncServingEngine(engine)
+        inside, release = threading.Event(), threading.Event()
+        real_step, real_pump = engine.step, server.control.pump
+        foreign_pumps = []
+
+        def held_step():
+            inside.set()
+            release.wait()
+            return real_step()
+
+        def spied_pump(commands):
+            if threading.current_thread() is not step_thread and step_thread.is_alive():
+                foreign_pumps.append(commands)
+                release.set()  # let the test finish and report the overlap
+            return real_pump(commands)
+
+        engine.step, server.control.pump = held_step, spied_pump
+        server.start()
+        step_thread = server._thread
+        real_join, joins = step_thread.join, []
+
+        def counted_join(*args):
+            joins.append(threading.current_thread())
+            if len(joins) == 2:  # both closers are joining: let the step finish
+                release.set()
+            return real_join(*args)
+
+        step_thread.join = counted_join
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            prompt = _prompts(tiny_pipeline, 1)[0]
+            submitting = asyncio.ensure_future(server.submit_text(prompt, GenerationConfig.greedy_config(500)))
+            await loop.run_in_executor(None, inside.wait)  # the step thread is mid-step
+            closing = asyncio.ensure_future(server.close())
+            await asyncio.sleep(0)  # close() closed the inbox and awaits the join
+            await loop.run_in_executor(None, server.shutdown)
+            await closing
+            with pytest.raises(RequestCancelled):
+                await (await submitting).result()
+
+        asyncio.run(asyncio.wait_for(run(), 60))
+        assert foreign_pumps == []
+        assert len(joins) == 2 and not step_thread.is_alive()
+        assert server._registry == {} and not engine.has_work
+
+    def test_concurrent_callers_lose_no_call(self, tiny_pipeline):
+        """Threads and tasks share the inbox under a tiny switch interval:
+        every call is answered exactly once and every request settles."""
+        engine = _engine(tiny_pipeline, "ntp", DecodingStrategy.NTP)
+        config = GenerationConfig.greedy_config(6)
+        replies = []
+
+        async def run():
+            async with AsyncServingEngine(engine) as server:
+
+                def query(count):
+                    for _ in range(count):
+                        replies.append(server._send(QueryCommand(kind="stats")).result(timeout=60))
+
+                async def submit(index):
+                    handle = await server.submit_text("module m", config)
+                    if index % 3 == 0:
+                        await handle.cancel_async()
+                    try:
+                        return list((await handle.result()).token_ids)
+                    except RequestCancelled:
+                        return None
+
+                loop = asyncio.get_running_loop()
+                queries = [loop.run_in_executor(None, query, 50) for _ in range(4)]
+                results = await asyncio.gather(*(submit(index) for index in range(12)), *queries)
+                assert server._registry == {}
+                return results[:12]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = asyncio.run(asyncio.wait_for(run(), 120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(replies) == 200 and all(isinstance(reply, QueryReply) for reply in replies)
+        finished = [tokens for tokens in results if tokens is not None]
+        assert finished and all(tokens == finished[0] for tokens in finished)  # greedy: one answer
+        assert not engine.has_work and engine.scheduler.tokens_in_flight == 0
+
+    def test_calls_are_refused_unless_the_server_runs(self, tiny_pipeline):
+        engine = _engine(tiny_pipeline, "ntp", DecodingStrategy.NTP)
+        server = AsyncServingEngine(engine)
+        # Steps after the submit's own wait until the submitting loop has
+        # closed, so the handle settles in place rather than on a loop that
+        # is shutting down and would drop the callback.
+        loop_closed = threading.Event()
+        real_step, steps = engine.step, []
+
+        def gated_step():
+            steps.append(None)
+            if len(steps) > 1:
+                loop_closed.wait()
+            return real_step()
+
+        engine.step = gated_step
+
+        async def submit():
+            return await server.submit_text("module m", GenerationConfig.greedy_config(4))
+
+        with pytest.raises(RuntimeError, match="not running"):
+            asyncio.run(submit())
+        with server:
+            handle = asyncio.run(submit())
+            loop_closed.set()
+        assert handle.done  # settled by the shutdown at with-exit
+        assert handle.cancel() is False  # a settled handle needs no step thread
+        assert not engine.has_work
 
 
 class TestSyncLifecycle:
@@ -616,7 +762,7 @@ class TestSyncLifecycle:
         assert not server.running
         assert handle.done
         assert isinstance(handle._error, RequestCancelled)
-        assert server._handles == []  # settled handles are pruned, not leaked
+        assert server._registry == {}  # settled handles are dropped, not leaked
 
     def test_shutdown_is_idempotent(self, tiny_pipeline):
         engine = _engine(tiny_pipeline, "ntp", DecodingStrategy.NTP)
