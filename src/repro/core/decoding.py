@@ -591,6 +591,25 @@ def speculative_step(
     return _retire(cache, lanes, max_seq_len)
 
 
+def final_chunk_rows(length: int) -> int:
+    """How many trailing rows a final prefill chunk of ``length`` tokens computes in its last block.
+
+    The fewest rows, and at least two, that are congruent to ``length``
+    modulo 8 (all of them for a short chunk).  BLAS computes a float32
+    product's rows in fixed-width groups counted from its first row, and a
+    row's last bits can depend on the width of its group: OpenBLAS groups
+    rows by four, so the last two rows of a four-row product differ in the
+    last bits from a two-row product of the same rows whenever the other
+    dimension is not a multiple of four (a base head over a 97-token
+    vocabulary), and NumPy sends a one-row product to gemv, which differs
+    too.  A count congruent modulo 8 keeps every kept row in the group it
+    has in the full chunk for group widths of 1, 2, 4 and 8, so the logits
+    are bitwise the full forward's.  A one-token chunk is the full chunk.
+    """
+    rows = length % 8
+    return min(length, rows if rows >= 2 else rows + 8)
+
+
 class SpeculativeDecoder:
     """The decoding policy: one of the three strategies with its settings.
 
@@ -650,16 +669,23 @@ class SpeculativeDecoder:
 
         ``final`` marks the chunk that ends the context: its last position
         seeds decoding, so ``last_base`` is set from it, and ``last_heads``
-        too when the step kernel will speculate.  Only the forward and that
-        head evaluation are timed into ``lane.prefill_seconds``.
+        too when the step kernel will speculate.  A chunk computes only what
+        the next step reads: a non-final chunk stops at the last layer's K/V
+        write (``last=0``), and the final one runs the last block, the final
+        norm and the base head on its last :func:`final_chunk_rows` rows
+        only.  K/V and logits are bitwise those of the full forward
+        (``tests/test_prefill_last.py``).  Only the forward and the head
+        evaluation are timed into ``lane.prefill_seconds``.
         """
         chunk = np.asarray([tokens], dtype=np.int64)
         start = clock()
-        base_logits, hidden = self.model.forward_hidden(chunk, cache=cache)
         if final:
+            base_logits, hidden = self.model.forward_hidden(chunk, cache=cache, last=final_chunk_rows(len(tokens)))
             lane.last_base = base_logits[0, -1]
             if speculates(self.strategy, self.max_speculative_heads):
                 lane.last_heads = [h[0] for h in self.model.head_logits_at(hidden[:, -1])]
+        else:
+            self.model.forward_hidden(chunk, cache=cache, last=0)
         lane.prefill_seconds += clock() - start
 
     def step(self, cache, lanes: Sequence["RequestState"], clock: Callable[[], float]):

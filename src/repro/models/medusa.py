@@ -81,7 +81,6 @@ class MedusaLM(Module):
         # The paper trains the decoding heads at 4x the base learning rate.
         for head in self.medusa_heads:
             head.set_lr_scale(head_lr_scale)
-        self._last_hidden: Optional[np.ndarray] = None
         self._stack_heads()
 
     def _stack_heads(self) -> None:
@@ -120,13 +119,13 @@ class MedusaLM(Module):
     def is_encoder_decoder(self) -> bool:
         return isinstance(self.backbone, EncoderDecoderTransformer)
 
-    def _hidden_states(self, input_ids, encoder_ids, cache, attn_bias=None, position_offsets=None) -> np.ndarray:
+    def _hidden_states(self, input_ids, encoder_ids, cache, attn_bias=None, position_offsets=None, last=None) -> np.ndarray:
         """Backbone hidden states; ``encoder_ids`` runs the encoder first (a decoder-only backbone has none)."""
         if encoder_ids is not None:
             if not self.is_encoder_decoder:
                 raise ValueError("encoder_ids given to a decoder-only backbone, which has no encoder")
             self.encode_prompt(encoder_ids)
-        return self.backbone.forward(np.asarray(input_ids, dtype=np.int64), cache, attn_bias, position_offsets)
+        return self.backbone.forward(np.asarray(input_ids, dtype=np.int64), cache, attn_bias, position_offsets, last)
 
     def forward(
         self,
@@ -150,7 +149,6 @@ class MedusaLM(Module):
             per Medusa head.
         """
         hidden = self._hidden_states(input_ids, encoder_ids, cache)
-        self._last_hidden = hidden
         base_logits = self.base_head.forward(hidden)
         head_logits = [head.forward(hidden) for head in self.medusa_heads]
         return base_logits, head_logits
@@ -162,6 +160,7 @@ class MedusaLM(Module):
         cache: Optional[KVCache] = None,
         attn_bias: Optional[np.ndarray] = None,
         position_offsets: Optional[np.ndarray] = None,
+        last: Optional[int] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Compute base-head logits and return the hidden states alongside.
 
@@ -182,13 +181,18 @@ class MedusaLM(Module):
                 :meth:`~repro.nn.layers.CausalSelfAttention.forward`).
             position_offsets: optional per-token position offsets from each
                 row's start (tree nodes sit at ``prefix + depth``).
+            last: how many trailing positions the caller reads (``None``:
+                all).  The backbone's last block, its final norm and the
+                base head then run on those rows only, and ``last=0`` stops
+                after the last layer's K/V write (see
+                :meth:`~repro.nn.transformer.DecoderOnlyTransformer.forward`);
+                prefill uses it.
 
         Returns:
             ``(base_logits, hidden)`` with shapes ``(B, T, V)`` and
-            ``(B, T, D)``.
+            ``(B, T, D)`` (``T = last`` when ``last`` is given).
         """
-        hidden = self._hidden_states(input_ids, encoder_ids, cache, attn_bias, position_offsets)
-        self._last_hidden = hidden
+        hidden = self._hidden_states(input_ids, encoder_ids, cache, attn_bias, position_offsets, last)
         return self.base_head.forward(hidden), hidden
 
     def head_logits_at(self, hidden: np.ndarray) -> List[np.ndarray]:

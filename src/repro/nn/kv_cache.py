@@ -16,7 +16,7 @@ candidate tree a speculative step appends.  It has two users:
   in a row cache, on both backbones; for the encoder-decoder one the layer
   slots also hold the projected encoder memory (cross-attention K/V,
   computed once at prefill).  The kernel touches ``layers`` / ``lengths``
-  (through the model forward and :meth:`LayerKVCache.append`),
+  (through the model forward and :meth:`LayerKVCache.append` / ``write``),
   ``set_append_widths``, ``compact_paths`` (keep the accepted token-tree
   path after verification) and ``select_rows`` (tile the prefilled prompt
   row to every lane, cross-attention K/V included, and drop finished
@@ -33,7 +33,7 @@ carries its own length (``lengths``), appends land at per-row offsets, and
 ``set_append_widths`` declares how many of the incoming window positions are
 real per row (the rest is right-padding that must not be stored).
 
-Only :meth:`LayerKVCache.append`, :meth:`KVCache.select_rows`,
+Only :meth:`LayerKVCache.write` (under ``append``), :meth:`KVCache.select_rows`,
 :meth:`KVCache.compact_paths` and :meth:`KVCache.concat` write K/V buffers,
 and each leaves every buffer position finite (``docs/decoding.md``,
 "Finite-buffer invariant").  Seven more operations have no caller in the
@@ -126,7 +126,7 @@ class LayerKVCache:
         self.v = np.zeros((batch, num_heads, capacity, head_dim), dtype=np.float32)
         self.cross_k: Optional[np.ndarray] = None
         self.cross_v: Optional[np.ndarray] = None
-        #: Per-row append widths for the next :meth:`append` (ragged step
+        #: Per-row append widths for the next :meth:`write` (ragged step
         #: windows); ``None`` means every incoming position is real.
         self.append_widths: Optional[np.ndarray] = None
 
@@ -139,15 +139,15 @@ class LayerKVCache:
         """Longest cached prefix across rows (== every row for uniform caches)."""
         return int(self.lengths.max(initial=0))
 
-    def append(self, k_new: np.ndarray, v_new: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Store ``(batch, heads, t, head_dim)`` projections; return the full prefix views.
+    def write(self, k_new: np.ndarray, v_new: np.ndarray) -> None:
+        """Store ``(batch, heads, t, head_dim)`` projections and advance ``lengths``.
 
         Row ``r``'s new keys/values land at offset ``lengths[r]``.  When
         :attr:`append_widths` is set, only the first ``append_widths[r]``
         window positions of row ``r`` are stored (the remainder is
-        right-padding from cross-request window alignment).  The returned
-        views cover positions ``0 .. max(lengths)`` after the append; entries
-        past a row's own length are stale and must be masked by the caller.
+        right-padding from cross-request window alignment).  A forward whose
+        queries skip this layer (a non-final prefill chunk's last layer)
+        writes and reads nothing back.
         """
         t = k_new.shape[2]
         if k_new.shape[0] != self.batch:
@@ -176,6 +176,15 @@ class LayerKVCache:
                 self.k[row, :, start : start + width] = k_new[row, :, :width]
                 self.v[row, :, start : start + width] = v_new[row, :, :width]
         self.lengths = self.lengths + widths
+
+    def append(self, k_new: np.ndarray, v_new: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`write`, then return the full prefix views.
+
+        The views cover positions ``0 .. max(lengths)`` after the write;
+        entries past a row's own length are stale and must be masked by the
+        caller.
+        """
+        self.write(k_new, v_new)
         view = self.length
         return self.k[:, :, :view], self.v[:, :, :view]
 
@@ -232,7 +241,7 @@ class KVCache:
 
         The step kernel right-pads every lane's candidate window to a
         common width so one batched forward covers all lanes; ``widths``
-        tells each layer's :meth:`LayerKVCache.append` how many of those
+        tells each layer's :meth:`LayerKVCache.write` how many of those
         window positions actually belong to each row.  Pass ``None`` to clear
         (every position real again).  The setting persists until cleared, so
         callers should wrap the forward in ``try/finally``.

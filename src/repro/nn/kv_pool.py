@@ -50,9 +50,11 @@ The attention read path is a **block-granular gather**: each layer view
 ``(batch, heads, blocks * block_size, head_dim)`` buffer and hands
 :class:`~repro.nn.layers.CausalSelfAttention` its leading ``view`` positions,
 so attention runs unchanged over paged or row storage.  The write path walks
-the rows once per *forward*: the first layer's append allocates,
+the rows once per *forward*: the first layer's write allocates,
 copy-on-writes and flattens every new position into one write plan, and every
-layer scatters and reads off it.  Positions past a row's own length may surface
+layer scatters off it; ``append`` then gathers, ``write`` does not (a layer
+no query attends in, such as a non-final prefill chunk's last, gathers
+nothing).  Positions past a row's own length may surface
 stale-but-finite block contents, exactly like the row cache's stale tail
 slots; the causal mask (or the caller's ``attn_bias``) pins their scores to
 ``-1e9``, whose softmax weight underflows to exactly ``0.0``, so stale
@@ -360,11 +362,11 @@ class PagedLayerKV:
 
     Quacks like :class:`~repro.nn.kv_cache.LayerKVCache` for everything
     :class:`~repro.nn.layers.CausalSelfAttention` and the transformer's
-    position bookkeeping touch: per-row ``lengths``, ``append_widths``, and
-    :meth:`append` returning contiguous full-prefix K/V arrays.  Appends
-    scatter the new projections into pool blocks (allocating and
-    copy-on-writing through the cache's block tables); reads gather the
-    tables back into dense arrays.  No cross-attention — paged serving is
+    position bookkeeping touch: per-row ``lengths``, ``append_widths``,
+    :meth:`write` and :meth:`append` returning contiguous full-prefix K/V
+    arrays.  Writes scatter the new projections into pool blocks (allocating
+    and copy-on-writing through the cache's block tables); an append's read
+    gathers the tables back into dense arrays.  No cross-attention — paged serving is
     decoder-only, like the engine.
     """
 
@@ -394,18 +396,36 @@ class PagedLayerKV:
     def append_widths(self) -> Optional[np.ndarray]:
         return self._cache._append_widths
 
-    def append(self, k_new: np.ndarray, v_new: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def write(self, k_new: np.ndarray, v_new: np.ndarray) -> None:
         """Scatter ``(batch, heads, t, head_dim)`` projections into pool blocks.
 
-        Semantics match :meth:`LayerKVCache.append`: row ``r``'s new K/V
-        lands at its own offset ``lengths[r]``, ``append_widths`` trims
-        right-padding, and the return value is the gathered
-        ``0 .. max(lengths)`` prefix view with stale-but-finite storage past
-        each row's own length (masked by the caller).  The first layer's
-        append of a forward walks the rows once — block allocation,
-        copy-on-write and the flat write plan (:meth:`PagedKVCache._plan_writes`);
-        every layer then does one vectorised scatter and one block-granular
-        read off that plan, and the last layer drops it.
+        Semantics match :meth:`LayerKVCache.write`: row ``r``'s new K/V
+        lands at its own offset ``lengths[r]`` and ``append_widths`` trims
+        right-padding.  Gathers no blocks, so a forward whose queries skip
+        this layer (a non-final prefill chunk's last layer) reads nothing.
+        """
+        self._scatter(k_new, v_new)
+
+    def append(self, k_new: np.ndarray, v_new: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`write`, then gather the ``0 .. max(lengths)`` prefix view.
+
+        Semantics match :meth:`LayerKVCache.append`: stale-but-finite storage
+        past each row's own length is masked by the caller.
+        """
+        plan = self._scatter(k_new, v_new)
+        pool = self._cache.pool
+        return (
+            _read_blocks(pool.k[self.index], plan.tables, plan.view),
+            _read_blocks(pool.v[self.index], plan.tables, plan.view),
+        )
+
+    def _scatter(self, k_new: np.ndarray, v_new: np.ndarray) -> _WritePlan:
+        """The write both :meth:`write` and :meth:`append` do; returns its plan.
+
+        The first layer's write of a forward walks the rows once — block
+        allocation, copy-on-write and the flat write plan
+        (:meth:`PagedKVCache._plan_writes`); every layer then does one
+        vectorised scatter off that plan, and the last layer drops it.
         """
         cache = self._cache
         starts = cache._layer_lengths[self.index]
@@ -419,7 +439,7 @@ class PagedLayerKV:
         k_pool[plan.blocks, :, plan.offsets, :] = k_new[plan.rows, :, plan.columns, :]
         v_pool[plan.blocks, :, plan.offsets, :] = v_new[plan.rows, :, plan.columns, :]
         cache._layer_lengths[self.index] = plan.lengths.copy()
-        return _read_blocks(k_pool, plan.tables, plan.view), _read_blocks(v_pool, plan.tables, plan.view)
+        return plan
 
 
 class PagedKVCache:
@@ -447,7 +467,7 @@ class PagedKVCache:
             np.zeros(batch, dtype=np.int64) for _ in range(pool.num_layers)
         ]
         self._append_widths: Optional[np.ndarray] = None
-        #: Set by the first layer's append of a forward, dropped by the last
+        #: Set by the first layer's write of a forward, dropped by the last
         #: and by anything that changes tables, lengths or widths or starts
         #: sharing this cache's blocks (a plan never writes a shared block).
         self._write_plan: Optional[_WritePlan] = None

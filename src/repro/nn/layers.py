@@ -220,7 +220,9 @@ class CausalSelfAttention(Module):
         self.proj = Linear(dim, dim, rng, name=f"{name}.proj")
         self._cache = None
 
-    def forward(self, x: np.ndarray, layer_cache=None, attn_bias: Optional[np.ndarray] = None) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, layer_cache=None, attn_bias: Optional[np.ndarray] = None, last: Optional[int] = None
+    ) -> np.ndarray:
         """Attend over ``x``; with ``layer_cache`` (a :class:`~repro.nn.kv_cache.LayerKVCache`),
         append the new keys/values and attend over the full cached prefix
         (incremental decoding — no backward pass is recorded in this mode).
@@ -235,19 +237,33 @@ class CausalSelfAttention(Module):
         chain plus the cached prefix.  The bias is added in place, in the
         scores' dtype (a float64 bias does not upcast the step).
 
+        ``last`` keeps only the trailing ``last`` positions as queries: keys
+        and values are still projected (and written to ``layer_cache``) for
+        every position, and the output is ``(batch, last, dim)``, the full
+        forward's rows there (an ``attn_bias`` covers those queries only).
+        ``last=0`` only writes the cache
+        (:meth:`~repro.nn.kv_cache.LayerKVCache.write`, no gather) and
+        returns ``(batch, 0, dim)``.  A query slice records no backward.
+
         The causal mask is built only when it masks a key: with a cache,
-        when the shortest row's first query (at position ``min(past)``)
-        precedes the last key, so a single query over rows of equal length
-        (every next-token step) skips it.
+        when the shortest row's first query (at position ``min(past)`` plus
+        the sliced-off positions) precedes the last key, so a single query
+        over rows of equal length (every next-token step) skips it.
         """
         batch, time, dim = x.shape
+        queries = time if last is None else last
+        offset = time - queries
         qkv = self.qkv.forward(x)
         q, k, v = qkv[..., :dim], qkv[..., dim : 2 * dim], qkv[..., 2 * dim :]
 
         def split_heads(tensor: np.ndarray) -> np.ndarray:
             return tensor.reshape(batch, time, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-        qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
+        qh, kh, vh = split_heads(q)[:, :, offset:], split_heads(k), split_heads(v)
+        if not queries:
+            if layer_cache is not None:
+                layer_cache.write(kh, vh)
+            return np.zeros((batch, 0, dim), dtype=x.dtype)
         mask = None
         if layer_cache is not None:
             # Per-row pasts: serving batches requests whose cached prefixes
@@ -257,29 +273,28 @@ class CausalSelfAttention(Module):
             past = layer_cache.lengths
             kh, vh = layer_cache.append(kh, vh)
             keys = kh.shape[2]
-            if attn_bias is None and self.causal and int(np.minimum.reduce(past, initial=keys)) + 1 < keys:
+            if attn_bias is None and self.causal and int(np.minimum.reduce(past, initial=keys)) + offset + 1 < keys:
                 # Row r's query i sits at absolute position past_r + i and may
                 # attend to keys 0..past_r+i.  Keys past a row's own length are
                 # stale storage from longer rows; they sit at positions
                 # > past_r + i for every valid query, so the same comparison
                 # masks them too.
-                query_positions = past[:, None] + np.arange(time)[None, :]
+                query_positions = past[:, None] + np.arange(offset, time)[None, :]
                 mask = (np.arange(keys)[None, None, :] > query_positions[:, :, None])[:, None, :, :]
         else:
             keys = time
             if attn_bias is None and self.causal:
                 # Query i may attend to keys 0..i.
-                key_positions = np.arange(time)
-                mask = key_positions[None, :] > key_positions[:, None]
-        if attn_bias is not None and attn_bias.shape != (batch, time, keys):
+                mask = np.arange(time)[None, :] > np.arange(offset, time)[:, None]
+        if attn_bias is not None and attn_bias.shape != (batch, queries, keys):
             raise ValueError(
-                f"attn_bias shape {attn_bias.shape} != (batch, query, key) = ({batch}, {time}, {keys})"
+                f"attn_bias shape {attn_bias.shape} != (batch, query, key) = ({batch}, {queries}, {keys})"
             )
         weights = _attention_weights(qh @ kh.transpose(0, 1, 3, 2), self.scale, attn_bias, mask)
         context = weights @ vh
-        merged = context.transpose(0, 2, 1, 3).reshape(batch, time, dim)
+        merged = context.transpose(0, 2, 1, 3).reshape(batch, queries, dim)
         out = self.proj.forward(merged)
-        if layer_cache is None:
+        if layer_cache is None and last is None:
             self._cache = (qh, kh, vh, weights, batch, time)
         return out
 

@@ -4,8 +4,9 @@ These are the scale-reduced substitutes for CodeLlama (decoder-only) and
 CodeT5p (encoder-decoder), and each is the backbone a
 :class:`~repro.models.medusa.MedusaLM` holds.  Both expose the same interface:
 
-* ``forward(token_ids, cache, attn_bias, position_offsets)`` returns the final
-  hidden states ``(batch, time, dim)`` (encoder-decoder: after ``encode``);
+* ``forward(token_ids, cache, attn_bias, position_offsets, last)`` returns the
+  final hidden states ``(batch, time, dim)`` (encoder-decoder: after
+  ``encode``), or only the trailing ``last`` rows of them;
 * ``backward(grad_hidden)`` backpropagates a gradient arriving at those hidden
   states through the whole backbone.
 
@@ -86,6 +87,12 @@ def _decode_positions(
     return np.minimum(positions, max_seq_len - 1)
 
 
+def _check_last(last: Optional[int], time: int) -> None:
+    """A forward's ``last`` is ``None`` or a row count in ``[0, time]``."""
+    if last is not None and not 0 <= last <= time:
+        raise ValueError(f"last={last} outside [0, {time}] for a {time}-position forward")
+
+
 class TransformerBlock(Module):
     """Pre-norm transformer block (self-attention + MLP with residuals)."""
 
@@ -95,14 +102,23 @@ class TransformerBlock(Module):
         self.ln2 = LayerNorm(dim, name=f"{name}.ln2")
         self.mlp = FeedForward(dim, 4 * dim, rng, name=f"{name}.mlp")
 
-    def forward(self, x: np.ndarray, layer_cache=None, attn_bias: Optional[np.ndarray] = None) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, layer_cache=None, attn_bias: Optional[np.ndarray] = None, last: Optional[int] = None
+    ) -> np.ndarray:
         """``x + attn(ln1(x))``, then ``h + mlp(ln2(h))``.
 
         Each sublayer returns a fresh array, so the residual is added into it
         (``h += x`` is bitwise ``x + h``); the sublayer inputs the norms stash
-        are never written.
+        are never written.  ``last`` runs attention's queries, the residuals
+        and the MLP on the trailing ``last`` rows only (see
+        :meth:`~repro.nn.layers.CausalSelfAttention.forward`); ``last=0``
+        stops after the K/V write.
         """
-        h = self.attn.forward(self.ln1.forward(x), layer_cache=layer_cache, attn_bias=attn_bias)
+        h = self.attn.forward(self.ln1.forward(x), layer_cache=layer_cache, attn_bias=attn_bias, last=last)
+        if last is not None:
+            if not last:
+                return h
+            x = x[:, x.shape[1] - last :]
         h += x
         out = self.mlp.forward(self.ln2.forward(h))
         out += h
@@ -128,10 +144,23 @@ class CrossTransformerBlock(Module):
         self._memory_grad: Optional[np.ndarray] = None
 
     def forward(
-        self, x: np.ndarray, memory: Optional[np.ndarray], layer_cache=None, attn_bias: Optional[np.ndarray] = None
+        self,
+        x: np.ndarray,
+        memory: Optional[np.ndarray],
+        layer_cache=None,
+        attn_bias: Optional[np.ndarray] = None,
+        last: Optional[int] = None,
     ) -> np.ndarray:
-        """Self-attention, cross-attention and MLP, each with a residual added into its fresh output."""
-        h = self.self_attn.forward(self.ln1.forward(x), layer_cache=layer_cache, attn_bias=attn_bias)
+        """Self-attention, cross-attention and MLP, each with a residual added into its fresh output.
+
+        ``last`` slices as in :meth:`TransformerBlock.forward`: cross-attention
+        and the MLP see the trailing ``last`` rows only.
+        """
+        h = self.self_attn.forward(self.ln1.forward(x), layer_cache=layer_cache, attn_bias=attn_bias, last=last)
+        if last is not None:
+            if not last:
+                return h
+            x = x[:, x.shape[1] - last :]
         h += x
         g = self.cross_attn.forward(self.ln2.forward(h), memory, layer_cache=layer_cache)
         g += h
@@ -178,8 +207,9 @@ class DecoderOnlyTransformer(Module):
         cache: Optional[KVCache] = None,
         attn_bias: Optional[np.ndarray] = None,
         position_offsets: Optional[np.ndarray] = None,
+        last: Optional[int] = None,
     ) -> np.ndarray:
-        """Return hidden states of shape ``(batch, time, dim)``.
+        """Return hidden states of shape ``(batch, time, dim)``, or ``(batch, last, dim)``.
 
         With ``cache``, ``token_ids`` are treated as the continuation of the
         cached prefix: positions are offset by ``cache.length`` and attention
@@ -190,16 +220,28 @@ class DecoderOnlyTransformer(Module):
         ``position_offsets`` overrides the consecutive position layout (see
         :func:`_decode_positions`); together they let a token tree be
         verified in one forward.
+
+        ``last`` is the number of trailing positions whose hidden states the
+        caller reads (``None``: all).  Every block before the last runs in
+        full, since its output feeds the next layer's K/V; the last block
+        writes K/V for every position and runs the rest of itself, and the
+        final norm, on the trailing ``last`` rows only: the full forward's
+        values there, bit for bit when ``last`` keeps BLAS's row grouping
+        (:func:`~repro.core.decoding.final_chunk_rows`).  ``last=0`` stops
+        after the last layer's K/V write and returns ``(batch, 0, dim)``.
+        Inference only: :meth:`backward` follows a full forward.
         """
         if token_ids.ndim == 1:
             token_ids = token_ids[None, :]
         batch, time = token_ids.shape
+        _check_last(last, time)
         positions = _decode_positions(cache, batch, time, self.max_seq_len, position_offsets)
         x = self.token_embedding.forward(token_ids) + self.position_embedding.forward(positions)
         layer_caches = cache.layers if cache is not None else [None] * len(self.blocks)
-        for block, layer_cache in zip(self.blocks, layer_caches):
-            x = block.forward(x, layer_cache=layer_cache, attn_bias=attn_bias)
-        return self.final_norm.forward(x)
+        final = len(self.blocks) - 1
+        for index, (block, layer_cache) in enumerate(zip(self.blocks, layer_caches)):
+            x = block.forward(x, layer_cache=layer_cache, attn_bias=attn_bias, last=last if index == final else None)
+        return x if last == 0 else self.final_norm.forward(x)
 
     def make_cache(self, batch: int = 1, capacity: Optional[int] = None) -> KVCache:
         """Create an empty KV cache sized for this transformer."""
@@ -294,8 +336,9 @@ class EncoderDecoderTransformer(Module):
         cache: Optional[KVCache] = None,
         attn_bias: Optional[np.ndarray] = None,
         position_offsets: Optional[np.ndarray] = None,
+        last: Optional[int] = None,
     ) -> np.ndarray:
-        """Return decoder hidden states ``(batch, time, dim)``.
+        """Return decoder hidden states ``(batch, time, dim)``, or ``(batch, last, dim)``.
 
         Cross-attention reads the encoder memory cached by the most recent
         :meth:`encode` call (the generation loop encodes once and decodes
@@ -305,11 +348,14 @@ class EncoderDecoderTransformer(Module):
         ``attn_bias`` / ``position_offsets`` generalise decoder self-attention
         masking and positions exactly as in
         :meth:`DecoderOnlyTransformer.forward` (cross-attention always sees
-        the whole encoder memory and is unaffected).
+        the whole encoder memory and is unaffected).  ``last`` slices the
+        last decoder block and the final norm as in
+        :meth:`DecoderOnlyTransformer.forward`.
         """
         if token_ids.ndim == 1:
             token_ids = token_ids[None, :]
         batch, time = token_ids.shape
+        _check_last(last, time)
         memory = self._cached_memory
         cross_ready = cache is not None and all(layer.has_cross for layer in cache.layers)
         if memory is None and not cross_ready:
@@ -321,9 +367,12 @@ class EncoderDecoderTransformer(Module):
         # the decoder cache here for the standard joint backward.
         self._decoder_ids = token_ids
         layer_caches = cache.layers if cache is not None else [None] * len(self.decoder_blocks)
-        for block, layer_cache in zip(self.decoder_blocks, layer_caches):
-            x = block.forward(x, memory, layer_cache=layer_cache, attn_bias=attn_bias)
-        return self.final_norm.forward(x)
+        final = len(self.decoder_blocks) - 1
+        for index, (block, layer_cache) in enumerate(zip(self.decoder_blocks, layer_caches)):
+            x = block.forward(
+                x, memory, layer_cache=layer_cache, attn_bias=attn_bias, last=last if index == final else None
+            )
+        return x if last == 0 else self.final_norm.forward(x)
 
     def make_cache(self, batch: int = 1, capacity: Optional[int] = None) -> KVCache:
         """Create an empty KV cache sized for this transformer's decoder stack."""

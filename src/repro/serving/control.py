@@ -181,10 +181,10 @@ class EngineControl:
             payload = self.engine.kv_pool_stats()
         elif command.kind == "prefix_cache_stats":
             payload = self.engine.prefix_cache_stats()
-        elif command.kind == "stream_metrics":
+        elif command.kind in ("stream_metrics", "scheduler_latency"):
             if command.request_id is None:
-                raise ValueError("stream_metrics query requires a request_id")
-            payload = self.engine.stream_metrics(command.request_id)
+                raise ValueError(f"{command.kind} query requires a request_id")
+            payload = getattr(self.engine, command.kind)(command.request_id)
         else:
             raise ValueError(f"unknown query kind {command.kind!r}")
         return QueryReply(kind=command.kind, payload=payload)

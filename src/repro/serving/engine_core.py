@@ -633,10 +633,15 @@ class ServingEngine:
         ``SchedulerConfig.max_prefill_tokens_per_step`` bounds the prompt
         tokens forwarded this step, FCFS across prefilling requests (``None``
         = prefill whole prompts immediately, the unchunked behaviour).
-        Chunking is a pure compute-layout change: a chunk's forward attends
-        over the cached earlier chunks exactly as those positions attend in a
-        monolithic prefill, so the resulting K/V and last-position logits are
-        identical.
+        Chunking is a compute-layout change: a chunk's forward attends over
+        the cached earlier chunks exactly as those positions attend in a
+        monolithic prefill.  Each chunk computes only what the next step
+        reads (:meth:`SpeculativeDecoder.prefill`): a non-final chunk stops
+        at the last layer's K/V write, and the final chunk runs the last
+        block, the final norm and the base head on its last rows only.  The
+        K/V and last-position logits are identical to forwarding the same
+        chunks in full by construction, and ``tests/test_prefill_last.py``
+        pins it bit for bit.
 
         A request whose last prompt token was forwarded takes its Medusa-head
         logits from that final chunk, has its prompt retained in the prefix

@@ -126,8 +126,9 @@ class QueryCommand:
     """Read engine state without advancing it.
 
     ``kind`` selects the payload: ``"stats"`` (an :class:`EngineStats`
-    snapshot), ``"kv_pool_stats"``, ``"prefix_cache_stats"`` or
-    ``"stream_metrics"`` (requires ``request_id``).
+    snapshot), ``"kv_pool_stats"``, ``"prefix_cache_stats"``,
+    ``"stream_metrics"`` or ``"scheduler_latency"`` (the last two require
+    ``request_id``).
     """
 
     kind: str

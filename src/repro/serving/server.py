@@ -25,7 +25,8 @@ Design rules:
   asserted in ``tests/test_streaming.py``.
 * **One owner, one loop.**  While it runs, the step thread alone touches
   the engine, the control and the handle registry.  ``submit`` and the
-  cancels put a command and a future on its inbox; each iteration calls
+  cancels (and :meth:`AsyncServingEngine.query`'s reads) put a command and
+  a future on its inbox; each iteration calls
   ``pump`` once on everything queued, which answers the commands in order
   and then steps the engine at most once — so a cancel lands before the
   next step, a handle is registered before any of its bursts, and an idle
@@ -74,6 +75,7 @@ from repro.serving.engine_core import ServingEngine
 from repro.serving.messages import (
     CancelCommand,
     FinishedEvent,
+    QueryCommand,
     ShutdownCommand,
     SubmitCommand,
     SubmitReply,
@@ -565,6 +567,18 @@ class AsyncServingEngine:
         )
         await asyncio.wrap_future(self._send(command, handle))
         return handle
+
+    async def query(self, kind: str, request_id: Optional[str] = None):
+        """Read engine state on the step thread: a :class:`QueryCommand` through the inbox.
+
+        ``kind`` is one of :class:`QueryCommand`'s kinds (``"stats"``,
+        ``"kv_pool_stats"``, ``"prefix_cache_stats"``, ``"stream_metrics"``,
+        ``"scheduler_latency"``); returns the reply's payload.  The step
+        thread answers it between two engine steps, so the read never races
+        a step; an unknown kind or request id raises here.
+        """
+        reply = await asyncio.wrap_future(self._send(QueryCommand(kind=kind, request_id=request_id)))
+        return reply.payload
 
     async def submit_text(
         self,

@@ -1197,7 +1197,7 @@ def _apply_format(fmt: str, values: List[FourState], current_time: int) -> str:
             value_index += 1
         else:
             value = FourState.from_int(0)
-        rendered = _render_value(spec, value, current_time)
+        rendered = _render_value(spec, value, current_time, pad=not width_text)
         if width_text:
             rendered = rendered.rjust(int(width_text))
         out.append(rendered)
@@ -1205,18 +1205,25 @@ def _apply_format(fmt: str, values: List[FourState], current_time: int) -> str:
     return "".join(out)
 
 
-def _render_value(spec: str, value: FourState, current_time: int) -> str:
+def _render_value(spec: str, value: FourState, current_time: int, pad: bool) -> str:
+    """One conversion's text.  ``pad`` (no field width given) zero-pads ``%h`` /
+    ``%x`` / ``%o`` to the value's full digit count, as IEEE 1364 17.1.1.3 does;
+    ``%0h`` and other explicit widths start from the minimal digits."""
     spec = spec.lower()
     if spec == "d":
         return str(value.to_int()) if value.is_fully_known else "x"
     if spec == "h" or spec == "x":
         if not value.is_fully_known:
             return "x" * ((value.width + 3) // 4)
-        return format(value.value, "x")
+        digits = format(value.value, "x")
+        return digits.zfill((value.width + 3) // 4) if pad else digits
     if spec == "b":
         return value.to_bit_string()
     if spec == "o":
-        return format(value.value, "o") if value.is_fully_known else "x"
+        if not value.is_fully_known:
+            return "x"
+        digits = format(value.value, "o")
+        return digits.zfill((value.width + 2) // 3) if pad else digits
     if spec == "c":
         return chr(value.value & 0xFF) if value.is_fully_known else "?"
     if spec == "s":

@@ -380,7 +380,9 @@ async def replay_trace_async(server, trace: Trace) -> ReplayReport:
 
     The server's background step thread owns stepping, so the replay only
     paces arrivals with real sleeps, issues scheduled cancellations, and
-    awaits every handle.  Latency columns are wall-clock (non-deterministic);
+    awaits every handle; it reads the engine's metrics and stats through
+    :meth:`AsyncServingEngine.query`, which the step thread answers between
+    steps.  Latency columns are wall-clock (non-deterministic);
     token streams remain deterministic.
     """
     from repro.serving.server import RequestCancelled, RequestDeadlineExceeded
@@ -420,7 +422,7 @@ async def replay_trace_async(server, trace: Trace) -> ReplayReport:
         finally:
             if cancel_task is not None:
                 cancel_task.cancel()
-        metrics = engine.stream_metrics(request.request_id)
+        metrics = await server.query("stream_metrics", request.request_id)
         return RequestOutcome(
             request_id=request.request_id,
             tenant=request.tenant,
@@ -429,7 +431,7 @@ async def replay_trace_async(server, trace: Trace) -> ReplayReport:
             token_ids=tokens,
             submitted_at=submitted,
             ttft_seconds=metrics["ttft_seconds"],
-            latency_seconds=engine.scheduler_latency(request.request_id),
+            latency_seconds=await server.query("scheduler_latency", request.request_id),
         )
 
     outcomes = list(await asyncio.gather(*(run_one(r) for r in trace.requests)))
@@ -438,8 +440,8 @@ async def replay_trace_async(server, trace: Trace) -> ReplayReport:
         duration_seconds=loop.time() - start,
         steps=0,
         clock_mode="wall",
-        kv_pool=engine.kv_pool_stats(),
-        prefix_cache=engine.prefix_cache_stats(),
+        kv_pool=await server.query("kv_pool_stats"),
+        prefix_cache=await server.query("prefix_cache_stats"),
     )
 
 

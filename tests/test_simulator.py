@@ -517,6 +517,24 @@ endmodule
         assert result.error is None
         assert result.display_lines == ["88 c3 50a0 c 3", "8f"]
 
+    def test_hex_and_octal_pad_to_the_full_width(self, backend):
+        """IEEE 1364 17.1.1.3: ``%h`` / ``%o`` print every digit of the value; ``%0h`` the fewest."""
+        source = """
+module m;
+    reg [39:0] w = 'h500;
+    reg [8:0] o = 9'o7;
+    initial begin
+        $display("%h", w);
+        $display("%x|%0h|%0x", w, w, w);
+        $display("%o|%0o|%h", o, o, 8'd0);
+        $finish;
+    end
+endmodule
+"""
+        result = backend(source, top="m").run()
+        assert result.error is None
+        assert result.display_lines == ["0000000500", "0000000500|500|500", "007|7|00"]
+
     def test_fatal_prints_format_not_finish_number(self, backend):
         source = """
 module m;

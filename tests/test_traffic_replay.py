@@ -13,6 +13,7 @@ front-end to cover the non-deterministic regime's plumbing.
 from __future__ import annotations
 
 import asyncio
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -445,3 +446,38 @@ class TestWallClockReplay:
             assert len(partial) < len(uncut[rid].token_ids)
             assert partial == uncut[rid].token_ids[: len(partial)]
         assert by_id["late"].token_ids, "the deadline expired after the first burst"
+
+    def test_async_replay_reads_the_engine_only_on_the_step_thread(self, tiny_pipeline, monkeypatch):
+        """Metrics and stats go through the server's inbox, answered by the thread that owns the engine."""
+        trace = _trace(num_requests=4, requests_per_second=200.0)
+        engine = _engine(tiny_pipeline)
+        calls = []
+        for name in ("stream_metrics", "scheduler_latency", "kv_pool_stats", "prefix_cache_stats"):
+            original = getattr(engine, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append((_name, threading.current_thread()))
+                return _original(*args)
+
+            monkeypatch.setattr(engine, name, spy)
+
+        async def main():
+            server = AsyncServingEngine(engine)
+            server.start()
+            try:
+                return await replay_trace_async(server, trace), server._thread
+            finally:
+                await server.close(cancel_pending=True)
+
+        report, step_thread = asyncio.run(main())
+        assert report.by_status() == {"finished": 4}
+        assert {name for name, _ in calls} == {"stream_metrics", "scheduler_latency", "kv_pool_stats", "prefix_cache_stats"}
+        assert step_thread is not None
+        assert [name for name, thread in calls if thread is not step_thread] == []
+        with pytest.raises(ValueError, match="scheduler_latency query requires a request_id"):
+            asyncio.run(_query_without_id(engine))
+
+
+async def _query_without_id(engine):
+    async with AsyncServingEngine(engine) as server:
+        await server.query("scheduler_latency")
