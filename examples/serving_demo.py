@@ -123,7 +123,9 @@ async def streaming_demo(pipeline: VerilogSpecPipeline, max_new_tokens: int) -> 
     print("\nPer-request streaming latencies:")
     print(f"{'request':<10} {'ttft (ms)':>10} {'bursts':>7} {'tokens':>7}")
     for handle in handles:
-        metrics = engine.stream_metrics(handle.request_id)
+        # The server forgot each request as it settled it; the handle keeps
+        # its finished event.
+        metrics = handle.finished.stream_metrics
         print(
             f"{handle.request_id:<10} {metrics['ttft_seconds'] * 1e3:>10.1f} "
             f"{len(metrics['commit_events']):>7} "

@@ -19,6 +19,10 @@ the transport applies its own policy (the worker turns submit errors into
 in-process server raises a command's error at its call site and fails every
 handle on a step error).  :meth:`EngineControl.handle`, the one-command
 dispatcher under the pump, is transparent.
+
+A finished request is one :class:`FinishedEvent`, built by
+:func:`finished_event`; :meth:`EngineControl.pump` forgets the request on the
+engine as it hands that event out, so a transport retains nothing it reported.
 """
 
 from __future__ import annotations
@@ -62,6 +66,19 @@ class Pumped:
     error: Optional[BaseException] = None
 
 
+def finished_event(engine: ServingEngine, state: RequestState) -> FinishedEvent:
+    """Freeze a request that just left ``engine`` (a done-listener's ``state``) into its event."""
+    request_id = state.request.request_id
+    return FinishedEvent(
+        request_id=request_id,
+        result=encode_result(engine.result(request_id)),
+        cancelled=state.status is RequestStatus.CANCELLED,
+        timed_out=state.timed_out,
+        stream_metrics=engine.stream_metrics(request_id),
+        latency_seconds=state.latency_seconds,
+    )
+
+
 class EngineControl:
     """Drives one engine through the :mod:`repro.serving.messages` vocabulary.
 
@@ -70,17 +87,10 @@ class EngineControl:
             listeners to every request it submits; requests submitted to the
             engine *around* the control (e.g. directly in a test) are served
             normally but produce no events here.
-        forget_on_done: Release each request's engine-side bookkeeping the
-            moment its :class:`FinishedEvent` is buffered.  Workers run with
-            True — the event already carries the encoded result and frozen
-            stream metrics, and a long-lived worker retaining every state
-            would grow without bound.  In-process fronts default to False so
-            ``engine.result()``/``stream_metrics()`` keep working afterwards.
     """
 
-    def __init__(self, engine: ServingEngine, forget_on_done: bool = False) -> None:
+    def __init__(self, engine: ServingEngine) -> None:
         self.engine = engine
-        self.forget_on_done = forget_on_done
         self.steps_executed = 0
         self._commits: List[CommitEvent] = []
         self._finished: List[FinishedEvent] = []
@@ -96,7 +106,8 @@ class EngineControl:
         engine has work — unless a :class:`ShutdownCommand` was among them:
         the transport tears down after relaying its reply, so nothing steps.
         This is the only place :meth:`ServingEngine.step` is called from, so
-        a cancel queued before the call lands before the next step.
+        a cancel queued before the call lands before the next step.  Each
+        request whose :class:`FinishedEvent` it returns is forgotten on the engine.
         """
         replies: List[object] = []
         for command in commands:
@@ -114,6 +125,8 @@ class EngineControl:
                 error = exc
         commits, self._commits = self._commits, []
         finished, self._finished = self._finished, []
+        for event in finished:
+            self.engine.forget(event.request_id)
         return Pumped(replies, commits, finished, error)
 
     def handle(self, command: object) -> object:
@@ -145,7 +158,7 @@ class EngineControl:
             on_commit=lambda tokens, rid=request_id: self._commits.append(
                 CommitEvent(request_id=rid, tokens=list(tokens), timestamp=self.engine.clock())
             ),
-            on_done=self._on_done,
+            on_done=lambda state: self._finished.append(finished_event(self.engine, state)),
         )
         return SubmitReply(request_id=request_id)
 
@@ -153,26 +166,10 @@ class EngineControl:
         try:
             cancelled = self.engine.cancel(command.request_id)
         except KeyError:
-            # With forget_on_done, a request that finished a moment ago is
-            # already unknown; cancel-after-completion stays a no-op (False),
-            # matching the engine's own semantics for still-retained ids.
+            # A request whose finished event was handed out is forgotten;
+            # cancel-after-completion stays a no-op (False).
             cancelled = False
         return CancelReply(cancelled=cancelled)
-
-    def _on_done(self, state: RequestState) -> None:
-        """Done-listener: freeze the finished event (and optionally forget)."""
-        request_id = state.request.request_id
-        self._finished.append(
-            FinishedEvent(
-                request_id=request_id,
-                result=encode_result(self.engine.result(request_id)),
-                cancelled=state.status is RequestStatus.CANCELLED,
-                timed_out=state.timed_out,
-                stream_metrics=self.engine.stream_metrics(request_id),
-            )
-        )
-        if self.forget_on_done:
-            self.engine.forget(request_id)
 
     def _query(self, command: QueryCommand) -> QueryReply:
         if command.kind == "stats":
@@ -181,10 +178,6 @@ class EngineControl:
             payload = self.engine.kv_pool_stats()
         elif command.kind == "prefix_cache_stats":
             payload = self.engine.prefix_cache_stats()
-        elif command.kind in ("stream_metrics", "scheduler_latency"):
-            if command.request_id is None:
-                raise ValueError(f"{command.kind} query requires a request_id")
-            payload = getattr(self.engine, command.kind)(command.request_id)
         else:
             raise ValueError(f"unknown query kind {command.kind!r}")
         return QueryReply(kind=command.kind, payload=payload)
@@ -202,4 +195,4 @@ class EngineControl:
         )
 
 
-__all__ = ["EngineControl", "Pumped"]
+__all__ = ["EngineControl", "Pumped", "finished_event"]

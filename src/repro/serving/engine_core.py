@@ -409,8 +409,8 @@ class ServingEngine:
         The engine keeps every request's :class:`RequestState` and result so
         ``result()``/``stream_metrics()`` work after completion — which on a
         long-lived server is an unbounded retention.  Callers that have
-        consumed a request's result (e.g. a streaming front-end whose handle
-        already holds it) call this to release the bookkeeping: the state,
+        consumed a request's result (``EngineControl.pump`` once it hands out
+        the finished event) call this to release the bookkeeping: the state,
         its commit timeline and the stored result are all dropped, and the
         request id becomes unknown again (reusable).  Only ``FINISHED`` or
         ``CANCELLED`` requests can be forgotten; forgetting an in-flight

@@ -27,7 +27,7 @@ single-worker output is token-identical to driving the engine directly.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Type
 
 from repro.core.decoding import DecodeResult, StepRecord
@@ -35,7 +35,8 @@ from repro.models.generation import GenerationConfig
 
 #: Protocol version stamped into :class:`WorkerHello`; a router refuses a
 #: worker speaking a different version instead of mis-parsing its traffic.
-PROTOCOL_VERSION = 1
+#: 2: ``FinishedEvent.latency_seconds``; no per-request ``QueryCommand``.
+PROTOCOL_VERSION = 2
 
 
 # --------------------------------------------------------------------------- #
@@ -59,10 +60,8 @@ def decode_config(payload: dict) -> GenerationConfig:
 
 
 def encode_result(result: DecodeResult) -> dict:
-    """Flatten a :class:`DecodeResult` (nested step records included)."""
-    payload = asdict(result)
-    payload["step_records"] = [asdict(record) for record in result.step_records]
-    return payload
+    """Flatten a :class:`DecodeResult` (``asdict`` recurses into its step records)."""
+    return asdict(result)
 
 
 def decode_result(payload: dict) -> DecodeResult:
@@ -126,13 +125,10 @@ class QueryCommand:
     """Read engine state without advancing it.
 
     ``kind`` selects the payload: ``"stats"`` (an :class:`EngineStats`
-    snapshot), ``"kv_pool_stats"``, ``"prefix_cache_stats"``,
-    ``"stream_metrics"`` or ``"scheduler_latency"`` (the last two require
-    ``request_id``).
+    snapshot), ``"kv_pool_stats"`` or ``"prefix_cache_stats"``.
     """
 
     kind: str
-    request_id: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -174,16 +170,20 @@ class CommitEvent:
 
 @dataclass(frozen=True)
 class FinishedEvent:
-    """A request left the engine; carries its frozen result and metrics."""
+    """A request left the engine: the one record of how it ended, which every
+    front-end and replay reads (the engine forgets the request once it is out).
+
+    ``timed_out`` marks a cancellation by the request's deadline;
+    ``latency_seconds`` is submission to completion on the engine's clock.
+    """
 
     request_id: str
     result: dict
     cancelled: bool
     timed_out: bool
-    #: ``ServingEngine.stream_metrics`` payload frozen at completion, so the
-    #: front-end keeps TTFT/ITL observability after the worker forgets the
-    #: request.
+    #: ``ServingEngine.stream_metrics`` payload frozen at completion.
     stream_metrics: dict
+    latency_seconds: float
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ and does four jobs:
 * **Aggregation.** ``kv_pool_stats()`` / ``prefix_cache_stats()`` /
   ``fleet_stats()`` merge per-replica counters into one fleet view, and
   ``stream_metrics()`` serves the per-request latency series frozen into
-  each :class:`FinishedEvent`.
+  each :class:`FinishedEvent` — the one record of a finished request, which
+  :class:`RouterRequest` keeps as ``finished``.
 
 The identity contract: a single-worker router produces token-for-token the
 same results as driving a :class:`~repro.serving.ServingEngine` in process,
@@ -108,11 +109,11 @@ class RouterRequest:
     tokens: List[int] = field(default_factory=list)
     #: Replayed tokens still to swallow after a crash requeue.
     replay_skip: int = 0
-    done: bool = False
-    cancelled: bool = False
-    timed_out: bool = False
-    result_payload: Optional[dict] = None
-    stream_metrics: Optional[dict] = None
+    #: The worker's record of how the request ended (result, cancellation,
+    #: stream metrics, latency); ``None`` until it settles.
+    finished: Optional[FinishedEvent] = None
+    #: Why the router gave the request up (its worker slot exceeded
+    #: ``max_restarts``); such a request has no finished event.
     error: Optional[str] = None
     #: Times this request was requeued onto a fresh replica.
     requeues: int = 0
@@ -122,6 +123,11 @@ class RouterRequest:
     submitted_at: float = 0.0
     first_token_at: Optional[float] = None
     finished_at: Optional[float] = None
+
+    @property
+    def done(self) -> bool:
+        """Settled: finished on a worker, or given up by the router."""
+        return self.finished is not None or self.error is not None
 
 
 class Router:
@@ -388,11 +394,7 @@ class Router:
                 f"request {record.request_id!r} finished with {record.replay_skip} "
                 "replayed tokens undelivered — replay diverged from the original run"
             )
-        record.done = True
-        record.cancelled = event.cancelled
-        record.timed_out = event.timed_out
-        record.result_payload = event.result
-        record.stream_metrics = event.stream_metrics
+        record.finished = event
         record.finished_at = time.perf_counter()
 
     def _recover(self, index: int) -> None:
@@ -411,7 +413,6 @@ class Router:
         self._restarts[index] += 1
         if self._restarts[index] > self.config.max_restarts:
             for record in pending:
-                record.done = True
                 record.error = (
                     f"worker slot {index} exceeded max_restarts={self.config.max_restarts}"
                 )
@@ -434,8 +435,7 @@ class Router:
         record = self._wait(request_id, timeout)
         if record.error is not None:
             raise RuntimeError(record.error)
-        assert record.result_payload is not None
-        return decode_result(record.result_payload)
+        return decode_result(record.finished.result)
 
     def tokens(self, request_id: str) -> List[int]:
         """The canonical delivered token stream of a request (so far)."""
@@ -454,11 +454,11 @@ class Router:
                 stuck = [r.request_id for r in self._requests.values() if not r.done]
                 raise TimeoutError(f"drain timed out with {len(stuck)} unsettled: {stuck[:5]}")
             time.sleep(self.config.poll_interval)
-        results: Dict[str, DecodeResult] = {}
-        for request_id, record in self._requests.items():
-            if record.error is None and record.result_payload is not None:
-                results[request_id] = decode_result(record.result_payload)
-        return results
+        return {
+            request_id: decode_result(record.finished.result)
+            for request_id, record in self._requests.items()
+            if record.finished is not None
+        }
 
     def _wait(self, request_id: str, timeout: Optional[float]) -> RouterRequest:
         record = self._record(request_id)
@@ -492,9 +492,9 @@ class Router:
     def stream_metrics(self, request_id: str) -> dict:
         """Latency series frozen at completion (worker-side clock)."""
         record = self._record(request_id)
-        if record.stream_metrics is None:
+        if record.finished is None:
             raise RuntimeError(f"request {request_id!r} has no frozen stream metrics yet")
-        return record.stream_metrics
+        return record.finished.stream_metrics
 
     def kv_pool_stats(self) -> dict:
         """Per-worker K/V pool stats plus a fleet aggregate.

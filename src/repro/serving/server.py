@@ -31,11 +31,17 @@ Design rules:
   and then steps the engine at most once — so a cancel lands before the
   next step, a handle is registered before any of its bursts, and an idle
   thread sleeps on the inbox until a call wakes it.  Events reach a
-  handle's queue in engine order through ``loop.call_soon_threadsafe``.
+  handle's queue in engine order through ``loop.call_soon_threadsafe``,
+  after the owner recorded a settled handle's state (so ``done`` never
+  waits on the loop).
   Every closer closes the inbox and joins the thread; only then does the
   caller own the engine and serve the leftover calls and the close-time
   cancels through the same ``pump``.  Anything escaping the loop fails
   every in-flight handle and queued call, and later calls are refused.
+* **One record per request.**  A settled handle keeps the request's
+  :class:`FinishedEvent` (:attr:`StreamHandle.finished`) and the engine
+  forgets it: ``engine.result(rid)`` raises ``KeyError``.  A request still
+  unfinished at ``close(cancel_pending=False)`` stays for ``engine.run()``.
 * **Cooperative cancellation.**  ``handle.cancel()`` (or a per-request
   ``deadline=``) routes to the engine's cancel, which frees the request's
   scheduler budget, prefix-cache retention copy and shared-cache row in the
@@ -57,6 +63,7 @@ Typical use::
         async for burst in handle.stream():
             print(tokenizer.decode(burst), end="", flush=True)
         result = await handle.result()
+        ttft = handle.finished.stream_metrics["ttft_seconds"]
 
 See ``docs/streaming.md`` for the full semantics.
 """
@@ -129,8 +136,9 @@ class StreamHandle:
         self._server = server
         self._loop = loop
         self._queue: "asyncio.Queue[object]" = asyncio.Queue()
-        self._done = asyncio.Event()
-        self._result: Optional[DecodeResult] = None
+        #: Set on the loop once the owner recorded ``_event`` / ``_error``.
+        self._woken = asyncio.Event()
+        self._event: Optional[FinishedEvent] = None
         #: A RequestCancelled/RequestDeadlineExceeded for cancelled requests,
         #: or the raw engine exception when the step thread crashed.
         self._error: Optional[BaseException] = None
@@ -139,20 +147,16 @@ class StreamHandle:
         #: thread sets it when it answers the submit.
         self.request_id = ""
 
-    # -- engine-thread side (event fan-out) -------------------------------- #
+    # -- owner side (event fan-out) ---------------------------------------- #
 
     def _deliver(self, callback, *args) -> None:
-        """Engine thread → loop thread handoff.
-
-        Falls back to calling in place when the loop is already closed (a
-        synchronous :meth:`AsyncServingEngine.shutdown` after ``asyncio.run``
-        returned): the handle still settles, so ``done`` and the stored
-        result/error stay observable instead of the handle dangling forever.
-        """
+        """Engine owner → loop thread handoff; dropped on a closed loop
+        (a :meth:`AsyncServingEngine.shutdown` after ``asyncio.run``
+        returned), where nothing can await the handle any more."""
         try:
             self._loop.call_soon_threadsafe(callback, *args)
         except RuntimeError:
-            callback(*args)
+            pass
 
     def _on_commit(self, burst: List[int]) -> None:
         # put_nowait never blocks on an unbounded queue, so the engine step
@@ -160,31 +164,33 @@ class StreamHandle:
         self._deliver(self._queue.put_nowait, burst)
 
     def _on_done(self, event: FinishedEvent) -> None:
-        result = decode_result(event.result)
-        error: Optional[RequestCancelled] = None
         if event.cancelled:
             exc_type = RequestDeadlineExceeded if event.timed_out else RequestCancelled
-            error = exc_type(event.request_id, result)
-        self._deliver(self._settle, result, error)
-
-    # -- loop side --------------------------------------------------------- #
-
-    def _settle(self, result: DecodeResult, error: Optional[RequestCancelled]) -> None:
-        self._result = result
-        self._error = error
-        self._done.set()
-        self._queue.put_nowait(_DONE)
+            self._error = exc_type(event.request_id, decode_result(event.result))
+        self._event = event
+        self._deliver(self._wake)
 
     def _fail(self, error: BaseException) -> None:
         """Engine-thread crash: unblock the consumer with the original error."""
         self._error = error
-        self._done.set()
+        self._deliver(self._wake)
+
+    # -- loop side --------------------------------------------------------- #
+
+    def _wake(self) -> None:
+        self._woken.set()
         self._queue.put_nowait(_DONE)
 
     @property
     def done(self) -> bool:
-        """True once the request finished or was cancelled."""
-        return self._done.is_set()
+        """True once the request finished, was cancelled or its server crashed."""
+        return self._event is not None or self._error is not None
+
+    @property
+    def finished(self) -> Optional[FinishedEvent]:
+        """The request's :class:`~repro.serving.messages.FinishedEvent` (its
+        metrics and latency), or ``None`` until it settles or after a crash."""
+        return self._event
 
     async def stream(self) -> AsyncIterator[List[int]]:
         """Yield committed-token bursts as the engine commits them.
@@ -222,17 +228,16 @@ class StreamHandle:
     async def result(self) -> DecodeResult:
         """Wait for completion and return the final result.
 
-        Identical to the synchronous ``engine.result(request_id)`` — streamed
+        Identical to what ``engine.run()`` returns for the request — streamed
         bursts concatenate to exactly ``result().token_ids``.  Raises
         :class:`RequestCancelled` / :class:`RequestDeadlineExceeded` if the
         request did not run to completion (the exception's ``partial``
         carries the tokens that did commit).
         """
-        await self._done.wait()
+        await self._woken.wait()
         if self._error is not None:
             raise self._error
-        assert self._result is not None
-        return self._result
+        return decode_result(self._event.result)
 
     def cancel(self) -> bool:
         """Cooperatively cancel this request; returns False if already done.
@@ -344,10 +349,8 @@ class AsyncServingEngine:
 
     def __init__(self, engine: ServingEngine) -> None:
         self.engine = engine
-        #: The message surface this server actually drives; results stay
-        #: retained on the engine (``forget_on_done=False``) so synchronous
-        #: ``engine.result()``/``stream_metrics()`` keep working afterwards.
-        self.control = EngineControl(engine, forget_on_done=False)
+        #: The message surface this server actually drives.
+        self.control = EngineControl(engine)
         self._inbox = _Inbox()
         #: The step thread; kept until a close has joined it and served what
         #: it left, so every closer joins it before touching the engine.
@@ -406,9 +409,9 @@ class AsyncServingEngine:
         """Synchronous :meth:`close`: join the step thread, settle pending handles.
 
         For non-async callers — and for teardown paths where the event loop
-        already exited: handles whose loop is closed are settled in place
-        (their ``done``/``result`` state stays observable) instead of being
-        stranded on a server that no longer steps.  Safe to call repeatedly,
+        already exited: handles whose loop is closed still settle (``done``
+        and ``finished`` stay observable) instead of being stranded on a
+        server that no longer steps.  Safe to call repeatedly,
         from ``with``-statement exit, after :meth:`close`, or from another
         thread while a close is under way.
         """
@@ -516,7 +519,7 @@ class AsyncServingEngine:
         self._refuse(self._inbox.take_left())
         crashed, self._registry = self._registry, {}
         for handle in crashed.values():
-            handle._deliver(handle._fail, error)
+            handle._fail(error)
 
     def _refuse(self, calls: List[_Call]) -> None:
         for call in calls:
@@ -568,16 +571,15 @@ class AsyncServingEngine:
         await asyncio.wrap_future(self._send(command, handle))
         return handle
 
-    async def query(self, kind: str, request_id: Optional[str] = None):
+    async def query(self, kind: str):
         """Read engine state on the step thread: a :class:`QueryCommand` through the inbox.
 
         ``kind`` is one of :class:`QueryCommand`'s kinds (``"stats"``,
-        ``"kv_pool_stats"``, ``"prefix_cache_stats"``, ``"stream_metrics"``,
-        ``"scheduler_latency"``); returns the reply's payload.  The step
-        thread answers it between two engine steps, so the read never races
-        a step; an unknown kind or request id raises here.
+        ``"kv_pool_stats"``, ``"prefix_cache_stats"``); returns the reply's
+        payload.  The step thread answers it between two engine steps, so
+        the read never races a step; an unknown kind raises here.
         """
-        reply = await asyncio.wrap_future(self._send(QueryCommand(kind=kind, request_id=request_id)))
+        reply = await asyncio.wrap_future(self._send(QueryCommand(kind=kind)))
         return reply.payload
 
     async def submit_text(

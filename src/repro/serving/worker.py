@@ -3,11 +3,13 @@
 The multi-process transport of the serving stack (``docs/sharding.md``).  A
 worker is a child process running :func:`worker_main`: it builds its own
 engine from a spawn-safe factory, wraps it in an
-:class:`~repro.serving.control.EngineControl` (``forget_on_done=True``), and
-then serves it with the same loop as the in-process front-end: each
-iteration hands every command waiting on the pipe to
-:meth:`~repro.serving.control.EngineControl.pump`, which answers them and
-steps the engine once if it has work.  Everything crossing the pipe is an
+:class:`~repro.serving.control.EngineControl`, and then serves it with the
+same loop as the in-process front-end: each iteration hands every command
+waiting on the pipe to :meth:`~repro.serving.control.EngineControl.pump`,
+which answers them, steps the engine once if it has work, and forgets every
+request whose :class:`~repro.serving.messages.FinishedEvent` it hands out —
+the event that goes to the router is the one record of the request, so a
+long-lived worker retains nothing it has reported.  Everything crossing the pipe is an
 :class:`~repro.serving.messages.Envelope` around the plain-data messages of
 :mod:`repro.serving.messages`:
 
@@ -206,7 +208,7 @@ def worker_main(conn: multiprocessing.connection.Connection, spec: WorkerSpec) -
         np.random.seed(_worker_seed(spec))
         factory = resolve_factory(spec.factory)
         engine = factory(**spec.factory_kwargs)
-        control = EngineControl(engine, forget_on_done=True)
+        control = EngineControl(engine)
     except BaseException as exc:  # construction failure: report, then die
         try:
             send(WorkerFatal(worker_id=spec.worker_id, error=_format_error(exc)))

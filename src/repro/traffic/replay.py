@@ -27,7 +27,9 @@ clock (the background step thread owns stepping, so only arrivals are
 paced), and :func:`replay_trace_router` does the same against a running
 :class:`~repro.serving.router.Router`.  All three produce the same
 :class:`ReplayReport` shape, so consumers read one schema regardless of
-the serving front-end.
+the serving front-end, and all three build each served request's
+:class:`RequestOutcome` from its :class:`~repro.serving.messages.FinishedEvent`
+with one function and one status rule.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ from typing import Dict, List, Optional
 
 from repro.evalbench.stats import summarize_series
 from repro.models.generation import GenerationConfig
+from repro.serving.control import finished_event
 from repro.serving.engine_core import ServingEngine
+from repro.serving.messages import FinishedEvent
 from repro.traffic.admission import AdmissionController, AdmissionDecision
 from repro.traffic.clock import SimulatedClock, WallClock
 from repro.traffic.trace import Trace, TraceRequest
@@ -176,9 +180,38 @@ class _Flight:
     trace_request: TraceRequest
     submitted_at: float
     cancel_at: Optional[float] = None
-    cancelled_by_replay: bool = False
     ttft_observed: bool = False
     defer_count: int = 0
+
+
+def _request_outcome(
+    request: TraceRequest, submitted_at: float, event: FinishedEvent, defer_count: int = 0
+) -> RequestOutcome:
+    """The outcome of a served request, from the event that says how it ended.
+
+    The one status rule of every replay: the engine, not the trace, says
+    what cut a request — ``timed_out`` is ``"deadline"``, any other
+    cancellation ``"cancelled"`` (the replay's scheduled cancel is the only
+    other canceller), and a request that ran to completion ``"finished"``.
+    Tokens, TTFT and latency are the event's, on the serving engine's clock.
+    """
+    if event.timed_out:
+        status = "deadline"
+    elif event.cancelled:
+        status = "cancelled"
+    else:
+        status = "finished"
+    return RequestOutcome(
+        request_id=request.request_id,
+        tenant=request.tenant,
+        traffic_class=request.traffic_class,
+        status=status,
+        token_ids=list(event.result["token_ids"]),
+        submitted_at=submitted_at,
+        ttft_seconds=event.stream_metrics["ttft_seconds"],
+        latency_seconds=event.latency_seconds,
+        defer_count=defer_count,
+    )
 
 
 def _request_config(request: TraceRequest) -> GenerationConfig:
@@ -264,6 +297,12 @@ def replay_trace(
             on_commit=lambda burst: committed_tokens_step.__setitem__(
                 0, committed_tokens_step[0] + len(burst)
             ),
+            on_done=lambda state: outcomes.__setitem__(
+                request.request_id,
+                _request_outcome(
+                    request, flight.submitted_at - start, finished_event(engine, state), flight.defer_count
+                ),
+            ),
         )
 
     def release_due() -> None:
@@ -284,9 +323,9 @@ def replay_trace(
         for rid, flight in flights.items():
             if flight.cancel_at is not None and flight.cancel_at <= now + 1e-12:
                 flight.cancel_at = None
-                # False when the request already finished or its deadline
-                # fired first: the engine, not the trace, says what cut it.
-                flight.cancelled_by_replay = engine.cancel(rid)
+                # A no-op when the request already finished or its deadline
+                # fired first: its finished event says what cut it.
+                engine.cancel(rid)
 
     def observe_ttfts() -> None:
         """Feed newly-first-tokened interactive TTFTs to the controller."""
@@ -336,36 +375,8 @@ def replay_trace(
                 clock.sleep(max(0.0, target - clock()))
 
     duration = clock() - start
-    ordered: List[RequestOutcome] = []
-    for request in trace.requests:
-        rid = request.request_id
-        if rid in outcomes:  # shed
-            ordered.append(outcomes[rid])
-            continue
-        flight = flights[rid]
-        result = engine.result(rid)
-        metrics = engine.stream_metrics(rid)
-        if not result.cancelled:
-            status = "finished"
-        elif flight.cancelled_by_replay:
-            status = "cancelled"
-        else:
-            status = "deadline"
-        ordered.append(
-            RequestOutcome(
-                request_id=rid,
-                tenant=request.tenant,
-                traffic_class=request.traffic_class,
-                status=status,
-                token_ids=list(result.token_ids),
-                submitted_at=flight.submitted_at - start,
-                ttft_seconds=metrics["ttft_seconds"],
-                latency_seconds=engine.scheduler_latency(rid),
-                defer_count=flight.defer_count,
-            )
-        )
     return ReplayReport(
-        outcomes=ordered,
+        outcomes=[outcomes[request.request_id] for request in trace.requests],
         duration_seconds=duration,
         steps=steps,
         clock_mode="simulated" if simulated else "wall",
@@ -380,17 +391,17 @@ async def replay_trace_async(server, trace: Trace) -> ReplayReport:
 
     The server's background step thread owns stepping, so the replay only
     paces arrivals with real sleeps, issues scheduled cancellations, and
-    awaits every handle; it reads the engine's metrics and stats through
-    :meth:`AsyncServingEngine.query`, which the step thread answers between
-    steps.  Latency columns are wall-clock (non-deterministic);
-    token streams remain deterministic.
+    awaits every handle; each outcome comes from the handle's
+    :attr:`~repro.serving.server.StreamHandle.finished` event, and the pool
+    and prefix-cache stats from :meth:`AsyncServingEngine.query`, which the
+    step thread answers between steps.  Latency columns are wall-clock
+    (non-deterministic); token streams remain deterministic.
     """
-    from repro.serving.server import RequestCancelled, RequestDeadlineExceeded
+    from repro.serving.server import RequestCancelled
 
     loop = asyncio.get_running_loop()
     start = loop.time()
     engine = server.engine
-    outcomes: List[RequestOutcome] = []
 
     async def run_one(request: TraceRequest) -> RequestOutcome:
         delay = start + request.arrival_seconds - loop.time()
@@ -410,29 +421,14 @@ async def replay_trace_async(server, trace: Trace) -> ReplayReport:
                 await asyncio.sleep(request.cancel_after)
                 await handle.cancel_async()
             cancel_task = asyncio.ensure_future(cancel_later())
-        status = "finished"
-        tokens: List[int] = []
         try:
-            result = await handle.result()
-            tokens = list(result.token_ids)
-        except RequestDeadlineExceeded as exc:
-            status, tokens = "deadline", list(exc.partial.token_ids)
-        except RequestCancelled as exc:
-            status, tokens = "cancelled", list(exc.partial.token_ids)
+            await handle.result()
+        except RequestCancelled:
+            pass  # the event below says by what
         finally:
             if cancel_task is not None:
                 cancel_task.cancel()
-        metrics = await server.query("stream_metrics", request.request_id)
-        return RequestOutcome(
-            request_id=request.request_id,
-            tenant=request.tenant,
-            traffic_class=request.traffic_class,
-            status=status,
-            token_ids=tokens,
-            submitted_at=submitted,
-            ttft_seconds=metrics["ttft_seconds"],
-            latency_seconds=await server.query("scheduler_latency", request.request_id),
-        )
+        return _request_outcome(request, submitted, handle.finished)
 
     outcomes = list(await asyncio.gather(*(run_one(r) for r in trace.requests)))
     return ReplayReport(
@@ -450,9 +446,12 @@ def replay_trace_router(router, trace: Trace, tokenizer) -> ReplayReport:
 
     Arrivals are paced with real sleeps relative to trace start; the
     router's workers step autonomously.  Scheduled cancellations are issued
-    from the pacing loop; results are collected with ``drain``.  The router
-    serves token ids, so the caller supplies the ``tokenizer`` its workers
-    were built with.
+    from the pacing loop; every request is settled with ``drain`` and its
+    outcome read from the :class:`~repro.serving.messages.FinishedEvent` on
+    its router record.  Latency is the router's own ``finished_at -
+    submitted_at``: unlike the worker's event, that span counts the time a
+    request lost to a crash requeue.  The router serves token ids, so the
+    caller supplies the ``tokenizer`` its workers were built with.
     """
     wall = WallClock()
     start = wall()
@@ -477,29 +476,13 @@ def replay_trace_router(router, trace: Trace, tokenizer) -> ReplayReport:
     for due, rid in sorted(cancel_at):
         wall.sleep(due - wall())
         router.cancel(rid)
-    results = router.drain(timeout=120.0)
+    router.drain(timeout=120.0)
     outcomes = []
     for request in trace.requests:
-        rid = request.request_id
-        result = results.get(rid)
-        record = router.request_record(rid)
-        if result is not None and not result.cancelled:
-            status = "finished"
-        else:
-            status = "deadline" if record.timed_out else "cancelled"
-        metrics = router.stream_metrics(rid) or {}
-        outcomes.append(
-            RequestOutcome(
-                request_id=rid,
-                tenant=request.tenant,
-                traffic_class=request.traffic_class,
-                status=status,
-                token_ids=list(record.tokens),
-                submitted_at=submitted_at[rid],
-                ttft_seconds=metrics.get("ttft_seconds"),
-                latency_seconds=None,
-            )
-        )
+        record = router.request_record(request.request_id)
+        outcome = _request_outcome(request, submitted_at[request.request_id], record.finished)
+        outcome.latency_seconds = record.finished_at - record.submitted_at
+        outcomes.append(outcome)
     return ReplayReport(
         outcomes=outcomes,
         duration_seconds=wall() - start,

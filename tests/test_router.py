@@ -236,15 +236,16 @@ class TestEngineControl:
         control = EngineControl(engine)
         assert control.handle(CancelCommand(request_id="ghost")).cancelled is False
 
-    def test_forget_on_done_releases_engine_state(self, tiny_pipeline):
+    def test_pump_forgets_each_request_it_reports(self, tiny_pipeline):
         engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
-        control = EngineControl(engine, forget_on_done=True)
+        control = EngineControl(engine)
         prompt = _prompt_ids(tiny_pipeline, 1)[0]
         submit = control.handle(SubmitCommand(prompt_ids=prompt))
         _, finished = _pump(control)
         assert finished[0].stream_metrics["ttft_seconds"] is not None
+        assert finished[0].latency_seconds >= 0.0
         with pytest.raises(KeyError):
-            engine.result(submit.request_id)  # worker retains nothing
+            engine.result(submit.request_id)  # the event is the one record
         # Nothing accumulates over many submit→drain cycles either, whatever
         # way the requests leave: finished, past their deadline, or cancelled
         # mid-decode.
@@ -253,7 +254,7 @@ class TestEngineControl:
         engine = _engine(
             tiny_pipeline, "ours", DecodingStrategy.OURS, prefix_cache=prefix_cache, clock=clock
         )
-        control = EngineControl(engine, forget_on_done=True)
+        control = EngineControl(engine)
         prompts = _prompt_ids(tiny_pipeline, 3)
         long_config = encode_config(GenerationConfig.greedy_config(200))
         for cycle in range(4):
@@ -292,11 +293,14 @@ class TestEngineControl:
                 config=encode_config(GenerationConfig.greedy_config(12)),
             )
         ).request_id
-        commits = []
+        commits, finished = [], []
         while engine.has_work:
-            commits += control.pump([]).commits
+            pumped = control.pump([])
+            commits += pumped.commits
+            finished += pumped.finished
             clock.advance(0.25)
-        timeline = engine.stream_metrics(request_id)["commit_events"]
+        assert [event.request_id for event in finished] == [request_id]
+        timeline = finished[0].stream_metrics["commit_events"]
         assert len(commits) == len(timeline) > 1
         assert [event.timestamp for event in commits] == [3.0 + offset for offset, _ in timeline]
         assert [len(event.tokens) for event in commits] == [count for _, count in timeline]
@@ -593,8 +597,8 @@ class TestRouterFuzz:
                 assert record.done, request_id
                 assert record.error is None
                 assert record.replay_skip == 0
-                if request_id not in cancelled and not record.cancelled:
-                    result = decode_result(record.result_payload)
+                if request_id not in cancelled and not record.finished.cancelled:
+                    result = decode_result(record.finished.result)
                     assert record.tokens == list(result.token_ids)
             # Pools drain to zero once the fleet is idle; sizes and ratios are
             # fleet-level, not sums over workers.
@@ -755,7 +759,7 @@ class TestRouterBehaviour:
             router.cancel(request_id)
             record = router._wait(request_id, timeout=300)
             assert record.done
-            assert record.cancelled
+            assert record.finished.cancelled
             assert router.cancel(request_id) is False  # settled: no-op
             router.forget(request_id)
             with pytest.raises(KeyError):

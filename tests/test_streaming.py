@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.core.decoding import DecodingStrategy, SpeculativeDecoder
+from repro.core.decoding import DecodeResult, DecodingStrategy, SpeculativeDecoder
 from repro.models.generation import GenerationConfig
 from repro.serving import (
     AsyncServingEngine,
@@ -30,7 +30,7 @@ from repro.serving import (
     ServingEngine,
     StreamHandle,
 )
-from repro.serving.messages import CancelCommand, QueryCommand, QueryReply
+from repro.serving.messages import CancelCommand, FinishedEvent, QueryCommand, QueryReply, encode_result
 from repro.traffic import SimulatedClock
 
 METHODS = [
@@ -549,6 +549,52 @@ class TestAsyncCancellation:
 
         asyncio.run(run())
 
+    def test_a_running_server_retains_nothing_it_settled(self, tiny_pipeline):
+        """Every request a running server settles — finished, past its
+        deadline or cancelled mid-decode — is forgotten on the engine; its
+        handle keeps the finished event."""
+        # Engine time stands still until "late" has its first burst, then
+        # jumps past its deadline, so the expiry lands mid-decode.
+        clock = SimulatedClock()
+        engine = _engine(tiny_pipeline, "ntp", DecodingStrategy.NTP, clock=clock)
+        prompt = _prompts(tiny_pipeline, 1)[0]
+
+        async def run():
+            async with AsyncServingEngine(engine) as server:
+                short = [
+                    await server.submit_text(text, GenerationConfig.greedy_config(6))
+                    for text in _prompts(tiny_pipeline, 6)
+                ]
+                victim = await server.submit_text(prompt, GenerationConfig.greedy_config(500))
+                late = await server.submit_text(prompt, GenerationConfig.greedy_config(500), deadline=0.03)
+                async for _ in victim.stream():
+                    break
+                assert await victim.cancel_async()
+                async for _ in late.stream():
+                    break
+                clock.advance(1.0)
+                for handle in short:
+                    await handle.result()
+                with pytest.raises(RequestDeadlineExceeded):
+                    await late.result()
+                with pytest.raises(RequestCancelled):
+                    await victim.result()
+                stats = await server.query("stats")
+                assert stats["queue_depth"] == stats["num_active"] == 0 and not stats["has_work"]
+                return short, victim, late
+
+        short, victim, late = asyncio.run(run())
+        assert [h.finished.cancelled for h in short] == [False] * 6
+        assert victim.finished.cancelled and not victim.finished.timed_out
+        assert late.finished.cancelled and late.finished.timed_out
+        assert all(h.finished.latency_seconds >= 0.0 for h in short + [victim, late])
+        assert not engine._states and not engine._results and not engine._deadlined
+        assert not engine.scheduler.waiting and not engine.scheduler.running
+        assert engine.scheduler.tokens_in_flight == 0
+        assert engine.kv_pool_stats()["blocks_in_use"] == 0
+        with pytest.raises(KeyError):
+            engine.result(short[0].request_id)
+
     def test_close_cancels_pending(self, tiny_pipeline):
         """Closing the server unblocks consumers instead of hanging them."""
         engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, max_active_requests=1)
@@ -776,19 +822,72 @@ class TestSyncLifecycle:
     def test_shutdown_without_cancel_leaves_engine_resumable(self, tiny_pipeline):
         """``cancel_pending=False`` hands the in-flight work back to the
         caller: the engine can be drained synchronously afterwards."""
-        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS)
+        engine = _engine(tiny_pipeline, "ntp", DecodingStrategy.NTP)
         server = AsyncServingEngine(engine)
 
         async def submit():
             server.start()
-            return await server.submit_text(
-                _prompts(tiny_pipeline, 1)[0], GenerationConfig.greedy_config(12)
+            handle = await server.submit_text(
+                _prompts(tiny_pipeline, 1)[0], GenerationConfig.greedy_config(500)
             )
+            async for _ in handle.stream():
+                break  # decoding has begun; ~200 NTP steps of the context window are still to go
+            return handle
 
         handle = asyncio.run(submit())
         server.shutdown(cancel_pending=False)
         results = engine.run()
         assert results[handle.request_id].token_ids
+
+    def test_close_without_cancel_leaves_the_unfinished_request_retained(self, tiny_pipeline):
+        """A request still running at ``close(cancel_pending=False)`` stays
+        on the engine: its finished event is buffered in the control, so a
+        synchronous ``engine.run()`` returns its result."""
+        engine = _engine(tiny_pipeline, "ntp", DecodingStrategy.NTP)
+
+        async def run():
+            server = AsyncServingEngine(engine)
+            server.start()
+            handle = await server.submit_text(
+                _prompts(tiny_pipeline, 1)[0], GenerationConfig.greedy_config(500)
+            )
+            async for burst in handle.stream():
+                break
+            # The step thread drains its inbox before every step, so the
+            # close lands after at most one more.
+            await server.close(cancel_pending=False)
+            return handle, burst
+
+        handle, first = asyncio.run(run())
+        assert not handle.done
+        results = engine.run()
+        result = results[handle.request_id]
+        assert not result.cancelled and result.token_ids[: len(first)] == first
+        assert engine.result(handle.request_id) is result
+
+    def test_a_handle_settles_on_a_stopped_loop(self):
+        """The owner records the terminal state before it schedules the
+        wake-up, so ``done`` does not wait for a loop that has stopped but
+        is not closed."""
+        loop = asyncio.new_event_loop()
+        try:
+            handle = StreamHandle(None, loop)
+            loop.run_until_complete(asyncio.sleep(0))  # the loop ran, and stopped
+            partial = DecodeResult(
+                token_ids=[5], text="", code="", steps=1, tokens_generated=1,
+                wall_time_seconds=0.0, cancelled=True,
+            )
+            event = FinishedEvent(
+                request_id="r", result=encode_result(partial), cancelled=True, timed_out=True,
+                stream_metrics={"ttft_seconds": 0.0}, latency_seconds=0.5,
+            )
+            handle._on_done(event)
+            assert handle.done
+            assert handle.finished is event
+            assert isinstance(handle._error, RequestDeadlineExceeded)
+            assert handle._error.partial.token_ids == [5]
+        finally:
+            loop.close()
 
 
 class TestPriorityScheduling:

@@ -19,7 +19,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.models.generation import GenerationConfig
-from repro.serving import PrefixCache, PriorityConfig, RouterRequest, SchedulerConfig
+from repro.serving import PrefixCache, PriorityConfig, Router, RouterConfig, RouterRequest, SchedulerConfig
+from repro.serving.messages import FinishedEvent
 from repro.serving.server import AsyncServingEngine
 from repro.traffic import (
     AdmissionController,
@@ -281,15 +282,20 @@ class TestChurn:
         records = {}
 
         def submit(prompt_ids, config, request_id, priority, deadline):
+            event = FinishedEvent(
+                request_id=request_id, result={"token_ids": [7]}, cancelled=True,
+                timed_out=request_id == "late", stream_metrics={"ttft_seconds": 0.5},
+                latency_seconds=1.0,
+            )
             records[request_id] = RouterRequest(
                 request_id, prompt_ids, None, priority, deadline, worker_index=0,
-                done=True, cancelled=True, timed_out=request_id == "late",
+                finished=event, submitted_at=10.0, finished_at=12.5,
             )
 
         router = SimpleNamespace(
             submit=submit, cancel=lambda rid: False, poll=lambda: None,
             drain=lambda timeout: {}, request_record=records.__getitem__,
-            stream_metrics=lambda rid: None, kv_pool_stats=dict, prefix_cache_stats=dict,
+            kv_pool_stats=dict, prefix_cache_stats=dict,
         )
         requests = [
             TraceRequest(
@@ -303,6 +309,52 @@ class TestChurn:
         assert {o.request_id: o.status for o in report.outcomes} == {
             "late": "deadline", "cut": "cancelled",
         }
+        # The router's own span, which counts a crash requeue; the worker's
+        # latency_seconds (1.0) does not.
+        assert {o.latency_seconds for o in report.outcomes} == {2.5}
+        assert {o.ttft_seconds for o in report.outcomes} == {0.5}
+
+
+class TestOneStatusRule:
+    def test_front_ends_agree_on_statuses_and_tokens(self, tiny_pipeline):
+        """The synchronous, async and router replays read each request's
+        finished event through one rule, so one trace gives one outcome."""
+        cut = TraceRequest(
+            request_id="cut", arrival_seconds=0.0, tenant="tenant-0",
+            traffic_class="bulk", prompt="the fifo resets on overflow.",
+            max_new_tokens=200, cancel_after=0.0,
+        )
+        trace = _manual_trace(_trace(num_requests=4, requests_per_second=200.0).requests + [cut])
+
+        async def in_process():
+            async with AsyncServingEngine(_engine(tiny_pipeline)) as server:
+                return await replay_trace_async(server, trace)
+
+        router = Router(lambda: _engine(tiny_pipeline), config=RouterConfig(num_workers=1, start_method="fork"))
+        with router:
+            routed = replay_trace_router(router, trace, tiny_pipeline.tokenizer)
+        reports = [replay_trace(_engine(tiny_pipeline), trace, clock=WallClock()), asyncio.run(in_process()), routed]
+
+        reference = _engine(tiny_pipeline)
+        for request in trace.requests:
+            reference.submit_text(
+                request.prompt,
+                GenerationConfig.greedy_config(request.max_new_tokens),
+                request_id=request.request_id,
+            )
+        uncut = reference.run()
+        expected = {request.request_id: "finished" for request in trace.requests}
+        expected["cut"] = "cancelled"
+        for report in reports:
+            assert {o.request_id: o.status for o in report.outcomes} == expected
+            for outcome in report.outcomes:
+                whole = uncut[outcome.request_id].token_ids
+                if outcome.status == "finished":
+                    assert outcome.token_ids == whole
+                else:
+                    assert len(outcome.token_ids) < len(whole)
+                    assert outcome.token_ids == whole[: len(outcome.token_ids)]
+                assert outcome.latency_seconds is not None
 
 
 class TestAdmissionInReplay:
@@ -471,13 +523,15 @@ class TestWallClockReplay:
 
         report, step_thread = asyncio.run(main())
         assert report.by_status() == {"finished": 4}
-        assert {name for name, _ in calls} == {"stream_metrics", "scheduler_latency", "kv_pool_stats", "prefix_cache_stats"}
+        # stream_metrics is read once per request, to build its finished
+        # event; latency comes from that event, not from a query.
+        assert {name for name, _ in calls} == {"stream_metrics", "kv_pool_stats", "prefix_cache_stats"}
         assert step_thread is not None
         assert [name for name, thread in calls if thread is not step_thread] == []
-        with pytest.raises(ValueError, match="scheduler_latency query requires a request_id"):
-            asyncio.run(_query_without_id(engine))
+        with pytest.raises(ValueError, match="unknown query kind 'scheduler_latency'"):
+            asyncio.run(_query(engine, "scheduler_latency"))
 
 
-async def _query_without_id(engine):
+async def _query(engine, kind):
     async with AsyncServingEngine(engine) as server:
-        await server.query("scheduler_latency")
+        await server.query(kind)
