@@ -6,7 +6,9 @@ Two fixture families are maintained here:
 * **Token goldens** (``ours/medusa/ntp.json``) pin exact prompt -> output
   token sequences for all three decoding methods under greedy decoding and
   seeded sampling, so a decoding refactor that silently changes committed
-  tokens fails loudly in ``tests/test_golden.py`` instead of drifting.
+  tokens fails loudly in ``tests/test_golden.py`` instead of drifting.  The
+  family also holds ``replay_overload.json``, the whole report of one seeded
+  simulated-clock trace replay over the same pipeline.
 * **Simulation goldens** (``sim_reference_designs.json``) freeze the
   interpreter's observable outcome (result fields, ``$display`` lines, final
   signal state) for every reference design + testbench; both simulation
@@ -38,6 +40,7 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))
 
 from conftest import tiny_pipeline_config  # noqa: E402 (tests/ on path)
+from test_golden import REPLAY_GOLDEN, replay_golden  # noqa: E402
 from test_sim_golden import capture_sim_case, golden_problems  # noqa: E402
 
 from repro.core.pipeline import VerilogSpecPipeline  # noqa: E402
@@ -86,7 +89,7 @@ def sim_goldens() -> dict:
 
 
 def token_goldens() -> dict:
-    """Prompt -> output token fixtures of every method, by fixture path."""
+    """Prompt -> output token fixtures of every method and the replay report, by fixture path."""
     pipeline = VerilogSpecPipeline(tiny_pipeline_config())
     pipeline.prepare()
     pipeline.train_all()
@@ -106,6 +109,7 @@ def token_goldens() -> dict:
             "cases": cases,
         }
         files[GOLDEN_DIR / f"{method}.json"] = json.dumps(fixture, indent=2) + "\n"
+    files[REPLAY_GOLDEN] = json.dumps(replay_golden(pipeline), indent=2, sort_keys=True) + "\n"
     return files
 
 

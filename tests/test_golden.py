@@ -8,6 +8,13 @@ over the row cache, by the engine over the paged pool, through the async
 front-end and through a one-worker router — and the full-recompute oracle
 must all reproduce them bit-for-bit; a legitimate behaviour change regenerates the
 fixtures (and the diff documents exactly which sequences moved).
+
+``tests/golden/replay_overload.json`` pins one whole seeded replay report
+(:func:`replay_golden`): a simulated-clock overload of a 2-slot engine with
+a prefix cache and SLO admission, whose trace sheds and defers, cancels,
+expires deadlines and mixes priorities.  Any change to the replay loop, the
+engine's scheduling or the admission controller that moves a request's
+tokens, status or virtual timing moves this file.
 """
 
 from __future__ import annotations
@@ -24,6 +31,55 @@ from repro.models.generation import GenerationConfig
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 METHODS = ("ours", "medusa", "ntp")
+REPLAY_GOLDEN = GOLDEN_DIR / "replay_overload.json"
+
+
+def replay_golden(pipeline) -> dict:
+    """The report of the seeded overload replay ``replay_overload.json`` pins."""
+    from repro.serving import PrefixCache, PriorityConfig, SchedulerConfig
+    from repro.traffic import (
+        AdmissionController,
+        SimulatedClock,
+        SLOConfig,
+        StepCostModel,
+        TraceConfig,
+        generate_trace,
+        replay_trace,
+    )
+
+    trace = generate_trace(
+        TraceConfig(
+            num_requests=24,
+            seed=1,
+            requests_per_second=20.0,
+            interactive_fraction=0.4,
+            num_tenants=3,
+            preamble_groups=1,
+            prompt_sentence_choices=(1, 2),
+            max_new_token_choices=(8, 16),
+            deadline_fraction=0.2,
+            deadline_seconds_range=(0.05, 0.3),
+            cancel_fraction=0.15,
+            cancel_after_range=(0.02, 0.2),
+        )
+    )
+    clock = SimulatedClock()
+    engine = pipeline.engine_for(
+        "ours",
+        scheduler_config=SchedulerConfig(max_active_requests=2, priorities=PriorityConfig(aging_rounds=1)),
+        prefix_cache=PrefixCache(max_tokens=4096),
+        clock=clock,
+    )
+    admission = AdmissionController(
+        SLOConfig(
+            target_p95_ttft=0.03, window_seconds=5.0, recover_under=0.5,
+            min_samples=2, tenant_rate=100.0, tenant_burst=24.0,
+        )
+    )
+    report = replay_trace(
+        engine, trace, clock=clock, cost_model=StepCostModel(decode_token_seconds=0.004), admission=admission
+    )
+    return report.to_dict()
 
 
 def load_fixture(method: str) -> dict:
@@ -152,3 +208,16 @@ def test_golden_tokens_one_worker_router(tiny_pipeline, method):
             ]
             results = router.drain(timeout=300)
             assert [results[request_id].token_ids for request_id in request_ids] == case["outputs"]
+
+
+def test_seeded_overload_replay_golden(tiny_pipeline):
+    if not REPLAY_GOLDEN.is_file():
+        pytest.fail(f"missing golden fixture {REPLAY_GOLDEN}; run scripts/regen_golden.py")
+    expected = json.loads(REPLAY_GOLDEN.read_text())
+    report = replay_golden(tiny_pipeline)
+    # The trace covers every path the fixture is meant to pin.
+    assert set(report["by_status"]) == {"finished", "cancelled", "deadline", "shed"}
+    assert sum(outcome["defer_count"] for outcome in report["outcomes"]) > 0
+    assert set(report["classes"]) == {"interactive", "bulk"}
+    assert report["prefix_cache"]["hits"] > 0
+    assert report == expected
