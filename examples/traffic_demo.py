@@ -11,9 +11,9 @@ not wall, time — and replays it twice:
   shed while the rolling interactive p95 TTFT is in breach, interactive is
   never touched.
 
-After each replay the ANSI ops dashboard renders the final engine state as
-a pure text frame (no TTY required), and the demo prints a side-by-side
-summary of the two regimes.
+After each replay the ANSI ops dashboard renders what the replay's settled
+requests reported as a pure text frame (no TTY required), and the demo
+prints a side-by-side summary of the two regimes.
 
 Run with:  python examples/traffic_demo.py
 Smoke:     python examples/traffic_demo.py --smoke      (tiny model, seconds)
@@ -27,15 +27,14 @@ from repro.core.pipeline import PipelineConfig, VerilogSpecPipeline
 from repro.serving import PriorityConfig, SchedulerConfig
 from repro.traffic import (
     AdmissionController,
-    OpsDashboard,
     SLOConfig,
     SimulatedClock,
     StepCostModel,
     TraceConfig,
+    build_snapshot,
     generate_trace,
     render_frame,
     replay_trace,
-    snapshot_from_engine,
 )
 
 #: Internal breach threshold the detector trips on; the operator-facing SLO
@@ -72,23 +71,23 @@ def replay(pipeline: VerilogSpecPipeline, trace, admission):
         ),
         clock=clock,
     )
-    report = replay_trace(
+    return replay_trace(
         engine, trace, clock=clock, cost_model=COST_MODEL, admission=admission
     )
-    return engine, clock, report
 
 
-def show_dashboard(engine, clock, report, title: str) -> None:
-    dashboard = OpsDashboard(engine=engine)
-    for outcome in report.outcomes:
-        if outcome.status in ("finished", "cancelled", "deadline"):
-            dashboard.note_finished(outcome.request_id)
-    snapshot = snapshot_from_engine(
-        engine,
-        finished_ids=dashboard.finished_ids,
+def show_dashboard(report, title: str) -> None:
+    """Render the frame of what the replay's settled requests reported.
+
+    The clock started at 0, so the replay ended at ``duration_seconds``.
+    """
+    snapshot = build_snapshot(
+        report.stream_metrics.values(),
         window_seconds=report.duration_seconds,
-        admission_snapshot=report.admission,
-        now=clock.now,
+        now=report.duration_seconds,
+        kv_pool=report.kv_pool,
+        prefix_cache=report.prefix_cache,
+        admission=report.admission,
     )
     print(f"\n--- {title} ---")
     print(render_frame(snapshot, width=76))
@@ -128,8 +127,8 @@ def main() -> None:
     )
 
     # Regime 1: every request admitted; bulk backlog drags interactive down.
-    engine, clock, without = replay(pipeline, trace, admission=None)
-    show_dashboard(engine, clock, without, "without admission control")
+    without = replay(pipeline, trace, admission=None)
+    show_dashboard(without, "without admission control")
 
     # Regime 2: SLO-aware admission sheds bulk while interactive is in breach.
     admission = AdmissionController(
@@ -142,8 +141,8 @@ def main() -> None:
             tenant_burst=128.0,
         )
     )
-    engine, clock, with_slo = replay(pipeline, trace, admission=admission)
-    show_dashboard(engine, clock, with_slo, "with SLO admission")
+    with_slo = replay(pipeline, trace, admission=admission)
+    show_dashboard(with_slo, "with SLO admission")
 
     print(f"\n{'':<14} {'interactive p95 TTFT':>22} {'bulk shed':>10} {'served':>8}")
     for label, report in (("without", without), ("with SLO", with_slo)):

@@ -10,19 +10,21 @@ the replies and the events) — the in-process async front-end
 (:class:`~repro.serving.server.AsyncServingEngine`) on its step thread,
 :class:`~repro.serving.worker.EngineWorker` over a ``multiprocessing`` pipe.
 That is the mechanism behind the router's identity guarantee (one worker ≡
-in-process engine, asserted in ``tests/test_router.py``).
+in-process engine, asserted in ``tests/test_router.py``).  The synchronous
+trace replay (:func:`~repro.traffic.replay.replay_trace`) serves its engine
+with the same loop.
 
 Exception policy: :meth:`EngineControl.pump` returns, rather than raises, a
 command's :class:`Exception` (in place of its reply) and the step's error, and
 the transport applies its own policy (the worker turns submit errors into
 ``SubmitReply(error=...)`` data and treats every other error as fatal; the
 in-process server raises a command's error at its call site and fails every
-handle on a step error).  :meth:`EngineControl.handle`, the one-command
+handle on a step error; the replay raises either).  :meth:`EngineControl.handle`, the one-command
 dispatcher under the pump, is transparent.
 
-A finished request is one :class:`FinishedEvent`, built by
-:func:`finished_event`; :meth:`EngineControl.pump` forgets the request on the
-engine as it hands that event out, so a transport retains nothing it reported.
+A finished request is one :class:`FinishedEvent`, built when the request
+leaves the engine; :meth:`EngineControl.pump` forgets the request on the
+engine as it hands that event out, so a driver retains nothing it reported.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class Pumped:
     error: Optional[BaseException] = None
 
 
-def finished_event(engine: ServingEngine, state: RequestState) -> FinishedEvent:
+def _finished_event(engine: ServingEngine, state: RequestState) -> FinishedEvent:
     """Freeze a request that just left ``engine`` (a done-listener's ``state``) into its event."""
     request_id = state.request.request_id
     return FinishedEvent(
@@ -158,7 +160,7 @@ class EngineControl:
             on_commit=lambda tokens, rid=request_id: self._commits.append(
                 CommitEvent(request_id=rid, tokens=list(tokens), timestamp=self.engine.clock())
             ),
-            on_done=lambda state: self._finished.append(finished_event(self.engine, state)),
+            on_done=lambda state: self._finished.append(_finished_event(self.engine, state)),
         )
         return SubmitReply(request_id=request_id)
 
@@ -195,4 +197,4 @@ class EngineControl:
         )
 
 
-__all__ = ["EngineControl", "Pumped", "finished_event"]
+__all__ = ["EngineControl", "Pumped"]

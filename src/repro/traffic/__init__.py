@@ -16,7 +16,8 @@ This package turns the serving stack into something that can be *operated*:
 * :mod:`repro.traffic.admission` — SLO-aware admission control (per-tenant
   token buckets, rolling-p95 breach detection with hysteresis);
 * :mod:`repro.traffic.dashboard` — the dependency-free ANSI ops dashboard
-  (pure snapshot → frame rendering).
+  (one snapshot builder over reported payloads, pure snapshot → frame
+  rendering).
 
 See ``docs/traffic.md`` for the trace schema and the operational model.
 """
@@ -29,13 +30,7 @@ from repro.traffic.admission import (
     TokenBucket,
 )
 from repro.traffic.clock import SimulatedClock, WallClock
-from repro.traffic.dashboard import (
-    DashboardSnapshot,
-    OpsDashboard,
-    render_frame,
-    snapshot_from_engine,
-    snapshot_from_router,
-)
+from repro.traffic.dashboard import DashboardSnapshot, build_snapshot, render_frame
 from repro.traffic.replay import (
     ReplayReport,
     RequestOutcome,
@@ -62,10 +57,8 @@ __all__ = [
     "SimulatedClock",
     "WallClock",
     "DashboardSnapshot",
-    "OpsDashboard",
+    "build_snapshot",
     "render_frame",
-    "snapshot_from_engine",
-    "snapshot_from_router",
     "ReplayReport",
     "RequestOutcome",
     "StepCostModel",

@@ -1,32 +1,30 @@
 """Dependency-free ANSI ops dashboard for the serving stack.
 
-The dashboard is split into two pure layers so it is testable without a
-terminal:
+The dashboard is two pure layers, so it is testable without a terminal and
+owns no serving state:
 
 * :class:`DashboardSnapshot` — a frozen, JSON-compatible view of the
   serving state at one instant: request throughput, TTFT/ITL percentiles,
   KV-pool occupancy, prefix-cache hit rate, and per-tenant admission
-  counters.  Built from the engine's existing observability surfaces
-  (:meth:`~repro.serving.ServingEngine.stream_metrics`,
-  :meth:`~repro.serving.ServingEngine.kv_pool_stats`,
-  :meth:`~repro.serving.ServingEngine.prefix_cache_stats`) via
-  :func:`snapshot_from_engine`, or from a router's aggregates via
-  :func:`snapshot_from_router`.
+  counters.  :func:`build_snapshot`, its one builder, takes only what
+  settled requests and the front-end reported: each settled request's
+  :attr:`FinishedEvent.stream_metrics <repro.serving.messages.FinishedEvent>`
+  (a :class:`~repro.traffic.replay.ReplayReport` keeps them), the
+  :class:`~repro.serving.messages.EngineStats` fields, the KV-pool and
+  prefix-cache stats payloads, and the admission controller's snapshot.
 * :func:`render_frame` — a **pure function** ``snapshot → str``.  No TTY
   probing, no timers, no global state: the same snapshot always renders the
   same frame, which is what the tests and the CI smoke assert.  ANSI color
   is opt-in (``color=True``); the default output is plain text that diffs
   cleanly.
 
-:class:`OpsDashboard` is the thin live wrapper: it re-snapshots a source on
-demand and returns frames, leaving printing/looping to the caller (see
-``examples/traffic_demo.py``).
+Printing and looping are the caller's (see ``examples/traffic_demo.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.evalbench.stats import percentile
 
@@ -73,45 +71,57 @@ class DashboardSnapshot:
         return cls(**payload)
 
 
-def snapshot_from_engine(
-    engine,
-    finished_ids: Optional[List[str]] = None,
+def build_snapshot(
+    stream_metrics: Iterable[Dict],
+    *,
     window_seconds: float = 0.0,
-    admission_snapshot: Optional[Dict] = None,
-    now: Optional[float] = None,
+    now: float = 0.0,
+    stats: Optional[Dict] = None,
+    kv_pool: Optional[Dict] = None,
+    prefix_cache: Optional[Dict] = None,
+    admission: Optional[Dict] = None,
 ) -> DashboardSnapshot:
-    """Build a snapshot from a :class:`ServingEngine`'s metric surfaces.
+    """Build a snapshot from what settled requests and the serving front-end reported.
+
+    Every argument is a plain payload, so one builder serves every front-end
+    (a replay's :class:`~repro.traffic.replay.ReplayReport`, the async
+    server's queries, a router's aggregates) and never reads an engine.
 
     Args:
-        engine: The engine to observe.
-        finished_ids: Request ids whose ``stream_metrics`` feed the
-            TTFT/ITL percentiles and the throughput counters (callers track
-            completions; the engine itself does not enumerate them).
+        stream_metrics: One :attr:`FinishedEvent.stream_metrics
+            <repro.serving.messages.FinishedEvent>` dict per settled request;
+            they feed the TTFT/ITL percentiles and the throughput counters.
         window_seconds: Elapsed seconds the rate columns divide by
             (0 → rates are reported as 0.0).
-        admission_snapshot: Optional
+        now: Timestamp to stamp.
+        stats: :class:`~repro.serving.messages.EngineStats` fields
+            (``num_active``, ``num_prefilling``), e.g. the ``"stats"`` query
+            payload or a router's ``fleet_stats()["aggregate"]``.
+        kv_pool: ``kv_pool_stats`` payload.
+        prefix_cache: ``prefix_cache_stats`` payload.
+        admission: Optional
             :meth:`~repro.traffic.admission.AdmissionController.snapshot`
             payload for the SLO row and per-tenant table.
-        now: Timestamp to stamp (defaults to the engine's clock).
     """
-    finished_ids = finished_ids or []
     ttfts: List[float] = []
     itls: List[float] = []
+    finished = 0
     total_tokens = 0
-    for rid in finished_ids:
-        metrics = engine.stream_metrics(rid)
+    for metrics in stream_metrics:
+        finished += 1
         if metrics["ttft_seconds"] is not None:
             ttfts.append(metrics["ttft_seconds"])
         itls.extend(metrics["inter_token_seconds"])
         total_tokens += sum(n for _, n in metrics["commit_events"])
-    kv = engine.kv_pool_stats()
-    prefix = engine.prefix_cache_stats()
+    stats = stats or {}
+    kv = kv_pool or {}
+    prefix = prefix_cache or {}
     snapshot = DashboardSnapshot(
-        timestamp=float(now if now is not None else engine.clock()),
-        active_requests=engine.num_active,
-        prefilling_requests=engine.num_prefilling,
-        finished_requests=len(finished_ids),
-        requests_per_second=len(finished_ids) / window_seconds if window_seconds else 0.0,
+        timestamp=float(now),
+        active_requests=int(stats.get("num_active", 0)),
+        prefilling_requests=int(stats.get("num_prefilling", 0)),
+        finished_requests=finished,
+        requests_per_second=finished / window_seconds if window_seconds else 0.0,
         tokens_per_second=total_tokens / window_seconds if window_seconds else 0.0,
         ttft_p50=percentile(ttfts, 50),
         ttft_p95=percentile(ttfts, 95),
@@ -123,34 +133,15 @@ def snapshot_from_engine(
         prefix_hit_rate=float(prefix.get("hit_rate", 0.0)),
         prefill_savings=float(prefix.get("prefill_savings", 0.0)),
     )
-    if admission_snapshot is not None:
-        snapshot.slo_breached = bool(admission_snapshot.get("breached", False))
-        snapshot.slo_target_p95_ttft = admission_snapshot.get("target_p95_ttft")
-        snapshot.slo_window_p95_ttft = admission_snapshot.get("window_p95_ttft")
+    if admission is not None:
+        snapshot.slo_breached = bool(admission.get("breached", False))
+        snapshot.slo_target_p95_ttft = admission.get("target_p95_ttft")
+        snapshot.slo_window_p95_ttft = admission.get("window_p95_ttft")
         snapshot.tenants = {
             tenant: dict(counters)
-            for tenant, counters in admission_snapshot.get("tenants", {}).items()
+            for tenant, counters in admission.get("tenants", {}).items()
         }
     return snapshot
-
-
-def snapshot_from_router(router, now: float = 0.0) -> DashboardSnapshot:
-    """Build a snapshot from a :class:`Router`'s aggregate stat surfaces."""
-    kv = router.kv_pool_stats().get("aggregate", {})
-    prefix = router.prefix_cache_stats().get("aggregate", {})
-    fleet = router.fleet_stats().get("aggregate", {})
-    finished = sum(1 for record in router._requests.values() if record.done)
-    return DashboardSnapshot(
-        timestamp=float(now),
-        active_requests=int(fleet.get("num_active", 0)),
-        prefilling_requests=int(fleet.get("num_prefilling", 0)),
-        finished_requests=finished,
-        kv_occupancy=float(kv.get("occupancy", 0.0)),
-        kv_blocks_in_use=int(kv.get("blocks_in_use", 0)),
-        kv_blocks_total=int(kv.get("num_blocks", 0)),
-        prefix_hit_rate=float(prefix.get("hit_rate", 0.0)),
-        prefill_savings=float(prefix.get("prefill_savings", 0.0)),
-    )
 
 
 def _bar(fraction: float, width: int) -> str:
@@ -237,58 +228,8 @@ def render_frame(snapshot: DashboardSnapshot, width: int = 72, color: bool = Fal
     return "\n".join(lines)
 
 
-class OpsDashboard:
-    """Live wrapper: snapshot a source on demand and render frames.
-
-    Args:
-        engine: Engine to observe (mutually exclusive with ``router``).
-        router: Router to observe.
-        width: Frame width passed to :func:`render_frame`.
-        color: ANSI color toggle passed to :func:`render_frame`.
-
-    The wrapper owns only bookkeeping (which requests finished, when the
-    window started); all rendering goes through the pure
-    :func:`render_frame`, so everything it can display is testable headless.
-    """
-
-    def __init__(self, engine=None, router=None, width: int = 72, color: bool = False) -> None:
-        if (engine is None) == (router is None):
-            raise ValueError("pass exactly one of engine= or router=")
-        self.engine = engine
-        self.router = router
-        self.width = width
-        self.color = color
-        self.finished_ids: List[str] = []
-        self._window_start: Optional[float] = None
-
-    def note_finished(self, request_id: str) -> None:
-        """Record a completed request id (feeds the latency percentiles)."""
-        self.finished_ids.append(request_id)
-
-    def snapshot(self, admission_snapshot: Optional[Dict] = None) -> DashboardSnapshot:
-        """Snapshot the observed source now."""
-        if self.router is not None:
-            return snapshot_from_router(self.router)
-        now = self.engine.clock()
-        if self._window_start is None:
-            self._window_start = now
-        return snapshot_from_engine(
-            self.engine,
-            finished_ids=self.finished_ids,
-            window_seconds=now - self._window_start,
-            admission_snapshot=admission_snapshot,
-            now=now,
-        )
-
-    def frame(self, admission_snapshot: Optional[Dict] = None) -> str:
-        """Snapshot and render one frame."""
-        return render_frame(self.snapshot(admission_snapshot), self.width, self.color)
-
-
 __all__ = [
     "DashboardSnapshot",
-    "snapshot_from_engine",
-    "snapshot_from_router",
+    "build_snapshot",
     "render_frame",
-    "OpsDashboard",
 ]

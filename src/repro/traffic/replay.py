@@ -1,21 +1,26 @@
 """Trace replay against the serving stack, on a wall or simulated clock.
 
 :func:`replay_trace` drives a :class:`~repro.serving.ServingEngine`
-through a :class:`~repro.traffic.trace.Trace` synchronously: submit requests
-as their arrival times come due, consult the optional
-:class:`~repro.traffic.admission.AdmissionController` before each submit,
-issue scheduled cancellations, and step the engine while advancing the
-clock.  Two clock regimes share the one loop:
+through a :class:`~repro.traffic.trace.Trace` synchronously, with the serve
+loop both transports use: each iteration turns the due arrivals (after the
+optional :class:`~repro.traffic.admission.AdmissionController`) and the due
+scheduled cancellations into commands, serves them with one
+:meth:`EngineControl.pump <repro.serving.control.EngineControl.pump>`, and
+reads the step's committed tokens, first commits and finished events from
+what the pump hands back.  The pump forgets each request as it settles, so
+the engine retains nothing after the replay.  Two clock regimes share the
+one loop:
 
 * **simulated** (:class:`~repro.traffic.clock.SimulatedClock`) — the engine
-  must have been built with the *same* clock object.  After every
-  ``engine.step()`` the loop advances virtual time by the
-  :class:`StepCostModel` (a fixed per-step cost plus per-token prefill and
-  decode costs measured from the engine's own counters), and idle gaps jump
-  straight to the next due event.  Nothing reads the wall clock, so the
+  must have been built with the *same* clock object.  After every engine
+  step the loop advances virtual time by the :class:`StepCostModel` (a
+  fixed per-step cost plus per-token prefill and decode costs, from the
+  engine's prefill counter and the step's committed tokens), and idle gaps
+  jump straight to the next due event.  Nothing reads the wall clock, so the
   entire replay — per-request token streams, TTFT/latency series, deadline
   expiries, admission decisions — is a deterministic function of
-  ``(trace, cost model, SLO config)``.  This is the regime CI pins down.
+  ``(trace, cost model, SLO config)``.  This is the regime CI pins down
+  (``tests/golden/replay_overload.json``).
 * **wall** (:class:`~repro.traffic.clock.WallClock`, the default) — idle
   gaps become real sleeps and step costs are whatever the hardware does.
   Token streams are still deterministic (greedy decoding, seeded sampling);
@@ -29,20 +34,23 @@ paced), and :func:`replay_trace_router` does the same against a running
 :class:`ReplayReport` shape, so consumers read one schema regardless of
 the serving front-end, and all three build each served request's
 :class:`RequestOutcome` from its :class:`~repro.serving.messages.FinishedEvent`
-with one function and one status rule.
+with one function and one status rule, and keep the event's stream metrics
+for the ops dashboard.
 """
 
 from __future__ import annotations
 
 import asyncio
+import heapq
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.evalbench.stats import summarize_series
 from repro.models.generation import GenerationConfig
-from repro.serving.control import finished_event
+from repro.serving.control import EngineControl, Pumped
 from repro.serving.engine_core import ServingEngine
-from repro.serving.messages import FinishedEvent
+from repro.serving.messages import CancelCommand, FinishedEvent, SubmitCommand, encode_config
 from repro.traffic.admission import AdmissionController, AdmissionDecision
 from repro.traffic.clock import SimulatedClock, WallClock
 from repro.traffic.trace import Trace, TraceRequest
@@ -56,7 +64,7 @@ class StepCostModel:
     """Virtual time charged per engine step under a simulated clock.
 
     Attributes:
-        step_seconds: Fixed overhead per ``engine.step()`` call.
+        step_seconds: Fixed overhead per engine step.
         prefill_token_seconds: Cost per prompt token actually prefilled
             during the step (prefix-cache hits cost nothing, so reuse shows
             up as faster virtual TTFT — same shape as real serving).
@@ -117,6 +125,10 @@ class ReplayReport:
     The latency columns use the shared
     :func:`~repro.evalbench.stats.summarize_series` shape
     (``count``/``mean``/``p50``/``p95``), keyed per traffic class.
+    ``stream_metrics`` holds each served request's
+    :attr:`FinishedEvent.stream_metrics <repro.serving.messages.FinishedEvent>`
+    by request id, what the ops dashboard's snapshot is built from; it is
+    left out of :meth:`to_dict`.
     """
 
     outcomes: List[RequestOutcome]
@@ -126,6 +138,7 @@ class ReplayReport:
     admission: Optional[Dict] = None
     kv_pool: Dict = field(default_factory=dict)
     prefix_cache: Dict = field(default_factory=dict)
+    stream_metrics: Dict[str, Dict] = field(default_factory=dict)
 
     @property
     def total_tokens(self) -> int:
@@ -179,9 +192,9 @@ class _Flight:
 
     trace_request: TraceRequest
     submitted_at: float
-    cancel_at: Optional[float] = None
-    ttft_observed: bool = False
+    order: int  # submission order, which the TTFT feed follows
     defer_count: int = 0
+    ttft_observed: bool = False
 
 
 def _request_outcome(
@@ -228,6 +241,10 @@ def replay_trace(
 ) -> ReplayReport:
     """Replay ``trace`` against a synchronous engine; returns the report.
 
+    The engine is served through an :class:`EngineControl`, which forgets
+    each request as it settles: afterwards ``engine.result(rid)`` raises
+    ``KeyError``, and the report is the record.
+
     Args:
         engine: The serving engine to drive.  Under a
             :class:`SimulatedClock` it must have been constructed with the
@@ -250,16 +267,19 @@ def replay_trace(
             "construct it with engine_for(..., clock=clock)"
         )
     cost_model = cost_model or StepCostModel()
+    control = EngineControl(engine)
 
     pending: List[TraceRequest] = sorted(trace.requests, key=lambda r: (r.arrival_seconds, r.request_id))
-    deferred: List[tuple] = []  # (retry_at, TraceRequest, defer_count)
-    flights: Dict[str, _Flight] = {}
+    next_pending = 0
+    deferred: List[tuple] = []  # heap of (retry_at, request_id, TraceRequest, defer_count)
+    cancels: List[tuple] = []  # heap of (cancel_at, submission order, request_id)
+    flights: Dict[str, _Flight] = {}  # admitted and not yet settled
     outcomes: Dict[str, RequestOutcome] = {}
-    committed_tokens_step = [0]
-    steps = 0
+    stream_metrics: Dict[str, Dict] = {}
+    submissions = itertools.count()
     start = clock()
 
-    def submit_one(request: TraceRequest, defer_count: int) -> None:
+    def admit(request: TraceRequest, defer_count: int) -> Optional[SubmitCommand]:
         """Consult admission, then submit / defer / shed one request."""
         now = clock()
         if admission is not None:
@@ -274,98 +294,95 @@ def replay_trace(
                     status="shed",
                     defer_count=defer_count,
                 )
-                return
+                return None
             if decision is AdmissionDecision.DEFER:
-                deferred.append((now + DEFER_RETRY_SECONDS, request, defer_count + 1))
-                return
-        engine.submit(
-            engine.decoder.tokenizer.encode_prompt(request.prompt),
-            config=_request_config(request),
+                heapq.heappush(deferred, (now + DEFER_RETRY_SECONDS, request.request_id, request, defer_count + 1))
+                return None
+        order = next(submissions)
+        flights[request.request_id] = _Flight(request, now, order, defer_count)
+        if request.cancel_after is not None:
+            heapq.heappush(cancels, (now + request.cancel_after, order, request.request_id))
+        return SubmitCommand(
+            prompt_ids=engine.decoder.tokenizer.encode_prompt(request.prompt),
+            config=encode_config(_request_config(request)),
             request_id=request.request_id,
             priority=request.priority,
             deadline=request.deadline_seconds,
         )
-        flight = _Flight(
-            trace_request=request,
-            submitted_at=now,
-            cancel_at=(now + request.cancel_after) if request.cancel_after is not None else None,
-            defer_count=defer_count,
-        )
-        flights[request.request_id] = flight
-        engine.attach_listeners(
-            request.request_id,
-            on_commit=lambda burst: committed_tokens_step.__setitem__(
-                0, committed_tokens_step[0] + len(burst)
-            ),
-            on_done=lambda state: outcomes.__setitem__(
-                request.request_id,
-                _request_outcome(
-                    request, flight.submitted_at - start, finished_event(engine, state), flight.defer_count
-                ),
-            ),
-        )
 
-    def release_due() -> None:
-        """Submit every pending arrival and deferred retry that is due."""
-        now = clock()
-        while pending and pending[0].arrival_seconds <= now - start + 1e-12:
-            submit_one(pending.pop(0), 0)
-        due = [d for d in deferred if d[0] <= now + 1e-12]
-        if due:
-            deferred[:] = [d for d in deferred if d[0] > now + 1e-12]
-            # Retry in original trace order so recovery cannot starve an
-            # early request behind later arrivals.
-            for _, request, count in sorted(due, key=lambda d: d[1].request_id):
-                submit_one(request, count)
+    def pop_due(heap: List[tuple], now: float) -> List[tuple]:
+        due = []
+        while heap and heap[0][0] <= now + 1e-12:
+            due.append(heapq.heappop(heap))
+        return due
 
-    def cancel_due() -> None:
+    def due_commands() -> List[object]:
+        """Submits for the due arrivals and deferred retries, then the due cancels."""
+        nonlocal next_pending
+        submits = []
         now = clock()
-        for rid, flight in flights.items():
-            if flight.cancel_at is not None and flight.cancel_at <= now + 1e-12:
-                flight.cancel_at = None
-                # A no-op when the request already finished or its deadline
-                # fired first: its finished event says what cut it.
-                engine.cancel(rid)
+        while next_pending < len(pending) and pending[next_pending].arrival_seconds <= now - start + 1e-12:
+            submits.append(admit(pending[next_pending], 0))
+            next_pending += 1
+        # Retry in original trace order so recovery cannot starve an early
+        # request behind later arrivals.
+        for _, _, request, count in sorted(pop_due(deferred, now), key=lambda d: d[1]):
+            submits.append(admit(request, count))
+        # Cancels go in submission order.  One for a request that already
+        # settled is a no-op: its finished event says what cut it.
+        cancels_due = sorted(pop_due(cancels, clock()), key=lambda c: c[1])
+        return [s for s in submits if s is not None] + [CancelCommand(request_id=c[2]) for c in cancels_due]
 
-    def observe_ttfts() -> None:
-        """Feed newly-first-tokened interactive TTFTs to the controller."""
-        if admission is None:
-            return
-        now = clock()
-        for rid, flight in flights.items():
-            if flight.ttft_observed or flight.trace_request.traffic_class != "interactive":
-                continue
-            ttft = engine.stream_metrics(rid)["ttft_seconds"]
-            if ttft is not None:
+    def observe_ttfts(pumped: Pumped) -> None:
+        """Feed the TTFT of each interactive request that first committed, in submission order."""
+        settled = {event.request_id: event.stream_metrics for event in pumped.finished}
+        first = []
+        for commit in pumped.commits:
+            flight = flights[commit.request_id]
+            if not flight.ttft_observed and flight.trace_request.traffic_class == "interactive":
                 flight.ttft_observed = True
-                admission.observe_ttft(ttft, now)
+                first.append(flight)
+        now = clock()
+        for flight in sorted(first, key=lambda f: f.order):
+            rid = flight.trace_request.request_id
+            metrics = settled[rid] if rid in settled else engine.stream_metrics(rid)
+            admission.observe_ttft(metrics["ttft_seconds"], now)
 
     def next_event_time() -> Optional[float]:
         # Consulted only while the engine is idle, when every flight has
         # settled: a scheduled cancel still outstanding has nothing left to
         # cut, so it is not an event to advance the clock to.
-        candidates = [d[0] for d in deferred]
-        if pending:
-            candidates.append(start + pending[0].arrival_seconds)
+        candidates = [deferred[0][0]] if deferred else []
+        if next_pending < len(pending):
+            candidates.append(start + pending[next_pending].arrival_seconds)
         return min(candidates, default=None)
 
-    while pending or deferred or engine.has_work:
-        release_due()
-        cancel_due()
-        if engine.has_work:
-            committed_tokens_step[0] = 0
-            prefilled_before = engine.tokens_prefilled_total
-            engine.step()
-            steps += 1
-            if simulated:
-                clock.advance(
-                    cost_model.cost(
-                        engine.tokens_prefilled_total - prefilled_before,
-                        committed_tokens_step[0],
-                    )
+    while next_pending < len(pending) or deferred or engine.has_work:
+        steps_before = control.steps_executed
+        prefilled_before = engine.tokens_prefilled_total
+        pumped = control.pump(due_commands())
+        for reply in pumped.replies:
+            if isinstance(reply, Exception):
+                raise reply
+        if pumped.error is not None:
+            raise pumped.error
+        stepped = control.steps_executed != steps_before
+        if stepped and simulated:
+            clock.advance(
+                cost_model.cost(
+                    engine.tokens_prefilled_total - prefilled_before,
+                    sum(len(commit.tokens) for commit in pumped.commits),
                 )
-            observe_ttfts()
-        else:
+            )
+        if admission is not None:
+            observe_ttfts(pumped)
+        for event in pumped.finished:
+            flight = flights.pop(event.request_id)
+            outcomes[event.request_id] = _request_outcome(
+                flight.trace_request, flight.submitted_at - start, event, flight.defer_count
+            )
+            stream_metrics[event.request_id] = event.stream_metrics
+        if not stepped:
             target = next_event_time()
             if target is None:
                 break
@@ -378,11 +395,12 @@ def replay_trace(
     return ReplayReport(
         outcomes=[outcomes[request.request_id] for request in trace.requests],
         duration_seconds=duration,
-        steps=steps,
+        steps=control.steps_executed,
         clock_mode="simulated" if simulated else "wall",
         admission=admission.snapshot(clock()) if admission is not None else None,
         kv_pool=engine.kv_pool_stats(),
         prefix_cache=engine.prefix_cache_stats(),
+        stream_metrics=stream_metrics,
     )
 
 
@@ -403,7 +421,7 @@ async def replay_trace_async(server, trace: Trace) -> ReplayReport:
     start = loop.time()
     engine = server.engine
 
-    async def run_one(request: TraceRequest) -> RequestOutcome:
+    async def run_one(request: TraceRequest) -> Tuple[float, FinishedEvent]:
         delay = start + request.arrival_seconds - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
@@ -428,16 +446,17 @@ async def replay_trace_async(server, trace: Trace) -> ReplayReport:
         finally:
             if cancel_task is not None:
                 cancel_task.cancel()
-        return _request_outcome(request, submitted, handle.finished)
+        return submitted, handle.finished
 
-    outcomes = list(await asyncio.gather(*(run_one(r) for r in trace.requests)))
+    settled = await asyncio.gather(*(run_one(r) for r in trace.requests))
     return ReplayReport(
-        outcomes=outcomes,
+        outcomes=[_request_outcome(request, *submitted_event) for request, submitted_event in zip(trace.requests, settled)],
         duration_seconds=loop.time() - start,
         steps=0,
         clock_mode="wall",
         kv_pool=await server.query("kv_pool_stats"),
         prefix_cache=await server.query("prefix_cache_stats"),
+        stream_metrics={event.request_id: event.stream_metrics for _, event in settled},
     )
 
 
@@ -478,11 +497,13 @@ def replay_trace_router(router, trace: Trace, tokenizer) -> ReplayReport:
         router.cancel(rid)
     router.drain(timeout=120.0)
     outcomes = []
+    stream_metrics = {}
     for request in trace.requests:
         record = router.request_record(request.request_id)
         outcome = _request_outcome(request, submitted_at[request.request_id], record.finished)
         outcome.latency_seconds = record.finished_at - record.submitted_at
         outcomes.append(outcome)
+        stream_metrics[request.request_id] = record.finished.stream_metrics
     return ReplayReport(
         outcomes=outcomes,
         duration_seconds=wall() - start,
@@ -490,6 +511,7 @@ def replay_trace_router(router, trace: Trace, tokenizer) -> ReplayReport:
         clock_mode="wall",
         kv_pool=router.kv_pool_stats().get("aggregate", {}),
         prefix_cache=router.prefix_cache_stats().get("aggregate", {}),
+        stream_metrics=stream_metrics,
     )
 
 

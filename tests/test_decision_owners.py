@@ -63,10 +63,14 @@ class _PromptSpy:
     """Stands in for the layer below a prompt entry point.
 
     It is the decoder (``tokenizer``, ``generate``, ``generate_many``), the
-    engine (``decoder``, ``submit``), the async server (``engine``,
-    ``submit``) and the router (``submit``) at once; it records the prompt
-    ids it is handed and stops the caller.
+    engine (``decoder``, ``submit``, and the ``has_work`` /
+    ``tokens_prefilled_total`` an ``EngineControl`` pump reads), the async
+    server (``engine``, ``submit``) and the router (``submit``) at once; it
+    records the prompt ids it is handed and stops the caller.
     """
+
+    has_work = False
+    tokens_prefilled_total = 0
 
     def __init__(self, tokenizer) -> None:
         self.tokenizer = tokenizer

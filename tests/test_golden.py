@@ -28,6 +28,16 @@ from conftest import tiny_pipeline_config
 from reference_decoder import reference_generate
 
 from repro.models.generation import GenerationConfig
+from repro.serving import PrefixCache, PriorityConfig, SchedulerConfig
+from repro.traffic import (
+    AdmissionController,
+    SimulatedClock,
+    SLOConfig,
+    StepCostModel,
+    TraceConfig,
+    generate_trace,
+    replay_trace,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 METHODS = ("ours", "medusa", "ntp")
@@ -36,17 +46,6 @@ REPLAY_GOLDEN = GOLDEN_DIR / "replay_overload.json"
 
 def replay_golden(pipeline) -> dict:
     """The report of the seeded overload replay ``replay_overload.json`` pins."""
-    from repro.serving import PrefixCache, PriorityConfig, SchedulerConfig
-    from repro.traffic import (
-        AdmissionController,
-        SimulatedClock,
-        SLOConfig,
-        StepCostModel,
-        TraceConfig,
-        generate_trace,
-        replay_trace,
-    )
-
     trace = generate_trace(
         TraceConfig(
             num_requests=24,

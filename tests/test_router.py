@@ -69,7 +69,7 @@ from repro.serving.messages import (
 )
 from repro.serving.request import GenerationRequest
 from repro.serving.worker import WorkerSpec, worker_main
-from repro.traffic import SimulatedClock
+from repro.traffic import SimulatedClock, Trace, TraceConfig, TraceRequest, replay_trace
 
 METHODS = [
     ("ntp", DecodingStrategy.NTP),
@@ -367,6 +367,23 @@ class TestOneServeLoop:
 
         assert asyncio.run(run()).token_ids
         assert callers and set(callers) == {EngineControl.pump.__code__}
+
+    def test_replay_steps_only_through_the_pump(self, tiny_pipeline):
+        clock = SimulatedClock()
+        engine = _engine(tiny_pipeline, "ours", DecodingStrategy.OURS, clock=clock)
+        callers = _spy_on_step(engine)
+        prompts = [example.prompt_text() for example in tiny_pipeline.examples[:2]]
+        trace = Trace(
+            config=TraceConfig(num_requests=2),
+            requests=[
+                TraceRequest(f"r{index}", 0.01 * index, "tenant-0", "interactive", prompt, max_new_tokens=6)
+                for index, prompt in enumerate(prompts)
+            ],
+        )
+        report = replay_trace(engine, trace, clock=clock)
+        assert report.by_status() == {"finished": 2}
+        assert len(callers) == report.steps > 0
+        assert set(callers) == {EngineControl.pump.__code__}
 
 
 class TestDeterministicRequestRng:

@@ -1,24 +1,33 @@
-"""Ops dashboard tests: pure rendering, snapshots, live wiring.
+"""Ops dashboard tests: pure rendering, snapshots, the one builder.
 
 The dashboard's testability contract is that :func:`render_frame` is a pure
 function of a :class:`DashboardSnapshot` — no TTY, no timers, no global
 state.  These tests render frames headless, assert byte-stability and the
-color toggle, round-trip snapshots through JSON, and build snapshots from a
-real engine's metric surfaces.
+color toggle, round-trip snapshots through JSON, and build snapshots with
+:func:`build_snapshot` from what replays through the synchronous engine,
+the async server and a router reported.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
 
-from repro.models.generation import GenerationConfig
+from repro.serving import Router, RouterConfig
+from repro.serving.server import AsyncServingEngine
 from repro.traffic import (
     DashboardSnapshot,
-    OpsDashboard,
+    SimulatedClock,
+    Trace,
+    TraceConfig,
+    TraceRequest,
+    build_snapshot,
     render_frame,
-    snapshot_from_engine,
+    replay_trace,
+    replay_trace_async,
+    replay_trace_router,
 )
 
 
@@ -120,56 +129,82 @@ class TestSnapshotRoundTrip:
         assert render_frame(again) == render_frame(snapshot)
 
 
-class TestSnapshotFromEngine:
-    def test_engine_surfaces_feed_snapshot(self, tiny_pipeline):
-        engine = tiny_pipeline.engine_for("ours")
-        rids = []
-        for index, example in enumerate(tiny_pipeline.examples[:3]):
-            rid = engine.submit_text(
-                example.prompt_text(),
-                config=GenerationConfig.greedy_config(8),
-                request_id=f"d{index}",
-            )
-            rids.append(rid)
-        engine.run()
-        snapshot = snapshot_from_engine(engine, finished_ids=rids, window_seconds=2.0)
+def _trace(pipeline, count: int) -> Trace:
+    requests = [
+        TraceRequest(f"d{index}", 0.01 * index, "tenant-0", "interactive", example.prompt_text(), max_new_tokens=8)
+        for index, example in enumerate(pipeline.examples[:count])
+    ]
+    return Trace(config=TraceConfig(num_requests=count), requests=requests)
+
+
+def _engine(pipeline, clock=None):
+    return pipeline.engine_for("ours", clock=clock)
+
+
+class TestBuildSnapshot:
+    """One builder, fed the plain payloads every front-end reports."""
+
+    def test_replay_report_feeds_snapshot(self, tiny_pipeline):
+        clock = SimulatedClock()
+        report = replay_trace(_engine(tiny_pipeline, clock), _trace(tiny_pipeline, 3), clock=clock)
+        snapshot = build_snapshot(
+            report.stream_metrics.values(),
+            window_seconds=2.0,
+            kv_pool=report.kv_pool,
+            prefix_cache=report.prefix_cache,
+        )
         assert snapshot.finished_requests == 3
         assert snapshot.requests_per_second == pytest.approx(1.5)
-        assert snapshot.tokens_per_second > 0
+        assert snapshot.tokens_per_second * 2.0 == pytest.approx(report.total_tokens)
         assert snapshot.ttft_p95 >= snapshot.ttft_p50 >= 0.0
         assert snapshot.kv_blocks_total > 0
         assert 0.0 <= snapshot.kv_occupancy <= 1.0
-        # The snapshot renders without touching the engine again.
-        frame = render_frame(snapshot)
-        assert "finished     3" in frame
+        assert "finished     3" in render_frame(snapshot)
 
-    def test_zero_window_means_zero_rates(self, tiny_pipeline):
-        engine = tiny_pipeline.engine_for("ours")
-        snapshot = snapshot_from_engine(engine, finished_ids=[], window_seconds=0.0)
+    def test_zero_window_means_zero_rates(self):
+        snapshot = build_snapshot([], window_seconds=0.0)
+        assert snapshot.finished_requests == 0
         assert snapshot.requests_per_second == 0.0
         assert snapshot.tokens_per_second == 0.0
 
+    def test_async_server_payloads_feed_snapshot(self, tiny_pipeline):
+        trace = _trace(tiny_pipeline, 2)
 
-class TestOpsDashboard:
-    def test_requires_exactly_one_source(self, tiny_pipeline):
-        engine = tiny_pipeline.engine_for("ours")
-        with pytest.raises(ValueError, match="exactly one"):
-            OpsDashboard()
-        with pytest.raises(ValueError, match="exactly one"):
-            OpsDashboard(engine=engine, router=object())
+        async def main():
+            async with AsyncServingEngine(_engine(tiny_pipeline)) as server:
+                report = await replay_trace_async(server, trace)
+                return report, await server.query("stats")
 
-    def test_live_wrapper_tracks_finished_requests(self, tiny_pipeline):
-        engine = tiny_pipeline.engine_for("ours")
-        dashboard = OpsDashboard(engine=engine)
-        rid = engine.submit_text(
-            tiny_pipeline.examples[0].prompt_text(),
-            config=GenerationConfig.greedy_config(6),
+        report, stats = asyncio.run(main())
+        snapshot = build_snapshot(
+            report.stream_metrics.values(),
+            window_seconds=report.duration_seconds,
+            stats=stats,
+            kv_pool=report.kv_pool,
+            prefix_cache=report.prefix_cache,
         )
-        engine.run()
-        dashboard.note_finished(rid)
-        frame = dashboard.frame()
-        assert "finished     1" in frame
-        # Frames are pure renders of snapshots: re-rendering the same
-        # snapshot (rather than re-snapshotting the live clock) is stable.
-        snapshot = dashboard.snapshot()
-        assert render_frame(snapshot) == render_frame(snapshot)
+        assert snapshot.finished_requests == 2
+        assert snapshot.active_requests == snapshot.prefilling_requests == 0
+        assert snapshot.ttft_p50 > 0.0
+        assert snapshot.kv_blocks_total > 0
+        # Frames are pure renders of snapshots: the same snapshot renders the same frame.
+        assert render_frame(snapshot) == render_frame(DashboardSnapshot.from_dict(snapshot.to_dict()))
+
+    def test_router_payloads_feed_snapshot(self, tiny_pipeline):
+        trace = _trace(tiny_pipeline, 2)
+        router = Router(lambda: _engine(tiny_pipeline), config=RouterConfig(num_workers=1, start_method="fork"))
+        with router:
+            report = replay_trace_router(router, trace, tiny_pipeline.tokenizer)
+            fleet = router.fleet_stats()["aggregate"]
+        snapshot = build_snapshot(
+            report.stream_metrics.values(),
+            window_seconds=report.duration_seconds,
+            stats=fleet,
+            kv_pool=report.kv_pool,
+            prefix_cache=report.prefix_cache,
+        )
+        assert snapshot.finished_requests == 2
+        assert snapshot.ttft_p50 > 0.0
+        assert snapshot.tokens_per_second > 0.0
+        assert snapshot.kv_blocks_total > 0
+        assert "finished     2" in render_frame(snapshot)

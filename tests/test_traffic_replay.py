@@ -13,6 +13,7 @@ front-end to cover the non-deterministic regime's plumbing.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from repro.traffic import (
     TraceConfig,
     TraceRequest,
     WallClock,
+    build_snapshot,
     generate_trace,
     replay_trace,
     replay_trace_async,
@@ -345,8 +347,19 @@ class TestOneStatusRule:
         uncut = reference.run()
         expected = {request.request_id: "finished" for request in trace.requests}
         expected["cut"] = "cancelled"
+        uncut_totals = []
         for report in reports:
             assert {o.request_id: o.status for o in report.outcomes} == expected
+            # One view serves every front-end: the dashboard built from each
+            # report counts the same settled requests and committed tokens.
+            # How much "cut" commits before its cancel lands depends on the
+            # front-end's timing, so its stream is set aside.
+            snapshot = build_snapshot(report.stream_metrics.values(), window_seconds=report.duration_seconds)
+            assert snapshot.finished_requests == len(trace.requests)
+            committed = snapshot.tokens_per_second * report.duration_seconds
+            assert committed == pytest.approx(report.total_tokens)
+            cut_tokens = next(len(o.token_ids) for o in report.outcomes if o.request_id == "cut")
+            uncut_totals.append(committed - cut_tokens)
             for outcome in report.outcomes:
                 whole = uncut[outcome.request_id].token_ids
                 if outcome.status == "finished":
@@ -355,6 +368,8 @@ class TestOneStatusRule:
                     assert len(outcome.token_ids) < len(whole)
                     assert outcome.token_ids == whole[: len(outcome.token_ids)]
                 assert outcome.latency_seconds is not None
+        assert uncut_totals == pytest.approx([uncut_totals[0]] * 3)
+        assert snapshot.ttft_p50 > 0.0, "the router's events carry their stream metrics"
 
 
 class TestAdmissionInReplay:
@@ -430,6 +445,52 @@ class TestAdmissionInReplay:
         tenants = report.admission["tenants"]
         assert tenants["tenant-0"]["deferred"] > 0
         assert tenants["tenant-0"]["shed"] == 0
+
+
+class TestTtftFeed:
+    def test_each_interactive_ttft_is_read_once(self, tiny_pipeline, monkeypatch):
+        """The admission feed reads a request's TTFT once, when it first commits.
+
+        One slot, a long bulk request first, interactive requests queued
+        behind it: polling every queued flight after every step would read
+        each of them once per step while they wait.
+        """
+        from repro.traffic import replay as replay_module
+
+        requests = [
+            TraceRequest(
+                request_id="long", arrival_seconds=0.0, tenant="tenant-0",
+                traffic_class="bulk", prompt="the fifo resets on overflow.",
+                max_new_tokens=48,
+            )
+        ] + [
+            TraceRequest(
+                request_id=f"i{index}", arrival_seconds=0.001 * (index + 1), tenant="tenant-1",
+                traffic_class="interactive", prompt="the counter updates.", max_new_tokens=4,
+            )
+            for index in range(4)
+        ]
+        clock = SimulatedClock()
+        engine = _engine(tiny_pipeline, clock=clock, max_active=1)
+        from_replay = []
+        original = engine.stream_metrics
+
+        def spy(request_id):
+            if sys._getframe(1).f_code.co_filename == replay_module.__file__:
+                from_replay.append(request_id)
+            return original(request_id)
+
+        monkeypatch.setattr(engine, "stream_metrics", spy)
+        admission = AdmissionController(SLOConfig(target_p95_ttft=10.0, tenant_rate=1e6, tenant_burst=1e6))
+        observed = []
+        monkeypatch.setattr(admission, "observe_ttft", lambda ttft, now: observed.append(ttft))
+        report = replay_trace(engine, _manual_trace(requests), clock=clock, admission=admission)
+        assert report.by_status() == {"finished": 5}
+        assert report.steps > 10, "the interactive requests must wait behind the long one"
+        assert len(from_replay) <= 4
+        assert len(set(from_replay)) == len(from_replay)
+        assert set(from_replay) <= {"i0", "i1", "i2", "i3"}
+        assert observed == [o.ttft_seconds for o in report.outcomes if o.traffic_class == "interactive"]
 
 
 class TestWallClockReplay:
