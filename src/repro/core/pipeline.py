@@ -5,6 +5,11 @@ examples and the benchmark harness can, in a few lines, reproduce the paper's
 experimental conditions: fine-tune the same backbone with the three training
 methods (Ours / Medusa / NTP), on a chosen fraction of the corpus, and obtain a
 decoder per method for quality and speed evaluation.
+
+A method name is a :class:`~repro.core.decoding.DecodingStrategy` value, and
+the strategy decides everything that differs between methods: whether the
+model has Medusa heads, whether the targets carry ``[FRAG]`` markers, and how
+the decoder speculates. Training itself is one path for all three.
 """
 
 from __future__ import annotations
@@ -14,19 +19,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.decoding import DecodingStrategy, SpeculativeDecoder
 from repro.core.training import MedusaTrainer, TrainerConfig, TrainingSample
-from repro.data.alpaca import AlpacaExample, build_alpaca_dataset, subset_fractions
+from repro.data.alpaca import AlpacaExample, subset_fractions
 from repro.data.corpus import CorpusConfig, SyntheticVerilogCorpus
-from repro.data.refinement import RefinementConfig, refine_corpus
+from repro.data.refinement import refine_corpus
 from repro.models.medusa import MedusaLM
 from repro.nn.transformer import DecoderOnlyTransformer, EncoderDecoderTransformer
 from repro.tokenizer.bpe import BPETokenizer
-
-#: Mapping from method name to decoding strategy.
-METHOD_STRATEGIES = {
-    "ours": DecodingStrategy.OURS,
-    "medusa": DecodingStrategy.MEDUSA,
-    "ntp": DecodingStrategy.NTP,
-}
 
 
 @dataclass
@@ -90,8 +88,7 @@ class VerilogSpecPipeline:
         corpus = SyntheticVerilogCorpus(
             CorpusConfig(num_items=self.config.corpus_items, seed=self.config.corpus_seed)
         )
-        report = refine_corpus(corpus.generate(), RefinementConfig())
-        examples = build_alpaca_dataset(report.items)
+        examples = refine_corpus(corpus.generate()).examples
         if self.config.data_fraction < 1.0:
             subsets = subset_fractions(examples, fractions=(self.config.data_fraction,), seed=self.config.corpus_seed)
             examples = subsets[self.config.data_fraction]
@@ -111,9 +108,14 @@ class VerilogSpecPipeline:
     # ------------------------------------------------------------------ #
 
     def build_model(self, method: str) -> MedusaLM:
-        """Instantiate a fresh model for ``method`` ("ours"/"medusa"/"ntp")."""
+        """Instantiate a fresh model for ``method`` ("ours"/"medusa"/"ntp").
+
+        NTP's model has no Medusa heads; the other two have
+        ``num_medusa_heads``. An unknown name raises ``ValueError``.
+        """
         if self.tokenizer is None:
             raise RuntimeError("call prepare() before build_model()")
+        strategy = DecodingStrategy(method)
         vocab_size = self.tokenizer.vocab_size
         config = self.config
         if config.architecture == "encoder-decoder":
@@ -135,7 +137,7 @@ class VerilogSpecPipeline:
                 max_seq_len=config.max_seq_len,
                 seed=config.model_seed,
             )
-        num_heads = 0 if method == "ntp" else config.num_medusa_heads
+        num_heads = 0 if strategy is DecodingStrategy.NTP else config.num_medusa_heads
         return MedusaLM(backbone, vocab_size=vocab_size, num_medusa_heads=num_heads, seed=config.model_seed)
 
     def training_samples(self, method: str) -> List[TrainingSample]:
@@ -143,30 +145,34 @@ class VerilogSpecPipeline:
 
         The ``ours`` variant trains on ``[FRAG]``-annotated code; the baselines
         train on the identical data without the markers (paper Sec. IV-A.1).
+        These targets are the only training difference between Ours and
+        Medusa.
         """
         if self.tokenizer is None:
             raise RuntimeError("call prepare() before training_samples()")
+        with_frag = DecodingStrategy(method) is DecodingStrategy.OURS
         samples: List[TrainingSample] = []
         for example in self.examples:
-            target_text = example.output_with_frag if method == "ours" else example.output
+            target_text = example.output_with_frag if with_frag else example.output
             prompt_ids = self.tokenizer.encode_prompt(example.prompt_text())
             target_ids = self.tokenizer.encode(target_text, add_eos=True)
             samples.append(TrainingSample(prompt_ids=prompt_ids, target_ids=target_ids, name=example.name))
         return samples
 
     def train_method(self, method: str, trainer_config: Optional[TrainerConfig] = None) -> MedusaLM:
-        """Build and fine-tune the model for one method; caches the result."""
-        if method not in METHOD_STRATEGIES:
-            raise ValueError(f"unknown method {method!r}")
+        """Build and fine-tune the model for one method; caches the result.
+
+        ``method`` fixes the model's heads (:meth:`build_model`) and the
+        targets (:meth:`training_samples`); the trainer is the same for all
+        three. An unknown name raises ``ValueError``.
+        """
         model = self.build_model(method)
         config = trainer_config or TrainerConfig(
             epochs=self.config.epochs,
             learning_rate=self.config.learning_rate,
             warmup_steps=self.config.warmup_steps,
             max_seq_len=self.config.max_train_seq_len,
-            method=method,
         )
-        config.method = method
         trainer = MedusaTrainer(model, self.tokenizer, config)
         history = trainer.train(self.training_samples(method))
         self.models[method] = model
@@ -198,7 +204,7 @@ class VerilogSpecPipeline:
         return SpeculativeDecoder(
             self.models[method],
             self.tokenizer,
-            strategy=METHOD_STRATEGIES[method],
+            strategy=DecodingStrategy(method),
             num_candidates=num_candidates,
         )
 

@@ -9,11 +9,15 @@ training and ``gamma`` is a per-head decay coefficient (0.8 in the paper).
 Head parameters are trained at 4x the base learning rate (handled through
 ``Parameter.lr_scale`` set by :class:`repro.models.medusa.MedusaLM`).
 
-:class:`MedusaTrainer` runs the loop for all three method variants:
+:class:`MedusaTrainer` runs one loop for all three method variants, and a
+variant is nothing but its targets and its head count: every sample's labels
+are built by :func:`repro.core.labels.build_syntax_enriched_labels`.
 
-* ``ours`` — targets are ``[FRAG]``-annotated code and head labels are
-  syntax-enriched (:func:`repro.core.labels.build_syntax_enriched_labels`);
-* ``medusa`` — plain shifted head labels (original MEDUSA-2 joint training);
+* ``ours`` — ``[FRAG]``-annotated targets, so the head labels are
+  syntax-enriched;
+* ``medusa`` — the same targets without markers: enrichment finds no
+  ``[FRAG]`` and leaves the shifted head labels as they are (original
+  MEDUSA-2 joint training);
 * ``ntp`` — no Medusa heads, base cross-entropy only.
 """
 
@@ -25,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.labels import build_shifted_labels, build_syntax_enriched_labels
+from repro.core.labels import build_syntax_enriched_labels
 from repro.models.medusa import MedusaLM
 from repro.nn.functional import cross_entropy, cross_entropy_grad
 from repro.nn.optim import AdamW, WarmupCosineSchedule
@@ -124,8 +128,6 @@ class TrainerConfig:
     max_seq_len: int = 256
     shuffle_seed: int = 0
     log_every: int = 0
-    #: ``"ours"``, ``"medusa"`` or ``"ntp"``.
-    method: str = "ours"
 
 
 @dataclass
@@ -157,7 +159,12 @@ class MedusaTrainer:
     # -- sample preparation ---------------------------------------------------
 
     def prepare_inputs(self, sample: TrainingSample) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-        """Build (decoder input ids, encoder ids, label matrix) for a sample."""
+        """Build (decoder input ids, encoder ids, label matrix) for a sample.
+
+        The label matrix is :func:`~repro.core.labels.build_syntax_enriched_labels`
+        of the sample's base labels, with the prompt positions ignored; for a
+        target without ``[FRAG]`` that is the plain shifted matrix.
+        """
         max_len = min(self.config.max_seq_len, self.model.backbone.max_seq_len)
         if self.model.is_encoder_decoder:
             encoder_ids = np.asarray(sample.prompt_ids[: max_len], dtype=np.int64)
@@ -178,21 +185,14 @@ class MedusaTrainer:
             prompt_mask = np.zeros(base_label.shape[0], dtype=bool)
             prompt_mask[: min(prompt_len, base_label.shape[0])] = True
 
-        num_heads = self.model.num_medusa_heads
-        if self.config.method == "ours":
-            labels = build_syntax_enriched_labels(
-                base_label,
-                num_heads,
-                frag_id=self.frag_id,
-                pad_id=self.pad_id,
-                ignore_id=self.ignore_id,
-                ignore_prompt_mask=prompt_mask,
-            )
-        else:
-            labels = build_shifted_labels(base_label, num_heads, pad_id=self.pad_id)
-            labels[labels == self.pad_id] = self.ignore_id
-            if prompt_mask is not None:
-                labels[:, prompt_mask] = self.ignore_id
+        labels = build_syntax_enriched_labels(
+            base_label,
+            self.model.num_medusa_heads,
+            frag_id=self.frag_id,
+            pad_id=self.pad_id,
+            ignore_id=self.ignore_id,
+            ignore_prompt_mask=prompt_mask,
+        )
         return input_ids, encoder_ids, labels
 
     # -- training loop --------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.data.corpus import CorpusConfig, CorpusItem, SyntheticVerilogCorpus
 from repro.data.descriptions import describe_design
 from repro.data.minhash import MinHashDeduplicator, jaccard_similarity, minhash_signature
 from repro.data.refinement import RefinementConfig, RefinementReport, refine_corpus, split_into_modules
-from repro.data.alpaca import AlpacaExample, build_alpaca_dataset, subset_fractions
+from repro.data.alpaca import AlpacaExample, subset_fractions
 
 __all__ = [
     "CorpusConfig",
@@ -29,6 +29,5 @@ __all__ = [
     "refine_corpus",
     "split_into_modules",
     "AlpacaExample",
-    "build_alpaca_dataset",
     "subset_fractions",
 ]

@@ -1,22 +1,22 @@
-"""Alpaca-style instruction dataset construction (paper Sec. IV-A.1).
+"""Alpaca-style instruction dataset (paper Sec. IV-A.1).
 
 The refined corpus is formatted into Alpaca-style instruction/output pairs:
 the natural-language description is the instruction, the Verilog code is the
-output.  The paper fine-tunes on the full dataset and on random 1/4, 1/2 and
-3/4 subsets to study data-efficiency; :func:`subset_fractions` reproduces that
-split.
+output.  :func:`repro.data.refinement.refine_corpus` emits the
+:class:`AlpacaExample` records directly.  The paper fine-tunes on the full
+dataset and on random 1/4, 1/2 and 3/4 subsets to study data-efficiency;
+:func:`subset_fractions` reproduces that split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.data.refinement import RefinedItem
-
-#: The instruction preamble used by the paper's prompts (and our benchmarks).
+#: The instruction preamble of the paper's prompts: training prompts, the
+#: RTLLM-style suite and the augmented speed prompts all start with it.
 INSTRUCTION_PREFIX = "Please act as a professional Verilog designer.\n"
 
 
@@ -33,23 +33,6 @@ class AlpacaExample:
     def prompt_text(self) -> str:
         """The text presented to the model as the prompt."""
         return INSTRUCTION_PREFIX + self.instruction.strip() + "\n"
-
-
-def build_alpaca_dataset(items: Sequence[RefinedItem], max_items: Optional[int] = None) -> List[AlpacaExample]:
-    """Convert refined corpus items into Alpaca examples."""
-    examples: List[AlpacaExample] = []
-    for item in items:
-        examples.append(
-            AlpacaExample(
-                instruction=item.description,
-                output=item.code,
-                output_with_frag=item.code_with_frag,
-                name=item.name,
-            )
-        )
-        if max_items is not None and len(examples) >= max_items:
-            break
-    return examples
 
 
 def subset_fractions(
@@ -70,19 +53,3 @@ def subset_fractions(
         count = max(1, int(round(len(examples) * fraction))) if examples else 0
         subsets[fraction] = [examples[i] for i in order[:count]]
     return subsets
-
-
-def filter_by_length(
-    examples: Sequence[AlpacaExample], tokenizer, max_tokens: int
-) -> List[AlpacaExample]:
-    """Drop examples whose prompt+output exceed ``max_tokens`` tokens.
-
-    Mirrors the paper's exclusion of examples beyond CodeT5p's 2048-token
-    context limit.
-    """
-    kept: List[AlpacaExample] = []
-    for example in examples:
-        total = len(tokenizer.encode(example.prompt_text())) + len(tokenizer.encode(example.output_with_frag))
-        if total <= max_tokens:
-            kept.append(example)
-    return kept

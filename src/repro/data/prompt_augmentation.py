@@ -20,12 +20,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.data.alpaca import INSTRUCTION_PREFIX
 from repro.data.corpus import CorpusConfig, SyntheticVerilogCorpus
 from repro.data.descriptions import describe_design
 from repro.evalbench.problems import ProblemSuite
-
-#: Instruction prefix shared with the training data and benchmarks.
-_PREFIX = "Please act as a professional Verilog designer.\n"
 
 #: Phrasing variants wrapped around the family description templates.
 _WRAPPERS = (
@@ -49,7 +47,7 @@ def augmented_prompts(count: int, seed: int = 0) -> List[str]:
         item = corpus.generate_item(family, index)
         description = describe_design(family, item.name, item.parameters)
         wrapper = _WRAPPERS[int(rng.integers(0, len(_WRAPPERS)))]
-        prompts.append(_PREFIX + wrapper.format(description=description) + "\n")
+        prompts.append(INSTRUCTION_PREFIX + wrapper.format(description=description) + "\n")
         index += 1
     return prompts
 

@@ -7,7 +7,8 @@ Stagira parser keeping only passing samples, and finally annotate the cleaned
 code with its syntactically significant tokens (``[FRAG]`` insertion).
 
 :func:`refine_corpus` runs exactly these stages over a list of
-:class:`~repro.data.corpus.CorpusItem` and reports what each stage removed.
+:class:`~repro.data.corpus.CorpusItem`, reports what each stage removed and
+emits each surviving module as an :class:`~repro.data.alpaca.AlpacaExample`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro.data.alpaca import AlpacaExample
 from repro.data.corpus import CorpusItem
 from repro.data.minhash import MinHashDeduplicator
 from repro.verilog.fragments import insert_frag_markers
@@ -31,19 +33,6 @@ class RefinementConfig:
     minhash_bands: int = 16
     #: Items whose comment-character fraction exceeds this are dropped.
     max_comment_fraction: float = 0.6
-    #: Whether to annotate cleaned code with [FRAG] markers.
-    add_frag_markers: bool = True
-
-
-@dataclass
-class RefinedItem:
-    """A corpus item that survived refinement."""
-
-    name: str
-    family: str
-    description: str
-    code: str
-    code_with_frag: str
 
 
 @dataclass
@@ -57,7 +46,8 @@ class RefinementReport:
     removed_duplicates: int = 0
     removed_syntax: int = 0
     kept: int = 0
-    items: List[RefinedItem] = field(default_factory=list)
+    #: The surviving modules, each with its description as the instruction.
+    examples: List[AlpacaExample] = field(default_factory=list)
 
 
 _COMMENT_PATTERN = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
@@ -138,21 +128,20 @@ def refine_corpus(
     report.removed_duplicates = len(duplicate_pairs)
     deduplicated = [structurally_ok[i] for i in kept_indices]
 
-    # Stage 4: syntax check with the parser; keep only cleaned code.
+    # Stage 4: syntax check with the parser; keep only cleaned code, and
+    # annotate it with [FRAG] markers.
     for item, code in deduplicated:
         result = check_syntax(code)
         if not result.ok:
             report.removed_syntax += 1
             continue
-        code_with_frag = insert_frag_markers(code) if config.add_frag_markers else code
-        report.items.append(
-            RefinedItem(
+        report.examples.append(
+            AlpacaExample(
+                instruction=item.description,
+                output=code,
+                output_with_frag=insert_frag_markers(code),
                 name=item.name,
-                family=item.family,
-                description=item.description,
-                code=code,
-                code_with_frag=code_with_frag,
             )
         )
-    report.kept = len(report.items)
+    report.kept = len(report.examples)
     return report

@@ -14,8 +14,18 @@ A :class:`Problem` bundles everything needed to grade one benchmark entry:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
+
+
+def module_name_from_reference(reference: str) -> str:
+    """The name of the first module ``reference`` defines (both suites'
+    ``Problem.module_name``)."""
+    match = re.search(r"module\s+(\w+)", reference)
+    if match is None:
+        raise ValueError("reference has no module definition")
+    return match.group(1)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ counters, FSMs, FIFOs).
 
 from __future__ import annotations
 
+from repro.data.alpaca import INSTRUCTION_PREFIX
 from repro.evalbench import designs
-from repro.evalbench.problems import Problem, ProblemSuite
+from repro.evalbench.problems import Problem, ProblemSuite, module_name_from_reference
 
 
 def rtllm_suite() -> ProblemSuite:
@@ -50,28 +51,14 @@ def rtllm_suite() -> ProblemSuite:
     ]
     problems = []
     for name, (prompt, reference, testbench), category in entries:
-        module_name = _module_name_from_reference(reference)
         problems.append(
             Problem(
                 name=name,
-                prompt="Please act as a professional Verilog designer.\n" + prompt,
+                prompt=INSTRUCTION_PREFIX + prompt,
                 reference=reference,
                 testbench=testbench,
-                module_name=module_name,
+                module_name=module_name_from_reference(reference),
                 category=category,
             )
         )
     return ProblemSuite(name="RTLLM", problems=problems)
-
-
-def _module_name_from_reference(reference: str) -> str:
-    for line in reference.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("module "):
-            rest = stripped[len("module ") :]
-            for delimiter in (" ", "(", "#"):
-                index = rest.find(delimiter)
-                if index > 0:
-                    rest = rest[:index]
-            return rest.strip()
-    raise ValueError("reference has no module definition")

@@ -145,10 +145,6 @@ class EvaluationRunner:
         prompt_ids = self.decoder.tokenizer.encode_prompt(problem.prompt)
         return self.decoder.generate_many(prompt_ids, configs)
 
-    def generate_samples(self, problem: Problem) -> List[str]:
-        """Generate ``samples_per_prompt`` candidate designs for ``problem``."""
-        return [result.code for result in self.generate_results(problem)]
-
     def evaluate_problem(self, problem: Problem, samples: Optional[List[str]] = None) -> PromptEvaluation:
         """Grade (and if needed generate) samples for one problem."""
         results: List[DecodeResult] = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from repro.evalbench import designs
-from repro.evalbench.problems import Problem, ProblemSuite
+from repro.evalbench.problems import Problem, ProblemSuite, module_name_from_reference
 
 
 def _header_from_reference(reference: str) -> str:
@@ -22,13 +22,6 @@ def _header_from_reference(reference: str) -> str:
     if match is None:
         raise ValueError("reference has no module header")
     return match.group(0)
-
-
-def _module_name_from_reference(reference: str) -> str:
-    match = re.search(r"module\s+(\w+)", reference)
-    if match is None:
-        raise ValueError("reference has no module definition")
-    return match.group(1)
 
 
 def vgen_suite() -> ProblemSuite:
@@ -66,7 +59,7 @@ def vgen_suite() -> ProblemSuite:
                 prompt=full_prompt,
                 reference=reference,
                 testbench=testbench,
-                module_name=_module_name_from_reference(reference),
+                module_name=module_name_from_reference(reference),
                 category="vgen-low-level",
             )
         )

@@ -4,7 +4,9 @@
 ``benchmarks/perf/workloads.py`` builds engines through
 ``Pipeline.engine_for`` keywords and reads ``kv_pool_stats()`` keys, and
 ``benchmarks/perf/probes.py`` builds a ``Router`` whose workers call
-``repro.serving.worker.engine_from_pipeline`` with a dict of keywords.  The
+``repro.serving.worker.engine_from_pipeline`` with a dict of keywords, and
+``benchmarks/perf/run.py`` trains through ``Pipeline.train_method`` with
+``MedusaTrainer.prepare_inputs`` patched.  The
 benchmark directory is frozen, so a rename or deletion under ``src/`` that
 breaks it would otherwise surface only when the benchmark runs.  These tests
 resolve that surface without wrapping or editing anything under
@@ -22,7 +24,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.pipeline import VerilogSpecPipeline
+from repro.core.pipeline import PipelineConfig, VerilogSpecPipeline
+from repro.core.training import MedusaTrainer
 from repro.nn.kv_cache import KVCache
 from repro.nn.kv_pool import PagedKVCache
 from repro.serving.worker import engine_from_pipeline
@@ -58,7 +61,7 @@ def test_every_name_the_layer_tracer_wraps_resolves(layers):
     assert "generate" in {attr for _, attr in wrapped}
 
 
-#: The K/V ops only the benchmark calls: ROADMAP 2(d) deletes them once layers.py stops wrapping by name.
+#: The K/V ops only the benchmark calls: ROADMAP 8(c) deletes them once layers.py stops wrapping by name.
 BENCHMARK_ONLY_KV_OPS = {"truncate", "truncate_rows", "expand_batch", "keep_row", "keep_path", "repeat_rows", "compact_rows"}
 
 
@@ -119,6 +122,45 @@ def test_engine_from_pipeline_accepts_every_router_factory_the_probes_build():
         assert ast.literal_eval(factory) == "repro.serving.worker:engine_from_pipeline"
         assert isinstance(factory_kwargs, ast.Dict)
         signature.bind(**{ast.literal_eval(key): None for key in factory_kwargs.keys})
+
+
+def _attributes_of(tree, name):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == name
+    ]
+
+
+def test_the_training_hook_run_py_patches_resolves():
+    """``run.py`` times training step by step: it swaps ``MedusaTrainer.prepare_inputs``
+    for a ``(trainer, sample)`` function that calls through, drives
+    ``pipeline.train_method(method)`` and then clears ``pipeline.histories``."""
+    tree = ast.parse((PERF_DIR / "run.py").read_text())
+    imports = {
+        alias.name: node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro")
+        for alias in node.names
+    }
+    assert getattr(importlib.import_module(imports["MedusaTrainer"]), "MedusaTrainer") is MedusaTrainer
+    assert {node.attr for node in _attributes_of(tree, "MedusaTrainer")} == {"prepare_inputs"}
+    assert list(inspect.signature(MedusaTrainer.prepare_inputs).parameters) == ["self", "sample"]
+
+    assert getattr(importlib.import_module(imports["VerilogSpecPipeline"]), "VerilogSpecPipeline") is VerilogSpecPipeline
+    pipeline = VerilogSpecPipeline(PipelineConfig())
+    attributes = _attributes_of(tree, "pipeline")
+    used = {node.attr for node in attributes}
+    assert {"train_method", "histories"} <= used
+    assert all(hasattr(pipeline, attr) for attr in used), sorted(attr for attr in used if not hasattr(pipeline, attr))
+    assert isinstance(pipeline.histories, dict)
+    called = {id(node) for node in attributes}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and id(node.func) in called]
+    assert "train_method" in {call.func.attr for call in calls}
+    for call in calls:
+        inspect.signature(getattr(pipeline, call.func.attr)).bind(
+            *[None] * len(call.args), **{keyword.arg: None for keyword in call.keywords}
+        )
 
 def test_engine_for_takes_only_the_paged_kv_memory(tiny_pipeline):
     literal = {

@@ -3,12 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.data.alpaca import build_alpaca_dataset, filter_by_length, subset_fractions
+from repro.data.alpaca import subset_fractions
 from repro.data.corpus import CorpusConfig, SyntheticVerilogCorpus
 from repro.data.descriptions import describe_design
 from repro.data.minhash import MinHashDeduplicator, estimated_jaccard, jaccard_similarity, minhash_signature
 from repro.data.refinement import (
-    RefinementConfig,
     comment_fraction,
     has_complete_module_structure,
     refine_corpus,
@@ -172,9 +171,10 @@ class TestRefinement:
         report = refine_corpus(corpus.generate())
         assert report.kept > 0
         assert report.kept <= report.after_module_split
-        for item in report.items:
-            assert check_syntax(item.code).ok
-            assert FRAG in item.code_with_frag
+        assert report.kept == len(report.examples)
+        for example in report.examples:
+            assert check_syntax(example.output).ok
+            assert FRAG in example.output_with_frag
 
     def test_pipeline_removes_corrupted_items(self):
         corpus = SyntheticVerilogCorpus(CorpusConfig(num_items=20, seed=4, corrupted_fraction=0.3))
@@ -185,11 +185,6 @@ class TestRefinement:
         corpus = SyntheticVerilogCorpus(CorpusConfig(num_items=20, seed=4, duplicate_fraction=0.3))
         report = refine_corpus(corpus.generate())
         assert report.removed_duplicates > 0
-
-    def test_frag_markers_optional(self):
-        corpus = SyntheticVerilogCorpus(CorpusConfig(num_items=5, seed=1))
-        report = refine_corpus(corpus.generate(), RefinementConfig(add_frag_markers=False))
-        assert all(item.code_with_frag == item.code for item in report.items)
 
     def test_report_totals_consistent(self):
         corpus = SyntheticVerilogCorpus(CorpusConfig(num_items=25, seed=9, corrupted_fraction=0.2, duplicate_fraction=0.2))
@@ -206,8 +201,7 @@ class TestRefinement:
 class TestAlpaca:
     def _examples(self, count=12):
         corpus = SyntheticVerilogCorpus(CorpusConfig(num_items=count, seed=2))
-        report = refine_corpus(corpus.generate())
-        return build_alpaca_dataset(report.items)
+        return refine_corpus(corpus.generate()).examples
 
     def test_build_dataset_fields(self):
         examples = self._examples()
@@ -217,12 +211,6 @@ class TestAlpaca:
         assert example.output
         assert FRAG in example.output_with_frag
         assert example.prompt_text().startswith("Please act as a professional Verilog designer.")
-
-    def test_max_items_limit(self):
-        corpus = SyntheticVerilogCorpus(CorpusConfig(num_items=20, seed=2))
-        report = refine_corpus(corpus.generate())
-        examples = build_alpaca_dataset(report.items, max_items=3)
-        assert len(examples) == 3
 
     def test_subset_fractions_nested(self):
         examples = self._examples(30)
@@ -237,14 +225,3 @@ class TestAlpaca:
         examples = self._examples(30)
         subsets = subset_fractions(examples, fractions=(0.5,), seed=0)
         assert len(subsets[0.5]) == max(1, round(0.5 * len(examples)))
-
-    def test_filter_by_length(self):
-        from repro.tokenizer.bpe import BPETokenizer
-
-        examples = self._examples(10)
-        tokenizer = BPETokenizer()
-        tokenizer.train([e.prompt_text() + e.output_with_frag for e in examples], vocab_size=300)
-        kept_all = filter_by_length(examples, tokenizer, max_tokens=10_000)
-        kept_none = filter_by_length(examples, tokenizer, max_tokens=5)
-        assert len(kept_all) == len(examples)
-        assert kept_none == []

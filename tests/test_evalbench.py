@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from repro.evalbench.designs import adder, counter, data_register, mux2
 from repro.evalbench.functional import check_design_functional, check_designs_functional
 from repro.evalbench.passk import pass_at_k, pass_at_k_from_counts, pass_at_k_single, pass_rate
-from repro.evalbench.problems import Problem
+from repro.evalbench.problems import Problem, module_name_from_reference
 from repro.evalbench.rtllm import rtllm_suite
 from repro.evalbench.syntax_eval import check_design_compiles
 from repro.evalbench.vgen import vgen_suite
+from repro.verilog.parser import parse_source
 
 
 class TestPassAtK:
@@ -97,6 +98,21 @@ class TestProblemSuites:
         for problem in rtllm_suite():
             assert problem.module_name in problem.prompt
             assert "Please act as a professional Verilog designer." in problem.prompt
+
+    def test_module_name_is_the_parsed_reference_module(self):
+        """One rule names both suites' modules, and it agrees with the parser."""
+        for problem in list(rtllm_suite()) + list(vgen_suite()):
+            assert problem.module_name == parse_source(problem.reference).modules[0].name
+
+    @pytest.mark.parametrize(
+        "reference", ["module m(input a);", "module m #(parameter W = 1) (input a);", "  module   m\n(input a);"]
+    )
+    def test_module_name_rule_stops_at_the_name(self, reference):
+        assert module_name_from_reference(reference) == "m"
+
+    def test_module_name_rule_rejects_a_reference_without_a_module(self):
+        with pytest.raises(ValueError, match="no module"):
+            module_name_from_reference("wire a;")
 
     def test_suite_lookup(self):
         suite = rtllm_suite()

@@ -2,6 +2,7 @@
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.core.labels import (
     apply_syntax_enrichment,
@@ -131,6 +132,23 @@ class TestReferenceEquivalence:
             non_pad = [v for v in supervised if v != PAD]
             if non_pad:
                 assert non_pad[-1] == FRAG
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(
+            np.int64,
+            array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=30),
+            elements=st.sampled_from([PAD, IGNORE, 10, 11, 12]),
+        ),
+        st.lists(st.sampled_from([FRAG, 10]), min_size=30, max_size=30),
+    )
+    def test_frag_free_head_rows_are_returned_unchanged(self, labels, base_row):
+        """Property: enrichment is the identity on a label matrix whose head
+        rows hold no [FRAG], whatever the base row holds. This is why Medusa
+        (no markers) and NTP (no heads) share Ours' label construction."""
+        labels[0] = base_row[: labels.shape[1]]
+        out = apply_syntax_enrichment(labels, frag_id=FRAG, ignore_id=IGNORE)
+        np.testing.assert_array_equal(out, labels)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from([FRAG, 30, 31]), min_size=2, max_size=30))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.decoding import DecodingStrategy
-from repro.core.pipeline import METHOD_STRATEGIES, PipelineConfig, VerilogSpecPipeline
+from repro.core.pipeline import PipelineConfig, VerilogSpecPipeline
 from repro.evalbench.problems import ProblemSuite
 from repro.evalbench.rtllm import rtllm_suite
 from repro.evalbench.runner import EvaluationRunner
@@ -35,10 +35,11 @@ class TestPipelinePreparation:
         assert tiny_pipeline.models["ntp"].num_medusa_heads == 0
         assert tiny_pipeline.models["ours"].num_medusa_heads > 0
 
-    def test_method_strategies_mapping(self):
-        assert METHOD_STRATEGIES["ours"] is DecodingStrategy.OURS
-        assert METHOD_STRATEGIES["medusa"] is DecodingStrategy.MEDUSA
-        assert METHOD_STRATEGIES["ntp"] is DecodingStrategy.NTP
+    def test_method_strategies_mapping(self, tiny_pipeline):
+        """A method name is its decoding strategy's value."""
+        assert tiny_pipeline.decoder_for("ours").strategy is DecodingStrategy.OURS
+        assert tiny_pipeline.decoder_for("medusa").strategy is DecodingStrategy.MEDUSA
+        assert tiny_pipeline.decoder_for("ntp").strategy is DecodingStrategy.NTP
 
     def test_decoder_for_unknown_method_raises(self, tiny_pipeline):
         with pytest.raises(KeyError):
@@ -143,9 +144,9 @@ class TestQualityRunner:
         runner = EvaluationRunner(
             tiny_pipeline.decoder_for("medusa"), samples_per_prompt=3, max_new_tokens=32, k_values=(1,)
         )
-        samples = runner.generate_samples(mini_suite[0])
-        assert len(samples) == 3
-        assert all(isinstance(s, str) for s in samples)
+        results = runner.generate_results(mini_suite[0])
+        assert len(results) == 3
+        assert all(isinstance(result.code, str) for result in results)
 
     @pytest.mark.parametrize("backbone", ["tiny_pipeline", "encdec_pipeline"])
     def test_batched_samples_equal_one_generate_per_sample(self, request, backbone, mini_suite):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.labels import build_shifted_labels
 from repro.core.training import MedusaLoss, MedusaTrainer, TrainerConfig, TrainingSample
 from repro.models.medusa import MedusaLM
 from repro.nn.transformer import DecoderOnlyTransformer, EncoderDecoderTransformer
@@ -99,7 +100,7 @@ class TestMedusaLoss:
 class TestPrepareInputs:
     def test_decoder_only_shapes(self, small_tokenizer):
         model = _tiny_model(small_tokenizer)
-        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(method="ours", max_seq_len=64))
+        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(max_seq_len=64))
         prompt = small_tokenizer.encode("Write a Verilog module named m.", add_bos=True)
         target = small_tokenizer.encode("[FRAG]module[FRAG] m;", add_eos=True)
         sample = TrainingSample(prompt_ids=prompt, target_ids=target)
@@ -109,7 +110,7 @@ class TestPrepareInputs:
 
     def test_decoder_only_prompt_masked(self, small_tokenizer):
         model = _tiny_model(small_tokenizer)
-        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(method="ours", max_seq_len=64))
+        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(max_seq_len=64))
         prompt = small_tokenizer.encode("Write a Verilog module named m.", add_bos=True)
         target = small_tokenizer.encode("[FRAG]module[FRAG] m;", add_eos=True)
         _, _, labels = trainer.prepare_inputs(TrainingSample(prompt_ids=prompt, target_ids=target))
@@ -119,7 +120,7 @@ class TestPrepareInputs:
 
     def test_encoder_decoder_shapes(self, small_tokenizer):
         model = _tiny_model(small_tokenizer, architecture="encoder-decoder")
-        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(method="ours", max_seq_len=64))
+        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(max_seq_len=64))
         prompt = small_tokenizer.encode("Write a Verilog module named m.", add_bos=True)
         target = small_tokenizer.encode("[FRAG]module[FRAG] m;", add_eos=True)
         input_ids, encoder_ids, labels = trainer.prepare_inputs(TrainingSample(prompt_ids=prompt, target_ids=target))
@@ -128,7 +129,7 @@ class TestPrepareInputs:
 
     def test_medusa_method_keeps_frag_free_labels_unmasked(self, small_tokenizer):
         model = _tiny_model(small_tokenizer)
-        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(method="medusa", max_seq_len=64))
+        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(max_seq_len=64))
         prompt = small_tokenizer.encode("Write a module.", add_bos=True)
         target = small_tokenizer.encode("module m; endmodule", add_eos=True)
         _, _, labels = trainer.prepare_inputs(TrainingSample(prompt_ids=prompt, target_ids=target))
@@ -141,11 +142,46 @@ class TestPrepareInputs:
 
     def test_truncation_to_max_seq_len(self, small_tokenizer):
         model = _tiny_model(small_tokenizer)
-        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(method="ours", max_seq_len=16))
+        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(max_seq_len=16))
         prompt = small_tokenizer.encode("Write a Verilog module named m. " * 5, add_bos=True)
         target = small_tokenizer.encode("module m; endmodule " * 5, add_eos=True)
         input_ids, _, _ = trainer.prepare_inputs(TrainingSample(prompt_ids=prompt, target_ids=target))
         assert input_ids.shape[0] <= 16
+
+
+def _frag_free_labels(trainer, sample):
+    """The Medusa / NTP label matrix as the trainer once built it inline, kept
+    as the oracle: shift, [PAD] -> [IGNORE], then the prompt mask."""
+    max_len = min(trainer.config.max_seq_len, trainer.model.backbone.max_seq_len)
+    if trainer.model.is_encoder_decoder:
+        base_label = np.asarray(sample.target_ids[: max_len - 1], dtype=np.int64)
+        prompt_mask = None
+    else:
+        full = (list(sample.prompt_ids) + list(sample.target_ids))[:max_len]
+        base_label = np.asarray(full[1:], dtype=np.int64)
+        prompt_mask = np.zeros(base_label.shape[0], dtype=bool)
+        prompt_mask[: max(len(sample.prompt_ids) - 1, 0)] = True
+    labels = build_shifted_labels(base_label, trainer.model.num_medusa_heads, pad_id=trainer.pad_id)
+    labels[labels == trainer.pad_id] = trainer.ignore_id
+    if prompt_mask is not None:
+        labels[:, prompt_mask] = trainer.ignore_id
+    return labels
+
+
+@pytest.mark.parametrize("backbone", ["tiny_pipeline", "encdec_pipeline"])
+@pytest.mark.parametrize("method", ["medusa", "ntp"])
+def test_one_label_path_gives_frag_free_methods_their_plain_labels(request, backbone, method):
+    """Every Medusa and NTP sample of the tiny pipelines gets, from the one
+    syntax-enriched construction, exactly the plain shifted labels."""
+    pipeline = request.getfixturevalue(backbone)
+    trainer = MedusaTrainer(
+        pipeline.models[method], pipeline.tokenizer, TrainerConfig(max_seq_len=pipeline.config.max_train_seq_len)
+    )
+    samples = pipeline.training_samples(method)
+    assert samples
+    for sample in samples:
+        _, _, labels = trainer.prepare_inputs(sample)
+        np.testing.assert_array_equal(labels, _frag_free_labels(trainer, sample))
 
 
 class TestTrainingLoop:
@@ -164,7 +200,7 @@ class TestTrainingLoop:
         # The *base* loss must fall; the total loss is not monotone because the
         # head-loss weight lambda grows from 0 to 0.2 during training (eq. 2).
         model = _tiny_model(small_tokenizer, num_heads=2)
-        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(epochs=8, method="ours", warmup_steps=2, max_seq_len=64))
+        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(epochs=8, warmup_steps=2, max_seq_len=64))
         history = trainer.train(self._samples(small_tokenizer))
         first = np.mean(history.base_loss[:4])
         last = np.mean(history.base_loss[-4:])
@@ -172,7 +208,7 @@ class TestTrainingLoop:
 
     def test_history_lengths_match(self, small_tokenizer):
         model = _tiny_model(small_tokenizer, num_heads=1)
-        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(epochs=2, method="medusa", max_seq_len=64))
+        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(epochs=2, max_seq_len=64))
         samples = self._samples(small_tokenizer, method="medusa")
         history = trainer.train(samples)
         assert len(history.steps) == len(history.total_loss) == len(history.base_loss)
@@ -180,7 +216,7 @@ class TestTrainingLoop:
 
     def test_ntp_training_with_zero_heads(self, small_tokenizer):
         model = _tiny_model(small_tokenizer, num_heads=0)
-        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(epochs=2, method="ntp", max_seq_len=64))
+        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(epochs=2, max_seq_len=64))
         history = trainer.train(self._samples(small_tokenizer, method="ntp"))
         assert history.final_loss() > 0
 
@@ -193,7 +229,7 @@ class TestTrainingLoop:
     def test_training_modifies_parameters(self, small_tokenizer):
         model = _tiny_model(small_tokenizer, num_heads=1)
         before = [p.data.copy() for p in model.parameters()]
-        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(epochs=1, method="ours", max_seq_len=64))
+        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(epochs=1, max_seq_len=64))
         trainer.train(self._samples(small_tokenizer, count=2))
         after = list(model.parameters())
         changed = sum(not np.allclose(b, a.data) for b, a in zip(before, after))
@@ -201,6 +237,6 @@ class TestTrainingLoop:
 
     def test_encoder_decoder_training_runs(self, small_tokenizer):
         model = _tiny_model(small_tokenizer, num_heads=2, architecture="encoder-decoder")
-        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(epochs=1, method="ours", max_seq_len=64))
+        trainer = MedusaTrainer(model, small_tokenizer, TrainerConfig(epochs=1, max_seq_len=64))
         history = trainer.train(self._samples(small_tokenizer, count=2))
         assert len(history.total_loss) == 2
