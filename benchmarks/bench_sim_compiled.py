@@ -37,23 +37,14 @@ from repro.sim.rng import VerilogRng
 from repro.sim.simulator import Simulator
 from repro.verilog.syntax import check_syntax
 
-from conftest import FULL, SMOKE, emit_bench_json
+from conftest import emit_bench_json
 
 #: Required scalar advantage on the events/sec kernel (acceptance criterion).
 MIN_SPEEDUP = 5.0
 
-if SMOKE:
-    KERNEL_WIRES = 16
-    KERNEL_RUN_TIME = 2_500
-    BATCH_CANDIDATES = 8
-elif FULL:
-    KERNEL_WIRES = 32
-    KERNEL_RUN_TIME = 20_000
-    BATCH_CANDIDATES = 48
-else:
-    KERNEL_WIRES = 24
-    KERNEL_RUN_TIME = 10_000
-    BATCH_CANDIDATES = 24
+KERNEL_WIRES = 24
+KERNEL_RUN_TIME = 10_000
+BATCH_CANDIDATES = 24
 
 
 def kernel_source(nwires: int, run_time: int) -> str:

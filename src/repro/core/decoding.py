@@ -343,6 +343,12 @@ class DecodeResult:
         return self.tokens_decoded / denominator
 
     @property
+    def code_chars(self) -> int:
+        """Length of :attr:`code`: the one output unit every method shares
+        (Ours' ``[FRAG]`` markers are tokens but no code)."""
+        return len(self.code)
+
+    @property
     def tokens_per_step(self) -> float:
         """Mean number of tokens committed per decoding step."""
         if self.steps == 0:

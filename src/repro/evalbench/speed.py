@@ -39,6 +39,9 @@ class SpeedReport:
     #: Total positions run through candidate verification across all outputs
     #: (see :class:`~repro.core.decoding.StepRecord`).
     total_verified_tokens: int = 0
+    #: Mean over outputs of code characters per decoding step: the step rate
+    #: in a unit that counts code only, so it compares all three methods.
+    mean_code_chars_per_step: float = 0.0
 
     def to_dict(self) -> dict:
         """Machine-readable summary (benchmark JSON artifacts)."""
@@ -52,6 +55,7 @@ class SpeedReport:
             "total_wall_time": self.total_wall_time,
             "total_prefill_time": self.total_prefill_time,
             "total_verified_tokens": self.total_verified_tokens,
+            "mean_code_chars_per_step": self.mean_code_chars_per_step,
         }
 
 
@@ -98,6 +102,7 @@ def measure_speed(
     total_time = sum(r.wall_time_seconds for r in results)
     total_prefill = sum(r.prefill_seconds for r in results)
     total_verified = sum(r.tokens_verified for r in results)
+    mean_code_chars_per_step = sum(r.code_chars / r.steps for r in results if r.steps) / num_outputs
     return SpeedReport(
         label=label,
         num_outputs=num_outputs,
@@ -108,6 +113,7 @@ def measure_speed(
         total_wall_time=total_time,
         total_prefill_time=total_prefill,
         total_verified_tokens=total_verified,
+        mean_code_chars_per_step=mean_code_chars_per_step,
     )
 
 

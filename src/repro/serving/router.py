@@ -43,7 +43,7 @@ answering the same messages — asserted across decoding strategies in
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.decoding import DecodeResult
@@ -389,11 +389,19 @@ class Router:
         record = self._requests.get(event.request_id)
         if record is None or record.done:
             return
-        if record.replay_skip > 0 and not (event.cancelled or event.timed_out):
-            raise RuntimeError(
-                f"request {record.request_id!r} finished with {record.replay_skip} "
-                "replayed tokens undelivered — replay diverged from the original run"
-            )
+        if record.replay_skip > 0:
+            if not (event.cancelled or event.timed_out):
+                raise RuntimeError(
+                    f"request {record.request_id!r} finished with {record.replay_skip} "
+                    "replayed tokens undelivered — replay diverged from the original run"
+                )
+            # Cancelled mid-replay: the fresh worker's result holds only the
+            # prefix it re-committed, so the request settles with the stream
+            # it delivered. (``text`` and ``code`` stay the worker's: the
+            # router serves token ids and holds no tokenizer.)
+            tokens = list(record.tokens)
+            event = replace(event, result={**event.result, "token_ids": tokens, "tokens_generated": len(tokens)})
+            record.replay_skip = 0
         record.finished = event
         record.finished_at = time.perf_counter()
 

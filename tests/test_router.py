@@ -33,7 +33,7 @@ import pytest
 
 from proptest import Cases, for_all, num_cases
 
-from repro.core.decoding import DecodingStrategy, SpeculativeDecoder
+from repro.core.decoding import DecodeResult, DecodingStrategy, SpeculativeDecoder
 from repro.models.generation import GenerationConfig
 from repro.serving import (
     AsyncServingEngine,
@@ -50,6 +50,9 @@ from repro.serving import (
 from repro.serving.messages import (
     CancelCommand,
     CancelReply,
+    CommitEvent,
+    EngineStats,
+    FinishedEvent,
     QueryCommand,
     Envelope,
     QueryReply,
@@ -614,9 +617,7 @@ class TestRouterFuzz:
                 assert record.done, request_id
                 assert record.error is None
                 assert record.replay_skip == 0
-                if request_id not in cancelled and not record.finished.cancelled:
-                    result = decode_result(record.finished.result)
-                    assert record.tokens == list(result.token_ids)
+                assert record.tokens == list(decode_result(record.finished.result).token_ids)
             # Pools drain to zero once the fleet is idle; sizes and ratios are
             # fleet-level, not sums over workers.
             pool = router.kv_pool_stats()
@@ -636,13 +637,15 @@ class TestRouterFuzz:
 
 
 class _StubWorker:
-    """A worker answered in process: submits are accepted, queries return ``payload``."""
+    """A worker answered in process: submits are accepted, queries return
+    ``payload``, and ``collect`` hands out the step replies queued in ``steps``."""
 
     alive = True
 
     def __init__(self, worker_id, payload=None):
         self.worker_id = worker_id
         self.payload = payload or {}
+        self.steps = []
 
     def request(self, command):
         if isinstance(command, SubmitCommand):
@@ -650,12 +653,23 @@ class _StubWorker:
         return QueryReply(kind=command.kind, payload=self.payload)
 
     def collect(self):
-        return []
+        steps, self.steps = self.steps, []
+        return [Envelope(worker_id=self.worker_id, seq=seq, payload=step) for seq, step in enumerate(steps)]
+
+    def close(self):
+        pass
+
+
+def _step(commits=(), finished=()):
+    stats = EngineStats(queue_depth=0, num_prefilling=0, num_active=0, has_work=False, free_kv_tokens=0, steps_executed=0)
+    return StepReply(commits=list(commits), finished=list(finished), stats=stats)
 
 
 def _stub_router(workers, threshold=4):
     router = Router(factory=None, config=RouterConfig(num_workers=len(workers), imbalance_threshold=threshold))
     router.workers = list(workers)
+    router._restarts = [0] * len(workers)
+    router._last_stats = [None] * len(workers)
     router._started = True
     return router
 
@@ -750,6 +764,33 @@ class TestRouterBehaviour:
         assert router.submit([1, 2, 3]) == "r1"
         assert router.submit([1, 2, 3], request_id="r3") == "r3"
         assert [router.submit([1, 2, 3]) for _ in range(2)] == ["r2", "r4"]
+
+    def test_cancel_during_crash_replay_settles_with_the_delivered_stream(self):
+        """A request cancelled while its fresh worker is still replaying what
+        the crashed one delivered ends with the whole delivered stream, not
+        with the shorter prefix the fresh worker re-committed."""
+        crashed, fresh = _StubWorker("w0"), _StubWorker("w0")
+        router = _stub_router([crashed])
+        router._spawn_worker = lambda index: fresh
+        request_id = router.submit([1, 2, 3])
+        crashed.steps.append(_step([CommitEvent(request_id, [7, 8, 9, 10], 0.0)]))
+        router.poll()
+        crashed.alive = False
+        router.poll()  # requeues onto the fresh worker, which must replay 4 tokens
+        assert router.request_record(request_id).replay_skip == 4
+        partial = DecodeResult(
+            token_ids=[7, 8], text="", code="", steps=2, tokens_generated=2, wall_time_seconds=0.0, cancelled=True
+        )
+        finished = FinishedEvent(
+            request_id, encode_result(partial), cancelled=True, timed_out=False, stream_metrics={}, latency_seconds=0.0
+        )
+        fresh.steps.append(_step([CommitEvent(request_id, [7, 8], 0.0)], [finished]))
+        router.poll()
+        assert router.result(request_id).token_ids == [7, 8, 9, 10]
+        assert router.result(request_id).tokens_generated == 4
+        assert router.drain()[request_id].token_ids == [7, 8, 9, 10]
+        record = router.request_record(request_id)
+        assert record.tokens == [7, 8, 9, 10] and record.replay_skip == 0
 
     def test_fleet_kv_stats_are_fleet_ratios_not_sums(self):
         """Counts sum across workers; occupancy and sharing are recomputed from
